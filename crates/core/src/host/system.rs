@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 use recssd_cache::{LruCache, StaticPartition};
 use recssd_embedding::{LookupBatch, RowScratch, TableId, TableImage};
-use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
+use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
-use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
+use recssd_sim::{EventQueue, FxHashMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{SsdDevice, SsdEvent};
 
 use crate::ndp::NdpSlsEngine;
@@ -247,7 +247,9 @@ struct BaseIoBufs {
     cmds: Vec<CmdRun>,
     outstanding: FxHashMap<u16, usize>, // cid → index into `cmds`
     backlog: VecDeque<usize>,
-    data: FxHashMap<usize, Vec<u8>>,
+    /// Completed commands awaiting their accumulate charge: command
+    /// index → its page images, one per block of the command's span.
+    data: FxHashMap<usize, Vec<PageImage>>,
 }
 
 impl BaseIoBufs {
@@ -266,7 +268,7 @@ impl BaseIoBufs {
 struct BaseIo {
     bufs: BaseIoBufs,
     next: usize,
-    accum_current: Option<(usize, Vec<u8>)>,
+    accum_current: Option<(usize, Vec<PageImage>)>,
     cmds_done: usize,
     io_concurrency: usize,
     use_host_cache: bool,
@@ -1022,7 +1024,7 @@ impl System {
 
     /// A read completion (one command, one or more pages) arrived for a
     /// baseline op.
-    fn baseline_on_page(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<u8>) {
+    fn baseline_on_page(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<PageImage>) {
         let mut phase = std::mem::replace(
             &mut self.ops.get_mut(&id).expect("op").phase,
             Phase::Pending,
@@ -1084,7 +1086,7 @@ impl System {
             // The op was poisoned while this charge was in flight: drop
             // the command instead of folding it, and finish once no reads
             // remain outstanding.
-            self.dev.recycle_buffer(data);
+            self.dev.recycle_buffer(CmdData::Pages(data));
             if io.bufs.outstanding.is_empty() {
                 io.bufs.clear();
                 self.baseio_pool.push(io.bufs);
@@ -1107,15 +1109,14 @@ impl System {
         let table = *table;
         let image = &registry.binding(table).image;
         let spec = image.table().spec();
-        let page_bytes = registry.binding(table).image.page_bytes();
         let cmd = io.bufs.cmds[idx];
         let use_cache = io.use_host_cache && host_caches.contains_key(&table.0);
         let first_page = io.bufs.runs[cmd.first as usize].page;
         for run in &io.bufs.runs[cmd.first as usize..(cmd.first + cmd.count) as usize] {
             // A wanted page sits at its distance from the command's first
-            // page (bridged gap pages occupy their slots unused).
-            let k = (run.page - first_page) as usize;
-            let page = &data[k * page_bytes..(k + 1) * page_bytes];
+            // page (bridged gap pages occupy their slots unused); rows
+            // decode straight out of the device's image of it.
+            let page = &data[(run.page - first_page) as usize];
             let work = &io.bufs.items[run.start as usize..(run.start + run.len) as usize];
             if use_cache {
                 let cache = host_caches.get_mut(&table.0).expect("checked");
@@ -1138,9 +1139,10 @@ impl System {
                 }
             }
         }
-        // The command has been folded in; its transfer buffer goes back
-        // to the device pool so a same-sized read reuses it.
-        self.dev.recycle_buffer(data);
+        // The command has been folded in; its page images go back to the
+        // device, which returns each to the flash pool once the page
+        // cache lets go of it too.
+        self.dev.recycle_buffer(CmdData::Pages(data));
         io.cmds_done += 1;
         if io.bufs.backlog.is_empty()
             && io.bufs.outstanding.is_empty()
@@ -1321,7 +1323,7 @@ impl System {
         // Device partial sums fold straight into the flat accumulator —
         // no intermediate nested vectors.
         SlsConfig::accumulate_results(&data, op.outputs.as_mut_slice());
-        self.dev.recycle_buffer(data);
+        self.dev.recycle_buffer(CmdData::Flat(data));
         self.finish_op(now, id);
     }
 
@@ -1364,7 +1366,9 @@ impl System {
             };
             match phase_kind {
                 0 => {
-                    let data = c.data.expect("read data");
+                    let Some(CmdData::Pages(data)) = c.data else {
+                        unreachable!("a conventional read completes with page images")
+                    };
                     if self.ops[&id].failed.is_some() {
                         self.baseline_absorb(now, id, c.cid, data);
                     } else {
@@ -1373,7 +1377,9 @@ impl System {
                 }
                 1 => self.ndp_on_write_done(now, id),
                 _ => {
-                    let data = c.data.expect("NDP results");
+                    let Some(CmdData::Flat(data)) = c.data else {
+                        unreachable!("an NDP result read completes with one flat buffer")
+                    };
                     self.ndp_on_read_done(now, id, data);
                 }
             }
@@ -1387,40 +1393,38 @@ impl System {
     /// stops issuing reads, drops buffered-but-unfolded pages, and
     /// finishes once its in-flight commands and accumulate charge drain.
     fn on_failed_completion(&mut self, now: SimTime, id: OpId, cid: u16, err: DeviceError) {
-        let op = self.ops.get_mut(&id).expect("op exists");
+        let Self { ops, dev, .. } = self;
+        let op = ops.get_mut(&id).expect("op exists");
         if op.failed.is_none() {
             op.failed = Some(err);
         }
-        let base_drain = match &mut op.phase {
+        let base_done = match &mut op.phase {
             Phase::BaseIo(io) => {
                 io.bufs.outstanding.remove(&cid).expect("tracked command");
                 io.next = io.bufs.cmds.len();
                 io.bufs.backlog.clear();
-                let stale = std::mem::take(&mut io.bufs.data);
-                let done = io.bufs.outstanding.is_empty() && io.accum_current.is_none();
-                Some((stale, done))
+                // Drained in place: the map keeps its capacity for the
+                // next operator that reuses these planner buffers.
+                for (_, data) in io.bufs.data.drain() {
+                    dev.recycle_buffer(CmdData::Pages(data));
+                }
+                Some(io.bufs.outstanding.is_empty() && io.accum_current.is_none())
             }
             Phase::NdpAwaitWrite | Phase::NdpAwaitRead => None,
             other => unreachable!("failed completion in unexpected phase {other:?}"),
         };
-        match base_drain {
-            Some((stale, done)) => {
-                for (_, data) in stale {
-                    self.dev.recycle_buffer(data);
-                }
-                if done {
-                    self.baseio_finish_failed(now, id);
-                }
-            }
+        match base_done {
+            Some(true) => self.baseio_finish_failed(now, id),
+            Some(false) => {}
             None => self.finish_op(now, id),
         }
     }
 
     /// A late successful completion for an already-poisoned baseline op:
-    /// recycle its transfer buffer without folding anything in, and
-    /// finish the op once the last straggler drains.
-    fn baseline_absorb(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<u8>) {
-        self.dev.recycle_buffer(data);
+    /// hand its page images back without folding anything in, and finish
+    /// the op once the last straggler drains.
+    fn baseline_absorb(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<PageImage>) {
+        self.dev.recycle_buffer(CmdData::Pages(data));
         let op = self.ops.get_mut(&id).expect("op exists");
         let Phase::BaseIo(io) = &mut op.phase else {
             unreachable!("poisoned straggler outside BaseIo")

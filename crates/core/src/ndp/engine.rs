@@ -35,14 +35,14 @@
 //! * the SSD-side embedding cache stores vectors in per-slot buffers that
 //!   are overwritten in place on insert.
 
-use std::sync::Arc;
-
 use recssd_embedding::Quantization;
 use recssd_ftl::{FtlOutcome, FwTag, ReadStarted, ReqId};
-use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferDirection, XferId};
+use recssd_nvme::{
+    CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferDirection, XferId,
+};
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 
 use crate::{NdpConfig, SlsConfig, SlsOutput};
@@ -210,7 +210,7 @@ enum FwJob {
         request: u64,
         /// Index into the entry's `page_work`.
         widx: usize,
-        data: Arc<[u8]>,
+        data: PageImage,
         duration: SimDuration,
         /// Pool engine the translation ran on (`None` = firmware core,
         /// the single-core legacy path).
@@ -488,9 +488,9 @@ impl NdpSlsEngine {
                     self.start_translation(ctx, request, widx, data);
                 }
                 ReadStarted::Unmapped => {
-                    // Reads as zeros; translate a zero page so timing and
-                    // accounting stay uniform.
-                    let zeros: Arc<[u8]> = vec![0u8; page_bytes].into();
+                    // Reads as zeros; translate the shared zero page so
+                    // timing and accounting stay uniform.
+                    let zeros = ctx.ftl.zero_page();
                     self.start_translation(ctx, request, widx, zeros);
                 }
             }
@@ -509,7 +509,7 @@ impl NdpSlsEngine {
         ctx: &mut DeviceCtx<'_>,
         request: u64,
         widx: usize,
-        data: Arc<[u8]>,
+        data: PageImage,
     ) {
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let cfg = entry.cfg.as_ref().expect("configured");
@@ -701,7 +701,7 @@ impl NdpSlsEngine {
         let results = entry.results.as_slice();
         let mut data = ctx.take_buffer(SlsConfig::padded_result_len(results.len(), block_bytes));
         SlsConfig::encode_results_into(results, block_bytes, &mut data);
-        ctx.complete(qid, NvmeCompletion::success(cid, Some(data)));
+        ctx.complete(qid, NvmeCompletion::success(cid, Some(CmdData::Flat(data))));
 
         let flash_span = entry.t_last_page.saturating_since(entry.t_processed);
         self.stats.sls_requests.inc();
@@ -823,9 +823,9 @@ impl NdpEngine for NdpSlsEngine {
                         engine,
                     } => {
                         self.apply_translation(ctx, request, widx, &data, duration, engine);
-                        // Last consumer of this page image: offer it back
-                        // to the FTL's pool (a no-op while the page cache
-                        // still holds it).
+                        // Done with this page image: offer it back (the
+                        // page cache's eviction retires it instead while
+                        // the cache still holds it).
                         ctx.ftl.recycle_page_image(data);
                     }
                     FwJob::Merge { request } => {

@@ -54,9 +54,10 @@ fn measured_round(sys: &mut System, kind: OpKind) -> u64 {
 /// the rounds exercise the pure gather/reduce loop; with
 /// [`PageLayout::Spread`] every distinct row is a distinct flash page and
 /// the table dwarfs the page cache, so the big round drives ~512 full
-/// page-miss services (flash read buffer → FTL page image → NVMe transfer
-/// buffer). The page-buffer pools along that path must absorb all of it —
-/// before pooling, the spread case cost ~3 allocations *per page*.
+/// page-miss services, each one pooled page image handed from the flash
+/// array through the FTL and the NVMe completion to the host and back. The
+/// image pool and the page-list pool must absorb all of it — before
+/// pooling, the spread case cost ~3 allocations *per page*.
 fn assert_rounds_flat(sys: &mut System, table: recssd::TableId, rows: u64, layout: &str) {
     let small = batch(16, rows);
     let big = batch(512, rows);
@@ -117,7 +118,7 @@ fn steady_state_sls_allocations_do_not_scale_with_lookups() {
 
     // Spread layout: one page per row, 2000 pages against a 32-page FTL
     // cache — (almost) every lookup is a full flash-page service. This is
-    // the tightened bound: the page-buffer pools through
+    // the tightened bound: the page-image pool behind
     // flash → FTL → device → host must make the miss path steady-state
     // allocation-free too.
     let spread = sys.add_table(TableImage::new(

@@ -3,7 +3,7 @@
 //! orderings of the paper's headline results must hold.
 
 use proptest::prelude::*;
-use recssd::{LookupBatch, OpKind, RecSsdConfig, SlsOptions, System};
+use recssd::{FaultConfig, FaultPlan, LookupBatch, OpKind, RecSsdConfig, SlsOptions, System};
 use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};
 use recssd_sim::rng::Xoshiro256;
@@ -338,6 +338,71 @@ fn identical_runs_are_deterministic() {
     let (b1, b2, b3) = run();
     assert_eq!((a1, a2), (b1, b2));
     assert_eq!(a3, b3);
+}
+
+/// ROADMAP "pools return to inventory at idle", for the page-image pool:
+/// whatever mix of clean, media-failed and poisoned operators ran, once the
+/// device is idle every image the flash array ever handed out has been
+/// retired to its pool or sits in the FTL page cache.
+#[test]
+fn page_images_return_to_the_pool_after_faulted_runs() {
+    let mut sys = small_system();
+    let rows = 480u64;
+    let table = spread_table(&mut sys, rows, 16, Quantization::F32, 4);
+    let mut fault = FaultConfig::quiet(11);
+    fault.uncorrectable_rate = 0.04;
+    fault.transient_read_error_rate = 0.05;
+    sys.set_fault_plan(Some(FaultPlan::new(fault)));
+    let mut rng = Xoshiro256::seed_from(77);
+    let (mut clean, mut failed) = ([0u32; 2], [0u32; 2]);
+    for _ in 0..24 {
+        // Clusters of near-adjacent rows: on the spread layout the
+        // baseline reads each as one bridged multi-page command, a dozen
+        // in flight at once — a media error on one leaves the others to
+        // complete as stragglers of a poisoned operator.
+        let ids: Vec<u64> = (0..12)
+            .flat_map(|_| {
+                let start = rng.gen_range(0..rows - 8);
+                [start, start + 1, start + 3, start + 4]
+            })
+            .collect();
+        let batch = LookupBatch::new(vec![ids]);
+        let ops = [
+            sys.submit(OpKind::baseline_sls(
+                table,
+                batch.clone(),
+                SlsOptions::default(),
+            )),
+            sys.submit(OpKind::ndp_sls(table, batch, SlsOptions::default())),
+        ];
+        sys.run_until_idle();
+        for (path, op) in ops.into_iter().enumerate() {
+            let r = sys.take_result(op);
+            if r.is_ok() {
+                clean[path] += 1;
+            } else {
+                failed[path] += 1;
+            }
+            sys.recycle_outputs(r.outputs.expect("an SLS operator has outputs"));
+        }
+    }
+    assert!(
+        clean.iter().chain(&failed).all(|&n| n > 0),
+        "the schedule must mix clean and failed operators on both paths: \
+         clean {clean:?}, failed {failed:?}"
+    );
+    assert!(
+        sys.device().stats().blocks_read.get() > sys.device().stats().read_commands.get(),
+        "the baseline must have issued multi-page reads"
+    );
+    assert!(sys.device().idle());
+    let ftl = sys.device().ftl();
+    assert_eq!(
+        ftl.flash().page_images_out(),
+        ftl.cached_pages(),
+        "page images leaked: {} pooled",
+        ftl.flash().page_images_pooled()
+    );
 }
 
 proptest! {

@@ -189,14 +189,31 @@ impl TableImageOracle {
     }
 }
 
-impl PageOracle for TableImageOracle {
-    fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+impl TableImageOracle {
+    /// The table-relative page `page_index` addresses, if the table
+    /// reaches that far into its slot.
+    fn relative_page(&self, page_index: u64) -> Option<u64> {
         let rel = page_index
             .checked_sub(self.base_page)
             .expect("oracle asked outside its range");
-        if rel < self.image.pages() {
+        (rel < self.image.pages()).then_some(rel)
+    }
+}
+
+impl PageOracle for TableImageOracle {
+    fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+        if let Some(rel) = self.relative_page(page_index) {
             self.image.fill_relative_page(rel, out);
         }
+    }
+
+    /// Rows are packed from byte 0, so a page is dirtied exactly up to the
+    /// end of its last row — one row's bytes under the spread layout.
+    fn filled_prefix(&self, page_index: u64, _page_bytes: usize) -> usize {
+        self.relative_page(page_index).map_or(0, |rel| {
+            let rows = self.image.rows_in_page(rel);
+            (rows.end - rows.start) as usize * self.image.table().spec().row_bytes()
+        })
     }
 }
 
@@ -270,6 +287,25 @@ mod tests {
         let mut out2 = vec![0u8; 512];
         oracle.fill_page(1000 + 64, &mut out2);
         assert!(out2.iter().all(|&b| b == 0));
+        assert_eq!(oracle.filled_prefix(1000 + 64, 512), 0);
+    }
+
+    #[test]
+    fn oracle_reports_the_prefix_it_fills() {
+        // Dense: 300 rows of 128 B, 32 per 4 KB page, the last page partial.
+        let img = Arc::new(TableImage::new(
+            table(300, 32, Quantization::F32),
+            PageLayout::Dense,
+            4096,
+        ));
+        let oracle = TableImageOracle::new(img.clone(), 10);
+        for rel in 0..img.pages() {
+            let mut out = vec![0u8; 4096];
+            oracle.fill_page(10 + rel, &mut out);
+            let prefix = oracle.filled_prefix(10 + rel, 4096);
+            assert_eq!(prefix, img.rows_in_page(rel).count() * 128);
+            assert!(out[prefix..].iter().all(|&b| b == 0), "page {rel}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, Histogram};
-use recssd_sim::{SimDuration, SimTime};
+use recssd_sim::{PageImage, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -50,8 +50,10 @@ pub enum FlashOp {
         /// Page to program. Pages within a block must be programmed in
         /// order, matching real NAND constraints.
         ppa: Ppa,
-        /// Bytes to write (up to one page).
-        data: Box<[u8]>,
+        /// Bytes to write (up to one page). A page image the array handed
+        /// out (a GC relocation read, [`FlashArray::page_image_from`])
+        /// is programmed without a copy and rejoins the pool afterwards.
+        data: PageImage,
     },
     /// Erase one block (`ppa.page` must be zero).
     Erase {
@@ -108,8 +110,9 @@ pub struct FlashCompletion {
     pub kind: FlashOpKind,
     /// The page (or block head, for erases) it addressed.
     pub ppa: Ppa,
-    /// Page contents, for reads.
-    pub data: Option<Box<[u8]>>,
+    /// Page contents, for reads: a pooled image to hand back through
+    /// [`FlashArray::recycle_page_buf`] once its last reader is done.
+    pub data: Option<PageImage>,
     /// When the operation was submitted (for latency accounting).
     pub submitted_at: SimTime,
     /// An injected uncorrectable error hit this operation. The data is
@@ -239,9 +242,10 @@ struct OpState {
     retried: bool,
 }
 
-/// Largest number of recycled page buffers the array keeps. Sized to cover
+/// Largest number of recycled page images the array keeps. Sized to cover
 /// the deepest realistic read backlog (an NDP request fanning a full batch
-/// out across the channels) so steady-state reads allocate nothing.
+/// out across the channels) plus the page-cache eviction churn behind it,
+/// so steady-state reads allocate nothing.
 const PAGE_BUF_POOL_CAP: usize = 1024;
 
 /// The NAND flash array: geometry, timing, per-resource scheduling and page
@@ -255,9 +259,16 @@ pub struct FlashArray {
     block_write_ptr: HashMap<u64, u32>,
     ops: HashMap<FlashOpId, OpState>,
     next_op: u64,
-    /// Free-list of full-page read buffers (see
-    /// [`FlashArray::recycle_page_buf`]).
-    buf_pool: Vec<Box<[u8]>>,
+    /// Free-list of exclusively owned page images — the one page pool of
+    /// the device stack (see [`FlashArray::recycle_page_buf`]).
+    page_pool: Vec<PageImage>,
+    /// Images handed out and not yet retired through
+    /// [`FlashArray::recycle_page_buf`].
+    images_out: usize,
+    /// The shared all-zero image unmapped pages are served from. The
+    /// array's own handle keeps it from ever being exclusive, so it can
+    /// never be pooled and refilled.
+    zero_page: PageImage,
     /// Optional fault-injection overlay (`None` = perfectly reliable).
     fault: Option<FaultPlan>,
     stats: FlashStats,
@@ -282,7 +293,9 @@ impl FlashArray {
             // allocations into steady state.
             ops: HashMap::with_capacity(PAGE_BUF_POOL_CAP.max(n_dies + 8 * n_channels)),
             next_op: 0,
-            buf_pool: Vec::new(),
+            page_pool: Vec::new(),
+            images_out: 0,
+            zero_page: PageImage::zeroed(config.geometry.page_bytes),
             fault: None,
             stats: FlashStats {
                 channel_busy: vec![SimDuration::ZERO; n_channels],
@@ -395,25 +408,76 @@ impl FlashArray {
         self.store.read_into(idx, out);
     }
 
-    /// Returns a consumed full-page read buffer to the free-list; the next
-    /// completed read fills it instead of allocating. Wrong-sized buffers
-    /// are dropped (the pool only serves whole pages).
-    pub fn recycle_page_buf(&mut self, buf: Box<[u8]>) {
-        if buf.len() == self.config.geometry.page_bytes && self.buf_pool.len() < PAGE_BUF_POOL_CAP {
-            self.buf_pool.push(buf);
+    /// Offers a page image back once a holder is done with it. While
+    /// clones are alive elsewhere (the page cache, another reader) this
+    /// only drops the caller's reference; the last holder's call retires
+    /// the image into the free-list, where the next read refills it in
+    /// place instead of allocating. Wrong-sized images are dropped (the
+    /// pool only serves whole pages).
+    pub fn recycle_page_buf(&mut self, image: PageImage) {
+        if !image.is_exclusive() {
+            return;
+        }
+        // Saturating: an image built outside the pool (`From<Vec<u8>>`
+        // program payloads) is adopted rather than counted twice.
+        self.images_out = self.images_out.saturating_sub(1);
+        if image.len() == self.config.geometry.page_bytes
+            && self.page_pool.len() < PAGE_BUF_POOL_CAP
+        {
+            self.page_pool.push(image);
         }
     }
 
-    /// A page-sized buffer from the pool (or a fresh allocation) holding
-    /// the contents of linear page `idx`.
-    fn read_page_pooled(&mut self, idx: u64) -> Box<[u8]> {
-        match self.buf_pool.pop() {
-            Some(mut buf) => {
-                self.store.read_into(idx, &mut buf);
-                buf
-            }
-            None => self.store.read(idx, self.config.geometry.page_bytes),
-        }
+    /// An exclusively owned page image from the pool (or a fresh
+    /// allocation), ready for [`PageImage::refill`].
+    fn take_page_image(&mut self) -> PageImage {
+        self.images_out += 1;
+        self.page_pool
+            .pop()
+            .unwrap_or_else(|| PageImage::zeroed(self.config.geometry.page_bytes))
+    }
+
+    /// A pooled image holding the contents of linear page `idx`.
+    fn read_page_pooled(&mut self, idx: u64) -> PageImage {
+        let mut image = self.take_page_image();
+        let store = &self.store;
+        image.refill(|page| store.fill_zeroed(idx, page));
+        image
+    }
+
+    /// A pooled full-page image holding `data` followed by zeros — how the
+    /// FTL stages a host write so the write buffer, the page cache and the
+    /// program operation share one image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than a page.
+    pub fn page_image_from(&mut self, data: &[u8]) -> PageImage {
+        let mut image = self.take_page_image();
+        image.refill(|page| {
+            page[..data.len()].copy_from_slice(data);
+            data.len()
+        });
+        image
+    }
+
+    /// The shared all-zero page image (what an unmapped page reads as).
+    /// Offering it to [`FlashArray::recycle_page_buf`] is harmless.
+    pub fn zero_page(&self) -> PageImage {
+        self.zero_page.clone()
+    }
+
+    /// Page images currently handed out: taken for a read or a staged
+    /// write and not yet retired by their last holder. At idle this is
+    /// exactly the set of images the layers above still cache; anything
+    /// more is a leak.
+    pub fn page_images_out(&self) -> usize {
+        self.images_out
+    }
+
+    /// Page images waiting in the free-list.
+    pub fn page_images_pooled(&self) -> usize {
+        self.page_pool.len()
     }
 
     /// The next page expected by the sequential-program rule for `block`
@@ -618,9 +682,9 @@ impl FlashArray {
             }
             FlashOp::Program { ppa, data } => {
                 self.stats.programs.inc();
-                self.store.write(g.linear_index(ppa), &data);
-                // GC relocations program whole pages; their buffers go
-                // straight back to the read pool.
+                self.store.write(g.linear_index(ppa), data.used_prefix());
+                // A GC relocation's image is exclusively ours and rejoins
+                // the pool; a host write's is still held by the FTL.
                 self.recycle_page_buf(data);
                 None
             }
@@ -722,7 +786,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: vec![1, 2, 3, 4].into_boxed_slice(),
+                data: vec![1, 2, 3, 4].into(),
             },
         );
         drain(&mut flash, &mut q);
@@ -862,7 +926,7 @@ mod tests {
                 q.now(),
                 FlashOp::Program {
                     ppa,
-                    data: Box::new([1]),
+                    data: vec![1].into(),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -891,7 +955,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: Box::new([1]),
+                data: vec![1].into(),
             },
         );
         drain(&mut flash, &mut q);
@@ -901,7 +965,7 @@ mod tests {
                 q.now(),
                 FlashOp::Program {
                     ppa,
-                    data: Box::new([2]),
+                    data: vec![2].into(),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -916,7 +980,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: Box::new([2]),
+                data: vec![2].into(),
             },
         );
         drain(&mut flash, &mut q);
@@ -938,7 +1002,7 @@ mod tests {
                         block: 1,
                         page,
                     },
-                    data: Box::new([page as u8 + 1]),
+                    data: vec![page as u8 + 1].into(),
                 },
             );
         }
@@ -1012,7 +1076,7 @@ mod tests {
                         block: 0,
                         page: 0,
                     },
-                    data: vec![0u8; 17 * 1024].into_boxed_slice(),
+                    data: vec![0u8; 17 * 1024].into(),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -1187,7 +1251,7 @@ mod tests {
                     block: 0,
                     page: 0,
                 },
-                data: Box::new([1]),
+                data: vec![1].into(),
             },
         );
         submit(

@@ -14,6 +14,12 @@
 //!   regions (multi-GB embedding tables) can be backed by a [`PageOracle`]
 //!   that synthesises page contents on demand, so simulating a 16 GB table
 //!   image does not need 16 GB of host RAM.
+//! * **Page images**: a completed read carries a pooled, reference-counted
+//!   [`recssd_sim::PageImage`] the array filled in place — the only copy of
+//!   that page the layers above ever see. Whoever holds it last offers it
+//!   back through [`FlashArray::recycle_page_buf`]; the next read refills
+//!   it, clearing only the prefix the previous fill dirtied
+//!   ([`PageOracle::filled_prefix`]).
 //!
 //! The array is driven by the caller's event loop: [`FlashArray::submit`]
 //! enqueues an operation and [`FlashArray::handle`] advances it when one of
@@ -34,7 +40,7 @@
 //! flash
 //!     .submit(
 //!         queue.now(),
-//!         FlashOp::Program { ppa, data: vec![7u8; 64].into_boxed_slice() },
+//!         FlashOp::Program { ppa, data: vec![7u8; 64].into() },
 //!         &mut |delay, ev| queue.push_after(delay, ev),
 //!     )
 //!     .unwrap();

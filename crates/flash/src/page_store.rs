@@ -30,6 +30,16 @@ pub trait PageOracle: std::fmt::Debug + Send + Sync {
     /// page at linear index `page_index` (see
     /// [`FlashGeometry::linear_index`](crate::FlashGeometry::linear_index)).
     fn fill_page(&self, page_index: u64, out: &mut [u8]);
+
+    /// Upper bound on the prefix of the page [`PageOracle::fill_page`]
+    /// writes for `page_index`; bytes past it must stay untouched. A pooled
+    /// page image clears only this prefix before its next fill, so an
+    /// oracle that knows its extent (one 128 B vector on a 16 KB page)
+    /// saves the rest of the memset. The default claims the whole page,
+    /// which is always correct.
+    fn filled_prefix(&self, _page_index: u64, page_bytes: usize) -> usize {
+        page_bytes
+    }
 }
 
 /// Sparse, oracle-backed storage of page contents.
@@ -83,17 +93,28 @@ impl PageStore {
             .map(|(_, o)| o)
     }
 
+    /// Writes the page at `page_index` into the **all-zero** page `out`
+    /// and returns an upper bound on the prefix it dirtied — the fill
+    /// callback of [`PageImage::refill`](recssd_sim::PageImage::refill).
+    pub fn fill_zeroed(&self, page_index: u64, out: &mut [u8]) -> usize {
+        if let Some(data) = self.explicit.get(&page_index) {
+            out[..data.len()].copy_from_slice(data);
+            data.len()
+        } else if self.tombstones.contains(&page_index) {
+            0
+        } else if let Some(oracle) = self.oracle_for(page_index) {
+            oracle.fill_page(page_index, out);
+            oracle.filled_prefix(page_index, out.len())
+        } else {
+            0
+        }
+    }
+
     /// Reads the full page at `page_index` into `out`, zero-filling
     /// whatever was never written.
     pub fn read_into(&self, page_index: u64, out: &mut [u8]) {
         out.fill(0);
-        if let Some(data) = self.explicit.get(&page_index) {
-            out[..data.len()].copy_from_slice(data);
-        } else if !self.tombstones.contains(&page_index) {
-            if let Some(oracle) = self.oracle_for(page_index) {
-                oracle.fill_page(page_index, out);
-            }
-        }
+        self.fill_zeroed(page_index, out);
     }
 
     /// Reads a page into a freshly allocated buffer of `page_bytes`.

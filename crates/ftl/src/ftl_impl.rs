@@ -10,7 +10,7 @@ use recssd_flash::{
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 
 use crate::firmware::EnginePool;
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwCore, FwTag, Lpn, MappingTable};
@@ -46,8 +46,10 @@ pub enum FtlOutcome {
         req: ReqId,
         /// The logical page read.
         lpn: Lpn,
-        /// Full page contents.
-        data: Arc<[u8]>,
+        /// Full page contents: the one pooled image of the page (the
+        /// page cache may hold a clone). Hand it back through
+        /// [`GreedyFtl::recycle_page_image`] when done.
+        data: PageImage,
     },
     /// A pending logical-page read hit an injected uncorrectable media
     /// error: no data is delivered and the layer above must surface a
@@ -77,8 +79,9 @@ pub enum FtlOutcome {
 pub enum ReadStarted {
     /// Served from SSD DRAM (write buffer or page cache) with no flash
     /// access; the caller is responsible for charging any firmware time.
-    CacheHit(Arc<[u8]>),
-    /// The logical page was never written; it reads as zeros.
+    CacheHit(PageImage),
+    /// The logical page was never written; it reads as zeros
+    /// ([`GreedyFtl::zero_page`] is the shared image of that).
     Unmapped,
     /// A flash read is in flight; a [`FtlOutcome::ReadDone`] with this id
     /// will follow.
@@ -191,10 +194,6 @@ struct GcJob {
     writes_left: usize,
 }
 
-/// Largest number of recycled `Arc<[u8]>` page images the FTL keeps.
-/// Covers the page-cache eviction churn of a deep read backlog.
-const ARC_POOL_CAP: usize = 1024;
-
 /// The greedy FTL modelled on the Cosmos+ OpenSSD firmware. See the
 /// [crate docs](crate) for the architecture overview and the event-driven
 /// usage pattern.
@@ -204,8 +203,8 @@ pub struct GreedyFtl {
     flash: FlashArray,
     map: MappingTable,
     alloc: BlockAllocator,
-    cache: LruCache<u64, Arc<[u8]>>,
-    write_buffer: FxHashMap<u64, Arc<[u8]>>,
+    cache: LruCache<u64, PageImage>,
+    write_buffer: FxHashMap<u64, PageImage>,
     fw: FwCore,
     /// Per-channel SLS engine pool; `None` = single-core firmware.
     engines: Option<EnginePool>,
@@ -213,10 +212,6 @@ pub struct GreedyFtl {
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: std::collections::HashSet<u64>,
     next_req: u64,
-    /// Free-list of exclusively-owned page images, refilled by cache
-    /// eviction; completed flash reads copy into one of these instead of
-    /// allocating a fresh `Arc`.
-    arc_pool: Vec<Arc<[u8]>>,
     stats: FtlStats,
     /// Sim-time span tracer (disabled by default: every emission is a
     /// no-op `None` check until [`GreedyFtl::set_tracer`] installs a sink).
@@ -251,7 +246,6 @@ impl GreedyFtl {
             gc_jobs: FxHashMap::default(),
             reserved: std::collections::HashSet::new(),
             next_req: 0,
-            arc_pool: Vec::new(),
             stats: FtlStats::default(),
             tracer: Tracer::disabled(),
             config,
@@ -260,45 +254,24 @@ impl GreedyFtl {
 
     /// Consumer-side return path for page images handed out via
     /// [`FtlOutcome::ReadDone`] / [`ReadStarted::CacheHit`]: once a reader
-    /// has folded a page in, it offers the `Arc` back. The image is pooled
-    /// only when this was the last reference (it may still sit in the page
-    /// cache, in which case this is a no-op).
-    pub fn recycle_page_image(&mut self, arc: Arc<[u8]>) {
-        self.recycle_arc(arc);
+    /// has folded a page in, it offers the image back. It rejoins the
+    /// flash array's pool only when this was the last reference (it may
+    /// still sit in the page cache, in which case the eventual eviction
+    /// retires it).
+    pub fn recycle_page_image(&mut self, image: PageImage) {
+        self.flash.recycle_page_buf(image);
     }
 
-    /// Keeps `arc` for reuse if this FTL is its sole owner (typically a
-    /// page image just evicted from the page cache whose readers have all
-    /// dropped their clones).
-    fn recycle_arc(&mut self, arc: Arc<[u8]>) {
-        if Arc::strong_count(&arc) == 1
-            && arc.len() == self.page_bytes()
-            && self.arc_pool.len() < ARC_POOL_CAP
-        {
-            self.arc_pool.push(arc);
-        }
-    }
-
-    /// Wraps a completed flash read in an `Arc` page image, reusing a
-    /// pooled one when available (and returning the flash buffer to the
-    /// array's pool) — the steady-state read path allocates nothing here.
-    fn pooled_arc_from(&mut self, data: Box<[u8]>) -> Arc<[u8]> {
-        match self.arc_pool.pop() {
-            Some(mut arc) => {
-                Arc::get_mut(&mut arc)
-                    .expect("pooled arcs are exclusively owned")
-                    .copy_from_slice(&data);
-                self.flash.recycle_page_buf(data);
-                arc
-            }
-            None => data.into(),
-        }
+    /// The shared all-zero page image, for callers that need the bytes of
+    /// a [`ReadStarted::Unmapped`] page.
+    pub fn zero_page(&self) -> PageImage {
+        self.flash.zero_page()
     }
 
     /// Inserts into the page cache, recycling whatever the insert evicts.
-    fn cache_insert(&mut self, lpn: u64, data: Arc<[u8]>) {
+    fn cache_insert(&mut self, lpn: u64, data: PageImage) {
         if let Some((_, old)) = self.cache.insert(lpn, data) {
-            self.recycle_arc(old);
+            self.flash.recycle_page_buf(old);
         }
     }
 
@@ -320,6 +293,11 @@ impl GreedyFtl {
     /// Resident fraction of the SSD-DRAM page cache (`len / capacity`).
     pub fn cache_occupancy(&self) -> f64 {
         self.cache.occupancy()
+    }
+
+    /// Page images resident in the SSD-DRAM page cache.
+    pub fn cached_pages(&self) -> usize {
+        self.cache.len()
     }
 
     /// Resets page-cache hit statistics (between experiment phases).
@@ -347,7 +325,7 @@ impl GreedyFtl {
     /// Empties the SSD-DRAM page cache (cold-start experiments). In-flight
     /// write data is retained — dropping it would lose correctness.
     pub fn drop_caches(&mut self) {
-        self.cache.clear();
+        self.invalidate_range(Lpn(0), u64::MAX);
     }
 
     /// Evicts every cached page in `[start, start + pages)` — required
@@ -355,7 +333,7 @@ impl GreedyFtl {
     /// repacking swaps a table slot's image), so stale page images can
     /// never serve the new binding.
     pub fn invalidate_range(&mut self, start: Lpn, pages: u64) {
-        let range = start.0..start.0 + pages;
+        let range = start.0..start.0.saturating_add(pages);
         let stale: Vec<u64> = self
             .cache
             .iter()
@@ -363,8 +341,8 @@ impl GreedyFtl {
             .filter(|k| range.contains(k))
             .collect();
         for lpn in stale {
-            if let Some(arc) = self.cache.remove(&lpn) {
-                self.recycle_arc(arc);
+            if let Some(image) = self.cache.remove(&lpn) {
+                self.flash.recycle_page_buf(image);
             }
         }
     }
@@ -572,7 +550,7 @@ impl GreedyFtl {
         &mut self,
         now: SimTime,
         lpn: Lpn,
-        data: Vec<u8>,
+        data: &[u8],
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) -> Result<ReqId, FtlError> {
         let g = self.config.flash.geometry;
@@ -588,34 +566,18 @@ impl GreedyFtl {
         self.stats.host_writes.inc();
         let ppa = self.alloc.alloc_page().ok_or(FtlError::DeviceFull)?;
         self.map.map(lpn, ppa, &g);
-        // Keep a full-page image resident until the program completes.
-        let arc: Arc<[u8]> = match self.arc_pool.pop() {
-            Some(mut arc) => {
-                let page = Arc::get_mut(&mut arc).expect("pooled arcs are exclusively owned");
-                page.fill(0);
-                page[..data.len()].copy_from_slice(&data);
-                arc
-            }
-            None => {
-                let mut page = vec![0u8; g.page_bytes];
-                page[..data.len()].copy_from_slice(&data);
-                page.into()
-            }
-        };
-        if let Some(old) = self.write_buffer.insert(lpn.0, arc.clone()) {
-            self.recycle_arc(old);
+        // One full-page image stays resident until the program completes:
+        // the write buffer, the page cache and the program share it.
+        let image = self.flash.page_image_from(data);
+        if let Some(old) = self.write_buffer.insert(lpn.0, image.clone()) {
+            self.flash.recycle_page_buf(old);
         }
-        self.cache_insert(lpn.0, arc);
+        self.cache_insert(lpn.0, image.clone());
         let op = self
             .flash
-            .submit(
-                now,
-                FlashOp::Program {
-                    ppa,
-                    data: data.into_boxed_slice(),
-                },
-                &mut |d, fe| sched(d, FtlEvent::Flash(fe)),
-            )
+            .submit(now, FlashOp::Program { ppa, data: image }, &mut |d, fe| {
+                sched(d, FtlEvent::Flash(fe))
+            })
             .expect("allocator and flash write pointers must agree");
         let req = ReqId(self.next_req);
         self.next_req += 1;
@@ -780,7 +742,7 @@ impl GreedyFtl {
                 }
                 if c.failed {
                     // Uncorrectable media error: the bytes are untrusted,
-                    // so nothing is cached and the buffer goes straight
+                    // so nothing is cached and the image goes straight
                     // back to the flash pool. The owner gets a typed
                     // failure instead of data.
                     self.flash
@@ -788,7 +750,7 @@ impl GreedyFtl {
                     out.push(FtlOutcome::ReadFailed { req, lpn });
                     return;
                 }
-                let data = self.pooled_arc_from(c.data.expect("read completion carries data"));
+                let data = c.data.expect("read completion carries data");
                 // Cache only if the mapping still points at what we read —
                 // a concurrent overwrite must not be shadowed by stale data.
                 if self.map.lookup(lpn, &g) == Some(ppa) && !self.write_buffer.contains_key(&lpn.0)
@@ -798,8 +760,8 @@ impl GreedyFtl {
                 out.push(FtlOutcome::ReadDone { req, lpn, data });
             }
             Pending::HostWrite { req, lpn } => {
-                if let Some(arc) = self.write_buffer.remove(&lpn.0) {
-                    self.recycle_arc(arc);
+                if let Some(image) = self.write_buffer.remove(&lpn.0) {
+                    self.flash.recycle_page_buf(image);
                 }
                 out.push(FtlOutcome::WriteDone { req, lpn });
             }

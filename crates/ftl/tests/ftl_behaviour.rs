@@ -46,7 +46,7 @@ impl Harness {
         let Harness { ftl, q } = self;
         let mut fresh = Vec::new();
         let req = ftl
-            .write_page(q.now(), Lpn(lpn), data, &mut |d, e| fresh.push((d, e)))
+            .write_page(q.now(), Lpn(lpn), &data, &mut |d, e| fresh.push((d, e)))
             .expect("write accepted");
         for (d, e) in fresh {
             q.push_after(d, e);
@@ -105,12 +105,12 @@ fn out_of_range_requests_rejected() {
         .unwrap_err();
     assert_eq!(err, FtlError::LpnOutOfRange(Lpn(logical)));
     let err = ftl
-        .write_page(q.now(), Lpn(logical), vec![1], &mut |_, _| {})
+        .write_page(q.now(), Lpn(logical), &[1], &mut |_, _| {})
         .unwrap_err();
     assert_eq!(err, FtlError::LpnOutOfRange(Lpn(logical)));
     let big = vec![0u8; ftl.page_bytes() + 1];
     let err = ftl
-        .write_page(q.now(), Lpn(0), big, &mut |_, _| {})
+        .write_page(q.now(), Lpn(0), &big, &mut |_, _| {})
         .unwrap_err();
     assert!(matches!(err, FtlError::DataTooLarge { .. }));
 }
@@ -244,7 +244,7 @@ fn device_full_surfaces_when_writes_outrun_gc() {
             Lpn(lpn % ftl.config().logical_pages),
             {
                 // Unique lpns until logical wraps; stop before overwrites start.
-                payload(lpn)
+                &payload(lpn)
             },
             &mut |d, e| fresh.push((d, e)),
         );

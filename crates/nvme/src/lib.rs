@@ -27,4 +27,4 @@ mod types;
 
 pub use pcie::{PcieConfig, PcieEvent, PcieLink, PcieStats, XferDirection, XferId};
 pub use queue::{QueueError, QueuePair};
-pub use types::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
+pub use types::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use recssd_sim::PageImage;
+
 /// NVMe I/O opcode (the subset the reproduction needs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmeOpcode {
@@ -142,6 +144,37 @@ impl NvmeCommand {
     }
 }
 
+/// Data a read-like command returns to the host.
+///
+/// Either way the receiver hands it back through the device's single
+/// `recycle_buffer` call once consumed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CmdData {
+    /// One contiguous buffer (NDP result blocks).
+    Flat(Vec<u8>),
+    /// One page image per logical block, in LBA order — the analogue of a
+    /// PRP/SGL list: a conventional read completes with the images the
+    /// device already holds instead of assembling them into one buffer.
+    Pages(Vec<PageImage>),
+}
+
+impl CmdData {
+    /// The bytes as one contiguous vector (copies; for assertions and
+    /// diagnostics, not the datapath).
+    pub fn to_vec(&self) -> Vec<u8> {
+        match self {
+            CmdData::Flat(bytes) => bytes.clone(),
+            CmdData::Pages(pages) => {
+                let mut bytes = Vec::new();
+                for page in pages {
+                    bytes.extend_from_slice(page);
+                }
+                bytes
+            }
+        }
+    }
+}
+
 /// An NVMe completion-queue entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NvmeCompletion {
@@ -150,12 +183,12 @@ pub struct NvmeCompletion {
     /// Outcome status.
     pub status: NvmeStatus,
     /// Data returned to the host (for read-like commands).
-    pub data: Option<Vec<u8>>,
+    pub data: Option<CmdData>,
 }
 
 impl NvmeCompletion {
     /// A successful completion carrying optional data.
-    pub fn success(cid: u16, data: Option<Vec<u8>>) -> Self {
+    pub fn success(cid: u16, data: Option<CmdData>) -> Self {
         NvmeCompletion {
             cid,
             status: NvmeStatus::Success,
@@ -235,9 +268,11 @@ mod tests {
 
     #[test]
     fn completion_helpers() {
-        let ok = NvmeCompletion::success(4, Some(vec![9]));
+        let ok = NvmeCompletion::success(4, Some(CmdData::Flat(vec![9])));
         assert_eq!(ok.status, NvmeStatus::Success);
-        assert_eq!(ok.data.as_deref(), Some(&[9u8][..]));
+        assert_eq!(ok.data.map(|d| d.to_vec()), Some(vec![9u8]));
+        let pages = CmdData::Pages(vec![vec![1, 2].into(), vec![3].into()]);
+        assert_eq!(pages.to_vec(), vec![1, 2, 3]);
         let err = NvmeCompletion::error(4, NvmeStatus::LbaOutOfRange);
         assert_eq!(err.status.to_string(), "LBA out of range");
         assert!(err.data.is_none());

@@ -216,6 +216,18 @@ fn randomized_faults_never_serve_wrong_bits() {
     assert_eq!(report.verified, 64, "every completion must verify");
     assert!(report.faults > 0, "schedule should inject op-level faults");
     assert!(report.retries > 0, "faults should drive retries");
+    // Retries, fallbacks and aborted operators all hand their page images
+    // back: at idle every image a shard's flash pool ever handed out is
+    // retired or sits in its FTL page cache.
+    for shard in 0..rt.shards() {
+        let dev = rt.shard_system_mut(shard).device();
+        assert!(dev.idle(), "shard {shard} still busy");
+        assert_eq!(
+            dev.ftl().flash().page_images_out(),
+            dev.ftl().cached_pages(),
+            "shard {shard} leaked page images"
+        );
+    }
 }
 
 /// Transient (ECC-correctable) faults are absorbed inside the device:

@@ -18,6 +18,9 @@
 //!   [`hash::FxHashSet`] aliases for the simulator's hot maps, which key
 //!   on small integers and need neither SipHash's DoS hardening nor its
 //!   per-process random seed.
+//! * [`PageImage`] — the pooled, reference-counted image of one flash page
+//!   that every layer from the flash die to the host reader shares instead
+//!   of copying.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod page;
 mod queue;
 mod time;
 
@@ -46,5 +50,6 @@ pub mod rng;
 pub mod stats;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use page::PageImage;
 pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -3,11 +3,11 @@
 use recssd_flash::PageOracle;
 use recssd_ftl::{FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId};
 use recssd_nvme::{
-    NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PcieEvent, PcieLink, QueuePair,
+    CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PcieEvent, PcieLink, QueuePair,
     XferDirection, XferId,
 };
 use recssd_sim::stats::Counter;
-use recssd_sim::{FxHashMap, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 
 use crate::extension::{DeviceCtx, NdpEngine, EXT_TAG_BIT};
 use crate::{NoNdp, SsdConfig};
@@ -52,14 +52,19 @@ impl SsdStats {
 struct CmdState {
     cmd: NvmeCommand,
     pages_left: u32,
-    data: Vec<u8>,
+    /// A read's page images, one per logical block in LBA order. Every
+    /// slot starts as the shared zero image (what an unmapped page reads
+    /// as) and is replaced by the FTL's image of that page. Empty for
+    /// writes.
+    pages: Vec<PageImage>,
     /// One of the command's page reads hit an uncorrectable media error;
     /// the command completes with [`NvmeStatus::MediaError`] once every
     /// outstanding page drains.
     failed: bool,
 }
 
-/// Largest number of recycled host-transfer buffers the device keeps.
+/// Largest number of recycled host-transfer buffers (and, separately,
+/// page-image lists) the device keeps.
 const HOST_BUF_POOL_CAP: usize = 1024;
 
 /// An in-flight tracking map pre-sized so steady-state churn never
@@ -77,15 +82,6 @@ pub(crate) fn pool_recycle(pool: &mut Vec<Vec<u8>>, buf: Vec<u8>) {
     if buf.capacity() > 0 && pool.len() < HOST_BUF_POOL_CAP {
         pool.push(buf);
     }
-}
-
-/// Zeroed pool take, used where stale contents could leak through (the
-/// conventional read path leaves unmapped pages untouched, relying on a
-/// zeroed buffer).
-pub(crate) fn pool_take(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
-    let mut buf = pool_take_raw(pool, len);
-    buf.fill(0);
-    buf
 }
 
 /// Exact-`len` buffer with **unspecified contents** — for callers that
@@ -136,9 +132,15 @@ pub struct SsdDevice<X: NdpEngine = NoNdp> {
     dma_out: FxHashMap<XferId, (u16, u16)>,
     dma_in: FxHashMap<XferId, (u16, u16)>,
     next_tag: u64,
-    /// Free-list of recycled command-data buffers (see
-    /// [`SsdDevice::recycle_buffer`]).
+    /// Free-list of recycled flat transfer buffers: NDP result blocks
+    /// and command payloads (see [`SsdDevice::recycle_buffer`]).
     host_buf_pool: Vec<Vec<u8>>,
+    /// Free-lists of emptied page-image lists, so a read command's list
+    /// allocates nothing once warm. `page_list_pool[c]` holds lists of
+    /// capacity `2^c`: a take is one pop from the command's class — no
+    /// best-fit scan, and a first long read costs one list, not a regrowth
+    /// of every list in circulation.
+    page_list_pool: Vec<Vec<Vec<PageImage>>>,
     /// Reused scratch for FTL outcomes drained per event.
     ftl_scratch: Vec<FtlOutcome>,
     stats: SsdStats,
@@ -181,20 +183,59 @@ impl<X: NdpEngine> SsdDevice<X> {
             dma_in: presized_map(),
             next_tag: 0,
             host_buf_pool: Vec::new(),
+            page_list_pool: Vec::new(),
             ftl_scratch: Vec::new(),
             stats: SsdStats::default(),
             config,
         }
     }
 
-    /// Returns a consumed completion-data buffer to the device's free-list
-    /// so the next read command fills it instead of allocating — the host
-    /// runtime hands back every page/result buffer it has finished
-    /// accumulating. Buffers are pooled by capacity (best fit, see
-    /// [`pool_take_raw`]), so one recycled buffer serves every transfer
-    /// length at or below its capacity.
-    pub fn recycle_buffer(&mut self, buf: Vec<u8>) {
-        pool_recycle(&mut self.host_buf_pool, buf);
+    /// Returns consumed completion data to the device — the one recycle
+    /// call of the host runtime, made once it has finished accumulating.
+    /// A conventional read's page images go back to the FTL (each rejoins
+    /// the flash pool when its last holder lets go) and the emptied list
+    /// to the list pool; a flat buffer rejoins the transfer-buffer pool
+    /// behind [`SsdDevice::take_host_buffer`], which is kept by capacity
+    /// (best fit), so one recycled buffer serves every transfer length at
+    /// or below it.
+    pub fn recycle_buffer(&mut self, data: CmdData) {
+        match data {
+            CmdData::Flat(buf) => pool_recycle(&mut self.host_buf_pool, buf),
+            CmdData::Pages(pages) => self.recycle_pages(pages),
+        }
+    }
+
+    /// Hands every image of `pages` back to the FTL and pools the list.
+    fn recycle_pages(&mut self, mut pages: Vec<PageImage>) {
+        for image in pages.drain(..) {
+            self.ftl.recycle_page_image(image);
+        }
+        let Some(class) = pages.capacity().checked_ilog2() else {
+            return; // never allocated: nothing to pool
+        };
+        let class = class as usize;
+        if self.page_list_pool.len() <= class {
+            self.page_list_pool.resize_with(class + 1, Vec::new);
+        }
+        if self.page_list_pool[class].len() < HOST_BUF_POOL_CAP {
+            self.page_list_pool[class].push(pages);
+        }
+    }
+
+    /// A list of `nlb` slots, each holding the shared zero image (what an
+    /// unmapped block reads as), from the pool class that fits `nlb`.
+    fn take_page_list(&mut self, nlb: usize) -> Vec<PageImage> {
+        let class = nlb.next_power_of_two().ilog2() as usize;
+        // Smallest class that fits and has a list: a scan over a handful
+        // of classes, not over the lists themselves.
+        let mut pages = self
+            .page_list_pool
+            .iter_mut()
+            .skip(class)
+            .find_map(Vec::pop)
+            .unwrap_or_else(|| Vec::with_capacity(1 << class));
+        pages.resize(nlb, self.ftl.zero_page());
+        pages
     }
 
     /// A buffer of exactly `len` bytes with **unspecified contents**
@@ -204,12 +245,6 @@ impl<X: NdpEngine> SsdDevice<X> {
     /// completion data without a redundant memset.
     pub fn take_host_buffer(&mut self, len: usize) -> Vec<u8> {
         pool_take_raw(&mut self.host_buf_pool, len)
-    }
-
-    /// A zeroed buffer of exactly `len` bytes, reusing a same-sized pooled
-    /// buffer when one is available.
-    fn take_buffer(&mut self, len: usize) -> Vec<u8> {
-        pool_take(&mut self.host_buf_pool, len)
     }
 
     /// The device configuration.
@@ -342,14 +377,13 @@ impl<X: NdpEngine> SsdDevice<X> {
                     self.stats.read_commands.inc();
                     self.stats.blocks_read.add(cmd.nlb as u64);
                     let nlb = cmd.nlb;
-                    let buf_len = nlb as usize * self.config.block_bytes();
-                    let data = self.take_buffer(buf_len);
+                    let pages = self.take_page_list(nlb as usize);
                     self.cmds.insert(
                         (qid, cid),
                         CmdState {
                             cmd,
                             pages_left: nlb,
-                            data,
+                            pages,
                             failed: false,
                         },
                     );
@@ -367,7 +401,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                         CmdState {
                             cmd,
                             pages_left: 0,
-                            data: Vec::new(),
+                            pages: Vec::new(),
                             failed: false,
                         },
                     );
@@ -426,14 +460,15 @@ impl<X: NdpEngine> SsdDevice<X> {
             }
             FtlOutcome::ReadDone { req, data, .. } if self.read_reqs.contains_key(&req) => {
                 let (qid, cid, page_idx) = self.read_reqs.remove(&req).expect("checked above");
-                let page_bytes = self.config.block_bytes();
                 let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
-                if !st.failed {
-                    let off = page_idx as usize * page_bytes;
-                    st.data[off..off + page_bytes].copy_from_slice(&data);
-                }
-                // This was the page image's last reader; hand it back.
-                self.ftl.recycle_page_image(data);
+                // The command holds the FTL's image itself until the host
+                // hands it back; a failed command has no reader for it.
+                let spare = if st.failed {
+                    data
+                } else {
+                    std::mem::replace(&mut st.pages[page_idx as usize], data)
+                };
+                self.ftl.recycle_page_image(spare);
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
                     if st.failed {
@@ -497,30 +532,30 @@ impl<X: NdpEngine> SsdDevice<X> {
             NvmeOpcode::Read => {
                 let slba = st.cmd.slba;
                 let nlb = st.cmd.nlb;
-                let page_bytes = self.config.block_bytes();
-                let mut immediate = Vec::new();
+                let Self {
+                    ftl,
+                    cmds,
+                    read_reqs,
+                    ..
+                } = self;
+                let st = cmds.get_mut(&(qid, cid)).expect("command state");
                 for i in 0..nlb {
-                    let started = self
-                        .ftl
+                    let started = ftl
                         .read_page(now, Lpn(slba + i as u64), &mut |d, e| {
                             sched(d, SsdEvent::Ftl(e))
                         })
                         .expect("validated range");
                     match started {
-                        ReadStarted::CacheHit(data) => immediate.push((i, Some(data))),
-                        ReadStarted::Unmapped => immediate.push((i, None)),
+                        ReadStarted::CacheHit(data) => {
+                            st.pages[i as usize] = data;
+                            st.pages_left -= 1;
+                        }
+                        // The slot already holds the shared zero image.
+                        ReadStarted::Unmapped => st.pages_left -= 1,
                         ReadStarted::Pending(req) => {
-                            self.read_reqs.insert(req, (qid, cid, i));
+                            read_reqs.insert(req, (qid, cid, i));
                         }
                     }
-                }
-                let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
-                for (i, data) in immediate {
-                    if let Some(data) = data {
-                        let off = i as usize * page_bytes;
-                        st.data[off..off + page_bytes].copy_from_slice(&data);
-                    }
-                    st.pages_left -= 1;
                 }
                 if st.pages_left == 0 {
                     self.start_read_dma(now, qid, cid, sched);
@@ -530,33 +565,38 @@ impl<X: NdpEngine> SsdDevice<X> {
                 let slba = st.cmd.slba;
                 let nlb = st.cmd.nlb;
                 let page_bytes = self.config.block_bytes();
-                let payload = st.cmd.payload.clone().unwrap_or_default();
+                let Self {
+                    ftl,
+                    cmds,
+                    write_reqs,
+                    ..
+                } = self;
+                let st = cmds.get_mut(&(qid, cid)).expect("command state");
+                let payload = st.cmd.payload.as_deref().unwrap_or_default();
                 for i in 0..nlb {
                     let start = (i as usize * page_bytes).min(payload.len());
                     let end = ((i as usize + 1) * page_bytes).min(payload.len());
-                    let chunk = payload[start..end].to_vec();
-                    let req = self
-                        .ftl
-                        .write_page(now, Lpn(slba + i as u64), chunk, &mut |d, e| {
-                            sched(d, SsdEvent::Ftl(e))
-                        })
+                    let req = ftl
+                        .write_page(
+                            now,
+                            Lpn(slba + i as u64),
+                            &payload[start..end],
+                            &mut |d, e| sched(d, SsdEvent::Ftl(e)),
+                        )
                         .expect("validated range");
-                    self.write_reqs.insert(req, (qid, cid));
+                    write_reqs.insert(req, (qid, cid));
                 }
-                self.cmds
-                    .get_mut(&(qid, cid))
-                    .expect("command state")
-                    .pages_left = nlb;
+                st.pages_left = nlb;
             }
         }
     }
 
     /// Completes a conventional read whose media failed: no data crosses
-    /// PCIe, the transfer buffer returns to the pool and the host sees a
-    /// typed media error.
+    /// PCIe, every page image the command collected returns to the pool
+    /// and the host sees a typed media error.
     fn fail_read_cmd(&mut self, qid: u16, cid: u16) {
         let st = self.cmds.remove(&(qid, cid)).expect("command state");
-        pool_recycle(&mut self.host_buf_pool, st.data);
+        self.recycle_pages(st.pages);
         self.queues[qid as usize].complete(NvmeCompletion::error(cid, NvmeStatus::MediaError));
     }
 
@@ -567,7 +607,8 @@ impl<X: NdpEngine> SsdDevice<X> {
         cid: u16,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        let bytes = self.cmds[&(qid, cid)].data.len();
+        // The link moves whole logical blocks however the host maps them.
+        let bytes = self.cmds[&(qid, cid)].cmd.nlb as usize * self.config.block_bytes();
         let xfer = self
             .pcie
             .request(now, bytes, XferDirection::DeviceToHost, &mut |d, e| {
@@ -584,7 +625,8 @@ impl<X: NdpEngine> SsdDevice<X> {
     ) {
         if let Some((qid, cid)) = self.dma_out.remove(&xfer) {
             let st = self.cmds.remove(&(qid, cid)).expect("command state");
-            self.queues[qid as usize].complete(NvmeCompletion::success(cid, Some(st.data)));
+            self.queues[qid as usize]
+                .complete(NvmeCompletion::success(cid, Some(CmdData::Pages(st.pages))));
             return;
         }
         if let Some((qid, cid)) = self.dma_in.remove(&xfer) {

@@ -27,9 +27,9 @@ pub struct DeviceCtx<'a> {
     pub pcie: &'a mut PcieLink,
     /// The NVMe queue pairs (for posting completions).
     pub queues: &'a mut [QueuePair],
-    /// The device's host-transfer-buffer free-list (shared with the
-    /// conventional read path), so engines can serve result blocks from
-    /// recycled buffers and hand spent command payloads back.
+    /// The device's flat transfer-buffer free-list, so engines can serve
+    /// result blocks from recycled buffers and hand spent command payloads
+    /// back.
     pub bufs: &'a mut Vec<Vec<u8>>,
     /// Event scheduler into the device's global queue.
     pub sched: &'a mut dyn FnMut(SimDuration, SsdEvent),

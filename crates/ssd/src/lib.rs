@@ -16,6 +16,25 @@
 //! completion. A **write** command DMAs the payload in, charges firmware,
 //! and programs pages through the log-structured write path.
 //!
+//! # One image per page
+//!
+//! The simulator itself moves no page bytes along that path. The flash
+//! array fills a pooled [`recssd_sim::PageImage`] in place; the FTL caches
+//! and forwards clones of the same reference-counted image; the device
+//! collects one image per logical block of a read command — the shared
+//! all-zero image for unmapped blocks — and completes the command with
+//! that list ([`recssd_nvme::CmdData::Pages`], the analogue of a PRP/SGL
+//! list). The DMA still charges `nlb × block_bytes` of PCIe time. The host
+//! reads rows out of image `k` and returns the list through
+//! [`SsdDevice::recycle_buffer`], which offers each image back to the FTL;
+//! the last holder to let go (a reader, or the page cache on eviction)
+//! retires it to the flash array's pool for the next read to refill. A
+//! command that fails returns whatever images it had collected the same
+//! way. Writes stage their payload in one pooled image shared by the write
+//! buffer, the page cache and the program operation. NDP result blocks and
+//! command payloads are the only flat buffers left
+//! ([`recssd_nvme::CmdData::Flat`]), pooled by capacity.
+//!
 //! Commands with the spare NDP bit set are handed to a pluggable
 //! [`NdpEngine`] — the hook where the `recssd` crate installs the paper's
 //! SLS offload. The default engine ([`NoNdp`]) fails such commands with

@@ -2,8 +2,10 @@
 //! NDP rejection on a COTS device, and the throughput calibrations that
 //! anchor the paper's baseline numbers.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use recssd_flash::PageOracle;
 use recssd_ftl::Lpn;
 use recssd_nvme::{NvmeCommand, NvmeStatus};
@@ -34,16 +36,22 @@ impl Host {
         }
     }
 
+    /// Processes one event; `None` when none is pending.
+    fn step(&mut self) -> Option<SimTime> {
+        let (now, ev) = self.q.pop()?;
+        let Host { dev, q } = self;
+        let mut fresh = Vec::new();
+        dev.handle(now, ev, &mut |d, e| fresh.push((d, e)));
+        for (d, e) in fresh {
+            q.push_after(d, e);
+        }
+        Some(now)
+    }
+
     /// Drives the simulation until the device is idle; returns final time.
     fn drain(&mut self) -> SimTime {
         let mut last = self.q.now();
-        while let Some((now, ev)) = self.q.pop() {
-            let Host { dev, q } = self;
-            let mut fresh = Vec::new();
-            dev.handle(now, ev, &mut |d, e| fresh.push((d, e)));
-            for (d, e) in fresh {
-                q.push_after(d, e);
-            }
+        while let Some(now) = self.step() {
             last = now;
         }
         assert!(self.dev.idle(), "drain must reach quiescence");
@@ -89,7 +97,7 @@ fn write_then_read_round_trips_through_the_full_stack() {
     h.drain();
     let done = h.poll(0);
     assert_eq!(done.len(), 1);
-    let data = done[0].data.as_ref().expect("read returns data");
+    let data = done[0].data.as_ref().expect("read returns data").to_vec();
     assert_eq!(data.len(), 2 * page);
     assert_eq!(data[0], 0xA1);
     assert_eq!(data[page / 2], 0xA1 ^ 0xFF);
@@ -125,7 +133,13 @@ fn unmapped_reads_return_zeros() {
     h.submit(1, NvmeCommand::read(1, 100, 1));
     h.drain();
     let done = h.poll(1);
-    assert!(done[0].data.as_ref().unwrap().iter().all(|&b| b == 0));
+    assert!(done[0]
+        .data
+        .as_ref()
+        .unwrap()
+        .to_vec()
+        .iter()
+        .all(|&b| b == 0));
 }
 
 #[test]
@@ -142,7 +156,7 @@ fn preloaded_tables_are_readable_via_nvme() {
     h.submit(0, NvmeCommand::read(1, 123, 1));
     h.drain();
     let done = h.poll(0);
-    let data = done[0].data.as_ref().unwrap();
+    let data = done[0].data.as_ref().unwrap().to_vec();
     assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 123);
 }
 
@@ -257,5 +271,214 @@ fn interleaved_queues_all_complete() {
         for c in done {
             assert_eq!(c.status, NvmeStatus::Success);
         }
+    }
+}
+
+// ----- recycled page images never leak a previous page's bytes -----
+
+/// Logical layout the property test reads across: two preloaded regions
+/// with opposite dirty extents, a hole no one ever writes between them
+/// (16..20), and a region the test writes with random-length payloads.
+const FULL: std::ops::Range<u64> = 0..16;
+const SHORT: std::ops::Range<u64> = 20..36;
+const WRITABLE: std::ops::Range<u64> = 36..48;
+
+/// Dirties every byte of its pages and reports no extent (the trait
+/// default: the whole page).
+#[derive(Debug)]
+struct FullPages;
+
+impl PageOracle for FullPages {
+    fn fill_page(&self, idx: u64, out: &mut [u8]) {
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = (idx as u8).wrapping_mul(31).wrapping_add(i as u8) | 1;
+        }
+    }
+}
+
+/// Writes a short, page-dependent prefix and reports exactly that much.
+#[derive(Debug)]
+struct ShortPages;
+
+impl ShortPages {
+    fn len(idx: u64) -> usize {
+        8 + (idx % 7) as usize * 40
+    }
+}
+
+impl PageOracle for ShortPages {
+    fn fill_page(&self, idx: u64, out: &mut [u8]) {
+        out[..Self::len(idx)].fill(0x80 | idx as u8);
+    }
+
+    fn filled_prefix(&self, idx: u64, _page_bytes: usize) -> usize {
+        Self::len(idx)
+    }
+}
+
+/// The device under the property test plus the shadow of what was written.
+struct Checked {
+    h: Host,
+    written: HashMap<u64, Vec<u8>>,
+    next_cid: u16,
+}
+
+impl Checked {
+    fn new() -> Self {
+        let mut cfg = SsdConfig::cosmos_small();
+        // A cache smaller than one test's footprint: images cycle between
+        // the page cache, readers and the pool all the time.
+        cfg.ftl.page_cache_pages = 4;
+        let mut h = Host::new(cfg);
+        h.dev
+            .preload(Lpn(FULL.start), FULL.end - FULL.start, Arc::new(FullPages));
+        h.dev.preload(
+            Lpn(SHORT.start),
+            SHORT.end - SHORT.start,
+            Arc::new(ShortPages),
+        );
+        Checked {
+            h,
+            written: HashMap::new(),
+            next_cid: 0,
+        }
+    }
+
+    fn cid(&mut self) -> u16 {
+        self.next_cid = self.next_cid.wrapping_add(1);
+        self.next_cid
+    }
+
+    /// What `lpn` must read as: the written payload, else the flash
+    /// array's own zero-time view of a preloaded page, else zeros.
+    fn expected(&self, lpn: u64) -> Vec<u8> {
+        let page = self.h.dev.config().block_bytes();
+        if let Some(payload) = self.written.get(&lpn) {
+            let mut bytes = payload.clone();
+            bytes.resize(page, 0);
+            bytes
+        } else if FULL.contains(&lpn) || SHORT.contains(&lpn) {
+            let flash = self.h.dev.ftl().flash();
+            let ppa = flash.config().geometry.ppa_of_index(lpn);
+            flash.page_bytes_prefix(ppa, page)
+        } else {
+            vec![0u8; page]
+        }
+    }
+
+    fn submit_read(&mut self, qid: u16, start: u64, nlb: u32) -> (u16, u16, u64, u32) {
+        let nlb = nlb.min((WRITABLE.end - start) as u32);
+        let cid = self.cid();
+        self.h.submit(qid, NvmeCommand::read(cid, start, nlb));
+        (qid, cid, start, nlb)
+    }
+
+    fn submit_write(&mut self, lpn: u64, len: usize, tag: u8) {
+        let payload = vec![tag | 1; len];
+        let cid = self.cid();
+        self.h
+            .submit(0, NvmeCommand::write(cid, lpn, 1, payload.clone()));
+        self.written.insert(lpn, payload);
+    }
+
+    /// Drains the device, checks every byte of each listed read against
+    /// `expected` and hands the page images back.
+    fn drain_and_check(&mut self, reads: &[(u16, u16, u64, u32)]) {
+        self.h.drain();
+        let page = self.h.dev.config().block_bytes();
+        for qid in 0..2 {
+            for c in self.h.poll(qid) {
+                assert_eq!(c.status, NvmeStatus::Success);
+                let Some(data) = c.data else { continue };
+                let &(_, _, start, nlb) = reads
+                    .iter()
+                    .find(|r| (r.0, r.1) == (qid, c.cid))
+                    .expect("a read this op submitted");
+                let bytes = data.to_vec();
+                assert_eq!(bytes.len(), nlb as usize * page);
+                for k in 0..nlb as u64 {
+                    let got = &bytes[k as usize * page..(k as usize + 1) * page];
+                    assert!(
+                        got == &self.expected(start + k)[..],
+                        "lpn {} of read {}+{} differs from the page store",
+                        start + k,
+                        start,
+                        nlb
+                    );
+                }
+                self.h.dev.recycle_buffer(data);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every layer used to zero whole pages; now an image clears only the
+    /// prefix its last fill reported. Whatever order full pages,
+    /// short-prefix pages, unmapped holes (inside multi-page commands),
+    /// page-cache hits and write-buffer hits cycle the same few images in,
+    /// every read returns exactly the stored bytes and zeros elsewhere.
+    #[test]
+    fn recycled_page_images_never_leak_stale_bytes(
+        ops in proptest::collection::vec((0u8..6, 0u64..48, 0u64..u64::MAX), 1..60)
+    ) {
+        let mut c = Checked::new();
+        let page = c.h.dev.config().block_bytes();
+        for (kind, a, b) in ops {
+            let writable = WRITABLE.start + a % (WRITABLE.end - WRITABLE.start);
+            match kind {
+                // Two multi-page reads in flight together, anywhere —
+                // spans cross region borders and the hole.
+                0 | 1 => {
+                    let reads = [
+                        c.submit_read(0, a, 1 + (b % 6) as u32),
+                        c.submit_read(1, (b >> 8) % 48, 1 + ((b >> 16) % 6) as u32),
+                    ];
+                    c.drain_and_check(&reads);
+                }
+                // A write of random length, then the same span twice: the
+                // second pass is served from the page cache.
+                2 => {
+                    c.submit_write(writable, 1 + (b % page as u64) as usize, b as u8);
+                    c.drain_and_check(&[]);
+                    let hits = c.h.dev.ftl().cache_stats().hits();
+                    let first = [c.submit_read(0, writable, 1)];
+                    c.drain_and_check(&first);
+                    let again = [c.submit_read(0, writable, 1)];
+                    c.drain_and_check(&again);
+                    prop_assert!(c.h.dev.ftl().cache_stats().hits() > hits);
+                }
+                // A read that overtakes the program of the page it covers:
+                // served from the write buffer.
+                3 => {
+                    let staged = c.h.dev.ftl().stats().host_writes.get();
+                    let hits = c.h.dev.ftl().stats().write_buffer_hits.get();
+                    c.submit_write(writable, 1 + (b % 300) as usize, b as u8);
+                    while c.h.dev.ftl().stats().host_writes.get() == staged {
+                        c.h.step().expect("the write reaches the FTL");
+                    }
+                    let start = writable.saturating_sub(b % 3);
+                    let reads = [c.submit_read(1, start, 4)];
+                    c.drain_and_check(&reads);
+                    prop_assert!(c.h.dev.ftl().stats().write_buffer_hits.get() > hits);
+                }
+                4 => c.h.dev.ftl_mut().drop_caches(),
+                // One short-prefix page right after one full page.
+                _ => {
+                    let full = [c.submit_read(0, a % FULL.end, 1)];
+                    c.drain_and_check(&full);
+                    let short = [c.submit_read(0, SHORT.start + a % 16, 1)];
+                    c.drain_and_check(&short);
+                }
+            }
+        }
+        // Nothing leaked and nothing ballooned: every image ever taken is
+        // back in the pool or in the 4-page cache, and the whole run fit
+        // in the cache plus the deepest read fan-out.
+        let ftl = c.h.dev.ftl();
+        prop_assert_eq!(ftl.flash().page_images_out(), ftl.cached_pages());
+        prop_assert!(ftl.flash().page_images_pooled() + ftl.cached_pages() <= 4 + 12 + 2);
     }
 }

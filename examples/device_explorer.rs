@@ -62,7 +62,7 @@ fn main() {
     let completion = host.dev.queue(0).poll().expect("write done");
     assert_eq!(completion.cid, 1);
     let completion = host.dev.queue(0).poll().expect("read done");
-    let data = completion.data.expect("read data");
+    let data = completion.data.expect("read data").to_vec();
     println!(
         "read back: {:?}",
         (0..3)
@@ -112,7 +112,7 @@ fn main() {
     host.submit(0, NvmeCommand::ndp_read(5, slba, 1));
     host.drain();
     let result = host.dev.queue(0).poll().expect("results ready");
-    let bytes = result.data.expect("result block");
+    let bytes = result.data.expect("result block").to_vec();
     let sum = f32::from_le_bytes(bytes[..4].try_into().unwrap());
     println!("device-accumulated sum of rows 0 and 5: {sum} (expect 3.5)");
     assert_eq!(sum, 3.5);
