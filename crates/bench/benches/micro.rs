@@ -3,7 +3,8 @@
 //! a full small NDP SLS round trip through the simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use recssd::{OpKind, RecSsdConfig, SlsOptions, System};
+use recssd::ndp::EnginePartials;
+use recssd::{OpKind, RecSsdConfig, SlsConfig, SlsOptions, System};
 use recssd_cache::{DirectMappedCache, LruCache};
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
@@ -115,6 +116,67 @@ fn bench_page_translation(c: &mut Criterion) {
     }
 }
 
+/// Page synthesis as the oracle-backed flash store runs it on every read
+/// miss: one wide row per page (the `ndp-flashwall` shape) and a dense
+/// page of narrow rows.
+fn bench_page_fill(c: &mut Criterion) {
+    for (rows, dim) in [(1usize, 1024usize), (128, 32)] {
+        for q in [Quantization::F32, Quantization::F16, Quantization::Int8] {
+            let page_bytes = rows * q.row_bytes(dim);
+            let img = TableImage::new(
+                EmbeddingTable::procedural(TableSpec::new(100_000, dim, q), 7),
+                PageLayout::Dense,
+                page_bytes,
+            );
+            let mut page = vec![0u8; page_bytes];
+            c.bench_function(&format!("page_fill_{rows}x{dim}_{q:?}"), |b| {
+                b.iter(|| {
+                    img.fill_relative_page(3, &mut page);
+                    black_box(page[0])
+                })
+            });
+        }
+    }
+}
+
+/// One SLS command's worth of engine-partial traffic on an 8-engine pool
+/// with 4 result slots of 1024 floats: reset, five pages' rows landing on
+/// five `(engine, slot)` rows, merge.
+fn bench_engine_partials(c: &mut Criterion) {
+    let (engines, n_results, dim) = (8usize, 4usize, 1024usize);
+    let row: Vec<f32> = (0..dim).map(|i| (i as f32 - 512.0) / 64.0).collect();
+    let mut encoded = vec![0u8; 4 * dim];
+    Quantization::F32.encode(&row, &mut encoded);
+    let mut partials = EnginePartials::default();
+    let mut results = vec![0.0f32; n_results * dim];
+    c.bench_function("engine_partials_fold_8x4x1024", |b| {
+        b.iter(|| {
+            partials.reset(engines, n_results, dim);
+            for (engine, slot) in [(0, 0), (3, 1), (3, 2), (5, 0), (7, 3)] {
+                partials.add_encoded(engine, slot, Quantization::F32, &encoded);
+            }
+            results.fill(0.0);
+            partials.merge_into(&mut results);
+            black_box(results[0])
+        })
+    });
+}
+
+/// The result block of a 4 × 1024 SLS command: device-side encode into a
+/// pooled buffer, host-side accumulate out of it.
+fn bench_result_codec(c: &mut Criterion) {
+    let results: Vec<f32> = (0..4 * 1024).map(|i| (i as f32 - 2048.0) / 64.0).collect();
+    let mut block = Vec::new();
+    let mut acc = vec![0.0f32; results.len()];
+    c.bench_function("result_codec_4x1024", |b| {
+        b.iter(|| {
+            SlsConfig::encode_results_into(&results, 16 * 1024, &mut block);
+            SlsConfig::accumulate_results(&block, &mut acc);
+            black_box(acc[0])
+        })
+    });
+}
+
 fn bench_ndp_round_trip(c: &mut Criterion) {
     c.bench_function("ndp_sls_small_end_to_end", |b| {
         b.iter(|| {
@@ -137,6 +199,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_caches, bench_traces, bench_quant, bench_decode_variants,
-        bench_page_translation, bench_ndp_round_trip
+        bench_page_translation, bench_page_fill, bench_engine_partials, bench_result_codec,
+        bench_ndp_round_trip
 }
 criterion_main!(benches);

@@ -32,6 +32,16 @@
 //!   sortedness means equal pages are adjacent, so grouping needs no map;
 //! * entry buffers are recycled through a free-list pool when a request
 //!   completes, so steady-state requests allocate nothing for them;
+//! * on a per-channel engine pool the engine-local partial sums live in
+//!   one [`EnginePartials`]: `engines × n_results` rows, of which a
+//!   request's few pages write a few. Nothing but a flag per row is
+//!   cleared between requests — the first write of a row stores
+//!   `0.0 + v`, which is bit for bit what adding `v` to a zeroed element
+//!   leaves, later writes add, and the merge folds only written rows in
+//!   engine-major order — so a command costs what its pages cost, not
+//!   what the pool's width costs, and its results equal a dense
+//!   zero-filled fold's. The simulated charges (`translate_time`,
+//!   `merge_time` over the engines that saw pages) know nothing of this;
 //! * the SSD-side embedding cache stores vectors in per-slot buffers that
 //!   are overwritten in place on insert.
 
@@ -45,6 +55,7 @@ use recssd_sim::stats::{Counter, HitStats};
 use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 
+use super::EnginePartials;
 use crate::{NdpConfig, SlsConfig, SlsOutput};
 
 /// Per-request latency breakdown, the instrumentation behind Fig. 8.
@@ -242,7 +253,7 @@ struct EntryBufs {
     /// Recycled pair-list buffer for [`SlsConfig::decode_pooled`].
     pairs: Vec<(u64, u32)>,
     /// Engine-local partial accumulators (multi-engine path).
-    partials: Vec<SlsOutput>,
+    partials: EnginePartials,
     /// Pages translated per engine (sizes the merge charge).
     partial_pages: Vec<u32>,
 }
@@ -264,10 +275,10 @@ struct SlsEntry {
     page_work: Vec<PageWork>,
     pages_pending: usize,
     results: SlsOutput,
-    /// Engine-local partial accumulators, indexed by pool engine. Empty
-    /// on the single-core path, where translation folds straight into
-    /// `results`.
-    partials: Vec<SlsOutput>,
+    /// Engine-local partial accumulators, one sparse set for the pool.
+    /// Unused on the single-core path, where translation folds straight
+    /// into `results`.
+    partials: EnginePartials,
     /// Pages translated per engine.
     partial_pages: Vec<u32>,
     /// A merge task must still run (and has not been charged yet).
@@ -390,13 +401,25 @@ impl NdpSlsEngine {
     /// Step 2/3: configuration processed — build work lists, absorb cache
     /// hits, issue page reads, and complete the config-write command.
     fn process_config(&mut self, ctx: &mut DeviceCtx<'_>, request: u64) {
-        let page_bytes = ctx.ftl.page_bytes();
+        let (page_bytes, logical_pages) = (ctx.ftl.page_bytes(), ctx.ftl.config().logical_pages);
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let raw = entry.raw_config.take().expect("config payload present");
         let pairs_buf = std::mem::take(&mut entry.pairs_buf);
+        let table_base = entry.table_base;
+        // The payload is host-supplied: besides being well-formed it must
+        // describe rows that fit a flash page and pages the device has.
+        // Pairs are sorted by row, so the last one reaches furthest.
         let cfg = SlsConfig::decode_pooled(&raw, pairs_buf)
             .ok()
-            .filter(|cfg| cfg.row_bytes() * cfg.rows_per_page as usize <= page_bytes);
+            .filter(|cfg| {
+                let fits = (cfg.row_bytes().checked_mul(cfg.rows_per_page as usize))
+                    .is_some_and(|bytes| bytes <= page_bytes);
+                let in_range = cfg.pairs.last().is_none_or(|&(row, _)| {
+                    (table_base.checked_add(cfg.locate_row(row).0))
+                        .is_some_and(|lpn| lpn < logical_pages)
+                });
+                fits && in_range
+            });
         // The config payload has been parsed; its buffer rejoins the
         // device's transfer pool so the host's next config-write reuses it.
         ctx.recycle_buffer(raw);
@@ -456,12 +479,9 @@ impl NdpSlsEngine {
         // engine-local partials that a final merge folds together.
         let engines = ctx.ftl.engine_count();
         if engines > 0 && n_pages > 0 {
-            let (n_results, dim) = (cfg.n_results as usize, cfg.dim as usize);
-            entry.partials.resize_with(engines, SlsOutput::default);
-            entry.partials.truncate(engines);
-            for p in &mut entry.partials {
-                p.reset(n_results, dim);
-            }
+            entry
+                .partials
+                .reset(engines, cfg.n_results as usize, cfg.dim as usize);
             entry.partial_pages.clear();
             entry.partial_pages.resize(engines, 0);
             entry.needs_merge = true;
@@ -478,7 +498,7 @@ impl NdpSlsEngine {
                 let ftl = &mut *ctx.ftl;
                 let sched = &mut *ctx.sched;
                 ftl.read_page(ctx.now, lpn, &mut |d, e| sched(d, SsdEvent::Ftl(e)))
-                    .expect("table pages are in range")
+                    .expect("the last pair's page was checked against the logical space")
             };
             match started {
                 ReadStarted::Pending(req) => {
@@ -566,34 +586,38 @@ impl NdpSlsEngine {
         let w = entry.page_work[widx];
         let base = entry.table_base;
         let items = w.start as usize..(w.start + w.len) as usize;
-        // Engine translations fold into the engine-local partial; the
-        // merge task later combines partials in fixed engine order.
+        // Engine translations fold into the engine-local partial rows; the
+        // merge task later combines them in fixed engine order.
         let SlsEntry {
             results,
             partials,
             work_items,
             ..
         } = &mut *entry;
-        let target = match engine {
-            Some(e) => &mut partials[e as usize],
-            None => results,
-        };
         if cache.enabled() {
             row_scratch.clear();
             row_scratch.resize(dim, 0.0);
-            for i in items {
-                let (offset, slot) = work_items[i];
+            for &(offset, slot) in &work_items[items] {
                 quant.decode_into(&data[offset..], row_scratch);
-                for (o, v) in target.row_mut(slot as usize).iter_mut().zip(&*row_scratch) {
-                    *o += *v;
+                match engine {
+                    Some(e) => partials.add_row(e as usize, slot as usize, row_scratch),
+                    None => {
+                        let acc = results.row_mut(slot as usize);
+                        for (o, v) in acc.iter_mut().zip(&*row_scratch) {
+                            *o += *v;
+                        }
+                    }
                 }
                 let row = w.page * rows_per_page + (offset / row_bytes) as u64;
                 cache.insert(base, row, row_scratch);
             }
         } else {
-            for i in items {
-                let (offset, slot) = work_items[i];
-                quant.decode_accumulate(&data[offset..], target.row_mut(slot as usize));
+            for &(offset, slot) in &work_items[items] {
+                let (bytes, slot) = (&data[offset..], slot as usize);
+                match engine {
+                    Some(e) => partials.add_encoded(e as usize, slot, quant, bytes),
+                    None => quant.decode_accumulate(bytes, results.row_mut(slot)),
+                }
             }
         }
         entry.translation += duration;
@@ -602,26 +626,12 @@ impl NdpSlsEngine {
         self.maybe_finish(ctx, request);
     }
 
-    /// Merge task done: fold each engine's partial into the result
-    /// scratchpad in fixed engine-index order — deterministic regardless
-    /// of which engine finished last — skipping engines that saw no pages
-    /// (their partials are all-zero and contribute nothing).
+    /// Merge task done: fold the partial rows the engines wrote into the
+    /// result scratchpad in fixed engine-index order — deterministic
+    /// regardless of which engine finished last.
     fn apply_merge(&mut self, ctx: &mut DeviceCtx<'_>, request: u64) {
         let entry = self.entries.get_mut(&request).expect("entry exists");
-        let SlsEntry {
-            results,
-            partials,
-            partial_pages,
-            ..
-        } = &mut *entry;
-        for (p, &pages) in partials.iter().zip(partial_pages.iter()) {
-            if pages == 0 {
-                continue;
-            }
-            for (o, v) in results.as_mut_slice().iter_mut().zip(p.as_slice()) {
-                *o += *v;
-            }
-        }
+        entry.partials.merge_into(entry.results.as_mut_slice());
         self.maybe_finish(ctx, request);
     }
 

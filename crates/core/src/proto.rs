@@ -384,17 +384,21 @@ impl SlsConfig {
         out
     }
 
-    /// [`SlsConfig::encode_results`] into a caller-supplied buffer
-    /// (cleared and re-zeroed); the NVMe completion takes ownership of
-    /// the block, so callers wanting steady-state allocation freedom pull
-    /// the buffer from the device's transfer-buffer pool and the host
-    /// hands it back there after merging.
+    /// [`SlsConfig::encode_results`] into a caller-supplied buffer whose
+    /// previous contents do not matter; the NVMe completion takes
+    /// ownership of the block, so callers wanting steady-state allocation
+    /// freedom pull the buffer from the device's transfer-buffer pool and
+    /// the host hands it back there after merging. A buffer that already
+    /// has the padded length (the pool's do) gets each byte written once:
+    /// the floats as one run of 4-byte words, then zeros for the pad tail.
     pub fn encode_results_into(results: &[f32], block_bytes: usize, out: &mut Vec<u8>) {
-        out.clear();
         out.resize(Self::padded_result_len(results.len(), block_bytes), 0);
-        for (i, v) in results.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        let (body, pad) = out.split_at_mut(results.len() * 4);
+        let (words, _) = body.as_chunks_mut::<4>();
+        for (w, v) in words.iter_mut().zip(results) {
+            *w = v.to_le_bytes();
         }
+        pad.fill(0);
     }
 
     /// Unpacks and *adds* `acc.len()` f32 values from result-read data
@@ -407,8 +411,9 @@ impl SlsConfig {
     #[inline]
     pub fn accumulate_results(bytes: &[u8], acc: &mut [f32]) {
         assert!(bytes.len() >= acc.len() * 4, "result data truncated");
-        for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(4)) {
-            *a += f32::from_le_bytes(c.try_into().expect("4 bytes"));
+        let (words, _) = bytes[..acc.len() * 4].as_chunks::<4>();
+        for (a, w) in acc.iter_mut().zip(words) {
+            *a += f32::from_le_bytes(*w);
         }
     }
 

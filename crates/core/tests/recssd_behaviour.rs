@@ -3,10 +3,16 @@
 //! orderings of the paper's headline results must hold.
 
 use proptest::prelude::*;
-use recssd::{FaultConfig, FaultPlan, LookupBatch, OpKind, RecSsdConfig, SlsOptions, System};
+use recssd::{
+    FaultConfig, FaultPlan, LookupBatch, NdpConfig, NdpSlsEngine, OpKind, RecSsdConfig, SlsConfig,
+    SlsOptions, System,
+};
 use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};
+use recssd_nvme::{NvmeCommand, NvmeStatus};
 use recssd_sim::rng::Xoshiro256;
+use recssd_sim::EventQueue;
+use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
 const PAGE: usize = 16 * 1024;
 
@@ -403,6 +409,62 @@ fn page_images_return_to_the_pool_after_faulted_runs() {
         "page images leaked: {} pooled",
         ftl.flash().page_images_pooled()
     );
+}
+
+/// A config payload is host-supplied bytes. One whose rows lie past the
+/// device's logical space — or so far past that `table base + page`
+/// wraps — is refused with a typed status before any page is read; the
+/// entry and its pooled buffers are released, so the same request id
+/// serves a valid command pair next.
+#[test]
+fn out_of_range_config_is_refused_not_fatal() {
+    const ALIGN: u64 = 1 << 10;
+    let ndp = NdpConfig {
+        table_align: ALIGN,
+        ..NdpConfig::cosmos()
+    };
+    let mut dev = SsdDevice::with_engine(SsdConfig::cosmos_small(), NdpSlsEngine::new(ndp));
+    let mut q: EventQueue<SsdEvent> = EventQueue::new();
+    let mut run = |dev: &mut SsdDevice<NdpSlsEngine>, cmd: NvmeCommand| {
+        dev.queue(0).submit(cmd).expect("queue has room");
+        dev.doorbell(q.now(), 0, &mut |d, e| q.push_after(d, e));
+        while let Some((now, ev)) = q.pop() {
+            dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
+        }
+        dev.queue(0).poll().expect("the command completed")
+    };
+
+    let logical_pages = dev.ftl().config().logical_pages;
+    let slba = NvmeCommand::ndp_slba(ALIGN, 9, ALIGN);
+    let valid = SlsConfig {
+        dim: 4,
+        quant: Quantization::F32,
+        rows_per_page: 1,
+        n_results: 1,
+        pairs: vec![(0, 0), (logical_pages - ALIGN - 1, 0)],
+    };
+    let reads_before = dev.ftl().stats().host_reads.get();
+    for bad_row in [logical_pages - ALIGN, u64::MAX] {
+        // Patch the last pair's row in the encoded bytes: still sorted,
+        // still well-formed, one page too far (or 2^64 pages too far).
+        let mut payload = valid.encode();
+        let at = payload.len() - 12;
+        payload[at..at + 8].copy_from_slice(&bad_row.to_le_bytes());
+        let done = run(&mut dev, NvmeCommand::ndp_write(1, slba, payload));
+        assert_eq!(done.status, NvmeStatus::InvalidField, "row {bad_row}");
+        assert!(
+            dev.idle(),
+            "the entry was released and nothing is in flight"
+        );
+        assert_eq!(dev.ftl().stats().host_reads.get(), reads_before);
+    }
+
+    // The last in-range row is served (unwritten pages read as zeros).
+    let done = run(&mut dev, NvmeCommand::ndp_write(2, slba, valid.encode()));
+    assert_eq!(done.status, NvmeStatus::Success);
+    let done = run(&mut dev, NvmeCommand::ndp_read(3, slba, 1));
+    assert_eq!(done.status, NvmeStatus::Success);
+    assert!(dev.idle());
 }
 
 proptest! {

@@ -119,8 +119,10 @@ impl TableImage {
     /// page `page`.
     ///
     /// Pages are regenerated on every flash-read miss (the oracle-backed
-    /// store synthesises contents on demand), so the encode scratch is
-    /// thread-local: steady-state page fills allocate nothing.
+    /// store synthesises contents on demand), so each row is one streamed
+    /// pass ([`EmbeddingTable::encode_row_with`]) and the scratch F16 and
+    /// Int8 rows pass through is thread-local: steady-state page fills
+    /// allocate nothing.
     pub fn fill_relative_page(&self, page: u64, out: &mut [u8]) {
         thread_local! {
             static SCRATCH: std::cell::RefCell<crate::RowScratch> =

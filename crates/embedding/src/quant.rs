@@ -29,7 +29,11 @@ impl Quantization {
     }
 
     /// Encodes `values` into `out` (which must be exactly
-    /// [`Quantization::row_bytes`] long).
+    /// [`Quantization::row_bytes`] long). This is the definition of the
+    /// row format: table rows are `EmbeddingTable::raw_value` per element,
+    /// then this. `EmbeddingTable::encode_row_with` implements the F32
+    /// case by streaming generated values straight into the same bytes
+    /// and sends F16 and Int8 rows through here.
     ///
     /// # Panics
     ///
@@ -79,8 +83,11 @@ impl Quantization {
         assert!(bytes.len() >= need, "row bytes truncated");
         match self {
             Quantization::F32 => {
-                for (o, c) in out.iter_mut().zip(bytes[..need].chunks_exact(4)) {
-                    fold(o, f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
+                // Two equal-length slices of fixed-size elements: the
+                // loop has no per-element check and vectorises.
+                let (words, _) = bytes[..need].as_chunks::<4>();
+                for (o, w) in out.iter_mut().zip(words) {
+                    fold(o, f32::from_le_bytes(*w));
                 }
             }
             Quantization::F16 => {
@@ -120,6 +127,21 @@ impl Quantization {
     #[inline]
     pub fn decode_accumulate(self, bytes: &[u8], acc: &mut [f32]) {
         self.decode_with(bytes, acc, |o, v| *o += v);
+    }
+
+    /// [`Quantization::decode_accumulate`] into an `out` taken to hold
+    /// zeros, without reading it: every element becomes `0.0 + v`, bit
+    /// for bit what accumulating into a zero-filled `out` leaves (`-0.0`
+    /// becomes `+0.0`, which plain [`Quantization::decode_into`] would
+    /// keep). Lets an accumulator skip zero-filling rows it is about to
+    /// write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is shorter than the encoded row.
+    #[inline]
+    pub fn decode_sum_from_zero(self, bytes: &[u8], out: &mut [f32]) {
+        self.decode_with(bytes, out, |o, v| *o = 0.0 + v);
     }
 
     /// Decodes a row of `dim` elements from `bytes` into a fresh `Vec`.

@@ -1,4 +1,12 @@
 //! Table specifications and contents.
+//!
+//! Contents have one per-element *definition*,
+//! [`EmbeddingTable::raw_value`] followed by [`Quantization::encode`], and
+//! one *implementation* for whole rows: a streamed pass that resolves the
+//! view and the source once per row and then generates elements in a
+//! plain loop (F32 straight into the encoded bytes). Page fills, the DRAM
+//! gather and `sls_reference` all run the streamed pass;
+//! `tests/row_generator.rs` holds it to the definition bit for bit.
 
 use std::fmt;
 use std::sync::Arc;
@@ -243,43 +251,96 @@ impl EmbeddingTable {
         self.spec
     }
 
-    /// Raw (pre-quantization) value at `(row, j)`.
+    /// Resolves local `row` through the view (`remap`, then `base_row`)
+    /// to the row of `source` it shows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    fn source_row(&self, row: u64) -> u64 {
+        assert!(row < self.spec.rows, "row out of range");
+        let row = match &self.remap {
+            Some(m) => m[row as usize],
+            None => row,
+        };
+        self.base_row + row
+    }
+
+    /// Raw (pre-quantization) value at `(row, j)` — the per-element
+    /// *definition* of table contents. Everything that produces whole
+    /// rows ([`EmbeddingTable::encode_row`],
+    /// [`EmbeddingTable::accumulate_row`], page fills) goes through the
+    /// streamed implementation of it, `stream_raw`, and is tested
+    /// element for element against this function.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `j` is out of range.
     pub fn raw_value(&self, row: u64, j: usize) -> f32 {
-        assert!(row < self.spec.rows, "row out of range");
         assert!(j < self.spec.dim, "feature out of range");
-        let row = match &self.remap {
-            Some(m) => m[row as usize],
-            None => row,
-        };
-        let row = self.base_row + row;
+        let row = self.source_row(row);
         match &self.source {
-            TableSource::Procedural { seed } => {
-                // Values on the grid k/64 with |k| <= 127: exactly
-                // representable in f32, f16 *and* power-of-two-scaled
-                // int8, so every execution path sums them exactly.
-                let h = mix64(seed ^ (row.wrapping_mul(0x9E37_79B9_7F4A_7C15) + j as u64));
-                ((h % 255) as i64 - 127) as f32 / 64.0
-            }
+            TableSource::Procedural { seed } => procedural_value(*seed, procedural_key(row), j),
             TableSource::Dense(v) => v[(row * self.spec.dim as u64) as usize + j],
         }
     }
 
-    /// Raw row values into `vals` (cleared first; no allocation once the
-    /// buffer has grown to `dim`).
-    fn fill_raw_values(&self, row: u64, vals: &mut Vec<f32>) {
-        vals.clear();
-        vals.extend((0..self.spec.dim).map(|j| self.raw_value(row, j)));
+    /// The streamed implementation of [`EmbeddingTable::raw_value`]:
+    /// hands `put` the raw values of `row`, feature 0 upward, each with
+    /// the next item of `sink`. The view and the source are resolved once
+    /// for the row, so the element loops carry no assert, branch or
+    /// match.
+    ///
+    /// `sink` must yield exactly `dim` items (callers check their buffer
+    /// lengths first).
+    #[inline(always)]
+    fn stream_raw<T>(&self, row: u64, sink: impl Iterator<Item = T>, mut put: impl FnMut(T, f32)) {
+        let row = self.source_row(row);
+        match &self.source {
+            TableSource::Procedural { seed } => {
+                let key = procedural_key(row);
+                for (j, slot) in sink.enumerate() {
+                    put(slot, procedural_value(*seed, key, j));
+                }
+            }
+            TableSource::Dense(v) => {
+                let start = (row * self.spec.dim as u64) as usize;
+                for (slot, &x) in sink.zip(&v[start..start + self.spec.dim]) {
+                    put(slot, x);
+                }
+            }
+        }
     }
 
-    /// Encodes `row` into its on-device byte format using `scratch` for
-    /// the intermediate raw values (no allocation once warm).
+    /// Raw row values into `vals` (no allocation once the buffer has
+    /// grown to `dim`).
+    fn fill_raw_values(&self, row: u64, vals: &mut Vec<f32>) {
+        vals.resize(self.spec.dim, 0.0);
+        self.stream_raw(row, vals.iter_mut(), |o, v| *o = v);
+    }
+
+    /// Encodes `row` into its on-device byte format. F32 rows stream
+    /// straight into `out`; F16 and Int8 rows (Int8 needs the row maximum
+    /// before it can write a byte) pass through `scratch`, which allocates
+    /// nothing once warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `out` is not exactly
+    /// [`TableSpec::row_bytes`] long.
     pub fn encode_row_with(&self, row: u64, scratch: &mut RowScratch, out: &mut [u8]) {
-        self.fill_raw_values(row, &mut scratch.vals);
-        self.spec.quant.encode(&scratch.vals, out);
+        match self.spec.quant {
+            Quantization::F32 => {
+                assert_eq!(out.len(), self.spec.row_bytes(), "bad row buffer");
+                let (words, _) = out.as_chunks_mut::<4>();
+                self.stream_raw(row, words.iter_mut(), |w, v| *w = v.to_le_bytes());
+            }
+            quant => {
+                self.fill_raw_values(row, &mut scratch.vals);
+                quant.encode(&scratch.vals, out);
+            }
+        }
     }
 
     /// Encodes `row` into its on-device byte format.
@@ -290,21 +351,26 @@ impl EmbeddingTable {
     /// Accumulates the *decoded* row (after the quantisation round trip)
     /// into `acc` without allocating once `scratch` is warm — the
     /// host-DRAM gather primitive of the DRAM reference and the static
-    /// hot partition.
+    /// hot partition. The F32 round trip (`to_le_bytes` then
+    /// `from_le_bytes`) is the identity on every bit pattern, so F32 rows
+    /// are added as they are generated.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range or `acc.len() != dim`.
     pub fn accumulate_row(&self, row: u64, scratch: &mut RowScratch, acc: &mut [f32]) {
         assert_eq!(acc.len(), self.spec.dim, "accumulator has wrong dim");
-        let row_bytes = self.spec.row_bytes();
-        scratch.bytes.clear();
-        scratch.bytes.resize(row_bytes, 0);
-        // Split borrow: encode reads `vals`, writes `bytes`.
-        let RowScratch { vals, bytes } = scratch;
-        self.fill_raw_values(row, vals);
-        self.spec.quant.encode(vals, bytes);
-        self.spec.quant.decode_accumulate(bytes, acc);
+        match self.spec.quant {
+            Quantization::F32 => self.stream_raw(row, acc.iter_mut(), |a, v| *a += v),
+            quant => {
+                // Split borrow: encode reads `vals`, writes `bytes`.
+                let RowScratch { vals, bytes } = scratch;
+                self.fill_raw_values(row, vals);
+                bytes.resize(self.spec.row_bytes(), 0);
+                quant.encode(vals, bytes);
+                quant.decode_accumulate(bytes, acc);
+            }
+        }
     }
 
     /// The row as the *decoded* f32 vector — i.e. after the quantisation
@@ -315,6 +381,21 @@ impl EmbeddingTable {
         self.accumulate_row(row, &mut RowScratch::default(), &mut out);
         out
     }
+}
+
+/// The part of the procedural hash input that depends only on the row.
+#[inline]
+fn procedural_key(source_row: u64) -> u64 {
+    source_row.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Procedural element `j` of the row with key `key`: a value on the grid
+/// k/64 with |k| <= 127 — exactly representable in f32, f16 *and*
+/// power-of-two-scaled int8, so every execution path sums them exactly.
+#[inline]
+fn procedural_value(seed: u64, key: u64, j: usize) -> f32 {
+    let h = mix64(seed ^ key.wrapping_add(j as u64));
+    ((h % 255) as i64 - 127) as f32 / 64.0
 }
 
 /// Reusable buffers for per-row encode/decode round trips. One scratch

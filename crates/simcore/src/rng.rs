@@ -29,11 +29,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
+    #[inline]
     pub const fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -47,6 +49,7 @@ impl SplitMix64 {
 ///
 /// Useful for turning structured ids into well-distributed hash values,
 /// e.g. direct-mapped cache indexing.
+#[inline]
 pub fn mix64(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
