@@ -9,6 +9,8 @@ use recssd_cache::{DirectMappedCache, LruCache};
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
 };
+use recssd_flash::FlashGeometry;
+use recssd_ftl::BlockAllocator;
 use recssd_sim::rng::Xoshiro256;
 use recssd_trace::{LocalityK, LocalityTrace, ZipfTrace};
 
@@ -40,6 +42,13 @@ fn bench_caches(c: &mut Criterion) {
 fn bench_traces(c: &mut Criterion) {
     c.bench_function("locality_trace_next_id", |b| {
         let mut t = LocalityTrace::with_k(1_000_000, LocalityK::K1, 3);
+        b.iter(|| black_box(t.next_id()))
+    });
+    c.bench_function("locality_trace_next_id_warm_16k", |b| {
+        // K = 2 over 2^40 rows, stack already at its 16 384 ids: nearly
+        // every fresh id is new to the stack and pushes the oldest off.
+        let mut t = LocalityTrace::with_k(1 << 40, LocalityK::K2, 3);
+        t.take_ids(40_000);
         b.iter(|| black_box(t.next_id()))
     });
     c.bench_function("zipf_trace_next_id", |b| {
@@ -177,6 +186,17 @@ fn bench_result_codec(c: &mut Criterion) {
     });
 }
 
+/// What a full-size Cosmos+ `System` costs before its first command:
+/// `model-zoo` and the Fig. 10 harness build and drop dozens.
+fn bench_cosmos_setup(c: &mut Criterion) {
+    c.bench_function("block_allocator_new_cosmos", |b| {
+        b.iter(|| black_box(BlockAllocator::new(FlashGeometry::cosmos())))
+    });
+    c.bench_function("system_new_drop_cosmos", |b| {
+        b.iter(|| black_box(System::new(RecSsdConfig::cosmos())))
+    });
+}
+
 fn bench_ndp_round_trip(c: &mut Criterion) {
     c.bench_function("ndp_sls_small_end_to_end", |b| {
         b.iter(|| {
@@ -200,6 +220,6 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_caches, bench_traces, bench_quant, bench_decode_variants,
         bench_page_translation, bench_page_fill, bench_engine_partials, bench_result_codec,
-        bench_ndp_round_trip
+        bench_cosmos_setup, bench_ndp_round_trip
 }
 criterion_main!(benches);

@@ -1,9 +1,9 @@
 //! Fully associative LRU cache with O(1) operations.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use recssd_sim::stats::HitStats;
+use recssd_sim::FxHashMap;
 
 const NIL: usize = usize::MAX;
 
@@ -38,7 +38,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: FxHashMap<K, usize>,
     slab: Vec<Option<Node<K, V>>>,
     free: Vec<usize>,
     head: usize, // most recent
@@ -56,7 +56,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU cache capacity must be positive");
         LruCache {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -58,6 +58,10 @@ use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 use super::EnginePartials;
 use crate::{NdpConfig, SlsConfig, SlsOutput};
 
+/// Logical blocks one NVMe read can return: its block count is a 16-bit,
+/// zero-based field.
+const MAX_RESULT_BLOCKS: usize = 1 << 16;
+
 /// Per-request latency breakdown, the instrumentation behind Fig. 8.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SlsRequestReport {
@@ -407,18 +411,24 @@ impl NdpSlsEngine {
         let pairs_buf = std::mem::take(&mut entry.pairs_buf);
         let table_base = entry.table_base;
         // The payload is host-supplied: besides being well-formed it must
-        // describe rows that fit a flash page and pages the device has.
-        // Pairs are sorted by row, so the last one reaches furthest.
+        // describe rows that fit a flash page, pages the device has and a
+        // result block one read command can return (the scratchpad below is
+        // sized from it). Pairs are sorted by row, so the last one reaches
+        // furthest.
         let cfg = SlsConfig::decode_pooled(&raw, pairs_buf)
             .ok()
             .filter(|cfg| {
                 let fits = (cfg.row_bytes().checked_mul(cfg.rows_per_page as usize))
                     .is_some_and(|bytes| bytes <= page_bytes);
+                let returnable = (cfg.n_results as usize)
+                    .checked_mul(cfg.dim as usize)
+                    .and_then(|floats| floats.checked_mul(4))
+                    .is_some_and(|bytes| bytes.div_ceil(page_bytes) <= MAX_RESULT_BLOCKS);
                 let in_range = cfg.pairs.last().is_none_or(|&(row, _)| {
                     (table_base.checked_add(cfg.locate_row(row).0))
                         .is_some_and(|lpn| lpn < logical_pages)
                 });
-                fits && in_range
+                fits && returnable && in_range
             });
         // The config payload has been parsed; its buffer rejoins the
         // device's transfer pool so the host's next config-write reuses it.

@@ -9,7 +9,7 @@ use recssd::{
 };
 use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};
-use recssd_nvme::{NvmeCommand, NvmeStatus};
+use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::EventQueue;
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
@@ -411,6 +411,21 @@ fn page_images_return_to_the_pool_after_faulted_runs() {
     );
 }
 
+/// Submits one command on queue 0 of a bare device and steps the device
+/// until the command completes.
+fn run_command(
+    dev: &mut SsdDevice<NdpSlsEngine>,
+    q: &mut EventQueue<SsdEvent>,
+    cmd: NvmeCommand,
+) -> NvmeCompletion {
+    dev.queue(0).submit(cmd).expect("queue has room");
+    dev.doorbell(q.now(), 0, &mut |d, e| q.push_after(d, e));
+    while let Some((now, ev)) = q.pop() {
+        dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
+    }
+    dev.queue(0).poll().expect("the command completed")
+}
+
 /// A config payload is host-supplied bytes. One whose rows lie past the
 /// device's logical space — or so far past that `table base + page`
 /// wraps — is refused with a typed status before any page is read; the
@@ -425,14 +440,7 @@ fn out_of_range_config_is_refused_not_fatal() {
     };
     let mut dev = SsdDevice::with_engine(SsdConfig::cosmos_small(), NdpSlsEngine::new(ndp));
     let mut q: EventQueue<SsdEvent> = EventQueue::new();
-    let mut run = |dev: &mut SsdDevice<NdpSlsEngine>, cmd: NvmeCommand| {
-        dev.queue(0).submit(cmd).expect("queue has room");
-        dev.doorbell(q.now(), 0, &mut |d, e| q.push_after(d, e));
-        while let Some((now, ev)) = q.pop() {
-            dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
-        }
-        dev.queue(0).poll().expect("the command completed")
-    };
+    let mut run = |dev: &mut SsdDevice<NdpSlsEngine>, cmd| run_command(dev, &mut q, cmd);
 
     let logical_pages = dev.ftl().config().logical_pages;
     let slba = NvmeCommand::ndp_slba(ALIGN, 9, ALIGN);
@@ -460,6 +468,50 @@ fn out_of_range_config_is_refused_not_fatal() {
     }
 
     // The last in-range row is served (unwritten pages read as zeros).
+    let done = run(&mut dev, NvmeCommand::ndp_write(2, slba, valid.encode()));
+    assert_eq!(done.status, NvmeStatus::Success);
+    let done = run(&mut dev, NvmeCommand::ndp_read(3, slba, 1));
+    assert_eq!(done.status, NvmeStatus::Success);
+    assert!(dev.idle());
+}
+
+/// The result scratchpad is sized from the config's `n_results × dim`,
+/// two host-supplied fields. A block no read command could return — here
+/// 2^32 vectors of a page each, 64 TiB — is refused before anything is
+/// sized from it, and the request id serves a valid pair next.
+#[test]
+fn oversized_result_block_is_refused_not_fatal() {
+    let mut dev = SsdDevice::with_engine(
+        SsdConfig::cosmos_small(),
+        NdpSlsEngine::new(NdpConfig::cosmos()),
+    );
+    let mut q: EventQueue<SsdEvent> = EventQueue::new();
+    let mut run = |dev: &mut SsdDevice<NdpSlsEngine>, cmd| run_command(dev, &mut q, cmd);
+
+    let slba = NvmeCommand::ndp_slba(0, 5, NdpConfig::cosmos().table_align);
+    let page_floats = (dev.ftl().page_bytes() / 4) as u32;
+    let valid = SlsConfig {
+        dim: page_floats,
+        quant: Quantization::F32,
+        rows_per_page: 1,
+        n_results: 1,
+        pairs: vec![(0, 0)],
+    };
+    let oversized = SlsConfig {
+        n_results: u32::MAX,
+        ..valid.clone()
+    };
+    let done = run(
+        &mut dev,
+        NvmeCommand::ndp_write(1, slba, oversized.encode()),
+    );
+    assert_eq!(done.status, NvmeStatus::InvalidField);
+    assert!(
+        dev.idle(),
+        "the entry was released and nothing is in flight"
+    );
+    assert_eq!(dev.ftl().stats().host_reads.get(), 0);
+
     let done = run(&mut dev, NvmeCommand::ndp_write(2, slba, valid.encode()));
     assert_eq!(done.status, NvmeStatus::Success);
     let done = run(&mut dev, NvmeCommand::ndp_read(3, slba, 1));

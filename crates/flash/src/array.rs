@@ -15,13 +15,13 @@
 //! accesses can be conducted in parallel to provide higher aggregated
 //! bandwidth and hide high latency operations").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, Histogram};
-use recssd_sim::{PageImage, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -256,8 +256,8 @@ pub struct FlashArray {
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     store: PageStore,
-    block_write_ptr: HashMap<u64, u32>,
-    ops: HashMap<FlashOpId, OpState>,
+    block_write_ptr: FxHashMap<u64, u32>,
+    ops: FxHashMap<FlashOpId, OpState>,
     next_op: u64,
     /// Free-list of exclusively owned page images — the one page pool of
     /// the device stack (see [`FlashArray::recycle_page_buf`]).
@@ -283,7 +283,7 @@ impl FlashArray {
             dies: (0..n_dies).map(|_| Resource::default()).collect(),
             channels: (0..n_channels).map(|_| Resource::default()).collect(),
             store: PageStore::new(),
-            block_write_ptr: HashMap::new(),
+            block_write_ptr: FxHashMap::default(),
             // Pre-sized for the deepest realistic in-flight set — an
             // NDP request fans a full batch's page reads out at once,
             // so hundreds of ops can be queued on the resources (cf.
@@ -291,7 +291,10 @@ impl FlashArray {
             // never resizes the table: with monotonically increasing
             // op ids, growth-by-tombstone would otherwise trickle
             // allocations into steady state.
-            ops: HashMap::with_capacity(PAGE_BUF_POOL_CAP.max(n_dies + 8 * n_channels)),
+            ops: FxHashMap::with_capacity_and_hasher(
+                PAGE_BUF_POOL_CAP.max(n_dies + 8 * n_channels),
+                Default::default(),
+            ),
             next_op: 0,
             page_pool: Vec::new(),
             images_out: 0,

@@ -17,9 +17,10 @@
 //! workloads in this reproduction never read erased pages for data, and
 //! zero-fill lets us trim trailing zeros when storing sparse page images.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
+
+use recssd_sim::{FxHashMap, FxHashSet};
 
 /// Synthesises the contents of preloaded pages on demand.
 ///
@@ -45,9 +46,9 @@ pub trait PageOracle: std::fmt::Debug + Send + Sync {
 /// Sparse, oracle-backed storage of page contents.
 #[derive(Debug, Default)]
 pub struct PageStore {
-    explicit: HashMap<u64, Box<[u8]>>,
+    explicit: FxHashMap<u64, Box<[u8]>>,
     oracles: Vec<(Range<u64>, Arc<dyn PageOracle>)>,
-    tombstones: HashSet<u64>,
+    tombstones: FxHashSet<u64>,
 }
 
 impl PageStore {

@@ -1,8 +1,24 @@
 //! Log-structured page allocation with wear-aware free-block selection.
+//!
+//! A die's free blocks are kept in two parts. Blocks that were never
+//! erased — at birth all of them — are sorted, disjoint block ranges, one
+//! range `0..blocks_per_die` per die to begin with; blocks that came back
+//! from an erase are a set ordered by `(erase_count, block)`. A full-size
+//! Cosmos+ drive has 524 288 blocks, nearly all of which no run ever
+//! touches, so an allocator is built and dropped in O(dies) rather than
+//! O(blocks).
+//!
+//! The split does not change the order blocks are handed out in, which is
+//! `(erase_count, block)` ascending over the whole die: a never-erased
+//! block has count 0 and an erased one at least 1, so every fresh block
+//! sorts before every recycled one, and within the ranges the lowest block
+//! is first.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
 
 use recssd_flash::{FlashGeometry, Ppa};
+use recssd_sim::{FxHashMap, FxHashSet};
 
 /// Allocates physical pages for the log-structured write path.
 ///
@@ -27,16 +43,76 @@ use recssd_flash::{FlashGeometry, Ppa};
 #[derive(Debug)]
 pub struct BlockAllocator {
     g: FlashGeometry,
-    /// Per die: free blocks ordered by (erase_count, block).
-    free: Vec<BTreeSet<(u64, u32)>>,
+    /// Per die: the free blocks.
+    free: Vec<FreeBlocks>,
     /// Per die: the block currently accepting appends.
     open: Vec<Option<OpenBlock>>,
     /// Per die: fully programmed blocks (GC victim candidates).
     used: Vec<Vec<u32>>,
-    erase_counts: HashMap<u64, u64>,
-    reserved: HashSet<u64>,
+    erase_counts: FxHashMap<u64, u64>,
+    reserved: FxHashSet<u64>,
     rr: usize,
     total_erases: u64,
+}
+
+/// The free blocks of one die, lowest `(erase_count, block)` first.
+#[derive(Debug)]
+struct FreeBlocks {
+    /// Never-erased blocks: non-empty ranges, ascending and disjoint.
+    fresh: VecDeque<Range<u32>>,
+    /// Erased blocks by `(erase_count, block)`; every count is at least 1.
+    recycled: BTreeSet<(u64, u32)>,
+}
+
+impl FreeBlocks {
+    fn all_fresh(blocks: u32) -> Self {
+        FreeBlocks {
+            fresh: std::iter::once(0..blocks).collect(),
+            recycled: BTreeSet::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        let fresh: usize = self.fresh.iter().map(|r| r.len()).sum();
+        fresh + self.recycled.len()
+    }
+
+    /// Takes the free block that sorts first.
+    fn pop_first(&mut self) -> Option<u32> {
+        let Some(range) = self.fresh.front_mut() else {
+            return self.recycled.pop_first().map(|(_, block)| block);
+        };
+        let block = range.start;
+        range.start += 1;
+        if range.start == range.end {
+            self.fresh.pop_front();
+        }
+        Some(block)
+    }
+
+    /// Takes `block`, erased `count` times so far, out of the free blocks;
+    /// `false` if it is not among them.
+    fn remove(&mut self, count: u64, block: u32) -> bool {
+        if count > 0 {
+            return self.recycled.remove(&(count, block));
+        }
+        // The one range that can hold `block` is the first to end past it.
+        let i = self.fresh.partition_point(|r| r.end <= block);
+        let Some(range) = self.fresh.get_mut(i).filter(|r| r.start <= block) else {
+            return false;
+        };
+        let (head, tail) = (range.start..block, block + 1..range.end);
+        match (head.is_empty(), tail.is_empty()) {
+            (false, false) => {
+                *range = head;
+                self.fresh.insert(i + 1, tail);
+            }
+            (false, true) => *range = head,
+            (true, false) => *range = tail,
+            (true, true) => drop(self.fresh.remove(i)),
+        }
+        true
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -51,12 +127,12 @@ impl BlockAllocator {
         let dies = g.total_dies() as usize;
         BlockAllocator {
             free: (0..dies)
-                .map(|_| (0..g.blocks_per_die).map(|b| (0u64, b)).collect())
+                .map(|_| FreeBlocks::all_fresh(g.blocks_per_die))
                 .collect(),
             open: vec![None; dies],
             used: vec![Vec::new(); dies],
-            erase_counts: HashMap::new(),
-            reserved: HashSet::new(),
+            erase_counts: FxHashMap::default(),
+            reserved: FxHashSet::default(),
             rr: 0,
             total_erases: 0,
             g,
@@ -87,7 +163,7 @@ impl BlockAllocator {
             .get(&self.g.block_index(channel, die, block))
             .copied()
             .unwrap_or(0);
-        let removed = self.free[d].remove(&(count, block));
+        let removed = self.free[d].remove(count, block);
         assert!(
             removed,
             "reserve of non-free block ch{channel}/die{die}/blk{block}"
@@ -114,8 +190,7 @@ impl BlockAllocator {
     /// Allocates a page in a specific die if possible.
     pub fn alloc_in_die(&mut self, die_linear: usize) -> Option<Ppa> {
         if self.open[die_linear].is_none() {
-            let &(count, block) = self.free[die_linear].iter().next()?;
-            self.free[die_linear].remove(&(count, block));
+            let block = self.free[die_linear].pop_first()?;
             self.open[die_linear] = Some(OpenBlock {
                 block,
                 next_page: 0,
@@ -168,7 +243,7 @@ impl BlockAllocator {
         let count = self.erase_counts.entry(bidx).or_insert(0);
         *count += 1;
         self.total_erases += 1;
-        self.free[d].insert((*count, block));
+        self.free[d].recycled.insert((*count, block));
     }
 
     /// Erase count of one block.
@@ -313,5 +388,173 @@ mod tests {
         let mut a = BlockAllocator::new(small());
         a.reserve(0, 0, 0);
         a.reserve(0, 0, 0);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn reserve_splits_and_trims_fresh_ranges() {
+        let mut f = FreeBlocks::all_fresh(8);
+        assert!(f.remove(0, 3), "middle: split");
+        assert!(f.remove(0, 0), "front: trim");
+        assert!(f.remove(0, 7), "back: trim");
+        assert!(f.remove(0, 2) && f.remove(0, 1), "range emptied: dropped");
+        assert_eq!(f.fresh, [4..7]);
+        assert!(!f.remove(0, 3) && !f.remove(0, 7) && !f.remove(0, 8));
+        assert!(!f.remove(1, 5), "a never-erased block has count 0");
+        assert_eq!(f.len(), 3);
+        assert_eq!(
+            [f.pop_first(), f.pop_first(), f.pop_first(), f.pop_first()],
+            [Some(4), Some(5), Some(6), None]
+        );
+    }
+
+    /// The allocator with every free block in one eager
+    /// `BTreeSet<(erase_count, block)>` per die, as it was before the
+    /// fresh-range split: the reference for the allocation order.
+    struct EagerAllocator {
+        g: FlashGeometry,
+        free: Vec<BTreeSet<(u64, u32)>>,
+        open: Vec<Option<OpenBlock>>,
+        used: Vec<Vec<u32>>,
+        erase_counts: FxHashMap<u64, u64>,
+        rr: usize,
+    }
+
+    impl EagerAllocator {
+        fn new(g: FlashGeometry) -> Self {
+            let dies = g.total_dies() as usize;
+            EagerAllocator {
+                free: (0..dies)
+                    .map(|_| (0..g.blocks_per_die).map(|b| (0u64, b)).collect())
+                    .collect(),
+                open: vec![None; dies],
+                used: vec![Vec::new(); dies],
+                erase_counts: FxHashMap::default(),
+                rr: 0,
+                g,
+            }
+        }
+
+        fn coords(&self, die_linear: usize) -> (u32, u32) {
+            let per = self.g.dies_per_channel;
+            (die_linear as u32 / per, die_linear as u32 % per)
+        }
+
+        fn erase_count(&self, die_linear: usize, block: u32) -> u64 {
+            let (channel, die) = self.coords(die_linear);
+            let bidx = self.g.block_index(channel, die, block);
+            self.erase_counts.get(&bidx).copied().unwrap_or(0)
+        }
+
+        /// `false` where the allocator of record panics.
+        fn reserve(&mut self, die_linear: usize, block: u32) -> bool {
+            let count = self.erase_count(die_linear, block);
+            self.free[die_linear].remove(&(count, block))
+        }
+
+        fn alloc_page(&mut self) -> Option<Ppa> {
+            let dies = self.free.len();
+            for attempt in 0..dies {
+                let d = (self.rr + attempt) % dies;
+                if let Some(ppa) = self.alloc_in_die(d) {
+                    self.rr = (d + 1) % dies;
+                    return Some(ppa);
+                }
+            }
+            None
+        }
+
+        fn alloc_in_die(&mut self, die_linear: usize) -> Option<Ppa> {
+            if self.open[die_linear].is_none() {
+                let &(count, block) = self.free[die_linear].iter().next()?;
+                self.free[die_linear].remove(&(count, block));
+                self.open[die_linear] = Some(OpenBlock {
+                    block,
+                    next_page: 0,
+                });
+            }
+            let (channel, die) = self.coords(die_linear);
+            let ob = self.open[die_linear].as_mut().expect("opened above");
+            let ppa = Ppa {
+                channel,
+                die,
+                block: ob.block,
+                page: ob.next_page,
+            };
+            ob.next_page += 1;
+            if ob.next_page == self.g.pages_per_block {
+                self.used[die_linear].push(ob.block);
+                self.open[die_linear] = None;
+            }
+            Some(ppa)
+        }
+
+        /// `take_used` followed by `on_erase`.
+        fn recycle(&mut self, die_linear: usize, block: u32) {
+            self.used[die_linear].retain(|&b| b != block);
+            let (channel, die) = self.coords(die_linear);
+            let count = self
+                .erase_counts
+                .entry(self.g.block_index(channel, die, block))
+                .or_insert(0);
+            *count += 1;
+            self.free[die_linear].insert((*count, block));
+        }
+
+        fn wear_spread(&self, die_linear: usize) -> Option<(u64, u64)> {
+            let counts = (0..self.g.blocks_per_die)
+                .map(|b| self.erase_count(die_linear, b))
+                .filter(|&c| c > 0);
+            Some((counts.clone().min()?, counts.max()?))
+        }
+    }
+
+    proptest::proptest! {
+        /// Random reserve / allocate / garbage-collect sequences hand out
+        /// the same pages, in the same order, as the eager free set.
+        #[test]
+        fn matches_the_eager_free_set(
+            ops in proptest::collection::vec((0u8..8, 0u32..64, 0u32..64), 0..600),
+        ) {
+            let g = FlashGeometry {
+                channels: 2,
+                dies_per_channel: 2,
+                blocks_per_die: 8,
+                pages_per_block: 3,
+                page_bytes: 256,
+            };
+            let mut new = BlockAllocator::new(g);
+            let mut old = EagerAllocator::new(g);
+            for (op, a, b) in ops {
+                let d = a as usize % 4;
+                let (channel, die) = old.coords(d);
+                match op {
+                    0 | 1 => {
+                        let block = b % g.blocks_per_die;
+                        let count = new.erase_count(channel, die, block);
+                        if old.reserve(d, block) {
+                            new.reserve(channel, die, block);
+                        } else {
+                            assert!(!new.free[d].remove(count, block), "{block} is not free");
+                        }
+                    }
+                    2 => assert_eq!(new.alloc_in_die(d), old.alloc_in_die(d)),
+                    3 | 4 => {
+                        if !old.used[d].is_empty() {
+                            let block = old.used[d][b as usize % old.used[d].len()];
+                            new.take_used(d, block);
+                            new.on_erase(channel, die, block);
+                            old.recycle(d, block);
+                        }
+                    }
+                    _ => assert_eq!(new.alloc_page(), old.alloc_page()),
+                }
+                for d in 0..4 {
+                    assert_eq!(new.free_blocks_in_die(d), old.free[d].len());
+                    assert_eq!(new.used_blocks_in_die(d), old.used[d]);
+                    assert_eq!(new.wear_spread(d), old.wear_spread(d));
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use recssd_flash::{
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, FxHashSet, PageImage, SimDuration, SimTime};
 
 use crate::firmware::EnginePool;
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwCore, FwTag, Lpn, MappingTable};
@@ -210,7 +210,7 @@ pub struct GreedyFtl {
     engines: Option<EnginePool>,
     pending: FxHashMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
-    reserved: std::collections::HashSet<u64>,
+    reserved: FxHashSet<u64>,
     next_req: u64,
     stats: FtlStats,
     /// Sim-time span tracer (disabled by default: every emission is a
@@ -244,7 +244,7 @@ impl GreedyFtl {
                 Default::default(),
             ),
             gc_jobs: FxHashMap::default(),
-            reserved: std::collections::HashSet::new(),
+            reserved: FxHashSet::default(),
             next_req: 0,
             stats: FtlStats::default(),
             tracer: Tracer::disabled(),

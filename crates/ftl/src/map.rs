@@ -34,6 +34,7 @@ pub struct MappingTable {
     l2p: FxHashMap<u64, Ppa>,
     p2l: FxHashMap<u64, u64>,
     valid: FxHashMap<u64, u32>,
+    /// Sorted and disjoint, no two touching.
     identity: Vec<Range<u64>>,
 }
 
@@ -44,9 +45,28 @@ impl MappingTable {
     }
 
     /// Registers `lpns` as identity-mapped (logical page *n* lives at
-    /// physical linear index *n*). Used for preloaded bulk data.
+    /// physical linear index *n*). Used for preloaded bulk data. Ranges may
+    /// arrive in any order and may overlap (a re-bound table is preloaded
+    /// again over its old extent): the set is kept as sorted, disjoint
+    /// ranges, a range absorbing those it overlaps or touches.
     pub fn add_identity_range(&mut self, lpns: Range<u64>) {
-        self.identity.push(lpns);
+        if lpns.is_empty() {
+            return;
+        }
+        let first = self.identity.partition_point(|r| r.end < lpns.start);
+        let last = self.identity.partition_point(|r| r.start <= lpns.end);
+        let merged = match &self.identity[first..last] {
+            [] => lpns,
+            [head, .., tail] | [head @ tail] => head.start.min(lpns.start)..tail.end.max(lpns.end),
+        };
+        self.identity.splice(first..last, [merged]);
+    }
+
+    /// `true` if `lpn` lies in an identity range: the first range to end
+    /// past it is the only one that can hold it.
+    fn in_identity(&self, lpn: u64) -> bool {
+        let i = self.identity.partition_point(|r| r.end <= lpn);
+        self.identity.get(i).is_some_and(|r| r.start <= lpn)
     }
 
     /// Physical location of `lpn`, if mapped.
@@ -54,15 +74,12 @@ impl MappingTable {
         if let Some(&ppa) = self.l2p.get(&lpn.0) {
             return Some(ppa);
         }
-        self.identity
-            .iter()
-            .any(|r| r.contains(&lpn.0))
-            .then(|| g.ppa_of_index(lpn.0))
+        self.in_identity(lpn.0).then(|| g.ppa_of_index(lpn.0))
     }
 
     /// `true` if `lpn` has any mapping (explicit or identity).
     pub fn is_mapped(&self, lpn: Lpn) -> bool {
-        self.l2p.contains_key(&lpn.0) || self.identity.iter().any(|r| r.contains(&lpn.0))
+        self.l2p.contains_key(&lpn.0) || self.in_identity(lpn.0)
     }
 
     /// Logical page stored at physical index `ppa_index`, for GC liveness
@@ -225,6 +242,56 @@ mod tests {
         assert_eq!(map.lookup(Lpn(9), &g), Some(elsewhere));
         // Other identity pages unaffected.
         assert_eq!(map.lookup(Lpn(10), &g), Some(g.ppa_of_index(10)));
+    }
+
+    /// The pages of `0..limit` the table holds identity-mapped.
+    fn identity_pages(map: &MappingTable, limit: u64) -> Vec<u64> {
+        (0..limit).filter(|&l| map.is_mapped(Lpn(l))).collect()
+    }
+
+    #[test]
+    fn identity_ranges_are_found_whatever_order_they_came_in() {
+        let g = small_geometry();
+        let mut map = MappingTable::new();
+        for r in [40..44, 4..8, 20..24, 30..30] {
+            map.add_identity_range(r);
+        }
+        assert_eq!(map.identity, [4..8, 20..24, 40..44]);
+        let want: Vec<u64> = (4..8).chain(20..24).chain(40..44).collect();
+        assert_eq!(identity_pages(&map, 64), want);
+        assert_eq!(map.lookup(Lpn(23), &g), Some(g.ppa_of_index(23)));
+        assert_eq!(map.lookup(Lpn(24), &g), None);
+        assert_eq!(map.lookup(Lpn(3), &g), None);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn adjacent_identity_ranges_join() {
+        let mut map = MappingTable::new();
+        map.add_identity_range(8..12);
+        map.add_identity_range(4..8);
+        map.add_identity_range(12..16);
+        assert_eq!(map.identity, [4..16]);
+        assert_eq!(identity_pages(&map, 32), (4..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overlapping_identity_ranges_merge() {
+        let mut map = MappingTable::new();
+        for r in [0..4, 10..14, 20..24, 30..34] {
+            map.add_identity_range(r);
+        }
+        // A re-preload over a wider extent swallows what it covers...
+        map.add_identity_range(8..26);
+        assert_eq!(map.identity, [0..4, 8..26, 30..34]);
+        // ...one inside an existing range changes nothing...
+        map.add_identity_range(10..12);
+        assert_eq!(map.identity, [0..4, 8..26, 30..34]);
+        // ...and a partial overlap extends it.
+        map.add_identity_range(2..9);
+        assert_eq!(map.identity, [0..26, 30..34]);
+        let want: Vec<u64> = (0..26).chain(30..34).collect();
+        assert_eq!(identity_pages(&map, 40), want);
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod analysis;
 mod arrivals;
 mod drift;
 mod locality;
+mod lru_stack;
 pub mod patterns;
 mod zipf;
 
