@@ -1,16 +1,16 @@
 //! `recssd-analyze`: offline critical-path, queueing and bottleneck
 //! analysis over a saved Chrome-trace JSON.
 //!
-//! Reads a trace exported by `chrome_trace_json` (e.g. the serving
-//! bench's `--trace-out trace.json`, or `trace_a_request.json` from the
+//! Reads a trace exported by `chrome_trace_json` (e.g. the benchmark's
+//! `benchmark/results/<workload>.trace.json`, or `trace_a_request.json` from the
 //! example), reconstructs the span records exactly — timestamps round-
 //! trip through the exporter's microsecond decimals without loss — and
 //! prints the same reports the live [`ServingRuntime`] analysis APIs
 //! produce: span-invariant validation, per-path critical-path profiles
 //! with the conservation check, per-resource utilization timelines with
 //! Little's-law-consistent queue stats, and the ranked bottleneck /
-//! headroom report. The last line is always `top_bottleneck: <name>`,
-//! so CI can diff the offline verdict against the live one.
+//! headroom report. The last line is always `top_bottleneck: <name>`;
+//! `tests/analyze_cli.rs` holds it equal to the live verdict.
 //!
 //! ```text
 //! cargo run --release -p recssd-bench --bin recssd-analyze -- trace.json

@@ -52,12 +52,16 @@ pub fn run(scale: Scale) -> Series {
                 };
                 LookupBatch::new(ids.chunks(LOOKUPS).map(|c| c.to_vec()).collect())
             };
-            // Baseline.
+            // Baseline, one read command per page as the paper's issues
+            // them: stride 128 puts the ids on *consecutive* pages, which
+            // the coalescing I/O planner would merge into a few long
+            // reads and erase the STR penalty the figure is about.
             let b = sys.submit(OpKind::baseline_sls(
                 table,
                 make_batch(0),
                 SlsOptions {
                     io_concurrency: 32,
+                    coalesce_reads: false,
                     ..SlsOptions::default()
                 },
             ));

@@ -41,8 +41,11 @@ fn speedup_of(cfg: ModelConfig, scale: Scale, seed: u64) -> f64 {
     let mut sys = cosmos_system(0);
     let model = ModelInstance::build(&mut sys, cfg, PageLayout::Spread, seed);
     let mut gen = BatchGen::uniform(seed * 31);
+    // The paper's COTS baseline issues one read per page (`coalesce_reads`
+    // is a baseline-only knob; the NDP arm ignores it).
     let opts = SlsOptions {
         io_concurrency: 32,
+        coalesce_reads: false,
         ..SlsOptions::default()
     };
     let mut t_base = recssd_sim::SimDuration::ZERO;

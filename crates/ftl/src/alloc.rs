@@ -18,7 +18,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 
 use recssd_flash::{FlashGeometry, Ppa};
-use recssd_sim::{FxHashMap, FxHashSet};
+use recssd_sim::FxHashMap;
 
 /// Allocates physical pages for the log-structured write path.
 ///
@@ -50,7 +50,6 @@ pub struct BlockAllocator {
     /// Per die: fully programmed blocks (GC victim candidates).
     used: Vec<Vec<u32>>,
     erase_counts: FxHashMap<u64, u64>,
-    reserved: FxHashSet<u64>,
     rr: usize,
     total_erases: u64,
 }
@@ -132,7 +131,6 @@ impl BlockAllocator {
             open: vec![None; dies],
             used: vec![Vec::new(); dies],
             erase_counts: FxHashMap::default(),
-            reserved: FxHashSet::default(),
             rr: 0,
             total_erases: 0,
             g,
@@ -168,8 +166,6 @@ impl BlockAllocator {
             removed,
             "reserve of non-free block ch{channel}/die{die}/blk{block}"
         );
-        self.reserved
-            .insert(self.g.block_index(channel, die, block));
     }
 
     /// Allocates the next physical page, striping round-robin across dies.

@@ -21,6 +21,8 @@ use recssd_serving::{
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
 
+mod quick_scale;
+
 const ROWS: u64 = 1024;
 
 fn table() -> EmbeddingTable {
@@ -250,6 +252,41 @@ fn transient_faults_stay_invisible_to_serving() {
     assert_eq!(stats.faults, 0, "transient faults must not surface");
     assert_eq!(stats.degraded, 0);
     assert!(snaps.iter().all(|s| s.missing_lookups == 0));
+}
+
+/// Acceptance bar (quick-scale workload, 2 shards at depth 2,
+/// micro-batched NDP): a 1 % transient read-error rate is absorbed by
+/// the in-device ECC re-senses — every request completes, every
+/// completion bit-verifies, none is degraded — at a cost of at most 15 %
+/// of the fault-free throughput.
+#[test]
+fn one_percent_transient_faults_cost_little_throughput() {
+    let run = |rate: f64| {
+        let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
+        let mut rt = ServingRuntime::new(&cfg);
+        let tables = quick_scale::add_tables(&mut rt, quick_scale::DIM, None);
+        if rate > 0.0 {
+            let mut fc = FaultConfig::quiet(0xFA17);
+            fc.transient_read_error_rate = rate;
+            rt.inject_faults(&fc);
+        }
+        rt.set_fault_policy(FaultPolicy::default());
+        let report = quick_scale::load_gen(&rt, tables, 1.2, quick_scale::CLIENTS)
+            .with_verify_every(1)
+            .run(&mut rt, quick_scale::ndp(), quick_scale::REQUESTS);
+        assert_eq!(report.requests, quick_scale::REQUESTS as u64);
+        assert_eq!(report.verified, report.requests, "unverified completion");
+        assert_eq!(report.degraded, 0, "transient faults must not degrade");
+        assert_eq!(report.missing_lookups, 0);
+        report.lookups_per_sim_sec
+    };
+    let (clean, faulty) = (run(0.0), run(0.01));
+    assert!(faulty < clean, "the fault plan never fired");
+    assert!(
+        faulty >= 0.85 * clean,
+        "1% transient faults left only {:.1}% of fault-free throughput",
+        faulty / clean * 100.0
+    );
 }
 
 /// When every retry and the baseline fallback fail too (100%

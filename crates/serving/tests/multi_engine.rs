@@ -16,6 +16,8 @@ use recssd_serving::{ExecMode, SchedulePolicy, ServingConfig, ServingRuntime, Sl
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::SimTime;
 
+mod quick_scale;
+
 fn batch_of(rng: &mut Xoshiro256, rows: u64, outputs: usize, lookups: usize) -> LookupBatch {
     LookupBatch::new(
         (0..outputs)
@@ -194,4 +196,35 @@ fn engines_absorb_translation_work() {
         pooled_eng > recssd_sim::SimDuration::ZERO,
         "engines should accrue translation busy time"
     );
+}
+
+/// Acceptance bar (quick-scale workload over 1 024-wide vectors, 4 FIFO
+/// shards): spreading per-page Translation over per-channel engines never
+/// loses to a single engine at any swept pool size and queue depth, and
+/// four engines at depth 4 — deep enough to keep them fed — serve at
+/// least 1.5× the single-engine throughput.
+#[test]
+fn engine_pools_dominate_a_single_engine() {
+    let tput = |engines, depth| {
+        quick_scale::wide_ndp_run(4, engines, depth, false)
+            .1
+            .lookups_per_sim_sec
+    };
+    for depth in [1, 2, 4] {
+        let single = tput(1, depth);
+        for engines in [2, 4, 8] {
+            let multi = tput(engines, depth);
+            assert!(
+                multi >= single,
+                "{engines} engines ({multi:.0}) slower than 1 ({single:.0}) at depth {depth}"
+            );
+            if (engines, depth) == (4, 4) {
+                assert!(
+                    multi >= 1.5 * single,
+                    "4 engines gained only {:.2}x over 1 at depth 4",
+                    multi / single
+                );
+            }
+        }
+    }
 }

@@ -22,6 +22,8 @@ use recssd_serving::{
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
 
+mod quick_scale;
+
 const ROWS: u64 = 1024;
 
 fn table(seed: u64) -> EmbeddingTable {
@@ -381,6 +383,40 @@ fn critical_path_conserves_e2e_on_all_paths() {
         );
         assert!(t.utilization() <= 1.0 + 1e-12);
     }
+}
+
+/// Acceptance bar: the bottleneck analyzer finds each path's wall
+/// unprompted. The heat-packed COTS baseline at depth 4 is bound by the
+/// serial firmware core (ranked first, at least half utilised); the NDP
+/// path with eight per-channel engines has shed that wall and is bound by
+/// a flash resource. Both decompositions still conserve ≥ 95 % of e2e
+/// time. (`crates/bench/tests/analyze_cli.rs` replays the same two traces
+/// through the offline `recssd-analyze`.)
+#[test]
+fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
+    let (heat, _) = quick_scale::baseline_run(true, 4, true);
+    let ranking = heat.bottleneck_report();
+    let top = &ranking.ranked[0];
+    assert!(
+        top.resource.starts_with("fw:core"),
+        "heat-packed baseline should wall on the firmware core, got {}",
+        top.resource
+    );
+    assert!(
+        top.utilization() >= 0.5,
+        "firmware core only {:.0}% utilised",
+        top.utilization() * 100.0
+    );
+    assert!(heat.critical_path_report().min_conservation >= 0.95);
+
+    let (pooled, _) = quick_scale::wide_ndp_run(1, 8, 4, true);
+    let ranking = pooled.bottleneck_report();
+    let top = ranking.top().expect("a ranked resource");
+    assert!(
+        top.starts_with("flash"),
+        "8-engine NDP should wall on flash, got {top}"
+    );
+    assert!(pooled.critical_path_report().min_conservation >= 0.95);
 }
 
 /// Satellite: per-worker wall profiles under `Parallel(n)` sum

@@ -19,6 +19,8 @@ use recssd_serving::{
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
 
+mod quick_scale;
+
 fn batch_of(rng: &mut Xoshiro256, rows: u64, outputs: usize, lookups: usize) -> LookupBatch {
     LookupBatch::new(
         (0..outputs)
@@ -183,10 +185,34 @@ fn depth_four_pipelines_and_outruns_depth_one_on_ndp() {
     );
 }
 
+/// Acceptance bar: on heat-packed storage the COTS baseline path pipelines
+/// too — coalesced reads over the contiguous hot prefix amortise the
+/// serial per-command firmware charge, so depth 4 gains at least 1.25×
+/// over depth 1 (unpacked it is flat beyond depth 2) and beats the
+/// unpacked image at the same depth.
+#[test]
+fn heat_packed_baseline_gains_from_queue_depth() {
+    let tput = |packed, depth| {
+        quick_scale::baseline_run(packed, depth, false)
+            .1
+            .lookups_per_sim_sec
+    };
+    let (packed_d1, packed_d4) = (tput(true, 1), tput(true, 4));
+    assert!(
+        packed_d4 >= 1.25 * packed_d1,
+        "packed baseline gained only {:.2}x from depth 4",
+        packed_d4 / packed_d1
+    );
+    assert!(
+        packed_d4 > tput(false, 4),
+        "packing must raise pipelined baseline throughput"
+    );
+}
+
 /// One run's full observable surface under an explicit [`ExecMode`]:
 /// the delivered completion stream *in delivery order* with every
-/// timing field, plus the end-of-run telemetry the BENCH blocks
-/// publish (occupancy and channel utilisation, compared as raw bits).
+/// timing field, plus the end-of-run telemetry a `LoadReport`
+/// publishes (occupancy and channel utilisation, compared as raw bits).
 #[allow(clippy::type_complexity)]
 fn run_digest(
     shards: usize,

@@ -1,5 +1,5 @@
 //! A counting global allocator for allocation-discipline tests and the
-//! throughput harness.
+//! benchmark's `simcore.allocs_per_lookup` metric.
 //!
 //! The SLS datapath promises *zero heap allocations per gathered vector*
 //! in steady state. That claim is only trustworthy if it is measured, so
@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static TRAP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Pass-through allocator that counts events. Zero-cost when not
 /// installed; a couple of relaxed atomic increments per event when it is.
@@ -37,11 +36,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // `swap` disarms the trap before panicking, so the panic
-        // machinery's own allocations pass through.
-        if TRAP.swap(false, Ordering::Relaxed) {
-            panic!("trapped allocation of {} bytes", layout.size());
-        }
         unsafe { System.alloc(layout) }
     }
 
@@ -53,9 +47,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        if TRAP.swap(false, Ordering::Relaxed) {
-            panic!("trapped reallocation to {new_size} bytes");
-        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -73,14 +64,6 @@ pub fn free_count() -> u64 {
 /// Bytes requested across all allocation events since process start.
 pub fn allocated_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)
-}
-
-/// Arms a one-shot trap: the next allocation event panics (with the
-/// trap disarmed first, so the panic itself can allocate). Run with
-/// `RUST_BACKTRACE=1` to see exactly who allocated in a region that
-/// promises not to — the debugging companion to [`allocations_during`].
-pub fn trap_next_allocation() {
-    TRAP.store(true, Ordering::Relaxed);
 }
 
 /// Allocation events performed by `f` (meaningful only single-threaded,

@@ -9,8 +9,8 @@
 //!   virtual clock (nanosecond resolution).
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events
 //!   with FIFO tie-breaking, so simulations are exactly reproducible.
-//! * [`stats`] — counters, log-scale histograms, latency breakdowns and
-//!   sample collections used to report the paper's figures.
+//! * [`stats`] — counters, hit/miss statistics and log-scale histograms
+//!   used to report the paper's figures.
 //! * [`rng`] — small, dependency-free deterministic generators
 //!   (SplitMix64 / xoshiro256**) so traces and table contents are stable
 //!   across platforms and toolchain versions.

@@ -1,11 +1,9 @@
-//! Measurement primitives: counters, histograms, latency breakdowns.
+//! Measurement primitives: counters, hit/miss statistics and histograms.
 //!
 //! The paper reports average latencies over many batches (§5 "We average
-//! latency results across many batches"), per-component breakdowns of time
-//! spent inside the FTL (Fig. 8), and cache hit rates (Fig. 10). The types
-//! here back all of those reports.
+//! latency results across many batches") and cache hit rates (Fig. 10).
+//! The types here back those reports.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::SimDuration;
@@ -471,190 +469,6 @@ impl LogHistogram {
     }
 }
 
-/// Per-component accumulation of simulated time, keyed by a caller-supplied
-/// label type (typically an enum). Used for the Fig. 8 FTL breakdowns
-/// (Config Write / Config Process / Translation / Flash Read).
-///
-/// # Example
-///
-/// ```
-/// use recssd_sim::stats::Breakdown;
-/// use recssd_sim::SimDuration;
-///
-/// #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-/// enum Phase { Read, Compute }
-///
-/// let mut b = Breakdown::new();
-/// b.add(Phase::Read, SimDuration::from_us(10));
-/// b.add(Phase::Compute, SimDuration::from_us(5));
-/// b.add(Phase::Read, SimDuration::from_us(1));
-/// assert_eq!(b.get(Phase::Read), SimDuration::from_us(11));
-/// assert_eq!(b.total(), SimDuration::from_us(16));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Breakdown<K> {
-    parts: BTreeMap<K, SimDuration>,
-}
-
-impl<K: Ord + Copy> Breakdown<K> {
-    /// Creates an empty breakdown.
-    pub fn new() -> Self {
-        Breakdown {
-            parts: BTreeMap::new(),
-        }
-    }
-
-    /// Accumulates `d` against component `key`.
-    pub fn add(&mut self, key: K, d: SimDuration) {
-        *self.parts.entry(key).or_insert(SimDuration::ZERO) += d;
-    }
-
-    /// Accumulated time for `key` (zero if never recorded).
-    pub fn get(&self, key: K) -> SimDuration {
-        self.parts.get(&key).copied().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Sum over all components.
-    pub fn total(&self) -> SimDuration {
-        self.parts.values().copied().sum()
-    }
-
-    /// Iterates components in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, SimDuration)> + '_ {
-        self.parts.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Merges another breakdown into this one.
-    pub fn merge(&mut self, other: &Breakdown<K>) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
-    /// Divides every component by `n` (for averaging over `n` requests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn scaled_down(&self, n: u64) -> Breakdown<K> {
-        assert!(n > 0, "cannot scale a breakdown down by zero");
-        Breakdown {
-            parts: self.parts.iter().map(|(&k, &v)| (k, v / n)).collect(),
-        }
-    }
-
-    /// Removes all components.
-    pub fn reset(&mut self) {
-        self.parts.clear();
-    }
-}
-
-impl<K: Ord + Copy> Default for Breakdown<K> {
-    fn default() -> Self {
-        Breakdown::new()
-    }
-}
-
-/// A collection of raw samples with exact order statistics, for the
-/// "average latency across many batches" reporting style of the paper.
-///
-/// # Example
-///
-/// ```
-/// use recssd_sim::stats::Samples;
-/// let mut s = Samples::new();
-/// for v in [3.0, 1.0, 2.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.percentile(50.0), 2.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    /// Creates an empty collection.
-    pub fn new() -> Self {
-        Samples {
-            values: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-        self.sorted = false;
-    }
-
-    /// Adds a duration sample, stored as microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_us_f64());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Arithmetic mean (zero if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    fn sorted_values(&mut self) -> &[f64] {
-        if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        &self.values
-    }
-
-    /// Exact percentile by nearest-rank (zero if empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]` or any sample is NaN.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        let n = self.values.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let vs = self.sorted_values();
-        let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
-        vs[rank - 1]
-    }
-
-    /// Largest sample (zero if empty).
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Smallest sample (zero if empty).
-    pub fn min(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().copied().fold(f64::INFINITY, f64::min)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,50 +665,5 @@ mod tests {
         assert_eq!(a.max(), Some(1000));
         a.reset();
         assert_eq!(a.quantiles(), Quantiles::default());
-    }
-
-    #[test]
-    fn breakdown_accumulates_and_scales() {
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        enum P {
-            A,
-            B,
-        }
-        let mut b = Breakdown::new();
-        b.add(P::A, SimDuration::from_ns(100));
-        b.add(P::A, SimDuration::from_ns(100));
-        b.add(P::B, SimDuration::from_ns(50));
-        assert_eq!(b.get(P::A).as_ns(), 200);
-        assert_eq!(b.total().as_ns(), 250);
-        let avg = b.scaled_down(2);
-        assert_eq!(avg.get(P::A).as_ns(), 100);
-        assert_eq!(avg.get(P::B).as_ns(), 25);
-        let mut c = Breakdown::new();
-        c.merge(&b);
-        assert_eq!(c.total(), b.total());
-        c.reset();
-        assert_eq!(c.total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn samples_order_statistics() {
-        let mut s = Samples::new();
-        assert!(s.is_empty());
-        for v in [5.0, 1.0, 4.0, 2.0, 3.0] {
-            s.push(v);
-        }
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.percentile(50.0), 3.0);
-        assert_eq!(s.percentile(100.0), 5.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-    }
-
-    #[test]
-    fn samples_duration_push() {
-        let mut s = Samples::new();
-        s.push_duration_us(SimDuration::from_ms(2));
-        assert_eq!(s.mean(), 2000.0);
     }
 }
