@@ -11,6 +11,7 @@ use recssd_embedding::{
 };
 use recssd_flash::FlashGeometry;
 use recssd_ftl::BlockAllocator;
+use recssd_placement::{allocate_global_budget, FreqProfiler};
 use recssd_sim::rng::Xoshiro256;
 use recssd_trace::{LocalityK, LocalityTrace, ZipfTrace};
 
@@ -197,6 +198,42 @@ fn bench_cosmos_setup(c: &mut Criterion) {
     });
 }
 
+/// One epoch of the adaptive loop on the placement API — 96 requests of
+/// 40 weighted lookups observed, the per-table decay, the merge, the
+/// reset of the epoch's counts and the global budget split — over about
+/// 2 000 live rows (a pool of 512 scattered rows a table) whatever the
+/// tables hold. The two sizes should cost about the same: an epoch walks
+/// the live rows.
+fn bench_adaptive_epoch(c: &mut Criterion) {
+    for (name, rows) in [
+        ("adaptive_epoch_4x4096", 4096u64),
+        ("adaptive_epoch_4x1M_2k_live", 1 << 20),
+    ] {
+        c.bench_function(name, |b| {
+            let mut ewma = FreqProfiler::new();
+            let mut fresh = FreqProfiler::new();
+            for _ in 0..4 {
+                ewma.add_table(rows);
+                fresh.add_table(rows);
+            }
+            let mut rng = Xoshiro256::seed_from(5);
+            let pool: Vec<u64> = (0..512).map(|_| rng.gen_range(0..rows)).collect();
+            b.iter(|| {
+                for i in 0..96 * 40 {
+                    let row = pool[rng.gen_range(0..512) as usize];
+                    fresh.observe_count(i % 4, row, 16);
+                }
+                for t in 0..4 {
+                    ewma.decay_table(t, 0.8);
+                }
+                ewma.merge(&fresh);
+                fresh.decay(0.0);
+                black_box(allocate_global_budget(&ewma, 512))
+            })
+        });
+    }
+}
+
 fn bench_ndp_round_trip(c: &mut Criterion) {
     c.bench_function("ndp_sls_small_end_to_end", |b| {
         b.iter(|| {
@@ -220,6 +257,6 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_caches, bench_traces, bench_quant, bench_decode_variants,
         bench_page_translation, bench_page_fill, bench_engine_partials, bench_result_codec,
-        bench_cosmos_setup, bench_ndp_round_trip
+        bench_cosmos_setup, bench_adaptive_epoch, bench_ndp_round_trip
 }
 criterion_main!(benches);

@@ -117,7 +117,7 @@ pub fn run_ssd_cache_capacity(scale: Scale) -> Series {
             sys.run_until_idle();
             let _ = sys.result(op);
         }
-        sys.device_mut().engine_mut().reset_stats();
+        sys.reset_stats();
         let mut total = SimDuration::ZERO;
         for _ in 0..4 {
             let op = sys.submit(OpKind::ndp_sls(

@@ -79,7 +79,7 @@ pub fn run(scale: Scale) -> Series {
             ]);
             // NDP, cold device.
             sys.device_mut().ftl_mut().drop_caches();
-            sys.device_mut().engine_mut().reset_stats();
+            sys.reset_stats();
             let n = sys.submit(OpKind::ndp_sls(table, make_batch(0), SlsOptions::default()));
             sys.run_until_idle();
             let _ = sys.result(n);

@@ -141,8 +141,8 @@ fn run_cell(
                 &mut rec_gen,
             );
         }
-        reset_stats(&mut base_sys, &base_model);
-        reset_stats(&mut rec_sys, &rec_model);
+        base_sys.reset_stats();
+        rec_sys.reset_stats();
         let mut t_base = recssd_sim::SimDuration::ZERO;
         let mut t_rec = recssd_sim::SimDuration::ZERO;
         for _ in 0..scale.reps {
@@ -181,12 +181,6 @@ fn run_cell(
             pct(lru_hit),
         ]);
     }
-}
-
-fn reset_stats(sys: &mut System, model: &ModelInstance) {
-    let _ = model;
-    sys.device_mut().engine_mut().reset_stats();
-    sys.reset_host_stats();
 }
 
 fn mean_host_hit(sys: &System, model: &ModelInstance) -> f64 {

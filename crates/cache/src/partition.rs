@@ -5,7 +5,9 @@
 //! that frequently accessed embeddings are stored in host DRAM, while
 //! infrequently used embeddings are stored on the SSD."
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+
+use recssd_sim::FxHashSet;
 
 /// Accumulates access frequencies from a profiling trace.
 ///
@@ -63,7 +65,7 @@ impl StaticPartitionBuilder {
     pub fn build(&self, capacity: usize) -> StaticPartition {
         let mut freq: Vec<(u64, u64)> = self.counts.iter().map(|(&id, &n)| (id, n)).collect();
         freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let hot: HashSet<u64> = freq.into_iter().take(capacity).map(|(id, _)| id).collect();
+        let hot: FxHashSet<u64> = freq.into_iter().take(capacity).map(|(id, _)| id).collect();
         StaticPartition {
             hot,
             profiled_ids: self.counts.len(),
@@ -79,7 +81,7 @@ impl StaticPartitionBuilder {
 /// which ids it can serve locally).
 #[derive(Debug, Clone, Default)]
 pub struct StaticPartition {
-    hot: HashSet<u64>,
+    hot: FxHashSet<u64>,
     profiled_ids: usize,
 }
 

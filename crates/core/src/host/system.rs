@@ -341,7 +341,10 @@ pub struct System {
     next_cid: Vec<u16>,
     pending_cmd: FxHashMap<(u16, u16), OpId>,
     registry: TableRegistry,
-    host_caches: FxHashMap<u32, LruCache<u64, Arc<[f32]>>>,
+    host_caches: FxHashMap<u32, LruCache<u64, Vec<f32>>>,
+    /// The row buffer the host LRU last evicted: the next miss decodes
+    /// into it, so a full cache fills without allocating.
+    host_row_spare: Vec<f32>,
     partitions: FxHashMap<u32, StaticPartition>,
     partition_stats: FxHashMap<u32, recssd_cache::HitStats>,
     next_request: u64,
@@ -392,6 +395,7 @@ impl System {
             pending_cmd: FxHashMap::default(),
             registry: TableRegistry::new(cfg.ndp.table_align),
             host_caches: FxHashMap::default(),
+            host_row_spare: Vec::new(),
             partitions: FxHashMap::default(),
             partition_stats: FxHashMap::default(),
             next_request: 0,
@@ -417,8 +421,10 @@ impl System {
     }
 
     /// Resets every statistic this system owns, across the whole stack:
-    /// device command counters, FTL counters and cache hit stats, flash
-    /// array counters and latency histograms, fault-plan fire counts
+    /// device command counters, the NDP engine's request breakdowns, PCIe
+    /// link counters, FTL counters and cache hit stats, firmware-core and
+    /// SLS-engine busy time, flash array counters and latency histograms,
+    /// fault-plan fire counts
     /// (injection streams are untouched, preserving deterministic
     /// replay), host LRU cache stats and partition stats. Table contents,
     /// mappings and the virtual clock are unaffected.
@@ -566,7 +572,7 @@ impl System {
         self.dev.preload(
             recssd_ftl::Lpn(b.base_lpn),
             pages,
-            std::sync::Arc::new(recssd_embedding::TableImageOracle::new(
+            Arc::new(recssd_embedding::TableImageOracle::new(
                 b.image.clone(),
                 b.base_lpn,
             )),
@@ -1078,8 +1084,8 @@ impl System {
 
     /// The accumulate charge finished: fold every page of the command
     /// into the flat outputs with the fused decode (no per-vector
-    /// allocation; the host-cache fill path is the one place a vector is
-    /// materialised, because the cache stores shared `Arc`s).
+    /// allocation: the host-cache fill path materialises each missed
+    /// vector in the buffer of the entry it evicts).
     fn baseline_accum_done(&mut self, now: SimTime, id: OpId, mut io: BaseIo) {
         let (idx, data) = io.accum_current.take().expect("accumulating a command");
         if self.ops[&id].failed.is_some() {
@@ -1100,6 +1106,7 @@ impl System {
             ops,
             registry,
             host_caches,
+            host_row_spare,
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
@@ -1122,13 +1129,16 @@ impl System {
                 let cache = host_caches.get_mut(&table.0).expect("checked");
                 for &(off, slot) in work {
                     let off = off as usize;
-                    let mut dec = vec![0.0f32; spec.dim];
+                    let mut dec = std::mem::take(host_row_spare);
+                    dec.resize(spec.dim, 0.0);
                     spec.quant.decode_into(&page[off..], &mut dec);
                     for (o, v) in op.outputs.row_mut(slot as usize).iter_mut().zip(&dec) {
                         *o += *v;
                     }
                     let row = run.page * image.rows_per_page() + (off / spec.row_bytes()) as u64;
-                    cache.insert(row, dec.into());
+                    if let Some((_, displaced)) = cache.insert(row, dec) {
+                        *host_row_spare = displaced;
+                    }
                 }
             } else {
                 for &(off, slot) in work {

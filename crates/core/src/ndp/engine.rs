@@ -351,11 +351,6 @@ impl NdpSlsEngine {
         &self.stats
     }
 
-    /// Resets statistics between experiment phases.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// `true` if the SSD-side embedding cache is enabled.
     pub fn embed_cache_enabled(&self) -> bool {
         self.cache.enabled()
@@ -901,5 +896,9 @@ impl NdpEngine for NdpSlsEngine {
 
     fn idle(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats.reset();
     }
 }

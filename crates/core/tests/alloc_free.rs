@@ -163,4 +163,29 @@ fn steady_state_sls_allocations_do_not_scale_with_lookups() {
              (want ~0; the steady-state pools have a leak)"
         );
     }
+
+    // The baseline's host LRU, thrashing: 512 distinct rows a round
+    // through a 64-entry cache. A round plans before it fills, so it hits
+    // the 64 rows the previous one filled last and misses the other 448,
+    // each of which decodes a vector and evicts one. The fill decodes
+    // into the buffer of the entry it displaces; it used to cost two
+    // allocations per missed row.
+    sys.enable_host_cache(spread, 64);
+    let cached = SlsOptions {
+        use_host_cache: true,
+        ..SlsOptions::default()
+    };
+    let big = batch(512, rows);
+    let round =
+        |sys: &mut System| measured_round(sys, OpKind::baseline_sls(spread, big.clone(), cached));
+    for _ in 0..3 {
+        round(&mut sys);
+    }
+    let total: u64 = (0..ROUNDS).map(|_| round(&mut sys)).sum();
+    let misses = sys.host_cache_stats(spread).expect("enabled").misses();
+    assert_eq!(misses, 512 + (2 + ROUNDS) * 448);
+    assert!(
+        total <= TOTAL_SLACK,
+        "host-cache fill: {total} allocations over {ROUNDS} warm rounds of 448 misses"
+    );
 }

@@ -57,6 +57,12 @@ impl FwCore {
         self.busy_total
     }
 
+    /// Zeroes the accumulated busy time (a statistics reset); running and
+    /// queued tasks are untouched.
+    pub fn reset_busy(&mut self) {
+        self.busy_total = SimDuration::ZERO;
+    }
+
     /// Submits a task. If the core is idle the task starts immediately and
     /// the returned delay must be scheduled as the core's completion event;
     /// if busy, the task queues and `None` is returned.
@@ -216,6 +222,11 @@ impl EnginePool {
         self.units
             .iter()
             .fold(SimDuration::ZERO, |acc, u| acc + u.busy_total())
+    }
+
+    /// Zeroes every engine's accumulated busy time.
+    pub fn reset_busy(&mut self) {
+        self.units.iter_mut().for_each(FwCore::reset_busy);
     }
 
     /// Submits a task to `engine` (modulo the pool size), scaling

@@ -306,11 +306,16 @@ impl GreedyFtl {
     }
 
     /// Resets **every** statistic this layer and the layers below
-    /// accumulate: FTL counters, page-cache hit stats, flash-array stats
-    /// and fault-injection counters. Device state (mappings, caches,
+    /// accumulate: FTL counters, firmware-core and engine busy time,
+    /// page-cache hit stats, flash-array stats and fault-injection
+    /// counters. Device state (mappings, caches, queued firmware tasks,
     /// RNG streams) is untouched.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
+        self.fw.reset_busy();
+        if let Some(pool) = self.engines.as_mut() {
+            pool.reset_busy();
+        }
         self.cache.reset_stats();
         self.flash.reset_stats();
     }

@@ -116,6 +116,11 @@ impl PcieLink {
         self.stats
     }
 
+    /// Resets the link statistics; transfers in flight are untouched.
+    pub fn reset_stats(&mut self) {
+        self.stats = PcieStats::default();
+    }
+
     /// `true` when no transfer is active or queued.
     pub fn idle(&self) -> bool {
         !self.busy && self.waiters.is_empty()

@@ -59,11 +59,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+mod dense;
 mod plan;
 mod profile;
 
 pub use plan::{
-    allocate_global_budget, plan_delta, PlacementPlan, PlacementPolicy, PlanDelta, PlanVersion,
-    TableDelta, TablePlacement,
+    allocate_global_budget, plan_delta, BudgetScratch, PlacementPlan, PlacementPolicy, PlanDelta,
+    PlanVersion, TableDelta, TablePlacement,
 };
 pub use profile::{FreqProfiler, TableHeat};

@@ -1,6 +1,6 @@
 //! Freezing a heat profile into a placement plan.
 
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
 use std::ops::Range;
 
 use recssd_cache::StaticPartition;
@@ -90,35 +90,15 @@ impl TablePlacement {
     /// were *actually accessed* during profiling (pinning never-accessed
     /// rows would spend DRAM on rows the profile says are dead).
     pub fn build(heat: &TableHeat, policy: &PlacementPolicy) -> Self {
-        let rows = heat.rows();
-        let budget = policy.budget_for(rows);
+        let budget = policy.budget_for(heat.rows());
         let ranking = heat.ranking();
-        let mut heat_rank = vec![0u32; rows as usize];
-        for (i, &r) in ranking.iter().enumerate() {
-            heat_rank[r as usize] = i as u32;
-        }
         let hot_rows: Vec<u64> = ranking
-            .into_iter()
+            .iter()
+            .copied()
             .take(budget)
             .filter(|&r| heat.count(r) > 0)
             .collect();
-        // One selection is the source of truth: the membership partition
-        // is built from the very rows the tier will hold.
-        let partition =
-            StaticPartition::from_hot_ids(hot_rows.iter().copied(), heat.accessed_rows());
-        let hot_mass: u64 = hot_rows.iter().map(|&r| heat.count(r)).sum();
-        let expected_hit_rate = if heat.total() == 0 {
-            0.0
-        } else {
-            hot_mass as f64 / heat.total() as f64
-        };
-        TablePlacement {
-            rows,
-            hot_rows,
-            partition,
-            heat_rank,
-            expected_hit_rate,
-        }
+        TablePlacement::assemble(heat, &ranking, hot_rows)
     }
 
     /// Builds the placement of one table from an *explicit* hot set (in
@@ -137,11 +117,16 @@ impl TablePlacement {
             hot_rows.iter().all(|&r| r < rows),
             "hot row out of range for a {rows}-row table"
         );
-        let ranking = heat.ranking();
-        let mut heat_rank = vec![0u32; rows as usize];
+        TablePlacement::assemble(heat, &heat.ranking(), hot_rows)
+    }
+
+    fn assemble(heat: &TableHeat, ranking: &[u64], hot_rows: Vec<u64>) -> Self {
+        let mut heat_rank = vec![0u32; ranking.len()];
         for (i, &r) in ranking.iter().enumerate() {
             heat_rank[r as usize] = i as u32;
         }
+        // One selection is the source of truth: the membership partition
+        // is built from the very rows the tier will hold.
         let partition =
             StaticPartition::from_hot_ids(hot_rows.iter().copied(), heat.accessed_rows());
         let hot_mass: u64 = hot_rows.iter().map(|&r| heat.count(r)).sum();
@@ -151,7 +136,7 @@ impl TablePlacement {
             hot_mass as f64 / heat.total() as f64
         };
         TablePlacement {
-            rows,
+            rows: heat.rows(),
             hot_rows,
             partition,
             heat_rank,
@@ -208,12 +193,22 @@ impl TablePlacement {
             "pack range {range:?} out of range for a {}-row table",
             self.rows
         );
-        let start = range.start;
-        let mut rows: Vec<u64> = range.collect();
-        rows.sort_by_key(|&r| (self.is_hot(r), self.heat_rank[r as usize]));
-        for r in &mut rows {
-            *r -= start;
+        // One key per range-local row, computed once: the heat rank, with
+        // a bit above it set on the hot rows (marked from the hot list, so
+        // the comparator neither hashes nor leaves the key array). Ranks
+        // are unique, hence so are the keys.
+        const HOT: u64 = 1 << 32;
+        let mut keys: Vec<u64> = self.heat_rank[range.start as usize..range.end as usize]
+            .iter()
+            .map(|&rank| u64::from(rank))
+            .collect();
+        for &r in &self.hot_rows {
+            if range.contains(&r) {
+                keys[(r - range.start) as usize] |= HOT;
+            }
         }
+        let mut rows: Vec<u64> = (0..range.end - range.start).collect();
+        rows.sort_unstable_by_key(|&local| keys[local as usize]);
         rows
     }
 }
@@ -319,33 +314,47 @@ impl PlacementPlan {
 /// Returns the per-table row budgets (in profile order); their sum is at
 /// most `budget_rows`.
 pub fn allocate_global_budget(profiler: &FreqProfiler, budget_rows: usize) -> Vec<usize> {
-    let mut budgets = vec![0usize; profiler.tables()];
-    // One ranked row list per table, consumed head-first through a max-heap
-    // keyed on the next row's count: a k-way merge of the heat rankings.
-    let rankings: Vec<Vec<u64>> = (0..profiler.tables())
-        .map(|t| profiler.heat(t).ranking())
-        .collect();
-    let mut heap: BinaryHeap<(u64, std::cmp::Reverse<usize>, std::cmp::Reverse<u64>, usize)> =
-        BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<_>, t: usize, pos: usize| {
-        if let Some(&row) = rankings[t].get(pos) {
-            let count = profiler.heat(t).count(row);
-            if count > 0 {
-                heap.push((count, std::cmp::Reverse(t), std::cmp::Reverse(row), pos));
-            }
+    BudgetScratch::default()
+        .allocate(profiler, budget_rows)
+        .to_vec()
+}
+
+/// Working memory of the global budget split, for callers that split at
+/// every epoch: [`BudgetScratch::allocate`] is [`allocate_global_budget`]
+/// without the per-call allocations.
+#[derive(Debug, Default)]
+pub struct BudgetScratch {
+    /// `(count descending, table, row)` of every live row: the grant order
+    /// is the natural order of the tuple.
+    heads: Vec<(Reverse<u64>, usize, u64)>,
+    budgets: Vec<usize>,
+}
+
+impl BudgetScratch {
+    /// [`allocate_global_budget`] into this scratch. Only live rows can be
+    /// granted, so the split selects the `budget_rows` first of them in
+    /// grant order — no table is ranked, no row list sorted.
+    pub fn allocate(&mut self, profiler: &FreqProfiler, budget_rows: usize) -> &[usize] {
+        self.heads.clear();
+        for t in 0..profiler.tables() {
+            let heat = profiler.heat(t);
+            self.heads.extend(
+                heat.live_rows()
+                    .iter()
+                    .map(|&row| (Reverse(heat.count(row)), t, row)),
+            );
         }
-    };
-    for t in 0..profiler.tables() {
-        push(&mut heap, t, 0);
+        if budget_rows < self.heads.len() {
+            self.heads.select_nth_unstable(budget_rows);
+            self.heads.truncate(budget_rows);
+        }
+        self.budgets.clear();
+        self.budgets.resize(profiler.tables(), 0);
+        for &(_, t, _) in &self.heads {
+            self.budgets[t] += 1;
+        }
+        &self.budgets
     }
-    for _ in 0..budget_rows {
-        let Some((_, std::cmp::Reverse(t), _, pos)) = heap.pop() else {
-            break; // every accessed row is already granted
-        };
-        budgets[t] += 1;
-        push(&mut heap, t, pos + 1);
-    }
-    budgets
 }
 
 /// The per-table row movements between two plans of the same tables.

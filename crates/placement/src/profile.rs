@@ -11,8 +11,11 @@ use recssd_trace::ZipfTrace;
 /// [`FreqProfiler::decay`] at every epoch boundary — counts become an
 /// exponentially weighted moving average over epochs, so the rankings
 /// track drifting skew instead of averaging it away. Counts are dense per
-/// table — row id indexes directly — so observation is O(1) and ranking
-/// is one sort at plan-build time.
+/// table — row id indexes directly — so observation is O(1); beside them
+/// each table lists its *live* rows (non-zero count), and every epoch
+/// operation ([`FreqProfiler::decay`], [`FreqProfiler::merge`], ranking)
+/// walks that list, so an epoch costs the rows that were touched, not
+/// the rows the table holds.
 #[derive(Debug, Default, Clone)]
 pub struct FreqProfiler {
     tables: Vec<TableHeat>,
@@ -36,6 +39,7 @@ impl FreqProfiler {
         self.tables.push(TableHeat {
             counts: vec![0; rows as usize],
             total: 0,
+            live: Vec::new(),
         });
         self.tables.len() - 1
     }
@@ -52,9 +56,7 @@ impl FreqProfiler {
     /// Panics if `table` or `row` is out of range.
     #[inline]
     pub fn observe(&mut self, table: usize, row: u64) {
-        let t = &mut self.tables[table];
-        t.counts[row as usize] += 1;
-        t.total += 1;
+        self.tables[table].add(row, 1);
     }
 
     /// Records `n` accesses to `row` at once.
@@ -64,9 +66,7 @@ impl FreqProfiler {
     /// Panics if `table` or `row` is out of range.
     #[inline]
     pub fn observe_count(&mut self, table: usize, row: u64, n: u64) {
-        let t = &mut self.tables[table];
-        t.counts[row as usize] += n;
-        t.total += n;
+        self.tables[table].add(row, n);
     }
 
     /// Records every access produced by `rows`.
@@ -92,10 +92,9 @@ impl FreqProfiler {
         );
         for (a, b) in self.tables.iter_mut().zip(&other.tables) {
             assert_eq!(a.counts.len(), b.counts.len(), "table shapes differ");
-            for (x, y) in a.counts.iter_mut().zip(&b.counts) {
-                *x += *y;
+            for &row in &b.live {
+                a.add(row, b.counts[row as usize]);
             }
-            a.total += b.total;
         }
     }
 
@@ -131,13 +130,18 @@ impl FreqProfiler {
             (0.0..=1.0).contains(&factor),
             "decay factor must lie in [0, 1]"
         );
-        let t = &mut self.tables[table];
-        let mut total = 0;
-        for c in &mut t.counts {
+        let TableHeat {
+            counts,
+            total,
+            live,
+        } = &mut self.tables[table];
+        *total = 0;
+        live.retain(|&row| {
+            let c = &mut counts[row as usize];
             *c = (*c as f64 * factor) as u64;
-            total += *c;
-        }
-        t.total = total;
+            *total += *c;
+            *c > 0
+        });
     }
 
     /// Draws `samples` ids from `trace` into `table`'s profile — the
@@ -168,9 +172,22 @@ impl FreqProfiler {
 pub struct TableHeat {
     counts: Vec<u64>,
     total: u64,
+    /// Exactly the rows whose count is non-zero, in no particular order
+    /// (every consumer ranks under a total order or sums integers).
+    live: Vec<u64>,
 }
 
 impl TableHeat {
+    #[inline]
+    fn add(&mut self, row: u64, n: u64) {
+        let c = &mut self.counts[row as usize];
+        if *c == 0 && n > 0 {
+            self.live.push(row);
+        }
+        *c += n;
+        self.total += n;
+    }
+
     /// Number of rows profiled.
     pub fn rows(&self) -> u64 {
         self.counts.len() as u64
@@ -192,21 +209,31 @@ impl TableHeat {
 
     /// Rows with at least one recorded access.
     pub fn accessed_rows(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        self.live.len()
+    }
+
+    /// The rows with at least one recorded access, in no particular
+    /// order — what an epoch-time pass walks instead of `0..rows`.
+    pub fn live_rows(&self) -> &[u64] {
+        &self.live
     }
 
     /// All rows ordered by descending access count; ties break toward the
-    /// smaller row id so rankings are deterministic.
+    /// smaller row id so rankings are deterministic. Only the live rows
+    /// are sorted: the never-accessed ones all tie at zero, so they
+    /// follow in id order.
     pub fn ranking(&self) -> Vec<u64> {
-        let mut rows: Vec<u64> = (0..self.rows()).collect();
+        let mut rows = Vec::with_capacity(self.counts.len());
+        rows.extend_from_slice(&self.live);
         self.rank_in_place(&mut rows);
+        rows.extend((0..self.rows()).filter(|&r| self.counts[r as usize] == 0));
         rows
     }
 
     /// Orders `rows` (arbitrary subset, e.g. one shard's range) by
     /// descending heat in place, ties toward smaller row ids.
     pub fn rank_in_place(&self, rows: &mut [u64]) {
-        rows.sort_by(|&a, &b| {
+        rows.sort_unstable_by(|&a, &b| {
             self.counts[b as usize]
                 .cmp(&self.counts[a as usize])
                 .then(a.cmp(&b))

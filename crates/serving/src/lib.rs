@@ -103,6 +103,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod adaptive;
 mod loadgen;
 mod par;
 mod policy;

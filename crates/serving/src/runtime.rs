@@ -45,11 +45,15 @@ use recssd_obs::{
     MetricValue, MetricsRegistry, SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile,
     WorkerProfile,
 };
-use recssd_placement::{allocate_global_budget, FreqProfiler, TablePlacement};
+use recssd_placement::TablePlacement;
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::HitStats;
 use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 
+use crate::adaptive::{
+    fold_decision, hit_mass, select_hot_set, AdaptiveState, ADAPTIVE_WEIGHT, DRIFT_FLUSH_DECAY,
+    DRIFT_RESET_DROP,
+};
 use crate::par::WorkerPool;
 use crate::shard::{split_batch, Routing, SubBatch, SubOwner};
 use crate::telemetry::PathAttribution;
@@ -629,44 +633,6 @@ pub struct AdaptivePolicy {
     /// gain-based hysteresis kills plan thrash without dulling the
     /// response to genuine drift.
     pub min_hit_gain: f64,
-}
-
-/// Absolute drop in the active plan's hit mass (this epoch's fresh
-/// counts vs the long-memory ranking) that declares a distribution
-/// shift — the change-point trigger that lets a slow, well-sampled
-/// ranking still react to a rotation within one epoch.
-const DRIFT_RESET_DROP: f64 = 0.2;
-
-/// Extra decay applied to the long-memory ranking when a shift is
-/// detected: a *soft* flush. Rows that stayed hot across the shift
-/// re-assert themselves immediately, while the displaced history is too
-/// weak to outvote the new regime.
-const DRIFT_FLUSH_DECAY: f64 = 0.2;
-
-/// Weight of one observation in the adaptive profilers. Counts are
-/// integers and the EWMA decay truncates, so unweighted small counts
-/// would vanish after a single epoch; weighting keeps fractional decay
-/// meaningful (16 → 12 → 9 → 7 … instead of 1 → 0).
-const ADAPTIVE_WEIGHT: u64 = 16;
-
-/// Minimum *weighted* count before a row can enter the hot set through
-/// the adaptive loop: two full (undecayed) observations — one hit in a
-/// thin online sample is statistically indistinguishable from an
-/// incumbent row that merely went unobserved, and swapping them is pure
-/// migration churn. Incumbent rows additionally win every tie.
-const MIN_EVIDENCE: u64 = 2 * ADAPTIVE_WEIGHT;
-
-#[derive(Debug)]
-struct AdaptiveState {
-    policy: AdaptivePolicy,
-    /// Long-memory ranking: `ewma = ewma * decay + fresh` per epoch.
-    ewma: FreqProfiler,
-    /// The current epoch's observations only.
-    fresh: FreqProfiler,
-    /// Served-table index per profiler table (profile order).
-    tables: Vec<usize>,
-    arrivals: u64,
-    epochs: u64,
 }
 
 /// Parses the `RECSSD_FORCE_EXEC` override (`sequential` or
@@ -1743,21 +1709,16 @@ impl ServingRuntime {
             (0.0..=1.0).contains(&policy.decay),
             "decay factor must lie in [0, 1]"
         );
-        let mut ewma = FreqProfiler::new();
-        let mut fresh = FreqProfiler::new();
-        let tables: Vec<usize> = (0..self.tables.len()).collect();
-        for &t in &tables {
-            ewma.add_table(self.tables[t].table.spec().rows);
-            fresh.add_table(self.tables[t].table.spec().rows);
-        }
-        self.adaptive = Some(AdaptiveState {
+        self.adaptive = Some(AdaptiveState::new(
             policy,
-            ewma,
-            fresh,
-            tables,
-            arrivals: 0,
-            epochs: 0,
-        });
+            self.tables.iter().map(|t| t.table.spec().rows),
+        ));
+    }
+
+    /// Digest of every adaptive decision taken so far.
+    #[cfg(test)]
+    pub(crate) fn adaptive_decisions(&self) -> u64 {
+        self.adaptive.as_ref().map_or(0, |a| a.decisions)
     }
 
     /// Number of completed adaptation epochs (0 when adaptivity is off).
@@ -1783,21 +1744,14 @@ impl ServingRuntime {
     /// the global budget by marginal hit rate, and refresh every table
     /// whose rebuilt hot set would absorb enough extra traffic.
     fn run_adaptive_epoch(&mut self, ad: &mut AdaptiveState) {
-        let hit_mass = |heat: &recssd_placement::TableHeat, rows: &[u64]| -> f64 {
-            if heat.total() == 0 {
-                return 0.0;
-            }
-            rows.iter().map(|&r| heat.count(r)).sum::<u64>() as f64 / heat.total() as f64
-        };
         for (prof_ix, &t_idx) in ad.tables.iter().enumerate() {
             let t = &self.tables[t_idx];
-            let active = &t.plans[t.active];
+            let active = || t.plans[t.active].hot_rows.iter().copied();
             let fresh = ad.fresh.heat(prof_ix);
             let remembered = ad.ewma.heat(prof_ix);
             let shifted = fresh.total() > 0
                 && remembered.total() > 0
-                && hit_mass(remembered, &active.hot_rows) - hit_mass(fresh, &active.hot_rows)
-                    >= DRIFT_RESET_DROP;
+                && hit_mass(remembered, active()) - hit_mass(fresh, active()) >= DRIFT_RESET_DROP;
             // The flush is per table: one table's rotation must not erase
             // the well-sampled history of tables that did not move.
             let factor = if shifted {
@@ -1810,43 +1764,34 @@ impl ServingRuntime {
         ad.ewma.merge(&ad.fresh);
         ad.fresh.decay(0.0);
 
-        let budgets = allocate_global_budget(&ad.ewma, ad.policy.budget_rows);
+        let budgets = ad.budget_scratch.allocate(&ad.ewma, ad.policy.budget_rows);
         for (prof_ix, &t_idx) in ad.tables.iter().enumerate() {
             let heat = ad.ewma.heat(prof_ix);
             if heat.total() == 0 {
                 continue;
             }
+            let budget = budgets[prof_ix];
             let t = &self.tables[t_idx];
             let active = &t.plans[t.active];
-            // Rebuild the hot set with *evidence-aware incumbency*: a row
-            // enters on at least MIN_EVIDENCE observations, and incumbent
-            // rows are never displaced by mere absence of evidence — the
-            // online sample is thin, so an unobserved pinned row and a
-            // one-hit stranger are statistically indistinguishable, and
-            // swapping them is pure migration churn.
             let routing = active.routing.as_ref();
             let is_pinned = |row: u64| match routing {
                 Some(r) => r.hot_index[row as usize] != crate::shard::COLD,
                 None => false,
             };
-            let mut cand: Vec<(u64, bool, u64)> = (0..heat.rows())
-                .filter_map(|row| {
-                    let c = heat.count(row);
-                    let evid = if c >= MIN_EVIDENCE { c } else { 0 };
-                    let pinned = is_pinned(row);
-                    (evid > 0 || pinned).then_some((evid, pinned, row))
-                })
-                .collect();
-            cand.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
-            cand.truncate(budgets[prof_ix]);
-            let hot: Vec<u64> = cand.into_iter().map(|(_, _, row)| row).collect();
+            select_hot_set(heat, &active.hot_rows, is_pinned, budget, &mut ad.cand);
             // Marginal gain of swapping plans, measured on the current
             // ranking: how much more traffic the rebuilt hot set would
             // have absorbed than the one serving right now.
-            let gain = hit_mass(heat, &hot) - hit_mass(heat, &active.hot_rows);
-            if gain >= ad.policy.min_hit_gain {
+            let gain = hit_mass(heat, ad.cand.iter().map(|c| c.2))
+                - hit_mass(heat, active.hot_rows.iter().copied());
+            let refreshed = gain >= ad.policy.min_hit_gain && {
+                let hot = ad.cand.iter().map(|c| c.2).collect();
                 let placement = TablePlacement::build_with_hot_rows(heat, hot);
-                let _ = self.refresh_placement(ServedTableId(t_idx), &placement);
+                self.refresh_placement(ServedTableId(t_idx), &placement)
+                    .is_some()
+            };
+            if cfg!(test) {
+                fold_decision(&mut ad.decisions, budget, &ad.cand, refreshed);
             }
         }
         if self.log_epochs {

@@ -16,8 +16,9 @@
 use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_serving::{
-    chrome_trace_json, validate_spans, AdaptivePolicy, ExecMode, FaultPolicy, LoadGen, LoadMode,
-    MetricValue, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath, TrafficSpec,
+    chrome_trace_json, validate_spans, AdaptivePolicy, EnginePoolConfig, ExecMode, FaultPolicy,
+    LoadGen, LoadMode, MergePlacement, MetricValue, SchedulePolicy, ServingConfig, ServingRuntime,
+    SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
@@ -187,6 +188,105 @@ fn reset_stats_zeroes_every_registered_metric() {
     for f in rt.shard_fault_stats().into_iter().flatten() {
         let injected = f.transient.get() + f.uncorrectable.get() + f.stalls.get();
         assert_eq!(injected, 0, "fault stats survived reset");
+    }
+}
+
+/// Every counter and busy-time getter a shard's [`recssd::System`]
+/// exposes below the serving registry, by name.
+fn device_counters(sys: &recssd::System) -> Vec<(String, u64)> {
+    let dev = sys.device();
+    let ndp = dev.engine().stats();
+    let last = ndp.last_report();
+    let (ssd, pcie, ftl) = (dev.stats(), dev.pcie().stats(), dev.ftl());
+    let (fs, flash) = (ftl.stats(), ftl.flash().stats());
+    let mut out: Vec<(String, u64)> = [
+        ("ndp.sls_requests", ndp.sls_requests.get()),
+        ("ndp.pages_requested", ndp.pages_requested.get()),
+        ("ndp.embed_cache", ndp.embed_cache.accesses()),
+        ("ndp.last_report.total", last.total.as_ns()),
+        ("ssd.read_commands", ssd.read_commands.get()),
+        ("ssd.write_commands", ssd.write_commands.get()),
+        ("ssd.ndp_commands", ssd.ndp_commands.get()),
+        ("ssd.blocks_read", ssd.blocks_read.get()),
+        ("ssd.blocks_written", ssd.blocks_written.get()),
+        ("pcie.transfers", pcie.transfers.get()),
+        ("pcie.bytes", pcie.bytes.get()),
+        ("pcie.busy_ns", pcie.busy_ns.get()),
+        ("ftl.host_reads", fs.host_reads.get()),
+        ("ftl.host_writes", fs.host_writes.get()),
+        ("ftl.unmapped_reads", fs.unmapped_reads.get()),
+        ("ftl.write_buffer_hits", fs.write_buffer_hits.get()),
+        ("ftl.gc_relocated_pages", fs.gc_relocated_pages.get()),
+        ("ftl.gc_erased_blocks", fs.gc_erased_blocks.get()),
+        ("ftl.cache", ftl.cache_stats().accesses()),
+        ("ftl.firmware_busy", ftl.firmware_busy().as_ns()),
+        ("ftl.engines_busy_total", ftl.engines_busy_total().as_ns()),
+        ("flash.reads", flash.reads.get()),
+        ("flash.programs", flash.programs.get()),
+        ("flash.erases", flash.erases.get()),
+        ("flash.op_latency", flash.op_latency.count()),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect();
+    for e in 0..ftl.engine_count() {
+        out.push((format!("ftl.engine_busy[{e}]"), ftl.engine_busy(e).as_ns()));
+    }
+    for (c, busy) in flash.channel_busy.iter().enumerate() {
+        out.push((format!("flash.channel_busy[{c}]"), busy.as_ns()));
+    }
+    if let Some(f) = sys.fault_stats() {
+        out.push(("fault.transient".into(), f.transient.get()));
+        out.push(("fault.uncorrectable".into(), f.uncorrectable.get()));
+        out.push(("fault.stalls".into(), f.stalls.get()));
+    }
+    out
+}
+
+/// The reset cascades all the way down: after warm-up traffic over all
+/// three paths on an engine-pool device, one `reset_stats` leaves no
+/// counter or busy time running in any shard — the NDP engine's request
+/// breakdowns, the firmware core's and every SLS engine's busy time and
+/// the PCIe link's counters included, none of which the cascade reached
+/// before.
+#[test]
+fn reset_stats_zeroes_every_device_counter_and_busy_getter() {
+    let mut cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
+    cfg.system.ssd.ftl.engines = Some(EnginePoolConfig {
+        engines: 4,
+        rate_pct: 100,
+        merge: MergePlacement::FwCore,
+    });
+    let mut rt = ServingRuntime::new(&cfg);
+    let t = rt.add_table(table(5));
+    let mut fc = FaultConfig::quiet(77);
+    fc.transient_read_error_rate = 0.05;
+    rt.inject_faults(&fc);
+    rt.set_fault_policy(FaultPolicy::default());
+    for (i, b) in batches(13, 30).into_iter().enumerate() {
+        rt.submit_at(SimTime::from_us(i as u64), i as u64, t, b, paths()[i % 3]);
+    }
+    rt.run_until_idle();
+    for shard in 0..rt.shards() {
+        let warm = device_counters(rt.shard_system_mut(shard));
+        for name in [
+            "ndp.sls_requests",
+            "ndp.last_report.total",
+            "pcie.transfers",
+            "pcie.busy_ns",
+            "ftl.firmware_busy",
+            "ftl.engines_busy_total",
+            "flash.reads",
+        ] {
+            let (_, v) = warm.iter().find(|(n, _)| n == name).expect("listed");
+            assert!(*v > 0, "shard {shard}: warm-up left '{name}' at zero");
+        }
+    }
+    rt.reset_stats();
+    for shard in 0..rt.shards() {
+        for (name, v) in device_counters(rt.shard_system_mut(shard)) {
+            assert_eq!(v, 0, "shard {shard}: '{name}' survived reset");
+        }
     }
 }
 

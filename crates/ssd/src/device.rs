@@ -257,11 +257,14 @@ impl<X: NdpEngine> SsdDevice<X> {
         &self.stats
     }
 
-    /// Resets this device's statistics and everything below it (FTL
-    /// counters, page-cache hit stats, flash-array stats, fault-injection
-    /// counters). Device state itself is untouched.
+    /// Resets this device's statistics and everything beside and below
+    /// it: the NDP engine's, the PCIe link's, FTL counters, firmware and
+    /// engine busy time, page-cache hit stats, flash-array stats and
+    /// fault-injection counters. Device state itself is untouched.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
+        self.ext.reset_stats();
+        self.pcie.reset_stats();
         self.ftl.reset_stats();
     }
 

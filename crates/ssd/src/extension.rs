@@ -88,6 +88,10 @@ pub trait NdpEngine {
 
     /// `true` when the engine has no in-flight work (drain condition).
     fn idle(&self) -> bool;
+
+    /// Resets whatever statistics the engine accumulates (the device's
+    /// stats reset cascades here); in-flight work is untouched.
+    fn reset_stats(&mut self) {}
 }
 
 /// The COTS behaviour: NDP commands fail with `InvalidField`, as a stock
