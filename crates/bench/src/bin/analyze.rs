@@ -23,6 +23,8 @@
 //!
 //! [`ServingRuntime`]: recssd_serving::ServingRuntime
 
+#![forbid(unsafe_code)]
+
 use recssd_serving::{
     bottleneck_report, coverage_report, critical_path_report, utilization_timelines,
     validate_spans, SpanRec,

@@ -7,6 +7,8 @@
 //! RECSSD_PAPER_SCALE=1 figures all   # paper-scale parameters
 //! ```
 
+#![forbid(unsafe_code)]
+
 use recssd_bench::experiments as ex;
 use recssd_bench::{Scale, Series};
 

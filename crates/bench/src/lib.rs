@@ -19,6 +19,7 @@
 //! performance is dependant on access patterns, not absolute table size",
 //! which is what makes the quick scale representative.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -19,6 +19,7 @@
 //! All caches record [`HitStats`] so experiments can report the hit rates
 //! the paper annotates above its bars.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -366,14 +366,6 @@ pub struct System {
     tracer: Tracer,
 }
 
-// A shard `System` must be steppable on a worker thread: all interior
-// state is owned or `Send` (the tracer's sink is `Arc<Mutex<_>>`). The
-// parallel serving stepper depends on this bound.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<System>()
-};
-
 impl System {
     /// Builds a system: device + NDP engine + host model.
     ///
@@ -433,31 +425,11 @@ impl System {
         self.reset_host_stats();
     }
 
-    /// Advances the idle system's virtual clock to `to` (no-op if the
-    /// clock is already there or past it). A serving runtime that owns
-    /// several systems uses this to re-anchor an idle shard to the global
-    /// arrival instant before submitting work, so per-shard timestamps
-    /// stay on one shared timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operators are still in flight (use
-    /// [`System::run_until`] to merge clocks with work outstanding).
-    pub fn advance_clock(&mut self, to: SimTime) {
-        assert!(
-            self.ops.is_empty(),
-            "advance_clock requires an idle system (operators in flight)"
-        );
-        self.q.advance_to(to);
-    }
-
     /// Processes every pending event up to and including `to`, then
-    /// advances the clock to exactly `to` — the non-asserting clock-merge
-    /// path that lets a caller keep several operators in flight while
-    /// staying on an external timeline. Unlike [`System::advance_clock`]
-    /// this is valid mid-operator: work scheduled past `to` stays
-    /// pending, and finished operators become visible to
-    /// [`System::try_take_result`].
+    /// advances the clock to exactly `to` — the clock-merge path that
+    /// lets a caller keep several operators in flight while staying on an
+    /// external timeline: work scheduled past `to` stays pending, and
+    /// finished operators become visible to [`System::try_take_result`].
     ///
     /// Calling with `to` in the past (relative to the system clock) only
     /// processes events at or before `to` that are already due, which is
@@ -474,36 +446,6 @@ impl System {
     /// external co-simulation loop uses to schedule its next visit.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.q.peek_time()
-    }
-
-    /// Conservative-parallel **lookahead**: the minimum virtual time
-    /// between an external stimulus to this system (an operator
-    /// submission) and the earliest instant that stimulus can produce an
-    /// externally visible effect (a completion the caller could react
-    /// to).
-    ///
-    /// Every submission first pays the host software command cost
-    /// (`HostConfig::sw_cmd_ns`) and the fixed per-operator overhead
-    /// (`HostConfig::op_overhead_ns`) before any device work can finish,
-    /// so a parallel stepper may advance each shard `System`
-    /// independently through any window shorter than this horizon: work
-    /// submitted at or after the window start cannot complete — and
-    /// therefore cannot trigger a cross-shard reaction — inside the
-    /// window. This is the lookahead contract the serving layer's
-    /// `ExecMode::Parallel` stepper relies on; it pairs with
-    /// [`System::run_until`] (advance to a bound) and
-    /// [`System::next_event_time`] (when to visit next).
-    ///
-    /// Configs where this is zero admit no lookahead (the window
-    /// degenerates to one event at a time); the serving layer rejects
-    /// them for parallel execution.
-    pub fn sync_horizon(&self) -> SimDuration {
-        SimDuration::from_ns(self.cfg.host.sw_cmd_ns + self.cfg.host.op_overhead_ns)
-    }
-
-    /// Number of operators currently submitted and unfinished.
-    pub fn in_flight_ops(&self) -> usize {
-        self.ops.len()
     }
 
     /// The system configuration.
@@ -612,7 +554,7 @@ impl System {
 
     /// Resets host-side cache and partition statistics (between warm-up
     /// and measurement phases).
-    pub fn reset_host_stats(&mut self) {
+    fn reset_host_stats(&mut self) {
         for c in self.host_caches.values_mut() {
             c.reset_stats();
         }

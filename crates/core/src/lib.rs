@@ -50,6 +50,7 @@
 //! assert!(sys.result(ndp).latency() > recssd_sim::SimDuration::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

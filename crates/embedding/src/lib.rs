@@ -24,6 +24,7 @@
 //! require bit-identical results between the DRAM reference and the NDP
 //! path even though they accumulate in different orders.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -58,6 +58,7 @@
 //! assert_eq!(flash.page_bytes_prefix(ppa, 3), vec![7, 7, 7]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,7 @@
 //! back into [`GreedyFtl::handle`] and consume the returned
 //! [`FtlOutcome`]s.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -22,6 +22,7 @@
 //! feature-interaction + top MLP — on the [`recssd::System`] virtual
 //! clock, with the embedding path selected by [`EmbeddingMode`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

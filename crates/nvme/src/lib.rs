@@ -18,6 +18,7 @@
 //!   link; this is the "round-trip data communication overhead" that NDP
 //!   avoids by returning only reduced vectors.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

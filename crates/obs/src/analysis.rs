@@ -21,9 +21,7 @@
 //!
 //! Everything here is a **pure observer**: the inputs are recorded
 //! spans, the functions allocate only local state, and the same span
-//! set always produces byte-identical reports — so reports agree across
-//! `Sequential` and `Parallel(n)` execution whenever the traces do
-//! (which the serving layer guarantees and tests).
+//! set always produces byte-identical reports.
 
 use std::collections::HashMap;
 

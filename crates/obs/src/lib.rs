@@ -15,8 +15,7 @@
 //!   stats all feed one source of truth with one registry-wide reset and
 //!   one JSONL snapshot path.
 //! * [`profile`] — **wall-clock self-profiling** of the simulator itself
-//!   (event dispatch vs device stepping vs harvest/accumulate), the
-//!   baseline any future parallel stepper must beat.
+//!   (event dispatch vs device stepping vs harvest/accumulate).
 //!
 //! [`chrome`] exports recorded spans as Chrome-trace/Perfetto JSON and
 //! validates the span invariants (parent links resolve, children nest
@@ -33,6 +32,7 @@
 //!   [`UtilizationTimeline`]s over sim-time windows, with
 //!   Little's-law-consistent queueing stats and a windowed JSONL series.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -50,7 +50,7 @@ pub use analysis::{
 pub use chrome::{
     chrome_trace_json, coverage_report, validate_spans, CoverageGap, RequestCoverage, TraceCheck,
 };
-pub use profile::{WallPhase, WallPhaseReport, WallProfile, WorkerProfile};
+pub use profile::{WallPhase, WallPhaseReport, WallProfile};
 pub use registry::{CounterH, GaugeH, HistH, HitsH, MetricValue, MetricsRegistry};
 pub use timeline::{utilization_timelines, ResourceKind, UtilWindow, UtilizationTimeline};
 pub use trace::{SpanId, SpanRec, TraceSink, Tracer};

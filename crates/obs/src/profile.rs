@@ -1,8 +1,7 @@
 //! Wall-clock self-profiling of the simulator.
 //!
-//! The ROADMAP's next tentpole — a parallel wall-clock stepper — needs
-//! to know where the *simulator's own* time goes, not the simulated
-//! system's. [`WallProfile`] accumulates real (`std::time::Instant`)
+//! Where the *simulator's own* time goes, not the simulated system's:
+//! [`WallProfile`] accumulates real (`std::time::Instant`)
 //! nanoseconds per coarse phase of the serving co-simulation loop. It is
 //! off by default and, when disabled, every call is an inline boolean
 //! check: no clock reads, no perturbation of throughput benchmarks.
@@ -133,37 +132,6 @@ impl WallProfile {
     pub fn reset(&mut self) {
         self.nanos = [0; WallPhase::N];
         self.counts = [0; WallPhase::N];
-    }
-}
-
-/// Wall-clock self-profile of one parallel-stepper worker thread:
-/// how much real time it spent advancing its shards vs waiting at the
-/// window barrier, and how many sync windows it executed. Barrier-wait
-/// dominance on some workers and not others is the signature of shard
-/// imbalance; uniform barrier dominance means the windows are too short
-/// for the available parallelism.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Wall nanoseconds spent advancing shard `System`s (useful work).
-    pub advance_ns: u64,
-    /// Wall nanoseconds spent parked/spinning at the window barrier.
-    pub barrier_ns: u64,
-    /// Number of sync windows this worker participated in.
-    pub windows: u64,
-}
-
-impl WorkerProfile {
-    /// Fraction of this worker's measured wall time that was useful
-    /// advance work (0 when nothing was measured).
-    pub fn utilization(&self) -> f64 {
-        let total = self.advance_ns + self.barrier_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.advance_ns as f64 / total as f64
-        }
     }
 }
 

@@ -13,8 +13,7 @@
 //!
 //! Like the [`crate::analysis`] module this is a pure observer over
 //! recorded spans: the same trace always produces byte-identical
-//! timelines and JSONL series, across `Sequential` and `Parallel(n)`
-//! execution alike.
+//! timelines and JSONL series.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -14,19 +14,8 @@
 //! (e.g. a request span is allocated at admission and emitted at
 //! completion, after every sub-batch span already referenced it).
 //!
-//! # Threading and id namespaces
-//!
-//! Sinks are `Send + Sync` (`Arc<Mutex<_>>` inside), so a simulated
-//! component can be stepped on a worker thread while it traces. For
-//! deterministic ids under parallel execution, each sink carries an **id
-//! namespace** ([`TraceSink::namespaced`]): allocated ids are
-//! `(namespace << 40) | counter`, so ids from different sinks never
-//! collide and a span in one sink may reference a parent allocated in
-//! another. Namespace 0 ([`TraceSink::new`]) yields the plain ids
-//! `1, 2, 3, …`. Per-component sinks + namespaced ids are what make a
-//! multi-threaded trace bit-identical to its sequential counterpart:
-//! each component's allocation sequence depends only on that component's
-//! own event order, never on cross-thread interleaving.
+//! Span ids are `1, 2, 3, …` in allocation order within a sink; one sink
+//! per traced run keeps them unique.
 
 use std::sync::{Arc, Mutex};
 
@@ -54,11 +43,6 @@ pub mod track {
     pub const TID_ENGINE_BASE: u32 = 8;
 }
 
-/// Number of low bits reserved for the per-sink span counter; the sink's
-/// namespace occupies the bits above. 2^40 spans per sink is far beyond
-/// any run we record, and 2^24 namespaces is far beyond any fleet.
-pub const SPAN_ID_NAMESPACE_SHIFT: u32 = 40;
-
 /// Identifier of a span. `SpanId::NONE` (zero) means "no span": it is the
 /// parent of root spans and the id carried by untraced work, and tracers
 /// return it whenever they are disabled.
@@ -80,8 +64,7 @@ impl SpanId {
 /// numeric argument plus one static string label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// This span's id (unique within a sink, never zero; unique across
-    /// sinks when namespaces are distinct).
+    /// This span's id (unique within a sink, never zero).
     pub id: u64,
     /// Parent span id (zero = root).
     pub parent: u64,
@@ -107,34 +90,22 @@ pub struct SpanRec {
 struct Buf {
     spans: Vec<SpanRec>,
     next_id: u64,
-    namespace: u64,
 }
 
-/// Owner of recorded spans. Create one per traced run (or one per
-/// independently-stepped component, with distinct namespaces), derive
-/// per-track [`Tracer`]s from it, and drain it with
-/// [`TraceSink::take_spans`].
+/// Owner of recorded spans. Create one per traced run, derive per-track
+/// [`Tracer`]s from it, and drain it with [`TraceSink::take_spans`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     buf: Arc<Mutex<Buf>>,
 }
 
 impl TraceSink {
-    /// Creates an empty sink in namespace 0 (ids `1, 2, 3, …`).
+    /// Creates an empty sink (ids `1, 2, 3, …`).
     pub fn new() -> Self {
-        TraceSink::namespaced(0)
-    }
-
-    /// Creates an empty sink whose span ids live in `namespace`: every
-    /// allocated id is `(namespace << 40) | counter` with `counter`
-    /// starting at 1. Sinks with distinct namespaces never collide, so
-    /// their spans can be merged and may reference each other's ids.
-    pub fn namespaced(namespace: u32) -> Self {
         TraceSink {
             buf: Arc::new(Mutex::new(Buf {
                 spans: Vec::new(),
                 next_id: 1,
-                namespace: (namespace as u64) << SPAN_ID_NAMESPACE_SHIFT,
             })),
         }
     }
@@ -217,7 +188,7 @@ impl Tracer {
         match &self.sink {
             Some(buf) => {
                 let mut b = buf.lock().expect("trace sink poisoned");
-                let id = b.namespace | b.next_id;
+                let id = b.next_id;
                 b.next_id += 1;
                 SpanId(id)
             }
@@ -337,16 +308,6 @@ mod tests {
         let spans = sink.take_spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].tid, 5);
-    }
-
-    #[test]
-    fn namespaced_sinks_allocate_disjoint_ids() {
-        let a = TraceSink::namespaced(0);
-        let b = TraceSink::namespaced(3);
-        let ia = a.tracer(0, 0).alloc_id();
-        let ib = b.tracer(0, 0).alloc_id();
-        assert_eq!(ia.0, 1, "namespace 0 keeps plain ids");
-        assert_eq!(ib.0, (3u64 << SPAN_ID_NAMESPACE_SHIFT) | 1);
     }
 
     #[test]

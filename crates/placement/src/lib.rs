@@ -56,6 +56,7 @@
 //! assert!(p.expected_hit_rate() > 0.3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -100,12 +100,12 @@
 //! assert!(report.e2e.p99 >= report.e2e.p50);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod adaptive;
 mod loadgen;
-mod par;
 mod policy;
 mod runtime;
 mod shard;
@@ -130,5 +130,5 @@ pub use recssd_obs::{
     request_critical_paths, utilization_timelines, validate_spans, BottleneckReport, CoverageGap,
     CriticalPathReport, MetricValue, PathHeadroom, PathProfile, Phase, RequestCoverage,
     RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
-    UtilizationTimeline, WallPhase, WallPhaseReport, WorkerProfile,
+    UtilizationTimeline, WallPhase, WallPhaseReport,
 };

@@ -45,11 +45,6 @@ pub enum LoadMode {
         /// Concurrent client population.
         clients: usize,
         /// Per-client think time between completion and next request.
-        /// Under [`crate::ExecMode::Parallel`] the effective think time
-        /// is clamped up to the runtime's sync horizon
-        /// ([`crate::ServingRuntime::sync_horizon`]): a faster feedback
-        /// loop would react inside an already-swept lookahead window,
-        /// which the runtime rejects at submission.
         think: SimDuration,
     },
 }
@@ -275,16 +270,6 @@ impl LoadGen {
             }
             LoadMode::Closed { clients, think } => {
                 let (clients, think) = (*clients, *think);
-                // A closed-loop client is a feedback path: under parallel
-                // execution it cannot legally react faster than the
-                // conservative lookahead horizon, so the traffic model
-                // clamps the think time up to it (deterministically — the
-                // same clamped workload on every run). Sequential runs
-                // keep the requested think time untouched.
-                let think = match rt.exec_mode() {
-                    crate::ExecMode::Parallel(_) => think.max(rt.sync_horizon()),
-                    crate::ExecMode::Sequential => think,
-                };
                 // Exactly `total_requests` are issued: a population larger
                 // than the request budget simply leaves some clients idle.
                 let issue = total_requests;

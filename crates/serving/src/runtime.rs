@@ -43,7 +43,6 @@ use recssd_obs::profile::WallPhaseReport;
 use recssd_obs::trace::track;
 use recssd_obs::{
     MetricValue, MetricsRegistry, SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile,
-    WorkerProfile,
 };
 use recssd_placement::TablePlacement;
 use recssd_sim::rng::mix64;
@@ -54,7 +53,6 @@ use crate::adaptive::{
     fold_decision, hit_mass, select_hot_set, AdaptiveState, ADAPTIVE_WEIGHT, DRIFT_FLUSH_DECAY,
     DRIFT_RESET_DROP,
 };
-use crate::par::WorkerPool;
 use crate::shard::{split_batch, Routing, SubBatch, SubOwner};
 use crate::telemetry::PathAttribution;
 use crate::{SchedulePolicy, ServingStats, ShardMap, SlsPath};
@@ -72,40 +70,11 @@ pub struct RequestId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServedTableId(pub usize);
 
-/// How the co-simulation steps its shard [`System`]s.
-///
-/// Both modes produce **bit-identical** results (outputs, statistics,
-/// traces): the parallel stepper is a *conservative* parallel
-/// discrete-event scheme whose lookahead window is the cross-shard sync
-/// horizon ([`System::sync_horizon`]), so no shard ever observes an
-/// effect out of order. Parallel execution requires a closed-loop
-/// reaction latency (client think time, retry backoff) of at least the
-/// horizon — zero-lookahead feedback is rejected with a clear error
-/// instead of silently diverging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One thread pops one global event at a time (the reference
-    /// stepper; supports arbitrary, even zero-lookahead, feedback).
-    Sequential,
-    /// `n` worker threads sweep disjoint shards through lookahead
-    /// windows between global events, with a barrier at every
-    /// cross-shard interaction point. `Parallel(1)` exercises the full
-    /// windowed machinery on a single worker (useful for determinism
-    /// tests).
-    Parallel(usize),
-}
-
 /// Configuration of the serving runtime.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// Number of device shards (each a full simulated [`System`]).
     pub shards: usize,
-    /// How shard systems are stepped (sequential reference stepper, or
-    /// the conservative parallel stepper). Overridable at runtime
-    /// construction by the `RECSSD_FORCE_EXEC` environment variable
-    /// (`sequential` or `parallel:<n>`), so an existing test suite can
-    /// be re-run under parallel execution without code changes.
-    pub exec: ExecMode,
     /// Operator queue depth per shard: how many device operators the
     /// runtime keeps in flight on one shard simultaneously. Depth 1 is
     /// the classic drain-between-operators regime; deeper pipelines
@@ -126,7 +95,6 @@ impl ServingConfig {
     pub fn small_wide(shards: usize, policy: SchedulePolicy) -> Self {
         ServingConfig {
             shards,
-            exec: ExecMode::Sequential,
             depth: 1,
             system: RecSsdConfig::small_wide(),
             policy,
@@ -144,18 +112,35 @@ impl ServingConfig {
         self.depth = depth;
         self
     }
+}
 
-    /// Sets the execution mode (see [`ExecMode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exec` is `Parallel(0)`.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        if let ExecMode::Parallel(n) = exec {
-            assert!(n > 0, "parallel execution needs at least one worker");
-        }
-        self.exec = exec;
+/// Compatibility block: three names with no behaviour behind them. There
+/// is one stepper (README "Why there is one stepper"), but `benchmark/`,
+/// which a code change may not edit, still compiles against `ExecMode`,
+/// [`ServingConfig::with_exec`] and [`ServingRuntime::sync_horizon`];
+/// their last caller is `benchmark/src/probes.rs::parallel_ratio`.
+/// Delete this block together with that probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// The stepper.
+    Sequential,
+    /// Accepted and ignored: runs exactly as [`ExecMode::Sequential`].
+    Parallel(usize),
+}
+
+impl ServingConfig {
+    /// Accepted and ignored (see [`ExecMode`]).
+    pub fn with_exec(self, _exec: ExecMode) -> Self {
         self
+    }
+}
+
+impl ServingRuntime {
+    /// The host's fixed cost of issuing one operator (`sw_cmd_ns +
+    /// op_overhead_ns`), which `parallel_ratio` uses as its think time.
+    pub fn sync_horizon(&self) -> SimDuration {
+        let host = &self.system_cfg.host;
+        SimDuration::from_ns(host.sw_cmd_ns + host.op_overhead_ns)
     }
 }
 
@@ -338,27 +323,8 @@ struct InflightOp {
     subs: Vec<SubBatch>,
 }
 
-/// Per-window products of one shard's lookahead sweep that must not
-/// touch shared runtime state from a worker thread: harvested operators
-/// (folded into requests at the sequential merge, in canonical order)
-/// and deferred counter deltas. Buffers persist across windows so the
-/// steady state allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct SweepOut {
-    /// Operators harvested during the sweep, in shard-local harvest
-    /// order (nondecreasing finish time).
-    harvested: Vec<(InflightOp, OpResult)>,
-    /// Deferred `stats.ops_dispatched` delta.
-    ops_dispatched: u64,
-    /// Deferred `stats.subs_dispatched` delta.
-    subs_dispatched: u64,
-    /// Deferred `stats.breaker_trips` delta (the breaker itself is
-    /// shard-local state and is updated live during the sweep).
-    breaker_trips: u64,
-}
-
 #[derive(Debug)]
-pub(crate) struct Shard {
+struct Shard {
     sys: System,
     /// Operators submitted to `sys` and not yet harvested.
     inflight: Vec<InflightOp>,
@@ -378,13 +344,6 @@ pub(crate) struct Shard {
     chan_busy_base_ns: u64,
     /// Circuit breaker over this shard's operator outcomes.
     breaker: Breaker,
-    /// Host-track tracer (pid 0) writing into *this shard's* sink, so a
-    /// worker thread can emit dispatch-side spans (`sub:wait`) without
-    /// sharing a sink: per-shard sinks with namespaced span ids are what
-    /// keep traces bit-identical across execution modes.
-    host_tracer: Tracer,
-    /// This shard's sweep products (parallel mode only).
-    sweep: SweepOut,
 }
 
 impl Shard {
@@ -399,8 +358,6 @@ impl Shard {
             window_start: SimTime::ZERO,
             chan_busy_base_ns: 0,
             breaker: Breaker::new(),
-            host_tracer: Tracer::disabled(),
-            sweep: SweepOut::default(),
         }
     }
 
@@ -410,6 +367,17 @@ impl Shard {
         let span = at.saturating_since(self.occ_last);
         self.occ_weighted_ns += self.inflight.len() as u64 * span.as_ns();
         self.occ_last = self.occ_last.max(at);
+    }
+
+    /// Time-averaged in-flight operator count over the stats window up
+    /// to `now`, the integral extended to `now` at the current count.
+    fn occupancy(&self, now: SimTime) -> f64 {
+        let window = now.saturating_since(self.window_start).as_ns();
+        if window == 0 {
+            return 0.0;
+        }
+        let tail = now.saturating_since(self.occ_last).as_ns() * self.inflight.len() as u64;
+        (self.occ_weighted_ns + tail) as f64 / window as f64
     }
 
     fn chan_busy_total_ns(&self) -> u64 {
@@ -522,16 +490,26 @@ impl Breaker {
 /// Which execution resource a sub-batch is queued on: a device shard or
 /// the host DRAM tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ix {
+enum Ix {
     Dev(usize),
     Tier,
+}
+
+impl Ix {
+    /// The trace pid of this resource's spans (see [`track`]).
+    fn pid(self) -> u32 {
+        match self {
+            Ix::Dev(i) => i as u32 + 1,
+            Ix::Tier => track::PID_TIER,
+        }
+    }
 }
 
 /// Global serving events. Request completion is *not* an event: finished
 /// requests enter a canonical ready-queue ordered by `(finish, id)` and
 /// are delivered as soon as no pending event could still precede them —
 /// the property that makes completion order independent of how shard
-/// harvests interleave (and therefore of the execution mode).
+/// harvests interleave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrival(u64),
@@ -592,7 +570,7 @@ struct PendingPlan {
 }
 
 #[derive(Debug)]
-pub(crate) struct ServedTable {
+struct ServedTable {
     /// Full-table contents (procedural tables make this cheap), kept for
     /// reference verification.
     table: EmbeddingTable,
@@ -635,55 +613,15 @@ pub struct AdaptivePolicy {
     pub min_hit_gain: f64,
 }
 
-/// Parses the `RECSSD_FORCE_EXEC` override (`sequential` or
-/// `parallel:<n>`); unset or unparsable values mean "no override".
-fn exec_mode_from_env() -> Option<ExecMode> {
-    let v = std::env::var("RECSSD_FORCE_EXEC").ok()?;
-    let v = v.trim().to_ascii_lowercase();
-    if v == "sequential" {
-        return Some(ExecMode::Sequential);
-    }
-    let n = v.strip_prefix("parallel:")?.parse::<usize>().ok()?;
-    (n > 0).then_some(ExecMode::Parallel(n))
-}
-
-/// One harvested operator queued for the canonical post-window merge:
-/// sorted by `(finish, unit, intra-unit order)`, the order that makes
-/// the fold independent of worker interleaving (and, because a shard is
-/// only ever harvested *at* an operator's finish instant, identical to
-/// the sequential stepper's fold order).
-#[derive(Debug)]
-struct MergeItem {
-    fin_ns: u64,
-    unit: u32,
-    seq: u32,
-    ix: Ix,
-    op: InflightOp,
-    result: OpResult,
-}
-
 /// The sharded serving runtime. See the [module docs](self) for the
 /// architecture.
 #[derive(Debug)]
 pub struct ServingRuntime {
     policy: SchedulePolicy,
     depth: usize,
-    /// Execution mode after any `RECSSD_FORCE_EXEC` override.
-    exec: ExecMode,
-    /// Conservative lookahead window width: [`System::sync_horizon`] of
-    /// the shard configuration.
-    horizon: SimDuration,
-    /// Worker pool for [`ExecMode::Parallel`] (absent in sequential).
-    pool: Option<WorkerPool>,
     /// Finished requests awaiting delivery, keyed `(finish_ns, id)` —
-    /// the canonical, mode-independent completion order.
+    /// the canonical completion order.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Pending non-tick event times (arrivals, retries, deadlines):
-    /// cross-shard interaction points that bound parallel windows.
-    /// Maintained only under [`ExecMode::Parallel`].
-    nontick: BinaryHeap<Reverse<u64>>,
-    /// Reused canonical-merge scratch (parallel mode).
-    merge_scratch: Vec<MergeItem>,
     layout: PageLayout,
     /// Per-shard system template, kept to spin up the DRAM tier lazily.
     system_cfg: RecSsdConfig,
@@ -721,13 +659,11 @@ pub struct ServingRuntime {
     /// The unified metrics registry behind [`ServingStats`] (and any
     /// future per-shard metrics): one reset, one snapshot surface.
     registry: MetricsRegistry,
-    /// Span sinks when tracing is enabled (empty = disabled): index 0 is
-    /// the serving/host sink, `1..=shards` the per-shard sinks,
-    /// `shards + 1` the DRAM tier's (created with the tier). Distinct id
-    /// namespaces keep merged span ids collision-free and bit-identical
-    /// across execution modes.
-    sinks: Vec<TraceSink>,
+    /// The span sink every layer's tracer writes into (`None` until
+    /// [`ServingRuntime::enable_tracing`]).
+    sink: Option<TraceSink>,
     /// Serving-level tracer (pid 0, host track); disabled by default.
+    /// The shards' and the tier's tracers are clones on their own pids.
     tracer: Tracer,
     /// Wall-clock self-profile of the simulator loop (off by default).
     wall: WallProfile,
@@ -746,35 +682,13 @@ impl ServingRuntime {
     pub fn new(cfg: &ServingConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.depth > 0, "queue depth must be at least 1");
-        let exec = exec_mode_from_env().unwrap_or(cfg.exec);
-        let horizon =
-            SimDuration::from_ns(cfg.system.host.sw_cmd_ns + cfg.system.host.op_overhead_ns);
-        let pool = match exec {
-            ExecMode::Sequential => None,
-            ExecMode::Parallel(n) => {
-                assert!(n > 0, "parallel execution needs at least one worker");
-                assert!(
-                    horizon > SimDuration::ZERO,
-                    "ExecMode::Parallel requires a non-zero cross-shard sync horizon \
-                     (host.sw_cmd_ns + host.op_overhead_ns): zero lookahead degenerates \
-                     to one-event-at-a-time barriers — use ExecMode::Sequential for \
-                     such configs"
-                );
-                Some(WorkerPool::new(n))
-            }
-        };
         let shards = (0..cfg.shards).map(|_| Shard::new(&cfg.system)).collect();
         let mut registry = MetricsRegistry::new();
         let stats = ServingStats::registered(&mut registry);
-        let rt = ServingRuntime {
+        ServingRuntime {
             policy: cfg.policy,
             depth: cfg.depth,
-            exec,
-            horizon,
-            pool,
             ready: BinaryHeap::new(),
-            nontick: BinaryHeap::new(),
-            merge_scratch: Vec::new(),
             layout: cfg.layout,
             system_cfg: cfg.system.clone(),
             shards,
@@ -794,49 +708,11 @@ impl ServingRuntime {
             retry_park: FxHashMap::default(),
             next_retry: 0,
             registry,
-            sinks: Vec::new(),
+            sink: None,
             tracer: Tracer::disabled(),
             wall: WallProfile::new(),
             epoch_log: String::new(),
             log_epochs: false,
-        };
-        rt.check_fault_policy_lookahead();
-        rt
-    }
-
-    /// The conservative lookahead window width the parallel stepper uses
-    /// between barriers: [`System::sync_horizon`] of the shard config.
-    pub fn sync_horizon(&self) -> SimDuration {
-        self.horizon
-    }
-
-    /// The execution mode this runtime actually runs under (after any
-    /// `RECSSD_FORCE_EXEC` override).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Per-worker wall-clock self-profiles of the parallel stepper
-    /// (advance vs barrier-wait time per worker; empty under
-    /// [`ExecMode::Sequential`]). Barrier-wait skew across workers is
-    /// the shard-imbalance signal.
-    pub fn worker_profiles(&self) -> Vec<WorkerProfile> {
-        self.pool.as_ref().map_or_else(Vec::new, |p| p.profiles())
-    }
-
-    /// Under parallel execution the retry backoff must not react faster
-    /// than the lookahead horizon, or a retry could target an instant a
-    /// worker has already swept past.
-    fn check_fault_policy_lookahead(&self) {
-        if matches!(self.exec, ExecMode::Parallel(_)) {
-            assert!(
-                self.fault_policy.backoff_base >= self.horizon,
-                "ExecMode::Parallel requires FaultPolicy::backoff_base ({:?}) >= the \
-                 cross-shard sync horizon ({:?}): a faster reaction would land inside \
-                 an already-swept lookahead window (see System::sync_horizon)",
-                self.fault_policy.backoff_base,
-                self.horizon,
-            );
         }
     }
 
@@ -848,54 +724,41 @@ impl ServingRuntime {
     /// results (CI-checks bit-identity); the disabled default performs no
     /// work and no allocation on the hot path.
     pub fn enable_tracing(&mut self) {
-        // One sink per independently stepped component, each in its own
-        // span-id namespace: a component's ids then depend only on its
-        // own event order, never on cross-shard (or cross-thread)
-        // interleaving, which is what keeps traces bit-identical between
-        // execution modes. Namespace 0 = serving/host, `i + 1` = shard
-        // `i`, `shards + 1` = the DRAM tier.
-        let host = TraceSink::new();
-        self.tracer = host.tracer(0, track::TID_HOST);
-        self.sinks = vec![host];
-        for i in 0..self.shards.len() {
-            let sink = TraceSink::namespaced(i as u32 + 1);
-            let s = &mut self.shards[i];
-            s.sys.set_tracer(sink.tracer(i as u32 + 1, track::TID_HOST));
-            s.host_tracer = sink.tracer(0, track::TID_HOST);
-            self.sinks.push(sink);
+        let sink = TraceSink::new();
+        self.tracer = sink.tracer(0, track::TID_HOST);
+        self.sink = Some(sink);
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            s.sys.set_tracer(self.tracer.with_pid(Ix::Dev(i).pid()));
         }
         if let Some(tier) = self.tier.as_mut() {
-            let sink = TraceSink::namespaced(self.shards.len() as u32 + 1);
-            tier.sys
-                .set_tracer(sink.tracer(track::PID_TIER, track::TID_HOST));
-            tier.host_tracer = sink.tracer(0, track::TID_HOST);
-            self.sinks.push(sink);
+            tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
         }
     }
 
     /// `true` while span tracing is on.
     pub fn tracing_enabled(&self) -> bool {
-        !self.sinks.is_empty()
+        self.sink.is_some()
     }
 
     /// Drains every span recorded since the last call (empty when tracing
-    /// was never enabled), merged across the per-component sinks into
-    /// one canonical order — `(start, end, id)` — so the result is
-    /// deterministic and identical across execution modes. Export with
-    /// `recssd_obs::chrome_trace_json`.
+    /// was never enabled), in one canonical order — `(start, end, id)`.
+    /// Export with `recssd_obs::chrome_trace_json`.
     pub fn take_trace(&mut self) -> Vec<SpanRec> {
-        let mut spans: Vec<SpanRec> = self.sinks.iter().flat_map(|s| s.take_spans()).collect();
+        let mut spans = self.sink.as_ref().map_or_else(Vec::new, |s| s.take_spans());
         spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
         spans
     }
 
-    /// Clones every span recorded so far *without* draining the sinks,
+    /// Clones every span recorded so far *without* draining the sink,
     /// in the same canonical `(start, end, id)` order as
     /// [`ServingRuntime::take_trace`]. This is the read path for the
     /// live analysis APIs below: a pure observer that leaves a later
     /// export untouched.
     pub fn snapshot_trace(&self) -> Vec<SpanRec> {
-        let mut spans: Vec<SpanRec> = self.sinks.iter().flat_map(|s| s.snapshot_spans()).collect();
+        let mut spans = self
+            .sink
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.snapshot_spans());
         spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
         spans
     }
@@ -933,8 +796,7 @@ impl ServingRuntime {
 
     /// Turns on wall-clock self-profiling of the simulator loop (where
     /// the *simulator's own* time goes: admission, event dispatch, device
-    /// stepping, harvest) — the single-thread baseline for parallel
-    /// stepping work.
+    /// stepping, harvest).
     pub fn enable_self_profiling(&mut self) {
         self.wall.enable();
     }
@@ -980,24 +842,10 @@ impl ServingRuntime {
         self.depth
     }
 
-    /// The current global virtual time: the furthest instant any
-    /// component of the co-simulation has reached. Under
-    /// [`ExecMode::Sequential`] this is exactly the event clock; under
-    /// [`ExecMode::Parallel`] shard clocks can lead the event clock by
-    /// up to one lookahead window, and at quiesce points (a drained
-    /// run) this maximum lands on the same instant the sequential
-    /// stepper reports — keeping wall-clock-independent metrics
-    /// bit-identical across execution modes.
+    /// The current global virtual time: the event clock. Shards are only
+    /// ever advanced *to* it, so no component's clock leads it.
     pub fn now(&self) -> SimTime {
-        self.host_now()
-    }
-
-    fn host_now(&self) -> SimTime {
-        let mut t = self.events.now();
-        for s in self.shards.iter().chain(self.tier.as_ref()) {
-            t = t.max(s.sys.now());
-        }
-        t
+        self.events.now()
     }
 
     /// Serving statistics accumulated so far.
@@ -1011,11 +859,12 @@ impl ServingRuntime {
     /// cache, flash and fault-injection counters (fault *schedules* and
     /// RNG state are untouched — injection timing stays replayable), and
     /// the per-shard occupancy and channel-utilisation windows re-base at
-    /// the current instant.
+    /// the current instant. The wall-clock self-profile restarts too.
     pub fn reset_stats(&mut self) {
         self.registry.reset_all();
         self.stats.reset_window();
-        let now = self.host_now();
+        self.wall.reset();
+        let now = self.events.now();
         for s in self.shards.iter_mut().chain(self.tier.as_mut()) {
             s.occ_weighted_ns = 0;
             s.occ_last = s.occ_last.max(now);
@@ -1031,30 +880,15 @@ impl ServingRuntime {
     /// stats reset (up to the current instant). With depth 1 this is the
     /// classic utilisation ρ; pipelining shows up as values above 1.
     pub fn shard_occupancy(&self) -> Vec<f64> {
-        // `host_now`, not the event clock: under parallel execution the
-        // occupancy integrals extend to shard-local clocks that can
-        // lead the event clock, so the reporting window must too.
-        let now = self.host_now();
-        self.shards
-            .iter()
-            .map(|s| {
-                let window = now.saturating_since(s.window_start).as_ns();
-                if window == 0 {
-                    return 0.0;
-                }
-                // Extend the integral to `now` at the current count.
-                let tail = now.saturating_since(s.occ_last).as_ns() * s.inflight.len() as u64;
-                (s.occ_weighted_ns + tail) as f64 / window as f64
-            })
-            .collect()
+        let now = self.events.now();
+        self.shards.iter().map(|s| s.occupancy(now)).collect()
     }
 
     /// Mean flash channel-bus busy fraction per shard since the last
     /// stats reset — the §2.2 resource whose saturation is the point of
     /// operator pipelining.
     pub fn channel_utilisation(&self) -> Vec<f64> {
-        // See `shard_occupancy` for why this is `host_now`.
-        let now = self.host_now();
+        let now = self.events.now();
         self.shards
             .iter()
             .map(|s| {
@@ -1077,16 +911,8 @@ impl ServingRuntime {
     /// Time-averaged in-flight operator count of the DRAM tier since the
     /// last stats reset (0 when no tier exists).
     pub fn tier_occupancy(&self) -> f64 {
-        // See `shard_occupancy` for why this is `host_now`.
-        let now = self.host_now();
-        self.tier.as_ref().map_or(0.0, |s| {
-            let window = now.saturating_since(s.window_start).as_ns();
-            if window == 0 {
-                return 0.0;
-            }
-            let tail = now.saturating_since(s.occ_last).as_ns() * s.inflight.len() as u64;
-            (s.occ_weighted_ns + tail) as f64 / window as f64
-        })
+        let now = self.events.now();
+        self.tier.as_ref().map_or(0.0, |s| s.occupancy(now))
     }
 
     /// Hit/miss statistics of each device shard's FTL page cache since
@@ -1146,7 +972,6 @@ impl ServingRuntime {
     /// injected.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.fault_policy = policy;
-        self.check_fault_policy_lookahead();
     }
 
     /// The active recovery policy.
@@ -1290,18 +1115,12 @@ impl ServingRuntime {
         }
         let tier_table = (placement.hot_count() > 0).then(|| {
             if self.tier.is_none() {
-                let now = self.host_now();
+                let now = self.events.now();
                 let mut tier = Shard::new(&self.system_cfg);
-                tier.sys.advance_clock(now);
+                tier.sys.run_until(now);
                 tier.occ_last = now;
                 tier.window_start = now;
-                if !self.sinks.is_empty() {
-                    let sink = TraceSink::namespaced(self.shards.len() as u32 + 1);
-                    tier.sys
-                        .set_tracer(sink.tracer(track::PID_TIER, track::TID_HOST));
-                    tier.host_tracer = sink.tracer(0, track::TID_HOST);
-                    self.sinks.push(sink);
-                }
+                tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
                 self.tier = Some(tier);
             }
             let tier = self.tier.as_mut().expect("just ensured");
@@ -1356,15 +1175,8 @@ impl ServingRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past (below the co-simulation's leading
-    /// edge, [`ServingRuntime::now`]) or `table` is unknown. Under
-    /// [`ExecMode::Parallel`] shard clocks lead the event clock by up
-    /// to one lookahead window, so a reaction faster than
-    /// [`System::sync_horizon`] (e.g. a closed-loop client with think
-    /// time below the horizon) can land below a swept shard's clock —
-    /// that violates the conservative lookahead contract, cannot be
-    /// simulated bit-identically, and panics; use
-    /// `ExecMode::Sequential` for zero-lookahead feedback.
+    /// Panics if `at` is in the past (before [`ServingRuntime::now`]) or
+    /// `table` is unknown.
     pub fn submit_at(
         &mut self,
         at: SimTime,
@@ -1374,21 +1186,6 @@ impl ServingRuntime {
         path: SlsPath,
     ) -> RequestId {
         assert!(table.0 < self.tables.len(), "unknown table");
-        // The causal floor: no unit's local clock may rewind. Under
-        // `ExecMode::Sequential` this is exactly the event clock; under
-        // `ExecMode::Parallel` shard clocks lead it by up to one
-        // lookahead window, so a reaction faster than the sync horizon
-        // (e.g. a closed-loop client with think time below
-        // `System::sync_horizon`) lands below a swept shard's clock and
-        // is rejected loudly — it cannot be simulated bit-identically.
-        let floor = self.host_now();
-        assert!(
-            at >= floor,
-            "submission at {at:?} is below the co-simulation's leading edge \
-             ({floor:?}): reactions under ExecMode::Parallel must lag the \
-             cross-shard sync horizon ({:?}) — see System::sync_horizon",
-            self.horizon,
-        );
         let req = self.next_req;
         self.next_req += 1;
         self.pending_arrivals.insert(
@@ -1401,25 +1198,7 @@ impl ServingRuntime {
             },
         );
         self.events.push_at(at, Ev::Arrival(req));
-        self.note_nontick(at);
         RequestId(req)
-    }
-
-    /// Records a pending non-tick (cross-shard interaction) event time;
-    /// parallel windows never sweep past the earliest of these.
-    fn note_nontick(&mut self, at: SimTime) {
-        if self.pool.is_some() {
-            self.nontick.push(Reverse(at.as_ns()));
-        }
-    }
-
-    /// Retires one pending non-tick entry at `now` (its event was just
-    /// popped).
-    fn retire_nontick(&mut self, now: SimTime) {
-        if self.pool.is_some() {
-            let popped = self.nontick.pop();
-            debug_assert_eq!(popped, Some(Reverse(now.as_ns())), "non-tick ledger drift");
-        }
     }
 
     /// Routes one arrived request under the table's active plan and
@@ -1513,7 +1292,6 @@ impl ServingRuntime {
         );
         if let Some(deadline) = self.fault_policy.deadline {
             self.events.push_at(now + deadline, Ev::Deadline(req));
-            self.note_nontick(now + deadline);
         }
         self.wall.end(WallPhase::Admit, t_admit);
         for (ix, sub) in subs {
@@ -1566,12 +1344,7 @@ impl ServingRuntime {
             return None;
         }
         let plan = self.bind_plan(t_idx, placement, slot);
-        // Host-initiated work dispatches at the co-simulation's leading
-        // edge: under parallel execution shard clocks can lead the
-        // event clock, and a device operator cannot start in a shard's
-        // local past. At quiesce points this is the same instant the
-        // sequential stepper would use.
-        let now = self.host_now();
+        let now = self.events.now();
         let t = &mut self.tables[t_idx];
         let old_ix = t.active;
         let new_ix = t.plans.len();
@@ -1866,8 +1639,7 @@ impl ServingRuntime {
             // `(finish, id)` order, as soon as no pending event could
             // still precede them. This replaces a per-request
             // completion event: the delivery order depends only on
-            // finish times, never on how shard harvests interleaved —
-            // which is what makes it identical across execution modes.
+            // finish times, never on how shard harvests interleaved.
             if let Some(&Reverse((fin, req))) = self.ready.peek() {
                 if self.events.peek_time().is_none_or(|t| fin <= t.as_ns()) {
                     self.ready.pop();
@@ -1875,17 +1647,11 @@ impl ServingRuntime {
                     continue;
                 }
             }
-            let Some(next) = self.events.peek_time() else {
+            let Some((now, ev)) = self.events.pop() else {
                 return Ok(None);
             };
-            if let Some(window) = self.parallel_window(next) {
-                self.run_window(window);
-                continue;
-            }
-            let (now, ev) = self.events.pop().expect("peeked a pending event");
             match ev {
                 Ev::Arrival(req) => {
-                    self.retire_nontick(now);
                     let Some(arrival) = self.pending_arrivals.remove(&req) else {
                         return Err(ServingError::MissingArrival(req));
                     };
@@ -1898,7 +1664,6 @@ impl ServingRuntime {
                     self.pump_shard(ix, now);
                 }
                 Ev::Retry(seq) => {
-                    self.retire_nontick(now);
                     let (ix, mut sub) = self
                         .retry_park
                         .remove(&seq)
@@ -1910,7 +1675,6 @@ impl ServingRuntime {
                     self.pump_shard(ix, now);
                 }
                 Ev::Deadline(req) => {
-                    self.retire_nontick(now);
                     self.expire_deadline(now, req);
                 }
             }
@@ -2085,7 +1849,7 @@ impl ServingRuntime {
             if s.inflight.len() >= self.depth || s.queue.is_empty() {
                 break;
             }
-            let n_subs = dispatch_on(s, ix, now, &self.tables, self.policy);
+            let n_subs = dispatch_on(s, ix, now, &self.tables, self.policy, &self.tracer);
             self.stats.ops_dispatched.inc();
             self.stats.subs_dispatched.add(n_subs);
         }
@@ -2098,6 +1862,13 @@ impl ServingRuntime {
         let t_dev = self.wall.begin();
         self.shard_mut(ix).sys.run_until(now);
         self.wall.end(WallPhase::DeviceStep, t_dev);
+        // What lets `self.events.now()` stand for "the furthest instant
+        // any component has reached" everywhere in this file.
+        debug_assert!(
+            (self.shards.iter().chain(self.tier.as_ref()))
+                .all(|s| s.sys.now() <= self.events.now()),
+            "a shard clock leads the event clock"
+        );
         let mut harvested = std::mem::take(&mut self.harvest_scratch);
         collect_harvest(self.shard_mut(ix), &mut harvested);
         if harvested.is_empty() {
@@ -2130,9 +1901,7 @@ impl ServingRuntime {
     ///
     /// All per-op times derive from the operator's own finish instant —
     /// a shard is only ever harvested *at* that instant (its completion
-    /// surfaces as a shard event there), so this matches the sequential
-    /// stepper exactly while staying meaningful when a parallel window's
-    /// harvests are folded after the fact.
+    /// surfaces as a shard event there).
     fn fold_one(&mut self, ix: Ix, infop: InflightOp, result: OpResult) {
         let now = result.finished;
         let service = result.finished.saturating_since(result.started);
@@ -2350,14 +2119,10 @@ impl ServingRuntime {
         let seq = self.next_retry;
         self.next_retry += 1;
         self.retry_park.insert(seq, (ix, sub));
-        // `now` is the failed operator's finish instant. Because parallel
-        // execution requires `backoff_base >= sync_horizon`, the retry
-        // always lands at or beyond the current lookahead window; the
-        // clamp is a never-firing safety net for the event queue's
-        // no-past invariant.
+        // `now` is the failed operator's finish instant; the clamp is a
+        // never-firing safety net for the event queue's no-past invariant.
         let at = (now + backoff).max(self.events.now());
         self.events.push_at(at, Ev::Retry(seq));
-        self.note_nontick(at);
     }
 
     /// Retires one migration sub-batch; the last one activates the
@@ -2389,203 +2154,6 @@ impl ServingRuntime {
                 s.next_tick = Some(t);
                 self.events.push_at(t, Ev::ShardTick(ix));
             }
-        }
-    }
-
-    /// Decides whether the stepper may run a parallel lookahead window
-    /// instead of popping the next event (`next` = its time). Possible
-    /// only under [`ExecMode::Parallel`] and only when the earliest
-    /// pending *non-tick* event — a cross-shard interaction point
-    /// (arrival, retry, deadline) — lies strictly beyond `next`: until
-    /// then every pending event is a shard tick, which a shard-local
-    /// sweep subsumes. The window extends one sync horizon past `next`,
-    /// clipped at that interaction point.
-    fn parallel_window(&mut self, next: SimTime) -> Option<SimTime> {
-        self.pool.as_ref()?;
-        let t0 = next.as_ns();
-        let nt = self.nontick.peek().map(|&Reverse(ns)| ns);
-        if nt.is_some_and(|ns| ns <= t0) {
-            return None;
-        }
-        let mut w = t0.saturating_add(self.horizon.as_ns());
-        if let Some(ns) = nt {
-            w = w.min(ns);
-        }
-        Some(SimTime::ZERO + SimDuration::from_ns(w))
-    }
-
-    /// Executes one conservative lookahead window ending at `w_end`:
-    /// consumes the (all-tick) events inside it, sweeps every device
-    /// shard and the DRAM tier through their internal events on the
-    /// worker pool, then folds the harvests in the canonical
-    /// `(finish, unit, intra-unit order)` order. Because a shard is only
-    /// ever harvested *at* an operator's finish instant, that order is
-    /// exactly the sequential stepper's fold order — the heart of the
-    /// bit-identity guarantee.
-    fn run_window(&mut self, w_end: SimTime) {
-        // Every event before the window end is a shard tick (non-tick
-        // events bound the window); the sweeps subsume their work.
-        while self.events.peek_time().is_some_and(|t| t < w_end) {
-            let (_, ev) = self.events.pop().expect("peeked a pending event");
-            debug_assert!(
-                matches!(ev, Ev::ShardTick(_)),
-                "non-tick event inside a lookahead window"
-            );
-        }
-        // Ticks pointing into the window were just consumed; clear them
-        // so re-arming starts fresh. Armed ticks at or beyond the window
-        // end stay valid.
-        for s in self.shards.iter_mut().chain(self.tier.as_mut()) {
-            if s.next_tick.is_some_and(|t| t < w_end) {
-                s.next_tick = None;
-            }
-        }
-
-        let ctx = SweepCtx {
-            tables: self.tables.as_ptr(),
-            n_tables: self.tables.len(),
-            policy: self.policy,
-            depth: self.depth,
-            fault_policy: self.fault_policy,
-            w_end,
-        };
-        let t_dev = self.wall.begin();
-        let mut units: Vec<SweepUnit> = Vec::with_capacity(self.shards.len() + 1);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            units.push(SweepUnit {
-                shard: s,
-                ix: Ix::Dev(i),
-            });
-        }
-        if let Some(t) = self.tier.as_mut() {
-            units.push(SweepUnit {
-                shard: t,
-                ix: Ix::Tier,
-            });
-        }
-        self.pool
-            .as_ref()
-            .expect("run_window without a worker pool")
-            .run(&units, &ctx);
-        drop(units);
-        self.wall.end(WallPhase::DeviceStep, t_dev);
-
-        // Canonical merge: drain every unit's harvest, tag each operator
-        // with `(finish, unit, intra-unit order)`, fold in sorted order,
-        // and apply the deferred counter deltas (order-independent).
-        let t_harvest = self.wall.begin();
-        let mut scratch = std::mem::take(&mut self.merge_scratch);
-        let n_shards = self.shards.len();
-        let (mut d_ops, mut d_subs, mut d_trips) = (0u64, 0u64, 0u64);
-        for (u, s) in self.shards.iter_mut().chain(self.tier.as_mut()).enumerate() {
-            let ix = if u < n_shards { Ix::Dev(u) } else { Ix::Tier };
-            d_ops += std::mem::take(&mut s.sweep.ops_dispatched);
-            d_subs += std::mem::take(&mut s.sweep.subs_dispatched);
-            d_trips += std::mem::take(&mut s.sweep.breaker_trips);
-            for (seq, (op, result)) in s.sweep.harvested.drain(..).enumerate() {
-                scratch.push(MergeItem {
-                    fin_ns: result.finished.as_ns(),
-                    unit: u as u32,
-                    seq: seq as u32,
-                    ix,
-                    op,
-                    result,
-                });
-            }
-        }
-        self.stats.ops_dispatched.add(d_ops);
-        self.stats.subs_dispatched.add(d_subs);
-        self.stats.breaker_trips.add(d_trips);
-        scratch.sort_unstable_by_key(|m| (m.fin_ns, m.unit, m.seq));
-        for m in scratch.drain(..) {
-            self.fold_one(m.ix, m.op, m.result);
-        }
-        self.merge_scratch = scratch;
-        self.wall.end(WallPhase::Harvest, t_harvest);
-
-        // Re-arm every unit's wake-up tick at its next internal event
-        // (necessarily at or beyond the window end).
-        let now = self.events.now();
-        for i in 0..n_shards {
-            self.arm_tick(Ix::Dev(i), now);
-        }
-        if self.tier.is_some() {
-            self.arm_tick(Ix::Tier, now);
-        }
-    }
-}
-
-/// Read-only context shared by every unit sweep of one lookahead window.
-/// The table/plan state is carried as a raw slice because the runtime
-/// simultaneously hands out `&mut Shard`s to the workers; nothing writes
-/// the tables while a window runs.
-pub(crate) struct SweepCtx {
-    tables: *const ServedTable,
-    n_tables: usize,
-    policy: SchedulePolicy,
-    depth: usize,
-    fault_policy: FaultPolicy,
-    w_end: SimTime,
-}
-
-// SAFETY: the pointer target (the runtime's table array) is alive and
-// unmutated for the whole window — `WorkerPool::run` blocks until every
-// worker finished with the context.
-unsafe impl Send for SweepCtx {}
-unsafe impl Sync for SweepCtx {}
-
-/// One unit of window work: a device shard (or the DRAM tier) to sweep.
-/// Built fresh per window from exclusive borrows; the raw pointer is
-/// only dereferenced by the single worker that owns `ix` for the window.
-pub(crate) struct SweepUnit {
-    shard: *mut Shard,
-    ix: Ix,
-}
-
-// SAFETY: disjoint shards, one owner per window (workers partition the
-// unit list by index), and `WorkerPool::run` joins the window before the
-// borrows the pointers came from end.
-unsafe impl Send for SweepUnit {}
-unsafe impl Sync for SweepUnit {}
-
-impl SweepUnit {
-    /// The unit's shard pointer and identity, for the worker loop.
-    pub(crate) fn parts(&self) -> (*mut Shard, Ix) {
-        (self.shard, self.ix)
-    }
-}
-
-/// Advances one shard through every internal event before `ctx.w_end`:
-/// at each such instant it harvests finished operators (breaker applied
-/// shard-locally, in completion order) and dispatches while capacity
-/// allows — exactly the per-tick work the sequential stepper would do,
-/// minus every fold into shared runtime state, which is deferred into
-/// the shard's [`SweepOut`] for the canonical post-window merge. Runs on
-/// worker threads.
-pub(crate) fn sweep_unit(s: &mut Shard, ix: Ix, ctx: &SweepCtx) {
-    let tables = unsafe { std::slice::from_raw_parts(ctx.tables, ctx.n_tables) };
-    while let Some(t) = s.sys.next_event_time() {
-        if t >= ctx.w_end {
-            break;
-        }
-        s.sys.run_until(t);
-        let mut out = std::mem::take(&mut s.sweep.harvested);
-        let start = out.len();
-        collect_harvest(s, &mut out);
-        if matches!(ix, Ix::Dev(_)) {
-            for (_, r) in &out[start..] {
-                if s.breaker
-                    .record(r.finished, r.error.is_some(), &ctx.fault_policy)
-                {
-                    s.sweep.breaker_trips += 1;
-                }
-            }
-        }
-        s.sweep.harvested = out;
-        while s.inflight.len() < ctx.depth && !s.queue.is_empty() {
-            let n_subs = dispatch_on(s, ix, t, tables, ctx.policy);
-            s.sweep.ops_dispatched += 1;
-            s.sweep.subs_dispatched += n_subs;
         }
     }
 }
@@ -2622,16 +2190,16 @@ fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
 /// queued mergeable sub-batch up to the output cap) into one device
 /// operator and submits it — without draining the shard, so multiple
 /// operators pipeline on the device. Returns the number of merged
-/// sub-batches; the caller accounts the dispatch counters (directly in
-/// sequential mode, deferred via [`SweepOut`] in a sweep). Touches only
-/// the shard plus the read-only table state, so it is safe on a worker
-/// thread; trace spans go through the shard's own host-track tracer.
+/// sub-batches; the caller accounts the dispatch counters. A free
+/// function so the caller can hold the shard mutably beside the
+/// read-only table state and the host-track tracer.
 fn dispatch_on(
     s: &mut Shard,
     ix: Ix,
     now: SimTime,
     tables: &[ServedTable],
     policy: SchedulePolicy,
+    tracer: &Tracer,
 ) -> u64 {
     // Select sub-batches: FIFO takes the head; micro-batching drains
     // every queued sub-batch mergeable with the head (in order) up to
@@ -2696,20 +2264,16 @@ fn dispatch_on(
     // caller) and leave it in flight; completions are harvested by
     // later shard syncs.
     let n_subs = taken.len() as u64;
-    if s.host_tracer.enabled() {
+    if tracer.enabled() {
         // Queue-wait of each merged component, child of its sub span;
         // the device operator itself parents under the head sub. The
         // `shard` argument carries the resource pid so offline analysis
         // can tie a sub-batch to the shard that served it even when
         // micro-batching parents the op under a different request.
-        let res_pid = match ix {
-            Ix::Dev(i) => i as u64 + 1,
-            Ix::Tier => track::PID_TIER as u64,
-        };
+        let res_pid = u64::from(ix.pid());
         for sub in &taken {
             if sub.span.is_some() {
-                s.host_tracer
-                    .span_arg("sub:wait", sub.enqueued, now, sub.span, "shard", res_pid);
+                tracer.span_arg("sub:wait", sub.enqueued, now, sub.span, "shard", res_pid);
             }
         }
     }

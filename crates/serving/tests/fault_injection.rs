@@ -421,3 +421,137 @@ fn deadline_serves_partial_results_on_time() {
     assert_eq!(rt.stats().degraded.get(), 4);
     assert_eq!(rt.stats().breaker_trips.get(), 0, "slowdown is not error");
 }
+
+/// FNV-1a over a byte stream, fed field by field.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// The run the retired cross-mode determinism suite compared between its
+/// steppers — mixed paths, 4 shards at depth 2, micro-batched, traced,
+/// 1 % transient read errors under the default recovery policy — pinned
+/// to FNV-1a goldens recorded from the sequential stepper of the last
+/// commit that still had a second one. Four digests: the completion
+/// stream in delivery order (id, finish, queue, service, output bits,
+/// missing lookups), the whole metrics registry, the end-of-run
+/// telemetry (per-shard occupancy and channel utilisation, tier
+/// occupancy, as raw bits) and the span *multiset* with ids factored
+/// out: each span as (name, start, end, pid, tid, argument, label) plus
+/// its parent's (name, start, end), sorted. Span ids are allocation
+/// order, not behaviour; everything else about the run is held here.
+#[test]
+fn pinned_mixed_path_run_matches_the_recorded_goldens() {
+    const GOLDEN_ROWS: u64 = 600;
+    let cfg = ServingConfig::small_wide(4, SchedulePolicy::micro_batch(8)).with_depth(2);
+    let mut rt = ServingRuntime::new(&cfg);
+    rt.enable_tracing();
+    let t = rt.add_table(EmbeddingTable::procedural(
+        TableSpec::new(GOLDEN_ROWS, 12, Quantization::F32),
+        9,
+    ));
+    let mut fc = FaultConfig::quiet(0x5EED);
+    fc.transient_read_error_rate = 0.01;
+    rt.inject_faults(&fc);
+    rt.set_fault_policy(FaultPolicy::default());
+    let mut rng = Xoshiro256::seed_from(0xD15C);
+    let ps = paths();
+    for i in 0..36u64 {
+        let batch = LookupBatch::new(
+            (0..3)
+                .map(|_| (0..6).map(|_| rng.gen_range(0..GOLDEN_ROWS)).collect())
+                .collect(),
+        );
+        rt.submit_at(
+            SimTime::from_us(i * 3),
+            i,
+            t,
+            batch,
+            ps[i as usize % ps.len()],
+        );
+    }
+
+    let mut completions = Fnv::new();
+    let done = rt.run_until_idle();
+    assert_eq!(done.len(), 36);
+    for d in &done {
+        completions.u64(d.id.0);
+        completions.u64(d.finish.as_ns());
+        completions.u64(d.queue.as_ns());
+        completions.u64(d.service.as_ns());
+        for v in d.outputs.as_slice() {
+            completions.u64(u64::from(v.to_bits()));
+        }
+        completions.u64(d.missing_lookups);
+    }
+
+    let mut metrics = Fnv::new();
+    for sample in rt.metrics_snapshot() {
+        metrics.str(&format!("{sample:?}"));
+    }
+
+    let mut telemetry = Fnv::new();
+    for v in rt.shard_occupancy() {
+        telemetry.u64(v.to_bits());
+    }
+    for v in rt.channel_utilisation() {
+        telemetry.u64(v.to_bits());
+    }
+    telemetry.u64(rt.tier_occupancy().to_bits());
+
+    let trace = rt.take_trace();
+    let by_id: std::collections::HashMap<u64, usize> =
+        trace.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    assert_eq!(by_id.len(), trace.len(), "span ids must be unique");
+    let mut keyed: Vec<String> = trace
+        .iter()
+        .map(|s| {
+            let parent = match s.parent {
+                0 => "root".to_string(),
+                p => {
+                    let p = &trace[by_id[&p]];
+                    format!("{}@{}..{}", p.name, p.start_ns, p.end_ns)
+                }
+            };
+            format!(
+                "{}@{}..{} pid={} tid={} {}={} [{}] <- {parent}",
+                s.name, s.start_ns, s.end_ns, s.pid, s.tid, s.arg_key, s.arg_val, s.label
+            )
+        })
+        .collect();
+    keyed.sort_unstable();
+    let mut spans = Fnv::new();
+    for k in &keyed {
+        spans.str(k);
+    }
+
+    assert_eq!(
+        (completions.0, metrics.0, telemetry.0, keyed.len(), spans.0),
+        (
+            0xF0F8_D3F1_7274_FD3B,
+            0x4A54_31F6_C0BE_46DE,
+            0xEC25_F8D9_CF2A_2457,
+            1755,
+            0x7D94_DDD0_530B_5DA0,
+        ),
+        "the pinned run moved: a change to the runtime altered simulated behaviour"
+    );
+}

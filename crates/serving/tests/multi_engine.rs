@@ -1,6 +1,6 @@
 //! Multi-engine in-SSD compute correctness contract: enabling a
 //! per-channel engine pool is a pure *timing* change. For **any** pool
-//! size, merge placement, scheduling policy, and execution backend, the
+//! size, merge placement and scheduling policy, the
 //! NDP path's outputs stay bit-identical to `sls_reference` — the
 //! transparent-splitter guarantee that lets the engines ship with no
 //! host-visible API change.
@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use recssd::{EnginePoolConfig, LookupBatch, MergePlacement, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, PageLayout, Quantization, TableSpec};
-use recssd_serving::{ExecMode, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath};
+use recssd_serving::{SchedulePolicy, ServingConfig, ServingRuntime, SlsPath};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::SimTime;
 
@@ -31,13 +31,11 @@ fn batch_of(rng: &mut Xoshiro256, rows: u64, outputs: usize, lookups: usize) -> 
 fn run_ndp(
     shards: usize,
     policy: SchedulePolicy,
-    exec: ExecMode,
     engines: Option<EnginePoolConfig>,
     table: &EmbeddingTable,
     batches: &[LookupBatch],
 ) -> Vec<Vec<Vec<f32>>> {
     let mut cfg = ServingConfig::small_wide(shards, policy);
-    cfg.exec = exec;
     cfg.system.ssd.ftl.engines = engines;
     let mut rt = ServingRuntime::new(&cfg);
     let t = rt.add_table(table.clone());
@@ -93,59 +91,17 @@ proptest! {
             merge,
         };
         for policy in [SchedulePolicy::Fifo, SchedulePolicy::micro_batch(8)] {
-            let pooled = run_ndp(
-                shards, policy, ExecMode::Sequential, Some(pool), &table, &batches,
-            );
+            let pooled = run_ndp(shards, policy, Some(pool), &table, &batches);
             prop_assert_eq!(
                 &pooled, &reference,
                 "{} engines ({:?} merge) diverged from sls_reference", engines, merge
             );
-            let serial = run_ndp(
-                shards, policy, ExecMode::Sequential, None, &table, &batches,
-            );
+            let serial = run_ndp(shards, policy, None, &table, &batches);
             prop_assert_eq!(
                 &pooled, &serial,
                 "{} engines: pooled output != serial fw-core output", engines
             );
         }
-    }
-}
-
-/// Parallel shard stepping with engines enabled stays deterministic and
-/// bit-identical to the sequential reference stepper: engine completion
-/// tags are ordered the same way regardless of worker count.
-#[test]
-fn parallel_stepping_with_engines_matches_sequential() {
-    let rows = 300u64;
-    let table = EmbeddingTable::procedural(TableSpec::new(rows, 12, Quantization::F32), 7);
-    let mut rng = Xoshiro256::seed_from(0xE17);
-    let batches: Vec<LookupBatch> = (0..6).map(|_| batch_of(&mut rng, rows, 3, 6)).collect();
-    let pool = EnginePoolConfig {
-        engines: 8,
-        rate_pct: 100,
-        merge: MergePlacement::FwCore,
-    };
-    let sequential = run_ndp(
-        4,
-        SchedulePolicy::Fifo,
-        ExecMode::Sequential,
-        Some(pool),
-        &table,
-        &batches,
-    );
-    for workers in [1, 2, 4] {
-        let parallel = run_ndp(
-            4,
-            SchedulePolicy::Fifo,
-            ExecMode::Parallel(workers),
-            Some(pool),
-            &table,
-            &batches,
-        );
-        assert_eq!(
-            parallel, sequential,
-            "Parallel({workers}) diverged from the sequential stepper with engines enabled"
-        );
     }
 }
 

@@ -16,9 +16,9 @@
 use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_serving::{
-    chrome_trace_json, validate_spans, AdaptivePolicy, EnginePoolConfig, ExecMode, FaultPolicy,
-    LoadGen, LoadMode, MergePlacement, MetricValue, SchedulePolicy, ServingConfig, ServingRuntime,
-    SlsPath, TrafficSpec,
+    chrome_trace_json, validate_spans, AdaptivePolicy, EnginePoolConfig, FaultPolicy, LoadGen,
+    LoadMode, MergePlacement, MetricValue, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath,
+    TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
@@ -368,11 +368,8 @@ fn attribution_reports_each_served_path() {
 
 /// Mixed-path run with the analysis APIs exercised both mid-stream and
 /// after the drain; returns everything a bit-exact comparison needs.
-fn run_mixed_analyzed(exec: Option<ExecMode>) -> (Vec<Snap>, Vec<String>, String) {
-    let mut cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
-    if let Some(e) = exec {
-        cfg = cfg.with_exec(e);
-    }
+fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, String) {
+    let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
     let mut rt = ServingRuntime::new(&cfg);
     rt.enable_tracing();
     let t = rt.add_table(table(5));
@@ -415,7 +412,7 @@ fn run_mixed_analyzed(exec: Option<ExecMode>) -> (Vec<Snap>, Vec<String>, String
 #[test]
 fn analysis_is_a_pure_observer() {
     let (mut rt_plain, snaps_plain) = run_mixed(true, false);
-    let (snaps_analyzed, _, trace_analyzed) = run_mixed_analyzed(None);
+    let (snaps_analyzed, _, trace_analyzed) = run_mixed_analyzed();
     assert_eq!(snaps_plain, snaps_analyzed, "analysis perturbed results");
     let trace_plain = chrome_trace_json(&rt_plain.take_trace());
     assert_eq!(
@@ -424,20 +421,20 @@ fn analysis_is_a_pure_observer() {
     );
 }
 
-/// Tentpole: reports are bit-identical across execution modes — the
-/// sequential stepper and the parallel sweeper feed the analysis the
-/// same canonical trace, so every rendered report and JSONL series
-/// matches byte for byte.
+/// Tentpole: reports replay — two runs of the same workload feed the
+/// analysis the same canonical trace, so every rendered report and JSONL
+/// series matches byte for byte (the extractors' hash maps must never
+/// leak their iteration order into the output).
 #[test]
-fn analysis_reports_identical_sequential_vs_parallel() {
-    let (snaps_seq, reports_seq, trace_seq) = run_mixed_analyzed(Some(ExecMode::Sequential));
-    let (snaps_par, reports_par, trace_par) = run_mixed_analyzed(Some(ExecMode::Parallel(2)));
-    assert_eq!(snaps_seq, snaps_par, "results diverged across exec modes");
-    assert_eq!(trace_seq, trace_par, "traces diverged across exec modes");
-    assert_eq!(reports_seq.len(), reports_par.len());
-    for (a, b) in reports_seq.iter().zip(&reports_par) {
-        assert_eq!(a, b, "analysis reports diverged across exec modes");
-    }
+fn analysis_reports_replay_identically() {
+    let (snaps_a, reports_a, trace_a) = run_mixed_analyzed();
+    let (snaps_b, reports_b, trace_b) = run_mixed_analyzed();
+    assert_eq!(snaps_a, snaps_b, "results diverged between replays");
+    assert_eq!(trace_a, trace_b, "traces diverged between replays");
+    assert_eq!(
+        reports_a, reports_b,
+        "analysis reports diverged between replays"
+    );
 }
 
 /// Tentpole: the phase decomposition explains ≥ 95 % of e2e latency on
@@ -519,61 +516,6 @@ fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
     assert!(pooled.critical_path_report().min_conservation >= 0.95);
 }
 
-/// Satellite: per-worker wall profiles under `Parallel(n)` sum
-/// coherently — every worker saw the same number of sweep windows, its
-/// advance/barrier split is sane, and no worker's accounted time
-/// exceeds the loop's own device-step wall time (with slack for timer
-/// noise).
-#[test]
-fn wall_profile_parallel_workers_sum_coherently() {
-    let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8))
-        .with_depth(2)
-        .with_exec(ExecMode::Parallel(2));
-    let mut rt = ServingRuntime::new(&cfg);
-    rt.enable_self_profiling();
-    let t = rt.add_table(table(5));
-    let ps = paths();
-    for (i, b) in batches(13, 30).iter().enumerate() {
-        rt.submit_at(
-            SimTime::from_us(i as u64),
-            i as u64,
-            t,
-            b.clone(),
-            ps[i % ps.len()],
-        );
-    }
-    rt.run_until_idle();
-    let workers = rt.worker_profiles();
-    if !matches!(rt.exec_mode(), ExecMode::Parallel(_)) {
-        // RECSSD_FORCE_EXEC=sequential demotes the run; nothing to check.
-        assert!(workers.is_empty());
-        return;
-    }
-    assert!(!workers.is_empty(), "parallel run reported no workers");
-    let windows = workers[0].windows;
-    assert!(windows > 0, "no sweep windows profiled");
-    for w in &workers {
-        assert_eq!(w.windows, windows, "workers disagree on window count");
-        assert!(w.advance_ns + w.barrier_ns > 0, "worker did no work");
-        let u = w.utilization();
-        assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
-    }
-    let dev = rt
-        .wall_profile()
-        .into_iter()
-        .find(|p| p.phase == "device_step")
-        .expect("device_step phase");
-    assert!(dev.nanos > 0);
-    for w in &workers {
-        assert!(
-            w.advance_ns + w.barrier_ns <= dev.nanos.saturating_mul(2),
-            "worker accounted more than the whole loop: {} > {}",
-            w.advance_ns + w.barrier_ns,
-            dev.nanos
-        );
-    }
-}
-
 /// Wall-clock self-profiling is off (all-zero) by default and
 /// accumulates into every phase once enabled.
 #[test]
@@ -585,6 +527,16 @@ fn wall_profile_is_opt_in_and_covers_the_loop() {
             .all(|p| p.nanos == 0 && p.count == 0),
         "profiling must be off by default"
     );
+    let prof = self_profiled_ndp_run().wall_profile();
+    for p in &prof {
+        assert!(p.count > 0, "phase '{}' never sampled", p.phase);
+    }
+    let dev = prof.iter().find(|p| p.phase == "device_step").unwrap();
+    assert!(dev.nanos > 0, "device stepping took no wall time?");
+}
+
+/// Twelve NDP requests run to idle with self-profiling on.
+fn self_profiled_ndp_run() -> ServingRuntime {
     let cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo).with_depth(2);
     let mut rt = ServingRuntime::new(&cfg);
     rt.enable_self_profiling();
@@ -599,10 +551,22 @@ fn wall_profile_is_opt_in_and_covers_the_loop() {
         );
     }
     rt.run_until_idle();
-    let prof = rt.wall_profile();
-    for p in &prof {
-        assert!(p.count > 0, "phase '{}' never sampled", p.phase);
+    rt
+}
+
+/// `reset_stats` between warm-up and measurement restarts the wall
+/// self-profile too: every phase reads zero afterwards, so the per-phase
+/// shares a benchmark derives cover the measured section only.
+#[test]
+fn reset_stats_restarts_the_wall_profile() {
+    let mut rt = self_profiled_ndp_run();
+    rt.reset_stats();
+    for p in rt.wall_profile() {
+        assert_eq!(
+            (p.nanos, p.count),
+            (0, 0),
+            "phase '{}' kept its warm-up time",
+            p.phase
+        );
     }
-    let dev = prof.iter().find(|p| p.phase == "device_step").unwrap();
-    assert!(dev.nanos > 0, "device stepping took no wall time?");
 }

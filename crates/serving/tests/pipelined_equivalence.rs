@@ -13,8 +13,7 @@ use proptest::prelude::*;
 use recssd::{LookupBatch, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, Quantization, TableSpec};
 use recssd_serving::{
-    ExecMode, LoadGen, LoadMode, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath,
-    TrafficSpec,
+    LoadGen, LoadMode, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
@@ -207,107 +206,4 @@ fn heat_packed_baseline_gains_from_queue_depth() {
         packed_d4 > tput(false, 4),
         "packing must raise pipelined baseline throughput"
     );
-}
-
-/// One run's full observable surface under an explicit [`ExecMode`]:
-/// the delivered completion stream *in delivery order* with every
-/// timing field, plus the end-of-run telemetry a `LoadReport`
-/// publishes (occupancy and channel utilisation, compared as raw bits).
-#[allow(clippy::type_complexity)]
-fn run_digest(
-    shards: usize,
-    depth: usize,
-    policy: SchedulePolicy,
-    exec: ExecMode,
-    table: &EmbeddingTable,
-    batches: &[(LookupBatch, u64)],
-    path: SlsPath,
-) -> (
-    Vec<(u64, u64, u64, u64, u64, Vec<Vec<f32>>, u64)>,
-    Vec<u64>,
-    Vec<u64>,
-) {
-    let cfg = ServingConfig::small_wide(shards, policy)
-        .with_depth(depth)
-        .with_exec(exec);
-    let mut rt = ServingRuntime::new(&cfg);
-    let t = rt.add_table(table.clone());
-    for (i, (b, offset_us)) in batches.iter().enumerate() {
-        rt.submit_at(SimTime::from_us(*offset_us), i as u64, t, b.clone(), path);
-    }
-    let stream = rt
-        .run_until_idle()
-        .iter()
-        .map(|d| {
-            (
-                d.id.0,
-                d.arrival.as_ns(),
-                d.finish.as_ns(),
-                d.queue.as_ns(),
-                d.service.as_ns(),
-                d.outputs.to_nested(),
-                d.missing_lookups,
-            )
-        })
-        .collect();
-    let occ = rt.shard_occupancy().iter().map(|v| v.to_bits()).collect();
-    let chan = rt
-        .channel_utilisation()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    (stream, occ, chan)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The parallel-stepper tentpole contract: a conservative windowed
-    /// run on `workers` threads delivers the *same completion stream*
-    /// (same order, same nanosecond timings, same bits) and the same
-    /// end-of-run telemetry as the sequential stepper — every backend,
-    /// both scheduling policies, randomized thread counts. (Under a
-    /// `RECSSD_FORCE_EXEC` override both runs share the forced mode;
-    /// the default test run exercises the real boundary.)
-    #[test]
-    fn parallel_stepper_bit_matches_sequential(
-        rows in 16u64..300,
-        dim in 1usize..20,
-        shards in 1usize..6,
-        depth in 1usize..5,
-        workers in 1usize..9,
-        outputs in 1usize..4,
-        lookups in 1usize..8,
-        n_batches in 2usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let shards = shards.min(rows as usize);
-        let table = EmbeddingTable::procedural(
-            TableSpec::new(rows, dim, Quantization::F32),
-            seed,
-        );
-        let mut rng = Xoshiro256::seed_from(seed ^ 0xBA11AD);
-        let batches: Vec<(LookupBatch, u64)> = (0..n_batches)
-            .map(|_| {
-                let b = batch_of(&mut rng, rows, outputs, lookups);
-                (b, rng.gen_range(0..200))
-            })
-            .collect();
-
-        for path in paths() {
-            for policy in [SchedulePolicy::Fifo, SchedulePolicy::micro_batch(8)] {
-                let seq = run_digest(
-                    shards, depth, policy, ExecMode::Sequential, &table, &batches, path,
-                );
-                let par = run_digest(
-                    shards, depth, policy, ExecMode::Parallel(workers), &table, &batches, path,
-                );
-                prop_assert_eq!(
-                    &par, &seq,
-                    "{} path, {} policy, {} workers: parallel run diverged from sequential",
-                    path.name(), policy.name(), workers
-                );
-            }
-        }
-    }
 }

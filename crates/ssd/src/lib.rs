@@ -40,6 +40,7 @@
 //! SLS offload. The default engine ([`NoNdp`]) fails such commands with
 //! `InvalidField`, which is exactly how a COTS drive behaves.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

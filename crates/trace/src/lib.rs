@@ -26,6 +26,7 @@
 //! * [`analysis`] — reuse CDFs by page granularity (Fig. 3) and N-way LRU
 //!   page-cache hit-rate sweeps (Fig. 4).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

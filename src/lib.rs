@@ -21,6 +21,7 @@
 //! assert_eq!(sys.result(op).outputs.as_ref().unwrap().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use recssd;
