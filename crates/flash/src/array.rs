@@ -20,7 +20,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use recssd_sim::stats::{Counter, Histogram};
+use recssd_sim::stats::{Counter, LogHistogram};
 use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
@@ -185,7 +185,7 @@ pub struct FlashStats {
     /// Completed block erases.
     pub erases: Counter,
     /// End-to-end operation latency in nanoseconds.
-    pub op_latency: Histogram,
+    pub op_latency: LogHistogram,
     /// Accumulated bus-busy time per channel.
     pub channel_busy: Vec<SimDuration>,
 }
@@ -1269,11 +1269,39 @@ mod tests {
                 },
             },
         );
-        drain(&mut flash, &mut q);
+        let mut done = drain(&mut flash, &mut q);
         assert_eq!(flash.stats().reads.get(), 1);
         assert_eq!(flash.stats().programs.get(), 1);
         assert_eq!(flash.stats().op_latency.count(), 2);
         assert!(flash.stats().channel_busy[0] > SimDuration::ZERO);
         assert!(flash.stats().channel_busy[1] > SimDuration::ZERO);
+
+        // The latency recorder resolves a p99 to a 1/32 sub-bucket, not a
+        // power of two: 150 more unqueued reads put the p99 at one read's
+        // latency (~156 us), far from both the next power-of-two edge
+        // (262 us) and the slow program that holds the max.
+        for i in 0..150 {
+            let ppa = Ppa {
+                channel: 1,
+                die: 0,
+                block: 1 + i / 16,
+                page: i % 16,
+            };
+            submit(&mut flash, &mut q, FlashOp::Read { ppa });
+            done.extend(drain(&mut flash, &mut q));
+        }
+        let mut lat: Vec<u64> = done
+            .iter()
+            .map(|(t, c)| t.saturating_since(c.submitted_at).as_ns())
+            .collect();
+        lat.sort_unstable();
+        let exact = lat[(lat.len() * 99).div_ceil(100) - 1];
+        assert!(exact + exact / 32 < exact.next_power_of_two() - 1);
+        assert!(exact.next_power_of_two() - 1 < *lat.last().unwrap());
+        let p99 = flash.stats().op_latency.percentile(99.0).unwrap();
+        assert!(
+            (exact..=exact + exact / 32).contains(&p99),
+            "p99 {p99} vs exact {exact}"
+        );
     }
 }

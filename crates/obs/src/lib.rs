@@ -1,6 +1,6 @@
 //! Observability for the RecSSD stack.
 //!
-//! Three orthogonal facilities, all designed around the discrete-event
+//! Two orthogonal facilities, both designed around the discrete-event
 //! simulator's virtual clock:
 //!
 //! * [`trace`] — causally-linked **sim-time spans** (request → sub-batch →
@@ -9,11 +9,6 @@
 //!   inline `None` check, no allocation, no time perturbation, so a
 //!   disabled-tracing run is bit-identical to an untraced build (the
 //!   alloc-free guards in `crates/core` enforce the "no allocation" half).
-//! * [`registry`] — a **unified metrics registry**: counters, gauges,
-//!   histograms and hit-ratio stats registered by name with labels, backed
-//!   by shared handles so the serving telemetry, fault counters and cache
-//!   stats all feed one source of truth with one registry-wide reset and
-//!   one JSONL snapshot path.
 //! * [`profile`] — **wall-clock self-profiling** of the simulator itself
 //!   (event dispatch vs device stepping vs harvest/accumulate).
 //!
@@ -39,7 +34,6 @@
 pub mod analysis;
 pub mod chrome;
 pub mod profile;
-pub mod registry;
 pub mod timeline;
 pub mod trace;
 
@@ -51,6 +45,5 @@ pub use chrome::{
     chrome_trace_json, coverage_report, validate_spans, CoverageGap, RequestCoverage, TraceCheck,
 };
 pub use profile::{WallPhase, WallPhaseReport, WallProfile};
-pub use registry::{CounterH, GaugeH, HistH, HitsH, MetricValue, MetricsRegistry};
 pub use timeline::{utilization_timelines, ResourceKind, UtilWindow, UtilizationTimeline};
 pub use trace::{SpanId, SpanRec, TraceSink, Tracer};

@@ -136,8 +136,8 @@ impl UtilizationTimeline {
         (self.occupancy() - lam_w).abs()
     }
 
-    /// Windowed JSONL series in the registry snapshot style: one line
-    /// per window, deterministic field order and float formatting.
+    /// Windowed JSONL series: one line per window, deterministic field
+    /// order and float formatting.
     pub fn snapshot_jsonl(&self) -> String {
         let mut out = String::new();
         for (i, w) in self.windows.iter().enumerate() {

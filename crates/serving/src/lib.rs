@@ -128,7 +128,7 @@ pub use recssd::{EnginePoolConfig, MergePlacement};
 pub use recssd_obs::{
     bottleneck_report, chrome_trace_json, coverage_report, critical_path_report,
     request_critical_paths, utilization_timelines, validate_spans, BottleneckReport, CoverageGap,
-    CriticalPathReport, MetricValue, PathHeadroom, PathProfile, Phase, RequestCoverage,
-    RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
-    UtilizationTimeline, WallPhase, WallPhaseReport,
+    CriticalPathReport, PathHeadroom, PathProfile, Phase, RequestCoverage, RequestProfile,
+    ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow, UtilizationTimeline, WallPhase,
+    WallPhaseReport,
 };

@@ -41,9 +41,7 @@ use recssd::{
 use recssd_embedding::{sls_reference_into, EmbeddingTable, PageLayout, TableImage};
 use recssd_obs::profile::WallPhaseReport;
 use recssd_obs::trace::track;
-use recssd_obs::{
-    MetricValue, MetricsRegistry, SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile,
-};
+use recssd_obs::{SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile};
 use recssd_placement::TablePlacement;
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::HitStats;
@@ -591,10 +589,10 @@ struct ServedTable {
 }
 
 /// Configuration of the runtime's *online adaptation loop*: feed every
-/// admitted request into a decayed [`FreqProfiler`], and every
-/// `epoch_requests` admissions rebuild the placement under a global DRAM
-/// budget split by marginal hit rate, refreshing any table whose hot set
-/// moved by at least `min_delta_rows`.
+/// admitted request into a decayed [`recssd_placement::FreqProfiler`],
+/// and every `epoch_requests` admissions rebuild the placement under a
+/// global DRAM budget split by marginal hit rate, refreshing any table
+/// whose hot set moved by at least `min_delta_rows`.
 #[derive(Debug, Clone)]
 pub struct AdaptivePolicy {
     /// Admissions between re-planning passes.
@@ -613,7 +611,7 @@ pub struct AdaptivePolicy {
     pub min_hit_gain: f64,
 }
 
-/// The sharded serving runtime. See the [module docs](self) for the
+/// The sharded serving runtime. See the [crate docs](crate) for the
 /// architecture.
 #[derive(Debug)]
 pub struct ServingRuntime {
@@ -656,9 +654,6 @@ pub struct ServingRuntime {
     /// sequence number carried in [`Ev::Retry`].
     retry_park: FxHashMap<u64, (Ix, SubBatch)>,
     next_retry: u64,
-    /// The unified metrics registry behind [`ServingStats`] (and any
-    /// future per-shard metrics): one reset, one snapshot surface.
-    registry: MetricsRegistry,
     /// The span sink every layer's tracer writes into (`None` until
     /// [`ServingRuntime::enable_tracing`]).
     sink: Option<TraceSink>,
@@ -667,10 +662,6 @@ pub struct ServingRuntime {
     tracer: Tracer,
     /// Wall-clock self-profile of the simulator loop (off by default).
     wall: WallProfile,
-    /// Accumulated per-epoch JSONL metric snapshots.
-    epoch_log: String,
-    /// Whether adaptive epochs append to `epoch_log`.
-    log_epochs: bool,
 }
 
 impl ServingRuntime {
@@ -683,8 +674,6 @@ impl ServingRuntime {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.depth > 0, "queue depth must be at least 1");
         let shards = (0..cfg.shards).map(|_| Shard::new(&cfg.system)).collect();
-        let mut registry = MetricsRegistry::new();
-        let stats = ServingStats::registered(&mut registry);
         ServingRuntime {
             policy: cfg.policy,
             depth: cfg.depth,
@@ -700,19 +689,16 @@ impl ServingRuntime {
             adaptive: None,
             next_req: 0,
             completed: VecDeque::new(),
-            stats,
+            stats: ServingStats::default(),
             out_pool: Vec::new(),
             ref_scratch: Vec::new(),
             harvest_scratch: Vec::new(),
             fault_policy: FaultPolicy::default(),
             retry_park: FxHashMap::default(),
             next_retry: 0,
-            registry,
             sink: None,
             tracer: Tracer::disabled(),
             wall: WallProfile::new(),
-            epoch_log: String::new(),
-            log_epochs: false,
         }
     }
 
@@ -733,11 +719,6 @@ impl ServingRuntime {
         if let Some(tier) = self.tier.as_mut() {
             tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
         }
-    }
-
-    /// `true` while span tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Drains every span recorded since the last call (empty when tracing
@@ -807,25 +788,6 @@ impl ServingRuntime {
         self.wall.report()
     }
 
-    /// Makes every adaptive epoch append one JSONL metrics snapshot to
-    /// the epoch log ([`ServingRuntime::take_epoch_log`]).
-    pub fn enable_epoch_log(&mut self) {
-        self.log_epochs = true;
-    }
-
-    /// Drains the accumulated per-epoch JSONL metric snapshots (one
-    /// `{"epoch":…,"sim_ns":…,"metrics":{…}}` object per line).
-    pub fn take_epoch_log(&mut self) -> String {
-        std::mem::take(&mut self.epoch_log)
-    }
-
-    /// Current value of every registered metric, keyed `name{k=v,…}` —
-    /// the audit surface for registry-wide resets and the bench's
-    /// one-source-of-truth export.
-    pub fn metrics_snapshot(&self) -> Vec<(String, MetricValue)> {
-        self.registry.samples()
-    }
-
     /// Per-path latency attribution (queue/service/e2e quantiles for
     /// each serving path that completed at least one request).
     pub fn attribution(&self) -> Vec<PathAttribution> {
@@ -854,15 +816,14 @@ impl ServingRuntime {
     }
 
     /// Resets every statistic in the stack (between warm-up and
-    /// measurement): one registry-wide reset covers all serving metrics,
-    /// then each shard cascades down through host, device, firmware, FTL
+    /// measurement): the serving statistics return to their default, then
+    /// each shard cascades down through host, device, firmware, FTL
     /// cache, flash and fault-injection counters (fault *schedules* and
     /// RNG state are untouched — injection timing stays replayable), and
     /// the per-shard occupancy and channel-utilisation windows re-base at
     /// the current instant. The wall-clock self-profile restarts too.
     pub fn reset_stats(&mut self) {
-        self.registry.reset_all();
-        self.stats.reset_window();
+        self.stats.reset();
         self.wall.reset();
         let now = self.events.now();
         for s in self.shards.iter_mut().chain(self.tier.as_mut()) {
@@ -972,11 +933,6 @@ impl ServingRuntime {
     /// injected.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.fault_policy = policy;
-    }
-
-    /// The active recovery policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
     }
 
     /// Per-shard injected-fault totals (`None` for shards without an
@@ -1466,7 +1422,8 @@ impl ServingRuntime {
     }
 
     /// Turns on the online adaptation loop over every table registered so
-    /// far: each admitted request feeds a decayed [`FreqProfiler`], and
+    /// far: each admitted request feeds a decayed
+    /// [`recssd_placement::FreqProfiler`], and
     /// every [`AdaptivePolicy::epoch_requests`] admissions the runtime
     /// rebuilds the placement under the policy's global DRAM budget
     /// (split by marginal hit rate) and live-refreshes any table whose
@@ -1566,11 +1523,6 @@ impl ServingRuntime {
             if cfg!(test) {
                 fold_decision(&mut ad.decisions, budget, &ad.cand, refreshed);
             }
-        }
-        if self.log_epochs {
-            let line = self.registry.snapshot_jsonl(ad.epochs, self.events.now());
-            self.epoch_log.push_str(&line);
-            self.epoch_log.push('\n');
         }
     }
 

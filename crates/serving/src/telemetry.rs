@@ -1,16 +1,10 @@
 //! Per-request latency telemetry of the serving runtime.
 //!
-//! Every metric here is a shared handle into the runtime's unified
-//! [`MetricsRegistry`] (see `recssd_obs::registry`): the hot path mutates
-//! the handles directly, while the registry provides the single source of
-//! truth behind `LoadReport`, the bench JSON, per-epoch JSONL snapshots
-//! and the one registry-wide reset. A [`ServingStats`] built with
-//! [`ServingStats::default`] is *unregistered* (handles exist but no
-//! registry lists them) — the runtime always builds its stats through
-//! [`ServingStats::registered`].
+//! [`ServingStats`] is a plain struct of [`recssd_sim::stats`] values —
+//! the vocabulary every device layer uses — so two runs' statistics
+//! compare with `==` and a reset one equals [`ServingStats::default`].
 
-use recssd_obs::{CounterH, HistH, HitsH, MetricsRegistry};
-use recssd_sim::stats::Quantiles;
+use recssd_sim::stats::{Counter, HitStats, LogHistogram, Quantiles};
 use recssd_sim::{SimDuration, SimTime};
 
 use crate::SlsPath;
@@ -50,117 +44,69 @@ pub struct PathAttribution {
 /// last shard finished), each recorded into an HDR-style histogram so
 /// p50/p95/p99/p999 are reportable per run — globally and per serving
 /// path ([`ServingStats::attribution`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ServingStats {
     /// Arrival → first shard begins serving the request.
-    pub queue: HistH,
+    pub queue: LogHistogram,
     /// First service start → last shard partial merged.
-    pub service: HistH,
+    pub service: LogHistogram,
     /// Arrival → completion (queue + service).
-    pub e2e: HistH,
+    pub e2e: LogHistogram,
     /// Requests completed.
-    pub requests: CounterH,
+    pub requests: Counter,
     /// Embedding lookups completed.
-    pub lookups: CounterH,
+    pub lookups: Counter,
     /// Device operators dispatched (merged sub-batches count once).
-    pub ops_dispatched: CounterH,
+    pub ops_dispatched: Counter,
     /// Sub-batches dispatched (`/ ops_dispatched` = mean batching factor).
-    pub subs_dispatched: CounterH,
+    pub subs_dispatched: Counter,
     /// Placement routing of lookups on *placed* tables: a hit is a lookup
     /// served by the host DRAM tier, a miss goes to a device shard.
     /// Unplaced tables never touch these counters.
-    pub tier: HitsH,
+    pub tier: HitStats,
     /// Service time of DRAM-tier operators (start → finish, per operator).
-    pub tier_service: HistH,
+    pub tier_service: LogHistogram,
     /// Service time of device-shard operators (start → finish, per
     /// operator) — the NDP/baseline/DRAM-path half of the per-tier
     /// latency split.
-    pub device_service: HistH,
+    pub device_service: LogHistogram,
     /// Placement-plan refreshes *activated* (a refresh counts once its
     /// migration work has drained and new admissions route under it).
-    pub plan_refreshes: CounterH,
+    pub plan_refreshes: Counter,
     /// Rows promoted into the DRAM tier across activated refreshes.
-    pub rows_promoted: CounterH,
+    pub rows_promoted: Counter,
     /// Rows demoted out of the DRAM tier across activated refreshes.
-    pub rows_demoted: CounterH,
+    pub rows_demoted: Counter,
     /// Device lookups issued as migration work (reading promoted rows off
     /// flash) — the modeled cost that makes a plan swap not a teleport.
-    pub migration_lookups: CounterH,
+    pub migration_lookups: Counter,
     // --- resilience telemetry ---
     /// Device operators harvested with a typed device error (uncorrectable
     /// media faults; transient faults are absorbed inside the device and
     /// never reach this counter).
-    pub faults: CounterH,
+    pub faults: Counter,
     /// Failed sub-batches re-queued for another attempt.
-    pub retries: CounterH,
+    pub retries: Counter,
     /// Failed NDP sub-batches re-issued on the baseline path.
-    pub fallbacks: CounterH,
+    pub fallbacks: Counter,
     /// Per-shard circuit-breaker trips (closed/half-open → open).
-    pub breaker_trips: CounterH,
+    pub breaker_trips: Counter,
     /// Requests served degraded: completed with at least one missing row
     /// (retry budget exhausted or deadline expiry), explicitly flagged.
-    pub degraded: CounterH,
+    pub degraded: Counter,
     /// Lookups dropped from degraded requests (never silently wrong —
     /// their output slots are flagged missing).
-    pub missing_lookups: CounterH,
+    pub missing_lookups: Counter,
     /// Per-path latency attribution, indexed by [`path_index`].
-    path_queue: [HistH; 3],
-    path_service: [HistH; 3],
-    path_e2e: [HistH; 3],
-    path_requests: [CounterH; 3],
+    path_queue: [LogHistogram; 3],
+    path_service: [LogHistogram; 3],
+    path_e2e: [LogHistogram; 3],
+    path_requests: [Counter; 3],
     first_arrival: Option<SimTime>,
     last_finish: SimTime,
 }
 
 impl ServingStats {
-    /// Builds stats whose every metric is registered (by name + labels)
-    /// in `reg`, so one [`MetricsRegistry::reset_all`] covers them and
-    /// snapshots list them.
-    pub fn registered(reg: &mut MetricsRegistry) -> Self {
-        let per_path = |reg: &mut MetricsRegistry, name: &'static str| {
-            [
-                reg.hist(name, &[("path", PATH_NAMES[0])]),
-                reg.hist(name, &[("path", PATH_NAMES[1])]),
-                reg.hist(name, &[("path", PATH_NAMES[2])]),
-            ]
-        };
-        let per_path_counter = |reg: &mut MetricsRegistry, name: &'static str| {
-            [
-                reg.counter(name, &[("path", PATH_NAMES[0])]),
-                reg.counter(name, &[("path", PATH_NAMES[1])]),
-                reg.counter(name, &[("path", PATH_NAMES[2])]),
-            ]
-        };
-        ServingStats {
-            queue: reg.hist("serving.queue_ns", &[]),
-            service: reg.hist("serving.service_ns", &[]),
-            e2e: reg.hist("serving.e2e_ns", &[]),
-            requests: reg.counter("serving.requests", &[]),
-            lookups: reg.counter("serving.lookups", &[]),
-            ops_dispatched: reg.counter("serving.ops_dispatched", &[]),
-            subs_dispatched: reg.counter("serving.subs_dispatched", &[]),
-            tier: reg.hits("serving.tier_lookups", &[]),
-            tier_service: reg.hist("serving.tier_service_ns", &[]),
-            device_service: reg.hist("serving.device_service_ns", &[]),
-            plan_refreshes: reg.counter("serving.plan_refreshes", &[]),
-            rows_promoted: reg.counter("serving.rows_promoted", &[]),
-            rows_demoted: reg.counter("serving.rows_demoted", &[]),
-            migration_lookups: reg.counter("serving.migration_lookups", &[]),
-            faults: reg.counter("serving.faults", &[]),
-            retries: reg.counter("serving.retries", &[]),
-            fallbacks: reg.counter("serving.fallbacks", &[]),
-            breaker_trips: reg.counter("serving.breaker_trips", &[]),
-            degraded: reg.counter("serving.degraded", &[]),
-            missing_lookups: reg.counter("serving.missing_lookups", &[]),
-            path_queue: per_path(reg, "serving.path.queue_ns"),
-            path_service: per_path(reg, "serving.path.service_ns"),
-            path_e2e: per_path(reg, "serving.path.e2e_ns"),
-            path_requests: per_path_counter(reg, "serving.path.requests"),
-            first_arrival: None,
-            last_finish: SimTime::ZERO,
-        }
-    }
-
     /// Records one completed request (`path` = the path it was submitted
     /// on; tier partials of placed tables still count under it).
     pub(crate) fn record(
@@ -217,19 +163,10 @@ impl ServingStats {
         }
     }
 
-    /// End-to-end latency quantile summary.
-    pub fn e2e_quantiles(&self) -> Quantiles {
-        self.e2e.quantiles()
-    }
-
     /// Fraction of placed-table lookups absorbed by the DRAM tier (0 when
     /// no placed table served traffic).
     pub fn tier_hit_rate(&self) -> f64 {
-        if self.tier.accesses() == 0 {
-            0.0
-        } else {
-            self.tier.hit_rate()
-        }
+        self.tier.hit_rate()
     }
 
     /// Per-path "time-goes-where" report: queue/service/e2e quantiles for
@@ -247,15 +184,8 @@ impl ServingStats {
             .collect()
     }
 
-    /// Resets the makespan window (the registry-backed metrics are reset
-    /// through [`MetricsRegistry::reset_all`]; for an unregistered stats
-    /// block use [`ServingStats::reset`]).
-    pub(crate) fn reset_window(&mut self) {
-        self.first_arrival = None;
-        self.last_finish = SimTime::ZERO;
-    }
-
-    /// Resets all statistics (metric handles and the makespan window).
+    /// Resets all statistics in place (histograms zero their buckets, no
+    /// reallocation); afterwards `*self == ServingStats::default()`.
     pub fn reset(&mut self) {
         self.queue.reset();
         self.service.reset();
@@ -283,6 +213,7 @@ impl ServingStats {
             self.path_e2e[p].reset();
             self.path_requests[p].reset();
         }
-        self.reset_window();
+        self.first_arrival = None;
+        self.last_finish = SimTime::ZERO;
     }
 }

@@ -19,6 +19,7 @@ use recssd_serving::{
     TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
+use recssd_sim::stats::Quantiles;
 use recssd_sim::{SimDuration, SimTime};
 
 mod quick_scale;
@@ -444,6 +445,67 @@ impl Fnv {
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
     }
+
+    fn quantiles(&mut self, q: Quantiles) {
+        for v in [
+            q.count,
+            q.mean.to_bits(),
+            q.p50,
+            q.p95,
+            q.p99,
+            q.p999,
+            q.max,
+        ] {
+            self.u64(v);
+        }
+    }
+}
+
+/// FNV-1a over every [`recssd_serving::ServingStats`] field in
+/// declaration order: histograms as their quantile summary, counters as
+/// values, the tier as hits then misses, the private per-path histograms
+/// through `attribution()`, the makespan window last.
+fn stats_digest(rt: &ServingRuntime) -> u64 {
+    let s = rt.stats();
+    let mut h = Fnv::new();
+    for q in [&s.queue, &s.service, &s.e2e] {
+        h.quantiles(q.quantiles());
+    }
+    for c in [
+        &s.requests,
+        &s.lookups,
+        &s.ops_dispatched,
+        &s.subs_dispatched,
+    ] {
+        h.u64(c.get());
+    }
+    h.u64(s.tier.hits());
+    h.u64(s.tier.misses());
+    h.quantiles(s.tier_service.quantiles());
+    h.quantiles(s.device_service.quantiles());
+    for c in [
+        &s.plan_refreshes,
+        &s.rows_promoted,
+        &s.rows_demoted,
+        &s.migration_lookups,
+        &s.faults,
+        &s.retries,
+        &s.fallbacks,
+        &s.breaker_trips,
+        &s.degraded,
+        &s.missing_lookups,
+    ] {
+        h.u64(c.get());
+    }
+    for a in rt.attribution() {
+        h.str(a.path);
+        h.u64(a.requests);
+        h.quantiles(a.queue);
+        h.quantiles(a.service);
+        h.quantiles(a.e2e);
+    }
+    h.u64(s.makespan().as_ns());
+    h.0
 }
 
 /// The run the retired cross-mode determinism suite compared between its
@@ -452,7 +514,8 @@ impl Fnv {
 /// to FNV-1a goldens recorded from the sequential stepper of the last
 /// commit that still had a second one. Four digests: the completion
 /// stream in delivery order (id, finish, queue, service, output bits,
-/// missing lookups), the whole metrics registry, the end-of-run
+/// missing lookups), every serving statistic ([`stats_digest`], recorded
+/// on the last commit that still had a metrics registry), the end-of-run
 /// telemetry (per-shard occupancy and channel utilisation, tier
 /// occupancy, as raw bits) and the span *multiset* with ids factored
 /// out: each span as (name, start, end, pid, tid, argument, label) plus
@@ -503,10 +566,7 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
         completions.u64(d.missing_lookups);
     }
 
-    let mut metrics = Fnv::new();
-    for sample in rt.metrics_snapshot() {
-        metrics.str(&format!("{sample:?}"));
-    }
+    let metrics = stats_digest(&rt);
 
     let mut telemetry = Fnv::new();
     for v in rt.shard_occupancy() {
@@ -544,10 +604,10 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
     }
 
     assert_eq!(
-        (completions.0, metrics.0, telemetry.0, keyed.len(), spans.0),
+        (completions.0, metrics, telemetry.0, keyed.len(), spans.0),
         (
             0xF0F8_D3F1_7274_FD3B,
-            0x4A54_31F6_C0BE_46DE,
+            0xA835_FA22_3249_19C1,
             0xEC25_F8D9_CF2A_2457,
             1755,
             0x7D94_DDD0_530B_5DA0,

@@ -7,18 +7,16 @@
 //!   Chrome-trace JSON across runs;
 //! * tracing is an observer: enabling it must not perturb the simulated
 //!   results, timings or stats by a single bit;
-//! * the unified metrics registry resets *everything* in one call —
-//!   serving counters/histograms, fault and breaker counters, FTL cache
-//!   stats — verified by an all-zeros snapshot after `reset_stats`;
-//! * per-epoch JSONL snapshots and the per-path latency attribution come
-//!   from the same registry.
+//! * one `reset_stats` resets *everything* — the serving statistics
+//!   return to `ServingStats::default()`, and fault and breaker counters,
+//!   FTL cache stats and every device counter underneath read zero;
+//! * the per-path latency attribution reports exactly the paths served.
 
 use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_serving::{
-    chrome_trace_json, validate_spans, AdaptivePolicy, EnginePoolConfig, FaultPolicy, LoadGen,
-    LoadMode, MergePlacement, MetricValue, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath,
-    TrafficSpec,
+    chrome_trace_json, validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement,
+    SchedulePolicy, ServingConfig, ServingRuntime, ServingStats, SlsPath,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
@@ -158,30 +156,26 @@ fn tracing_does_not_perturb_the_simulation() {
         let (rt_off, snaps_off) = run_mixed(false, faults);
         let (rt_on, snaps_on) = run_mixed(true, faults);
         assert_eq!(snaps_off, snaps_on, "faults={faults}: results diverged");
-        let key = |v: &(String, MetricValue)| format!("{:?}", v);
-        let off: Vec<String> = rt_off.metrics_snapshot().iter().map(key).collect();
-        let on: Vec<String> = rt_on.metrics_snapshot().iter().map(key).collect();
-        assert_eq!(off, on, "faults={faults}: metrics diverged");
+        assert_eq!(
+            rt_off.stats(),
+            rt_on.stats(),
+            "faults={faults}: stats diverged"
+        );
     }
 }
 
-/// Satellite: one `reset_stats` zeroes *every* registered metric —
-/// including the fault, retry and breaker counters and the per-path
-/// histograms — and the FTL cache stats underneath.
+/// Satellite: one `reset_stats` returns *every* serving statistic to its
+/// default — the fault, retry and breaker counters, the per-path
+/// histograms and the makespan window included — and zeroes the FTL
+/// cache stats underneath.
 #[test]
 fn reset_stats_zeroes_every_registered_metric() {
     let (mut rt, _) = run_mixed(false, true);
-    // The run populated a broad slice of the registry.
-    let touched = rt
-        .metrics_snapshot()
-        .iter()
-        .filter(|(_, v)| !metric_is_zero(v))
-        .count();
-    assert!(touched > 10, "workload touched only {touched} metrics");
+    let s = rt.stats();
+    assert!(s.requests.get() > 0 && s.faults.get() > 0 && s.retries.get() > 0);
+    assert_eq!(rt.attribution().len(), 3, "every path served traffic");
     rt.reset_stats();
-    for (name, v) in rt.metrics_snapshot() {
-        assert!(metric_is_zero(&v), "metric '{name}' survived reset: {v:?}");
-    }
+    assert_eq!(*rt.stats(), ServingStats::default());
     for cs in rt.ftl_cache_stats() {
         assert_eq!(cs.accesses(), 0, "FTL cache stats survived reset");
     }
@@ -192,7 +186,7 @@ fn reset_stats_zeroes_every_registered_metric() {
 }
 
 /// Every counter and busy-time getter a shard's [`recssd::System`]
-/// exposes below the serving registry, by name.
+/// exposes below the serving statistics, by name.
 fn device_counters(sys: &recssd::System) -> Vec<(String, u64)> {
     let dev = sys.device();
     let ndp = dev.engine().stats();
@@ -288,59 +282,6 @@ fn reset_stats_zeroes_every_device_counter_and_busy_getter() {
             assert_eq!(v, 0, "shard {shard}: '{name}' survived reset");
         }
     }
-}
-
-fn metric_is_zero(v: &MetricValue) -> bool {
-    match v {
-        MetricValue::Counter(c) => *c == 0,
-        MetricValue::Gauge(g) => *g == 0.0,
-        MetricValue::Hist(q) => q.count == 0 && q.max == 0,
-        MetricValue::Hits { hits, misses } => *hits == 0 && *misses == 0,
-    }
-}
-
-/// The adaptive loop appends one parsable JSONL metrics snapshot per
-/// epoch, stamped with the epoch ordinal and sim time.
-#[test]
-fn epoch_log_emits_one_line_per_epoch() {
-    let cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo).with_depth(2);
-    let mut rt = ServingRuntime::new(&cfg);
-    rt.enable_epoch_log();
-    let t = rt.add_table(table(9));
-    rt.enable_adaptive(AdaptivePolicy {
-        epoch_requests: 16,
-        decay: 0.5,
-        budget_rows: 128,
-        min_hit_gain: 0.02,
-    });
-    let mut gen = LoadGen::new(
-        &rt,
-        vec![t],
-        TrafficSpec {
-            outputs: 4,
-            lookups_per_output: 8,
-            zipf_exponent: 1.2,
-        },
-        LoadMode::Closed {
-            clients: 4,
-            think: SimDuration::ZERO,
-        },
-        3,
-    );
-    gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 64);
-    let epochs = rt.adaptive_epochs();
-    assert!(epochs > 0, "workload completed no adaptive epochs");
-    let log = rt.take_epoch_log();
-    let lines: Vec<&str> = log.lines().collect();
-    assert_eq!(lines.len() as u64, epochs, "one JSONL line per epoch");
-    for (i, line) in lines.iter().enumerate() {
-        assert!(
-            line.starts_with(&format!("{{\"epoch\":{}", i + 1)),
-            "line {i} is not an epoch snapshot: {line}"
-        );
-        assert!(line.ends_with("}}") && line.contains("\"metrics\":{"));
-    }
-    assert!(rt.take_epoch_log().is_empty(), "take drains the log");
 }
 
 /// Per-path latency attribution reports exactly the paths that served

@@ -136,146 +136,6 @@ impl HitStats {
     }
 }
 
-/// A power-of-two bucketed histogram of `u64` samples (typically
-/// nanosecond latencies), with exact count/sum/min/max.
-///
-/// Percentiles are approximate (bucket upper bound); mean is exact.
-///
-/// # Example
-///
-/// ```
-/// use recssd_sim::stats::Histogram;
-/// let mut h = Histogram::new();
-/// for v in [100, 200, 400, 800] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.mean(), 375.0);
-/// assert_eq!(h.min(), Some(100));
-/// assert_eq!(h.max(), Some(800));
-/// assert!(h.percentile(50.0).unwrap() >= 200);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    // buckets[i] counts samples whose value v satisfies 2^(i-1) <= v < 2^i,
-    // with bucket 0 counting v == 0.
-    buckets: [u64; 65],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Records a [`SimDuration`] sample in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_ns());
-    }
-
-    /// Number of samples recorded.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all samples.
-    pub const fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Exact arithmetic mean, or `0.0` if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample, if any.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Approximate percentile (`p` in `[0, 100]`): the upper bound of the
-    /// bucket containing the `p`-th percentile sample, clamped to the exact
-    /// max. Returns `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = if i == 0 { 0 } else { (1u128 << i) - 1 };
-                return Some((upper as u64).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Resets the histogram to empty.
-    pub fn reset(&mut self) {
-        *self = Histogram::new();
-    }
-}
-
 /// Number of linear sub-buckets per power-of-two octave in
 /// [`LogHistogram`]: 32 sub-buckets bound the relative quantile error at
 /// ~3 %, HDR-histogram style.
@@ -283,12 +143,12 @@ const LOG_SUB_BITS: u32 = 5;
 const LOG_SUB: usize = 1 << LOG_SUB_BITS;
 const LOG_BUCKETS: usize = (64 - LOG_SUB_BITS as usize + 1) * LOG_SUB;
 
-/// An HDR-style histogram: power-of-two octaves split into [`LOG_SUB`]
-/// linear sub-buckets, so quantiles carry ~two significant digits across
-/// the full `u64` range at a fixed ~15 KB footprint. This is the
-/// tail-latency recorder of the serving runtime (p50/p95/p99/p999 per
-/// request), where the plain [`Histogram`]'s power-of-two buckets are too
-/// coarse to separate a p99 from a p999.
+/// An HDR-style histogram of `u64` samples (typically nanosecond
+/// latencies): power-of-two octaves split into 32 linear sub-buckets, so
+/// quantiles carry ~two significant digits across the full `u64` range at
+/// a fixed ~15 KB footprint. The one latency recorder of the stack — per
+/// request in the serving runtime (p50/p95/p99/p999), per operation in
+/// the flash array.
 ///
 /// Count, sum, min and max are exact; quantiles are bucket upper bounds
 /// clamped to the exact max.
@@ -463,9 +323,13 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Resets the histogram to empty.
+    /// Resets the histogram to empty, in place (no reallocation).
     pub fn reset(&mut self) {
-        *self = LogHistogram::new();
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
     }
 }
 
@@ -502,7 +366,7 @@ mod tests {
 
     #[test]
     fn histogram_exact_moments() {
-        let mut h = Histogram::new();
+        let mut h = LogHistogram::new();
         assert_eq!(h.percentile(50.0), None);
         for v in 1..=1000u64 {
             h.record(v);
@@ -515,35 +379,14 @@ mod tests {
 
     #[test]
     fn histogram_percentile_bucket_bounds() {
-        let mut h = Histogram::new();
+        let mut h = LogHistogram::new();
         h.record(0);
         h.record(1);
         h.record(1024);
         // p0..p33 land in the low buckets, p100 in the top one.
         assert_eq!(h.percentile(1.0), Some(0));
+        assert_eq!(h.percentile(50.0), Some(1));
         assert_eq!(h.percentile(100.0), Some(1024));
-        let p50 = h.percentile(50.0).unwrap();
-        assert!((1..1024).contains(&p50), "p50 was {p50}");
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(20);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(20));
-        assert_eq!(a.sum(), 30);
-    }
-
-    #[test]
-    fn histogram_duration_recording() {
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration::from_us(1));
-        assert_eq!(h.max(), Some(1000));
     }
 
     #[test]
@@ -664,6 +507,10 @@ mod tests {
         assert_eq!(a.min(), Some(10));
         assert_eq!(a.max(), Some(1000));
         a.reset();
-        assert_eq!(a.quantiles(), Quantiles::default());
+        assert_eq!(a, LogHistogram::new(), "reset leaves no residue");
+        // A reset histogram is a fresh recorder: merging into it matches
+        // recording from scratch.
+        a.merge(&b);
+        assert_eq!(a, b);
     }
 }

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use recssd_serving::{
         bottleneck_report, chrome_trace_json, critical_path_report, request_critical_paths,
         utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, LoadGen,
-        LoadMode, LoadReport, MetricValue, PathAttribution, Phase, RequestProfile, SchedulePolicy,
+        LoadMode, LoadReport, PathAttribution, Phase, RequestProfile, SchedulePolicy,
         ServingConfig, ServingRuntime, ShardMap, SlsPath, SpanRec, TraceCheck, TrafficSpec,
         UtilizationTimeline, WallPhaseReport,
     };
