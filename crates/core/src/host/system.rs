@@ -499,7 +499,8 @@ impl System {
     /// a fresh one). The region is re-preloaded wide enough to shadow
     /// whatever the old image covered, and every host- or device-side
     /// structure keyed by the old image's row space is flushed: stale
-    /// FTL-cached pages are evicted, the table's host LRU vector cache
+    /// FTL-cached pages are evicted, the NDP engine's SSD-side embedding
+    /// cache drops the table's vectors, the table's host LRU vector cache
     /// (if enabled) is cleared, and any installed static partition is
     /// removed — its hot ids referred to the old row space, so the caller
     /// must install a fresh one if partitioning is still wanted.
@@ -522,6 +523,7 @@ impl System {
         self.dev
             .ftl_mut()
             .invalidate_range(recssd_ftl::Lpn(b.base_lpn), pages);
+        self.dev.engine_mut().invalidate_table(b.base_lpn);
         if let Some(cache) = self.host_caches.get_mut(&id.0) {
             cache.clear();
         }
@@ -1073,7 +1075,8 @@ impl System {
                     let off = off as usize;
                     let mut dec = std::mem::take(host_row_spare);
                     dec.resize(spec.dim, 0.0);
-                    spec.quant.decode_into(&page[off..], &mut dec);
+                    spec.quant
+                        .decode_into(&page.bytes_at(off, spec.row_bytes()), &mut dec);
                     for (o, v) in op.outputs.row_mut(slot as usize).iter_mut().zip(&dec) {
                         *o += *v;
                     }
@@ -1085,7 +1088,7 @@ impl System {
             } else {
                 for &(off, slot) in work {
                     spec.quant.decode_accumulate(
-                        &page[off as usize..],
+                        &page.bytes_at(off as usize, spec.row_bytes()),
                         op.outputs.row_mut(slot as usize),
                     );
                 }

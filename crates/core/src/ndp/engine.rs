@@ -214,6 +214,15 @@ impl EmbedCache {
     fn enabled(&self) -> bool {
         !self.tags.is_empty()
     }
+
+    /// Empties every slot holding a vector of the table at `base`.
+    fn invalidate_table(&mut self, base: u64) {
+        for tag in &mut self.tags {
+            if tag.is_some_and(|(b, _)| b == base) {
+                *tag = None;
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -354,6 +363,13 @@ impl NdpSlsEngine {
     /// `true` if the SSD-side embedding cache is enabled.
     pub fn embed_cache_enabled(&self) -> bool {
         self.cache.enabled()
+    }
+
+    /// Drops every SSD-side cached vector of the table whose slot starts
+    /// at logical page `table_base` — required when the slot is re-bound
+    /// to a new image, whose rows the old vectors would otherwise shadow.
+    pub fn invalidate_table(&mut self, table_base: u64) {
+        self.cache.invalidate_table(table_base);
     }
 
     fn alloc_tag(&mut self, job: FwJob) -> FwTag {
@@ -572,7 +588,7 @@ impl NdpSlsEngine {
         ctx: &mut DeviceCtx<'_>,
         request: u64,
         widx: usize,
-        data: &[u8],
+        data: &PageImage,
         duration: SimDuration,
         engine: Option<u32>,
     ) {
@@ -603,7 +619,7 @@ impl NdpSlsEngine {
             row_scratch.clear();
             row_scratch.resize(dim, 0.0);
             for &(offset, slot) in &work_items[items] {
-                quant.decode_into(&data[offset..], row_scratch);
+                quant.decode_into(&data.bytes_at(offset, row_bytes), row_scratch);
                 match engine {
                     Some(e) => partials.add_row(e as usize, slot as usize, row_scratch),
                     None => {
@@ -618,10 +634,10 @@ impl NdpSlsEngine {
             }
         } else {
             for &(offset, slot) in &work_items[items] {
-                let (bytes, slot) = (&data[offset..], slot as usize);
+                let (bytes, slot) = (data.bytes_at(offset, row_bytes), slot as usize);
                 match engine {
-                    Some(e) => partials.add_encoded(e as usize, slot, quant, bytes),
-                    None => quant.decode_accumulate(bytes, results.row_mut(slot)),
+                    Some(e) => partials.add_encoded(e as usize, slot, quant, &bytes),
+                    None => quant.decode_accumulate(&bytes, results.row_mut(slot)),
                 }
             }
         }

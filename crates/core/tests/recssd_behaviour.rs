@@ -8,7 +8,9 @@ use recssd::{
     SlsOptions, System,
 };
 use recssd_cache::StaticPartitionBuilder;
-use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};
+use recssd_embedding::{
+    sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec,
+};
 use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::EventQueue;
@@ -215,6 +217,35 @@ fn ssd_embed_cache_matches_and_hits_on_repeats() {
     assert!(
         last.pages < 25 * 4,
         "cache hits must reduce pages: {last:?}"
+    );
+}
+
+/// A re-bound table slot must not be served from the SSD-side embedding
+/// cache of its old image: the cache is keyed `(table base, row)` and the
+/// new image reuses both.
+#[test]
+fn rebinding_a_table_flushes_the_ssd_embed_cache() {
+    let mut cfg = RecSsdConfig::small();
+    cfg.ndp = cfg.ndp.with_embed_cache(1024);
+    let mut sys = System::new(cfg);
+    let table = spread_table(&mut sys, 64, 16, Quantization::F32, 3);
+    let batch = LookupBatch::new(vec![vec![3, 5, 7], vec![9, 11]]);
+    let old = sys.submit(OpKind::ndp_sls(table, batch.clone(), SlsOptions::default()));
+    sys.run_until_idle();
+    assert!(sys.result(old).is_ok());
+
+    let rebound = EmbeddingTable::procedural(TableSpec::new(64, 16, Quantization::F32), 4);
+    sys.replace_table(
+        table,
+        TableImage::new(rebound.clone(), PageLayout::Spread, PAGE),
+    );
+    let new = sys.submit(OpKind::ndp_sls(table, batch.clone(), SlsOptions::default()));
+    sys.run_until_idle();
+    let out = sys.result(new).outputs.as_ref().expect("SLS output");
+    assert_eq!(
+        out.to_nested(),
+        sls_reference(&rebound, &batch),
+        "the re-bound table was served the old image's vectors"
     );
 }
 

@@ -240,6 +240,29 @@ impl EmbeddingTable {
         }
     }
 
+    /// A copy of the rows this table shows as explicit values: the same
+    /// spec and, bit for bit, the same rows as the view it was taken from,
+    /// read from memory instead of re-generated or re-mapped on every
+    /// access. For small views that are gathered often (a DRAM tier's hot
+    /// rows); it costs `rows × dim × 4` bytes.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
+    /// let t = EmbeddingTable::procedural(TableSpec::new(100, 8, Quantization::F16), 3);
+    /// let hot = t.select(&[90, 7]).materialized();
+    /// assert_eq!(hot.row_f32(0), t.row_f32(90));
+    /// ```
+    pub fn materialized(&self) -> EmbeddingTable {
+        let dim = self.spec.dim;
+        let mut values = vec![0.0f32; self.spec.rows as usize * dim];
+        for (row, out) in values.chunks_exact_mut(dim).enumerate() {
+            self.stream_raw(row as u64, out.iter_mut(), |o, v| *o = v);
+        }
+        EmbeddingTable::dense(self.spec, values)
+    }
+
     /// First parent row this table views (0 unless created by
     /// [`EmbeddingTable::slice`]).
     pub fn base_row(&self) -> u64 {
@@ -498,6 +521,32 @@ mod tests {
         );
         assert_eq!(d.select(&[2, 0]).row_f32(0), vec![5.0, 6.0]);
         assert_eq!(d.select(&[2, 0]).row_f32(1), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_materialized_view_equals_its_view_bit_for_bit() {
+        for quant in [Quantization::F32, Quantization::F16, Quantization::Int8] {
+            let spec = TableSpec::new(100, 12, quant);
+            let view = EmbeddingTable::procedural(spec, 9)
+                .slice(10..90)
+                .select(&[79, 0, 42, 42, 7]);
+            let copy = view.materialized();
+            assert_eq!(copy.spec(), view.spec());
+            assert!(matches!(copy.source, TableSource::Dense(_)));
+            let mut scratch = RowScratch::default();
+            for row in 0..view.spec().rows {
+                // A non-zero accumulator: `+=` must see the same addends.
+                let (mut a, mut b) = (vec![0.375f32; 12], vec![0.375f32; 12]);
+                view.accumulate_row(row, &mut scratch, &mut a);
+                copy.accumulate_row(row, &mut scratch, &mut b);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{quant:?} row {row}");
+                let (mut ea, mut eb) = (vec![0u8; spec.row_bytes()], vec![0u8; spec.row_bytes()]);
+                view.encode_row(row, &mut ea);
+                copy.encode_row(row, &mut eb);
+                assert_eq!(ea, eb, "{quant:?} row {row}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, LogHistogram};
-use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, PagePool, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -242,10 +242,11 @@ struct OpState {
     retried: bool,
 }
 
-/// Largest number of recycled page images the array keeps. Sized to cover
-/// the deepest realistic read backlog (an NDP request fanning a full batch
-/// out across the channels) plus the page-cache eviction churn behind it,
-/// so steady-state reads allocate nothing.
+/// Largest number of recycled page images the array keeps, over all size
+/// classes. Sized to cover the deepest realistic read backlog (an NDP
+/// request fanning a full batch out across the channels) plus the
+/// page-cache eviction churn behind it, so steady-state reads allocate
+/// nothing.
 const PAGE_BUF_POOL_CAP: usize = 1024;
 
 /// The NAND flash array: geometry, timing, per-resource scheduling and page
@@ -259,16 +260,10 @@ pub struct FlashArray {
     block_write_ptr: FxHashMap<u64, u32>,
     ops: FxHashMap<FlashOpId, OpState>,
     next_op: u64,
-    /// Free-list of exclusively owned page images — the one page pool of
-    /// the device stack (see [`FlashArray::recycle_page_buf`]).
-    page_pool: Vec<PageImage>,
-    /// Images handed out and not yet retired through
-    /// [`FlashArray::recycle_page_buf`].
-    images_out: usize,
-    /// The shared all-zero image unmapped pages are served from. The
-    /// array's own handle keeps it from ever being exclusive, so it can
-    /// never be pooled and refilled.
-    zero_page: PageImage,
+    /// The one page pool of the device stack: per-class free-lists of
+    /// content-sized images, the count handed out and the shared empty
+    /// image (see [`FlashArray::recycle_page_buf`]).
+    page_pool: PagePool,
     /// Optional fault-injection overlay (`None` = perfectly reliable).
     fault: Option<FaultPlan>,
     stats: FlashStats,
@@ -296,9 +291,7 @@ impl FlashArray {
                 Default::default(),
             ),
             next_op: 0,
-            page_pool: Vec::new(),
-            images_out: 0,
-            zero_page: PageImage::zeroed(config.geometry.page_bytes),
+            page_pool: PagePool::new(config.geometry.page_bytes, PAGE_BUF_POOL_CAP),
             fault: None,
             stats: FlashStats {
                 channel_busy: vec![SimDuration::ZERO; n_channels],
@@ -404,83 +397,50 @@ impl FlashArray {
         page[..n].to_vec()
     }
 
-    /// Zero-time read of a full page into `out` (model-internal fast path;
-    /// timing must be charged by the caller).
-    pub fn read_page_into(&self, ppa: Ppa, out: &mut [u8]) {
-        let idx = self.config.geometry.linear_index(ppa);
-        self.store.read_into(idx, out);
-    }
-
     /// Offers a page image back once a holder is done with it. While
     /// clones are alive elsewhere (the page cache, another reader) this
     /// only drops the caller's reference; the last holder's call retires
-    /// the image into the free-list, where the next read refills it in
-    /// place instead of allocating. Wrong-sized images are dropped (the
-    /// pool only serves whole pages).
+    /// the image into the free-list of its size class, where the next
+    /// read of that class refills it in place instead of allocating.
+    /// Images that are not one of this array's pages are dropped.
     pub fn recycle_page_buf(&mut self, image: PageImage) {
-        if !image.is_exclusive() {
-            return;
-        }
-        // Saturating: an image built outside the pool (`From<Vec<u8>>`
-        // program payloads) is adopted rather than counted twice.
-        self.images_out = self.images_out.saturating_sub(1);
-        if image.len() == self.config.geometry.page_bytes
-            && self.page_pool.len() < PAGE_BUF_POOL_CAP
-        {
-            self.page_pool.push(image);
-        }
+        self.page_pool.recycle(image);
     }
 
-    /// An exclusively owned page image from the pool (or a fresh
-    /// allocation), ready for [`PageImage::refill`].
-    fn take_page_image(&mut self) -> PageImage {
-        self.images_out += 1;
-        self.page_pool
-            .pop()
-            .unwrap_or_else(|| PageImage::zeroed(self.config.geometry.page_bytes))
-    }
-
-    /// A pooled image holding the contents of linear page `idx`.
-    fn read_page_pooled(&mut self, idx: u64) -> PageImage {
-        let mut image = self.take_page_image();
-        let store = &self.store;
-        image.refill(|page| store.fill_zeroed(idx, page));
-        image
-    }
-
-    /// A pooled full-page image holding `data` followed by zeros — how the
-    /// FTL stages a host write so the write buffer, the page cache and the
-    /// program operation share one image.
+    /// A pooled page image holding `data` followed by zeros — how the FTL
+    /// stages a host write so the write buffer, the page cache and the
+    /// program operation share one image. It backs `data`, not the page.
     ///
     /// # Panics
     ///
     /// Panics if `data` is longer than a page.
     pub fn page_image_from(&mut self, data: &[u8]) -> PageImage {
-        let mut image = self.take_page_image();
-        image.refill(|page| {
-            page[..data.len()].copy_from_slice(data);
+        let mut image = self.page_pool.take(data.len());
+        image.refill(|content| {
+            content[..data.len()].copy_from_slice(data);
             data.len()
         });
         image
     }
 
-    /// The shared all-zero page image (what an unmapped page reads as).
-    /// Offering it to [`FlashArray::recycle_page_buf`] is harmless.
+    /// The shared all-zero page image (what an unmapped page reads as):
+    /// it backs nothing. Offering it to [`FlashArray::recycle_page_buf`]
+    /// is harmless.
     pub fn zero_page(&self) -> PageImage {
-        self.zero_page.clone()
+        self.page_pool.zero()
     }
 
     /// Page images currently handed out: taken for a read or a staged
     /// write and not yet retired by their last holder. At idle this is
     /// exactly the set of images the layers above still cache; anything
-    /// more is a leak.
+    /// more is a leak. The shared empty image is never counted.
     pub fn page_images_out(&self) -> usize {
-        self.images_out
+        self.page_pool.out()
     }
 
-    /// Page images waiting in the free-list.
+    /// Page images waiting in the free-lists, over all size classes.
     pub fn page_images_pooled(&self) -> usize {
-        self.page_pool.len()
+        self.page_pool.pooled()
     }
 
     /// The next page expected by the sequential-program rule for `block`
@@ -681,7 +641,11 @@ impl FlashArray {
         let data = match st.op {
             FlashOp::Read { ppa } => {
                 self.stats.reads.inc();
-                Some(self.read_page_pooled(g.linear_index(ppa)))
+                // Sized by what the page holds, not by the page.
+                Some(
+                    self.store
+                        .read_image(g.linear_index(ppa), &mut self.page_pool),
+                )
             }
             FlashOp::Program { ppa, data } => {
                 self.stats.programs.inc();
@@ -795,7 +759,8 @@ mod tests {
         drain(&mut flash, &mut q);
         submit(&mut flash, &mut q, FlashOp::Read { ppa });
         let done = drain(&mut flash, &mut q);
-        let data = done[0].1.data.as_ref().unwrap();
+        let data = done[0].1.data.as_ref().unwrap().to_vec();
+        assert_eq!(data.len(), flash.config().geometry.page_bytes);
         assert_eq!(&data[..4], &[1, 2, 3, 4]);
         assert!(data[4..].iter().all(|&b| b == 0));
     }
@@ -1113,13 +1078,139 @@ mod tests {
         submit(&mut flash, &mut q, FlashOp::Read { ppa });
         let done = drain(&mut flash, &mut q);
         let data = done[0].1.data.as_ref().unwrap();
-        assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 33);
+        assert_eq!(
+            u64::from_le_bytes(data.bytes_at(0, 8)[..].try_into().unwrap()),
+            33
+        );
         // A partial-stripe preload only advances the touched lanes.
         let mut flash2 = FlashArray::new(FlashConfig::cosmos_small());
         flash2.preload(0..2, Arc::new(IdxOracle));
         assert_eq!(flash2.next_program_page(0, 0, 0), 1);
         assert_eq!(flash2.next_program_page(1, 0, 0), 1);
         assert_eq!(flash2.next_program_page(0, 1, 0), 0);
+    }
+
+    /// ROADMAP 7(a), "every pool back to inventory at idle", for a pool
+    /// that is now one free-list per size class: whatever mix of 128 B,
+    /// 4 KB and full pages was read, programmed and relocated,
+    /// `page_images_out()` is exactly what the caller still holds, and no
+    /// mix of classes takes the free-lists past the one total cap.
+    #[test]
+    fn page_images_of_every_class_return_to_inventory() {
+        #[derive(Debug)]
+        struct Mixed;
+        impl Mixed {
+            fn extent(idx: u64, page_bytes: usize) -> usize {
+                [128, 4096, page_bytes][(idx % 3) as usize]
+            }
+        }
+        impl PageOracle for Mixed {
+            fn fill_page(&self, idx: u64, out: &mut [u8]) {
+                let extent = Self::extent(idx, 16 * 1024);
+                assert!(out.len() >= extent && out.iter().all(|&b| b == 0));
+                out[..extent].fill(idx as u8 | 1);
+            }
+            fn filled_prefix(&self, idx: u64, page_bytes: usize) -> usize {
+                Self::extent(idx, page_bytes)
+            }
+        }
+        let cfg = FlashConfig::cosmos_small();
+        let g = cfg.geometry;
+        let mut flash = FlashArray::new(cfg);
+        let mut q = EventQueue::new();
+        // 1 280 preloaded pages: 320 page-counters (20 blocks) a lane.
+        const PRELOADED: u64 = 1280;
+        flash.preload(0..PRELOADED, Arc::new(Mixed));
+        let expected = |idx: u64| {
+            let mut page = vec![0u8; g.page_bytes];
+            page[..Mixed::extent(idx, g.page_bytes)].fill(idx as u8 | 1);
+            page
+        };
+
+        // A read burst deeper than the pool's cap, every image held.
+        for idx in 0..PRELOADED {
+            let ppa = g.ppa_of_index(idx);
+            submit(&mut flash, &mut q, FlashOp::Read { ppa });
+        }
+        let mut held: Vec<(u64, PageImage)> = drain(&mut flash, &mut q)
+            .into_iter()
+            .map(|(_, c)| (g.linear_index(c.ppa), c.data.expect("read data")))
+            .collect();
+        assert_eq!(held.len() as u64, PRELOADED);
+        assert_eq!(flash.page_images_out(), held.len());
+        assert_eq!(flash.page_images_pooled(), 0);
+        for (idx, image) in &held {
+            assert_eq!(image.len(), g.page_bytes);
+            assert!(image.to_vec() == expected(*idx), "page {idx}");
+        }
+
+        // GC-style relocations: a read's image is programmed elsewhere
+        // without a copy and rejoins the pool when the program completes.
+        // Staged host writes beside them: the caller keeps a clone (the
+        // FTL's write buffer), so those stay out until it lets go.
+        let mut relocated = Vec::new();
+        let moving: Vec<_> = held.drain(..g.pages_per_block as usize).collect();
+        for (page, (idx, data)) in (0..).zip(moving) {
+            let ppa = Ppa {
+                channel: 1,
+                die: 1,
+                block: 40,
+                page,
+            };
+            relocated.push((ppa, idx));
+            submit(&mut flash, &mut q, FlashOp::Program { ppa, data });
+            let staged = flash.page_image_from(&vec![0xC3; 1 + 700 * page as usize]);
+            held.push((u64::MAX, staged.clone()));
+            let ppa = Ppa { block: 41, ..ppa };
+            submit(&mut flash, &mut q, FlashOp::Program { ppa, data: staged });
+        }
+        drain(&mut flash, &mut q);
+        assert!(flash.idle());
+        assert_eq!(flash.page_images_out(), held.len());
+        assert_eq!(flash.page_images_pooled(), relocated.len());
+        // A relocated page reads back as what was read, now from its
+        // stored (trimmed) length.
+        for &(ppa, idx) in &relocated {
+            submit(&mut flash, &mut q, FlashOp::Read { ppa });
+            let data = drain(&mut flash, &mut q).remove(0).1.data.expect("data");
+            assert!(data.to_vec() == expected(idx), "relocated page {idx}");
+            flash.recycle_page_buf(data);
+        }
+        assert_eq!(flash.page_images_out(), held.len());
+
+        // The last holder lets go of everything: nothing is out, and the
+        // three classes together stop at the cap.
+        assert!(held.len() > PAGE_BUF_POOL_CAP);
+        for (_, image) in held.drain(..) {
+            flash.recycle_page_buf(image);
+            assert!(flash.page_images_pooled() <= PAGE_BUF_POOL_CAP);
+        }
+        assert_eq!(flash.page_images_out(), 0);
+        assert_eq!(flash.page_images_pooled(), PAGE_BUF_POOL_CAP);
+
+        // Steady state: a burst of each class is served from inventory
+        // and returns to it.
+        for round in 0..3 {
+            for idx in 0..96 {
+                let ppa = g.ppa_of_index(idx);
+                submit(&mut flash, &mut q, FlashOp::Read { ppa });
+            }
+            let done = drain(&mut flash, &mut q);
+            assert_eq!(flash.page_images_out(), done.len());
+            assert_eq!(
+                flash.page_images_pooled() + done.len(),
+                PAGE_BUF_POOL_CAP,
+                "round {round} allocated past its inventory"
+            );
+            for (_, c) in done {
+                let idx = g.linear_index(c.ppa);
+                let data = c.data.expect("read data");
+                assert!(data.to_vec() == expected(idx), "page {idx}");
+                flash.recycle_page_buf(data);
+            }
+            assert_eq!(flash.page_images_out(), 0);
+            assert_eq!(flash.page_images_pooled(), PAGE_BUF_POOL_CAP);
+        }
     }
 
     #[test]

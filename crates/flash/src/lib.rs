@@ -16,10 +16,16 @@
 //!   image does not need 16 GB of host RAM.
 //! * **Page images**: a completed read carries a pooled, reference-counted
 //!   [`recssd_sim::PageImage`] the array filled in place — the only copy of
-//!   that page the layers above ever see. Whoever holds it last offers it
-//!   back through [`FlashArray::recycle_page_buf`]; the next read refills
-//!   it, clearing only the prefix the previous fill dirtied
-//!   ([`PageOracle::filled_prefix`]).
+//!   that page the layers above ever see. An image is a whole page to the
+//!   simulated device (the bus transfer is charged on
+//!   [`FlashGeometry::page_bytes`]) and its *content* to the host: the
+//!   array learns the extent before it takes a buffer
+//!   ([`PageOracle::filled_prefix`], a written page's stored length), the
+//!   image backs that much, and readers zero-extend
+//!   ([`recssd_sim::PageImage::bytes_at`]). Whoever holds it last offers
+//!   it back through [`FlashArray::recycle_page_buf`]; the next read of
+//!   that size class refills it, clearing only the prefix the previous
+//!   fill dirtied.
 //!
 //! The array is driven by the caller's event loop: [`FlashArray::submit`]
 //! enqueues an operation and [`FlashArray::handle`] advances it when one of

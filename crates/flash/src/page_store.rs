@@ -20,26 +20,47 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use recssd_sim::{FxHashMap, FxHashSet};
+use recssd_sim::{FxHashMap, FxHashSet, PageImage, PagePool};
 
 /// Synthesises the contents of preloaded pages on demand.
 ///
 /// Implementations must be deterministic: the same page index must always
 /// produce the same bytes, because a page may be regenerated many times.
 pub trait PageOracle: std::fmt::Debug + Send + Sync {
-    /// Fills `out` (one full page, pre-zeroed) with the contents of the
-    /// page at linear index `page_index` (see
+    /// Fills `out` with the contents of the page at linear index
+    /// `page_index` (see
     /// [`FlashGeometry::linear_index`](crate::FlashGeometry::linear_index)).
+    /// `out` is pre-zeroed and holds the page's leading bytes: at least
+    /// [`PageOracle::filled_prefix`] of them, the whole page at most.
     fn fill_page(&self, page_index: u64, out: &mut [u8]);
 
     /// Upper bound on the prefix of the page [`PageOracle::fill_page`]
-    /// writes for `page_index`; bytes past it must stay untouched. A pooled
-    /// page image clears only this prefix before its next fill, so an
-    /// oracle that knows its extent (one 128 B vector on a 16 KB page)
-    /// saves the rest of the memset. The default claims the whole page,
-    /// which is always correct.
+    /// writes for `page_index`; the page is zero past it. A page image
+    /// backs only this prefix, so an oracle that knows its extent (one
+    /// 128 B vector on a 16 KB page) costs that much host memory a cached
+    /// page, not `page_bytes`. The default claims the whole page, which is
+    /// always correct.
     fn filled_prefix(&self, _page_index: u64, page_bytes: usize) -> usize {
         page_bytes
+    }
+}
+
+/// Where the bytes of one page come from.
+enum Source<'a> {
+    /// Never written, erased, or outside every oracle: all zeros.
+    Zero,
+    Explicit(&'a [u8]),
+    Oracle(&'a dyn PageOracle),
+}
+
+impl Source<'_> {
+    /// Writes the page into the all-zero `out`, its leading bytes.
+    fn fill(&self, page_index: u64, out: &mut [u8]) {
+        match self {
+            Source::Zero => {}
+            Source::Explicit(data) => out[..data.len()].copy_from_slice(data),
+            Source::Oracle(oracle) => oracle.fill_page(page_index, out),
+        }
     }
 }
 
@@ -94,28 +115,41 @@ impl PageStore {
             .map(|(_, o)| o)
     }
 
-    /// Writes the page at `page_index` into the **all-zero** page `out`
-    /// and returns an upper bound on the prefix it dirtied — the fill
-    /// callback of [`PageImage::refill`](recssd_sim::PageImage::refill).
-    pub fn fill_zeroed(&self, page_index: u64, out: &mut [u8]) -> usize {
+    fn source(&self, page_index: u64) -> Source<'_> {
         if let Some(data) = self.explicit.get(&page_index) {
-            out[..data.len()].copy_from_slice(data);
-            data.len()
+            Source::Explicit(data)
         } else if self.tombstones.contains(&page_index) {
-            0
-        } else if let Some(oracle) = self.oracle_for(page_index) {
-            oracle.fill_page(page_index, out);
-            oracle.filled_prefix(page_index, out.len())
+            Source::Zero
         } else {
-            0
+            self.oracle_for(page_index)
+                .map_or(Source::Zero, |oracle| Source::Oracle(&**oracle))
         }
+    }
+
+    /// The page at `page_index` as an image from `pool`, sized by what the
+    /// page holds — the explicit page's stored length, the oracle's
+    /// [`PageOracle::filled_prefix`] — which is known before any buffer is
+    /// taken.
+    pub fn read_image(&self, page_index: u64, pool: &mut PagePool) -> PageImage {
+        let source = self.source(page_index);
+        let extent = match source {
+            Source::Zero => 0,
+            Source::Explicit(data) => data.len(),
+            Source::Oracle(oracle) => oracle.filled_prefix(page_index, pool.page_len()),
+        };
+        let mut image = pool.take(extent);
+        image.refill(|content| {
+            source.fill(page_index, content);
+            extent
+        });
+        image
     }
 
     /// Reads the full page at `page_index` into `out`, zero-filling
     /// whatever was never written.
     pub fn read_into(&self, page_index: u64, out: &mut [u8]) {
         out.fill(0);
-        self.fill_zeroed(page_index, out);
+        self.source(page_index).fill(page_index, out);
     }
 
     /// Reads a page into a freshly allocated buffer of `page_bytes`.

@@ -32,7 +32,9 @@ pub struct FtlConfig {
 
 impl FtlConfig {
     /// Cosmos+ OpenSSD-like configuration: ~87 % of physical pages exposed,
-    /// a 64 MB page cache (4096 × 16 KB), GC at two free blocks.
+    /// a 64 MB page cache (4096 × 16 KB), GC at two free blocks. The cache's
+    /// capacity is simulated pages; the host memory behind it is what those
+    /// pages contain (4096 × 128 B for one-vector dim-32 pages).
     pub fn cosmos() -> Self {
         let flash = FlashConfig::cosmos();
         let logical_pages = flash.geometry.total_pages() / 8 * 7;

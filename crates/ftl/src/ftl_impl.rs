@@ -46,7 +46,7 @@ pub enum FtlOutcome {
         req: ReqId,
         /// The logical page read.
         lpn: Lpn,
-        /// Full page contents: the one pooled image of the page (the
+        /// The page's contents: the one pooled image of the page (the
         /// page cache may hold a clone). Hand it back through
         /// [`GreedyFtl::recycle_page_image`] when done.
         data: PageImage,
@@ -571,7 +571,7 @@ impl GreedyFtl {
         self.stats.host_writes.inc();
         let ppa = self.alloc.alloc_page().ok_or(FtlError::DeviceFull)?;
         self.map.map(lpn, ppa, &g);
-        // One full-page image stays resident until the program completes:
+        // One image of the page stays resident until the program completes:
         // the write buffer, the page cache and the program share it.
         let image = self.flash.page_image_from(data);
         if let Some(old) = self.write_buffer.insert(lpn.0, image.clone()) {

@@ -160,14 +160,16 @@ pub enum CmdData {
 
 impl CmdData {
     /// The bytes as one contiguous vector (copies; for assertions and
-    /// diagnostics, not the datapath).
+    /// diagnostics, not the datapath). Page images are zero-extended to
+    /// their logical length, so a read of `nlb` blocks is `nlb` pages
+    /// long whatever the images back.
     pub fn to_vec(&self) -> Vec<u8> {
         match self {
             CmdData::Flat(bytes) => bytes.clone(),
             CmdData::Pages(pages) => {
-                let mut bytes = Vec::new();
+                let mut bytes = Vec::with_capacity(pages.iter().map(PageImage::len).sum());
                 for page in pages {
-                    bytes.extend_from_slice(page);
+                    bytes.extend_from_slice(&page.bytes_at(0, page.len()));
                 }
                 bytes
             }

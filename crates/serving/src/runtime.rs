@@ -1080,7 +1080,9 @@ impl ServingRuntime {
                 self.tier = Some(tier);
             }
             let tier = self.tier.as_mut().expect("just ensured");
-            let hot_view = table_data.select(placement.hot_rows());
+            // A copy, not a view: the tier gathers these few rows on
+            // every hit and must not re-hash a procedural source each time.
+            let hot_view = table_data.select(placement.hot_rows()).materialized();
             let page_bytes = tier.sys.config().ssd.block_bytes();
             // Dense layout keeps the tier's (never-read) flash image
             // within its registry slot whatever the hot count.

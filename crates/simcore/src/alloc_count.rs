@@ -5,8 +5,9 @@
 //! in steady state. That claim is only trustworthy if it is measured, so
 //! this module provides a [`CountingAllocator`] that wraps the system
 //! allocator and counts allocation events (allocs and reallocs — frees
-//! are tracked separately). Install it in a test binary or behind a
-//! feature flag:
+//! are tracked separately) and the bytes requested and freed, so
+//! [`live_bytes`] reads the heap a region left resident. Install it in a
+//! test binary or behind a feature flag:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -24,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Pass-through allocator that counts events. Zero-cost when not
 /// installed; a couple of relaxed atomic increments per event when it is.
@@ -41,12 +43,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         FREES.fetch_add(1, Ordering::Relaxed);
+        FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,6 +68,13 @@ pub fn free_count() -> u64 {
 /// Bytes requested across all allocation events since process start.
 pub fn allocated_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)
+}
+
+/// Requested bytes currently live on the heap: [`allocated_bytes`] minus
+/// what every `dealloc`, and the old size of every `realloc`, gave back
+/// (allocator overhead is not included).
+pub fn live_bytes() -> u64 {
+    allocated_bytes().saturating_sub(FREED_BYTES.load(Ordering::Relaxed))
 }
 
 /// Allocation events performed by `f` (meaningful only single-threaded,

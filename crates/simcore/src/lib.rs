@@ -20,7 +20,9 @@
 //!   per-process random seed.
 //! * [`PageImage`] — the pooled, reference-counted image of one flash page
 //!   that every layer from the flash die to the host reader shares instead
-//!   of copying.
+//!   of copying. It backs the bytes the page contains and reads as zeros
+//!   past them; [`PagePool`] keeps the free images, one list per size
+//!   class.
 //!
 //! # Example
 //!
@@ -50,6 +52,6 @@ pub mod rng;
 pub mod stats;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use page::PageImage;
+pub use page::{PageImage, PagePool};
 pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -24,7 +24,12 @@
 //! collects one image per logical block of a read command — the shared
 //! all-zero image for unmapped blocks — and completes the command with
 //! that list ([`recssd_nvme::CmdData::Pages`], the analogue of a PRP/SGL
-//! list). The DMA still charges `nlb × block_bytes` of PCIe time. The host
+//! list). An image backs the bytes its page contains (one 128 B vector of
+//! a spread-layout table page; nothing at all for the zero image) and
+//! reads as zeros past them, so host memory follows content while every
+//! simulated size follows the geometry: the DMA still charges
+//! `nlb × block_bytes` of PCIe time, the page cache still holds
+//! `page_cache_pages` pages. The host
 //! reads rows out of image `k` and returns the list through
 //! [`SsdDevice::recycle_buffer`], which offers each image back to the FTL;
 //! the last holder to let go (a reader, or the page cache on eviction)

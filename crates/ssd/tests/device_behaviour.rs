@@ -8,7 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use recssd_flash::PageOracle;
 use recssd_ftl::Lpn;
-use recssd_nvme::{NvmeCommand, NvmeStatus};
+use recssd_nvme::{CmdData, NvmeCommand, NvmeStatus};
 use recssd_sim::{EventQueue, SimTime};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
@@ -394,17 +394,32 @@ impl Checked {
                     .iter()
                     .find(|r| (r.0, r.1) == (qid, c.cid))
                     .expect("a read this op submitted");
+                // Whatever its images back, a read is `nlb` pages long.
                 let bytes = data.to_vec();
                 assert_eq!(bytes.len(), nlb as usize * page);
-                for k in 0..nlb as u64 {
-                    let got = &bytes[k as usize * page..(k as usize + 1) * page];
+                let CmdData::Pages(images) = &data else {
+                    panic!("a read completes with page images");
+                };
+                for (k, image) in images.iter().enumerate() {
+                    let lpn = start + k as u64;
+                    let want = self.expected(lpn);
                     assert!(
-                        got == &self.expected(start + k)[..],
-                        "lpn {} of read {}+{} differs from the page store",
-                        start + k,
-                        start,
-                        nlb
+                        bytes[k * page..(k + 1) * page] == want[..],
+                        "lpn {lpn} of read {start}+{nlb} differs from the page store"
                     );
+                    // A range across the end of the page's content, where
+                    // an image stops backing bytes: content, then zeros.
+                    let edge = want.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+                    let cross = edge.saturating_sub(4)..(edge + 60).min(page);
+                    assert_eq!(image.len(), page);
+                    assert!(
+                        *image.bytes_at(cross.start, cross.len()) == want[cross.clone()],
+                        "lpn {lpn}: bytes {cross:?} across the content boundary differ"
+                    );
+                    if SHORT.contains(&lpn) && !self.written.contains_key(&lpn) {
+                        assert_eq!(edge, ShortPages::len(lpn));
+                        assert!(image.bytes_at(edge, page - edge).iter().all(|&b| b == 0));
+                    }
                 }
                 self.h.dev.recycle_buffer(data);
             }
@@ -415,11 +430,13 @@ impl Checked {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every layer used to zero whole pages; now an image clears only the
-    /// prefix its last fill reported. Whatever order full pages,
-    /// short-prefix pages, unmapped holes (inside multi-page commands),
-    /// page-cache hits and write-buffer hits cycle the same few images in,
-    /// every read returns exactly the stored bytes and zeros elsewhere.
+    /// Every layer used to allocate and zero whole pages; now an image
+    /// backs only its page's content, rounded up to a size class, and
+    /// clears only the prefix its last fill reported. Whatever order full
+    /// pages, short-prefix pages, unmapped holes (inside multi-page
+    /// commands), page-cache hits and write-buffer hits cycle the same few
+    /// images in, every read returns exactly the stored bytes and zeros
+    /// elsewhere — across the end of what an image backs included.
     #[test]
     fn recycled_page_images_never_leak_stale_bytes(
         ops in proptest::collection::vec((0u8..6, 0u64..48, 0u64..u64::MAX), 1..60)
@@ -475,10 +492,13 @@ proptest! {
             }
         }
         // Nothing leaked and nothing ballooned: every image ever taken is
-        // back in the pool or in the 4-page cache, and the whole run fit
-        // in the cache plus the deepest read fan-out.
+        // back in the pool or in the 4-page cache, and each size class of
+        // the pool fit in the cache plus the deepest read fan-out.
         let ftl = c.h.dev.ftl();
+        let classes = (page / 64).ilog2() as usize + 1;
         prop_assert_eq!(ftl.flash().page_images_out(), ftl.cached_pages());
-        prop_assert!(ftl.flash().page_images_pooled() + ftl.cached_pages() <= 4 + 12 + 2);
+        prop_assert!(
+            ftl.flash().page_images_pooled() + ftl.cached_pages() <= (4 + 12 + 2) * classes
+        );
     }
 }
