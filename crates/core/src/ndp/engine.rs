@@ -47,9 +47,7 @@
 
 use recssd_embedding::Quantization;
 use recssd_ftl::{FtlOutcome, FwTag, ReadStarted, ReqId};
-use recssd_nvme::{
-    CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferDirection, XferId,
-};
+use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferId};
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::{Counter, HitStats};
 use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
@@ -716,9 +714,7 @@ impl NdpSlsEngine {
         let xfer = {
             let pcie = &mut *ctx.pcie;
             let sched = &mut *ctx.sched;
-            pcie.request(ctx.now, bytes, XferDirection::DeviceToHost, &mut |d, e| {
-                sched(d, SsdEvent::Pcie(e))
-            })
+            pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
         };
         self.dma_out.insert(xfer, request);
     }
@@ -808,9 +804,7 @@ impl NdpEngine for NdpSlsEngine {
                 let xfer = {
                     let pcie = &mut *ctx.pcie;
                     let sched = &mut *ctx.sched;
-                    pcie.request(ctx.now, bytes, XferDirection::HostToDevice, &mut |d, e| {
-                        sched(d, SsdEvent::Pcie(e))
-                    })
+                    pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
                 };
                 self.dma_in.insert(xfer, request);
             }

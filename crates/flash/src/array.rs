@@ -13,15 +13,16 @@
 //! channel overlap; the shared channel bus serialises transfers. This is
 //! exactly the parallelism structure §2.2 of the paper describes ("data
 //! accesses can be conducted in parallel to provide higher aggregated
-//! bandwidth and hide high latency operations").
+//! bandwidth and hide high latency operations"). Every die and every
+//! channel is a FIFO [`Server`] of operation ids; a channel's busy time
+//! is its [`Server::busy`].
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, LogHistogram};
-use recssd_sim::{FxHashMap, PageImage, PagePool, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, PageImage, PagePool, Server, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -122,11 +123,11 @@ pub struct FlashCompletion {
     /// An injected transient error extended this read by ECC retry
     /// senses (the read still succeeded).
     pub retried: bool,
-    /// Duration of the operation's final pipeline phase — the channel
-    /// transfer for reads, tPROG for programs — which ends exactly at
-    /// this completion. Lets observers place the bus-busy window on a
-    /// timeline without the array carrying per-phase timestamps.
-    pub last_phase: SimDuration,
+    /// The `[start, end)` window the operation held its channel bus —
+    /// the transfer out of a read, the transfer into a program; `None`
+    /// for an erase, which holds only its die. These windows are what
+    /// [`FlashStats::channel_busy`] sums.
+    pub channel_window: Option<(SimTime, SimTime)>,
 }
 
 /// Errors rejected at submission time.
@@ -186,47 +187,16 @@ pub struct FlashStats {
     pub erases: Counter,
     /// End-to-end operation latency in nanoseconds.
     pub op_latency: LogHistogram,
-    /// Accumulated bus-busy time per channel.
+    /// Bus-busy time per channel: each channel server's service total
+    /// (filled in by [`FlashArray::stats`]).
     pub channel_busy: Vec<SimDuration>,
 }
 
-impl FlashStats {
-    /// Resets every counter, the latency histogram and the per-channel
-    /// busy accumulators (geometry is preserved).
-    pub fn reset(&mut self) {
-        self.reads.reset();
-        self.programs.reset();
-        self.erases.reset();
-        self.op_latency.reset();
-        for b in &mut self.channel_busy {
-            *b = SimDuration::ZERO;
-        }
-    }
-}
-
+/// Which of its two servers an operation's pipeline phase holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ResKey {
-    Die(usize),
-    Channel(usize),
-}
-
-#[derive(Debug)]
-struct Resource {
-    busy: Option<FlashOpId>,
-    waiters: VecDeque<FlashOpId>,
-}
-
-impl Default for Resource {
-    fn default() -> Self {
-        Resource {
-            busy: None,
-            // An NDP request can fan a whole batch out across a handful
-            // of channels, so backlogs routinely reach dozens of ops;
-            // pre-sizing keeps the hot queue/dequeue cycle from growing
-            // the deque mid-run.
-            waiters: VecDeque::with_capacity(128),
-        }
-    }
+enum Hold {
+    Die,
+    Channel,
 }
 
 #[derive(Debug)]
@@ -234,13 +204,21 @@ struct OpState {
     op: FlashOp,
     /// At most two phases per operation; a fixed array avoids a per-op
     /// heap allocation on the hottest submit path.
-    phases: [(ResKey, SimDuration); 2],
+    phases: [(Hold, SimDuration); 2],
     n_phases: usize,
     cur: usize,
     submitted_at: SimTime,
     failed: bool,
     retried: bool,
+    /// The channel phase's window, once it started.
+    channel_window: Option<(SimTime, SimTime)>,
 }
+
+/// Waiters a die or channel holds before its queue grows. An NDP request
+/// can fan a whole batch out across a handful of channels, so backlogs
+/// routinely reach dozens of ops; pre-sizing keeps the hot
+/// queue/dequeue cycle from growing a queue mid-run.
+const SERVER_QUEUE_CAP: usize = 128;
 
 /// Largest number of recycled page images the array keeps, over all size
 /// classes. Sized to cover the deepest realistic read backlog (an NDP
@@ -254,8 +232,8 @@ const PAGE_BUF_POOL_CAP: usize = 1024;
 #[derive(Debug)]
 pub struct FlashArray {
     config: FlashConfig,
-    dies: Vec<Resource>,
-    channels: Vec<Resource>,
+    dies: Vec<Server<FlashOpId>>,
+    channels: Vec<Server<FlashOpId>>,
     store: PageStore,
     block_write_ptr: FxHashMap<u64, u32>,
     ops: FxHashMap<FlashOpId, OpState>,
@@ -275,8 +253,12 @@ impl FlashArray {
         let n_dies = config.geometry.total_dies() as usize;
         let n_channels = config.geometry.channels as usize;
         FlashArray {
-            dies: (0..n_dies).map(|_| Resource::default()).collect(),
-            channels: (0..n_channels).map(|_| Resource::default()).collect(),
+            dies: (0..n_dies)
+                .map(|_| Server::with_capacity(SERVER_QUEUE_CAP))
+                .collect(),
+            channels: (0..n_channels)
+                .map(|_| Server::with_capacity(SERVER_QUEUE_CAP))
+                .collect(),
             store: PageStore::new(),
             block_write_ptr: FxHashMap::default(),
             // Pre-sized for the deepest realistic in-flight set — an
@@ -293,10 +275,7 @@ impl FlashArray {
             next_op: 0,
             page_pool: PagePool::new(config.geometry.page_bytes, PAGE_BUF_POOL_CAP),
             fault: None,
-            stats: FlashStats {
-                channel_busy: vec![SimDuration::ZERO; n_channels],
-                ..FlashStats::default()
-            },
+            stats: FlashStats::default(),
             config,
         }
     }
@@ -307,14 +286,21 @@ impl FlashArray {
     }
 
     /// Statistics accumulated so far.
-    pub fn stats(&self) -> &FlashStats {
-        &self.stats
+    pub fn stats(&self) -> FlashStats {
+        FlashStats {
+            channel_busy: self.channels.iter().map(Server::busy).collect(),
+            ..self.stats.clone()
+        }
     }
 
-    /// Resets the array's statistics and, if a fault plan is installed,
-    /// its injection counters (RNG streams and schedules are untouched).
+    /// Resets the array's statistics — counters, the latency histogram
+    /// and every die's and channel's busy total — and, if a fault plan
+    /// is installed, its injection counters (RNG streams and schedules
+    /// are untouched).
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.stats = FlashStats::default();
+        self.dies.iter_mut().for_each(Server::reset);
+        self.channels.iter_mut().for_each(Server::reset);
         if let Some(plan) = self.fault.as_mut() {
             plan.reset_stats();
         }
@@ -498,26 +484,15 @@ impl FlashArray {
             FlashOp::Read { .. } => {}
         }
 
-        let die_key = ResKey::Die((ppa.channel * g.dies_per_channel + ppa.die) as usize);
-        let chan_key = ResKey::Channel(ppa.channel as usize);
         let t = self.config.timing;
-        let idle = (die_key, SimDuration::ZERO);
+        let xfer = t.transfer_time(g.page_bytes);
         let (mut phases, n_phases) = match op.kind() {
-            FlashOpKind::Read => (
-                [
-                    (die_key, t.read_time()),
-                    (chan_key, t.transfer_time(g.page_bytes)),
-                ],
-                2,
+            FlashOpKind::Read => ([(Hold::Die, t.read_time()), (Hold::Channel, xfer)], 2),
+            FlashOpKind::Program => ([(Hold::Channel, xfer), (Hold::Die, t.program_time())], 2),
+            FlashOpKind::Erase => (
+                [(Hold::Die, t.erase_time()), (Hold::Die, SimDuration::ZERO)],
+                1,
             ),
-            FlashOpKind::Program => (
-                [
-                    (chan_key, t.transfer_time(g.page_bytes)),
-                    (die_key, t.program_time()),
-                ],
-                2,
-            ),
-            FlashOpKind::Erase => ([(die_key, t.erase_time()), idle], 1),
         };
 
         // Fault injection: reads draw their fault outcome at submission
@@ -554,36 +529,53 @@ impl FlashArray {
                 submitted_at: now,
                 failed,
                 retried,
+                channel_window: None,
             },
         );
-        self.try_start_phase(id, sched);
+        self.enter_phase(now, id, sched);
         Ok(id)
     }
 
-    fn resource(&mut self, key: ResKey) -> &mut Resource {
-        match key {
-            ResKey::Die(i) => &mut self.dies[i],
-            ResKey::Channel(i) => &mut self.channels[i],
+    /// The server `hold` of the operation addressing `ppa`.
+    fn server(&mut self, ppa: Ppa, hold: Hold) -> &mut Server<FlashOpId> {
+        match hold {
+            Hold::Die => {
+                let die = ppa.channel * self.config.geometry.dies_per_channel + ppa.die;
+                &mut self.dies[die as usize]
+            }
+            Hold::Channel => &mut self.channels[ppa.channel as usize],
         }
     }
 
-    /// Attempts to start `op`'s current phase; queues on the resource if
-    /// it is busy.
-    fn try_start_phase(&mut self, id: FlashOpId, sched: &mut dyn FnMut(SimDuration, FlashEvent)) {
-        let (key, dur) = {
-            let st = &self.ops[&id];
-            st.phases[st.cur]
-        };
-        let res = self.resource(key);
-        if res.busy.is_none() {
-            res.busy = Some(id);
-            if let ResKey::Channel(c) = key {
-                self.stats.channel_busy[c] += dur;
-            }
-            sched(dur, FlashEvent::PhaseDone { op: id });
-        } else {
-            res.waiters.push_back(id);
+    /// Submits `id`'s current phase to its server: it starts at once when
+    /// the server is idle and queues FIFO otherwise.
+    fn enter_phase(
+        &mut self,
+        now: SimTime,
+        id: FlashOpId,
+        sched: &mut dyn FnMut(SimDuration, FlashEvent),
+    ) {
+        let st = &self.ops[&id];
+        let (ppa, (hold, dur)) = (st.op.ppa(), st.phases[st.cur]);
+        if let Some(d) = self.server(ppa, hold).start(now, dur, id) {
+            self.begin(now, id, hold, d, sched);
         }
+    }
+
+    /// The one start site of every die and channel: `id`'s phase on
+    /// `hold` starts at `now` and completes `d` later.
+    fn begin(
+        &mut self,
+        now: SimTime,
+        id: FlashOpId,
+        hold: Hold,
+        d: SimDuration,
+        sched: &mut dyn FnMut(SimDuration, FlashEvent),
+    ) {
+        if hold == Hold::Channel {
+            self.ops.get_mut(&id).expect("op in flight").channel_window = Some((now, now + d));
+        }
+        sched(d, FlashEvent::PhaseDone { op: id });
     }
 
     /// Processes one of the array's own events. Returns a completion when
@@ -600,33 +592,24 @@ impl FlashArray {
         sched: &mut dyn FnMut(SimDuration, FlashEvent),
     ) -> Option<FlashCompletion> {
         let FlashEvent::PhaseDone { op: id } = ev;
-        let (key, finished) = {
+        let (ppa, hold, finished) = {
             let st = self.ops.get_mut(&id).expect("phase event for unknown op");
-            let key = st.phases[st.cur].0;
+            let hold = st.phases[st.cur].0;
             st.cur += 1;
-            (key, st.cur == st.n_phases)
+            (st.op.ppa(), hold, st.cur == st.n_phases)
         };
 
-        // Release the resource and start the next waiter, if any.
-        let res = self.resource(key);
-        debug_assert_eq!(res.busy, Some(id), "resource released by non-owner");
-        res.busy = None;
-        if let Some(next) = res.waiters.pop_front() {
-            let (nkey, ndur) = {
-                let st = &self.ops[&next];
-                st.phases[st.cur]
-            };
-            debug_assert_eq!(nkey, key);
-            let res = self.resource(key);
-            res.busy = Some(next);
-            if let ResKey::Channel(c) = nkey {
-                self.stats.channel_busy[c] += ndur;
-            }
-            sched(ndur, FlashEvent::PhaseDone { op: next });
+        // Release the server and start its next waiter, if any.
+        let server = self.server(ppa, hold);
+        let (done, next) = server.finish(now);
+        debug_assert_eq!(done, id, "server released by non-owner");
+        if let Some(d) = next {
+            let next = server.current().expect("a queued op started");
+            self.begin(now, next, hold, d, sched);
         }
 
         if !finished {
-            self.try_start_phase(id, sched);
+            self.enter_phase(now, id, sched);
             return None;
         }
 
@@ -637,7 +620,6 @@ impl FlashArray {
         let kind = st.op.kind();
         let failed = st.failed;
         let retried = st.retried;
-        let last_phase = st.phases[st.n_phases - 1].1;
         let data = match st.op {
             FlashOp::Read { ppa } => {
                 self.stats.reads.inc();
@@ -677,7 +659,7 @@ impl FlashArray {
             submitted_at: st.submitted_at,
             failed,
             retried,
-            last_phase,
+            channel_window: st.channel_window,
         })
     }
 }
@@ -704,6 +686,25 @@ mod tests {
         done
     }
 
+    /// The page at `(channel, die, block, page)`.
+    fn ppa(channel: u32, die: u32, block: u32, page: u32) -> Ppa {
+        Ppa {
+            channel,
+            die,
+            block,
+            page,
+        }
+    }
+
+    fn read(ppa: Ppa) -> FlashOp {
+        FlashOp::Read { ppa }
+    }
+
+    fn program(ppa: Ppa, data: &[u8]) -> FlashOp {
+        let data = data.to_vec().into();
+        FlashOp::Program { ppa, data }
+    }
+
     fn submit(
         flash: &mut FlashArray,
         queue: &mut EventQueue<FlashEvent>,
@@ -720,18 +721,7 @@ mod tests {
         let expected = cfg.timing.read_time() + cfg.timing.transfer_time(cfg.geometry.page_bytes);
         let mut flash = FlashArray::new(cfg);
         let mut q = EventQueue::new();
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Read {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-            },
-        );
+        submit(&mut flash, &mut q, read(ppa(0, 0, 0, 0)));
         let done = drain(&mut flash, &mut q);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, SimTime::ZERO + expected);
@@ -742,20 +732,8 @@ mod tests {
     fn program_then_read_round_trips_data() {
         let mut flash = FlashArray::new(FlashConfig::cosmos_small());
         let mut q = EventQueue::new();
-        let ppa = Ppa {
-            channel: 1,
-            die: 1,
-            block: 2,
-            page: 0,
-        };
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Program {
-                ppa,
-                data: vec![1, 2, 3, 4].into(),
-            },
-        );
+        let ppa = ppa(1, 1, 2, 0);
+        submit(&mut flash, &mut q, program(ppa, &[1, 2, 3, 4]));
         drain(&mut flash, &mut q);
         submit(&mut flash, &mut q, FlashOp::Read { ppa });
         let done = drain(&mut flash, &mut q);
@@ -772,18 +750,7 @@ mod tests {
         let mut flash = FlashArray::new(cfg);
         let mut q = EventQueue::new();
         for ch in 0..2 {
-            submit(
-                &mut flash,
-                &mut q,
-                FlashOp::Read {
-                    ppa: Ppa {
-                        channel: ch,
-                        die: 0,
-                        block: 0,
-                        page: 0,
-                    },
-                },
-            );
+            submit(&mut flash, &mut q, read(ppa(ch, 0, 0, 0)));
         }
         let done = drain(&mut flash, &mut q);
         let finish = done.iter().map(|(t, _)| *t).max().unwrap();
@@ -798,18 +765,7 @@ mod tests {
         let mut flash = FlashArray::new(cfg);
         let mut q = EventQueue::new();
         for page in 0..2 {
-            submit(
-                &mut flash,
-                &mut q,
-                FlashOp::Read {
-                    ppa: Ppa {
-                        channel: 0,
-                        die: 0,
-                        block: 0,
-                        page,
-                    },
-                },
-            );
+            submit(&mut flash, &mut q, read(ppa(0, 0, 0, page)));
         }
         let done = drain(&mut flash, &mut q);
         let finish = done.iter().map(|(t, _)| *t).max().unwrap();
@@ -855,18 +811,7 @@ mod tests {
         let mut q = EventQueue::new();
         let n = 16;
         for i in 0..n {
-            submit(
-                &mut flash,
-                &mut q,
-                FlashOp::Read {
-                    ppa: Ppa {
-                        channel: 0,
-                        die: i % 2,
-                        block: 0,
-                        page: i / 2,
-                    },
-                },
-            );
+            submit(&mut flash, &mut q, read(ppa(0, i % 2, 0, i / 2)));
         }
         let done = drain(&mut flash, &mut q);
         let finish = done.iter().map(|(t, _)| *t).max().unwrap();
@@ -883,21 +828,9 @@ mod tests {
     fn out_of_order_program_is_rejected() {
         let mut flash = FlashArray::new(FlashConfig::cosmos_small());
         let mut q: EventQueue<FlashEvent> = EventQueue::new();
-        let ppa = Ppa {
-            channel: 0,
-            die: 0,
-            block: 0,
-            page: 3,
-        };
+        let ppa = ppa(0, 0, 0, 3);
         let err = flash
-            .submit(
-                q.now(),
-                FlashOp::Program {
-                    ppa,
-                    data: vec![1].into(),
-                },
-                &mut |d, e| q.push_after(d, e),
-            )
+            .submit(q.now(), program(ppa, &[1]), &mut |d, e| q.push_after(d, e))
             .unwrap_err();
         assert_eq!(
             err,
@@ -912,45 +845,19 @@ mod tests {
     fn rewriting_a_page_requires_erase() {
         let mut flash = FlashArray::new(FlashConfig::cosmos_small());
         let mut q = EventQueue::new();
-        let ppa = Ppa {
-            channel: 0,
-            die: 0,
-            block: 0,
-            page: 0,
-        };
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Program {
-                ppa,
-                data: vec![1].into(),
-            },
-        );
+        let ppa = ppa(0, 0, 0, 0);
+        submit(&mut flash, &mut q, program(ppa, &[1]));
         drain(&mut flash, &mut q);
         // Same page again: write pointer moved past it.
         let err = flash
-            .submit(
-                q.now(),
-                FlashOp::Program {
-                    ppa,
-                    data: vec![2].into(),
-                },
-                &mut |d, e| q.push_after(d, e),
-            )
+            .submit(q.now(), program(ppa, &[2]), &mut |d, e| q.push_after(d, e))
             .unwrap_err();
         assert!(matches!(err, FlashError::ProgramOutOfOrder { .. }));
         // After an erase the block accepts page 0 again.
         submit(&mut flash, &mut q, FlashOp::Erase { ppa });
         drain(&mut flash, &mut q);
         assert_eq!(flash.next_program_page(0, 0, 0), 0);
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Program {
-                ppa,
-                data: vec![2].into(),
-            },
-        );
+        submit(&mut flash, &mut q, program(ppa, &[2]));
         drain(&mut flash, &mut q);
         assert_eq!(flash.page_bytes_prefix(ppa, 1), vec![2]);
     }
@@ -963,15 +870,7 @@ mod tests {
             submit(
                 &mut flash,
                 &mut q,
-                FlashOp::Program {
-                    ppa: Ppa {
-                        channel: 0,
-                        die: 0,
-                        block: 1,
-                        page,
-                    },
-                    data: vec![page as u8 + 1].into(),
-                },
+                program(ppa(0, 0, 1, page), &[page as u8 + 1]),
             );
         }
         drain(&mut flash, &mut q);
@@ -979,28 +878,12 @@ mod tests {
             &mut flash,
             &mut q,
             FlashOp::Erase {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 1,
-                    page: 0,
-                },
+                ppa: ppa(0, 0, 1, 0),
             },
         );
         drain(&mut flash, &mut q);
         for page in 0..3 {
-            assert_eq!(
-                flash.page_bytes_prefix(
-                    Ppa {
-                        channel: 0,
-                        die: 0,
-                        block: 1,
-                        page
-                    },
-                    1
-                ),
-                vec![0]
-            );
+            assert_eq!(flash.page_bytes_prefix(ppa(0, 0, 1, page), 1), vec![0]);
         }
     }
 
@@ -1008,12 +891,7 @@ mod tests {
     fn invalid_addresses_rejected() {
         let mut flash = FlashArray::new(FlashConfig::cosmos_small());
         let mut q: EventQueue<FlashEvent> = EventQueue::new();
-        let bad = Ppa {
-            channel: 99,
-            die: 0,
-            block: 0,
-            page: 0,
-        };
+        let bad = ppa(99, 0, 0, 0);
         assert_eq!(
             flash
                 .submit(q.now(), FlashOp::Read { ppa: bad }, &mut |d, e| q
@@ -1021,12 +899,7 @@ mod tests {
                 .unwrap_err(),
             FlashError::InvalidPpa(bad)
         );
-        let head = Ppa {
-            channel: 0,
-            die: 0,
-            block: 0,
-            page: 1,
-        };
+        let head = ppa(0, 0, 0, 1);
         assert_eq!(
             flash
                 .submit(q.now(), FlashOp::Erase { ppa: head }, &mut |d, e| q
@@ -1037,15 +910,7 @@ mod tests {
         let err = flash
             .submit(
                 q.now(),
-                FlashOp::Program {
-                    ppa: Ppa {
-                        channel: 0,
-                        die: 0,
-                        block: 0,
-                        page: 0,
-                    },
-                    data: vec![0u8; 17 * 1024].into(),
-                },
+                program(ppa(0, 0, 0, 0), &[0u8; 17 * 1024]),
                 &mut |d, e| q.push_after(d, e),
             )
             .unwrap_err();
@@ -1151,12 +1016,7 @@ mod tests {
         let mut relocated = Vec::new();
         let moving: Vec<_> = held.drain(..g.pages_per_block as usize).collect();
         for (page, (idx, data)) in (0..).zip(moving) {
-            let ppa = Ppa {
-                channel: 1,
-                die: 1,
-                block: 40,
-                page,
-            };
+            let ppa = ppa(1, 1, 40, page);
             relocated.push((ppa, idx));
             submit(&mut flash, &mut q, FlashOp::Program { ppa, data });
             let staged = flash.page_image_from(&vec![0xC3; 1 + 700 * page as usize]);
@@ -1220,18 +1080,7 @@ mod tests {
             flash.set_fault_plan(plan);
             let mut q = EventQueue::new();
             for i in 0..8 {
-                submit(
-                    &mut flash,
-                    &mut q,
-                    FlashOp::Read {
-                        ppa: Ppa {
-                            channel: i % 2,
-                            die: 0,
-                            block: 0,
-                            page: i / 2,
-                        },
-                    },
-                );
+                submit(&mut flash, &mut q, read(ppa(i % 2, 0, 0, i / 2)));
             }
             drain(&mut flash, &mut q)
                 .into_iter()
@@ -1256,18 +1105,7 @@ mod tests {
             ..crate::FaultConfig::quiet(1)
         })));
         let mut q = EventQueue::new();
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Read {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-            },
-        );
+        submit(&mut flash, &mut q, read(ppa(0, 0, 0, 0)));
         let done = drain(&mut flash, &mut q);
         assert_eq!(done[0].0, SimTime::ZERO + base + retry);
         assert!(!done[0].1.failed, "transient errors are recovered");
@@ -1282,18 +1120,7 @@ mod tests {
             ..crate::FaultConfig::quiet(1)
         })));
         let mut q = EventQueue::new();
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Read {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-            },
-        );
+        submit(&mut flash, &mut q, read(ppa(0, 0, 0, 0)));
         let done = drain(&mut flash, &mut q);
         assert!(done[0].1.failed);
         assert!(done[0].1.data.is_some(), "failed reads still carry data");
@@ -1314,52 +1141,55 @@ mod tests {
             ..crate::FaultConfig::quiet(1)
         })));
         let mut q = EventQueue::new();
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Read {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-            },
-        );
+        submit(&mut flash, &mut q, read(ppa(0, 0, 0, 0)));
         let done = drain(&mut flash, &mut q);
         assert_eq!(done[0].0, SimTime::ZERO + base * 3);
         assert!(!done[0].1.failed);
+    }
+
+    /// A completion reports the window its op held the channel — the
+    /// transfer in of a program (its first phase), the transfer out of a
+    /// read (its last), none for an erase — and those windows are what
+    /// `channel_busy` sums.
+    #[test]
+    fn completions_carry_their_channel_window() {
+        let cfg = FlashConfig::cosmos_small();
+        let xfer = cfg.timing.transfer_time(cfg.geometry.page_bytes);
+        let sensed = SimTime::ZERO + cfg.timing.read_time().max(xfer);
+        let mut flash = FlashArray::new(cfg);
+        let mut q = EventQueue::new();
+        submit(&mut flash, &mut q, program(ppa(0, 0, 0, 0), &[1]));
+        submit(&mut flash, &mut q, read(ppa(0, 1, 0, 0)));
+        submit(
+            &mut flash,
+            &mut q,
+            FlashOp::Erase {
+                ppa: ppa(1, 0, 0, 0),
+            },
+        );
+        let mut windows: Vec<_> = drain(&mut flash, &mut q)
+            .into_iter()
+            .map(|(_, c)| (c.kind as u8, c.channel_window))
+            .collect();
+        windows.sort_unstable_by_key(|w| w.0);
+        let t0 = SimTime::ZERO;
+        assert_eq!(
+            windows,
+            [
+                (FlashOpKind::Read as u8, Some((sensed, sensed + xfer))),
+                (FlashOpKind::Program as u8, Some((t0, t0 + xfer))),
+                (FlashOpKind::Erase as u8, None),
+            ]
+        );
+        assert_eq!(flash.stats().channel_busy, [xfer * 2, SimDuration::ZERO]);
     }
 
     #[test]
     fn stats_track_operations() {
         let mut flash = FlashArray::new(FlashConfig::cosmos_small());
         let mut q = EventQueue::new();
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Program {
-                ppa: Ppa {
-                    channel: 0,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-                data: vec![1].into(),
-            },
-        );
-        submit(
-            &mut flash,
-            &mut q,
-            FlashOp::Read {
-                ppa: Ppa {
-                    channel: 1,
-                    die: 0,
-                    block: 0,
-                    page: 0,
-                },
-            },
-        );
+        submit(&mut flash, &mut q, program(ppa(0, 0, 0, 0), &[1]));
+        submit(&mut flash, &mut q, read(ppa(1, 0, 0, 0)));
         let mut done = drain(&mut flash, &mut q);
         assert_eq!(flash.stats().reads.get(), 1);
         assert_eq!(flash.stats().programs.get(), 1);
@@ -1372,12 +1202,7 @@ mod tests {
         // latency (~156 us), far from both the next power-of-two edge
         // (262 us) and the slow program that holds the max.
         for i in 0..150 {
-            let ppa = Ppa {
-                channel: 1,
-                die: 0,
-                block: 1 + i / 16,
-                page: i % 16,
-            };
+            let ppa = ppa(1, 0, 1 + i / 16, i % 16);
             submit(&mut flash, &mut q, FlashOp::Read { ppa });
             done.extend(drain(&mut flash, &mut q));
         }

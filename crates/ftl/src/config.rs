@@ -26,7 +26,7 @@ pub struct FtlConfig {
     pub gc_low_water: usize,
     /// Per-channel SLS engine pool (Conduit-style multi-engine compute).
     /// `None` models the stock single-core firmware: every task runs on
-    /// the serial [`crate::FwCore`].
+    /// the serial firmware core.
     pub engines: Option<EnginePoolConfig>,
 }
 

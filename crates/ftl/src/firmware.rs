@@ -1,4 +1,4 @@
-//! The embedded firmware core: a serial queue of timed tasks.
+//! The embedded firmware core and the per-channel SLS engines.
 //!
 //! The Cosmos+ FTL runs on a 1 GHz dual-core ARM A9; in this model one core
 //! executes FTL work serially (command processing, NDP config processing
@@ -8,8 +8,10 @@
 //! what produces the paper's two headline firmware effects: the ~10 K IOPS
 //! host-visible random-read ceiling of the baseline (§3.2) and the
 //! Translation-bound NDP profile of Fig. 8.
-
-use std::collections::VecDeque;
+//!
+//! The core and each engine are a [`recssd_sim::Server`] of [`FwTag`]s
+//! held by [`crate::GreedyFtl`]; this module holds the tag and the pool's
+//! configuration.
 
 use recssd_sim::SimDuration;
 
@@ -17,82 +19,6 @@ use recssd_sim::SimDuration;
 /// completes so the caller can resume the appropriate state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FwTag(pub u64);
-
-/// A serial task executor with FIFO queueing.
-///
-/// The owner schedules a completion event `duration` after each task
-/// starts; [`FwCore::start`] returns the delay to schedule when the core
-/// was idle, and [`FwCore::finish`] pops the next queued task.
-#[derive(Debug, Default)]
-pub struct FwCore {
-    current: Option<FwTag>,
-    queue: VecDeque<(SimDuration, FwTag)>,
-    busy_total: SimDuration,
-}
-
-impl FwCore {
-    /// Creates an idle core.
-    pub fn new() -> Self {
-        FwCore::default()
-    }
-
-    /// `true` if no task is running.
-    pub fn idle(&self) -> bool {
-        self.current.is_none()
-    }
-
-    /// Number of queued (not yet started) tasks.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Tag of the currently running task, if any (the task popped by the
-    /// latest [`FwCore::finish`], until it finishes in turn).
-    pub fn current(&self) -> Option<FwTag> {
-        self.current
-    }
-
-    /// Total busy time accumulated across all started tasks.
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
-    }
-
-    /// Zeroes the accumulated busy time (a statistics reset); running and
-    /// queued tasks are untouched.
-    pub fn reset_busy(&mut self) {
-        self.busy_total = SimDuration::ZERO;
-    }
-
-    /// Submits a task. If the core is idle the task starts immediately and
-    /// the returned delay must be scheduled as the core's completion event;
-    /// if busy, the task queues and `None` is returned.
-    pub fn start(&mut self, duration: SimDuration, tag: FwTag) -> Option<SimDuration> {
-        self.busy_total += duration;
-        if self.current.is_none() {
-            self.current = Some(tag);
-            Some(duration)
-        } else {
-            self.queue.push_back((duration, tag));
-            None
-        }
-    }
-
-    /// Completes the running task, returning its tag and — if another task
-    /// was queued — the delay to schedule for that next task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core is idle (a completion event arrived without a
-    /// running task, indicating event routing corruption).
-    pub fn finish(&mut self) -> (FwTag, Option<SimDuration>) {
-        let done = self.current.take().expect("firmware completion while idle");
-        let next = self.queue.pop_front().map(|(d, tag)| {
-            self.current = Some(tag);
-            d
-        });
-        (done, next)
-    }
-}
 
 /// Which resource executes the final merge of per-engine partial results
 /// (the fold of engine-local accumulators into the request's scratchpad).
@@ -158,167 +84,134 @@ impl EnginePoolConfig {
     }
 }
 
-/// A pool of per-channel compute engines: independent serial task
-/// executors (one [`FwCore`] each) with their own FIFO queues, modelling
-/// Conduit-style per-channel SLS units alongside the firmware core.
-#[derive(Debug)]
-pub struct EnginePool {
-    units: Vec<FwCore>,
-    cfg: EnginePoolConfig,
-}
-
-impl EnginePool {
-    /// Creates an idle pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration names zero engines (see
-    /// [`EnginePoolConfig::validate`]).
-    pub fn new(cfg: EnginePoolConfig) -> Self {
-        cfg.validate();
-        EnginePool {
-            units: (0..cfg.engines).map(|_| FwCore::new()).collect(),
-            cfg,
-        }
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &EnginePoolConfig {
-        &self.cfg
-    }
-
-    /// Number of engines (always ≥ 1).
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Always `false`: construction rejects empty pools.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// `true` when every engine is idle.
-    pub fn idle(&self) -> bool {
-        self.units.iter().all(|u| u.idle())
-    }
-
-    /// Tag of the task running on `engine`, if any.
-    pub fn current(&self, engine: usize) -> Option<FwTag> {
-        self.units[engine].current()
-    }
-
-    /// Queued (not yet started) tasks on `engine`.
-    pub fn queued(&self, engine: usize) -> usize {
-        self.units[engine].queued()
-    }
-
-    /// Total busy time of `engine`.
-    pub fn busy(&self, engine: usize) -> SimDuration {
-        self.units[engine].busy_total()
-    }
-
-    /// Total busy time summed across the pool.
-    pub fn busy_total(&self) -> SimDuration {
-        self.units
-            .iter()
-            .fold(SimDuration::ZERO, |acc, u| acc + u.busy_total())
-    }
-
-    /// Zeroes every engine's accumulated busy time.
-    pub fn reset_busy(&mut self) {
-        self.units.iter_mut().for_each(FwCore::reset_busy);
-    }
-
-    /// Submits a task to `engine` (modulo the pool size), scaling
-    /// `duration` by the pool's service rate. Same contract as
-    /// [`FwCore::start`]: `Some(delay)` means the engine was idle and the
-    /// caller must schedule its completion; `None` means the task queued
-    /// FIFO behind the engine's current work.
-    pub fn start(
-        &mut self,
-        engine: usize,
-        duration: SimDuration,
-        tag: FwTag,
-    ) -> Option<SimDuration> {
-        let idx = engine % self.units.len();
-        self.units[idx].start(self.cfg.scale(duration), tag)
-    }
-
-    /// Completes the task running on `engine`; same contract as
-    /// [`FwCore::finish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if that engine is idle.
-    pub fn finish(&mut self, engine: usize) -> (FwTag, Option<SimDuration>) {
-        self.units[engine].finish()
-    }
-}
-
+/// The core and the engines as the FTL drives them: which completion
+/// event a charge schedules, which tag it returns and what it counts.
+/// The queue discipline itself is `recssd_sim::Server`'s, tested there
+/// against a reference FIFO.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FtlConfig, FtlEvent, FtlOutcome, GreedyFtl};
+    use recssd_sim::{EventQueue, SimTime};
+
+    fn us(n: u64) -> SimDuration {
+        SimDuration::from_us(n)
+    }
+
+    fn at(n: u64) -> SimTime {
+        SimTime::ZERO + us(n)
+    }
+
+    /// An FTL whose firmware events are driven by hand.
+    struct Rig {
+        ftl: GreedyFtl,
+        q: EventQueue<FtlEvent>,
+    }
+
+    impl Rig {
+        fn new(engines: Option<EnginePoolConfig>) -> Self {
+            let cfg = FtlConfig {
+                engines,
+                ..FtlConfig::cosmos_small()
+            };
+            Rig {
+                ftl: GreedyFtl::new(cfg),
+                q: EventQueue::new(),
+            }
+        }
+
+        /// Charges `tag` for `d` at t = 0 on the core (`None`) or an
+        /// engine; returns the completions it scheduled.
+        fn charge(&mut self, engine: Option<usize>, d: SimDuration, tag: u64) -> Vec<FtlEvent> {
+            let (tag, mut fresh) = (FwTag(tag), Vec::new());
+            let sched = &mut |d, e| fresh.push((d, e));
+            match engine {
+                None => self.ftl.charge_firmware(SimTime::ZERO, d, tag, sched),
+                Some(e) => self.ftl.charge_engine(SimTime::ZERO, e, d, tag, sched),
+            }
+            for &(d, e) in &fresh {
+                self.q.push_after(d, e);
+            }
+            fresh.into_iter().map(|(_, e)| e).collect()
+        }
+
+        /// Runs to idle: `(finish, event, tag)` of every completed task.
+        fn drain(&mut self) -> Vec<(SimTime, FtlEvent, u64)> {
+            let (mut done, mut fresh, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            while let Some((now, ev)) = self.q.pop() {
+                self.ftl
+                    .handle(now, ev, &mut |d, e| fresh.push((d, e)), &mut out);
+                for (d, e) in fresh.drain(..) {
+                    self.q.push_after(d, e);
+                }
+                for o in out.drain(..) {
+                    let FtlOutcome::FwTaskDone { tag } = o else {
+                        panic!("unexpected outcome {o:?}");
+                    };
+                    done.push((now, ev, tag.0));
+                }
+            }
+            done
+        }
+    }
 
     #[test]
     fn idle_core_starts_immediately() {
-        let mut fw = FwCore::new();
-        assert!(fw.idle());
-        let d = fw.start(SimDuration::from_us(5), FwTag(1));
-        assert_eq!(d, Some(SimDuration::from_us(5)));
-        assert!(!fw.idle());
+        let mut rig = Rig::new(None);
+        assert_eq!(rig.charge(None, us(5), 1), [FtlEvent::FwDone]);
+        assert_eq!(rig.drain(), [(at(5), FtlEvent::FwDone, 1)]);
     }
 
     #[test]
     fn busy_core_queues_fifo() {
-        let mut fw = FwCore::new();
-        fw.start(SimDuration::from_us(1), FwTag(1));
-        assert_eq!(fw.start(SimDuration::from_us(2), FwTag(2)), None);
-        assert_eq!(fw.start(SimDuration::from_us(3), FwTag(3)), None);
-        assert_eq!(fw.queued(), 2);
-        let (t1, next) = fw.finish();
-        assert_eq!(t1, FwTag(1));
-        assert_eq!(next, Some(SimDuration::from_us(2)));
-        let (t2, next) = fw.finish();
-        assert_eq!(t2, FwTag(2));
-        assert_eq!(next, Some(SimDuration::from_us(3)));
-        let (t3, next) = fw.finish();
-        assert_eq!(t3, FwTag(3));
-        assert_eq!(next, None);
-        assert!(fw.idle());
+        let mut rig = Rig::new(None);
+        rig.charge(None, us(1), 1);
+        assert!(rig.charge(None, us(2), 2).is_empty());
+        assert!(rig.charge(None, us(3), 3).is_empty());
+        let done: Vec<_> = rig
+            .drain()
+            .into_iter()
+            .map(|(t, _, tag)| (t, tag))
+            .collect();
+        assert_eq!(done, [(at(1), 1), (at(3), 2), (at(6), 3)]);
+        assert!(rig.ftl.idle());
     }
 
+    /// Busy time is counted when a task starts, not when it queues.
     #[test]
     fn busy_total_accumulates() {
-        let mut fw = FwCore::new();
-        fw.start(SimDuration::from_us(1), FwTag(1));
-        fw.start(SimDuration::from_us(2), FwTag(2));
-        assert_eq!(fw.busy_total(), SimDuration::from_us(3));
+        let mut rig = Rig::new(None);
+        rig.charge(None, us(1), 1);
+        rig.charge(None, us(2), 2);
+        assert_eq!(rig.ftl.firmware_busy(), us(1));
+        rig.drain();
+        assert_eq!(rig.ftl.firmware_busy(), us(3));
     }
 
     #[test]
     #[should_panic(expected = "completion while idle")]
     fn finish_on_idle_panics() {
-        FwCore::new().finish();
+        let mut rig = Rig::new(None);
+        rig.q.push_after(us(1), FtlEvent::FwDone);
+        rig.drain();
     }
 
     #[test]
     #[should_panic(expected = "at least one engine")]
     fn zero_engine_pool_rejected_at_construction() {
-        EnginePool::new(EnginePoolConfig {
+        Rig::new(Some(EnginePoolConfig {
             engines: 0,
-            rate_pct: 100,
-            merge: MergePlacement::FwCore,
-        });
+            ..EnginePoolConfig::per_channel(1)
+        }));
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_pool_rejected_at_construction() {
-        EnginePool::new(EnginePoolConfig {
-            engines: 4,
+        Rig::new(Some(EnginePoolConfig {
             rate_pct: 0,
-            merge: MergePlacement::FwCore,
-        });
+            ..EnginePoolConfig::per_channel(4)
+        }));
     }
 
     /// Simultaneously ready tasks on different engines all start at once
@@ -326,61 +219,48 @@ mod tests {
     /// FIFO — each engine is fair to its own arrival order.
     #[test]
     fn pool_queues_are_independent_and_fifo() {
-        let mut pool = EnginePool::new(EnginePoolConfig::per_channel(4));
-        // One task per engine: all start immediately.
+        let mut rig = Rig::new(Some(EnginePoolConfig::per_channel(4)));
         for e in 0..4 {
-            let d = pool.start(e, SimDuration::from_us(10), FwTag(e as u64));
-            assert_eq!(d, Some(SimDuration::from_us(10)), "engine {e} was busy");
+            let started = rig.charge(Some(e), us(10), e as u64);
+            assert_eq!(started, [FtlEvent::EngineDone(e as u32)]);
         }
-        assert!(!pool.idle());
-        // Second wave on the same engines: all queue behind the first.
         for e in 0..4 {
-            assert_eq!(
-                pool.start(e, SimDuration::from_us(5), FwTag(100 + e as u64)),
-                None
-            );
-            assert_eq!(pool.queued(e), 1);
+            assert!(rig.charge(Some(e), us(5), 100 + e as u64).is_empty());
         }
-        // Completions pop each engine's own queue in arrival order.
-        for e in 0..4 {
-            let (done, next) = pool.finish(e);
-            assert_eq!(done, FwTag(e as u64));
-            assert_eq!(next, Some(SimDuration::from_us(5)));
-            let (done, next) = pool.finish(e);
-            assert_eq!(done, FwTag(100 + e as u64));
-            assert_eq!(next, None);
+        let done = rig.drain();
+        for e in 0..4u64 {
+            let engine = FtlEvent::EngineDone(e as u32);
+            let mine: Vec<_> = done.iter().filter(|d| d.1 == engine).collect();
+            assert_eq!(mine, [&(at(10), engine, e), &(at(15), engine, 100 + e)]);
+            assert_eq!(rig.ftl.engine_busy(e as usize), us(15));
         }
-        assert!(pool.idle());
-        // Every engine accrued exactly its own work.
-        for e in 0..4 {
-            assert_eq!(pool.busy(e), SimDuration::from_us(15));
-        }
-        assert_eq!(pool.busy_total(), SimDuration::from_us(60));
+        assert_eq!(rig.ftl.engines_busy_total(), us(60));
+        assert_eq!(rig.ftl.firmware_busy(), SimDuration::ZERO);
     }
 
     /// Engine indices wrap modulo the pool size, so channel counts larger
     /// than the pool still route deterministically.
     #[test]
     fn pool_routing_wraps_modulo_size() {
-        let mut pool = EnginePool::new(EnginePoolConfig::per_channel(2));
-        assert!(pool.start(0, SimDuration::from_us(1), FwTag(0)).is_some());
+        let mut rig = Rig::new(Some(EnginePoolConfig::per_channel(2)));
+        rig.charge(Some(0), us(1), 0);
         // Engine 2 wraps onto engine 0, which is busy: the task queues.
-        assert_eq!(pool.start(2, SimDuration::from_us(1), FwTag(2)), None);
-        assert_eq!(pool.queued(0), 1);
-        assert_eq!(pool.queued(1), 0);
+        assert!(rig.charge(Some(2), us(1), 2).is_empty());
+        let engine = FtlEvent::EngineDone(0);
+        assert_eq!(rig.drain(), [(at(1), engine, 0), (at(2), engine, 2)]);
+        assert_eq!(rig.ftl.engine_busy(1), SimDuration::ZERO);
     }
 
     /// A half-rate pool charges doubled durations, exactly.
     #[test]
     fn pool_scales_durations_by_service_rate() {
         let cfg = EnginePoolConfig {
-            engines: 1,
             rate_pct: 50,
-            merge: MergePlacement::FwCore,
+            ..EnginePoolConfig::per_channel(1)
         };
-        assert_eq!(cfg.scale(SimDuration::from_us(7)), SimDuration::from_us(14));
-        let mut pool = EnginePool::new(cfg);
-        let d = pool.start(0, SimDuration::from_us(3), FwTag(9));
-        assert_eq!(d, Some(SimDuration::from_us(6)));
+        assert_eq!(cfg.scale(us(7)), us(14));
+        let mut rig = Rig::new(Some(cfg));
+        rig.charge(Some(0), us(3), 9);
+        assert_eq!(rig.drain(), [(at(6), FtlEvent::EngineDone(0), 9)]);
     }
 }

@@ -10,10 +10,9 @@ use recssd_flash::{
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, FxHashSet, PageImage, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, FxHashSet, PageImage, Server, SimDuration, SimTime};
 
-use crate::firmware::EnginePool;
-use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwCore, FwTag, Lpn, MappingTable};
+use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwTag, Lpn, MappingTable};
 
 /// Identifier of an in-flight FTL request (read or write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -205,9 +204,11 @@ pub struct GreedyFtl {
     alloc: BlockAllocator,
     cache: LruCache<u64, PageImage>,
     write_buffer: FxHashMap<u64, PageImage>,
-    fw: FwCore,
-    /// Per-channel SLS engine pool; `None` = single-core firmware.
-    engines: Option<EnginePool>,
+    /// The serial firmware core.
+    fw: Server<FwTag>,
+    /// The per-channel SLS engines of [`FtlConfig::engines`] (empty =
+    /// single-core firmware).
+    engines: Vec<Server<FwTag>>,
     pending: FxHashMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: FxHashSet<u64>,
@@ -233,8 +234,10 @@ impl GreedyFtl {
             alloc: BlockAllocator::new(config.flash.geometry),
             cache: LruCache::new(config.page_cache_pages),
             write_buffer: FxHashMap::default(),
-            fw: FwCore::new(),
-            engines: config.engines.map(EnginePool::new),
+            fw: Server::new(),
+            engines: (0..config.engines.map_or(0, |e| e.engines))
+                .map(|_| Server::new())
+                .collect(),
             // Keys are monotonically increasing op ids, so this map
             // churns tombstones forever; pre-sizing past the deepest
             // realistic in-flight set keeps the steady-state
@@ -312,17 +315,19 @@ impl GreedyFtl {
     /// RNG streams) is untouched.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        self.fw.reset_busy();
-        if let Some(pool) = self.engines.as_mut() {
-            pool.reset_busy();
-        }
+        self.fw.reset();
+        self.engines.iter_mut().for_each(Server::reset);
         self.cache.reset_stats();
         self.flash.reset_stats();
     }
 
-    /// Installs the sim-time span tracer for this FTL (firmware-exec and
-    /// flash-read spans land on the [`track::TID_FW`] / [`track::TID_FLASH`]
-    /// rows of the tracer's pid).
+    /// Installs the sim-time span tracer for this FTL: each firmware-core
+    /// and engine service window (`fw:exec`, `fw:engine` with its `ch`)
+    /// and each flash channel hold (`flash:xfer` with its `ch`) lands on
+    /// the [`track::TID_FW`], [`track::TID_ENGINE_BASE`]` + i` and
+    /// [`track::TID_FLASH`] rows of the tracer's pid, beside the
+    /// `flash:read` residence of host reads. The windows are the ones the
+    /// busy getters count, so at idle Σ spans == busy per member.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -381,17 +386,17 @@ impl GreedyFtl {
 
     /// Total busy time of the firmware core.
     pub fn firmware_busy(&self) -> SimDuration {
-        self.fw.busy_total()
+        self.fw.busy()
     }
 
     /// The engine-pool configuration, when a pool is present.
     pub fn engine_config(&self) -> Option<&EnginePoolConfig> {
-        self.engines.as_ref().map(|p| p.config())
+        self.config.engines.as_ref()
     }
 
     /// Number of per-channel engines (0 = single-core firmware).
     pub fn engine_count(&self) -> usize {
-        self.engines.as_ref().map_or(0, |p| p.len())
+        self.engines.len()
     }
 
     /// Total busy time of engine `i` of the pool.
@@ -400,17 +405,12 @@ impl GreedyFtl {
     ///
     /// Panics if no pool is configured or `i` is out of range.
     pub fn engine_busy(&self, i: usize) -> SimDuration {
-        self.engines
-            .as_ref()
-            .expect("engine pool configured")
-            .busy(i)
+        self.engines[i].busy()
     }
 
     /// Total busy time summed across the engine pool (zero without one).
     pub fn engines_busy_total(&self) -> SimDuration {
-        self.engines
-            .as_ref()
-            .map_or(SimDuration::ZERO, |p| p.busy_total())
+        self.engines.iter().map(Server::busy).sum()
     }
 
     /// The flash channel physically holding `lpn`, for channel→engine
@@ -429,7 +429,7 @@ impl GreedyFtl {
         self.pending.is_empty()
             && self.flash.idle()
             && self.fw.idle()
-            && self.engines.as_ref().is_none_or(|p| p.idle())
+            && self.engines.iter().all(Server::idle)
             && self.gc_jobs.is_empty()
     }
 
@@ -612,21 +612,8 @@ impl GreedyFtl {
                 duration = duration * m as u64;
             }
         }
-        if let Some(d) = self.fw.start(duration, tag) {
-            // The core is idle, so this charge's execution window is
-            // exactly [now, now + d]; queued charges get their span when
-            // the FwDone pop starts them (see `handle`).
-            if self.tracer.enabled() {
-                self.tracer.with_tid(track::TID_FW).span_arg(
-                    "fw:exec",
-                    now,
-                    now + d,
-                    SpanId::NONE,
-                    "tag",
-                    tag.0,
-                );
-            }
-            sched(d, FtlEvent::FwDone);
+        if let Some(d) = self.fw.start(now, duration, tag) {
+            self.serve(now, d, FtlEvent::FwDone, tag, sched);
         }
     }
 
@@ -654,16 +641,37 @@ impl GreedyFtl {
                 duration = duration * m as u64;
             }
         }
-        let pool = self.engines.as_mut().expect("engine pool configured");
-        let idx = engine % pool.len();
-        if let Some(d) = pool.start(idx, duration, tag) {
-            if self.tracer.enabled() {
-                self.tracer
-                    .with_tid(track::TID_ENGINE_BASE + idx as u32)
-                    .span_arg("fw:engine", now, now + d, SpanId::NONE, "ch", idx as u64);
-            }
-            sched(d, FtlEvent::EngineDone(idx as u32));
+        let pool = self.config.engines.expect("engine pool configured");
+        let idx = engine % self.engines.len();
+        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), tag) {
+            self.serve(now, d, FtlEvent::EngineDone(idx as u32), tag, sched);
         }
+    }
+
+    /// The one start site of the firmware core and the engines: `tag`
+    /// starts service at `now` on the server whose completion event is
+    /// `done`. Schedules that event and traces the service window — the
+    /// window the server's busy counter just charged.
+    fn serve(
+        &self,
+        now: SimTime,
+        d: SimDuration,
+        done: FtlEvent,
+        tag: FwTag,
+        sched: &mut dyn FnMut(SimDuration, FtlEvent),
+    ) {
+        if self.tracer.enabled() {
+            let (tid, name, key, val) = match done {
+                FtlEvent::EngineDone(i) => {
+                    (track::TID_ENGINE_BASE + i, "fw:engine", "ch", i as u64)
+                }
+                _ => (track::TID_FW, "fw:exec", "tag", tag.0),
+            };
+            self.tracer
+                .with_tid(tid)
+                .span_arg(name, now, now + d, SpanId::NONE, key, val);
+        }
+        sched(d, done);
     }
 
     /// Processes one FTL event, appending zero or more outcomes to `out`
@@ -677,36 +685,15 @@ impl GreedyFtl {
         out: &mut Vec<FtlOutcome>,
     ) {
         match ev {
-            FtlEvent::FwDone => {
-                let (tag, next) = self.fw.finish();
+            FtlEvent::FwDone | FtlEvent::EngineDone(_) => {
+                let server = match ev {
+                    FtlEvent::EngineDone(i) => &mut self.engines[i as usize],
+                    _ => &mut self.fw,
+                };
+                let (tag, next) = server.finish(now);
                 if let Some(d) = next {
-                    if self.tracer.enabled() {
-                        if let Some(t) = self.fw.current() {
-                            self.tracer.with_tid(track::TID_FW).span_arg(
-                                "fw:exec",
-                                now,
-                                now + d,
-                                SpanId::NONE,
-                                "tag",
-                                t.0,
-                            );
-                        }
-                    }
-                    sched(d, FtlEvent::FwDone);
-                }
-                out.push(FtlOutcome::FwTaskDone { tag });
-            }
-            FtlEvent::EngineDone(idx) => {
-                let idx = idx as usize;
-                let pool = self.engines.as_mut().expect("engine pool configured");
-                let (tag, next) = pool.finish(idx);
-                if let Some(d) = next {
-                    if self.tracer.enabled() {
-                        self.tracer
-                            .with_tid(track::TID_ENGINE_BASE + idx as u32)
-                            .span_arg("fw:engine", now, now + d, SpanId::NONE, "ch", idx as u64);
-                    }
-                    sched(d, FtlEvent::EngineDone(idx as u32));
+                    let started = server.current().expect("a queued task started");
+                    self.serve(now, d, ev, started, sched);
                 }
                 out.push(FtlOutcome::FwTaskDone { tag });
             }
@@ -729,22 +716,12 @@ impl GreedyFtl {
         out: &mut Vec<FtlOutcome>,
     ) {
         let g = self.config.flash.geometry;
-        match self.pending.remove(&c.op).expect("untracked flash op") {
+        let pending = self.pending.remove(&c.op).expect("untracked flash op");
+        if self.tracer.enabled() {
+            self.trace_flash(now, &c, matches!(pending, Pending::HostRead { .. }));
+        }
+        match pending {
             Pending::HostRead { req, lpn, ppa } => {
-                if self.tracer.enabled() {
-                    // Sense (+ any ECC retries, + die/bus queueing) ends
-                    // where the final channel transfer starts; the
-                    // transfer's busy window ends exactly at completion.
-                    let tr = self.tracer.with_tid(track::TID_FLASH);
-                    let (key, val) = if c.failed {
-                        ("failed", 1)
-                    } else {
-                        ("retried", c.retried as u64)
-                    };
-                    let read =
-                        tr.span_arg("flash:read", c.submitted_at, now, SpanId::NONE, key, val);
-                    tr.span("flash:xfer", now - c.last_phase, now, read);
-                }
                 if c.failed {
                     // Uncorrectable media error: the bytes are untrusted,
                     // so nothing is cached and the image goes straight
@@ -813,6 +790,28 @@ impl GreedyFtl {
                 // Keep collecting if the die is still under pressure.
                 self.maybe_start_gc(now, die, sched);
             }
+        }
+    }
+
+    /// Traces a flash completion: a host read's residence, submit →
+    /// complete (`flash:read`, sense + ECC retries + die/bus queueing),
+    /// and for every operation that held a channel — host and GC reads,
+    /// programs — the hold window (`flash:xfer`, its channel as `ch`),
+    /// which is exactly what that channel's busy counter charged.
+    fn trace_flash(&self, now: SimTime, c: &FlashCompletion, host_read: bool) {
+        let tr = self.tracer.with_tid(track::TID_FLASH);
+        let parent = if host_read {
+            let (key, val) = if c.failed {
+                ("failed", 1)
+            } else {
+                ("retried", c.retried as u64)
+            };
+            tr.span_arg("flash:read", c.submitted_at, now, SpanId::NONE, key, val)
+        } else {
+            SpanId::NONE
+        };
+        if let Some((start, end)) = c.channel_window {
+            tr.span_arg("flash:xfer", start, end, parent, "ch", c.ppa.channel as u64);
         }
     }
 

@@ -43,7 +43,7 @@ mod map;
 
 pub use alloc::BlockAllocator;
 pub use config::FtlConfig;
-pub use firmware::{EnginePool, EnginePoolConfig, FwCore, FwTag, MergePlacement};
+pub use firmware::{EnginePoolConfig, FwTag, MergePlacement};
 pub use ftl_impl::{FtlError, FtlEvent, FtlOutcome, FtlStats, GreedyFtl, ReadStarted, ReqId};
 pub use map::MappingTable;
 

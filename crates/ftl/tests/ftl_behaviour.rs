@@ -10,6 +10,7 @@ use recssd_flash::PageOracle;
 use recssd_ftl::{
     FtlConfig, FtlError, FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId,
 };
+use recssd_obs::trace::{track, TraceSink};
 use recssd_sim::{EventQueue, SimDuration, SimTime};
 
 /// Minimal event loop around a [`GreedyFtl`].
@@ -205,6 +206,56 @@ fn gc_reclaims_space_and_preserves_all_data() {
         let data = h.read_sync(lpn);
         assert_eq!(&data[..8], &want.to_le_bytes(), "lpn {lpn} corrupted by GC");
     }
+}
+
+/// The counters are the spans: on a traced run with host writes, host
+/// reads from flash, GC relocations and firmware charges, taken to idle,
+/// every channel's busy counter equals the sum of its `flash:xfer` hold
+/// windows (member `ch`) — programs and GC reads included — and the
+/// firmware core's equals the sum of its `fw:exec` windows.
+#[test]
+fn channel_and_firmware_counters_equal_their_traced_windows() {
+    let sink = TraceSink::new();
+    let mut h = Harness::new(FtlConfig::cosmos_small());
+    h.ftl.set_tracer(sink.tracer(1, track::TID_FW));
+    for i in 0..6000u64 {
+        let lpn = if i % 8 == 0 {
+            1_000 + i / 8
+        } else {
+            (i * 7) % 192
+        };
+        h.write(lpn, payload(i));
+        let Harness { ftl, q } = &mut h;
+        ftl.charge_firmware(q.now(), SimDuration::from_us(3), FwTag(i), &mut |d, e| {
+            q.push_after(d, e)
+        });
+        h.drain();
+        if i % 500 == 0 {
+            h.ftl.drop_caches();
+            h.read_sync(lpn);
+        }
+    }
+    assert!(h.ftl.idle());
+    assert!(h.ftl.stats().gc_relocated_pages.get() > 0, "no GC ran");
+    let spans = sink.take_spans();
+    let traced = |name: &str, member: Option<u64>| -> u64 {
+        spans
+            .iter()
+            .filter(|s| s.name == name && member.is_none_or(|m| s.arg_val == m))
+            .map(|s| s.end_ns - s.start_ns)
+            .sum()
+    };
+    let channel_busy = h.ftl.flash().stats().channel_busy;
+    for (c, busy) in channel_busy.iter().enumerate() {
+        assert!(*busy > SimDuration::ZERO, "channel {c} never held");
+        assert_eq!(
+            traced("flash:xfer", Some(c as u64)),
+            busy.as_ns(),
+            "channel {c}"
+        );
+    }
+    assert_eq!(traced("fw:exec", None), h.ftl.firmware_busy().as_ns());
+    assert!(spans.iter().any(|s| s.name == "flash:read"));
 }
 
 #[test]

@@ -1,9 +1,7 @@
 //! PCIe link model: a shared, serialising DMA resource.
 
-use std::collections::VecDeque;
-
 use recssd_sim::stats::Counter;
-use recssd_sim::{SimDuration, SimTime};
+use recssd_sim::{Server, SimDuration, SimTime};
 
 /// Link speed parameters.
 ///
@@ -39,15 +37,6 @@ impl PcieConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XferId(u64);
 
-/// Direction of a DMA transfer (for statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum XferDirection {
-    /// Host memory → device (command payloads, NDP configs).
-    HostToDevice,
-    /// Device → host memory (read data, NDP results).
-    DeviceToHost,
-}
-
 /// Events the link schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PcieEvent {
@@ -65,22 +54,23 @@ pub struct PcieStats {
     pub transfers: Counter,
     /// Total payload bytes moved.
     pub bytes: Counter,
-    /// Accumulated link-busy time in nanoseconds.
+    /// Link-busy time in nanoseconds: the service total of the link's
+    /// arbiter, counted as each transfer starts.
     pub busy_ns: Counter,
 }
 
-/// The serialising DMA engine: one transfer at a time, FIFO arbitration.
+/// The serialising DMA engine: one transfer at a time, FIFO arbitration
+/// (a [`Server`] of transfer ids).
 ///
 /// # Example
 ///
 /// ```
-/// use recssd_nvme::{PcieConfig, PcieEvent, PcieLink, XferDirection};
+/// use recssd_nvme::{PcieConfig, PcieEvent, PcieLink};
 /// use recssd_sim::EventQueue;
 ///
 /// let mut link = PcieLink::new(PcieConfig::gen2_x8());
 /// let mut q: EventQueue<PcieEvent> = EventQueue::new();
-/// let id = link.request(q.now(), 16 * 1024, XferDirection::DeviceToHost,
-///                       &mut |d, e| q.push_after(d, e));
+/// let id = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
 /// let (now, ev) = q.pop().unwrap();
 /// assert_eq!(link.handle(now, ev, &mut |_, _| {}), id);
 /// assert!(now.as_us_f64() > 5.0); // 16 KB at ~3.2 GB/s + setup
@@ -88,10 +78,9 @@ pub struct PcieStats {
 #[derive(Debug)]
 pub struct PcieLink {
     config: PcieConfig,
-    busy: bool,
-    waiters: VecDeque<(XferId, SimDuration)>,
+    arbiter: Server<XferId>,
     next_id: u64,
-    stats: PcieStats,
+    bytes: Counter,
 }
 
 impl PcieLink {
@@ -99,10 +88,9 @@ impl PcieLink {
     pub fn new(config: PcieConfig) -> Self {
         PcieLink {
             config,
-            busy: false,
-            waiters: VecDeque::new(),
+            arbiter: Server::new(),
             next_id: 0,
-            stats: PcieStats::default(),
+            bytes: Counter::new(),
         }
     }
 
@@ -113,57 +101,60 @@ impl PcieLink {
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> PcieStats {
-        self.stats
+        let mut stats = PcieStats {
+            bytes: self.bytes,
+            ..PcieStats::default()
+        };
+        stats.transfers.add(self.arbiter.served());
+        stats.busy_ns.add(self.arbiter.busy().as_ns());
+        stats
     }
 
     /// Resets the link statistics; transfers in flight are untouched.
     pub fn reset_stats(&mut self) {
-        self.stats = PcieStats::default();
+        self.bytes.reset();
+        self.arbiter.reset();
     }
 
     /// `true` when no transfer is active or queued.
     pub fn idle(&self) -> bool {
-        !self.busy && self.waiters.is_empty()
+        self.arbiter.idle()
     }
 
-    /// Requests a DMA of `bytes`. The returned id is reported back by
-    /// [`PcieLink::handle`] when the transfer completes.
+    /// Requests a DMA of `bytes` at `now`. The returned id is reported
+    /// back by [`PcieLink::handle`] when the transfer completes.
     pub fn request(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         bytes: usize,
-        direction: XferDirection,
         sched: &mut dyn FnMut(SimDuration, PcieEvent),
     ) -> XferId {
-        let _ = direction; // direction currently affects stats only
         let id = XferId(self.next_id);
         self.next_id += 1;
-        let dur = self.config.transfer_time(bytes);
-        self.stats.bytes.add(bytes as u64);
-        self.stats.busy_ns.add(dur.as_ns());
-        if self.busy {
-            self.waiters.push_back((id, dur));
-        } else {
-            self.busy = true;
-            sched(dur, PcieEvent::XferDone { xfer: id });
+        self.bytes.add(bytes as u64);
+        if let Some(d) = self
+            .arbiter
+            .start(now, self.config.transfer_time(bytes), id)
+        {
+            sched(d, PcieEvent::XferDone { xfer: id });
         }
         id
     }
 
-    /// Processes a completion event, starting the next queued transfer.
-    /// Returns the finished transfer's id.
+    /// Processes a completion event at `now`, starting the next queued
+    /// transfer. Returns the finished transfer's id.
     pub fn handle(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         ev: PcieEvent,
         sched: &mut dyn FnMut(SimDuration, PcieEvent),
     ) -> XferId {
         let PcieEvent::XferDone { xfer } = ev;
-        self.stats.transfers.inc();
-        if let Some((next, dur)) = self.waiters.pop_front() {
-            sched(dur, PcieEvent::XferDone { xfer: next });
-        } else {
-            self.busy = false;
+        let (done, next) = self.arbiter.finish(now);
+        debug_assert_eq!(done, xfer, "PCIe completion for a transfer not on the link");
+        if let Some(d) = next {
+            let next = self.arbiter.current().expect("a queued transfer started");
+            sched(d, PcieEvent::XferDone { xfer: next });
         }
         xfer
     }
@@ -200,18 +191,8 @@ mod tests {
     fn transfers_serialise_fifo() {
         let mut link = PcieLink::new(PcieConfig::gen2_x8());
         let mut q = EventQueue::new();
-        let a = link.request(
-            q.now(),
-            16 * 1024,
-            XferDirection::DeviceToHost,
-            &mut |d, e| q.push_after(d, e),
-        );
-        let b = link.request(
-            q.now(),
-            16 * 1024,
-            XferDirection::DeviceToHost,
-            &mut |d, e| q.push_after(d, e),
-        );
+        let a = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
+        let b = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
         let done = drive(&mut link, &mut q);
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].1, a);
@@ -227,15 +208,15 @@ mod tests {
     fn stats_accumulate() {
         let mut link = PcieLink::new(PcieConfig::gen2_x8());
         let mut q = EventQueue::new();
-        link.request(q.now(), 1000, XferDirection::HostToDevice, &mut |d, e| {
-            q.push_after(d, e)
-        });
-        link.request(q.now(), 2000, XferDirection::DeviceToHost, &mut |d, e| {
-            q.push_after(d, e)
-        });
+        link.request(q.now(), 1000, &mut |d, e| q.push_after(d, e));
+        link.request(q.now(), 2000, &mut |d, e| q.push_after(d, e));
+        // The queued transfer is not busy time until it starts.
+        let first = PcieConfig::gen2_x8().transfer_time(1000).as_ns();
+        assert_eq!(link.stats().busy_ns.get(), first);
         drive(&mut link, &mut q);
         assert_eq!(link.stats().transfers.get(), 2);
         assert_eq!(link.stats().bytes.get(), 3000);
-        assert!(link.stats().busy_ns.get() > 2_000);
+        let second = PcieConfig::gen2_x8().transfer_time(2000).as_ns();
+        assert_eq!(link.stats().busy_ns.get(), first + second);
     }
 }

@@ -14,10 +14,18 @@
 //! [`CriticalPathReport`] aggregates the per-request profiles per
 //! serving path (the `request` span label), including a p99 tail profile
 //! ("p99 NDP requests spend 71 % in fw:exec"), and
-//! [`bottleneck_report`] ranks the simulated resources (firmware core,
-//! flash array, DRAM tier — per shard) by busy-time saturation and
-//! estimates per-path capacity headroom from the measured per-request
-//! resource demands.
+//! [`bottleneck_report`] ranks the simulated servers — every device
+//! shard's firmware core, each of its SLS engines and each of its flash
+//! channels, plus the DRAM tier — by utilisation, and bounds each path's
+//! sustainable rate by the operational law.
+//!
+//! One rule defines utilisation: a server's service integral ÷ elapsed.
+//! Every device server is a FIFO single server (`recssd_sim::Server`)
+//! whose owner traces each service window from the same start site that
+//! charges its busy counter, so the service integral of a row here *is*
+//! that member's counter (`firmware_busy`, `engine_busy(e)`,
+//! `channel_busy[c]`), and [`crate::timeline`] reads the same windows
+//! through the same span→server map.
 //!
 //! Everything here is a **pure observer**: the inputs are recorded
 //! spans, the functions allocate only local state, and the same span
@@ -388,44 +396,83 @@ pub(crate) fn union_len(ivs: &mut [(u64, u64)]) -> u64 {
     covered
 }
 
-/// Event-sweep over service intervals: (union busy, concurrency
-/// integral, peak concurrency). Back-to-back intervals do not count as
-/// concurrent — ends sort before starts at the same instant.
-fn sweep_use(ivs: Vec<(u64, u64)>) -> (u64, u64, u32) {
+/// Peak concurrency of a set of service intervals. Back-to-back
+/// intervals do not count as concurrent — ends sort before starts at the
+/// same instant.
+fn peak_concurrency(ivs: &[(u64, u64)]) -> u32 {
     let mut ev: Vec<(u64, i32)> = Vec::with_capacity(ivs.len() * 2);
-    for (a, b) in ivs {
+    for &(a, b) in ivs {
         if b > a {
             ev.push((a, 1));
             ev.push((b, -1));
         }
     }
     ev.sort_unstable();
-    let (mut cur, mut peak) = (0i64, 0i64);
-    let (mut union, mut integral) = (0u64, 0u128);
-    let mut last = 0u64;
-    for (t, d) in ev {
-        if cur > 0 {
-            union += t - last;
-            integral += (t - last) as u128 * cur as u128;
-        }
-        cur += d as i64;
+    let (mut cur, mut peak) = (0i32, 0i32);
+    for (_, d) in ev {
+        cur += d;
         peak = peak.max(cur);
-        last = t;
     }
-    (union, integral as u64, peak as u32)
+    peak as u32
 }
 
-/// Per-pid index of the resource spans attribution overlaps against.
-#[derive(Default)]
-struct PidResources {
-    /// (start, end) of `fw:exec` spans on this pid.
-    fw: Vec<(u64, u64)>,
-    /// (start, end) of `fw:engine` spans (the per-channel engine pool).
-    eng: Vec<(u64, u64)>,
-    /// (start, end) of `flash:read` spans.
-    flash_read: Vec<(u64, u64)>,
-    /// (start, end) of `flash:xfer` spans.
-    flash_xfer: Vec<(u64, u64)>,
+/// A simulated server, as the trace names it: the span→server map that
+/// [`bottleneck_report`] and [`crate::timeline::utilization_timelines`]
+/// share. Device servers are members of device shard `pid − 1`; the
+/// member index rides in the service span's `ch` argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Server {
+    /// The shard's serial firmware core (`fw:exec` windows).
+    Core { shard: u32 },
+    /// SLS engine `ch` of the shard's pool (`fw:engine` windows).
+    Engine { shard: u32, ch: u64 },
+    /// Flash channel `ch` of the shard (`flash:xfer` hold windows).
+    Flash { shard: u32, ch: u64 },
+    /// The host DRAM tier (operators on [`track::PID_TIER`]): a
+    /// shared-queue worker pool, the one server whose width the trace
+    /// does not state.
+    Tier,
+}
+
+impl Server {
+    /// The server `s` is a service window of, if any.
+    pub(crate) fn of(s: &SpanRec) -> Option<Server> {
+        let shard = s.pid.saturating_sub(1);
+        Some(match s.name {
+            "fw:exec" => Server::Core { shard },
+            "fw:engine" => Server::Engine {
+                shard,
+                ch: s.arg_val,
+            },
+            "flash:xfer" => Server::Flash {
+                shard,
+                ch: s.arg_val,
+            },
+            "op" if s.pid == track::PID_TIER => Server::Tier,
+            _ => return None,
+        })
+    }
+
+    /// The critical-path phases that spend this server's time.
+    fn phases(self) -> &'static [Phase] {
+        match self {
+            Server::Core { .. } => &[Phase::FwExec],
+            Server::Engine { .. } => &[Phase::EngineExec],
+            Server::Flash { .. } => &[Phase::FlashRead, Phase::Transfer],
+            Server::Tier => &[Phase::TierGather],
+        }
+    }
+}
+
+impl std::fmt::Display for Server {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Server::Core { shard } => write!(f, "fw:core[shard={shard}]"),
+            Server::Engine { shard, ch } => write!(f, "fw:engine[shard={shard},ch={ch}]"),
+            Server::Flash { shard, ch } => write!(f, "flash[shard={shard},ch={ch}]"),
+            Server::Tier => f.write_str("tier:dram"),
+        }
+    }
 }
 
 /// Maps an op-phase span name (+ label) to its phase.
@@ -454,46 +501,31 @@ fn op_phase(name: &str, label: &str) -> Option<Phase> {
 /// [`crate::TraceSink`] drain and on a re-parsed Chrome-trace export,
 /// and it never touches the simulation (pure observer).
 pub fn request_critical_paths(spans: &[SpanRec]) -> Vec<RequestProfile> {
-    // Indexes: children by parent id, resource spans by pid, ops by
-    // (pid, start) for matching a sub-batch's serving operator even when
-    // micro-batching parented the op under a different request's sub.
+    // Indexes: children by parent id, device windows by (pid, phase),
+    // ops by (pid, start) for matching a sub-batch's serving operator even
+    // when micro-batching parented the op under a different request's sub.
     let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut resources: HashMap<u32, PidResources> = HashMap::new();
+    let mut windows: HashMap<(u32, Phase), Vec<(u64, u64)>> = HashMap::new();
     let mut ops_at: HashMap<(u32, u64), Vec<usize>> = HashMap::new();
     for (i, s) in spans.iter().enumerate() {
         if s.parent != 0 {
             children.entry(s.parent).or_default().push(i);
         }
-        match s.name {
-            "fw:exec" => resources
-                .entry(s.pid)
-                .or_default()
-                .fw
-                .push((s.start_ns, s.end_ns)),
-            "fw:engine" => resources
-                .entry(s.pid)
-                .or_default()
-                .eng
-                .push((s.start_ns, s.end_ns)),
-            "flash:read" => resources
-                .entry(s.pid)
-                .or_default()
-                .flash_read
-                .push((s.start_ns, s.end_ns)),
-            "flash:xfer" => resources
-                .entry(s.pid)
-                .or_default()
-                .flash_xfer
-                .push((s.start_ns, s.end_ns)),
-            "op" => ops_at.entry((s.pid, s.start_ns)).or_default().push(i),
-            _ => {}
+        if s.name == "op" {
+            ops_at.entry((s.pid, s.start_ns)).or_default().push(i);
         }
+        let phase = match (Server::of(s), s.name) {
+            (Some(Server::Core { .. }), _) => Phase::FwExec,
+            (Some(Server::Engine { .. }), _) => Phase::EngineExec,
+            (Some(Server::Flash { .. }), _) => Phase::Transfer,
+            (_, "flash:read") => Phase::FlashRead,
+            _ => continue,
+        };
+        let iv = (s.start_ns, s.end_ns);
+        windows.entry((s.pid, phase)).or_default().push(iv);
     }
-    for r in resources.values_mut() {
-        r.fw.sort_unstable();
-        r.eng.sort_unstable();
-        r.flash_read.sort_unstable();
-        r.flash_xfer.sort_unstable();
+    for ivs in windows.values_mut() {
+        ivs.sort_unstable();
     }
 
     let mut out = Vec::new();
@@ -562,11 +594,15 @@ pub fn request_critical_paths(spans: &[SpanRec]) -> Vec<RequestProfile> {
                 // firmware core and flash array are shared, so any busy
                 // time there is what this sub-batch is blocked on,
                 // whether it is being served or queued behind others.
-                if let Some(r) = resources.get(&pid) {
-                    clip_into(&r.fw, ws, we, Phase::FwExec, &mut evidence);
-                    clip_into(&r.eng, ws, we, Phase::EngineExec, &mut evidence);
-                    clip_into(&r.flash_xfer, ws, we, Phase::Transfer, &mut evidence);
-                    clip_into(&r.flash_read, ws, we, Phase::FlashRead, &mut evidence);
+                for ph in [
+                    Phase::FwExec,
+                    Phase::EngineExec,
+                    Phase::Transfer,
+                    Phase::FlashRead,
+                ] {
+                    if let Some(ivs) = windows.get(&(pid, ph)) {
+                        clip_into(ivs, ws, we, ph, &mut evidence);
+                    }
                 }
                 // The serving operator's own host-side phase spans
                 // (matched by dispatch instant even across micro-batch
@@ -678,92 +714,67 @@ pub fn critical_path_report(spans: &[SpanRec]) -> CriticalPathReport {
     CriticalPathReport::from_profiles(&request_critical_paths(spans))
 }
 
-/// Busy-time saturation of one simulated resource over the trace.
-///
-/// A resource may be internally parallel (the flash array spreads
-/// transfers over several channels) without the trace naming its
-/// width, so capacity is *self-calibrated*: the peak service
-/// concurrency ever observed. Saturation is then the service-time
-/// integral over `elapsed × capacity` — a serial firmware core at 99%
-/// is provably the wall, while an 8-channel array whose union of busy
-/// windows covers 99% of the run may still have idle channels.
+/// Utilisation of one simulated server over the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceUse {
-    /// Resource name, e.g. `fw:core[shard=0]`.
+    /// Server name: `fw:core[shard=S]`, `fw:engine[shard=S,ch=E]`,
+    /// `flash[shard=S,ch=C]` or `tier:dram`.
     pub resource: String,
-    /// Union of the resource's busy intervals (any-server-busy), ns.
-    pub busy_ns: u64,
-    /// Time-integral of service concurrency (Σ span durations), ns.
+    /// Service integral: Σ the server's service-window lengths, ns. For
+    /// a device member this equals its busy counter at idle.
     pub service_ns: u64,
-    /// Peak observed service concurrency — the calibrated capacity
-    /// (1 for a provably-serial resource).
+    /// Servers behind the name: 1 for every device member; for the DRAM
+    /// tier's worker pool, the peak service concurrency observed.
     pub capacity: u32,
     /// Trace wall span the utilisation is measured over, ns.
     pub elapsed_ns: u64,
 }
 
 impl ResourceUse {
-    /// Saturation: service integral over `elapsed × capacity`.
+    /// Utilisation: service integral ÷ (elapsed × capacity).
     pub fn utilization(&self) -> f64 {
         if self.elapsed_ns == 0 || self.capacity == 0 {
             return 0.0;
         }
         self.service_ns as f64 / (self.elapsed_ns as f64 * self.capacity as f64)
     }
-
-    /// Fraction of the run with at least one server busy.
-    pub fn busy_fraction(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / self.elapsed_ns as f64
-    }
 }
 
-/// Estimated capacity headroom of one serving path, from the measured
-/// per-request resource demands (operational-law bound: sustainable
-/// throughput ≤ 1 / max per-request demand on any single resource).
+/// Capacity headroom of one serving path by the operational law: a
+/// server's utilisation is throughput × per-request demand, so at the
+/// current mix the path can grow until its busiest server saturates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathHeadroom {
     /// Serving path name.
     pub path: String,
     /// Requests the estimate is based on.
     pub requests: u64,
-    /// Resource class with the largest per-request demand *per server*
-    /// (demand divided by the class's calibrated capacity).
+    /// The busiest server among those the path spent time in (its
+    /// [`ResourceUse::resource`] name).
     pub bottleneck: String,
-    /// Mean per-request demand on that class, ns.
-    pub demand_ns: u64,
-    /// Calibrated server count of the bottleneck class (peak observed
-    /// service concurrency; 1 for provably-serial resources). Pools —
-    /// e.g. per-channel engines — report their width here, and the
-    /// sustainable rate scales with it.
-    pub capacity: u32,
-    /// Max sustainable offered load on the bottleneck, requests/s
-    /// (`capacity × 1e9 / demand_ns`).
+    /// Sustainable offered load, requests/s: observed ÷ that server's
+    /// utilisation, so never below the observed load.
     pub sustainable_rps: f64,
     /// Observed offered load in the trace, requests/s.
     pub observed_rps: f64,
-    /// `sustainable_rps / observed_rps` (∞-free: 0 when unknown).
+    /// `sustainable_rps / observed_rps` = 1 ÷ the bottleneck's
+    /// utilisation (≥ 1; 1 means saturated).
     pub headroom_x: f64,
-    /// The observed load exceeds the sustainable bound: the path is
-    /// past its operational-law capacity and queues grow without bound.
-    pub saturated: bool,
 }
 
-/// Resource saturation ranking plus per-path headroom estimates.
+/// Server utilisation ranking plus per-path headroom estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckReport {
     /// Trace wall span (first span start → last span end), ns.
     pub elapsed_ns: u64,
-    /// Resources ranked by utilisation, most saturated first.
+    /// One row per server, most utilised first.
     pub ranked: Vec<ResourceUse>,
     /// Per-path capacity headroom, sorted by path name.
     pub headroom: Vec<PathHeadroom>,
 }
 
 impl BottleneckReport {
-    /// Name of the most saturated resource, if any.
+    /// Name of the most utilised server, if any.
     pub fn top(&self) -> Option<&str> {
         self.ranked.first().map(|r| r.resource.as_str())
     }
@@ -780,26 +791,18 @@ impl BottleneckReport {
         for r in &self.ranked {
             let _ = writeln!(
                 out,
-                "  {:<22} {:>6.1}% utilized  (capacity {}, service {} ns, busy {} ns)",
+                "  {:<26} {:>6.1}% utilized  (capacity {}, service {} ns)",
                 r.resource,
                 r.utilization() * 100.0,
                 r.capacity,
-                r.service_ns,
-                r.busy_ns
+                r.service_ns
             );
         }
         for h in &self.headroom {
             let _ = writeln!(
                 out,
-                "  headroom[{:<8}] bottleneck {:<11} demand {:>9} ns/req  cap {:>2}  sustainable {:>9.0} rps  observed {:>9.0} rps  ({:.2}x{})",
-                h.path,
-                h.bottleneck,
-                h.demand_ns,
-                h.capacity,
-                h.sustainable_rps,
-                h.observed_rps,
-                h.headroom_x,
-                if h.saturated { ", SATURATED" } else { "" }
+                "  headroom[{:<8}] bottleneck {:<26} sustainable {:>9.0} rps  observed {:>9.0} rps  ({:.2}x)",
+                h.path, h.bottleneck, h.sustainable_rps, h.observed_rps, h.headroom_x
             );
         }
         if let Some(top) = self.top() {
@@ -809,162 +812,84 @@ impl BottleneckReport {
     }
 }
 
-/// Ranks the simulated resources by busy-time saturation and estimates
-/// per-path headroom. Resources are discovered from the trace itself:
-/// one firmware core (`fw:exec` service windows) and one flash array
-/// (`flash:xfer` channel-hold windows) per device shard pid, plus the
-/// DRAM tier when present. Service windows only — queueing time never
-/// counts toward saturation (see [`utilization_timelines`] for the
-/// queueing view).
+/// Ranks the simulated servers by utilisation and bounds each path's
+/// sustainable rate. Servers are discovered from their service windows —
+/// `fw:exec`, `fw:engine` and `flash:xfer` spans named by pid and `ch` —
+/// one row per device member (firmware core, SLS engine, flash channel)
+/// and one for the DRAM tier's operators. Utilisation is the
+/// service integral ÷ elapsed (÷ the tier's observed width); queueing
+/// never counts (see [`utilization_timelines`] for the queueing view).
 ///
 /// [`utilization_timelines`]: crate::timeline::utilization_timelines
 pub fn bottleneck_report(spans: &[SpanRec]) -> BottleneckReport {
     let mut start = u64::MAX;
     let mut end = 0u64;
-    let mut busy: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
+    let mut service: HashMap<Server, u64> = HashMap::new();
+    let mut tier: Vec<(u64, u64)> = Vec::new();
     for s in spans {
         start = start.min(s.start_ns);
         end = end.max(s.end_ns);
-        match s.name {
-            "fw:exec" => busy
-                .entry(format!("fw:core[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            // All of a shard's per-channel engines pool into one
-            // resource; `sweep_use` self-calibrates its capacity to the
-            // peak engine concurrency, so an 8-engine pool ranks as an
-            // 8-wide server rather than eight saturated serial ones.
-            "fw:engine" => busy
-                .entry(format!("fw:engine[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            // Channel-transfer windows, not `flash:read`: a read span
-            // runs submit → complete and so includes die/bus *queueing*
-            // — residence, not service. Ranking by residence would call
-            // a backed-up flash array "busy" even while its channels
-            // idle behind the serial firmware core.
-            "flash:xfer" => busy
-                .entry(format!("flash[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            "op" if s.pid == track::PID_TIER => busy
-                .entry("tier:dram".to_string())
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            _ => {}
+        match Server::of(s) {
+            Some(Server::Tier) => tier.push((s.start_ns, s.end_ns)),
+            Some(server) => *service.entry(server).or_default() += s.end_ns - s.start_ns,
+            None => {}
         }
     }
     let elapsed = end.saturating_sub(if start == u64::MAX { 0 } else { start });
-    let mut ranked: Vec<ResourceUse> = busy
-        .into_iter()
-        .map(|(resource, ivs)| {
-            let (busy_ns, service_ns, capacity) = sweep_use(ivs);
+    let row = |server: Server, service_ns: u64, capacity: u32| {
+        (
+            server,
             ResourceUse {
-                resource,
-                busy_ns,
+                resource: server.to_string(),
                 service_ns,
                 capacity,
                 elapsed_ns: elapsed,
-            }
-        })
+            },
+        )
+    };
+    let mut ranked: Vec<(Server, ResourceUse)> = service
+        .into_iter()
+        .map(|(server, ns)| row(server, ns, 1))
         .collect();
-    // Most saturated first: cross-multiplied integer compare of
-    // service/(elapsed*capacity) so the order never depends on float
-    // rounding; name breaks exact ties.
-    ranked.sort_by(|a, b| {
+    if !tier.is_empty() {
+        let service_ns = tier.iter().map(|&(a, b)| b - a).sum();
+        ranked.push(row(Server::Tier, service_ns, peak_concurrency(&tier)));
+    }
+    // Most utilised first: cross-multiplied integer compare of
+    // service/capacity so the order never depends on float rounding;
+    // the name breaks exact ties.
+    ranked.sort_by(|(_, a), (_, b)| {
         let ua = a.service_ns as u128 * b.capacity as u128;
         let ub = b.service_ns as u128 * a.capacity as u128;
         ub.cmp(&ua).then_with(|| a.resource.cmp(&b.resource))
     });
 
-    // Headroom: per-request demand per resource class, estimated from
-    // the critical-path decomposition (FwExec → firmware core,
-    // EngineExec → the per-channel engine pool, FlashRead/Transfer →
-    // flash array, TierGather → DRAM tier, HostSw/Merge → host CPU).
-    // Each class's server count comes from the calibrated capacities in
-    // the ranking above (the widest shard instance), so a pooled
-    // resource sustains `capacity` requests' worth of demand per unit
-    // time — the binding class is the one with the largest demand *per
-    // server*, not the largest raw demand.
-    let cap_of = |prefix: &str| -> u32 {
-        ranked
-            .iter()
-            .filter(|r| r.resource.starts_with(prefix))
-            .map(|r| r.capacity)
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    };
-    let class_caps = [
-        ("fw:core", cap_of("fw:core")),
-        ("fw:engine", cap_of("fw:engine[")),
-        ("flash", cap_of("flash[")),
-        ("tier:dram", cap_of("tier:dram")),
-        ("host:cpu", 1),
-    ];
-    let report = critical_path_report(spans);
+    // Headroom: the busiest server whose phases the path spent time in
+    // binds it. Its utilisation U is the path's throughput X times its
+    // demand there, so the rate it sustains at this mix is X / U.
     let mut headroom = Vec::new();
-    for p in &report.paths {
-        if p.requests == 0 {
+    for p in &critical_path_report(spans).paths {
+        let busiest = ranked
+            .iter()
+            .find(|(server, _)| server.phases().iter().any(|ph| p.phase_ns[ph.index()] > 0));
+        let Some((_, r)) = busiest else { continue };
+        let u = r.utilization();
+        if u <= 0.0 {
             continue;
         }
-        let class = |phases: &[Phase]| -> u64 {
-            phases.iter().map(|ph| p.phase_ns[ph.index()]).sum::<u64>() / p.requests
-        };
-        let demands = [
-            ("fw:core", class(&[Phase::FwExec])),
-            ("fw:engine", class(&[Phase::EngineExec])),
-            ("flash", class(&[Phase::FlashRead, Phase::Transfer])),
-            ("tier:dram", class(&[Phase::TierGather])),
-            ("host:cpu", class(&[Phase::HostSw, Phase::Merge])),
-        ];
-        // Binding class: max demand/capacity via cross-multiplied
-        // integer compare (float-free), smallest name on exact ties.
-        let &(bname, dmax) = demands
-            .iter()
-            .zip(&class_caps)
-            .max_by(|(a, &(_, ca)), (b, &(_, cb))| {
-                (a.1 as u128 * cb as u128)
-                    .cmp(&(b.1 as u128 * ca as u128))
-                    .then_with(|| b.0.cmp(a.0))
-            })
-            .map(|(d, _)| d)
-            .expect("non-empty demand classes");
-        let cap = class_caps
-            .iter()
-            .find(|&&(n, _)| n == bname)
-            .map(|&(_, c)| c)
-            .expect("class has a capacity");
-        let sustainable = if dmax > 0 {
-            cap as f64 * 1e9 / dmax as f64
-        } else {
-            0.0
-        };
-        let observed = if elapsed > 0 {
-            p.requests as f64 * 1e9 / elapsed as f64
-        } else {
-            0.0
-        };
+        let observed = p.requests as f64 * 1e9 / elapsed as f64;
         headroom.push(PathHeadroom {
             path: p.path.clone(),
             requests: p.requests,
-            bottleneck: bname.to_string(),
-            demand_ns: dmax,
-            capacity: cap,
-            sustainable_rps: sustainable,
+            bottleneck: r.resource.clone(),
+            sustainable_rps: observed / u,
             observed_rps: observed,
-            headroom_x: if observed > 0.0 && sustainable > 0.0 {
-                sustainable / observed
-            } else {
-                0.0
-            },
-            saturated: sustainable > 0.0 && observed > sustainable,
+            headroom_x: 1.0 / u,
         });
     }
-    headroom.sort_by(|a, b| a.path.cmp(&b.path));
     BottleneckReport {
         elapsed_ns: elapsed,
-        ranked,
+        ranked: ranked.into_iter().map(|(_, r)| r).collect(),
         headroom,
     }
 }
@@ -972,11 +897,37 @@ pub fn bottleneck_report(spans: &[SpanRec]) -> BottleneckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{track, SpanId, TraceSink};
+    use crate::trace::{track, SpanId, TraceSink, Tracer};
     use recssd_sim::{SimDuration, SimTime};
 
     fn t(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_ns(ns)
+    }
+
+    /// A `path` request over `[0, end)` whose one sub-batch waited for
+    /// shard pid 1 over `[0, wait)`; returns the sub-batch's id.
+    fn request(host: &Tracer, path: &'static str, end: u64, wait: u64, degraded: u64) -> SpanId {
+        let (req, sub) = (host.alloc_id(), host.alloc_id());
+        host.span_arg("sub:wait", t(0), t(wait), sub, "shard", 1);
+        host.emit(sub, "sub", t(0), t(end), req, "lookups", 4, path);
+        host.emit(
+            req,
+            "request",
+            t(0),
+            t(end),
+            SpanId::NONE,
+            "degraded",
+            degraded,
+            path,
+        );
+        sub
+    }
+
+    /// The sink's spans in the runtime's canonical order.
+    fn sorted(sink: &TraceSink) -> Vec<SpanRec> {
+        let mut spans = sink.take_spans();
+        spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
+        spans
     }
 
     /// One NDP request on shard pid 1: queue 0–20, fw 20–60, flash
@@ -988,9 +939,7 @@ mod tests {
         let fw = sink.tracer(1, track::TID_FW);
         let flash = sink.tracer(1, track::TID_FLASH);
 
-        let req = host.alloc_id();
-        let sub = host.alloc_id();
-        host.span_arg("sub:wait", t(0), t(20), sub, "shard", 1);
+        let sub = request(&host, "ndp", 70, 20, 0);
         let op = dev.alloc_id();
         dev.span("op:queue", t(20), t(22), op);
         fw.span("fw:exec", t(22), t(60), SpanId::NONE);
@@ -998,20 +947,7 @@ mod tests {
         flash.span("flash:xfer", t(45), t(50), rd);
         dev.span("ndp:merge", t(60), t(70), op);
         dev.emit(op, "op", t(20), t(70), sub, "failed", 0, "ndp");
-        host.emit(sub, "sub", t(0), t(70), req, "lookups", 8, "ndp");
-        host.emit(
-            req,
-            "request",
-            t(0),
-            t(70),
-            SpanId::NONE,
-            "degraded",
-            0,
-            "ndp",
-        );
-        let mut spans = sink.take_spans();
-        spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
-        spans
+        sorted(&sink)
     }
 
     #[test]
@@ -1049,10 +985,13 @@ mod tests {
     fn bottleneck_ranking_puts_the_fw_core_first() {
         let report = bottleneck_report(&synthetic());
         assert_eq!(report.top(), Some("fw:core[shard=0]"));
-        assert_eq!(report.ranked[0].busy_ns, 38);
+        assert_eq!(report.ranked[0].service_ns, 38);
+        // The channel hold ranks as its own member, named by `ch`.
+        assert_eq!(report.ranked[1].resource, "flash[shard=0,ch=0]");
+        assert_eq!(report.ranked[1].service_ns, 5);
         assert_eq!(report.headroom.len(), 1);
-        assert_eq!(report.headroom[0].bottleneck, "fw:core");
-        assert!(report.headroom[0].sustainable_rps > 0.0);
+        assert_eq!(report.headroom[0].bottleneck, "fw:core[shard=0]");
+        assert!((report.headroom[0].headroom_x - 70.0 / 38.0).abs() < 1e-12);
         assert!(report.render().contains("top_bottleneck: fw:core[shard=0]"));
     }
 
@@ -1071,25 +1010,10 @@ mod tests {
     fn retry_gaps_become_backoff_and_degrade_flag_propagates() {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
-        let req = host.alloc_id();
-        let sub = host.alloc_id();
         // Two dispatch attempts with an uncovered gap between them.
-        host.span_arg("sub:wait", t(0), t(10), sub, "shard", 1);
+        let sub = request(&host, "baseline", 80, 10, 1);
         host.span_arg("sub:wait", t(40), t(45), sub, "shard", 1);
-        host.emit(sub, "sub", t(0), t(80), req, "lookups", 4, "baseline");
-        host.emit(
-            req,
-            "request",
-            t(0),
-            t(80),
-            SpanId::NONE,
-            "degraded",
-            1,
-            "baseline",
-        );
-        let mut spans = sink.take_spans();
-        spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
-        let profiles = request_critical_paths(&spans);
+        let profiles = request_critical_paths(&sorted(&sink));
         assert_eq!(profiles.len(), 1);
         let p = &profiles[0];
         assert!(p.degraded);
@@ -1103,92 +1027,76 @@ mod tests {
         assert!(report.paths.is_empty());
     }
 
-    /// Two overlapping per-channel engine spans pool into one
-    /// `fw:engine[shard=0]` resource whose capacity self-calibrates to
-    /// the peak engine concurrency, and the headroom model divides the
-    /// class demand by that capacity.
+    /// Two overlapping engine spans are two servers, one row each, named
+    /// by the member index their `ch` argument carries; the busier of the
+    /// path's servers (here a tie, broken by name) binds its headroom.
     #[test]
-    fn engine_pool_capacity_self_calibrates() {
+    fn engine_members_rank_as_separate_servers() {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
         let e0 = sink.tracer(1, track::TID_ENGINE_BASE);
         let e1 = sink.tracer(1, track::TID_ENGINE_BASE + 1);
-        let req = host.alloc_id();
-        let sub = host.alloc_id();
-        host.span_arg("sub:wait", t(0), t(10), sub, "shard", 1);
+        request(&host, "ndp", 60, 10, 0);
         e0.span_arg("fw:engine", t(10), t(50), SpanId::NONE, "ch", 0);
         e1.span_arg("fw:engine", t(10), t(50), SpanId::NONE, "ch", 1);
-        host.emit(sub, "sub", t(0), t(60), req, "lookups", 8, "ndp");
-        host.emit(
-            req,
-            "request",
-            t(0),
-            t(60),
-            SpanId::NONE,
-            "degraded",
-            0,
-            "ndp",
-        );
-        let mut spans = sink.take_spans();
-        spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
+        let spans = sorted(&sink);
 
         let profiles = request_critical_paths(&spans);
         assert_eq!(profiles.len(), 1);
         assert_eq!(profiles[0].phase_ns[Phase::EngineExec.index()], 40);
 
         let report = bottleneck_report(&spans);
-        let eng = report
-            .ranked
-            .iter()
-            .find(|r| r.resource == "fw:engine[shard=0]")
-            .expect("engine pool resource discovered");
-        assert_eq!(eng.capacity, 2);
-        assert_eq!(eng.service_ns, 80);
-        assert_eq!(eng.busy_ns, 40);
+        let names: Vec<_> = report.ranked.iter().map(|r| r.resource.as_str()).collect();
+        assert_eq!(
+            names,
+            ["fw:engine[shard=0,ch=0]", "fw:engine[shard=0,ch=1]"]
+        );
+        for r in &report.ranked {
+            assert_eq!((r.service_ns, r.capacity), (40, 1));
+        }
         let h = &report.headroom[0];
-        assert_eq!(h.bottleneck, "fw:engine");
-        assert_eq!(h.capacity, 2);
-        // 40 ns/req over 2 servers → 2e9/40 = 5e7 rps sustainable,
-        // well above the observed 1 request per 60 ns window.
-        assert!((h.sustainable_rps - 5e7).abs() < 1.0);
-        assert!(!h.saturated);
+        assert_eq!(h.bottleneck, "fw:engine[shard=0,ch=0]");
+        // Each engine is 2/3 busy: one request per 60 ns sustains 1.5×.
+        assert!((h.observed_rps - 1e9 / 60.0).abs() < 1e-3);
+        assert!((h.sustainable_rps - 1.5e9 / 60.0).abs() < 1e-3);
     }
 
-    /// A path driven past its operational-law bound reports
-    /// `saturated: true`.
+    /// The operational law bounds the sustainable rate by the busiest
+    /// server's utilisation, so observed ≤ sustainable by construction:
+    /// a nearly saturated core reads as ≈ 1× headroom, never below it.
     #[test]
-    fn overdriven_path_reports_saturated() {
+    fn busiest_server_bounds_the_sustainable_rate() {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
         let fw = sink.tracer(1, track::TID_FW);
         fw.span("fw:exec", t(1), t(60), SpanId::NONE);
         for _ in 0..2 {
-            let req = host.alloc_id();
-            let sub = host.alloc_id();
-            host.span_arg("sub:wait", t(0), t(1), sub, "shard", 1);
-            host.emit(sub, "sub", t(0), t(60), req, "lookups", 4, "ndp");
-            host.emit(
-                req,
-                "request",
-                t(0),
-                t(60),
-                SpanId::NONE,
-                "degraded",
-                0,
-                "ndp",
-            );
+            request(&host, "ndp", 60, 1, 0);
         }
-        let mut spans = sink.take_spans();
-        spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
-        let report = bottleneck_report(&spans);
+        let report = bottleneck_report(&sorted(&sink));
         let h = &report.headroom[0];
-        // Each request demands 59 ns of the serial fw core inside a
-        // 60 ns window shared by two requests: observed ≈ 2× sustainable.
-        assert_eq!(h.bottleneck, "fw:core");
-        assert_eq!(h.capacity, 1);
-        assert!(h.observed_rps > h.sustainable_rps);
-        assert!(h.saturated);
-        assert!(report.render().contains("SATURATED"));
+        // The core is busy 59 of the 60 ns the two requests span.
+        assert_eq!(h.bottleneck, "fw:core[shard=0]");
+        assert!(h.observed_rps <= h.sustainable_rps);
+        assert!((h.headroom_x - 60.0 / 59.0).abs() < 1e-12);
+        assert!(report.render().contains("(1.02x)"));
+    }
+
+    /// The DRAM tier is the one row whose width is inferred: its peak
+    /// service concurrency, so two overlapping tier operators are one
+    /// two-wide server at half utilisation.
+    #[test]
+    fn tier_width_is_its_peak_concurrency() {
+        let sink = TraceSink::new();
+        let tier = sink.tracer(track::PID_TIER, track::TID_DEVICE);
+        tier.span("op", t(0), t(10), SpanId::NONE);
+        tier.span("op", t(0), t(10), SpanId::NONE);
+        tier.span("op", t(10), t(20), SpanId::NONE);
+        let report = bottleneck_report(&sink.take_spans());
+        let r = &report.ranked[0];
+        assert_eq!(r.resource, "tier:dram");
+        assert_eq!((r.service_ns, r.capacity), (30, 2));
+        assert!((r.utilization() - 0.75).abs() < 1e-12);
     }
 
     #[test]

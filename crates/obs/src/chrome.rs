@@ -229,18 +229,10 @@ fn coverage(start: u64, end: u64, ivs: &mut [(u64, u64)]) -> f64 {
     if end <= start {
         return 1.0;
     }
-    ivs.sort_unstable();
-    let mut covered = 0u64;
-    let mut cur = start;
-    for &(a, b) in ivs.iter() {
-        let a = a.max(cur).min(end);
-        let b = b.min(end);
-        if b > a {
-            covered += b - a;
-            cur = b;
-        }
+    for (a, b) in ivs.iter_mut() {
+        (*a, *b) = ((*a).clamp(start, end), (*b).clamp(start, end));
     }
-    covered as f64 / (end - start) as f64
+    crate::analysis::union_len(ivs) as f64 / (end - start) as f64
 }
 
 /// Validates the span invariants (see the [module docs](self)).

@@ -1,15 +1,17 @@
 //! Per-resource utilization timelines and queueing decomposition.
 //!
 //! [`utilization_timelines`] turns a recorded span trace into one
-//! [`UtilizationTimeline`] per simulated resource — the firmware core
-//! and flash array of every device shard, each shard's host-side
-//! operator queue, and the DRAM tier — bucketed into fixed sim-time
-//! windows. Server resources report busy/idle fractions (union of
-//! their busy spans); queue resources report arrival rate, time-average
-//! occupancy and mean wait, which are **Little's-law-consistent** by
-//! construction over the whole run (`L = λ·W`, checked in tests via two
-//! independent computations: an event-sweep occupancy integral vs the
-//! per-span duration sums).
+//! [`UtilizationTimeline`] per simulated resource — every server the
+//! bottleneck ranking names (each device shard's firmware core, SLS
+//! engines and flash channels, and the DRAM tier, found through the same
+//! span→server map), and each shard's host-side operator queue —
+//! bucketed into fixed sim-time windows. Servers report busy/idle
+//! fractions of their service windows (a device member's whole-run busy
+//! time is its busy counter); queue resources report arrival rate,
+//! time-average occupancy and mean wait, which are
+//! **Little's-law-consistent** by construction over the whole run
+//! (`L = λ·W`, checked in tests via two independent computations: an
+//! event-sweep occupancy integral vs the per-span duration sums).
 //!
 //! Like the [`crate::analysis`] module this is a pure observer over
 //! recorded spans: the same trace always produces byte-identical
@@ -18,13 +20,14 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use crate::analysis::Server;
 use crate::trace::{track, SpanRec};
 
 /// What kind of resource a timeline describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceKind {
-    /// A serving resource with a busy/idle state (firmware core, flash
-    /// array, DRAM tier).
+    /// A server with a busy/idle state (firmware core, SLS engine, flash
+    /// channel, DRAM tier).
     Server,
     /// A waiting room (shard operator queue): occupancy and wait are
     /// the interesting stats, "busy" is the any-waiter union.
@@ -76,7 +79,8 @@ impl UtilWindow {
 /// A resource's busy/idle/wait decomposition over sim-time windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationTimeline {
-    /// Resource name, e.g. `fw:core[shard=0]` or `queue[shard=1]`.
+    /// Resource name, e.g. `fw:core[shard=0]`, `flash[shard=0,ch=3]`
+    /// or `queue[shard=1]`.
     pub resource: String,
     /// Server or queue semantics.
     pub kind: ResourceKind,
@@ -251,35 +255,26 @@ fn build(
 }
 
 /// Decomposes a trace into per-resource utilization timelines with
-/// `window_ns`-wide buckets: firmware core and flash array per device
-/// shard, host-side operator queue per shard (from `sub:wait` spans'
-/// `shard` argument), and the DRAM tier when the trace has one.
-/// Timelines are sorted by resource name; the list is empty for an
-/// empty trace.
+/// `window_ns`-wide buckets: one per server of the bottleneck ranking
+/// (firmware core, each SLS engine and each flash channel per device
+/// shard, the DRAM tier when the trace has one) and one per host-side
+/// operator queue (from `sub:wait` spans' `shard` argument). Timelines
+/// are sorted by resource name; the list is empty for an empty trace.
 pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<UtilizationTimeline> {
     assert!(window_ns > 0, "window_ns must be positive");
     let mut elapsed = 0u64;
-    let mut servers: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
+    let mut servers: HashMap<Server, Vec<(u64, u64)>> = HashMap::new();
     let mut queues: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
     for s in spans {
         elapsed = elapsed.max(s.end_ns);
+        if let Some(server) = Server::of(s) {
+            servers
+                .entry(server)
+                .or_default()
+                .push((s.start_ns, s.end_ns));
+            continue;
+        }
         match s.name {
-            "fw:exec" => servers
-                .entry(format!("fw:core[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            "fw:engine" => servers
-                .entry(format!("fw:engine[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            "flash:read" => servers
-                .entry(format!("flash[shard={}]", s.pid.saturating_sub(1)))
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
-            "op" if s.pid == track::PID_TIER => servers
-                .entry("tier:dram".to_string())
-                .or_default()
-                .push((s.start_ns, s.end_ns)),
             "sub:wait" if s.arg_key == "shard" => {
                 let name = if s.arg_val == track::PID_TIER as u64 {
                     "queue[tier]".to_string()
@@ -293,7 +288,15 @@ pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<Utilizati
     }
     let mut out: Vec<UtilizationTimeline> = servers
         .into_iter()
-        .map(|(name, ivs)| build(name, ResourceKind::Server, ivs, window_ns, elapsed))
+        .map(|(server, ivs)| {
+            build(
+                server.to_string(),
+                ResourceKind::Server,
+                ivs,
+                window_ns,
+                elapsed,
+            )
+        })
         .chain(
             queues
                 .into_iter()

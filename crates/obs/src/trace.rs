@@ -32,14 +32,16 @@ pub mod track {
     pub const TID_HOST: u32 = 0;
     /// tid of device-op spans (NVMe op lifetime, host-side phases).
     pub const TID_DEVICE: u32 = 1;
-    /// tid of firmware-core execution spans.
+    /// tid of firmware-core service windows (`fw:exec`).
     pub const TID_FW: u32 = 2;
-    /// tid of flash-array spans (reads, channel transfers).
+    /// tid of flash-array spans: host-read residence (`flash:read`) and
+    /// every channel hold (`flash:xfer`, its channel in `ch`).
     pub const TID_FLASH: u32 = 3;
     /// First tid of the per-channel SLS engine rows: engine `i` of a
     /// device's pool lands on `TID_ENGINE_BASE + i`, so every engine gets
-    /// its own track in the viewer. Analysis keys engine spans by name +
-    /// `ch` argument, never by tid.
+    /// its own track in the viewer. Analysis names a server by span name,
+    /// pid and `ch` argument, never by tid — one row per engine and per
+    /// flash channel.
     pub const TID_ENGINE_BASE: u32 = 8;
 }
 

@@ -337,9 +337,6 @@ struct Shard {
     occ_last: SimTime,
     /// Start of the current stats window.
     window_start: SimTime,
-    /// Flash channel-busy total at the last stats reset (the flash
-    /// counters are cumulative).
-    chan_busy_base_ns: u64,
     /// Circuit breaker over this shard's operator outcomes.
     breaker: Breaker,
 }
@@ -354,7 +351,6 @@ impl Shard {
             occ_weighted_ns: 0,
             occ_last: SimTime::ZERO,
             window_start: SimTime::ZERO,
-            chan_busy_base_ns: 0,
             breaker: Breaker::new(),
         }
     }
@@ -376,18 +372,6 @@ impl Shard {
         }
         let tail = now.saturating_since(self.occ_last).as_ns() * self.inflight.len() as u64;
         (self.occ_weighted_ns + tail) as f64 / window as f64
-    }
-
-    fn chan_busy_total_ns(&self) -> u64 {
-        self.sys
-            .device()
-            .ftl()
-            .flash()
-            .stats()
-            .channel_busy
-            .iter()
-            .map(|d| d.as_ns())
-            .sum()
     }
 }
 
@@ -756,10 +740,12 @@ impl ServingRuntime {
     }
 
     /// Per-resource busy/idle/wait decomposition of the spans recorded
-    /// so far — firmware core and flash array per shard, per-shard
-    /// operator queues, the DRAM tier — bucketed into `window`-wide
-    /// sim-time windows with Little's-law-consistent queueing stats.
-    /// Requires tracing to be on; empty otherwise. Pure observer.
+    /// so far — every server of [`ServingRuntime::bottleneck_report`]
+    /// (firmware core, each SLS engine and flash channel per shard, the
+    /// DRAM tier) and the per-shard operator queues — bucketed into
+    /// `window`-wide sim-time windows with Little's-law-consistent
+    /// queueing stats. Requires tracing to be on; empty otherwise. Pure
+    /// observer.
     pub fn utilization_timelines(
         &self,
         window: SimDuration,
@@ -767,10 +753,12 @@ impl ServingRuntime {
         recssd_obs::utilization_timelines(&self.snapshot_trace(), window.as_ns().max(1))
     }
 
-    /// Ranks the simulated resources by busy-time saturation and
-    /// estimates per-path capacity headroom from the measured service
-    /// demands (see [`recssd_obs::analysis::bottleneck_report`]).
-    /// Requires tracing to be on; empty otherwise. Pure observer.
+    /// Ranks every simulated server — one row per device member — by
+    /// utilisation (service integral ÷ elapsed: for a device member its
+    /// busy counter ÷ elapsed) and bounds each path's sustainable rate by
+    /// its busiest server (see
+    /// [`recssd_obs::analysis::bottleneck_report`]). Requires tracing to
+    /// be on; empty otherwise. Pure observer.
     pub fn bottleneck_report(&self) -> recssd_obs::BottleneckReport {
         recssd_obs::bottleneck_report(&self.snapshot_trace())
     }
@@ -830,10 +818,7 @@ impl ServingRuntime {
             s.occ_weighted_ns = 0;
             s.occ_last = s.occ_last.max(now);
             s.window_start = now;
-            // The cascade zeroes the flash channel-busy integral, so the
-            // utilisation window's base must be zero *after* the reset.
             s.sys.reset_stats();
-            s.chan_busy_base_ns = 0;
         }
     }
 
@@ -857,9 +842,9 @@ impl ServingRuntime {
                 if window == 0 {
                     return 0.0;
                 }
-                let channels = s.sys.config().ssd.ftl.flash.geometry.channels as u64;
-                let busy = s.chan_busy_total_ns() - s.chan_busy_base_ns;
-                busy as f64 / (window * channels) as f64
+                let busy = s.sys.device().ftl().flash().stats().channel_busy;
+                let total: SimDuration = busy.iter().copied().sum();
+                total.as_ns() as f64 / (window * busy.len() as u64) as f64
             })
             .collect()
     }

@@ -18,6 +18,8 @@ use recssd_serving::{
     chrome_trace_json, validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement,
     SchedulePolicy, ServingConfig, ServingRuntime, ServingStats, SlsPath,
 };
+use std::collections::HashMap;
+
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
 
@@ -424,37 +426,78 @@ fn critical_path_conserves_e2e_on_all_paths() {
 }
 
 /// Acceptance bar: the bottleneck analyzer finds each path's wall
-/// unprompted. The heat-packed COTS baseline at depth 4 is bound by the
-/// serial firmware core (ranked first, at least half utilised); the NDP
-/// path with eight per-channel engines has shed that wall and is bound by
-/// a flash resource. Both decompositions still conserve ≥ 95 % of e2e
-/// time. (`crates/bench/tests/analyze_cli.rs` replays the same two traces
+/// unprompted, and its top row is the device's own busiest server — the
+/// member with the largest busy counter, at that counter. The
+/// heat-packed COTS baseline at depth 4 is bound by the serial firmware
+/// core (at least half utilised); the NDP path with eight per-channel
+/// engines has shed that wall and is bound by a flash channel. Both
+/// decompositions still conserve ≥ 95 % of e2e time.
+/// (`crates/bench/tests/analyze_cli.rs` replays the same two traces
 /// through the offline `recssd-analyze`.)
 #[test]
 fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
-    let (heat, _) = quick_scale::baseline_run(true, 4, true);
-    let ranking = heat.bottleneck_report();
-    let top = &ranking.ranked[0];
-    assert!(
-        top.resource.starts_with("fw:core"),
-        "heat-packed baseline should wall on the firmware core, got {}",
-        top.resource
-    );
-    assert!(
-        top.utilization() >= 0.5,
-        "firmware core only {:.0}% utilised",
-        top.utilization() * 100.0
-    );
-    assert!(heat.critical_path_report().min_conservation >= 0.95);
+    for (mut rt, wall) in [
+        (quick_scale::baseline_run(true, 4, true).0, "fw:core["),
+        (quick_scale::wide_ndp_run(1, 8, 4, true).0, "flash["),
+    ] {
+        let (busiest, busy_ns) = quick_scale::busiest_member(&mut rt);
+        let ranking = rt.bottleneck_report();
+        let top = &ranking.ranked[0];
+        assert_eq!(
+            (top.resource.as_str(), top.service_ns),
+            (busiest.as_str(), busy_ns)
+        );
+        assert!(top.resource.starts_with(wall), "walls on {}", top.resource);
+        assert!(
+            top.utilization() >= 0.5,
+            "{} only {:.0}% utilised",
+            top.resource,
+            top.utilization() * 100.0
+        );
+        assert!(rt.critical_path_report().min_conservation >= 0.95);
+    }
+}
 
-    let (pooled, _) = quick_scale::wide_ndp_run(1, 8, 4, true);
-    let ranking = pooled.bottleneck_report();
-    let top = ranking.top().expect("a ranked resource");
-    assert!(
-        top.starts_with("flash"),
-        "8-engine NDP should wall on flash, got {top}"
-    );
-    assert!(pooled.critical_path_report().min_conservation >= 0.95);
+/// Acceptance bar: the instruments agree by construction. On three
+/// traced runs taken to idle — the quick-scale 8-engine NDP run, the
+/// heat-packed baseline and the mixed-path run — per shard, Σ `fw:exec`
+/// == `firmware_busy()`, Σ `fw:engine` of member `e` == `engine_busy(e)`
+/// and Σ `flash:xfer` of member `c` == `channel_busy[c]`; the bottleneck
+/// row of each member carries that same integer; and no path is
+/// observed above the rate it can sustain.
+#[test]
+fn instruments_agree_by_construction() {
+    let runs = [
+        quick_scale::wide_ndp_run(1, 8, 4, true).0,
+        quick_scale::baseline_run(true, 4, true).0,
+        run_mixed(true, false).0,
+    ];
+    for mut rt in runs {
+        rt.run_until_idle();
+        let mut traced: HashMap<String, u64> = HashMap::new();
+        for s in rt.snapshot_trace() {
+            let (shard, ch) = (s.pid.saturating_sub(1), s.arg_val);
+            let name = match s.name {
+                "fw:exec" => format!("fw:core[shard={shard}]"),
+                "fw:engine" => format!("fw:engine[shard={shard},ch={ch}]"),
+                "flash:xfer" => format!("flash[shard={shard},ch={ch}]"),
+                _ => continue,
+            };
+            *traced.entry(name).or_default() += s.end_ns - s.start_ns;
+        }
+        let report = rt.bottleneck_report();
+        let members = quick_scale::device_members(&mut rt);
+        assert!(members.iter().all(|m| m.1 > 0), "{members:?}");
+        for (name, busy) in members {
+            assert_eq!(traced.get(&name), Some(&busy), "{name}: spans vs counter");
+            let row = report.ranked.iter().find(|r| r.resource == name);
+            assert_eq!(row.map(|r| r.service_ns), Some(busy), "{name}: report");
+        }
+        assert!(!report.headroom.is_empty());
+        for h in &report.headroom {
+            assert!(h.observed_rps <= h.sustainable_rps, "{h:?}");
+        }
+    }
 }
 
 /// Wall-clock self-profiling is off (all-zero) by default and

@@ -137,3 +137,33 @@ pub fn wide_ndp_run(
     let report = serve(&mut rt, tables, 1.2, 32, ndp());
     (rt, report)
 }
+
+/// Every device server's busy counter, in ns, under the name the
+/// bottleneck ranking gives it: each shard's firmware core, SLS engines
+/// and flash channels.
+pub fn device_members(rt: &mut ServingRuntime) -> Vec<(String, u64)> {
+    let mut members = Vec::new();
+    for shard in 0..rt.shards() {
+        let ftl = rt.shard_system_mut(shard).device().ftl();
+        members.push((format!("fw:core[shard={shard}]"), ftl.firmware_busy()));
+        for e in 0..ftl.engine_count() {
+            members.push((
+                format!("fw:engine[shard={shard},ch={e}]"),
+                ftl.engine_busy(e),
+            ));
+        }
+        for (c, busy) in ftl.flash().stats().channel_busy.into_iter().enumerate() {
+            members.push((format!("flash[shard={shard},ch={c}]"), busy));
+        }
+    }
+    members.into_iter().map(|(n, b)| (n, b.as_ns())).collect()
+}
+
+/// The busiest of [`device_members`]; ties go to the smaller name, as in
+/// the ranking.
+pub fn busiest_member(rt: &mut ServingRuntime) -> (String, u64) {
+    device_members(rt)
+        .into_iter()
+        .min_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)))
+        .expect("a device server")
+}

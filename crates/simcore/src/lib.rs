@@ -23,6 +23,10 @@
 //!   of copying. It backs the bytes the page contains and reads as zeros
 //!   past them; [`PagePool`] keeps the free images, one list per size
 //!   class.
+//! * [`Server`] — the FIFO single server every timed device resource
+//!   (firmware core, SLS engines, PCIe link, flash dies and channels) is
+//!   an instance of: one queue discipline, busy time counted at service
+//!   start, debug-asserted monotone time and exact completion instants.
 //!
 //! # Example
 //!
@@ -44,6 +48,7 @@
 
 mod page;
 mod queue;
+mod server;
 mod time;
 
 pub mod alloc_count;
@@ -54,4 +59,5 @@ pub mod stats;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use page::{PageImage, PagePool};
 pub use queue::EventQueue;
+pub use server::Server;
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,7 @@ use recssd_flash::PageOracle;
 use recssd_ftl::{FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId};
 use recssd_nvme::{
     CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PcieEvent, PcieLink, QueuePair,
-    XferDirection, XferId,
+    XferId,
 };
 use recssd_sim::stats::Counter;
 use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
@@ -408,11 +408,9 @@ impl<X: NdpEngine> SsdDevice<X> {
                             failed: false,
                         },
                     );
-                    let xfer =
-                        self.pcie
-                            .request(now, bytes, XferDirection::HostToDevice, &mut |d, e| {
-                                sched(d, SsdEvent::Pcie(e))
-                            });
+                    let xfer = self
+                        .pcie
+                        .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
                     self.dma_in.insert(xfer, (qid, cid));
                 }
             }
@@ -614,9 +612,7 @@ impl<X: NdpEngine> SsdDevice<X> {
         let bytes = self.cmds[&(qid, cid)].cmd.nlb as usize * self.config.block_bytes();
         let xfer = self
             .pcie
-            .request(now, bytes, XferDirection::DeviceToHost, &mut |d, e| {
-                sched(d, SsdEvent::Pcie(e))
-            });
+            .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
         self.dma_out.insert(xfer, (qid, cid));
     }
 

@@ -4,7 +4,7 @@
 //! Cosmos+ OpenSSD the paper prototypes on:
 //!
 //! ```text
-//!  host ──QueuePair──▶ frontend ──FwCore──▶ GreedyFtl ──▶ FlashArray
+//!  host ──QueuePair──▶ frontend ──fw:core─▶ GreedyFtl ──▶ FlashArray
 //!        ◀─PcieLink──  (commands)  (firmware)  (mapping,     (channels,
 //!                                              page cache)    dies)
 //! ```
