@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recssd::ndp::EnginePartials;
 use recssd::{OpKind, RecSsdConfig, SlsConfig, SlsOptions, System};
-use recssd_cache::{DirectMappedCache, LruCache};
+use recssd_cache::LruCache;
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
 };
@@ -22,17 +22,6 @@ fn bench_caches(c: &mut Criterion) {
         b.iter(|| {
             let key = rng.gen_range(0..4096);
             if cache.get(&key).is_none() {
-                cache.insert(key, key);
-            }
-            black_box(cache.len())
-        })
-    });
-    c.bench_function("direct_mapped_get_insert", |b| {
-        let mut cache: DirectMappedCache<u64> = DirectMappedCache::new(2048);
-        let mut rng = Xoshiro256::seed_from(2);
-        b.iter(|| {
-            let key = rng.gen_range(0..4096);
-            if cache.get(key).is_none() {
                 cache.insert(key, key);
             }
             black_box(cache.len())

@@ -34,6 +34,8 @@ pub struct NdpConfig {
     /// contributes its result bytes to the folded total (ns/byte).
     pub merge_per_byte_ns: f64,
     /// Slots of the direct-mapped SSD-side embedding cache (0 disables).
+    /// Each slot stands for one vector of simulated SSD DRAM; on the host
+    /// it costs a `(table base, row)` tag, whatever the row's width.
     pub embed_cache_slots: usize,
 }
 

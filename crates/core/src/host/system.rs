@@ -341,10 +341,9 @@ pub struct System {
     next_cid: Vec<u16>,
     pending_cmd: FxHashMap<(u16, u16), OpId>,
     registry: TableRegistry,
-    host_caches: FxHashMap<u32, LruCache<u64, Vec<f32>>>,
-    /// The row buffer the host LRU last evicted: the next miss decodes
-    /// into it, so a full cache fills without allocating.
-    host_row_spare: Vec<f32>,
+    /// The baseline's host-DRAM LRU per table: which rows the simulated
+    /// DRAM holds. A hit's vector comes from the bound table image.
+    host_caches: FxHashMap<u32, LruCache<u64, ()>>,
     partitions: FxHashMap<u32, StaticPartition>,
     partition_stats: FxHashMap<u32, recssd_cache::HitStats>,
     next_request: u64,
@@ -387,7 +386,6 @@ impl System {
             pending_cmd: FxHashMap::default(),
             registry: TableRegistry::new(cfg.ndp.table_align),
             host_caches: FxHashMap::default(),
-            host_row_spare: Vec::new(),
             partitions: FxHashMap::default(),
             partition_stats: FxHashMap::default(),
             next_request: 0,
@@ -500,7 +498,7 @@ impl System {
     /// whatever the old image covered, and every host- or device-side
     /// structure keyed by the old image's row space is flushed: stale
     /// FTL-cached pages are evicted, the NDP engine's SSD-side embedding
-    /// cache drops the table's vectors, the table's host LRU vector cache
+    /// cache forgets the table's rows, the table's host LRU vector cache
     /// (if enabled) is cleared, and any installed static partition is
     /// removed — its hot ids referred to the old row space, so the caller
     /// must install a fresh one if partitioning is still wanted.
@@ -841,6 +839,7 @@ impl System {
             registry,
             host_caches,
             baseio_pool,
+            row_scratch,
             cfg,
             ..
         } = self;
@@ -865,10 +864,12 @@ impl System {
         if let Some(cache) = cache {
             for (slot, ids) in batch.per_output().iter().enumerate() {
                 for &row in ids {
-                    if let Some(vec) = cache.get(&row) {
-                        for (o, v) in op.outputs.row_mut(slot).iter_mut().zip(vec.iter()) {
-                            *o += *v;
-                        }
+                    if cache.get(&row).is_some() {
+                        // A hit's vector is the bound image's row, as a
+                        // static-partition hot row's is.
+                        image
+                            .table()
+                            .accumulate_row(row, row_scratch, op.outputs.row_mut(slot));
                     } else {
                         let (page, off) = image.page_of_row(row);
                         bufs.stage.push((page, off as u32, slot as u32));
@@ -1028,8 +1029,8 @@ impl System {
 
     /// The accumulate charge finished: fold every page of the command
     /// into the flat outputs with the fused decode (no per-vector
-    /// allocation: the host-cache fill path materialises each missed
-    /// vector in the buffer of the entry it evicts).
+    /// allocation), and record each row in the host LRU if the op uses
+    /// it — a key insert, since the LRU holds no vector bytes.
     fn baseline_accum_done(&mut self, now: SimTime, id: OpId, mut io: BaseIo) {
         let (idx, data) = io.accum_current.take().expect("accumulating a command");
         if self.ops[&id].failed.is_some() {
@@ -1050,7 +1051,6 @@ impl System {
             ops,
             registry,
             host_caches,
-            host_row_spare,
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
@@ -1059,38 +1059,28 @@ impl System {
         };
         let table = *table;
         let image = &registry.binding(table).image;
-        let spec = image.table().spec();
+        let row_bytes = image.table().spec().row_bytes();
+        let quant = image.table().spec().quant;
+        let mut cache = io
+            .use_host_cache
+            .then(|| host_caches.get_mut(&table.0))
+            .flatten();
         let cmd = io.bufs.cmds[idx];
-        let use_cache = io.use_host_cache && host_caches.contains_key(&table.0);
         let first_page = io.bufs.runs[cmd.first as usize].page;
         for run in &io.bufs.runs[cmd.first as usize..(cmd.first + cmd.count) as usize] {
             // A wanted page sits at its distance from the command's first
             // page (bridged gap pages occupy their slots unused); rows
             // decode straight out of the device's image of it.
             let page = &data[(run.page - first_page) as usize];
-            let work = &io.bufs.items[run.start as usize..(run.start + run.len) as usize];
-            if use_cache {
-                let cache = host_caches.get_mut(&table.0).expect("checked");
-                for &(off, slot) in work {
-                    let off = off as usize;
-                    let mut dec = std::mem::take(host_row_spare);
-                    dec.resize(spec.dim, 0.0);
-                    spec.quant
-                        .decode_into(&page.bytes_at(off, spec.row_bytes()), &mut dec);
-                    for (o, v) in op.outputs.row_mut(slot as usize).iter_mut().zip(&dec) {
-                        *o += *v;
-                    }
-                    let row = run.page * image.rows_per_page() + (off / spec.row_bytes()) as u64;
-                    if let Some((_, displaced)) = cache.insert(row, dec) {
-                        *host_row_spare = displaced;
-                    }
-                }
-            } else {
-                for &(off, slot) in work {
-                    spec.quant.decode_accumulate(
-                        &page.bytes_at(off as usize, spec.row_bytes()),
-                        op.outputs.row_mut(slot as usize),
-                    );
+            for &(off, slot) in &io.bufs.items[run.start as usize..(run.start + run.len) as usize] {
+                let off = off as usize;
+                quant.decode_accumulate(
+                    &page.bytes_at(off, row_bytes),
+                    op.outputs.row_mut(slot as usize),
+                );
+                if let Some(cache) = cache.as_deref_mut() {
+                    let row = run.page * image.rows_per_page() + (off / row_bytes) as u64;
+                    cache.insert(row, ());
                 }
             }
         }

@@ -42,8 +42,10 @@
 //!   what the pool's width costs, and its results equal a dense
 //!   zero-filled fold's. The simulated charges (`translate_time`,
 //!   `merge_time` over the engines that saw pages) know nothing of this;
-//! * the SSD-side embedding cache stores vectors in per-slot buffers that
-//!   are overwritten in place on insert.
+//! * the SSD-side embedding cache is a tag array and holds no vectors: a
+//!   fill writes a slot's `(table base, row)` tag, and a hit decodes its
+//!   row from the page's current content, which the FTL reads untimed
+//!   into a pooled page image that goes straight back to the pool.
 
 use recssd_embedding::Quantization;
 use recssd_ftl::{FtlOutcome, FwTag, ReadStarted, ReqId};
@@ -153,24 +155,22 @@ impl NdpStats {
     }
 }
 
-/// The direct-mapped SSD-side embedding cache (§4.2). Keys are
-/// `(table base, row)`; values are decoded f32 vectors held in per-slot
-/// buffers that inserts overwrite in place (no steady-state allocation).
-/// Collisions are verified against the full key, so a slot conflict is a
-/// miss, never a wrong vector.
+/// The direct-mapped SSD-side embedding cache (§4.2): which
+/// `(table base, row)` each slot of the simulated DRAM holds. The tag
+/// array decides hits, conflicts and evictions; a hit's vector is decoded
+/// from its page's current content, so the cache owns no vector bytes and
+/// can never serve a stale one. A slot conflict is verified against the
+/// full key, so it is a miss, never a wrong row.
 #[derive(Debug)]
 struct EmbedCache {
     /// `(table base, row)` tag per slot; `None` = empty.
     tags: Vec<Option<(u64, u64)>>,
-    /// Slot value buffers, reused across inserts.
-    rows: Vec<Vec<f32>>,
 }
 
 impl EmbedCache {
     fn new(slots: usize) -> Self {
         EmbedCache {
             tags: vec![None; slots],
-            rows: vec![Vec::new(); slots],
         }
     }
 
@@ -184,29 +184,27 @@ impl EmbedCache {
         (Self::key(base, row) % self.tags.len() as u64) as usize
     }
 
-    fn get(&self, base: u64, row: u64, stats: &mut HitStats) -> Option<&[f32]> {
+    /// `true` (and a hit recorded) if the row's slot holds it; a miss is
+    /// recorded otherwise. A disabled cache records nothing.
+    fn hit(&self, base: u64, row: u64, stats: &mut HitStats) -> bool {
         if self.tags.is_empty() {
-            return None;
+            return false;
         }
-        let slot = self.slot(base, row);
-        if self.tags[slot] == Some((base, row)) {
+        let hit = self.tags[self.slot(base, row)] == Some((base, row));
+        if hit {
             stats.hit();
-            Some(&self.rows[slot])
         } else {
             stats.miss();
-            None
         }
+        hit
     }
 
-    fn insert(&mut self, base: u64, row: u64, v: &[f32]) {
+    fn insert(&mut self, base: u64, row: u64) {
         if self.tags.is_empty() {
             return;
         }
         let slot = self.slot(base, row);
         self.tags[slot] = Some((base, row));
-        let buf = &mut self.rows[slot];
-        buf.clear();
-        buf.extend_from_slice(v);
     }
 
     fn enabled(&self) -> bool {
@@ -328,8 +326,6 @@ pub struct NdpSlsEngine {
     dma_out: FxHashMap<XferId, u64>,
     reads: FxHashMap<ReqId, (u64, usize)>,
     cache: EmbedCache,
-    /// Reused decode buffer for the cache-fill path.
-    row_scratch: Vec<f32>,
     /// Free-list of recycled entry buffers.
     buf_pool: Vec<EntryBufs>,
     stats: NdpStats,
@@ -347,7 +343,6 @@ impl NdpSlsEngine {
             dma_in: FxHashMap::default(),
             dma_out: FxHashMap::default(),
             reads: FxHashMap::default(),
-            row_scratch: Vec::new(),
             buf_pool: Vec::new(),
             stats: NdpStats::default(),
         }
@@ -363,9 +358,10 @@ impl NdpSlsEngine {
         self.cache.enabled()
     }
 
-    /// Drops every SSD-side cached vector of the table whose slot starts
+    /// Forgets every SSD-side cached row of the table whose slot starts
     /// at logical page `table_base` — required when the slot is re-bound
-    /// to a new image, whose rows the old vectors would otherwise shadow.
+    /// to a new image: the cache held the old image's rows, so none of
+    /// the new image's may count as a hit.
     pub fn invalidate_table(&mut self, table_base: u64) {
         self.cache.invalidate_table(table_base);
     }
@@ -452,8 +448,9 @@ impl NdpSlsEngine {
 
         // Build the flat per-page work lists with one scan of the sorted
         // pair list (step 2), folding embedding-cache hits straight into
-        // the result scratchpad (step 2a). Disjoint-field borrows let the
-        // cache lend slices while the entry accumulates.
+        // the result scratchpad (step 2a). A hit's row is decoded from its
+        // page's current content, which the FTL reads untimed: the
+        // simulated SSD DRAM holds the row, the simulator only its tag.
         let Self {
             cache,
             entries,
@@ -468,15 +465,18 @@ impl NdpSlsEngine {
         entry.work_items.clear();
         entry.page_work.clear();
         let base = entry.table_base;
+        let (row_bytes, quant) = (cfg.row_bytes(), cfg.quant);
         for &(row, slot) in &cfg.pairs {
-            if let Some(vec) = cache.get(base, row, &mut stats.embed_cache) {
+            let (page, offset) = cfg.locate_row(row);
+            if cache.hit(base, row, &mut stats.embed_cache) {
                 entry.cache_hits += 1;
-                for (o, v) in entry.results.row_mut(slot as usize).iter_mut().zip(vec) {
-                    *o += *v;
-                }
+                let acc = entry.results.row_mut(slot as usize);
+                ctx.ftl
+                    .with_current_page(recssd_ftl::Lpn(base + page), |data| {
+                        quant.decode_accumulate(&data.bytes_at(offset, row_bytes), acc)
+                    });
                 continue;
             }
-            let (page, offset) = cfg.locate_row(row);
             match entry.page_work.last_mut() {
                 Some(w) if w.page == page => w.len += 1,
                 _ => entry.page_work.push(PageWork {
@@ -576,11 +576,10 @@ impl NdpSlsEngine {
         }
     }
 
-    /// Step 5: translation done — extract vectors, accumulate, fill the
-    /// embedding cache. The fused `decode_accumulate` path allocates
-    /// nothing; with the embedding cache enabled, vectors pass through
-    /// the engine's reused `row_scratch` so cache fills stay
-    /// allocation-free too.
+    /// Step 5: translation done — extract vectors, accumulate, and record
+    /// each gathered row in the embedding cache. The fused
+    /// `decode_accumulate` path allocates nothing, and a cache fill is a
+    /// tag write.
     fn apply_translation(
         &mut self,
         ctx: &mut DeviceCtx<'_>,
@@ -590,15 +589,9 @@ impl NdpSlsEngine {
         duration: SimDuration,
         engine: Option<u32>,
     ) {
-        let Self {
-            cache,
-            entries,
-            row_scratch,
-            ..
-        } = self;
+        let Self { cache, entries, .. } = self;
         let entry = entries.get_mut(&request).expect("entry exists");
         let cfg = entry.cfg.as_ref().expect("configured");
-        let dim = cfg.dim as usize;
         let row_bytes = cfg.row_bytes();
         let rows_per_page = cfg.rows_per_page as u64;
         let quant: Quantization = cfg.quant;
@@ -613,31 +606,13 @@ impl NdpSlsEngine {
             work_items,
             ..
         } = &mut *entry;
-        if cache.enabled() {
-            row_scratch.clear();
-            row_scratch.resize(dim, 0.0);
-            for &(offset, slot) in &work_items[items] {
-                quant.decode_into(&data.bytes_at(offset, row_bytes), row_scratch);
-                match engine {
-                    Some(e) => partials.add_row(e as usize, slot as usize, row_scratch),
-                    None => {
-                        let acc = results.row_mut(slot as usize);
-                        for (o, v) in acc.iter_mut().zip(&*row_scratch) {
-                            *o += *v;
-                        }
-                    }
-                }
-                let row = w.page * rows_per_page + (offset / row_bytes) as u64;
-                cache.insert(base, row, row_scratch);
+        for &(offset, slot) in &work_items[items] {
+            let (bytes, slot) = (data.bytes_at(offset, row_bytes), slot as usize);
+            match engine {
+                Some(e) => partials.add_encoded(e as usize, slot, quant, &bytes),
+                None => quant.decode_accumulate(&bytes, results.row_mut(slot)),
             }
-        } else {
-            for &(offset, slot) in &work_items[items] {
-                let (bytes, slot) = (data.bytes_at(offset, row_bytes), slot as usize);
-                match engine {
-                    Some(e) => partials.add_encoded(e as usize, slot, quant, &bytes),
-                    None => quant.decode_accumulate(&bytes, results.row_mut(slot)),
-                }
-            }
+            cache.insert(base, w.page * rows_per_page + (offset / row_bytes) as u64);
         }
         entry.translation += duration;
         entry.pages_pending -= 1;
@@ -910,5 +885,121 @@ impl NdpEngine for NdpSlsEngine {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recssd_cache::LruCache;
+    use recssd_sim::rng::Xoshiro256;
+
+    /// One lookup of `(base, row)`: whether it hit, and what it recorded.
+    fn probe(c: &EmbedCache, base: u64, row: u64) -> (bool, HitStats) {
+        let mut stats = HitStats::default();
+        (c.hit(base, row, &mut stats), stats)
+    }
+
+    #[test]
+    fn embed_cache_fill_then_hit() {
+        let mut c = EmbedCache::new(64);
+        let (hit, stats) = probe(&c, 0, 1);
+        assert!(!hit);
+        assert_eq!((stats.hits(), stats.misses()), (0, 1));
+        c.insert(0, 1);
+        let (hit, stats) = probe(&c, 0, 1);
+        assert!(hit);
+        assert_eq!((stats.hits(), stats.misses()), (1, 0));
+        assert!(!probe(&c, 1 << 21, 1).0, "the same row of another table");
+    }
+
+    #[test]
+    fn embed_cache_slot_conflict_evicts_and_misses() {
+        let mut c = EmbedCache::new(4);
+        let collide = (1..)
+            .find(|&row| c.slot(0, row) == c.slot(0, 0))
+            .expect("a 4-slot cache has collisions");
+        c.insert(0, 0);
+        c.insert(0, collide);
+        assert!(!probe(&c, 0, 0).0, "the conflict evicted row 0");
+        assert!(probe(&c, 0, collide).0);
+    }
+
+    /// One slot: every other key is a miss against the full tag.
+    #[test]
+    fn embed_cache_wrong_tag_in_slot_is_a_miss() {
+        let mut c = EmbedCache::new(1);
+        c.insert(0, 7);
+        let (hit, stats) = probe(&c, 0, 8);
+        assert!(!hit);
+        assert_eq!((stats.hits(), stats.misses()), (0, 1));
+        let (hit, stats) = probe(&c, 0, 7);
+        assert!(hit);
+        assert_eq!((stats.hits(), stats.misses()), (1, 0));
+    }
+
+    #[test]
+    fn embed_cache_invalidate_table_drops_only_that_table() {
+        let mut c = EmbedCache::new(1024);
+        let (a, b) = (0, 1 << 21);
+        c.insert(a, 3);
+        c.insert(b, 5);
+        c.invalidate_table(a);
+        assert!(!probe(&c, a, 3).0);
+        assert!(probe(&c, b, 5).0);
+    }
+
+    /// Invalidating a table empties every slot it held; the hit counters
+    /// belong to the caller and are untouched.
+    #[test]
+    fn embed_cache_invalidate_table_empties_all_its_slots() {
+        let mut c = EmbedCache::new(8);
+        let mut stats = HitStats::default();
+        for row in 0..8 {
+            c.insert(0, row);
+        }
+        assert!(c.hit(0, 7, &mut stats));
+        c.invalidate_table(0);
+        assert!(c.tags.iter().all(Option::is_none));
+        assert_eq!(stats.hits(), 1, "invalidation keeps the stats");
+        assert!(c.enabled(), "an emptied cache stays enabled");
+    }
+
+    /// Fig. 10's point: "the direct mapped caching hit rate cannot match
+    /// that of the more complex fully associative LRU cache" — even on a
+    /// working set of scattered rows smaller than the cache.
+    #[test]
+    fn embed_cache_hit_rate_stays_below_lru() {
+        let cap = 64;
+        let mut dm = EmbedCache::new(cap);
+        let mut lru = LruCache::new(cap);
+        let mut dm_stats = HitStats::default();
+        let mut rng = Xoshiro256::seed_from(11);
+        let working_set: Vec<u64> = (0..48).map(|_| rng.gen_range(0..1 << 20)).collect();
+        for _ in 0..20_000 {
+            let row = working_set[rng.gen_range(0..48) as usize];
+            if !dm.hit(0, row, &mut dm_stats) {
+                dm.insert(0, row);
+            }
+            if lru.get(&row).is_none() {
+                lru.insert(row, ());
+            }
+        }
+        assert!(
+            lru.stats().hit_rate() > dm_stats.hit_rate(),
+            "LRU {:.3} should beat direct-mapped {:.3}",
+            lru.stats().hit_rate(),
+            dm_stats.hit_rate()
+        );
+    }
+
+    #[test]
+    fn embed_cache_of_zero_slots_is_disabled() {
+        let mut c = EmbedCache::new(0);
+        assert!(!c.enabled());
+        c.insert(0, 1);
+        let (hit, stats) = probe(&c, 0, 1);
+        assert!(!hit);
+        assert_eq!(stats.accesses(), 0, "a disabled cache records nothing");
     }
 }

@@ -24,11 +24,14 @@ use recssd_embedding::Quantization;
 ///
 /// ```
 /// use recssd::ndp::EnginePartials;
+/// use recssd_embedding::Quantization;
+/// // A row as a flash page stores it: little-endian f32s.
+/// let row = |v: [f32; 2]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
 /// let mut p = EnginePartials::default();
 /// p.reset(2, 3, 2);
-/// p.add_row(1, 2, &[1.0, 2.0]);
-/// p.add_row(0, 2, &[0.5, 0.5]);
-/// p.add_row(1, 2, &[1.0, 1.0]);
+/// p.add_encoded(1, 2, Quantization::F32, &row([1.0, 2.0]));
+/// p.add_encoded(0, 2, Quantization::F32, &row([0.5, 0.5]));
+/// p.add_encoded(1, 2, Quantization::F32, &row([1.0, 1.0]));
 /// let mut results = vec![0.0f32; 3 * 2];
 /// p.merge_into(&mut results);
 /// assert_eq!(results, [0.0, 0.0, 0.0, 0.0, 2.5, 3.5]);
@@ -74,29 +77,9 @@ impl EnginePartials {
         (&mut self.data[row * self.dim..(row + 1) * self.dim], first)
     }
 
-    /// Adds the `dim` values of `row` to partial row `(engine, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engine` or `slot` is out of range or `row.len() != dim`.
-    #[inline]
-    pub fn add_row(&mut self, engine: usize, slot: usize, row: &[f32]) {
-        let (dst, first) = self.claim(engine, slot);
-        assert_eq!(row.len(), dst.len(), "row has wrong dim");
-        if first {
-            for (o, v) in dst.iter_mut().zip(row) {
-                *o = 0.0 + *v;
-            }
-        } else {
-            for (o, v) in dst.iter_mut().zip(row) {
-                *o += *v;
-            }
-        }
-    }
-
-    /// [`EnginePartials::add_row`] of the row encoded at the start of
-    /// `bytes`, decoded on the fly — the fused gather+reduce of the
-    /// Translation step.
+    /// Adds the row encoded at the start of `bytes` to partial row
+    /// `(engine, slot)`, decoded on the fly — the fused gather+reduce of
+    /// the Translation step.
     ///
     /// # Panics
     ///
@@ -197,26 +180,27 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Adds `row` as the Translation step does: F32-encoded page bytes.
+    fn add_row(p: &mut EnginePartials, engine: usize, slot: usize, row: &[f32]) {
+        let mut bytes = vec![0u8; 4 * row.len()];
+        Quantization::F32.encode(row, &mut bytes);
+        p.add_encoded(engine, slot, Quantization::F32, &bytes);
+    }
+
     /// Runs one request through both accumulators on top of a scratchpad
     /// the embedding cache already added to, and compares every bit.
     /// Slot 0 is written by no engine.
-    fn check(sparse: &mut EnginePartials, req: &Request, encoded: bool) {
+    fn check(sparse: &mut EnginePartials, req: &Request) {
         let ((engines, n_results, dim), writes) = req;
         let (engines, n_results, dim) = (*engines, *n_results, *dim);
         let mut dense = Dense::new(engines, n_results, dim);
         sparse.reset(engines, n_results, dim);
-        let mut buf = vec![0u8; 4 * dim];
         for &(engine, slot, seed) in writes {
             let (engine, slot) = (engine % engines, 1 + slot % (n_results - 1));
             let mut rng = SplitMix64::new(seed);
             let row: Vec<f32> = (0..dim).map(|_| value(&mut rng)).collect();
             dense.add(engine, slot, &row);
-            if encoded {
-                Quantization::F32.encode(&row, &mut buf);
-                sparse.add_encoded(engine, slot, Quantization::F32, &buf);
-            } else {
-                sparse.add_row(engine, slot, &row);
-            }
+            add_row(sparse, engine, slot, &row);
         }
         // Row for row, the sparse store is the dense one: a written row
         // holds the same bits, an unwritten row stands for zeros.
@@ -242,9 +226,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Sparse equals dense, bit for bit, through both write arms; the
-        /// same accumulator then serves a second request that touches
-        /// fewer rows, in another shape, and no stale memory leaks in.
+        /// Sparse equals dense, bit for bit; the same accumulator then
+        /// serves a second request that touches fewer rows, in another
+        /// shape, and no stale memory leaks in.
         #[test]
         fn sparse_matches_a_zeroed_dense_fold(
             shapes in ((1usize..9, 2usize..6, 1usize..10), (1usize..9, 2usize..6, 1usize..10)),
@@ -252,11 +236,9 @@ mod tests {
         ) {
             let first = (shapes.0, writes.clone());
             let second = (shapes.1, writes[..writes.len() / 2].to_vec());
-            for encoded in [false, true] {
-                let mut sparse = EnginePartials::default();
-                check(&mut sparse, &first, encoded);
-                check(&mut sparse, &second, encoded);
-            }
+            let mut sparse = EnginePartials::default();
+            check(&mut sparse, &first);
+            check(&mut sparse, &second);
         }
     }
 
@@ -264,7 +246,7 @@ mod tests {
     fn reset_forgets_rows_without_touching_values() {
         let mut p = EnginePartials::default();
         p.reset(2, 2, 4);
-        p.add_row(1, 1, &[9.0; 4]);
+        add_row(&mut p, 1, 1, &[9.0; 4]);
         p.reset(2, 2, 4);
         let mut out = vec![0.0f32; 8];
         p.merge_into(&mut out);
@@ -272,7 +254,7 @@ mod tests {
             out.iter().all(|&v| v == 0.0),
             "nothing written, nothing folded"
         );
-        p.add_row(1, 1, &[1.0; 4]);
+        add_row(&mut p, 1, 1, &[1.0; 4]);
         p.merge_into(&mut out);
         assert_eq!(&out[4..], &[1.0; 4], "the stale 9.0s were overwritten");
     }
@@ -282,6 +264,6 @@ mod tests {
     fn out_of_shape_slot_panics() {
         let mut p = EnginePartials::default();
         p.reset(2, 2, 1);
-        p.add_row(0, 2, &[1.0]);
+        add_row(&mut p, 0, 2, &[1.0]);
     }
 }

@@ -167,9 +167,8 @@ fn steady_state_sls_allocations_do_not_scale_with_lookups() {
     // The baseline's host LRU, thrashing: 512 distinct rows a round
     // through a 64-entry cache. A round plans before it fills, so it hits
     // the 64 rows the previous one filled last and misses the other 448,
-    // each of which decodes a vector and evicts one. The fill decodes
-    // into the buffer of the entry it displaces; it used to cost two
-    // allocations per missed row.
+    // each of which records its key and evicts one. Filling once cost two
+    // allocations per missed row, when the LRU held vectors.
     sys.enable_host_cache(spread, 64);
     let cached = SlsOptions {
         use_host_cache: true,
@@ -187,5 +186,64 @@ fn steady_state_sls_allocations_do_not_scale_with_lookups() {
     assert!(
         total <= TOTAL_SLACK,
         "host-cache fill: {total} allocations over {ROUNDS} warm rounds of 448 misses"
+    );
+
+    // Host-LRU hits on a quantized table: a hit decodes its row from the
+    // table image through the system's row scratch (an F32 row streams
+    // straight into the accumulator and never touches it). 512 rows a
+    // round through 256 entries: each round hits the half the previous
+    // one filled and misses the other half.
+    let int8 = sys.add_table(TableImage::new(
+        EmbeddingTable::procedural(TableSpec::new(rows, 16, Quantization::Int8), 3),
+        PageLayout::Spread,
+        16 * 1024,
+    ));
+    sys.enable_host_cache(int8, 256);
+    let round =
+        |sys: &mut System| measured_round(sys, OpKind::baseline_sls(int8, big.clone(), cached));
+    for _ in 0..3 {
+        round(&mut sys);
+    }
+    let total: u64 = (0..ROUNDS).map(|_| round(&mut sys)).sum();
+    let hits = sys.host_cache_stats(int8).expect("enabled").hits();
+    assert_eq!(hits, (2 + ROUNDS) * 256);
+    assert!(
+        total <= TOTAL_SLACK,
+        "int8 host-cache hits: {total} allocations over {ROUNDS} warm rounds of 256 hits"
+    );
+
+    // The SSD-side cache: 512 rows a round through 256 direct-mapped
+    // slots, so slot conflicts mix hits and misses. A hit decodes its row
+    // from the page's current content, which the FTL reads into a pooled
+    // image and takes straight back; a miss records a tag.
+    let mut cfg = RecSsdConfig::small_wide();
+    cfg.ndp = cfg.ndp.with_embed_cache(256);
+    let mut sys = System::new(cfg);
+    let table = sys.add_table(TableImage::new(
+        EmbeddingTable::procedural(spec, 4),
+        PageLayout::Spread,
+        16 * 1024,
+    ));
+    let round = |sys: &mut System| {
+        measured_round(
+            sys,
+            OpKind::ndp_sls(table, big.clone(), SlsOptions::default()),
+        )
+    };
+    for _ in 0..3 {
+        round(&mut sys);
+    }
+    let warm = sys.device().engine().stats().embed_cache;
+    let total: u64 = (0..ROUNDS).map(|_| round(&mut sys)).sum();
+    let stats = sys.device().engine().stats().embed_cache;
+    let (hits, misses) = (stats.hits() - warm.hits(), stats.misses() - warm.misses());
+    assert!(
+        hits > 0 && misses > 0,
+        "warm rounds must mix hits and misses: {hits} hits, {misses} misses"
+    );
+    assert!(
+        total <= TOTAL_SLACK,
+        "SSD-side cache: {total} allocations over {ROUNDS} warm rounds \
+         ({hits} hits, {misses} misses)"
     );
 }

@@ -550,6 +550,80 @@ fn oversized_result_block_is_refused_not_fatal() {
     assert!(dev.idle());
 }
 
+/// The SSD-side embedding cache remembers which rows it holds, not their
+/// bytes: once a block write changes a cached row's page, a hit returns
+/// the page's current content — from the page cache, from flash after a
+/// cache drop, and from the write buffer while the program is in flight —
+/// exactly what the same command sequence returns with the cache off.
+#[test]
+fn ssd_embed_cache_hits_serve_the_pages_current_content() {
+    const ALIGN: u64 = 1 << 10;
+    const ROW: u64 = 5;
+    let sls = SlsConfig {
+        dim: 4,
+        quant: Quantization::F32,
+        rows_per_page: 1,
+        n_results: 1,
+        pairs: vec![(ROW, 0)],
+    };
+    let slba = NvmeCommand::ndp_slba(0, 1, ALIGN);
+    let block = |v: f32| -> NvmeCommand {
+        let mut page = vec![0u8; PAGE];
+        for (i, x) in [v, v + 1.0, -v, 0.5].iter().enumerate() {
+            page[i * 4..i * 4 + 4].copy_from_slice(&x.to_le_bytes());
+        }
+        NvmeCommand::write(0, ROW, 1, page)
+    };
+    let gather = |dev: &mut SsdDevice<NdpSlsEngine>, q: &mut EventQueue<SsdEvent>| {
+        let done = run_command(dev, q, NvmeCommand::ndp_write(1, slba, sls.encode()));
+        assert_eq!((done.cid, done.status), (1, NvmeStatus::Success));
+        // A block write in flight when the gather began completes behind it.
+        while let Some(done) = dev.queue(0).poll() {
+            assert_eq!((done.cid, done.status), (0, NvmeStatus::Success));
+        }
+        let done = run_command(dev, q, NvmeCommand::ndp_read(2, slba, 1));
+        let bytes = done.data.expect("a result block").to_vec();
+        SlsConfig::decode_results(&bytes, 1, 4).remove(0)
+    };
+    let run = |slots: usize| {
+        let ndp = NdpConfig {
+            table_align: ALIGN,
+            ..NdpConfig::cosmos()
+        }
+        .with_embed_cache(slots);
+        let mut dev = SsdDevice::with_engine(SsdConfig::cosmos_small(), NdpSlsEngine::new(ndp));
+        let mut q: EventQueue<SsdEvent> = EventQueue::new();
+        let mut out = Vec::new();
+        // Fill: the first gather misses and records the row.
+        run_command(&mut dev, &mut q, block(1.0));
+        out.push(gather(&mut dev, &mut q));
+        // New bytes on the page; the FTL page cache holds them.
+        run_command(&mut dev, &mut q, block(2.0));
+        out.push(gather(&mut dev, &mut q));
+        // Only flash holds them.
+        dev.ftl_mut().drop_caches();
+        out.push(gather(&mut dev, &mut q));
+        // Only the write buffer holds them: the block has reached the FTL,
+        // its program is in flight and the page cache has been dropped.
+        dev.queue(0).submit(block(3.0)).expect("queue has room");
+        dev.doorbell(q.now(), 0, &mut |d, e| q.push_after(d, e));
+        let writes = dev.ftl().stats().host_writes.get();
+        while dev.ftl().stats().host_writes.get() == writes {
+            let (now, ev) = q.pop().expect("the block reaches the FTL");
+            dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
+        }
+        dev.ftl_mut().drop_caches();
+        out.push(gather(&mut dev, &mut q));
+        (out, dev.engine().stats().embed_cache.hits())
+    };
+    let (cached, hits) = run(1024);
+    let (uncached, _) = run(0);
+    assert_eq!(hits, 3, "every gather after the first hits the cache");
+    assert_eq!(cached, uncached);
+    let want = |v: f32| vec![v, v + 1.0, -v, 0.5];
+    assert_eq!(uncached, [want(1.0), want(2.0), want(2.0), want(3.0)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

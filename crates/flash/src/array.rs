@@ -383,6 +383,14 @@ impl FlashArray {
         page[..n].to_vec()
     }
 
+    /// The content `ppa` holds now, as a pooled image sized like a read's
+    /// — untimed, uncounted, fault-free. Hand it back through
+    /// [`FlashArray::recycle_page_buf`].
+    pub fn page_image(&mut self, ppa: Ppa) -> PageImage {
+        let idx = self.config.geometry.linear_index(ppa);
+        self.store.read_image(idx, &mut self.page_pool)
+    }
+
     /// Offers a page image back once a holder is done with it. While
     /// clones are alive elsewhere (the page cache, another reader) this
     /// only drops the caller's reference; the last holder's call retires
@@ -624,10 +632,7 @@ impl FlashArray {
             FlashOp::Read { ppa } => {
                 self.stats.reads.inc();
                 // Sized by what the page holds, not by the page.
-                Some(
-                    self.store
-                        .read_image(g.linear_index(ppa), &mut self.page_pool),
-                )
+                Some(self.page_image(ppa))
             }
             FlashOp::Program { ppa, data } => {
                 self.stats.programs.inc();

@@ -542,6 +542,35 @@ impl GreedyFtl {
         Ok(ReadStarted::Pending(req))
     }
 
+    /// Runs `read` over the content `lpn` holds now, found in
+    /// [`GreedyFtl::read_page`]'s order — write buffer, page cache, mapped
+    /// flash content, else the zero page — but untimed: no counter, span,
+    /// cache recency or flash operation, so simulated time cannot tell it
+    /// happened. A flash image goes back to the pool before this returns.
+    /// This is how a layer that remembers only *which* rows it holds (the
+    /// SSD-side embedding cache) gets their bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` exceeds the logical capacity.
+    pub fn with_current_page<R>(&mut self, lpn: Lpn, read: impl FnOnce(&PageImage) -> R) -> R {
+        assert!(lpn.0 < self.config.logical_pages, "{lpn} out of range");
+        if let Some(data) = self.write_buffer.get(&lpn.0) {
+            return read(data);
+        }
+        if let Some(data) = self.cache.peek(&lpn.0) {
+            return read(data);
+        }
+        let g = self.config.flash.geometry;
+        let Some(ppa) = self.map.lookup(lpn, &g) else {
+            return read(&self.flash.zero_page());
+        };
+        let image = self.flash.page_image(ppa);
+        let out = read(&image);
+        self.flash.recycle_page_buf(image);
+        out
+    }
+
     /// Starts a logical page write (up to one page of data; the remainder
     /// of the page reads as zeros). Completion is signalled by
     /// [`FtlOutcome::WriteDone`]; reads of the page are served from the
