@@ -1,16 +1,23 @@
 //! `recssd-analyze`: offline critical-path, queueing and bottleneck
 //! analysis over a saved Chrome-trace JSON.
 //!
-//! Reads a trace exported by `chrome_trace_json` (e.g. the benchmark's
-//! `benchmark/results/<workload>.trace.json`, or `trace_a_request.json` from the
-//! example), reconstructs the span records exactly — timestamps round-
-//! trip through the exporter's microsecond decimals without loss — and
-//! prints the same reports the live [`ServingRuntime`] analysis APIs
-//! produce: span-invariant validation, per-path critical-path profiles
-//! with the conservation check, per-resource utilization timelines with
-//! Little's-law-consistent queue stats, and the ranked bottleneck /
-//! headroom report. The last line is always `top_bottleneck: <name>`;
-//! `tests/analyze_cli.rs` holds it equal to the live verdict.
+//! Reads a whole trace exported by `chrome_trace_json` (e.g.
+//! `trace_a_request.json` from the example), reconstructs the span
+//! records exactly — timestamps round-trip through the exporter's
+//! microsecond decimals without loss — and prints the same reports the
+//! live [`ServingRuntime`] analysis APIs produce: span-invariant
+//! validation, per-path critical-path profiles with the conservation
+//! check, per-resource utilization timelines with Little's-law-consistent
+//! queue stats, and the ranked bottleneck / headroom report. The last
+//! line is always `top_bottleneck: <name>`; `tests/analyze_cli.rs` holds
+//! it equal to the live verdict.
+//!
+//! The benchmark's `benchmark/results/<workload>.trace.json` is *not* a
+//! whole trace: it keeps only the first 300 000 spans in (start, end)
+//! order, so a span at the cut can lack its parent (a child that starts
+//! with its parent and ends first sorts before it) and the invariant
+//! check exits 1 ("links to unknown parent"). The benchmark computes its
+//! own span metrics from the full in-memory trace.
 //!
 //! ```text
 //! cargo run --release -p recssd-bench --bin recssd-analyze -- trace.json
@@ -19,7 +26,10 @@
 //!
 //! The parser is hand-rolled for the exporter's format (the workspace
 //! has no JSON dependency) but tolerates whitespace and key reordering;
-//! unknown keys are skipped.
+//! unknown keys are skipped. Any other input is a parse error, never a
+//! panic: integers that overflow `u64`, `ts + dur` past `u64`
+//! nanoseconds, fractional or out-of-range ids and tracks, and values
+//! nested deeper than the parser follows are all rejected.
 //!
 //! [`ServingRuntime`]: recssd_serving::ServingRuntime
 
@@ -42,7 +52,9 @@ fn main() {
                 let v = args.next().unwrap_or_default();
                 window_ns = v
                     .parse()
-                    .unwrap_or_else(|_| die(&format!("bad --window-ns {v:?}")));
+                    .ok()
+                    .filter(|&w| w > 0)
+                    .unwrap_or_else(|| die(&format!("bad --window-ns {v:?}")));
             }
             "--jsonl-out" => {
                 jsonl_out = Some(
@@ -93,6 +105,15 @@ fn main() {
 
     println!("\n{}", critical_path_report(&spans).render());
 
+    let bottlenecks = bottleneck_report(&spans);
+    let windows = bottlenecks.elapsed_ns.div_ceil(window_ns);
+    if windows > MAX_WINDOWS {
+        die(&format!(
+            "{windows} windows of {window_ns} ns over {} ns of trace; \
+             pass a --window-ns that gives at most {MAX_WINDOWS}",
+            bottlenecks.elapsed_ns
+        ));
+    }
     let timelines = utilization_timelines(&spans, window_ns);
     println!(
         "resource utilization ({} resources, window {} ns):",
@@ -122,8 +143,13 @@ fn main() {
         println!("  windowed series -> {out}");
     }
 
-    println!("\n{}", bottleneck_report(&spans).render());
+    println!("\n{}", bottlenecks.render());
 }
+
+/// Most timeline windows per resource the analyzer builds — ten seconds
+/// of trace at the default 100 µs window — so a trace whose timestamps
+/// sit far apart asks for a wider window instead of exhausting memory.
+const MAX_WINDOWS: u64 = 100_000;
 
 fn die(msg: &str) -> ! {
     eprintln!("recssd-analyze: {msg}");
@@ -159,6 +185,11 @@ struct Parser<'a> {
 
 type PResult<T> = Result<T, String>;
 
+/// Deepest array/object nesting the parser follows. The exporter nests
+/// three deep; the bound keeps the recursive skip of unknown values off
+/// the end of the stack on hostile input.
+const MAX_DEPTH: usize = 64;
+
 /// Parses the exporter's document shape: an object whose `traceEvents`
 /// key holds the array of complete (`ph: "X"`) events.
 fn parse_trace(text: &str) -> PResult<Vec<SpanRec>> {
@@ -188,7 +219,7 @@ fn parse_trace(text: &str) -> PResult<Vec<SpanRec>> {
                 p.eat(b',');
             }
         } else {
-            p.skip_value()?;
+            p.skip_value(1)?;
         }
         p.ws();
         p.eat(b',');
@@ -289,50 +320,60 @@ impl Parser<'_> {
         }
     }
 
-    /// A non-negative decimal number, returned as nanoseconds when a
-    /// fractional part is present (the exporter writes microseconds with
-    /// exactly three decimals, so `ns = int * 1000 + frac`) and as the
-    /// plain integer otherwise.
-    fn number(&mut self) -> PResult<(u64, bool)> {
+    /// A non-negative decimal number: its integer part and, if it has a
+    /// fractional part, that part's first three digits in thousandths.
+    /// An integer part above `u64::MAX` is an error.
+    fn number(&mut self) -> PResult<(u64, Option<u64>)> {
         self.ws();
         let start = self.i;
         let mut int: u64 = 0;
-        while let Some(c) = self.b.get(self.i) {
-            if c.is_ascii_digit() {
-                int = int
-                    .checked_mul(10)
-                    .and_then(|v| v.checked_add((c - b'0') as u64))
-                    .ok_or_else(|| "number overflow".to_string())?;
-                self.i += 1;
-            } else {
-                break;
-            }
+        while let Some(c) = self.b.get(self.i).filter(|c| c.is_ascii_digit()) {
+            int = int
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(c - b'0')))
+                .ok_or_else(|| format!("number at byte {start} overflows u64"))?;
+            self.i += 1;
         }
         if self.i == start {
             return Err(format!("expected a number at byte {}", self.i));
         }
         if self.b.get(self.i) != Some(&b'.') {
-            return Ok((int, false));
+            return Ok((int, None));
         }
         self.i += 1;
         let mut frac: u64 = 0;
-        let mut digits = 0u32;
-        while let Some(c) = self.b.get(self.i) {
-            if c.is_ascii_digit() {
-                if digits < 3 {
-                    frac = frac * 10 + (c - b'0') as u64;
-                    digits += 1;
-                }
-                self.i += 1;
-            } else {
-                break;
+        let mut digits = 0;
+        while let Some(c) = self.b.get(self.i).filter(|c| c.is_ascii_digit()) {
+            if digits < 3 {
+                frac = frac * 10 + u64::from(c - b'0');
+                digits += 1;
             }
+            self.i += 1;
         }
-        while digits < 3 {
-            frac *= 10;
-            digits += 1;
+        Ok((int, Some(frac * 10u64.pow(3 - digits))))
+    }
+
+    /// A timestamp or duration in microseconds (the exporter writes
+    /// exactly three decimals), as nanoseconds.
+    fn micros(&mut self) -> PResult<u64> {
+        let (us, frac) = self.number()?;
+        us.checked_mul(1000)
+            .and_then(|ns| ns.checked_add(frac.unwrap_or(0)))
+            .ok_or_else(|| format!("{us} us overflows u64 nanoseconds"))
+    }
+
+    /// An id or argument value: a non-negative integer, no fraction.
+    fn integer(&mut self, what: &str) -> PResult<u64> {
+        match self.number()? {
+            (v, None) => Ok(v),
+            (_, Some(_)) => Err(format!("{what} must be an integer (byte {})", self.i)),
         }
-        Ok((int * 1000 + frac, true))
+    }
+
+    /// A `pid` or `tid`: an integer that fits `u32`.
+    fn track(&mut self, what: &str) -> PResult<u32> {
+        let v = self.integer(what)?;
+        u32::try_from(v).map_err(|_| format!("{what} {v} out of range"))
     }
 
     /// One `traceEvents` entry back into a [`SpanRec`].
@@ -369,10 +410,10 @@ impl Parser<'_> {
                         return Err(format!("unsupported event phase {ph:?}"));
                     }
                 }
-                "ts" => rec.start_ns = self.number()?.0,
-                "dur" => dur_ns = self.number()?.0,
-                "pid" => rec.pid = self.number()?.0 as u32,
-                "tid" => rec.tid = self.number()?.0 as u32,
+                "ts" => rec.start_ns = self.micros()?,
+                "dur" => dur_ns = self.micros()?,
+                "pid" => rec.pid = self.track("pid")?,
+                "tid" => rec.tid = self.track("tid")?,
                 "args" => {
                     self.expect(b'{')?;
                     loop {
@@ -383,14 +424,14 @@ impl Parser<'_> {
                         let k = self.string()?;
                         self.expect(b':')?;
                         match k.as_str() {
-                            "span" => rec.id = self.number()?.0,
-                            "parent" => rec.parent = self.number()?.0,
+                            "span" => rec.id = self.integer("span")?,
+                            "parent" => rec.parent = self.integer("parent")?,
                             "label" => {
                                 let s = self.string()?;
                                 rec.label = self.names.get(s);
                             }
                             _ => {
-                                rec.arg_val = self.number()?.0;
+                                rec.arg_val = self.integer(&k)?;
                                 rec.arg_key = self.names.get(k);
                             }
                         }
@@ -398,20 +439,31 @@ impl Parser<'_> {
                         self.eat(b',');
                     }
                 }
-                _ => self.skip_value()?,
+                _ => self.skip_value(2)?,
             }
             self.ws();
             self.eat(b',');
         }
-        rec.end_ns = rec.start_ns + dur_ns;
+        rec.end_ns = rec
+            .start_ns
+            .checked_add(dur_ns)
+            .ok_or_else(|| format!("span {} ends past u64 nanoseconds (ts + dur)", rec.id))?;
         if rec.id == 0 {
             return Err("event missing args.span id".to_string());
         }
         Ok(rec)
     }
 
-    /// Skips any JSON value (used for keys the analyzer doesn't need).
-    fn skip_value(&mut self) -> PResult<()> {
+    /// Skips any JSON value (used for keys the analyzer doesn't need),
+    /// nested at most [`MAX_DEPTH`] deep: `depth` counts the arrays and
+    /// objects already open around it.
+    fn skip_value(&mut self, depth: usize) -> PResult<()> {
+        if depth >= MAX_DEPTH {
+            return Err(format!(
+                "value nested over {MAX_DEPTH} deep at byte {}",
+                self.i
+            ));
+        }
         match self.peek() {
             b'"' => {
                 self.string()?;
@@ -425,7 +477,7 @@ impl Parser<'_> {
                     }
                     self.string()?;
                     self.expect(b':')?;
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     self.ws();
                     self.eat(b',');
                 }
@@ -437,7 +489,7 @@ impl Parser<'_> {
                     if self.eat(b']') {
                         break;
                     }
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     self.ws();
                     self.eat(b',');
                 }
@@ -505,5 +557,113 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse_trace("not json").is_err());
         assert!(parse_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
+    }
+
+    /// One event with `fields` spliced in after its name.
+    fn event_with(fields: &str) -> String {
+        format!(
+            "{{\"traceEvents\":[{{\"name\":\"op\",\"ph\":\"X\",{fields},\
+             \"args\":{{\"span\":1,\"parent\":0}}}}]}}"
+        )
+    }
+
+    fn error_of(text: &str) -> String {
+        parse_trace(text).expect_err("must be rejected")
+    }
+
+    #[test]
+    fn timestamps_past_u64_nanoseconds_are_errors() {
+        let err = error_of(&event_with("\"ts\":100000000000000000.5,\"dur\":1.000"));
+        assert!(err.contains("overflows"), "{err}");
+        let err = error_of(&event_with("\"ts\":99999999999999999999999,\"dur\":1.000"));
+        assert!(err.contains("overflows u64"), "{err}");
+        // Each fits; their sum does not.
+        let err = error_of(&event_with(
+            "\"ts\":18000000000000000.000,\"dur\":1000000000000000.000",
+        ));
+        assert!(err.contains("ts + dur"), "{err}");
+        let ok = parse_trace(&event_with("\"ts\":1.5,\"dur\":2")).expect("parses");
+        assert_eq!((ok[0].start_ns, ok[0].end_ns), (1_500, 3_500));
+    }
+
+    #[test]
+    fn fractional_or_out_of_range_ids_are_errors() {
+        for (fields, what) in [
+            ("\"ts\":1.000,\"pid\":1.5", "pid"),
+            ("\"ts\":1.000,\"tid\":4294967296", "tid"),
+            ("\"ts\":1.000,\"pid\":4294967296", "pid"),
+        ] {
+            let err = error_of(&event_with(fields));
+            assert!(err.contains(what), "{fields}: {err}");
+        }
+        let frac_span = "{\"traceEvents\":[{\"name\":\"op\",\"ph\":\"X\",\"ts\":1.000,\
+                         \"args\":{\"span\":2.5,\"parent\":0}}]}";
+        assert!(error_of(frac_span).contains("span"));
+        let frac_parent = "{\"traceEvents\":[{\"name\":\"op\",\"ph\":\"X\",\"ts\":1.000,\
+                           \"args\":{\"span\":2,\"parent\":0.001}}]}";
+        assert!(error_of(frac_parent).contains("parent"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let deep = format!("{{\"other\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+        assert!(error_of(&deep).contains("nested"));
+        let deep_in_event = format!(
+            "{{\"traceEvents\":[{{\"x\":{}}}]}}",
+            "{\"a\":".repeat(depth)
+        );
+        assert!(error_of(&deep_in_event).contains("nested"));
+        // The exporter's own nesting, and a little more, still parses.
+        let shallow = format!(
+            "{{\"other\":{}{},\"traceEvents\":[]}}",
+            "[".repeat(60),
+            "]".repeat(60)
+        );
+        assert_eq!(parse_trace(&shallow), Ok(Vec::new()));
+    }
+
+    /// A valid two-span export, the base the property splices into.
+    fn export() -> String {
+        use recssd_serving::SpanRec;
+        let span = |id, parent, start_ns, end_ns| SpanRec {
+            id,
+            parent,
+            name: "op",
+            start_ns,
+            end_ns,
+            pid: 1,
+            tid: 2,
+            arg_key: "shard",
+            arg_val: 3,
+            label: "dram",
+        };
+        chrome_trace_json(&[span(1, 0, 1_000, 9_000), span(2, 1, 2_000, 3_500)])
+    }
+
+    /// JSON punctuation, digits and literal letters: drawn from here, a
+    /// byte string nests, numbers and escapes far more often than raw.
+    const JSONISH: &[u8] = b"{}[]\":,.0123456789-eEtfnu\\ ";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — alone, or spliced into a valid export — parse
+        /// or come back as an error; the parser never panics.
+        #[test]
+        fn arbitrary_bytes_are_an_error_or_a_trace(
+            draws in proptest::collection::vec((0u8..2, 0u16..256), 0..400),
+            at in 0usize..4096,
+        ) {
+            let bytes: Vec<u8> = draws
+                .iter()
+                .map(|&(raw, b)| if raw == 1 { b as u8 } else { JSONISH[b as usize % JSONISH.len()] })
+                .collect();
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse_trace(&text);
+            let mut spliced = export();
+            spliced.insert_str(at % (spliced.len() + 1), &text);
+            let _ = parse_trace(&spliced);
+        }
     }
 }

@@ -86,13 +86,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.stats
     }
 
-    /// Resident fraction: `len / capacity`, in `[0, 1]`. Serving telemetry
-    /// reports this alongside the hit rate so a cold (still-filling) cache
-    /// is distinguishable from a thrashing one.
-    pub fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / self.capacity as f64
-    }
-
     /// Resets hit/miss statistics without touching contents.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
@@ -343,19 +336,6 @@ mod tests {
         assert_eq!(c.stats().misses(), 1);
         c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
-    }
-
-    #[test]
-    fn occupancy_tracks_resident_fraction() {
-        let mut c = LruCache::new(4);
-        assert_eq!(c.occupancy(), 0.0);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        assert_eq!(c.occupancy(), 0.5);
-        for i in 0..10 {
-            c.insert(i, i);
-        }
-        assert_eq!(c.occupancy(), 1.0, "full cache stays at 1.0");
     }
 
     #[test]

@@ -293,11 +293,6 @@ impl GreedyFtl {
         self.cache.stats()
     }
 
-    /// Resident fraction of the SSD-DRAM page cache (`len / capacity`).
-    pub fn cache_occupancy(&self) -> f64 {
-        self.cache.occupancy()
-    }
-
     /// Page images resident in the SSD-DRAM page cache.
     pub fn cached_pages(&self) -> usize {
         self.cache.len()

@@ -475,8 +475,9 @@ impl std::fmt::Display for Server {
     }
 }
 
-/// Maps an op-phase span name (+ label) to its phase.
-fn op_phase(name: &str, label: &str) -> Option<Phase> {
+/// Maps an op-phase span name (+ the label of its parent `op` span) to
+/// its phase.
+fn op_phase(name: &str, op_label: &str) -> Option<Phase> {
     Some(match name {
         "op:queue" => Phase::ShardQueue,
         "base:plan" | "ndp:plan" => Phase::HostSw,
@@ -485,7 +486,7 @@ fn op_phase(name: &str, label: &str) -> Option<Phase> {
         "ndp:merge" => Phase::Merge,
         "base:io" => Phase::Merge,
         "op:compute" => {
-            if label == "dram" {
+            if op_label == "dram" {
                 Phase::TierGather
             } else {
                 Phase::Merge
@@ -616,7 +617,9 @@ pub fn request_critical_paths(spans: &[SpanRec]) -> Vec<RequestProfile> {
                         if let Some(kids) = children.get(&op.id) {
                             for &ki in kids {
                                 let k = &spans[ki];
-                                if let Some(ph) = op_phase(k.name, k.label) {
+                                // Phase spans carry no label; the op's
+                                // label says which path it served.
+                                if let Some(ph) = op_phase(k.name, op.label) {
                                     let (a, b) = (k.start_ns.max(ws), k.end_ns.min(we));
                                     if b > a {
                                         evidence.push((a, b, ph));
@@ -812,6 +815,15 @@ impl BottleneckReport {
     }
 }
 
+/// The elapsed window every utilisation is measured over: first span
+/// start → last span end (`(0, 0)` for an empty trace). A trace enabled
+/// mid-run starts late, so the window is not `[0, last end)`.
+pub(crate) fn trace_window(spans: &[SpanRec]) -> (u64, u64) {
+    let start = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+    let end = spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
+    (start, end.max(start))
+}
+
 /// Ranks the simulated servers by utilisation and bounds each path's
 /// sustainable rate. Servers are discovered from their service windows —
 /// `fw:exec`, `fw:engine` and `flash:xfer` spans named by pid and `ch` —
@@ -822,20 +834,17 @@ impl BottleneckReport {
 ///
 /// [`utilization_timelines`]: crate::timeline::utilization_timelines
 pub fn bottleneck_report(spans: &[SpanRec]) -> BottleneckReport {
-    let mut start = u64::MAX;
-    let mut end = 0u64;
     let mut service: HashMap<Server, u64> = HashMap::new();
     let mut tier: Vec<(u64, u64)> = Vec::new();
     for s in spans {
-        start = start.min(s.start_ns);
-        end = end.max(s.end_ns);
         match Server::of(s) {
             Some(Server::Tier) => tier.push((s.start_ns, s.end_ns)),
             Some(server) => *service.entry(server).or_default() += s.end_ns - s.start_ns,
             None => {}
         }
     }
-    let elapsed = end.saturating_sub(if start == u64::MAX { 0 } else { start });
+    let (start, end) = trace_window(spans);
+    let elapsed = end - start;
     let row = |server: Server, service_ns: u64, capacity: u32| {
         (
             server,
@@ -967,6 +976,23 @@ mod tests {
         assert!((p.conservation() - 1.0).abs() < 1e-12);
         let total: u64 = p.phase_ns.iter().sum();
         assert_eq!(total + p.unattributed_ns, p.e2e_ns);
+    }
+
+    /// A DRAM op's `op:compute` child carries no label, as `System` emits
+    /// it; the parent op's `dram` label makes its time a tier gather.
+    #[test]
+    fn unlabelled_compute_under_a_dram_op_is_tier_gather() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        let sub = request(&host, "dram", 30, 10, 0);
+        let op = dev.alloc_id();
+        dev.span("op:compute", t(10), t(30), op);
+        dev.emit(op, "op", t(10), t(30), sub, "failed", 0, "dram");
+        let profiles = request_critical_paths(&sorted(&sink));
+        let p = &profiles[0];
+        assert_eq!(p.phase_ns[Phase::TierGather.index()], 20);
+        assert_eq!(p.phase_ns[Phase::Merge.index()], 0);
     }
 
     #[test]

@@ -86,9 +86,11 @@ pub struct UtilizationTimeline {
     pub kind: ResourceKind,
     /// Window length, ns.
     pub window_ns: u64,
-    /// The windows, in time order, covering `[0, elapsed)`.
+    /// The windows, in time order, covering the trace's span window
+    /// (first span start → last span end).
     pub windows: Vec<UtilWindow>,
-    /// Whole-run elapsed time the totals are measured over, ns.
+    /// Length of that span window, ns: the elapsed time the totals are
+    /// measured over, the same one [`crate::bottleneck_report`] ranks by.
     pub elapsed_ns: u64,
     /// Whole-run busy union, ns.
     pub total_busy_ns: u64,
@@ -171,8 +173,9 @@ fn build(
     kind: ResourceKind,
     mut ivs: Vec<(u64, u64)>,
     window_ns: u64,
-    elapsed_ns: u64,
+    (start_ns, end_ns): (u64, u64),
 ) -> UtilizationTimeline {
+    let elapsed_ns = end_ns - start_ns;
     ivs.sort_unstable();
     let total_arrivals = ivs.len() as u64;
     let total_wait_ns: u64 = ivs.iter().map(|&(a, b)| b - a).sum();
@@ -187,7 +190,8 @@ fn build(
     };
     let mut windows = Vec::with_capacity(n_windows as usize);
     for k in 0..n_windows {
-        let (ws, we) = (k * window_ns, ((k + 1) * window_ns).min(elapsed_ns));
+        let ws = start_ns + k * window_ns;
+        let we = (ws + window_ns).min(end_ns);
         let mut busy: Vec<(u64, u64)> = Vec::new();
         let mut wait = 0u64;
         let mut arrivals = 0u64;
@@ -258,15 +262,17 @@ fn build(
 /// `window_ns`-wide buckets: one per server of the bottleneck ranking
 /// (firmware core, each SLS engine and each flash channel per device
 /// shard, the DRAM tier when the trace has one) and one per host-side
-/// operator queue (from `sub:wait` spans' `shard` argument). Timelines
-/// are sorted by resource name; the list is empty for an empty trace.
+/// operator queue (from `sub:wait` spans' `shard` argument). Windows
+/// start at the trace's first span, and the whole-run totals divide by
+/// the window [`crate::bottleneck_report`] uses, so a trace enabled late
+/// reads the same utilisation in both. Timelines are sorted by resource
+/// name; the list is empty for an empty trace.
 pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<UtilizationTimeline> {
     assert!(window_ns > 0, "window_ns must be positive");
-    let mut elapsed = 0u64;
+    let window = crate::analysis::trace_window(spans);
     let mut servers: HashMap<Server, Vec<(u64, u64)>> = HashMap::new();
     let mut queues: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
     for s in spans {
-        elapsed = elapsed.max(s.end_ns);
         if let Some(server) = Server::of(s) {
             servers
                 .entry(server)
@@ -294,13 +300,13 @@ pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<Utilizati
                 ResourceKind::Server,
                 ivs,
                 window_ns,
-                elapsed,
+                window,
             )
         })
         .chain(
             queues
                 .into_iter()
-                .map(|(name, ivs)| build(name, ResourceKind::Queue, ivs, window_ns, elapsed)),
+                .map(|(name, ivs)| build(name, ResourceKind::Queue, ivs, window_ns, window)),
         )
         .collect();
     out.sort_by(|a, b| a.resource.cmp(&b.resource));
@@ -381,6 +387,36 @@ mod tests {
         assert!(j.contains("\"resource\":\"fw:core[shard=0]\""));
         assert!(j.contains("\"kind\":\"server\""));
         assert!(j.contains("\"util\":0.800000"));
+    }
+
+    /// A trace that starts late (tracing enabled mid-run): every server
+    /// reads the same utilisation here as in the bottleneck ranking, and
+    /// the windows start at the first span, not at t = 0.
+    #[test]
+    fn late_trace_reads_the_ranked_utilisation() {
+        let sink = TraceSink::new();
+        let fw = sink.tracer(1, track::TID_FW);
+        let flash = sink.tracer(1, track::TID_FLASH);
+        let engine = sink.tracer(2, track::TID_ENGINE_BASE);
+        fw.span("fw:exec", t(1_000), t(1_040), SpanId::NONE);
+        fw.span("fw:exec", t(1_060), t(1_100), SpanId::NONE);
+        flash.span_arg("flash:xfer", t(1_010), t(1_030), SpanId::NONE, "ch", 3);
+        engine.span_arg("fw:engine", t(1_020), t(1_090), SpanId::NONE, "ch", 0);
+        let spans = sink.take_spans();
+
+        let ranked = crate::bottleneck_report(&spans).ranked;
+        let tls = utilization_timelines(&spans, 50);
+        assert_eq!(ranked.len(), 3);
+        for r in &ranked {
+            let tl = tls
+                .iter()
+                .find(|tl| tl.resource == r.resource)
+                .expect("row");
+            assert_eq!(tl.elapsed_ns, r.elapsed_ns);
+            assert_eq!(tl.utilization(), r.utilization(), "{}", r.resource);
+            assert_eq!(tl.windows[0].start_ns, 1_000);
+            assert_eq!(tl.windows.last().expect("window").end_ns, 1_100);
+        }
     }
 
     #[test]

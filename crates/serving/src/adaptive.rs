@@ -248,8 +248,8 @@ mod tests {
             7,
         )
         .with_streams(vec![RowStream::Drifting(drift)]);
-        let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 192);
-        assert!(report.plan_refreshes >= 2);
+        gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 192);
+        assert!(rt.stats().plan_refreshes.get() >= 2);
         assert_eq!(rt.adaptive_epochs(), 12);
         assert_eq!(rt.adaptive_decisions(), GOLDEN_DRIFT_DECISIONS);
     }

@@ -45,16 +45,20 @@
 //!   device operator (amortising per-command fixed costs, the
 //!   RecNMP/MicroRec batching result); a shard with free operator
 //!   capacity always dispatches immediately.
-//! * [`ServingStats`] — per-request queue/service/e2e latency recorded in
-//!   HDR-style log-bucket histograms (p50/p95/p99/p999), plus per-shard
-//!   operator occupancy, flash channel-utilisation, DRAM-tier hit-rate /
-//!   occupancy / per-tier service-latency and FTL page-cache telemetry
-//!   ([`ServingRuntime::shard_occupancy`] /
-//!   [`ServingRuntime::channel_utilisation`] /
-//!   [`ServingRuntime::tier_occupancy`] /
-//!   [`ServingRuntime::ftl_cache_stats`]).
+//! * [`ServingStats`] ([`ServingRuntime::stats`]) — the one record of a
+//!   run's serving statistics: per-request queue/service/e2e latency in
+//!   HDR-style log-bucket histograms (p50/p95/p99/p999), throughput,
+//!   batching, DRAM-tier hit rate, per-tier service latency, placement
+//!   refreshes and resilience counters. Gauges of the runtime's servers
+//!   are read from the runtime itself: per-shard operator occupancy
+//!   ([`ServingRuntime::shard_occupancy`]), flash channel utilisation
+//!   ([`ServingRuntime::channel_utilisation`]), DRAM-tier occupancy
+//!   ([`ServingRuntime::tier_occupancy`]) and FTL page-cache hits
+//!   ([`ServingRuntime::ftl_cache_stats`]).
 //! * [`LoadGen`] — open-loop (Poisson/uniform arrivals) and closed-loop
-//!   (client population) generators with Zipf-skewed per-table traffic.
+//!   (client population) generators with Zipf-skewed per-table traffic;
+//!   [`LoadGen::run`] resets the runtime's statistics, drives one run and
+//!   returns how many completions it bit-verified.
 //! * **Resilience** — [`ServingRuntime::inject_faults`] arms the device
 //!   layers' deterministic, seeded fault plans (`recssd::FaultConfig`:
 //!   transient ECC-retried reads, uncorrectable page errors, firmware
@@ -94,10 +98,11 @@
 //! )
 //! .with_verify_every(1);
 //!
-//! let report = gen.run(&mut rt, SlsPath::Ndp(Default::default()), 16);
-//! assert_eq!(report.requests, 16);
-//! assert_eq!(report.verified, 16); // bit-identical to sls_reference
-//! assert!(report.e2e.p99 >= report.e2e.p50);
+//! let verified = gen.run(&mut rt, SlsPath::Ndp(Default::default()), 16);
+//! assert_eq!(verified, 16); // bit-identical to sls_reference
+//! let e2e = rt.stats().e2e.quantiles();
+//! assert_eq!(rt.stats().requests.get(), 16);
+//! assert!(e2e.p99 >= e2e.p50);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -111,7 +116,7 @@ mod runtime;
 mod shard;
 mod telemetry;
 
-pub use loadgen::{LoadGen, LoadMode, LoadReport, TrafficSpec};
+pub use loadgen::{LoadGen, LoadMode, TrafficSpec};
 pub use policy::SchedulePolicy;
 pub use runtime::{
     AdaptivePolicy, CompletedRequest, ExecMode, FaultPolicy, RequestId, ServedTableId,

@@ -10,7 +10,6 @@
 //! the configuration that measures saturated throughput.
 
 use recssd::LookupBatch;
-use recssd_sim::stats::Quantiles;
 use recssd_sim::{SimDuration, SimTime};
 use recssd_trace::{ArrivalProcess, RowStream, ZipfTrace};
 
@@ -47,95 +46,6 @@ pub enum LoadMode {
         /// Per-client think time between completion and next request.
         think: SimDuration,
     },
-}
-
-/// Summary of one load-generation run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests completed.
-    pub requests: u64,
-    /// Lookups completed.
-    pub lookups: u64,
-    /// First arrival → last completion.
-    pub makespan: SimDuration,
-    /// Completed lookups per simulated second.
-    pub lookups_per_sim_sec: f64,
-    /// Mean sub-batches per dispatched device operator.
-    pub batching_factor: f64,
-    /// Queueing-latency quantiles (ns).
-    pub queue: Quantiles,
-    /// Service-latency quantiles (ns).
-    pub service: Quantiles,
-    /// End-to-end latency quantiles (ns).
-    pub e2e: Quantiles,
-    /// Requests verified bit-identical to `sls_reference`.
-    pub verified: u64,
-    /// Time-averaged in-flight operator count per shard (pipelining
-    /// shows up as values above 1; see
-    /// [`crate::ServingRuntime::shard_occupancy`]).
-    pub occupancy: Vec<f64>,
-    /// Mean flash channel-bus busy fraction per shard (see
-    /// [`crate::ServingRuntime::channel_utilisation`]).
-    pub channel_util: Vec<f64>,
-    /// Fraction of placed-table lookups absorbed by the host DRAM tier
-    /// (0 when the runtime serves no placed tables).
-    pub tier_hit_rate: f64,
-    /// Lookups the DRAM tier served.
-    pub tier_lookups: u64,
-    /// Time-averaged in-flight operator count of the DRAM tier.
-    pub tier_occupancy: f64,
-    /// Service-time quantiles of DRAM-tier operators (ns).
-    pub tier_service: Quantiles,
-    /// Service-time quantiles of device-shard operators (ns) — the other
-    /// half of the per-tier latency split.
-    pub device_service: Quantiles,
-    /// Mean hit rate of the device shards' FTL page caches over the run —
-    /// the counter frequency-ordered cold-tail packing is meant to raise.
-    pub ftl_cache_hit_rate: f64,
-    /// Mean resident fraction of the FTL page caches.
-    pub ftl_cache_occupancy: f64,
-    /// Placement-plan refreshes activated during the run (adaptive or
-    /// explicit [`crate::ServingRuntime::refresh_placement`] calls).
-    pub plan_refreshes: u64,
-    /// Rows promoted into the DRAM tier across those refreshes.
-    pub rows_promoted: u64,
-    /// Rows demoted out of the DRAM tier across those refreshes.
-    pub rows_demoted: u64,
-    /// Device lookups spent reading promoted rows off flash — the modeled
-    /// migration cost.
-    pub migration_lookups: u64,
-    /// Device operators harvested with a typed device error.
-    pub faults: u64,
-    /// Failed sub-batches re-queued for another attempt.
-    pub retries: u64,
-    /// Failed NDP sub-batches re-issued on the baseline path.
-    pub fallbacks: u64,
-    /// Per-shard circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Requests served degraded (missing rows explicitly flagged).
-    pub degraded: u64,
-    /// Lookups dropped from degraded requests.
-    pub missing_lookups: u64,
-}
-
-impl LoadReport {
-    /// Mean operator occupancy across shards.
-    pub fn mean_occupancy(&self) -> f64 {
-        mean(&self.occupancy)
-    }
-
-    /// Mean channel utilisation across shards.
-    pub fn mean_channel_util(&self) -> f64 {
-        mean(&self.channel_util)
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// The closed-/open-loop generator. One instance drives one run.
@@ -238,15 +148,11 @@ impl LoadGen {
     }
 
     /// Issues `total_requests` over `path`, drives the runtime to
-    /// completion and reports throughput plus latency quantiles. Runtime
-    /// statistics are reset at the start so the report covers exactly this
-    /// run.
-    pub fn run(
-        &mut self,
-        rt: &mut ServingRuntime,
-        path: SlsPath,
-        total_requests: usize,
-    ) -> LoadReport {
+    /// completion and returns how many completions were verified
+    /// bit-identical to `sls_reference`. Runtime statistics are reset at
+    /// the start, so [`ServingRuntime::stats`] and the runtime's gauges
+    /// read afterwards cover exactly this run.
+    pub fn run(&mut self, rt: &mut ServingRuntime, path: SlsPath, total_requests: usize) -> u64 {
         rt.reset_stats();
         let mut verified = 0u64;
         let mut completed = 0u64;
@@ -290,53 +196,7 @@ impl LoadGen {
             }
         }
         assert_eq!(completed, rt.stats().requests.get(), "lost completions");
-
-        let occupancy = rt.shard_occupancy();
-        let channel_util = rt.channel_utilisation();
-        let tier_occupancy = rt.tier_occupancy();
-        let ftl = rt.ftl_cache_stats();
-        let ftl_cache_hit_rate = {
-            let (hits, accesses) = ftl
-                .iter()
-                .fold((0u64, 0u64), |(h, a), s| (h + s.hits(), a + s.accesses()));
-            if accesses == 0 {
-                0.0
-            } else {
-                hits as f64 / accesses as f64
-            }
-        };
-        let ftl_cache_occupancy = mean(&rt.ftl_cache_occupancy());
-        let stats = rt.stats();
-        LoadReport {
-            requests: stats.requests.get(),
-            lookups: stats.lookups.get(),
-            makespan: stats.makespan(),
-            lookups_per_sim_sec: stats.lookups_per_sim_sec(),
-            batching_factor: stats.batching_factor(),
-            queue: stats.queue.quantiles(),
-            service: stats.service.quantiles(),
-            e2e: stats.e2e.quantiles(),
-            verified,
-            occupancy,
-            channel_util,
-            tier_hit_rate: stats.tier_hit_rate(),
-            tier_lookups: stats.tier.hits(),
-            tier_occupancy,
-            tier_service: stats.tier_service.quantiles(),
-            device_service: stats.device_service.quantiles(),
-            ftl_cache_hit_rate,
-            ftl_cache_occupancy,
-            plan_refreshes: stats.plan_refreshes.get(),
-            rows_promoted: stats.rows_promoted.get(),
-            rows_demoted: stats.rows_demoted.get(),
-            migration_lookups: stats.migration_lookups.get(),
-            faults: stats.faults.get(),
-            retries: stats.retries.get(),
-            fallbacks: stats.fallbacks.get(),
-            breaker_trips: stats.breaker_trips.get(),
-            degraded: stats.degraded.get(),
-            missing_lookups: stats.missing_lookups.get(),
-        }
+        verified
     }
 
     /// Optional verification + buffer recycling for one completion.

@@ -871,14 +871,6 @@ impl ServingRuntime {
             .collect()
     }
 
-    /// Resident fraction of each device shard's FTL page cache.
-    pub fn ftl_cache_occupancy(&self) -> Vec<f64> {
-        self.shards
-            .iter()
-            .map(|s| s.sys.device().ftl().cache_occupancy())
-            .collect()
-    }
-
     /// Direct access to one shard's [`System`] (cache/partition setup).
     ///
     /// # Panics

@@ -15,8 +15,8 @@
 use recssd::{BrownoutWindow, FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_serving::{
-    FaultPolicy, LoadGen, LoadMode, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath,
-    TrafficSpec,
+    FaultPolicy, LoadGen, LoadMode, SchedulePolicy, ServingConfig, ServingRuntime, ServingStats,
+    SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::stats::Quantiles;
@@ -62,21 +62,6 @@ struct Snap {
     missing_lookups: u64,
 }
 
-/// Stats fingerprint of one run.
-#[derive(Debug, PartialEq)]
-struct StatsSnap {
-    requests: u64,
-    lookups: u64,
-    ops: u64,
-    subs: u64,
-    faults: u64,
-    retries: u64,
-    fallbacks: u64,
-    breaker_trips: u64,
-    degraded: u64,
-    missing: u64,
-}
-
 fn run_workload(
     shards: usize,
     sched: SchedulePolicy,
@@ -84,7 +69,7 @@ fn run_workload(
     faults: Option<&FaultConfig>,
     policy: Option<FaultPolicy>,
     work: &[LookupBatch],
-) -> (Vec<Snap>, StatsSnap) {
+) -> (Vec<Snap>, ServingStats) {
     let cfg = ServingConfig::small_wide(shards, sched);
     let mut rt = ServingRuntime::new(&cfg);
     let t = rt.add_table(table());
@@ -112,20 +97,7 @@ fn run_workload(
             missing_lookups: d.missing_lookups,
         })
         .collect();
-    let s = rt.stats();
-    let stats = StatsSnap {
-        requests: s.requests.get(),
-        lookups: s.lookups.get(),
-        ops: s.ops_dispatched.get(),
-        subs: s.subs_dispatched.get(),
-        faults: s.faults.get(),
-        retries: s.retries.get(),
-        fallbacks: s.fallbacks.get(),
-        breaker_trips: s.breaker_trips.get(),
-        degraded: s.degraded.get(),
-        missing: s.missing_lookups.get(),
-    };
-    (snaps, stats)
+    (snaps, rt.stats().clone())
 }
 
 /// Satellite: a fault subsystem armed with all-zero probabilities is
@@ -149,8 +121,8 @@ fn zero_rate_fault_plan_is_bit_identical_to_disabled() {
             );
             assert_eq!(base_snaps, fault_snaps, "{path:?}/{sched:?} diverged");
             assert_eq!(base_stats, fault_stats, "{path:?}/{sched:?} stats diverged");
-            assert_eq!(fault_stats.faults, 0);
-            assert_eq!(fault_stats.degraded, 0);
+            assert_eq!(fault_stats.faults.get(), 0);
+            assert_eq!(fault_stats.degraded.get(), 0);
         }
     }
 }
@@ -214,11 +186,14 @@ fn randomized_faults_never_serve_wrong_bits() {
     };
     // verify_every(1): LoadGen bit-verifies every completion internally.
     let mut gen = LoadGen::new(&rt, vec![t], spec, mode, 3).with_verify_every(1);
-    let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 64);
-    assert_eq!(report.requests, 64, "every request must complete");
-    assert_eq!(report.verified, 64, "every completion must verify");
-    assert!(report.faults > 0, "schedule should inject op-level faults");
-    assert!(report.retries > 0, "faults should drive retries");
+    let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 64);
+    assert_eq!(rt.stats().requests.get(), 64, "every request must complete");
+    assert_eq!(verified, 64, "every completion must verify");
+    assert!(
+        rt.stats().faults.get() > 0,
+        "schedule should inject op-level faults"
+    );
+    assert!(rt.stats().retries.get() > 0, "faults should drive retries");
     // Retries, fallbacks and aborted operators all hand their page images
     // back: at idle every image a shard's flash pool ever handed out is
     // retired or sits in its FTL page cache.
@@ -249,9 +224,9 @@ fn transient_faults_stay_invisible_to_serving() {
         Some(FaultPolicy::default()),
         &work,
     );
-    assert_eq!(stats.requests, 24);
-    assert_eq!(stats.faults, 0, "transient faults must not surface");
-    assert_eq!(stats.degraded, 0);
+    assert_eq!(stats.requests.get(), 24);
+    assert_eq!(stats.faults.get(), 0, "transient faults must not surface");
+    assert_eq!(stats.degraded.get(), 0);
     assert!(snaps.iter().all(|s| s.missing_lookups == 0));
 }
 
@@ -272,14 +247,15 @@ fn one_percent_transient_faults_cost_little_throughput() {
             rt.inject_faults(&fc);
         }
         rt.set_fault_policy(FaultPolicy::default());
-        let report = quick_scale::load_gen(&rt, tables, 1.2, quick_scale::CLIENTS)
+        let verified = quick_scale::load_gen(&rt, tables, 1.2, quick_scale::CLIENTS)
             .with_verify_every(1)
             .run(&mut rt, quick_scale::ndp(), quick_scale::REQUESTS);
-        assert_eq!(report.requests, quick_scale::REQUESTS as u64);
-        assert_eq!(report.verified, report.requests, "unverified completion");
-        assert_eq!(report.degraded, 0, "transient faults must not degrade");
-        assert_eq!(report.missing_lookups, 0);
-        report.lookups_per_sim_sec
+        let s = rt.stats();
+        assert_eq!(s.requests.get(), quick_scale::REQUESTS as u64);
+        assert_eq!(verified, s.requests.get(), "unverified completion");
+        assert_eq!(s.degraded.get(), 0, "transient faults must not degrade");
+        assert_eq!(s.missing_lookups.get(), 0);
+        s.lookups_per_sim_sec()
     };
     let (clean, faulty) = (run(0.0), run(0.01));
     assert!(faulty < clean, "the fault plan never fired");
@@ -312,11 +288,22 @@ fn exhausted_retries_serve_degraded_flagged() {
         Some(policy),
         &work,
     );
-    assert_eq!(stats.requests, 12, "fleet must keep serving");
-    assert_eq!(stats.degraded, 12, "every request loses its device rows");
-    assert!(stats.fallbacks > 0, "NDP subs must fall back to baseline");
+    assert_eq!(stats.requests.get(), 12, "fleet must keep serving");
+    assert_eq!(
+        stats.degraded.get(),
+        12,
+        "every request loses its device rows"
+    );
+    assert!(
+        stats.fallbacks.get() > 0,
+        "NDP subs must fall back to baseline"
+    );
     let total: u64 = work.iter().map(|b| b.total_lookups() as u64).sum();
-    assert_eq!(stats.missing, total, "all device rows are lost");
+    assert_eq!(
+        stats.missing_lookups.get(),
+        total,
+        "all device rows are lost"
+    );
     for s in &snaps {
         assert!(s.missing_lookups > 0, "degradation must be flagged");
     }

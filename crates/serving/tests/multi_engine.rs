@@ -163,8 +163,8 @@ fn engines_absorb_translation_work() {
 fn engine_pools_dominate_a_single_engine() {
     let tput = |engines, depth| {
         quick_scale::wide_ndp_run(4, engines, depth, false)
-            .1
-            .lookups_per_sim_sec
+            .stats()
+            .lookups_per_sim_sec()
     };
     for depth in [1, 2, 4] {
         let single = tput(1, depth);

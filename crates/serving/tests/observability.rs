@@ -437,8 +437,8 @@ fn critical_path_conserves_e2e_on_all_paths() {
 #[test]
 fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
     for (mut rt, wall) in [
-        (quick_scale::baseline_run(true, 4, true).0, "fw:core["),
-        (quick_scale::wide_ndp_run(1, 8, 4, true).0, "flash["),
+        (quick_scale::baseline_run(true, 4, true), "fw:core["),
+        (quick_scale::wide_ndp_run(1, 8, 4, true), "flash["),
     ] {
         let (busiest, busy_ns) = quick_scale::busiest_member(&mut rt);
         let ranking = rt.bottleneck_report();
@@ -468,8 +468,8 @@ fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
 #[test]
 fn instruments_agree_by_construction() {
     let runs = [
-        quick_scale::wide_ndp_run(1, 8, 4, true).0,
-        quick_scale::baseline_run(true, 4, true).0,
+        quick_scale::wide_ndp_run(1, 8, 4, true),
+        quick_scale::baseline_run(true, 4, true),
         run_mixed(true, false).0,
     ];
     for mut rt in runs {

@@ -153,34 +153,33 @@ fn depth_four_pipelines_and_outruns_depth_one_on_ndp() {
             5,
         )
         .with_verify_every(4);
-        let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 48);
-        assert!(report.verified > 0, "bit-match went unchecked");
-        report
+        let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 48);
+        assert!(verified > 0, "bit-match went unchecked");
+        // One shard: its occupancy and channel utilisation are the run's.
+        (
+            rt.shard_occupancy()[0],
+            rt.channel_utilisation()[0],
+            rt.stats().lookups_per_sim_sec(),
+        )
     };
-    let d1 = run(1);
-    let d4 = run(4);
+    let (d1_occ, d1_util, d1_tput) = run(1);
+    let (d4_occ, d4_util, d4_tput) = run(4);
     assert!(
-        d1.mean_occupancy() <= 1.0 + 1e-9,
-        "depth 1 cannot exceed one op in flight (got {})",
-        d1.mean_occupancy()
+        d1_occ <= 1.0 + 1e-9,
+        "depth 1 cannot exceed one op in flight (got {d1_occ})"
     );
     assert!(
-        d4.mean_occupancy() > 1.2,
-        "depth 4 never pipelined: mean occupancy {}",
-        d4.mean_occupancy()
+        d4_occ > 1.2,
+        "depth 4 never pipelined: mean occupancy {d4_occ}"
     );
     assert!(
-        d4.mean_channel_util() > d1.mean_channel_util(),
-        "pipelining should raise channel utilisation ({} vs {})",
-        d4.mean_channel_util(),
-        d1.mean_channel_util()
+        d4_util > d1_util,
+        "pipelining should raise channel utilisation ({d4_util} vs {d1_util})"
     );
     assert!(
-        d4.lookups_per_sim_sec >= 1.5 * d1.lookups_per_sim_sec,
-        "depth 4 gained only {:.2}x over depth 1 ({:.0} vs {:.0} lookups/sim-sec)",
-        d4.lookups_per_sim_sec / d1.lookups_per_sim_sec,
-        d4.lookups_per_sim_sec,
-        d1.lookups_per_sim_sec
+        d4_tput >= 1.5 * d1_tput,
+        "depth 4 gained only {:.2}x over depth 1 ({d4_tput:.0} vs {d1_tput:.0} lookups/sim-sec)",
+        d4_tput / d1_tput
     );
 }
 
@@ -193,8 +192,8 @@ fn depth_four_pipelines_and_outruns_depth_one_on_ndp() {
 fn heat_packed_baseline_gains_from_queue_depth() {
     let tput = |packed, depth| {
         quick_scale::baseline_run(packed, depth, false)
-            .1
-            .lookups_per_sim_sec
+            .stats()
+            .lookups_per_sim_sec()
     };
     let (packed_d1, packed_d4) = (tput(true, 1), tput(true, 4));
     assert!(

@@ -14,10 +14,11 @@ use recssd::{LookupBatch, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, PageLayout, Quantization, TableSpec};
 use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    AdaptivePolicy, LoadGen, LoadMode, LoadReport, SchedulePolicy, ServingConfig, ServingRuntime,
-    SlsPath, TrafficSpec,
+    AdaptivePolicy, LoadGen, LoadMode, Phase, SchedulePolicy, ServingConfig, ServingRuntime,
+    ServingStats, SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
+use recssd_sim::stats::HitStats;
 use recssd_sim::{SimDuration, SimTime};
 use recssd_trace::{DriftingZipf, RowStream, ZipfTrace};
 
@@ -391,19 +392,20 @@ fn adaptive_runtime_refreshes_under_drift_and_stays_exact() {
     )
     .with_streams(vec![RowStream::Drifting(drift)])
     .with_verify_every(1);
-    let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 192);
-    assert_eq!(report.verified, 192, "every output bit-matched");
+    let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 192);
+    assert_eq!(verified, 192, "every output bit-matched");
+    let s = rt.stats();
     assert!(
-        report.plan_refreshes >= 2,
+        s.plan_refreshes.get() >= 2,
         "adaptation must refresh across rotations (got {})",
-        report.plan_refreshes
+        s.plan_refreshes.get()
     );
-    assert!(report.rows_promoted > 0);
-    assert!(report.migration_lookups > 0);
+    assert!(s.rows_promoted.get() > 0);
+    assert!(s.migration_lookups.get() > 0);
     assert!(
-        report.tier_hit_rate > 0.2,
+        s.tier_hit_rate() > 0.2,
         "adaptive tier must absorb traffic despite drift (hit rate {})",
-        report.tier_hit_rate
+        s.tier_hit_rate()
     );
     assert!(rt.adaptive_epochs() >= 2);
 }
@@ -421,6 +423,7 @@ fn full_hot_coverage_routes_everything_to_the_tier() {
 
     let cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo);
     let mut rt = ServingRuntime::new(&cfg);
+    rt.enable_tracing();
     let id = rt.add_table_placed(table, plan.table(0));
     assert!(rt.has_tier());
     let mut rng = Xoshiro256::seed_from(9);
@@ -445,6 +448,15 @@ fn full_hot_coverage_routes_everything_to_the_tier() {
     assert_eq!(stats.tier_hit_rate(), 1.0);
     assert!(stats.tier_service.quantiles().count > 0);
     assert_eq!(stats.device_service.quantiles().count, 0);
+    // The tier's DRAM gathers show up on the requests' critical paths.
+    let report = rt.critical_path_report();
+    let [ndp] = &report.paths[..] else {
+        panic!("one served path expected, got {}", report.paths.len());
+    };
+    assert!(
+        ndp.phase_ns[Phase::TierGather.index()] > 0,
+        "tier requests charged nothing to the tier gather"
+    );
 }
 
 /// A zero hot budget still packs the flash image (and still bit-matches);
@@ -491,7 +503,8 @@ fn hybrid_tier_outruns_all_ndp_at_every_skew() {
             let mut rt = ServingRuntime::new(&cfg);
             let tables = quick_scale::add_tables(&mut rt, quick_scale::DIM, plan.as_ref());
             let (clients, path) = (quick_scale::CLIENTS, quick_scale::ndp());
-            quick_scale::serve(&mut rt, tables, skew, clients, path).lookups_per_sim_sec
+            quick_scale::serve(&mut rt, tables, skew, clients, path);
+            rt.stats().lookups_per_sim_sec()
         };
         let gain = run(0.05).max(run(0.2)) / run(0.0);
         assert!(
@@ -532,8 +545,12 @@ fn heat_packing_does_not_lower_the_ftl_cache_hit_rate() {
             1.2,
             quick_scale::CLIENTS,
             quick_scale::ndp(),
-        )
-        .ftl_cache_hit_rate
+        );
+        let mut ftl = HitStats::new();
+        for shard in rt.ftl_cache_stats() {
+            ftl.merge(shard);
+        }
+        ftl.hit_rate()
     };
     let (unpacked, packed) = (run(false), run(true));
     assert!(
@@ -583,9 +600,15 @@ fn adaptive_placement_keeps_most_of_the_oracle_under_drift() {
         let gen = quick_scale::load_gen(&rt, tables, 1.5, 48).with_streams(streams);
         (rt, gen)
     };
-    let tput = |phases: &[LoadReport]| {
-        let lookups: u64 = phases.iter().map(|r| r.lookups).sum();
-        let secs: f64 = phases.iter().map(|r| r.makespan.as_secs_f64()).sum();
+    // One phase's statistics (the generator resets them per run).
+    let phase = |rt: &mut ServingRuntime, gen: &mut LoadGen| {
+        let verified = gen.run(rt, quick_scale::ndp(), PHASE_REQUESTS);
+        assert!(verified > 0, "bit-match went unchecked");
+        rt.stats().clone()
+    };
+    let tput = |phases: &[ServingStats]| {
+        let lookups: u64 = phases.iter().map(|s| s.lookups.get()).sum();
+        let secs: f64 = phases.iter().map(|s| s.makespan().as_secs_f64()).sum();
         lookups as f64 / secs
     };
     let drifting = || {
@@ -595,7 +618,7 @@ fn adaptive_placement_keeps_most_of_the_oracle_under_drift() {
     };
 
     let phase0 = phase_plan(0);
-    let live_arm = |adaptive: bool| -> Vec<LoadReport> {
+    let live_arm = |adaptive: bool| -> Vec<ServingStats> {
         let (mut rt, mut gen) = start(&phase0, drifting());
         if adaptive {
             rt.enable_adaptive(AdaptivePolicy {
@@ -605,24 +628,19 @@ fn adaptive_placement_keeps_most_of_the_oracle_under_drift() {
                 min_hit_gain: 0.03,
             });
         }
-        (0..PHASES)
-            .map(|_| gen.run(&mut rt, quick_scale::ndp(), PHASE_REQUESTS))
-            .collect()
+        (0..PHASES).map(|_| phase(&mut rt, &mut gen)).collect()
     };
     let stale = live_arm(false);
     let adaptive = live_arm(true);
-    let oracle: Vec<LoadReport> = (0..PHASES)
-        .map(|phase| {
+    let oracle: Vec<ServingStats> = (0..PHASES)
+        .map(|p| {
             let pinned = (0..quick_scale::TABLES)
-                .map(|t| RowStream::Drifting(stream(t).pinned(phase)))
+                .map(|t| RowStream::Drifting(stream(t).pinned(p)))
                 .collect();
-            let (mut rt, mut gen) = start(&phase_plan(phase), pinned);
-            gen.run(&mut rt, quick_scale::ndp(), PHASE_REQUESTS)
+            let (mut rt, mut gen) = start(&phase_plan(p), pinned);
+            phase(&mut rt, &mut gen)
         })
         .collect();
-    for report in stale.iter().chain(&adaptive).chain(&oracle) {
-        assert!(report.verified > 0, "bit-match went unchecked");
-    }
 
     let (stale_tput, adaptive_tput) = (tput(&stale), tput(&adaptive));
     let recovered = adaptive_tput / tput(&oracle);
@@ -636,18 +654,18 @@ fn adaptive_placement_keeps_most_of_the_oracle_under_drift() {
         "the stale plan ({stale_tput:.0}) should serve less than the adaptive arm \
          ({adaptive_tput:.0})"
     );
-    let total = |f: fn(&LoadReport) -> u64, arm: &[LoadReport]| arm.iter().map(f).sum::<u64>();
-    assert_eq!(total(|r| r.plan_refreshes, &stale), 0);
+    let total = |f: fn(&ServingStats) -> u64, arm: &[ServingStats]| arm.iter().map(f).sum::<u64>();
+    assert_eq!(total(|s| s.plan_refreshes.get(), &stale), 0);
     assert!(
-        total(|r| r.plan_refreshes, &adaptive) >= 2,
+        total(|s| s.plan_refreshes.get(), &adaptive) >= 2,
         "never re-planned"
     );
-    assert!(total(|r| r.rows_promoted, &adaptive) > 0);
-    assert!(total(|r| r.migration_lookups, &adaptive) > 0);
-    let worst_hit = |arm: &[LoadReport]| {
+    assert!(total(|s| s.rows_promoted.get(), &adaptive) > 0);
+    assert!(total(|s| s.migration_lookups.get(), &adaptive) > 0);
+    let worst_hit = |arm: &[ServingStats]| {
         arm[1..]
             .iter()
-            .map(|r| r.tier_hit_rate)
+            .map(|s| s.tier_hit_rate())
             .fold(f64::INFINITY, f64::min)
     };
     assert!(

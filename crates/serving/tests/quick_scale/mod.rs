@@ -13,7 +13,7 @@ use recssd::SlsOptions;
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    EnginePoolConfig, LoadGen, LoadMode, LoadReport, MergePlacement, SchedulePolicy, ServedTableId,
+    EnginePoolConfig, LoadGen, LoadMode, MergePlacement, SchedulePolicy, ServedTableId,
     ServingConfig, ServingRuntime, SlsPath, TrafficSpec,
 };
 use recssd_sim::SimDuration;
@@ -82,24 +82,24 @@ pub fn load_gen(
     LoadGen::new(rt, tables, spec(skew), mode, 42).with_verify_every(8)
 }
 
-/// [`REQUESTS`] requests at Zipf `skew` through `path`.
+/// [`REQUESTS`] requests at Zipf `skew` through `path`; the run's
+/// statistics are left in `rt.stats()`.
 pub fn serve(
     rt: &mut ServingRuntime,
     tables: Vec<ServedTableId>,
     skew: f64,
     clients: usize,
     path: SlsPath,
-) -> LoadReport {
-    let report = load_gen(rt, tables, skew, clients).run(rt, path, REQUESTS);
-    assert!(report.verified > 0, "bit-match went unchecked");
-    report
+) {
+    let verified = load_gen(rt, tables, skew, clients).run(rt, path, REQUESTS);
+    assert!(verified > 0, "bit-match went unchecked");
 }
 
 /// The COTS baseline path at one shard: heat-packed tables (zero hot
 /// budget, packing only) make the hot storage prefix contiguous, and a
 /// host that reads through gaps of up to 8 pages turns it into few, long
 /// commands — the workload whose wall is the serial firmware core.
-pub fn baseline_run(packed: bool, depth: usize, traced: bool) -> (ServingRuntime, LoadReport) {
+pub fn baseline_run(packed: bool, depth: usize, traced: bool) -> ServingRuntime {
     let mut cfg = ServingConfig::small_wide(1, SchedulePolicy::Fifo).with_depth(depth);
     cfg.system.host.read_bridge_limit = 8;
     let mut rt = ServingRuntime::new(&cfg);
@@ -110,19 +110,14 @@ pub fn baseline_run(packed: bool, depth: usize, traced: bool) -> (ServingRuntime
         packed.then(|| PlacementPlan::build(&profile(1.2), &PlacementPolicy::hot_fraction(0.0)));
     let tables = add_tables(&mut rt, DIM, plan.as_ref());
     let path = SlsPath::Baseline(SlsOptions::default());
-    let report = serve(&mut rt, tables, 1.2, CLIENTS, path);
-    (rt, report)
+    serve(&mut rt, tables, 1.2, CLIENTS, path);
+    rt
 }
 
 /// The NDP path over 1 024-wide vectors — the Fig. 11a regime where
 /// per-page Translation, not the flash array, is the firmware's dominant
 /// cost — with `engines` per-channel SLS engines and 32 clients.
-pub fn wide_ndp_run(
-    shards: usize,
-    engines: usize,
-    depth: usize,
-    traced: bool,
-) -> (ServingRuntime, LoadReport) {
+pub fn wide_ndp_run(shards: usize, engines: usize, depth: usize, traced: bool) -> ServingRuntime {
     let mut cfg = ServingConfig::small_wide(shards, SchedulePolicy::Fifo).with_depth(depth);
     cfg.system.ssd.ftl.engines = Some(EnginePoolConfig {
         engines,
@@ -134,8 +129,8 @@ pub fn wide_ndp_run(
         rt.enable_tracing();
     }
     let tables = add_tables(&mut rt, 1024, None);
-    let report = serve(&mut rt, tables, 1.2, 32, ndp());
-    (rt, report)
+    serve(&mut rt, tables, 1.2, 32, ndp());
+    rt
 }
 
 /// Every device server's busy counter, in ns, under the name the

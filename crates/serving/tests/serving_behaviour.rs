@@ -45,20 +45,22 @@ fn closed_loop_serves_every_request_and_records_latency() {
         11,
     )
     .with_verify_every(1);
-    let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 24);
-    assert_eq!(report.requests, 24);
-    assert_eq!(report.verified, 24);
-    assert_eq!(report.lookups, 24 * spec().lookups_per_request() as u64);
-    assert!(report.makespan > SimDuration::ZERO);
-    assert!(report.lookups_per_sim_sec > 0.0);
+    let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 24);
+    let s = rt.stats();
+    assert_eq!(s.requests.get(), 24);
+    assert_eq!(verified, 24);
+    assert_eq!(s.lookups.get(), 24 * spec().lookups_per_request() as u64);
+    assert!(s.makespan() > SimDuration::ZERO);
+    assert!(s.lookups_per_sim_sec() > 0.0);
     // Quantiles are ordered and the mean lies within [p50-ish, max].
-    assert!(report.e2e.p50 <= report.e2e.p95);
-    assert!(report.e2e.p95 <= report.e2e.p99);
-    assert!(report.e2e.p99 <= report.e2e.p999);
-    assert!(report.e2e.p999 <= report.e2e.max);
+    let e2e = s.e2e.quantiles();
+    assert!(e2e.p50 <= e2e.p95);
+    assert!(e2e.p95 <= e2e.p99);
+    assert!(e2e.p99 <= e2e.p999);
+    assert!(e2e.p999 <= e2e.max);
     // With 4 clients against 2 shards, someone queued.
     assert!(
-        report.queue.max > 0,
+        s.queue.quantiles().max > 0,
         "no queueing under 2x oversubscription"
     );
 }
@@ -75,13 +77,14 @@ fn open_loop_overload_shows_tail_growth() {
         LoadMode::Open(ArrivalProcess::poisson(5_000.0, 7)),
         13,
     );
-    let report = gen.run(&mut rt, SlsPath::Baseline(SlsOptions::default()), 32);
-    assert_eq!(report.requests, 32);
+    gen.run(&mut rt, SlsPath::Baseline(SlsOptions::default()), 32);
+    assert_eq!(rt.stats().requests.get(), 32);
+    let e2e = rt.stats().e2e.quantiles();
     assert!(
-        report.e2e.p99 > report.e2e.p50 * 2,
+        e2e.p99 > e2e.p50 * 2,
         "overload should stretch the tail: p50 {} p99 {}",
-        report.e2e.p50,
-        report.e2e.p99
+        e2e.p50,
+        e2e.p99
     );
 }
 
@@ -103,26 +106,26 @@ fn micro_batching_coalesces_and_amortises() {
             21,
         )
         .with_verify_every(1);
-        let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 32);
-        assert_eq!(report.verified, 32, "merged outputs must stay bit-exact");
-        report
+        let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 32);
+        assert_eq!(verified, 32, "merged outputs must stay bit-exact");
+        rt.stats().clone()
     };
     let fifo = run(SchedulePolicy::Fifo);
     let micro = run(SchedulePolicy::micro_batch(16));
     assert!(
-        (fifo.batching_factor - 1.0).abs() < 1e-9,
+        (fifo.batching_factor() - 1.0).abs() < 1e-9,
         "FIFO never merges"
     );
     assert!(
-        micro.batching_factor > 1.2,
+        micro.batching_factor() > 1.2,
         "micro-batching never coalesced (factor {})",
-        micro.batching_factor
+        micro.batching_factor()
     );
     assert!(
-        micro.lookups_per_sim_sec > fifo.lookups_per_sim_sec,
+        micro.lookups_per_sim_sec() > fifo.lookups_per_sim_sec(),
         "batching should raise throughput: fifo {} vs micro {}",
-        fifo.lookups_per_sim_sec,
-        micro.lookups_per_sim_sec
+        fifo.lookups_per_sim_sec(),
+        micro.lookups_per_sim_sec()
     );
 }
 
@@ -143,8 +146,8 @@ fn ndp_throughput_scales_with_shard_count() {
             },
             5,
         );
-        gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 48)
-            .lookups_per_sim_sec
+        gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 48);
+        rt.stats().lookups_per_sim_sec()
     };
     let one = run(1);
     let four = run(4);
@@ -198,9 +201,9 @@ fn mixed_tables_and_paths_interleave_without_cross_merging() {
         31,
     )
     .with_verify_every(1);
-    let report = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 30);
-    assert_eq!(report.requests, 30);
-    assert_eq!(report.verified, 30);
+    let verified = gen.run(&mut rt, SlsPath::Ndp(SlsOptions::default()), 30);
+    assert_eq!(rt.stats().requests.get(), 30);
+    assert_eq!(verified, 30);
 }
 
 #[test]
@@ -218,8 +221,8 @@ fn closed_loop_issues_exactly_the_requested_count() {
         },
         3,
     );
-    let report = gen.run(&mut rt, SlsPath::Dram, 10);
-    assert_eq!(report.requests, 10);
+    gen.run(&mut rt, SlsPath::Dram, 10);
+    assert_eq!(rt.stats().requests.get(), 10);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use recssd_cache::SetAssocCache;
+use recssd_sim::stats::HitStats;
+
+use crate::set_assoc::SetAssocLru;
 
 /// One point of a reuse CDF: after including the `pages` coldest-to-hotter
 /// pages (ascending hit count, as the paper sorts them), `cum_fraction` of
@@ -111,11 +113,16 @@ pub fn page_cache_sweep(
         .iter()
         .map(|&cap| {
             let entries = (cap / granularity_bytes).max(1);
-            let mut cache: SetAssocCache<()> = SetAssocCache::new(entries, ways);
+            let mut cache = SetAssocLru::new(entries, ways);
+            let mut stats = HitStats::new();
             for &id in ids {
-                cache.access(id / rows_per_page, || ());
+                if cache.access(id / rows_per_page) {
+                    stats.hit();
+                } else {
+                    stats.miss();
+                }
             }
-            (cap, cache.stats().hit_rate())
+            (cap, stats.hit_rate())
         })
         .collect()
 }
@@ -185,6 +192,49 @@ mod tests {
         let hot = page_cache_sweep(&ids_steep, &cap, 16, 4096, 128)[0].1;
         assert!(cold < 0.10, "uniform table should miss mostly: {cold:.3}");
         assert!(hot > 0.75, "steep skew should hit mostly: {hot:.3}");
+    }
+
+    /// The sweeps of the two tests above (and the first at 1, 4 and 64
+    /// ways), pinned to the hit rates, as `f64` bits, that the generic
+    /// set-associative cache this sweep once ran on produced: the
+    /// key-only cache is the same N-way LRU, so Fig. 4 is bit-identical.
+    #[test]
+    fn sweep_matches_the_recorded_hit_rates() {
+        let zipf = ZipfTrace::new(100_000, 1.2, 3).take_ids(50_000);
+        let caps = [64 << 10, 1 << 20, 16 << 20];
+        let mut got: Vec<u64> = Vec::new();
+        for ways in [16, 1, 4, 64] {
+            for (_, rate) in page_cache_sweep(&zipf, &caps, ways, 4096, 128) {
+                got.push(rate.to_bits());
+            }
+        }
+        let mut rng = recssd_sim::rng::Xoshiro256::seed_from(1);
+        let uniform: Vec<u64> = (0..40_000).map(|_| rng.gen_range(0..10_000_000)).collect();
+        let steep = ZipfTrace::new(10_000_000, 2.5, 1).take_ids(40_000);
+        for ids in [&uniform, &steep] {
+            got.push(
+                page_cache_sweep(ids, &[1 << 20], 16, 4096, 128)[0]
+                    .1
+                    .to_bits(),
+            );
+        }
+        let recorded: [u64; 14] = [
+            0x3fd8985f06f69446,
+            0x3fe6e4649906cca3,
+            0x3fee31f8a0902de0,
+            0x3fd69f6a93f290ac,
+            0x3fe4c63f141205bc,
+            0x3fec6f694467381d,
+            0x3fd78feef5ec80c7,
+            0x3fe6a0e410b630a9,
+            0x3fedf8769ec2ce46,
+            0x3fe1fddebd9018e7,
+            0x3fe6f34d6a161e4f,
+            0x3fee363b256ffc11,
+            0x3f4a36e2eb1c432d,
+            0x3fefee978d4fdf3b,
+        ];
+        assert_eq!(got, recorded);
     }
 
     #[test]

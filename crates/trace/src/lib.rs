@@ -36,6 +36,7 @@ mod drift;
 mod locality;
 mod lru_stack;
 pub mod patterns;
+mod set_assoc;
 mod zipf;
 
 pub use arrivals::ArrivalProcess;

@@ -83,24 +83,27 @@ fn main() {
                 7,
             )
             .with_verify_every(1);
-            let r = gen.run(&mut rt, path, requests);
+            let verified = gen.run(&mut rt, path, requests);
+            let s = rt.stats();
             assert_eq!(
-                r.verified, r.requests,
+                verified,
+                s.requests.get(),
                 "every placed output must bit-match sls_reference"
             );
-            let speedup = r.lookups_per_sim_sec / *baseline.get_or_insert(r.lookups_per_sim_sec);
+            let tput = s.lookups_per_sim_sec();
+            let speedup = tput / *baseline.get_or_insert(tput);
+            let e2e = s.e2e.quantiles();
             println!(
                 "hot {:>4.0}%: {:>10.0} lookups/s ({speedup:>4.2}x)  \
                  tier-hit {:>5.1}%  p50 {:>7.1}us  p99 {:>8.1}us  \
-                 tier-p99 {:>6.1}us  device-p99 {:>8.1}us  ({} verified)",
+                 tier-p99 {:>6.1}us  device-p99 {:>8.1}us  ({verified} verified)",
                 hot * 100.0,
-                r.lookups_per_sim_sec,
-                r.tier_hit_rate * 100.0,
-                r.e2e.p50 as f64 / 1e3,
-                r.e2e.p99 as f64 / 1e3,
-                r.tier_service.p99 as f64 / 1e3,
-                r.device_service.p99 as f64 / 1e3,
-                r.verified,
+                tput,
+                s.tier_hit_rate() * 100.0,
+                e2e.p50 as f64 / 1e3,
+                e2e.p99 as f64 / 1e3,
+                s.tier_service.quantiles().p99 as f64 / 1e3,
+                s.device_service.quantiles().p99 as f64 / 1e3,
             );
         }
         println!();

@@ -54,9 +54,9 @@ pub mod prelude {
     pub use recssd_serving::{
         bottleneck_report, chrome_trace_json, critical_path_report, request_critical_paths,
         utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, LoadGen,
-        LoadMode, LoadReport, PathAttribution, Phase, RequestProfile, SchedulePolicy,
-        ServingConfig, ServingRuntime, ShardMap, SlsPath, SpanRec, TraceCheck, TrafficSpec,
-        UtilizationTimeline, WallPhaseReport,
+        LoadMode, PathAttribution, Phase, RequestProfile, SchedulePolicy, ServingConfig,
+        ServingRuntime, ShardMap, SlsPath, SpanRec, TraceCheck, TrafficSpec, UtilizationTimeline,
+        WallPhaseReport,
     };
     pub use recssd_sim::{SimDuration, SimTime};
     pub use recssd_trace::{ArrivalProcess, LocalityK, LocalityTrace, ZipfTrace};
