@@ -14,9 +14,10 @@
 
 use recssd::{BrownoutWindow, FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
+use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    FaultPolicy, LoadGen, LoadMode, SchedulePolicy, ServingConfig, ServingRuntime, ServingStats,
-    SlsPath, TrafficSpec,
+    CompletedRequest, FaultPolicy, LoadGen, LoadMode, SchedulePolicy, ServingConfig,
+    ServingRuntime, ServingStats, SlsPath, SpanRec, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::stats::Quantiles;
@@ -495,19 +496,74 @@ fn stats_digest(rt: &ServingRuntime) -> u64 {
     h.0
 }
 
+/// FNV-1a over the completion stream in delivery order: id, finish,
+/// queue, service, output bits, missing lookups.
+fn completions_digest(done: &[CompletedRequest]) -> u64 {
+    let mut h = Fnv::new();
+    for d in done {
+        h.u64(d.id.0);
+        h.u64(d.finish.as_ns());
+        h.u64(d.queue.as_ns());
+        h.u64(d.service.as_ns());
+        for v in d.outputs.as_slice() {
+            h.u64(u64::from(v.to_bits()));
+        }
+        h.u64(d.missing_lookups);
+    }
+    h.0
+}
+
+/// FNV-1a over the end-of-run telemetry as raw bits: per-shard occupancy
+/// and channel utilisation, then the tier's occupancy.
+fn telemetry_digest(rt: &ServingRuntime) -> u64 {
+    let mut h = Fnv::new();
+    for v in rt.shard_occupancy() {
+        h.u64(v.to_bits());
+    }
+    for v in rt.channel_utilisation() {
+        h.u64(v.to_bits());
+    }
+    h.u64(rt.tier_occupancy().to_bits());
+    h.0
+}
+
+/// The span multiset with ids factored out: each span as (name, start,
+/// end, pid, tid, argument, label) plus its parent's (name, start, end),
+/// sorted.
+fn span_keys(trace: &[SpanRec]) -> Vec<String> {
+    let by_id: std::collections::HashMap<u64, usize> =
+        trace.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    assert_eq!(by_id.len(), trace.len(), "span ids must be unique");
+    let mut keyed: Vec<String> = trace
+        .iter()
+        .map(|s| {
+            let parent = match s.parent {
+                0 => "root".to_string(),
+                p => {
+                    let p = &trace[by_id[&p]];
+                    format!("{}@{}..{}", p.name, p.start_ns, p.end_ns)
+                }
+            };
+            format!(
+                "{}@{}..{} pid={} tid={} {}={} [{}] <- {parent}",
+                s.name, s.start_ns, s.end_ns, s.pid, s.tid, s.arg_key, s.arg_val, s.label
+            )
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed
+}
+
 /// The run the retired cross-mode determinism suite compared between its
 /// steppers — mixed paths, 4 shards at depth 2, micro-batched, traced,
 /// 1 % transient read errors under the default recovery policy — pinned
 /// to FNV-1a goldens recorded from the sequential stepper of the last
 /// commit that still had a second one. Four digests: the completion
-/// stream in delivery order (id, finish, queue, service, output bits,
-/// missing lookups), every serving statistic ([`stats_digest`], recorded
-/// on the last commit that still had a metrics registry), the end-of-run
-/// telemetry (per-shard occupancy and channel utilisation, tier
-/// occupancy, as raw bits) and the span *multiset* with ids factored
-/// out: each span as (name, start, end, pid, tid, argument, label) plus
-/// its parent's (name, start, end), sorted. Span ids are allocation
-/// order, not behaviour; everything else about the run is held here.
+/// stream ([`completions_digest`]), every serving statistic
+/// ([`stats_digest`], recorded on the last commit that still had a
+/// metrics registry), the end-of-run telemetry ([`telemetry_digest`]) and
+/// the span multiset ([`span_keys`]). Span ids are allocation order, not
+/// behaviour; everything else about the run is held here.
 ///
 /// The span golden was re-recorded once, when every `flash:xfer` gained
 /// its channel as a `ch` member argument (service windows of the one
@@ -544,52 +600,9 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
         );
     }
 
-    let mut completions = Fnv::new();
     let done = rt.run_until_idle();
     assert_eq!(done.len(), 36);
-    for d in &done {
-        completions.u64(d.id.0);
-        completions.u64(d.finish.as_ns());
-        completions.u64(d.queue.as_ns());
-        completions.u64(d.service.as_ns());
-        for v in d.outputs.as_slice() {
-            completions.u64(u64::from(v.to_bits()));
-        }
-        completions.u64(d.missing_lookups);
-    }
-
-    let metrics = stats_digest(&rt);
-
-    let mut telemetry = Fnv::new();
-    for v in rt.shard_occupancy() {
-        telemetry.u64(v.to_bits());
-    }
-    for v in rt.channel_utilisation() {
-        telemetry.u64(v.to_bits());
-    }
-    telemetry.u64(rt.tier_occupancy().to_bits());
-
-    let trace = rt.take_trace();
-    let by_id: std::collections::HashMap<u64, usize> =
-        trace.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    assert_eq!(by_id.len(), trace.len(), "span ids must be unique");
-    let mut keyed: Vec<String> = trace
-        .iter()
-        .map(|s| {
-            let parent = match s.parent {
-                0 => "root".to_string(),
-                p => {
-                    let p = &trace[by_id[&p]];
-                    format!("{}@{}..{}", p.name, p.start_ns, p.end_ns)
-                }
-            };
-            format!(
-                "{}@{}..{} pid={} tid={} {}={} [{}] <- {parent}",
-                s.name, s.start_ns, s.end_ns, s.pid, s.tid, s.arg_key, s.arg_val, s.label
-            )
-        })
-        .collect();
-    keyed.sort_unstable();
+    let keyed = span_keys(&rt.take_trace());
     let mut spans = Fnv::new();
     for k in &keyed {
         spans.str(k);
@@ -602,7 +615,13 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
         .count();
 
     assert_eq!(
-        (completions.0, metrics, telemetry.0, n_others, others.0),
+        (
+            completions_digest(&done),
+            stats_digest(&rt),
+            telemetry_digest(&rt),
+            n_others,
+            others.0
+        ),
         (
             0xF0F8_D3F1_7274_FD3B,
             0xA835_FA22_3249_19C1,
@@ -616,5 +635,121 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
         (keyed.len(), spans.0),
         (1755, 0x61DC_281C_6E9B_42D9),
         "the traced service windows moved"
+    );
+}
+
+/// A placement of [`ROWS`] rows pinning the hottest `hot` fraction of a
+/// profile skewed towards a seeded scatter of rows.
+fn placement(seed: u64, hot: f64) -> PlacementPlan {
+    let mut prof = FreqProfiler::new();
+    let t = prof.add_table(ROWS);
+    let mut rng = Xoshiro256::seed_from(seed);
+    for _ in 0..4_000 {
+        let row = if rng.gen_bool(0.75) {
+            rng.gen_range(0..ROWS / 8) * 7919 % ROWS
+        } else {
+            rng.gen_range(0..ROWS)
+        };
+        prof.observe(t, row);
+    }
+    PlacementPlan::build(&prof, &PlacementPolicy::hot_fraction(hot))
+}
+
+/// The recovery lifecycle pinned the way the mixed-path run above pins the
+/// happy path: every way a sub-batch or a request leaves flight fires in
+/// one traced run. Uncorrectable read errors exhaust a one-retry budget on
+/// NDP and baseline sub-batches alike (with the NDP → baseline fallback on
+/// the retry), a deadline serves requests whose sub-batches are still in
+/// flight, and a placed table is refreshed mid-run so that its migration
+/// chunks meet the same faults. Four FNV-1a digests as above: completions,
+/// [`stats_digest`], telemetry and the span multiset. Before the digests,
+/// the run must have taken each exit at least once — a sub-batch merged
+/// after its deadline (`late`), one dropped after its deadline (a root
+/// `dropped` span) and one on an exhausted budget (a `dropped` span under
+/// its request), a migration chunk retired and one dropped, and a
+/// fallback — or it would stop covering one without any digest noticing.
+#[test]
+fn pinned_recovery_run_takes_every_exit() {
+    let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
+    let mut rt = ServingRuntime::new(&cfg);
+    rt.enable_tracing();
+    let t = rt.add_table_placed(table(), placement(0x5EED, 0.05).table(0));
+    let mut fc = FaultConfig::quiet(0xFA11);
+    fc.transient_read_error_rate = 0.02;
+    fc.uncorrectable_rate = 0.1;
+    rt.inject_faults(&fc);
+    rt.set_fault_policy(FaultPolicy {
+        max_retries: 1,
+        fallback_after: 1,
+        deadline: Some(SimDuration::from_us(5000)),
+        ..FaultPolicy::default()
+    });
+    let mut rng = Xoshiro256::seed_from(0xE817);
+    let ps = paths();
+    for i in 0..48u64 {
+        let batch = LookupBatch::new(
+            (0..3)
+                .map(|_| (0..6).map(|_| rng.gen_range(0..ROWS)).collect())
+                .collect(),
+        );
+        rt.submit_at(
+            SimTime::from_us(i * 300),
+            i,
+            t,
+            batch,
+            ps[i as usize % ps.len()],
+        );
+    }
+    let mut done = Vec::new();
+    while rt.now() < SimTime::from_us(3000) {
+        match rt.step().expect("runtime invariant") {
+            Some(d) => done.push(d),
+            None => break,
+        }
+    }
+    let refresh = placement(0xB0B0, 0.1);
+    assert!(rt.refresh_placement(t, refresh.table(0)).is_some());
+    done.extend(rt.run_until_idle());
+    assert_eq!(done.len(), 48);
+    for d in &done {
+        rt.verify_bitmatch(d);
+    }
+
+    let trace = rt.take_trace();
+    let fired = |name: &str, arg: &str, root: Option<bool>| {
+        trace.iter().any(|s| {
+            s.name == name && s.arg_key == arg && root.is_none_or(|r| r == (s.parent == 0))
+        })
+    };
+    assert!(fired("sub", "late", None), "no sub-batch merged late");
+    assert!(
+        fired("sub", "dropped", Some(true)),
+        "no drop after a deadline"
+    );
+    assert!(fired("sub", "dropped", Some(false)), "no exhausted budget");
+    assert!(fired("migration", "lookups", None), "no migration retired");
+    assert!(fired("migration", "dropped", None), "no migration dropped");
+    let s = rt.stats();
+    assert!(s.fallbacks.get() > 0, "no NDP sub-batch fell back");
+    assert_eq!(s.plan_refreshes.get(), 1, "the refresh never activated");
+
+    let mut spans = Fnv::new();
+    for k in &span_keys(&trace) {
+        spans.str(k);
+    }
+    assert_eq!(
+        (
+            completions_digest(&done),
+            stats_digest(&rt),
+            telemetry_digest(&rt),
+            spans.0
+        ),
+        (
+            0xADD3_B2FB_7AD9_F479,
+            0x63D2_7676_6EBE_188E,
+            0x010D_5820_02BB_87CE,
+            0x63BC_0872_810C_2DF1,
+        ),
+        "the pinned recovery run moved: a change to the runtime altered simulated behaviour"
     );
 }
