@@ -207,10 +207,6 @@ impl EmbedCache {
         self.tags[slot] = Some((base, row));
     }
 
-    fn enabled(&self) -> bool {
-        !self.tags.is_empty()
-    }
-
     /// Empties every slot holding a vector of the table at `base`.
     fn invalidate_table(&mut self, base: u64) {
         for tag in &mut self.tags {
@@ -351,11 +347,6 @@ impl NdpSlsEngine {
     /// Engine statistics (breakdowns, cache hit rates).
     pub fn stats(&self) -> &NdpStats {
         &self.stats
-    }
-
-    /// `true` if the SSD-side embedding cache is enabled.
-    pub fn embed_cache_enabled(&self) -> bool {
-        self.cache.enabled()
     }
 
     /// Forgets every SSD-side cached row of the table whose slot starts
@@ -962,7 +953,7 @@ mod tests {
         c.invalidate_table(0);
         assert!(c.tags.iter().all(Option::is_none));
         assert_eq!(stats.hits(), 1, "invalidation keeps the stats");
-        assert!(c.enabled(), "an emptied cache stays enabled");
+        assert_eq!(c.tags.len(), 8, "an emptied cache stays enabled");
     }
 
     /// Fig. 10's point: "the direct mapped caching hit rate cannot match
@@ -996,7 +987,7 @@ mod tests {
     #[test]
     fn embed_cache_of_zero_slots_is_disabled() {
         let mut c = EmbedCache::new(0);
-        assert!(!c.enabled());
+        assert!(c.tags.is_empty());
         c.insert(0, 1);
         let (hit, stats) = probe(&c, 0, 1);
         assert!(!hit);

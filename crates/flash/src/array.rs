@@ -328,11 +328,6 @@ impl FlashArray {
         self.ops.is_empty()
     }
 
-    /// Number of operations currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Installs `oracle` as the content source for the linear page range
     /// `pages` and marks the covered blocks as programmed, simulating a
     /// device that was bulk-loaded before the experiment (§5 of the paper

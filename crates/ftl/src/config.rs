@@ -61,13 +61,6 @@ impl FtlConfig {
         }
     }
 
-    /// Enables a per-channel engine pool (one full-rate engine per flash
-    /// channel unless `cfg` says otherwise).
-    pub fn with_engines(mut self, cfg: EnginePoolConfig) -> Self {
-        self.engines = Some(cfg);
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

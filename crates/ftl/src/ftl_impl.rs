@@ -298,11 +298,6 @@ impl GreedyFtl {
         self.cache.len()
     }
 
-    /// Resets page-cache hit statistics (between experiment phases).
-    pub fn reset_cache_stats(&mut self) {
-        self.cache.reset_stats();
-    }
-
     /// Resets **every** statistic this layer and the layers below
     /// accumulate: FTL counters, firmware-core and engine busy time,
     /// page-cache hit stats, flash-array stats and fault-injection

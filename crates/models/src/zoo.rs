@@ -219,11 +219,6 @@ impl ModelConfig {
             + self.extra_flops_per_sample * batch as f64
     }
 
-    /// Total dense bytes for one batch.
-    pub fn dense_bytes(&self, batch: usize) -> f64 {
-        self.bottom_mlp.bytes(batch) + self.top_mlp.bytes(batch)
-    }
-
     /// A copy with reduced table sizes (for fast unit tests; access
     /// patterns, not absolute table size, drive the results — §6.4 "We
     /// specifically note that absolute table size does not impact our

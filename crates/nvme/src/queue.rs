@@ -134,11 +134,6 @@ impl QueuePair {
         self.outstanding
     }
 
-    /// Completions waiting to be polled.
-    pub fn completions_pending(&self) -> usize {
-        self.cq.len()
-    }
-
     /// `true` when nothing is queued or in flight.
     pub fn quiescent(&self) -> bool {
         self.sq.is_empty() && self.cq.is_empty() && self.outstanding == 0

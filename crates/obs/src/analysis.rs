@@ -428,8 +428,9 @@ pub(crate) enum Server {
     Engine { shard: u32, ch: u64 },
     /// Flash channel `ch` of the shard (`flash:xfer` hold windows).
     Flash { shard: u32, ch: u64 },
-    /// The host DRAM tier (operators on [`track::PID_TIER`]): a
-    /// shared-queue worker pool, the one server whose width the trace
+    /// The host DRAM tier (the `op:compute` windows of operators on
+    /// [`track::PID_TIER`], each `[started, finished]` on a host worker):
+    /// a shared-queue worker pool, the one server whose width the trace
     /// does not state.
     Tier,
 }
@@ -448,7 +449,9 @@ impl Server {
                 shard,
                 ch: s.arg_val,
             },
-            "op" if s.pid == track::PID_TIER => Server::Tier,
+            // Not the tier's `op` span: that opens at submission, so it
+            // would count the wait for a worker as service.
+            "op:compute" if s.pid == track::PID_TIER => Server::Tier,
             _ => return None,
         })
     }
@@ -828,7 +831,7 @@ pub(crate) fn trace_window(spans: &[SpanRec]) -> (u64, u64) {
 /// sustainable rate. Servers are discovered from their service windows —
 /// `fw:exec`, `fw:engine` and `flash:xfer` spans named by pid and `ch` —
 /// one row per device member (firmware core, SLS engine, flash channel)
-/// and one for the DRAM tier's operators. Utilisation is the
+/// and one for the DRAM tier's `op:compute` windows. Utilisation is the
 /// service integral ÷ elapsed (÷ the tier's observed width); queueing
 /// never counts (see [`utilization_timelines`] for the queueing view).
 ///
@@ -1110,14 +1113,16 @@ mod tests {
 
     /// The DRAM tier is the one row whose width is inferred: its peak
     /// service concurrency, so two overlapping tier operators are one
-    /// two-wide server at half utilisation.
+    /// two-wide server at half utilisation. Service is the operators'
+    /// `op:compute` windows: an `op`'s wait for a worker is not service.
     #[test]
     fn tier_width_is_its_peak_concurrency() {
         let sink = TraceSink::new();
         let tier = sink.tracer(track::PID_TIER, track::TID_DEVICE);
-        tier.span("op", t(0), t(10), SpanId::NONE);
-        tier.span("op", t(0), t(10), SpanId::NONE);
-        tier.span("op", t(10), t(20), SpanId::NONE);
+        tier.span("op:compute", t(0), t(10), SpanId::NONE);
+        tier.span("op:compute", t(0), t(10), SpanId::NONE);
+        tier.span("op:compute", t(10), t(20), SpanId::NONE);
+        tier.span("op", t(0), t(20), SpanId::NONE);
         let report = bottleneck_report(&sink.take_spans());
         let r = &report.ranked[0];
         assert_eq!(r.resource, "tier:dram");

@@ -15,18 +15,25 @@
 //!
 //! A request's lifecycle:
 //!
-//! 1. [`ServingRuntime::submit_at`] splits its batch into per-shard
-//!    sub-batches of local rows ([`crate::ShardMap`]) and schedules the
-//!    arrival.
-//! 2. Each shard queue dispatches per the [`SchedulePolicy`] — FIFO, or
+//! 1. [`ServingRuntime::submit_at`] schedules the arrival; at the arrival
+//!    instant the batch splits into per-shard sub-batches of local rows
+//!    ([`crate::ShardMap`]) under the table's active plan.
+//! 2. Every sub-batch enters flight through one `queue_sub` — at
+//!    admission, as plan-migration work, or after a retry's backoff — and
+//!    each shard queue dispatches per the [`SchedulePolicy`] — FIFO, or
 //!    micro-batching that coalesces queued sub-batches targeting the same
 //!    table and path into one device operator — whenever the shard has a
 //!    free operator slot.
-//! 3. Each shard's partial [`SlsOutput`] is folded into the request's
-//!    accumulator through the fused accumulate path (exact for the grid
-//!    values of procedural tables, so sharded results bit-match the
-//!    unsharded reference regardless of completion interleaving).
-//! 4. When the last shard finishes, the request completes; queue/service/
+//! 3. Every sub-batch leaves flight through one `retire_sub`, once its
+//!    operator succeeds or its failure exhausts the retry budget: merged
+//!    (its partial [`SlsOutput`] folds into the request's accumulator
+//!    through the fused accumulate path — exact for the grid values of
+//!    procedural tables, so sharded results bit-match the unsharded
+//!    reference regardless of completion interleaving), late (merged after
+//!    the deadline served its request, and discarded), dropped (its slots
+//!    flagged missing) or migration (a plan-migration chunk, discarded).
+//! 4. When the last sub-batch retires, or the deadline fires first, the
+//!    request completes through one `complete_request`: queue/service/
 //!    end-to-end latencies are recorded into the HDR-style histograms of
 //!    [`ServingStats`], and per-shard operator occupancy plus flash
 //!    channel utilisation are tracked so pipelining wins are visible.
@@ -292,9 +299,6 @@ struct Inflight {
     pending: usize,
     acc: SlsOutput,
     batch: LookupBatch,
-    /// Deadline fired and the request was already served degraded; the
-    /// entry only lingers to absorb (and discard) late sub-batches.
-    completed: bool,
     /// Per output slot: sub-batches still owing a contribution.
     slot_pending: Vec<u32>,
     /// Per output slot: a contribution was dropped (retry budget
@@ -306,6 +310,26 @@ struct Inflight {
     pending_lookups: u64,
 }
 
+impl Inflight {
+    /// Folds a device attempt that started at `at` into the request's
+    /// first service start.
+    fn note_start(&mut self, at: SimTime) {
+        self.first_start = Some(self.first_start.map_or(at, |t| t.min(at)));
+    }
+}
+
+/// How a sub-batch's last device operator resolved it.
+#[derive(Debug, Clone, Copy)]
+enum Outcome<'a> {
+    /// Served: its partial sums are `outputs`' rows from `offset` on.
+    Served {
+        outputs: &'a SlsOutput,
+        offset: usize,
+    },
+    /// Given up on: its rows are missing.
+    Dropped,
+}
+
 /// A device operator in flight on a shard, awaiting harvest. The merged
 /// operator keeps its component sub-batches intact (their slice of the
 /// merged output block is implied by per-output counts, in order) so a
@@ -313,11 +337,6 @@ struct Inflight {
 #[derive(Debug)]
 struct InflightOp {
     op: OpId,
-    /// Served table the operator addresses.
-    table: usize,
-    /// Routing generation every component was split under (merge never
-    /// crosses generations).
-    plan: usize,
     subs: Vec<SubBatch>,
 }
 
@@ -616,6 +635,10 @@ pub struct ServingRuntime {
     tables: Vec<ServedTable>,
     events: EventQueue<Ev>,
     inflight: FxHashMap<u64, Inflight>,
+    /// Requests the deadline served while sub-batches were still in
+    /// flight: how many each still owes. Those stragglers retire here,
+    /// discarded.
+    expired: FxHashMap<u64, usize>,
     /// Requests whose arrival event has not fired yet. Splitting happens
     /// *at the arrival instant* under the then-active plan — the property
     /// that makes "old plan serves in-flight work, new plan takes new
@@ -669,6 +692,7 @@ impl ServingRuntime {
             tables: Vec::new(),
             events: EventQueue::new(),
             inflight: FxHashMap::default(),
+            expired: FxHashMap::default(),
             pending_arrivals: FxHashMap::default(),
             adaptive: None,
             next_req: 0,
@@ -1193,7 +1217,6 @@ impl ServingRuntime {
             for (_, sub) in subs.iter_mut() {
                 sub.span = self.tracer.alloc_id();
                 sub.born = now;
-                sub.enqueued = now;
             }
         }
         let mut acc = self.out_pool.pop().unwrap_or_default();
@@ -1221,7 +1244,6 @@ impl ServingRuntime {
                 slot_pending,
                 missing_lookups: 0,
                 pending_lookups,
-                completed: false,
                 batch,
             },
         );
@@ -1230,9 +1252,17 @@ impl ServingRuntime {
         }
         self.wall.end(WallPhase::Admit, t_admit);
         for (ix, sub) in subs {
-            self.shard_mut(ix).queue.push_back(sub);
-            self.pump_shard(ix, now);
+            self.queue_sub(ix, sub, now);
         }
+    }
+
+    /// The one way into flight: puts `sub` at the back of `ix`'s queue and
+    /// pumps the shard. `now` is where the sub-batch's traced `sub:wait`
+    /// window starts, so a retry re-bases it: the backoff is not queueing.
+    fn queue_sub(&mut self, ix: Ix, mut sub: SubBatch, now: SimTime) {
+        sub.enqueued = now;
+        self.shard_mut(ix).queue.push_back(sub);
+        self.pump_shard(ix, now);
     }
 
     /// Swaps `table`'s placement to `placement` *live on the simulated
@@ -1325,7 +1355,6 @@ impl ServingRuntime {
         // coordinates — that is where the row physically lives right now)
         // and gather it into the new tier view. Chunked so it pipelines.
         let map = t.map;
-        let mut subs: Vec<(Ix, SubBatch)> = Vec::new();
         let mut per_shard_rows: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
         for &(_, row) in &promoted {
             let shard = map.shard_of(row);
@@ -1336,48 +1365,25 @@ impl ServingRuntime {
             };
             per_shard_rows[shard].push(storage);
         }
-        for (shard, rows) in per_shard_rows.into_iter().enumerate() {
-            for chunk in rows.chunks(MIGRATION_CHUNK_ROWS) {
-                subs.push((
-                    Ix::Dev(shard),
-                    SubBatch {
-                        owner: SubOwner::Migration(t_idx),
-                        table: t_idx,
-                        plan: old_ix as u32,
-                        // Promoted rows come off flash through the NDP
-                        // gather — the device's bulk-read mechanism —
-                        // rather than one conventional read per page.
-                        path: SlsPath::Ndp(SlsOptions::default()),
-                        per_output: chunk.iter().map(|&r| vec![r]).collect(),
-                        slots: (0..chunk.len() as u32).collect(),
-                        attempts: 0,
-                        span: SpanId::NONE,
-                        born: SimTime::ZERO,
-                        enqueued: SimTime::ZERO,
-                    },
-                ));
-            }
-        }
+        // Promoted rows come off flash through the NDP gather — the
+        // device's bulk-read mechanism — rather than one conventional
+        // read per page.
+        let ndp = SlsPath::Ndp(SlsOptions::default());
+        let mut subs: Vec<(Ix, SubBatch)> = per_shard_rows
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, rows)| migration_subs(t_idx, old_ix, Ix::Dev(shard), ndp, rows))
+            .collect();
         // Tier load: the promoted rows' write into host DRAM, modeled as
         // a gather over the new tier view.
         let tier_locals: Vec<u64> = promoted.iter().map(|&(j, _)| j).collect();
-        for chunk in tier_locals.chunks(MIGRATION_CHUNK_ROWS) {
-            subs.push((
-                Ix::Tier,
-                SubBatch {
-                    owner: SubOwner::Migration(t_idx),
-                    table: t_idx,
-                    plan: new_ix as u32,
-                    path: SlsPath::Dram,
-                    per_output: chunk.iter().map(|&r| vec![r]).collect(),
-                    slots: (0..chunk.len() as u32).collect(),
-                    attempts: 0,
-                    span: SpanId::NONE,
-                    born: SimTime::ZERO,
-                    enqueued: SimTime::ZERO,
-                },
-            ));
-        }
+        subs.extend(migration_subs(
+            t_idx,
+            new_ix,
+            Ix::Tier,
+            SlsPath::Dram,
+            &tier_locals,
+        ));
         let t = &mut self.tables[t_idx];
         t.pending = Some(PendingPlan {
             plan: new_ix,
@@ -1390,12 +1396,9 @@ impl ServingRuntime {
             if self.tracer.enabled() {
                 sub.span = self.tracer.alloc_id();
                 sub.born = now;
-                sub.enqueued = now;
             }
-            let plan = sub.plan as usize;
-            self.tables[t_idx].plans[plan].inflight_subs += 1;
-            self.shard_mut(ix).queue.push_back(sub);
-            self.pump_shard(ix, now);
+            self.tables[t_idx].plans[sub.plan as usize].inflight_subs += 1;
+            self.queue_sub(ix, sub, now);
         }
         Some(new_ix)
     }
@@ -1595,15 +1598,11 @@ impl ServingRuntime {
                     self.pump_shard(ix, now);
                 }
                 Ev::Retry(seq) => {
-                    let (ix, mut sub) = self
+                    let (ix, sub) = self
                         .retry_park
                         .remove(&seq)
                         .expect("retry event without a parked sub-batch");
-                    // Re-base the queue-wait span at the re-queue instant
-                    // (the backoff itself is not queueing).
-                    sub.enqueued = now;
-                    self.shard_mut(ix).queue.push_back(sub);
-                    self.pump_shard(ix, now);
+                    self.queue_sub(ix, sub, now);
                 }
                 Ev::Deadline(req) => {
                     self.expire_deadline(now, req);
@@ -1612,127 +1611,97 @@ impl ServingRuntime {
         }
     }
 
-    /// Retires a finished request from the in-flight table into the
-    /// completion deque: stats, request span, degradation flags.
+    /// Hands a request whose last sub-batch retired to
+    /// [`ServingRuntime::complete_request`].
     fn finalize_request(&mut self, req: u64) -> Result<(), ServingError> {
         let t0 = self.wall.begin();
         let Some(inf) = self.inflight.remove(&req) else {
             return Err(ServingError::UnknownCompletion(req));
         };
-        let Some(first_start) = inf.first_start else {
+        if inf.first_start.is_none() {
             return Err(ServingError::ServedBeforeStart(req));
-        };
-        let queue = first_start.saturating_since(inf.arrival);
-        let service = inf.finish.saturating_since(first_start);
-        self.stats.record(
-            inf.arrival,
-            queue,
-            service,
-            inf.finish,
-            inf.batch.total_lookups() as u64,
-            inf.path,
-        );
-        if self.tracer.enabled() && inf.span.is_some() {
-            self.tracer.emit(
-                inf.span,
-                "request",
-                inf.arrival,
-                inf.finish,
-                SpanId::NONE,
-                "degraded",
-                (inf.missing_lookups > 0) as u64,
-                inf.path.name(),
-            );
         }
-        let missing_slots = if inf.missing_lookups > 0 {
-            self.stats.degraded.inc();
-            self.stats.missing_lookups.add(inf.missing_lookups);
-            inf.slot_missing
-        } else {
-            Vec::new()
-        };
-        self.completed.push_back(CompletedRequest {
-            id: RequestId(req),
-            client: inf.client,
-            table: ServedTableId(inf.table),
-            arrival: inf.arrival,
-            finish: inf.finish,
-            queue,
-            service,
-            batch: inf.batch,
-            outputs: inf.acc,
-            missing_lookups: inf.missing_lookups,
-            missing_slots,
-        });
+        let finish = inf.finish;
+        self.complete_request(req, inf, finish);
         self.wall.end(WallPhase::EventDispatch, t0);
         Ok(())
     }
 
     /// Serves request `req` degraded *right now* because its deadline
     /// fired: whatever partials have merged are returned with every
-    /// still-owed slot flagged missing. The inflight entry lingers
-    /// (marked completed) to absorb and discard late sub-batches.
+    /// still-owed slot flagged missing. Its sub-batches still in flight
+    /// are counted in `expired`, where they retire discarded.
     fn expire_deadline(&mut self, now: SimTime, req: u64) {
         // The deadline may fire after the request finished (entry gone)
         // or in the same instant as its completion event (pending == 0):
         // both mean it was served in time.
-        let Some(inf) = self.inflight.get_mut(&req) else {
-            return;
-        };
-        if inf.completed || inf.pending == 0 {
+        if self.inflight.get(&req).is_none_or(|inf| inf.pending == 0) {
             return;
         }
-        inf.completed = true;
+        let mut inf = self.inflight.remove(&req).expect("just checked");
         for (slot, &owed) in inf.slot_pending.iter().enumerate() {
             if owed > 0 {
                 inf.slot_missing[slot] = true;
             }
         }
         inf.missing_lookups += inf.pending_lookups;
-        inf.pending_lookups = 0;
+        self.expired.insert(req, inf.pending);
+        self.complete_request(req, inf, now);
+    }
+
+    /// The one way a request completes, served at `finish`: records its
+    /// latencies and counts its degradation, emits the request span and
+    /// queues the [`CompletedRequest`] for delivery.
+    fn complete_request(&mut self, req: u64, inf: Inflight, finish: SimTime) {
         let (queue, service) = match inf.first_start {
-            Some(fs) => (fs.saturating_since(inf.arrival), now.saturating_since(fs)),
-            None => (now.saturating_since(inf.arrival), SimDuration::ZERO),
+            Some(fs) => (
+                fs.saturating_since(inf.arrival),
+                finish.saturating_since(fs),
+            ),
+            None => (finish.saturating_since(inf.arrival), SimDuration::ZERO),
         };
-        let outputs = std::mem::take(&mut inf.acc);
-        let missing_slots = std::mem::take(&mut inf.slot_missing);
-        let done = CompletedRequest {
+        self.stats.record(
+            inf.arrival,
+            queue,
+            service,
+            finish,
+            inf.batch.total_lookups() as u64,
+            inf.path,
+        );
+        let degraded = inf.missing_lookups > 0;
+        if degraded {
+            self.stats.degraded.inc();
+            self.stats.missing_lookups.add(inf.missing_lookups);
+        }
+        if self.tracer.enabled() && inf.span.is_some() {
+            self.tracer.emit(
+                inf.span,
+                "request",
+                inf.arrival,
+                finish,
+                SpanId::NONE,
+                "degraded",
+                degraded as u64,
+                inf.path.name(),
+            );
+        }
+        self.completed.push_back(CompletedRequest {
             id: RequestId(req),
             client: inf.client,
             table: ServedTableId(inf.table),
             arrival: inf.arrival,
-            finish: now,
+            finish,
             queue,
             service,
-            batch: inf.batch.clone(),
-            outputs,
+            batch: inf.batch,
+            outputs: inf.acc,
             missing_lookups: inf.missing_lookups,
-            missing_slots,
-        };
-        let arrival = inf.arrival;
-        let lookups = inf.batch.total_lookups() as u64;
-        let missing = inf.missing_lookups;
-        let path = inf.path;
-        let span = inf.span;
-        self.stats
-            .record(arrival, queue, service, now, lookups, path);
-        self.stats.degraded.inc();
-        self.stats.missing_lookups.add(missing);
-        if self.tracer.enabled() && span.is_some() {
-            // Late sub-batches that resolve after this instant re-parent
-            // to the root (the request span is already closed).
-            self.tracer.emit(
-                span,
-                "request",
-                arrival,
-                now,
-                SpanId::NONE,
-                "degraded",
-                1,
-                path.name(),
-            );
-        }
-        self.completed.push_back(done);
+            missing_slots: if degraded {
+                inf.slot_missing
+            } else {
+                Vec::new()
+            },
+        });
     }
 
     /// Runs until every submitted request has completed, returning the
@@ -1749,7 +1718,7 @@ impl ServingRuntime {
             done.push(c);
         }
         assert!(
-            self.inflight.is_empty(),
+            self.inflight.is_empty() && self.expired.is_empty(),
             "requests stuck with no pending events"
         );
         assert!(
@@ -1761,10 +1730,7 @@ impl ServingRuntime {
 
     /// The shard (or DRAM tier) addressed by `ix`.
     fn shard_mut(&mut self, ix: Ix) -> &mut Shard {
-        match ix {
-            Ix::Dev(i) => &mut self.shards[i],
-            Ix::Tier => self.tier.as_mut().expect("tier sub-batch without a tier"),
-        }
+        shard_in(&mut self.shards, &mut self.tier, ix)
     }
 
     /// One full visit of a shard at the global instant: merge clocks,
@@ -1773,10 +1739,7 @@ impl ServingRuntime {
     fn pump_shard(&mut self, ix: Ix, now: SimTime) {
         self.sync_shard(ix, now);
         loop {
-            let s = match ix {
-                Ix::Dev(i) => &mut self.shards[i],
-                Ix::Tier => self.tier.as_mut().expect("tier sub-batch without a tier"),
-            };
+            let s = shard_in(&mut self.shards, &mut self.tier, ix);
             if s.inflight.len() >= self.depth || s.queue.is_empty() {
                 break;
             }
@@ -1825,16 +1788,14 @@ impl ServingRuntime {
         self.wall.end(WallPhase::Harvest, t_harvest);
     }
 
-    /// Folds one harvested operator's partial sums into its owning
-    /// requests (or retires migration work) and queues completions on
-    /// the ready-queue. Failed operators instead route every component
-    /// sub-batch through the retry/fallback/degradation policy.
+    /// Retires every component sub-batch of one harvested operator into
+    /// its owner. Failed operators instead route each component through
+    /// the retry/fallback/degradation policy.
     ///
     /// All per-op times derive from the operator's own finish instant —
     /// a shard is only ever harvested *at* that instant (its completion
     /// surfaces as a shard event there).
     fn fold_one(&mut self, ix: Ix, infop: InflightOp, result: OpResult) {
-        let now = result.finished;
         let service = result.finished.saturating_since(result.started);
         match ix {
             Ix::Tier => self.stats.tier_service.record_duration(service),
@@ -1842,95 +1803,20 @@ impl ServingRuntime {
         }
         if result.error.is_some() {
             self.stats.faults.inc();
-            self.handle_failed_op(ix, now, infop, &result);
-            if let Some(outputs) = result.outputs {
-                self.shard_mut(ix).sys.recycle_outputs(outputs);
+            self.handle_failed_op(ix, infop.subs, &result);
+        } else {
+            let outputs = result.outputs.as_ref().expect("SLS ops produce outputs");
+            let mut offset = 0;
+            for sub in infop.subs {
+                let width = sub.per_output.len();
+                let outcome = Outcome::Served { outputs, offset };
+                self.retire_sub(sub, result.started, result.finished, outcome);
+                offset += width;
             }
-            return;
         }
-        let outputs = result.outputs.expect("SLS ops produce outputs");
-        let mut offset = 0usize;
-        for sub in infop.subs {
-            let width = sub.per_output.len();
-            self.tables[infop.table].plans[infop.plan].inflight_subs -= 1;
-            match sub.owner {
-                SubOwner::Request(req) => {
-                    let inf = self.inflight.get_mut(&req).expect("in flight");
-                    if inf.completed {
-                        // Deadline already served this request
-                        // degraded; the late partial is discarded.
-                        // Its span becomes a root — the request span
-                        // closed at the deadline, before this end.
-                        if self.tracer.enabled() && sub.span.is_some() {
-                            self.tracer.emit(
-                                sub.span,
-                                "sub",
-                                sub.born,
-                                result.finished,
-                                SpanId::NONE,
-                                "late",
-                                1,
-                                sub.path.name(),
-                            );
-                        }
-                        inf.pending -= 1;
-                        if inf.pending == 0 {
-                            self.inflight.remove(&req);
-                        }
-                    } else {
-                        for (i, &slot) in sub.slots.iter().enumerate() {
-                            let src = outputs.row(offset + i);
-                            for (o, v) in inf.acc.row_mut(slot as usize).iter_mut().zip(src) {
-                                *o += *v;
-                            }
-                            inf.slot_pending[slot as usize] -= 1;
-                        }
-                        inf.pending_lookups -= sub.lookups() as u64;
-                        inf.first_start = Some(match inf.first_start {
-                            Some(t) => t.min(result.started),
-                            None => result.started,
-                        });
-                        inf.finish = inf.finish.max(result.finished);
-                        if self.tracer.enabled() && sub.span.is_some() {
-                            self.tracer.emit(
-                                sub.span,
-                                "sub",
-                                sub.born,
-                                result.finished,
-                                inf.span,
-                                "lookups",
-                                sub.lookups() as u64,
-                                sub.path.name(),
-                            );
-                        }
-                        inf.pending -= 1;
-                        if inf.pending == 0 {
-                            self.ready.push(Reverse((inf.finish.as_ns(), req)));
-                        }
-                    }
-                }
-                SubOwner::Migration(t_idx) => {
-                    // Migration partials are discarded — the read
-                    // itself was the cost. The last one activates the
-                    // pending plan for all admissions from `now` on.
-                    if self.tracer.enabled() && sub.span.is_some() {
-                        self.tracer.emit(
-                            sub.span,
-                            "migration",
-                            sub.born,
-                            result.finished,
-                            SpanId::NONE,
-                            "lookups",
-                            sub.lookups() as u64,
-                            sub.path.name(),
-                        );
-                    }
-                    self.migration_sub_done(t_idx);
-                }
-            }
-            offset += width;
+        if let Some(outputs) = result.outputs {
+            self.shard_mut(ix).sys.recycle_outputs(outputs);
         }
-        self.shard_mut(ix).sys.recycle_outputs(outputs);
     }
 
     /// Routes every component of a failed device operator through the
@@ -1938,98 +1824,106 @@ impl ServingRuntime {
     /// from the NDP to the baseline path) while the retry budget lasts,
     /// then give the sub-batch up — requests serve degraded with the
     /// loss flagged, migration chunks are abandoned (they model movement
-    /// cost only, so giving up is safe).
-    fn handle_failed_op(&mut self, ix: Ix, now: SimTime, infop: InflightOp, result: &OpResult) {
+    /// cost only, so giving up is safe). A straggler of a request its
+    /// deadline already served is given up at once.
+    fn handle_failed_op(&mut self, ix: Ix, subs: Vec<SubBatch>, result: &OpResult) {
         let policy = self.fault_policy;
-        for mut sub in infop.subs {
+        for mut sub in subs {
             sub.attempts += 1;
-            match sub.owner {
-                SubOwner::Request(req) => {
-                    let inf = self.inflight.get_mut(&req).expect("in flight");
-                    if inf.completed {
-                        // Deadline already served this request degraded;
-                        // drop the straggler instead of retrying it.
-                        self.tables[infop.table].plans[infop.plan].inflight_subs -= 1;
-                        if self.tracer.enabled() && sub.span.is_some() {
-                            self.tracer.emit(
-                                sub.span,
-                                "sub",
-                                sub.born,
-                                result.finished,
-                                SpanId::NONE,
-                                "dropped",
-                                sub.lookups() as u64,
-                                sub.path.name(),
-                            );
-                        }
-                        let inf = self.inflight.get_mut(&req).expect("in flight");
-                        inf.pending -= 1;
-                        if inf.pending == 0 {
-                            self.inflight.remove(&req);
-                        }
-                        continue;
-                    }
-                    // The failed attempt still occupied the device: it
-                    // counts toward the request's service time.
-                    inf.first_start = Some(match inf.first_start {
-                        Some(t) => t.min(result.started),
-                        None => result.started,
-                    });
-                    if sub.attempts > policy.max_retries {
-                        // Budget exhausted: serve without these rows.
-                        inf.finish = inf.finish.max(result.finished);
-                        let dropped = sub.lookups() as u64;
-                        inf.missing_lookups += dropped;
-                        inf.pending_lookups -= dropped;
-                        for &slot in &sub.slots {
-                            inf.slot_pending[slot as usize] -= 1;
-                            inf.slot_missing[slot as usize] = true;
-                        }
-                        inf.pending -= 1;
-                        let completed = inf.pending == 0;
-                        let fin_ns = inf.finish.as_ns();
-                        let parent = inf.span;
-                        self.tables[infop.table].plans[infop.plan].inflight_subs -= 1;
-                        if self.tracer.enabled() && sub.span.is_some() {
-                            self.tracer.emit(
-                                sub.span,
-                                "sub",
-                                sub.born,
-                                result.finished,
-                                parent,
-                                "dropped",
-                                dropped,
-                                sub.path.name(),
-                            );
-                        }
-                        if completed {
-                            self.ready.push(Reverse((fin_ns, req)));
-                        }
-                        continue;
-                    }
-                    self.schedule_retry(ix, now, sub, &policy);
-                }
-                SubOwner::Migration(t_idx) => {
-                    if sub.attempts > policy.max_retries {
-                        self.tables[infop.table].plans[infop.plan].inflight_subs -= 1;
-                        if self.tracer.enabled() && sub.span.is_some() {
-                            self.tracer.emit(
-                                sub.span,
-                                "migration",
-                                sub.born,
-                                result.finished,
-                                SpanId::NONE,
-                                "dropped",
-                                sub.lookups() as u64,
-                                sub.path.name(),
-                            );
-                        }
-                        self.migration_sub_done(t_idx);
-                        continue;
-                    }
-                    self.schedule_retry(ix, now, sub, &policy);
-                }
+            let expired =
+                matches!(sub.owner, SubOwner::Request(req) if self.expired.contains_key(&req));
+            if expired || sub.attempts > policy.max_retries {
+                self.retire_sub(sub, result.started, result.finished, Outcome::Dropped);
+                continue;
             }
+            if let SubOwner::Request(req) = sub.owner {
+                // The failed attempt still occupied the device: it counts
+                // toward the request's service time.
+                let inf = self.inflight.get_mut(&req).expect("in flight");
+                inf.note_start(result.started);
+            }
+            self.schedule_retry(ix, result.finished, sub, &policy);
+        }
+    }
+
+    /// The one way out of flight: settles `sub`, whose last device
+    /// operator ran over `[started, finished]`, and releases its plan pin.
+    /// By owner and outcome the sub-batch has *merged* (its partial sums
+    /// fold into its request), merged *late* (the deadline already served
+    /// the request: the partial is discarded), been *dropped* (its slots
+    /// are flagged missing; after the deadline it is simply discarded) or
+    /// is a *migration* chunk (retired or abandoned; the read was the
+    /// cost). Emits the sub-batch's one span, and queues its request on
+    /// the ready-queue once nothing else is owed.
+    fn retire_sub(
+        &mut self,
+        sub: SubBatch,
+        started: SimTime,
+        finished: SimTime,
+        outcome: Outcome<'_>,
+    ) {
+        self.tables[sub.table].plans[sub.plan as usize].inflight_subs -= 1;
+        let lookups = sub.lookups() as u64;
+        let arg = match outcome {
+            Outcome::Served { .. } => ("lookups", lookups),
+            Outcome::Dropped => ("dropped", lookups),
+        };
+        let (name, parent, arg) = match sub.owner {
+            SubOwner::Migration(t_idx) => {
+                self.migration_sub_done(t_idx);
+                ("migration", SpanId::NONE, arg)
+            }
+            SubOwner::Request(req) => match self.inflight.get_mut(&req) {
+                Some(inf) => {
+                    inf.note_start(started);
+                    inf.finish = inf.finish.max(finished);
+                    inf.pending_lookups -= lookups;
+                    for (i, &slot) in sub.slots.iter().enumerate() {
+                        let slot = slot as usize;
+                        inf.slot_pending[slot] -= 1;
+                        match outcome {
+                            Outcome::Served { outputs, offset } => {
+                                let src = outputs.row(offset + i);
+                                for (o, v) in inf.acc.row_mut(slot).iter_mut().zip(src) {
+                                    *o += *v;
+                                }
+                            }
+                            Outcome::Dropped => inf.slot_missing[slot] = true,
+                        }
+                    }
+                    if let Outcome::Dropped = outcome {
+                        inf.missing_lookups += lookups;
+                    }
+                    inf.pending -= 1;
+                    if inf.pending == 0 {
+                        self.ready.push(Reverse((inf.finish.as_ns(), req)));
+                    }
+                    ("sub", inf.span, arg)
+                }
+                None => {
+                    // The request span closed at the deadline, before
+                    // this end, so the straggler's span is a root.
+                    let owed = self
+                        .expired
+                        .get_mut(&req)
+                        .expect("sub-batch of a known request");
+                    *owed -= 1;
+                    if *owed == 0 {
+                        self.expired.remove(&req);
+                    }
+                    let arg = match outcome {
+                        Outcome::Served { .. } => ("late", 1),
+                        Outcome::Dropped => arg,
+                    };
+                    ("sub", SpanId::NONE, arg)
+                }
+            },
+        };
+        if self.tracer.enabled() && sub.span.is_some() {
+            let (key, val) = arg;
+            let path = sub.path.name();
+            self.tracer
+                .emit(sub.span, name, sub.born, finished, parent, key, val, path);
         }
     }
 
@@ -2087,6 +1981,42 @@ impl ServingRuntime {
             }
         }
     }
+}
+
+/// The shard (or DRAM tier) addressed by `ix`, borrowed apart from the
+/// rest of the runtime.
+fn shard_in<'a>(shards: &'a mut [Shard], tier: &'a mut Option<Shard>, ix: Ix) -> &'a mut Shard {
+    match ix {
+        Ix::Dev(i) => &mut shards[i],
+        Ix::Tier => tier.as_mut().expect("tier sub-batch without a tier"),
+    }
+}
+
+/// Migration work of served table `table`: `rows` (local to `ix` under
+/// routing generation `plan`), one per output, in sub-batches of at most
+/// [`MIGRATION_CHUNK_ROWS`].
+fn migration_subs(
+    table: usize,
+    plan: usize,
+    ix: Ix,
+    path: SlsPath,
+    rows: &[u64],
+) -> impl Iterator<Item = (Ix, SubBatch)> + '_ {
+    rows.chunks(MIGRATION_CHUNK_ROWS).map(move |chunk| {
+        let sub = SubBatch {
+            owner: SubOwner::Migration(table),
+            table,
+            plan: plan as u32,
+            path,
+            per_output: chunk.iter().map(|&r| vec![r]).collect(),
+            slots: (0..chunk.len() as u32).collect(),
+            attempts: 0,
+            span: SpanId::NONE,
+            born: SimTime::ZERO,
+            enqueued: SimTime::ZERO,
+        };
+        (ix, sub)
+    })
 }
 
 /// Polls `s`'s system for finished operators, appends them to `out` in
@@ -2212,11 +2142,6 @@ fn dispatch_on(
     debug_assert_eq!(s.sys.now(), now, "dispatch on an unsynced shard");
     s.note_occupancy(now);
     let op = s.sys.submit_traced(kind, op_parent);
-    s.inflight.push(InflightOp {
-        op,
-        table,
-        plan,
-        subs: taken,
-    });
+    s.inflight.push(InflightOp { op, subs: taken });
     n_subs
 }

@@ -159,14 +159,17 @@ pub(crate) struct SubBatch {
     /// Times this sub-batch has been dispatched and failed (drives the
     /// retry/backoff/fallback policy; 0 on first dispatch).
     pub attempts: u32,
-    /// Trace span pre-allocated at admission (emitted when the sub-batch
-    /// resolves: merged, dropped, or retired). `SpanId::NONE` untraced.
+    /// Trace span pre-allocated when the sub-batch is split off (at
+    /// admission, or at refresh for migration work) and emitted once, by
+    /// the runtime's `retire_sub`, as it leaves flight: merged, late,
+    /// dropped or migration. `SpanId::NONE` untraced.
     pub span: SpanId,
     /// When the sub-batch was split off its request (= the arrival
     /// instant; migration subs are born at refresh time).
     pub born: SimTime,
-    /// When it last entered a shard queue (advanced by retry re-queues)
-    /// — the start of the traced `sub:wait` window.
+    /// When it last entered a shard queue through the runtime's
+    /// `queue_sub` (retries included) — the start of the traced
+    /// `sub:wait` window.
     pub enqueued: SimTime,
 }
 

@@ -14,6 +14,7 @@
 
 use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
+use recssd_placement::{PlacementPlan, PlacementPolicy};
 use recssd_serving::{
     chrome_trace_json, validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement,
     SchedulePolicy, ServingConfig, ServingRuntime, ServingStats, SlsPath,
@@ -458,12 +459,37 @@ fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
     }
 }
 
-/// Acceptance bar: the instruments agree by construction. On three
+/// The quick-scale NDP workload over tables that pin a tenth of their
+/// rows into the DRAM tier, on a host with one SLS worker behind four
+/// operator slots: the tier's operators queue for the worker.
+fn queued_tier_run() -> ServingRuntime {
+    let mut cfg = ServingConfig::small_wide(1, SchedulePolicy::Fifo).with_depth(4);
+    cfg.system.host.sls_workers = 1;
+    let mut rt = ServingRuntime::new(&cfg);
+    rt.enable_tracing();
+    let plan = PlacementPlan::build(
+        &quick_scale::profile(1.2),
+        &PlacementPolicy::hot_fraction(0.1),
+    );
+    let tables = quick_scale::add_tables(&mut rt, quick_scale::DIM, Some(&plan));
+    quick_scale::serve(
+        &mut rt,
+        tables,
+        1.2,
+        quick_scale::CLIENTS,
+        quick_scale::ndp(),
+    );
+    rt
+}
+
+/// Acceptance bar: the instruments agree by construction. On four
 /// traced runs taken to idle — the quick-scale 8-engine NDP run, the
-/// heat-packed baseline and the mixed-path run — per shard, Σ `fw:exec`
-/// == `firmware_busy()`, Σ `fw:engine` of member `e` == `engine_busy(e)`
-/// and Σ `flash:xfer` of member `c` == `channel_busy[c]`; the bottleneck
-/// row of each member carries that same integer; and no path is
+/// heat-packed baseline, the mixed-path run and a run whose DRAM tier
+/// queues — per shard, Σ `fw:exec` == `firmware_busy()`, Σ `fw:engine`
+/// of member `e` == `engine_busy(e)` and Σ `flash:xfer` of member `c` ==
+/// `channel_busy[c]`; the bottleneck row of each member carries that same
+/// integer; the `tier:dram` row carries the service `tier_service`
+/// records, never an operator's wait for a host worker; and no path is
 /// observed above the rate it can sustain.
 #[test]
 fn instruments_agree_by_construction() {
@@ -471,6 +497,7 @@ fn instruments_agree_by_construction() {
         quick_scale::wide_ndp_run(1, 8, 4, true),
         quick_scale::baseline_run(true, 4, true),
         run_mixed(true, false).0,
+        queued_tier_run(),
     ];
     for mut rt in runs {
         rt.run_until_idle();
@@ -493,6 +520,10 @@ fn instruments_agree_by_construction() {
             let row = report.ranked.iter().find(|r| r.resource == name);
             assert_eq!(row.map(|r| r.service_ns), Some(busy), "{name}: report");
         }
+        let tier = &rt.stats().tier_service;
+        let tier_ns = (tier.mean() * tier.count() as f64).round() as u64;
+        let row = report.ranked.iter().find(|r| r.resource == "tier:dram");
+        assert_eq!(row.map_or(0, |r| r.service_ns), tier_ns, "tier:dram");
         assert!(!report.headroom.is_empty());
         for h in &report.headroom {
             assert!(h.observed_rps <= h.sustainable_rps, "{h:?}");

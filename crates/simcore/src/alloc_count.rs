@@ -4,8 +4,8 @@
 //! The SLS datapath promises *zero heap allocations per gathered vector*
 //! in steady state. That claim is only trustworthy if it is measured, so
 //! this module provides a [`CountingAllocator`] that wraps the system
-//! allocator and counts allocation events (allocs and reallocs — frees
-//! are tracked separately) and the bytes requested and freed, so
+//! allocator and counts allocation events (allocs and reallocs; frees
+//! are not events) and the bytes requested and freed, so
 //! [`live_bytes`] reads the heap a region left resident. Install it in a
 //! test binary or behind a feature flag:
 //!
@@ -23,7 +23,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -42,7 +41,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
         FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -58,11 +56,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Allocation events (allocs + reallocs) since process start.
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Free events since process start.
-pub fn free_count() -> u64 {
-    FREES.load(Ordering::Relaxed)
 }
 
 /// Bytes requested across all allocation events since process start.
