@@ -14,7 +14,7 @@
 
 use std::process::{Command, Output};
 
-use recssd_serving::{chrome_trace_json, ServingRuntime, SpanRec};
+use recssd_serving::{bottleneck_report, chrome_trace_json, ServingRuntime, SpanRec};
 
 #[path = "../../serving/tests/quick_scale/mod.rs"]
 mod quick_scale;
@@ -36,7 +36,7 @@ fn analyze(text: &str, name: &str, args: &[&str]) -> Output {
 /// bottleneck report against the live one; returns the top row.
 fn offline_matches_live(mut rt: ServingRuntime, name: &str) -> String {
     let (busiest, _) = quick_scale::busiest_member(&mut rt);
-    let live = rt.bottleneck_report().render();
+    let live = bottleneck_report(&rt.snapshot_trace()).render();
     let out = analyze(&chrome_trace_json(&rt.take_trace()), name, &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(

@@ -6,7 +6,8 @@
 //! workers", with the SLS worker count matched to the driver's I/O queues.
 //! [`System`] reproduces that: SLS operators occupy an *SLS worker* (a
 //! UNVMe polling thread bound to an NVMe queue pair) for their duration;
-//! dense compute occupies an *NN worker*. Operators are state machines
+//! dense compute occupies an *NN worker*, each pool a [`recssd_sim::Slots`]
+//! held from dispatch to finish. Operators are state machines
 //! advanced by device completions and host-compute timer events, all on
 //! one deterministic virtual clock.
 
@@ -18,7 +19,7 @@ use recssd_embedding::{LookupBatch, RowScratch, TableId, TableImage};
 use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
-use recssd_sim::{EventQueue, FxHashMap, PageImage, SimDuration, SimTime};
+use recssd_sim::{EventQueue, FxHashMap, PageImage, SimDuration, SimTime, Slots};
 use recssd_ssd::{SsdDevice, SsdEvent};
 
 use crate::ndp::NdpSlsEngine;
@@ -188,19 +189,18 @@ enum PoolKind {
     Nn,
 }
 
+/// A worker pool and the operators waiting for a worker, in FIFO order.
 #[derive(Debug)]
 struct Pool {
-    free: Vec<usize>,
+    workers: Slots,
     ready: VecDeque<OpId>,
-    bound: Vec<Option<OpId>>,
 }
 
 impl Pool {
     fn new(workers: usize) -> Self {
         Pool {
-            free: (0..workers).rev().collect(),
+            workers: Slots::new(workers),
             ready: VecDeque::new(),
-            bound: vec![None; workers],
         }
     }
 }
@@ -208,7 +208,8 @@ impl Pool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SysEvent {
     Dev(SsdEvent),
-    Worker { pool: PoolKind, worker: usize },
+    /// A host-compute charge of the operator ended on its worker.
+    Worker(OpId),
 }
 
 /// One distinct flash page of a baseline op: its work items are
@@ -303,7 +304,6 @@ enum Phase {
 struct Op {
     kind: OpKind,
     phase: Phase,
-    pool: PoolKind,
     worker: Option<usize>,
     deps_left: usize,
     dependents: Vec<OpId>,
@@ -414,10 +414,10 @@ impl System {
     /// device command counters, the NDP engine's request breakdowns, PCIe
     /// link counters, FTL counters and cache hit stats, firmware-core and
     /// SLS-engine busy time, flash array counters and latency histograms,
-    /// fault-plan fire counts
-    /// (injection streams are untouched, preserving deterministic
-    /// replay), host LRU cache stats and partition stats. Table contents,
-    /// mappings and the virtual clock are unaffected.
+    /// fault-plan fire counts (injection streams are untouched,
+    /// preserving deterministic replay), host LRU cache stats, partition
+    /// stats and the worker pools' busy time. Table contents, mappings
+    /// and the virtual clock are unaffected.
     pub fn reset_stats(&mut self) {
         self.dev.reset_stats();
         self.reset_host_stats();
@@ -552,13 +552,22 @@ impl System {
         self.partition_stats.get(&table.0).copied()
     }
 
-    /// Resets host-side cache and partition statistics (between warm-up
-    /// and measurement phases).
+    /// Resets host-side statistics (between warm-up and measurement
+    /// phases): cache and partition stats and the worker pools' busy time.
     fn reset_host_stats(&mut self) {
         for c in self.host_caches.values_mut() {
             c.reset_stats();
         }
         self.partition_stats.clear();
+        let now = self.q.now();
+        self.sls.workers.reset(now);
+        self.nn.workers.reset(now);
+    }
+
+    /// Busy time of the SLS worker pool since the last stats reset: Σ over
+    /// workers of their holds, dispatch to finish (an open hold up to now).
+    pub fn sls_busy(&self) -> SimDuration {
+        self.sls.workers.busy(self.q.now())
     }
 
     /// Submits an operator with no dependencies.
@@ -603,7 +612,6 @@ impl System {
         let op = Op {
             kind,
             phase: Phase::Pending,
-            pool,
             worker: None,
             deps_left,
             dependents: Vec::new(),
@@ -694,9 +702,7 @@ impl System {
                 }
                 self.poll_completions(now);
             }
-            SysEvent::Worker { pool, worker } => {
-                self.on_worker_event(now, pool, worker);
-            }
+            SysEvent::Worker(id) => self.on_worker_event(now, id),
         }
     }
 
@@ -709,15 +715,13 @@ impl System {
 
     /// Assigns free workers to ready operators.
     fn dispatch(&mut self, pool: PoolKind) {
-        loop {
-            let now = self.q.now();
+        let now = self.q.now();
+        while !self.pool_mut(pool).ready.is_empty() {
             let p = self.pool_mut(pool);
-            let (Some(&_), Some(_)) = (p.free.last(), p.ready.front()) else {
+            let Some(worker) = p.workers.acquire(now) else {
                 return;
             };
-            let worker = p.free.pop().expect("checked");
             let id = p.ready.pop_front().expect("checked");
-            p.bound[worker] = Some(id);
             let op = self.ops.get_mut(&id).expect("ready op exists");
             op.worker = Some(worker);
             op.started = now;
@@ -730,9 +734,7 @@ impl System {
     /// Charges host compute on the op's worker; the continuation runs at
     /// the matching [`SysEvent::Worker`].
     fn charge(&mut self, op: OpId, dur: SimDuration) {
-        let o = &self.ops[&op];
-        let (pool, worker) = (o.pool, o.worker.expect("op holds a worker"));
-        self.q.push_after(dur, SysEvent::Worker { pool, worker });
+        self.q.push_after(dur, SysEvent::Worker(op));
     }
 
     /// Emits a phase span `[op.phase_started, now]` parented to the op's
@@ -806,8 +808,7 @@ impl System {
         }
     }
 
-    fn on_worker_event(&mut self, now: SimTime, pool: PoolKind, worker: usize) {
-        let id = self.pool_mut(pool).bound[worker].expect("worker event without bound op");
+    fn on_worker_event(&mut self, now: SimTime, id: OpId) {
         let phase = std::mem::replace(
             &mut self.ops.get_mut(&id).expect("op").phase,
             Phase::Pending,
@@ -1408,15 +1409,21 @@ impl System {
         if self.tracer.enabled() && op.span.is_some() {
             // Tail phase: whatever ran since the last phase span ended.
             // For a failed op it covers the abort drain, which the
-            // `failed` argument on the op span flags.
-            let (tail, label) = match &op.kind {
-                OpKind::DramSls { .. } => ("op:compute", "dram"),
-                OpKind::HostCompute { .. } => ("op:compute", "host"),
-                OpKind::BaselineSls { .. } => ("base:io", "baseline"),
-                OpKind::NdpSls { .. } => ("ndp:merge", "ndp"),
+            // `failed` argument on the op span flags. An `op:compute`
+            // window is its worker's whole hold and declares its pool width.
+            let workers = (
+                "workers",
+                self.pool_mut(op.kind.pool()).workers.width() as u64,
+            );
+            let (tail, label, (key, val)) = match &op.kind {
+                OpKind::DramSls { .. } => ("op:compute", "dram", workers),
+                OpKind::HostCompute { .. } => ("op:compute", "host", workers),
+                OpKind::BaselineSls { .. } => ("base:io", "baseline", ("", 0)),
+                OpKind::NdpSls { .. } => ("ndp:merge", "ndp", ("", 0)),
             };
             if now > op.phase_started {
-                self.tracer.span(tail, op.phase_started, now, op.span);
+                self.tracer
+                    .span_arg(tail, op.phase_started, now, op.span, key, val);
             }
             self.tracer.emit(
                 op.span,
@@ -1448,18 +1455,16 @@ impl System {
             },
         );
         // Release the worker.
-        let pool_kind = op.pool;
+        let pool_kind = op.kind.pool();
         if let Some(w) = op.worker {
-            let pool = self.pool_mut(pool_kind);
-            pool.bound[w] = None;
-            pool.free.push(w);
+            self.pool_mut(pool_kind).workers.release(now, w);
         }
         // Wake dependents.
         for dep in op.dependents {
             let d = self.ops.get_mut(&dep).expect("dependent exists");
             d.deps_left -= 1;
             if d.deps_left == 0 {
-                let p = d.pool;
+                let p = d.kind.pool();
                 self.pool_mut(p).ready.push_back(dep);
                 self.dispatch(p);
             }

@@ -355,6 +355,44 @@ fn worker_pool_serialises_excess_ops() {
     );
 }
 
+/// The SLS pool's busy time is its traced `op:compute` windows: five DRAM
+/// operators of different sizes queue for two workers, Σ window lengths
+/// equals `sls_busy()`, and every window declares the pool's two workers.
+#[test]
+fn sls_pool_busy_equals_its_traced_compute_windows() {
+    let mut cfg = RecSsdConfig::small();
+    cfg.host.sls_workers = 2;
+    let mut sys = System::new(cfg);
+    let sink = recssd::TraceSink::new();
+    sys.set_tracer(sink.tracer(1, 0));
+    let table = spread_table(&mut sys, 400, 16, Quantization::F32, 8);
+    let mut rng = Xoshiro256::seed_from(3);
+    let ops: Vec<_> = (1..=5)
+        .map(|n| {
+            sys.submit(OpKind::dram_sls(
+                table,
+                random_batch(&mut rng, 400, 2, 4 * n),
+            ))
+        })
+        .collect();
+    sys.run_until_idle();
+    assert!(sys.result(ops[2]).started > sys.result(ops[0]).started);
+    let windows: Vec<_> = sink
+        .take_spans()
+        .into_iter()
+        .filter(|s| s.name == "op:compute")
+        .collect();
+    assert_eq!(windows.len(), ops.len());
+    assert!(windows
+        .iter()
+        .all(|s| (s.arg_key, s.arg_val) == ("workers", 2)));
+    let traced: u64 = windows.iter().map(|s| s.end_ns - s.start_ns).sum();
+    assert!(traced > 0);
+    assert_eq!(traced, sys.sls_busy().as_ns());
+    sys.reset_stats();
+    assert_eq!(sys.sls_busy().as_ns(), 0);
+}
+
 #[test]
 fn identical_runs_are_deterministic() {
     let run = || {

@@ -19,13 +19,15 @@
 //! channels, plus the DRAM tier — by utilisation, and bounds each path's
 //! sustainable rate by the operational law.
 //!
-//! One rule defines utilisation: a server's service integral ÷ elapsed.
-//! Every device server is a FIFO single server (`recssd_sim::Server`)
-//! whose owner traces each service window from the same start site that
-//! charges its busy counter, so the service integral of a row here *is*
-//! that member's counter (`firmware_busy`, `engine_busy(e)`,
-//! `channel_busy[c]`), and [`crate::timeline`] reads the same windows
-//! through the same span→server map.
+//! One rule defines utilisation: a server's service integral ÷ (elapsed ×
+//! its width). Every device server is a FIFO single server
+//! (`recssd_sim::Server`, width 1) whose owner traces each service window
+//! from the same start site that charges its busy counter, so the service
+//! integral of a row here *is* that member's counter (`firmware_busy`,
+//! `engine_busy(e)`, `channel_busy[c]`). The DRAM tier is a host worker
+//! pool (`recssd_sim::Slots`) whose windows declare its width in a
+//! `workers` argument. [`crate::timeline`] reads the same windows and
+//! widths through the same span→server map.
 //!
 //! Everything here is a **pure observer**: the inputs are recorded
 //! spans, the functions allocate only local state, and the same span
@@ -240,18 +242,6 @@ impl PathProfile {
         }
         self.tail_phase_ns[phase.index()] as f64 / self.tail_e2e_ns as f64
     }
-
-    /// The phase with the largest attributed time (ties broken by
-    /// attribution priority).
-    pub fn top_phase(&self) -> Phase {
-        let mut best = Phase::Admission;
-        for &p in &Phase::ALL {
-            if self.phase_ns[p.index()] >= self.phase_ns[best.index()] {
-                best = p;
-            }
-        }
-        best
-    }
 }
 
 /// Whole-trace critical-path report: per-path aggregate profiles plus
@@ -396,26 +386,6 @@ pub(crate) fn union_len(ivs: &mut [(u64, u64)]) -> u64 {
     covered
 }
 
-/// Peak concurrency of a set of service intervals. Back-to-back
-/// intervals do not count as concurrent — ends sort before starts at the
-/// same instant.
-fn peak_concurrency(ivs: &[(u64, u64)]) -> u32 {
-    let mut ev: Vec<(u64, i32)> = Vec::with_capacity(ivs.len() * 2);
-    for &(a, b) in ivs {
-        if b > a {
-            ev.push((a, 1));
-            ev.push((b, -1));
-        }
-    }
-    ev.sort_unstable();
-    let (mut cur, mut peak) = (0i32, 0i32);
-    for (_, d) in ev {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak as u32
-}
-
 /// A simulated server, as the trace names it: the span→server map that
 /// [`bottleneck_report`] and [`crate::timeline::utilization_timelines`]
 /// share. Device servers are members of device shard `pid − 1`; the
@@ -430,8 +400,7 @@ pub(crate) enum Server {
     Flash { shard: u32, ch: u64 },
     /// The host DRAM tier (the `op:compute` windows of operators on
     /// [`track::PID_TIER`], each `[started, finished]` on a host worker):
-    /// a shared-queue worker pool, the one server whose width the trace
-    /// does not state.
+    /// a shared-queue worker pool as wide as its windows declare.
     Tier,
 }
 
@@ -476,6 +445,22 @@ impl std::fmt::Display for Server {
             Server::Tier => f.write_str("tier:dram"),
         }
     }
+}
+
+/// Every server's width and service windows. The width is what its
+/// windows declare: the `workers` argument of a worker pool's
+/// `op:compute` window, else one.
+pub(crate) fn server_windows(spans: &[SpanRec]) -> HashMap<Server, (u32, Vec<(u64, u64)>)> {
+    let mut servers: HashMap<Server, (u32, Vec<(u64, u64)>)> = HashMap::new();
+    for s in spans {
+        if let Some(server) = Server::of(s) {
+            let declared = if s.arg_key == "workers" { s.arg_val } else { 1 };
+            let (width, ivs) = servers.entry(server).or_default();
+            *width = (*width).max(u32::try_from(declared).unwrap_or(u32::MAX));
+            ivs.push((s.start_ns, s.end_ns));
+        }
+    }
+    servers
 }
 
 /// Maps an op-phase span name (+ the label of its parent `op` span) to
@@ -730,7 +715,7 @@ pub struct ResourceUse {
     /// a device member this equals its busy counter at idle.
     pub service_ns: u64,
     /// Servers behind the name: 1 for every device member; for the DRAM
-    /// tier's worker pool, the peak service concurrency observed.
+    /// tier, the width of the host worker pool its windows declare.
     pub capacity: u32,
     /// Trace wall span the utilisation is measured over, ns.
     pub elapsed_ns: u64,
@@ -832,41 +817,26 @@ pub(crate) fn trace_window(spans: &[SpanRec]) -> (u64, u64) {
 /// `fw:exec`, `fw:engine` and `flash:xfer` spans named by pid and `ch` —
 /// one row per device member (firmware core, SLS engine, flash channel)
 /// and one for the DRAM tier's `op:compute` windows. Utilisation is the
-/// service integral ÷ elapsed (÷ the tier's observed width); queueing
-/// never counts (see [`utilization_timelines`] for the queueing view).
+/// service integral ÷ (elapsed × the declared width, 1 for a device
+/// member); queueing never counts (see [`utilization_timelines`] for the
+/// queueing view).
 ///
 /// [`utilization_timelines`]: crate::timeline::utilization_timelines
 pub fn bottleneck_report(spans: &[SpanRec]) -> BottleneckReport {
-    let mut service: HashMap<Server, u64> = HashMap::new();
-    let mut tier: Vec<(u64, u64)> = Vec::new();
-    for s in spans {
-        match Server::of(s) {
-            Some(Server::Tier) => tier.push((s.start_ns, s.end_ns)),
-            Some(server) => *service.entry(server).or_default() += s.end_ns - s.start_ns,
-            None => {}
-        }
-    }
     let (start, end) = trace_window(spans);
     let elapsed = end - start;
-    let row = |server: Server, service_ns: u64, capacity: u32| {
-        (
-            server,
-            ResourceUse {
+    let mut ranked: Vec<(Server, ResourceUse)> = server_windows(spans)
+        .into_iter()
+        .map(|(server, (capacity, ivs))| {
+            let row = ResourceUse {
                 resource: server.to_string(),
-                service_ns,
+                service_ns: ivs.iter().map(|&(a, b)| b - a).sum(),
                 capacity,
                 elapsed_ns: elapsed,
-            },
-        )
-    };
-    let mut ranked: Vec<(Server, ResourceUse)> = service
-        .into_iter()
-        .map(|(server, ns)| row(server, ns, 1))
+            };
+            (server, row)
+        })
         .collect();
-    if !tier.is_empty() {
-        let service_ns = tier.iter().map(|&(a, b)| b - a).sum();
-        ranked.push(row(Server::Tier, service_ns, peak_concurrency(&tier)));
-    }
     // Most utilised first: cross-multiplied integer compare of
     // service/capacity so the order never depends on float rounding;
     // the name breaks exact ties.
@@ -1005,7 +975,8 @@ mod tests {
         assert_eq!(report.degraded, 0);
         assert_eq!(report.paths.len(), 1);
         let p = &report.paths[0];
-        assert_eq!(p.top_phase(), Phase::FwExec);
+        let fw = p.phase_ns[Phase::FwExec.index()];
+        assert!(p.phase_ns.iter().all(|&ns| ns <= fw));
         assert!(report.min_conservation >= 0.95);
         assert!(report.render().contains("fw_exec"));
     }
@@ -1111,23 +1082,24 @@ mod tests {
         assert!(report.render().contains("(1.02x)"));
     }
 
-    /// The DRAM tier is the one row whose width is inferred: its peak
-    /// service concurrency, so two overlapping tier operators are one
-    /// two-wide server at half utilisation. Service is the operators'
-    /// `op:compute` windows: an `op`'s wait for a worker is not service.
+    /// The DRAM tier's width is the worker count its `op:compute`
+    /// windows declare, not how many of them overlap: three windows, at
+    /// most two at once, on a four-worker pool are a four-wide server at
+    /// 3/8 utilisation. Service is the operators' `op:compute` windows:
+    /// an `op`'s wait for a worker is not service.
     #[test]
-    fn tier_width_is_its_peak_concurrency() {
+    fn tier_width_is_its_declared_workers() {
         let sink = TraceSink::new();
         let tier = sink.tracer(track::PID_TIER, track::TID_DEVICE);
-        tier.span("op:compute", t(0), t(10), SpanId::NONE);
-        tier.span("op:compute", t(0), t(10), SpanId::NONE);
-        tier.span("op:compute", t(10), t(20), SpanId::NONE);
+        for (a, b) in [(0, 10), (0, 10), (10, 20)] {
+            tier.span_arg("op:compute", t(a), t(b), SpanId::NONE, "workers", 4);
+        }
         tier.span("op", t(0), t(20), SpanId::NONE);
         let report = bottleneck_report(&sink.take_spans());
         let r = &report.ranked[0];
         assert_eq!(r.resource, "tier:dram");
-        assert_eq!((r.service_ns, r.capacity), (30, 2));
-        assert!((r.utilization() - 0.75).abs() < 1e-12);
+        assert_eq!((r.service_ns, r.capacity), (30, 4));
+        assert!((r.utilization() - 0.375).abs() < 1e-12);
     }
 
     #[test]

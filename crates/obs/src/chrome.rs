@@ -30,10 +30,6 @@ pub struct TraceCheck {
     /// Worst child-union coverage over non-degraded request spans
     /// (1.0 when there are none).
     pub min_coverage: f64,
-    /// Id of the worst-covered non-degraded request span (0 if none).
-    pub worst_request: u64,
-    /// Total uncovered time across non-degraded request spans, ns.
-    pub uncovered_ns: u64,
 }
 
 /// One uncovered interval inside a request span, located by the child
@@ -276,8 +272,6 @@ pub fn validate_spans(spans: &[SpanRec]) -> Result<TraceCheck, String> {
     }
     let mut requests = 0usize;
     let mut min_coverage = 1.0f64;
-    let mut worst_request = 0u64;
-    let mut uncovered_ns = 0u64;
     let mut ivs = Vec::new();
     for s in spans.iter().filter(|s| s.name == "request") {
         requests += 1;
@@ -313,19 +307,12 @@ pub fn validate_spans(spans: &[SpanRec]) -> Result<TraceCheck, String> {
                 loc
             ));
         }
-        let e2e = s.end_ns - s.start_ns;
-        uncovered_ns += e2e - (c * e2e as f64).round() as u64;
-        if c < min_coverage {
-            min_coverage = c;
-            worst_request = s.id;
-        }
+        min_coverage = min_coverage.min(c);
     }
     Ok(TraceCheck {
         spans: spans.len(),
         requests,
         min_coverage,
-        worst_request,
-        uncovered_ns,
     })
 }
 
@@ -491,8 +478,7 @@ mod tests {
         assert!(report[0].gaps.is_empty());
         assert_eq!(report[0].coverage, 1.0);
         let check = validate_spans(&demo_spans()).expect("valid");
-        assert_eq!(check.uncovered_ns, 0);
-        assert_eq!(check.worst_request, 0, "no request fell below 1.0");
+        assert_eq!(check.min_coverage, 1.0);
     }
 
     #[test]

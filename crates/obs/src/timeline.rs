@@ -5,9 +5,10 @@
 //! bottleneck ranking names (each device shard's firmware core, SLS
 //! engines and flash channels, and the DRAM tier, found through the same
 //! span→server map), and each shard's host-side operator queue —
-//! bucketed into fixed sim-time windows. Servers report busy/idle
-//! fractions of their service windows (a device member's whole-run busy
-//! time is its busy counter); queue resources report arrival rate,
+//! bucketed into fixed sim-time windows. Servers report their service
+//! integral ÷ (window × declared width), the ranking's utilisation (a
+//! device member's whole-run busy time is its busy counter); queue
+//! resources report arrival rate,
 //! time-average occupancy and mean wait, which are
 //! **Little's-law-consistent** by construction over the whole run
 //! (`L = λ·W`, checked in tests via two independent computations: an
@@ -20,7 +21,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::analysis::Server;
+use crate::analysis::server_windows;
 use crate::trace::{track, SpanRec};
 
 /// What kind of resource a timeline describes.
@@ -51,10 +52,12 @@ pub struct UtilWindow {
     pub start_ns: u64,
     /// Window end, ns (exclusive).
     pub end_ns: u64,
-    /// Union of busy intervals clipped to the window, ns.
+    /// Busy time clipped to the window, ns: a server's service integral
+    /// (Σ of its windows), a queue's union of waiting intervals.
     pub busy_ns: u64,
     /// Sum of per-occupant interval lengths clipped to the window, ns
-    /// (equals the occupancy integral; ≥ `busy_ns` under overlap).
+    /// (equals the occupancy integral; for a queue ≥ `busy_ns` under
+    /// overlap).
     pub wait_ns: u64,
     /// Intervals that *start* inside the window.
     pub arrivals: u64,
@@ -65,17 +68,6 @@ pub struct UtilWindow {
     pub occupancy: f64,
 }
 
-impl UtilWindow {
-    /// Busy fraction of the window.
-    pub fn utilization(&self) -> f64 {
-        let len = self.end_ns.saturating_sub(self.start_ns);
-        if len == 0 {
-            return 0.0;
-        }
-        self.busy_ns as f64 / len as f64
-    }
-}
-
 /// A resource's busy/idle/wait decomposition over sim-time windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationTimeline {
@@ -84,6 +76,9 @@ pub struct UtilizationTimeline {
     pub resource: String,
     /// Server or queue semantics.
     pub kind: ResourceKind,
+    /// Servers behind the name (see [`crate::ResourceUse::capacity`]);
+    /// 1 for a queue.
+    pub capacity: u32,
     /// Window length, ns.
     pub window_ns: u64,
     /// The windows, in time order, covering the trace's span window
@@ -92,7 +87,7 @@ pub struct UtilizationTimeline {
     /// Length of that span window, ns: the elapsed time the totals are
     /// measured over, the same one [`crate::bottleneck_report`] ranks by.
     pub elapsed_ns: u64,
-    /// Whole-run busy union, ns.
+    /// Whole-run busy time, ns (as [`UtilWindow::busy_ns`]).
     pub total_busy_ns: u64,
     /// Whole-run sum of interval lengths, ns (Σ per-arrival wait).
     pub total_wait_ns: u64,
@@ -101,12 +96,18 @@ pub struct UtilizationTimeline {
 }
 
 impl UtilizationTimeline {
-    /// Whole-run busy fraction.
-    pub fn utilization(&self) -> f64 {
-        if self.elapsed_ns == 0 {
+    /// `busy_ns` over `len_ns` as a fraction of the capacity.
+    fn share(&self, busy_ns: u64, len_ns: u64) -> f64 {
+        if len_ns == 0 || self.capacity == 0 {
             return 0.0;
         }
-        self.total_busy_ns as f64 / self.elapsed_ns as f64
+        busy_ns as f64 / (len_ns as f64 * self.capacity as f64)
+    }
+
+    /// Whole-run utilisation: busy time ÷ (elapsed × capacity), for a
+    /// server the same value as its [`crate::ResourceUse`] row.
+    pub fn utilization(&self) -> f64 {
+        self.share(self.total_busy_ns, self.elapsed_ns)
     }
 
     /// Whole-run arrival rate, intervals per simulated second.
@@ -156,7 +157,7 @@ impl UtilizationTimeline {
                 w.start_ns,
                 w.end_ns,
                 w.busy_ns,
-                w.utilization(),
+                self.share(w.busy_ns, w.end_ns - w.start_ns),
                 w.wait_ns,
                 w.arrivals,
                 w.completions,
@@ -171,18 +172,22 @@ impl UtilizationTimeline {
 fn build(
     resource: String,
     kind: ResourceKind,
+    capacity: u32,
     mut ivs: Vec<(u64, u64)>,
     window_ns: u64,
     (start_ns, end_ns): (u64, u64),
 ) -> UtilizationTimeline {
     let elapsed_ns = end_ns - start_ns;
     ivs.sort_unstable();
+    // A server is busy for its service integral, a queue while anyone
+    // waits (ivs stays sorted: `union_len` re-sorts sorted input).
+    let busy = |ivs: &mut [(u64, u64)], sum: u64| match kind {
+        ResourceKind::Server => sum,
+        ResourceKind::Queue => crate::analysis::union_len(ivs),
+    };
     let total_arrivals = ivs.len() as u64;
     let total_wait_ns: u64 = ivs.iter().map(|&(a, b)| b - a).sum();
-    let total_busy_ns = {
-        let mut u = ivs.clone();
-        crate::analysis::union_len(&mut u)
-    };
+    let total_busy_ns = busy(&mut ivs, total_wait_ns);
     let n_windows = if elapsed_ns == 0 {
         0
     } else {
@@ -192,7 +197,7 @@ fn build(
     for k in 0..n_windows {
         let ws = start_ns + k * window_ns;
         let we = (ws + window_ns).min(end_ns);
-        let mut busy: Vec<(u64, u64)> = Vec::new();
+        let mut clipped: Vec<(u64, u64)> = Vec::new();
         let mut wait = 0u64;
         let mut arrivals = 0u64;
         let mut completions = 0u64;
@@ -214,7 +219,7 @@ fn build(
             }
             let (ca, cb) = (a.max(ws), b.min(we));
             if cb > ca {
-                busy.push((ca, cb));
+                clipped.push((ca, cb));
                 wait += cb - ca;
                 events.push((ca, 1));
                 events.push((cb, -1));
@@ -235,7 +240,7 @@ fn build(
         windows.push(UtilWindow {
             start_ns: ws,
             end_ns: we,
-            busy_ns: crate::analysis::union_len(&mut busy),
+            busy_ns: busy(&mut clipped, wait),
             wait_ns: wait,
             arrivals,
             completions,
@@ -249,6 +254,7 @@ fn build(
     UtilizationTimeline {
         resource,
         kind,
+        capacity,
         window_ns,
         windows,
         elapsed_ns,
@@ -261,8 +267,9 @@ fn build(
 /// Decomposes a trace into per-resource utilization timelines with
 /// `window_ns`-wide buckets: one per server of the bottleneck ranking
 /// (firmware core, each SLS engine and each flash channel per device
-/// shard, the DRAM tier when the trace has one) and one per host-side
-/// operator queue (from `sub:wait` spans' `shard` argument). Windows
+/// shard, the DRAM tier when the trace has one), at the width its
+/// windows declare, and one per host-side operator queue (from
+/// `sub:wait` spans' `shard` argument). Windows
 /// start at the trace's first span, and the whole-run totals divide by
 /// the window [`crate::bottleneck_report`] uses, so a trace enabled late
 /// reads the same utilisation in both. Timelines are sorted by resource
@@ -270,34 +277,25 @@ fn build(
 pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<UtilizationTimeline> {
     assert!(window_ns > 0, "window_ns must be positive");
     let window = crate::analysis::trace_window(spans);
-    let mut servers: HashMap<Server, Vec<(u64, u64)>> = HashMap::new();
     let mut queues: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
-    for s in spans {
-        if let Some(server) = Server::of(s) {
-            servers
-                .entry(server)
-                .or_default()
-                .push((s.start_ns, s.end_ns));
-            continue;
-        }
-        match s.name {
-            "sub:wait" if s.arg_key == "shard" => {
-                let name = if s.arg_val == track::PID_TIER as u64 {
-                    "queue[tier]".to_string()
-                } else {
-                    format!("queue[shard={}]", s.arg_val.saturating_sub(1))
-                };
-                queues.entry(name).or_default().push((s.start_ns, s.end_ns));
-            }
-            _ => {}
-        }
+    for s in spans
+        .iter()
+        .filter(|s| s.name == "sub:wait" && s.arg_key == "shard")
+    {
+        let name = if s.arg_val == track::PID_TIER as u64 {
+            "queue[tier]".to_string()
+        } else {
+            format!("queue[shard={}]", s.arg_val.saturating_sub(1))
+        };
+        queues.entry(name).or_default().push((s.start_ns, s.end_ns));
     }
-    let mut out: Vec<UtilizationTimeline> = servers
+    let mut out: Vec<UtilizationTimeline> = server_windows(spans)
         .into_iter()
-        .map(|(server, ivs)| {
+        .map(|(server, (width, ivs))| {
             build(
                 server.to_string(),
                 ResourceKind::Server,
+                width,
                 ivs,
                 window_ns,
                 window,
@@ -306,7 +304,7 @@ pub fn utilization_timelines(spans: &[SpanRec], window_ns: u64) -> Vec<Utilizati
         .chain(
             queues
                 .into_iter()
-                .map(|(name, ivs)| build(name, ResourceKind::Queue, ivs, window_ns, window)),
+                .map(|(name, ivs)| build(name, ResourceKind::Queue, 1, ivs, window_ns, window)),
         )
         .collect();
     out.sort_by(|a, b| a.resource.cmp(&b.resource));
@@ -391,22 +389,28 @@ mod tests {
 
     /// A trace that starts late (tracing enabled mid-run): every server
     /// reads the same utilisation here as in the bottleneck ranking, and
-    /// the windows start at the first span, not at t = 0.
+    /// the windows start at the first span, not at t = 0. That includes
+    /// the DRAM tier, whose overlapping `op:compute` windows count once
+    /// each, at the pool width they declare.
     #[test]
     fn late_trace_reads_the_ranked_utilisation() {
         let sink = TraceSink::new();
         let fw = sink.tracer(1, track::TID_FW);
         let flash = sink.tracer(1, track::TID_FLASH);
         let engine = sink.tracer(2, track::TID_ENGINE_BASE);
+        let tier = sink.tracer(track::PID_TIER, track::TID_DEVICE);
         fw.span("fw:exec", t(1_000), t(1_040), SpanId::NONE);
         fw.span("fw:exec", t(1_060), t(1_100), SpanId::NONE);
         flash.span_arg("flash:xfer", t(1_010), t(1_030), SpanId::NONE, "ch", 3);
         engine.span_arg("fw:engine", t(1_020), t(1_090), SpanId::NONE, "ch", 0);
+        for (a, b) in [(1_000, 1_060), (1_030, 1_080), (1_040, 1_050)] {
+            tier.span_arg("op:compute", t(a), t(b), SpanId::NONE, "workers", 4);
+        }
         let spans = sink.take_spans();
 
         let ranked = crate::bottleneck_report(&spans).ranked;
         let tls = utilization_timelines(&spans, 50);
-        assert_eq!(ranked.len(), 3);
+        assert_eq!(ranked.len(), 4);
         for r in &ranked {
             let tl = tls
                 .iter()

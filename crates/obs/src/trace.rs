@@ -121,16 +121,6 @@ impl TraceSink {
         }
     }
 
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.buf.lock().expect("trace sink poisoned").spans.len()
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drains and returns every recorded span, in emission order.
     pub fn take_spans(&self) -> Vec<SpanRec> {
         std::mem::take(&mut self.buf.lock().expect("trace sink poisoned").spans)
@@ -297,7 +287,7 @@ mod tests {
         assert_eq!(spans[1].tid, 7);
         assert_eq!(spans[1].arg_key, "n");
         assert_eq!(spans[1].label, "ndp");
-        assert!(sink.is_empty(), "take_spans drains the sink");
+        assert!(sink.take_spans().is_empty(), "take_spans drains the sink");
     }
 
     #[test]

@@ -54,7 +54,13 @@
 //!   ([`ServingRuntime::shard_occupancy`]), flash channel utilisation
 //!   ([`ServingRuntime::channel_utilisation`]), DRAM-tier occupancy
 //!   ([`ServingRuntime::tier_occupancy`]) and FTL page-cache hits
-//!   ([`ServingRuntime::ftl_cache_stats`]).
+//!   ([`ServingRuntime::ftl_cache_stats`]). Per-path latency attribution
+//!   is [`ServingStats::attribution`].
+//! * **Tracing and analysis** — [`ServingRuntime::enable_tracing`] records
+//!   sim-time spans from every layer and [`ServingRuntime::snapshot_trace`]
+//!   reads them without draining. The analyses are `recssd_obs` calls
+//!   over those spans, re-exported here: [`critical_path_report`],
+//!   [`utilization_timelines`] and [`bottleneck_report`].
 //! * [`LoadGen`] — open-loop (Poisson/uniform arrivals) and closed-loop
 //!   (client population) generators with Zipf-skewed per-table traffic;
 //!   [`LoadGen::run`] resets the runtime's statistics, drives one run and

@@ -42,8 +42,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use recssd::{
-    FaultConfig, FaultPlan, FaultStats, LookupBatch, OpId, OpKind, OpResult, RecSsdConfig,
-    SlsOptions, SlsOutput, System,
+    FaultConfig, FaultPlan, LookupBatch, OpId, OpKind, OpResult, RecSsdConfig, SlsOptions,
+    SlsOutput, System,
 };
 use recssd_embedding::{sls_reference_into, EmbeddingTable, PageLayout, TableImage};
 use recssd_obs::profile::WallPhaseReport;
@@ -52,14 +52,13 @@ use recssd_obs::{SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile};
 use recssd_placement::TablePlacement;
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::HitStats;
-use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
+use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slots};
 
 use crate::adaptive::{
     fold_decision, hit_mass, select_hot_set, AdaptiveState, ADAPTIVE_WEIGHT, DRIFT_FLUSH_DECAY,
     DRIFT_RESET_DROP,
 };
 use crate::shard::{split_batch, Routing, SubBatch, SubOwner};
-use crate::telemetry::PathAttribution;
 use crate::{SchedulePolicy, ServingStats, ShardMap, SlsPath};
 
 /// Largest number of promoted rows carried by one migration operator —
@@ -144,7 +143,7 @@ impl ServingRuntime {
     /// The host's fixed cost of issuing one operator (`sw_cmd_ns +
     /// op_overhead_ns`), which `parallel_ratio` uses as its think time.
     pub fn sync_horizon(&self) -> SimDuration {
-        let host = &self.system_cfg.host;
+        let host = &self.shards[0].sys.config().host;
         SimDuration::from_ns(host.sw_cmd_ns + host.op_overhead_ns)
     }
 }
@@ -337,6 +336,8 @@ enum Outcome<'a> {
 #[derive(Debug)]
 struct InflightOp {
     op: OpId,
+    /// The shard's operator slot the operator holds.
+    slot: usize,
     subs: Vec<SubBatch>,
 }
 
@@ -349,48 +350,23 @@ struct Shard {
     /// Earliest armed shard-tick not yet fired (ticks are only ever
     /// armed earlier, never cancelled; late duplicates are harmless).
     next_tick: Option<SimTime>,
-    // --- occupancy / utilisation telemetry ---
-    /// Time-integral of in-flight operator count, in op-nanoseconds.
-    occ_weighted_ns: u64,
-    /// Instant of the last occupancy change.
-    occ_last: SimTime,
-    /// Start of the current stats window.
-    window_start: SimTime,
+    /// The [`ServingConfig::depth`] operator slots, each held from
+    /// dispatch to the operator's finish: the occupancy telemetry.
+    slots: Slots,
     /// Circuit breaker over this shard's operator outcomes.
     breaker: Breaker,
 }
 
 impl Shard {
-    fn new(cfg: &RecSsdConfig) -> Self {
+    fn new(cfg: &RecSsdConfig, depth: usize) -> Self {
         Shard {
             sys: System::new(cfg.clone()),
             inflight: Vec::new(),
             queue: VecDeque::new(),
             next_tick: None,
-            occ_weighted_ns: 0,
-            occ_last: SimTime::ZERO,
-            window_start: SimTime::ZERO,
+            slots: Slots::new(depth),
             breaker: Breaker::new(),
         }
-    }
-
-    /// Accumulates the occupancy integral up to `at` (monotone per
-    /// shard; out-of-window times saturate to zero-length intervals).
-    fn note_occupancy(&mut self, at: SimTime) {
-        let span = at.saturating_since(self.occ_last);
-        self.occ_weighted_ns += self.inflight.len() as u64 * span.as_ns();
-        self.occ_last = self.occ_last.max(at);
-    }
-
-    /// Time-averaged in-flight operator count over the stats window up
-    /// to `now`, the integral extended to `now` at the current count.
-    fn occupancy(&self, now: SimTime) -> f64 {
-        let window = now.saturating_since(self.window_start).as_ns();
-        if window == 0 {
-            return 0.0;
-        }
-        let tail = now.saturating_since(self.occ_last).as_ns() * self.inflight.len() as u64;
-        (self.occ_weighted_ns + tail) as f64 / window as f64
     }
 }
 
@@ -619,13 +595,10 @@ pub struct AdaptivePolicy {
 #[derive(Debug)]
 pub struct ServingRuntime {
     policy: SchedulePolicy,
-    depth: usize,
     /// Finished requests awaiting delivery, keyed `(finish_ns, id)` —
     /// the canonical completion order.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
     layout: PageLayout,
-    /// Per-shard system template, kept to spin up the DRAM tier lazily.
-    system_cfg: RecSsdConfig,
     shards: Vec<Shard>,
     /// The host DRAM tier: one more pipelined server on the same
     /// timeline, created by the first placed table with a non-empty hot
@@ -680,13 +653,13 @@ impl ServingRuntime {
     pub fn new(cfg: &ServingConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.depth > 0, "queue depth must be at least 1");
-        let shards = (0..cfg.shards).map(|_| Shard::new(&cfg.system)).collect();
+        let shards = (0..cfg.shards)
+            .map(|_| Shard::new(&cfg.system, cfg.depth))
+            .collect();
         ServingRuntime {
             policy: cfg.policy,
-            depth: cfg.depth,
             ready: BinaryHeap::new(),
             layout: cfg.layout,
-            system_cfg: cfg.system.clone(),
             shards,
             tier: None,
             tables: Vec::new(),
@@ -740,9 +713,10 @@ impl ServingRuntime {
 
     /// Clones every span recorded so far *without* draining the sink,
     /// in the same canonical `(start, end, id)` order as
-    /// [`ServingRuntime::take_trace`]. This is the read path for the
-    /// live analysis APIs below: a pure observer that leaves a later
-    /// export untouched.
+    /// [`ServingRuntime::take_trace`]. This is the read path for live
+    /// analysis (`recssd_obs::critical_path_report`,
+    /// `utilization_timelines`, `bottleneck_report`): a pure observer
+    /// that leaves a later export untouched.
     pub fn snapshot_trace(&self) -> Vec<SpanRec> {
         let mut spans = self
             .sink
@@ -750,41 +724,6 @@ impl ServingRuntime {
             .map_or_else(Vec::new, |s| s.snapshot_spans());
         spans.sort_by_key(|s| (s.start_ns, s.end_ns, s.id));
         spans
-    }
-
-    /// Extracts the per-request critical paths from the spans recorded
-    /// so far and aggregates them per serving path (see
-    /// [`recssd_obs::analysis`]): e2e latency segmented into named
-    /// phases with a conservation check. Requires tracing to be on;
-    /// returns an empty report otherwise. Pure observer — calling this
-    /// mid-run perturbs nothing (property-tested in
-    /// `tests/observability.rs`).
-    pub fn critical_path_report(&self) -> recssd_obs::CriticalPathReport {
-        recssd_obs::critical_path_report(&self.snapshot_trace())
-    }
-
-    /// Per-resource busy/idle/wait decomposition of the spans recorded
-    /// so far — every server of [`ServingRuntime::bottleneck_report`]
-    /// (firmware core, each SLS engine and flash channel per shard, the
-    /// DRAM tier) and the per-shard operator queues — bucketed into
-    /// `window`-wide sim-time windows with Little's-law-consistent
-    /// queueing stats. Requires tracing to be on; empty otherwise. Pure
-    /// observer.
-    pub fn utilization_timelines(
-        &self,
-        window: SimDuration,
-    ) -> Vec<recssd_obs::UtilizationTimeline> {
-        recssd_obs::utilization_timelines(&self.snapshot_trace(), window.as_ns().max(1))
-    }
-
-    /// Ranks every simulated server — one row per device member — by
-    /// utilisation (service integral ÷ elapsed: for a device member its
-    /// busy counter ÷ elapsed) and bounds each path's sustainable rate by
-    /// its busiest server (see
-    /// [`recssd_obs::analysis::bottleneck_report`]). Requires tracing to
-    /// be on; empty otherwise. Pure observer.
-    pub fn bottleneck_report(&self) -> recssd_obs::BottleneckReport {
-        recssd_obs::bottleneck_report(&self.snapshot_trace())
     }
 
     /// Turns on wall-clock self-profiling of the simulator loop (where
@@ -800,20 +739,9 @@ impl ServingRuntime {
         self.wall.report()
     }
 
-    /// Per-path latency attribution (queue/service/e2e quantiles for
-    /// each serving path that completed at least one request).
-    pub fn attribution(&self) -> Vec<PathAttribution> {
-        self.stats.attribution()
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Per-shard operator queue depth.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// The current global virtual time: the event clock. Shards are only
@@ -839,9 +767,7 @@ impl ServingRuntime {
         self.wall.reset();
         let now = self.events.now();
         for s in self.shards.iter_mut().chain(self.tier.as_mut()) {
-            s.occ_weighted_ns = 0;
-            s.occ_last = s.occ_last.max(now);
-            s.window_start = now;
+            s.slots.reset(now);
             s.sys.reset_stats();
         }
     }
@@ -851,7 +777,7 @@ impl ServingRuntime {
     /// classic utilisation ρ; pipelining shows up as values above 1.
     pub fn shard_occupancy(&self) -> Vec<f64> {
         let now = self.events.now();
-        self.shards.iter().map(|s| s.occupancy(now)).collect()
+        self.shards.iter().map(|s| s.slots.occupancy(now)).collect()
     }
 
     /// Mean flash channel-bus busy fraction per shard since the last
@@ -862,7 +788,7 @@ impl ServingRuntime {
         self.shards
             .iter()
             .map(|s| {
-                let window = now.saturating_since(s.window_start).as_ns();
+                let window = s.slots.window(now).as_ns();
                 if window == 0 {
                     return 0.0;
                 }
@@ -882,7 +808,7 @@ impl ServingRuntime {
     /// last stats reset (0 when no tier exists).
     pub fn tier_occupancy(&self) -> f64 {
         let now = self.events.now();
-        self.tier.as_ref().map_or(0.0, |s| s.occupancy(now))
+        self.tier.as_ref().map_or(0.0, |s| s.slots.occupancy(now))
     }
 
     /// Hit/miss statistics of each device shard's FTL page cache since
@@ -934,12 +860,6 @@ impl ServingRuntime {
     /// injected.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.fault_policy = policy;
-    }
-
-    /// Per-shard injected-fault totals (`None` for shards without an
-    /// armed fault plan).
-    pub fn shard_fault_stats(&self) -> Vec<Option<FaultStats>> {
-        self.shards.iter().map(|s| s.sys.fault_stats()).collect()
     }
 
     /// Row-range-shards `table` across every shard system and registers
@@ -1073,10 +993,11 @@ impl ServingRuntime {
         let tier_table = (placement.hot_count() > 0).then(|| {
             if self.tier.is_none() {
                 let now = self.events.now();
-                let mut tier = Shard::new(&self.system_cfg);
+                // Shaped like every device shard: the same host and slots.
+                let shape = &self.shards[0];
+                let mut tier = Shard::new(shape.sys.config(), shape.slots.width());
                 tier.sys.run_until(now);
-                tier.occ_last = now;
-                tier.window_start = now;
+                tier.slots.reset(now);
                 tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
                 self.tier = Some(tier);
             }
@@ -1740,10 +1661,13 @@ impl ServingRuntime {
         self.sync_shard(ix, now);
         loop {
             let s = shard_in(&mut self.shards, &mut self.tier, ix);
-            if s.inflight.len() >= self.depth || s.queue.is_empty() {
+            if s.queue.is_empty() {
                 break;
             }
-            let n_subs = dispatch_on(s, ix, now, &self.tables, self.policy, &self.tracer);
+            let Some(slot) = s.slots.acquire(now) else {
+                break;
+            };
+            let n_subs = dispatch_on(s, ix, now, slot, &self.tables, self.policy, &self.tracer);
             self.stats.ops_dispatched.inc();
             self.stats.subs_dispatched.add(n_subs);
         }
@@ -2020,14 +1944,10 @@ fn migration_subs(
 }
 
 /// Polls `s`'s system for finished operators, appends them to `out` in
-/// completion-time order, and settles the shard's occupancy integral in
-/// that order (exact under arbitrary interleavings): before the k-th of
-/// `n` new completions, the still-unfinished remainder plus every later
-/// harvest were all in flight.
+/// completion-time order, and releases each one's slot at its finish
+/// instant in that order, so the occupancy integral is exact however the
+/// harvests interleave.
 fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
-    if s.inflight.is_empty() {
-        return;
-    }
     let start = out.len();
     let mut i = 0;
     while i < s.inflight.len() {
@@ -2038,26 +1958,23 @@ fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
         }
     }
     out[start..].sort_by_key(|(_, r)| r.finished);
-    let base = s.inflight.len() as u64;
-    let n = (out.len() - start) as u64;
-    for (k, (_, r)) in out[start..].iter().enumerate() {
-        let span = r.finished.saturating_since(s.occ_last);
-        s.occ_weighted_ns += (base + n - k as u64) * span.as_ns();
-        s.occ_last = s.occ_last.max(r.finished);
+    for (infop, r) in &out[start..] {
+        s.slots.release(r.finished, infop.slot);
     }
 }
 
 /// Merges the front of `s`'s queue (plus, under micro-batching, every
 /// queued mergeable sub-batch up to the output cap) into one device
-/// operator and submits it — without draining the shard, so multiple
-/// operators pipeline on the device. Returns the number of merged
-/// sub-batches; the caller accounts the dispatch counters. A free
-/// function so the caller can hold the shard mutably beside the
-/// read-only table state and the host-track tracer.
+/// operator and submits it on operator slot `slot` — without draining
+/// the shard, so multiple operators pipeline on the device. Returns the
+/// number of merged sub-batches; the caller accounts the dispatch
+/// counters. A free function so the caller can hold the shard mutably
+/// beside the read-only table state and the host-track tracer.
 fn dispatch_on(
     s: &mut Shard,
     ix: Ix,
     now: SimTime,
+    slot: usize,
     tables: &[ServedTable],
     policy: SchedulePolicy,
     tracer: &Tracer,
@@ -2140,8 +2057,11 @@ fn dispatch_on(
     }
     let op_parent = taken[0].span;
     debug_assert_eq!(s.sys.now(), now, "dispatch on an unsynced shard");
-    s.note_occupancy(now);
     let op = s.sys.submit_traced(kind, op_parent);
-    s.inflight.push(InflightOp { op, subs: taken });
+    s.inflight.push(InflightOp {
+        op,
+        slot,
+        subs: taken,
+    });
     n_subs
 }

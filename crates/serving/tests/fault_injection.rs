@@ -452,7 +452,7 @@ impl Fnv {
 /// FNV-1a over every [`recssd_serving::ServingStats`] field in
 /// declaration order: histograms as their quantile summary, counters as
 /// values, the tier as hits then misses, the private per-path histograms
-/// through `attribution()`, the makespan window last.
+/// through `ServingStats::attribution`, the makespan window last.
 fn stats_digest(rt: &ServingRuntime) -> u64 {
     let s = rt.stats();
     let mut h = Fnv::new();
@@ -485,7 +485,7 @@ fn stats_digest(rt: &ServingRuntime) -> u64 {
     ] {
         h.u64(c.get());
     }
-    for a in rt.attribution() {
+    for a in rt.stats().attribution() {
         h.str(a.path);
         h.u64(a.requests);
         h.quantiles(a.queue);
@@ -565,10 +565,12 @@ fn span_keys(trace: &[SpanRec]) -> Vec<String> {
 /// the span multiset ([`span_keys`]). Span ids are allocation order, not
 /// behaviour; everything else about the run is held here.
 ///
-/// The span golden was re-recorded once, when every `flash:xfer` gained
-/// its channel as a `ch` member argument (service windows of the one
-/// server type). Every span but the service windows is pinned apart, as
-/// recorded on the parent of that change.
+/// The span goldens were re-recorded twice: when every `flash:xfer`
+/// gained its channel as a `ch` member argument (service windows of the
+/// one server type), and when every `op:compute` window gained its worker
+/// pool's width as a `workers` argument; with that argument stripped the
+/// spans hash to the constants before it. Every span but the device
+/// service windows is pinned apart.
 #[test]
 fn pinned_mixed_path_run_matches_the_recorded_goldens() {
     const GOLDEN_ROWS: u64 = 600;
@@ -627,13 +629,13 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
             0xA835_FA22_3249_19C1,
             0xEC25_F8D9_CF2A_2457,
             977,
-            0xE248_10E5_9943_48EE,
+            0x09DF_ACE0_AB3F_33AC,
         ),
         "the pinned run moved: a change to the runtime altered simulated behaviour"
     );
     assert_eq!(
         (keyed.len(), spans.0),
-        (1755, 0x61DC_281C_6E9B_42D9),
+        (1755, 0x4F48_6907_B1C2_D305),
         "the traced service windows moved"
     );
 }
@@ -662,7 +664,8 @@ fn placement(seed: u64, hot: f64) -> PlacementPlan {
 /// the retry), a deadline serves requests whose sub-batches are still in
 /// flight, and a placed table is refreshed mid-run so that its migration
 /// chunks meet the same faults. Four FNV-1a digests as above: completions,
-/// [`stats_digest`], telemetry and the span multiset. Before the digests,
+/// [`stats_digest`], telemetry and the span multiset (re-recorded with the
+/// mixed-path run's when `op:compute` gained `workers`). Before the digests,
 /// the run must have taken each exit at least once — a sub-batch merged
 /// after its deadline (`late`), one dropped after its deadline (a root
 /// `dropped` span) and one on an exhausted budget (a `dropped` span under
@@ -748,7 +751,7 @@ fn pinned_recovery_run_takes_every_exit() {
             0xADD3_B2FB_7AD9_F479,
             0x63D2_7676_6EBE_188E,
             0x010D_5820_02BB_87CE,
-            0x63BC_0872_810C_2DF1,
+            0x29BC_0009_946D_0FCF,
         ),
         "the pinned recovery run moved: a change to the runtime altered simulated behaviour"
     );

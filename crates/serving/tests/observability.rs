@@ -16,13 +16,14 @@ use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
 use recssd_placement::{PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    chrome_trace_json, validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement,
-    SchedulePolicy, ServingConfig, ServingRuntime, ServingStats, SlsPath,
+    bottleneck_report, chrome_trace_json, critical_path_report, utilization_timelines,
+    validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement, SchedulePolicy, ServingConfig,
+    ServingRuntime, ServingStats, SlsPath,
 };
 use std::collections::HashMap;
 
 use recssd_sim::rng::Xoshiro256;
-use recssd_sim::{SimDuration, SimTime};
+use recssd_sim::SimTime;
 
 mod quick_scale;
 
@@ -176,20 +177,25 @@ fn reset_stats_zeroes_every_registered_metric() {
     let (mut rt, _) = run_mixed(false, true);
     let s = rt.stats();
     assert!(s.requests.get() > 0 && s.faults.get() > 0 && s.retries.get() > 0);
-    assert_eq!(rt.attribution().len(), 3, "every path served traffic");
+    assert_eq!(s.attribution().len(), 3, "every path served traffic");
     rt.reset_stats();
     assert_eq!(*rt.stats(), ServingStats::default());
     for cs in rt.ftl_cache_stats() {
         assert_eq!(cs.accesses(), 0, "FTL cache stats survived reset");
     }
-    for f in rt.shard_fault_stats().into_iter().flatten() {
+    for shard in 0..rt.shards() {
+        let f = rt
+            .shard_system_mut(shard)
+            .fault_stats()
+            .expect("faults armed");
         let injected = f.transient.get() + f.uncorrectable.get() + f.stalls.get();
         assert_eq!(injected, 0, "fault stats survived reset");
     }
 }
 
 /// Every counter and busy-time getter a shard's [`recssd::System`]
-/// exposes below the serving statistics, by name.
+/// exposes below the serving statistics, its SLS worker pool's included,
+/// by name.
 fn device_counters(sys: &recssd::System) -> Vec<(String, u64)> {
     let dev = sys.device();
     let ndp = dev.engine().stats();
@@ -201,6 +207,7 @@ fn device_counters(sys: &recssd::System) -> Vec<(String, u64)> {
         ("ndp.pages_requested", ndp.pages_requested.get()),
         ("ndp.embed_cache", ndp.embed_cache.accesses()),
         ("ndp.last_report.total", last.total.as_ns()),
+        ("host.sls_busy", sys.sls_busy().as_ns()),
         ("ssd.read_commands", ssd.read_commands.get()),
         ("ssd.write_commands", ssd.write_commands.get()),
         ("ssd.ndp_commands", ssd.ndp_commands.get()),
@@ -269,6 +276,7 @@ fn reset_stats_zeroes_every_device_counter_and_busy_getter() {
         for name in [
             "ndp.sls_requests",
             "ndp.last_report.total",
+            "host.sls_busy",
             "pcie.transfers",
             "pcie.busy_ns",
             "ftl.firmware_busy",
@@ -292,7 +300,7 @@ fn reset_stats_zeroes_every_device_counter_and_busy_getter() {
 #[test]
 fn attribution_reports_each_served_path() {
     let (rt, _) = run_mixed(false, false);
-    let attr = rt.attribution();
+    let attr = rt.stats().attribution();
     assert_eq!(attr.len(), 3, "all three paths served requests");
     let mut seen: Vec<&str> = attr.iter().map(|a| a.path).collect();
     seen.sort_unstable();
@@ -329,17 +337,17 @@ fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, String) {
         );
         if i == 15 {
             // Mid-stream analysis must be a pure observer.
-            let _ = rt.critical_path_report();
-            let _ = rt.bottleneck_report();
-            let _ = rt.utilization_timelines(SimDuration::from_us(10));
+            let _ = critical_path_report(&rt.snapshot_trace());
+            let _ = bottleneck_report(&rt.snapshot_trace());
+            let _ = utilization_timelines(&rt.snapshot_trace(), 10_000);
         }
     }
     let done = rt.run_until_idle();
     let s = snaps(&done);
     let reports = vec![
-        rt.critical_path_report().render(),
-        rt.bottleneck_report().render(),
-        rt.utilization_timelines(SimDuration::from_us(10))
+        critical_path_report(&rt.snapshot_trace()).render(),
+        bottleneck_report(&rt.snapshot_trace()).render(),
+        utilization_timelines(&rt.snapshot_trace(), 10_000)
             .iter()
             .map(|tl| tl.snapshot_jsonl())
             .collect::<Vec<_>>()
@@ -388,7 +396,7 @@ fn analysis_reports_replay_identically() {
 #[test]
 fn critical_path_conserves_e2e_on_all_paths() {
     let (rt, _) = run_mixed(true, false);
-    let report = rt.critical_path_report();
+    let report = critical_path_report(&rt.snapshot_trace());
     assert_eq!(report.requests, 30);
     assert_eq!(report.degraded, 0);
     let mut seen: Vec<&str> = report.paths.iter().map(|p| p.path.as_str()).collect();
@@ -405,7 +413,7 @@ fn critical_path_conserves_e2e_on_all_paths() {
     }
     assert!(report.min_conservation >= 0.95);
 
-    let bn = rt.bottleneck_report();
+    let bn = bottleneck_report(&rt.snapshot_trace());
     assert!(bn.top().is_some(), "no resources ranked");
     assert!(bn.ranked.iter().any(|r| r.resource.starts_with("fw:core")));
     assert!(!bn.headroom.is_empty());
@@ -413,7 +421,7 @@ fn critical_path_conserves_e2e_on_all_paths() {
         assert!(h.sustainable_rps > 0.0 && h.observed_rps > 0.0);
     }
 
-    let tls = rt.utilization_timelines(SimDuration::from_us(10));
+    let tls = utilization_timelines(&rt.snapshot_trace(), 10_000);
     assert!(tls.iter().any(|t| t.resource.starts_with("fw:core")));
     assert!(tls.iter().any(|t| t.resource.starts_with("queue[shard=")));
     for t in &tls {
@@ -442,7 +450,7 @@ fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
         (quick_scale::wide_ndp_run(1, 8, 4, true), "flash["),
     ] {
         let (busiest, busy_ns) = quick_scale::busiest_member(&mut rt);
-        let ranking = rt.bottleneck_report();
+        let ranking = bottleneck_report(&rt.snapshot_trace());
         let top = &ranking.ranked[0];
         assert_eq!(
             (top.resource.as_str(), top.service_ns),
@@ -455,16 +463,17 @@ fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
             top.resource,
             top.utilization() * 100.0
         );
-        assert!(rt.critical_path_report().min_conservation >= 0.95);
+        assert!(critical_path_report(&rt.snapshot_trace()).min_conservation >= 0.95);
     }
 }
 
 /// The quick-scale NDP workload over tables that pin a tenth of their
-/// rows into the DRAM tier, on a host with one SLS worker behind four
-/// operator slots: the tier's operators queue for the worker.
-fn queued_tier_run() -> ServingRuntime {
-    let mut cfg = ServingConfig::small_wide(1, SchedulePolicy::Fifo).with_depth(4);
-    cfg.system.host.sls_workers = 1;
+/// rows into the DRAM tier, with `sls_workers` host SLS workers behind
+/// `depth` operator slots. One worker behind four slots makes the tier's
+/// operators queue for the worker; eight behind two never fill the pool.
+fn tier_run(sls_workers: usize, depth: usize) -> ServingRuntime {
+    let mut cfg = ServingConfig::small_wide(1, SchedulePolicy::Fifo).with_depth(depth);
+    cfg.system.host.sls_workers = sls_workers;
     let mut rt = ServingRuntime::new(&cfg);
     rt.enable_tracing();
     let plan = PlacementPlan::build(
@@ -482,22 +491,26 @@ fn queued_tier_run() -> ServingRuntime {
     rt
 }
 
-/// Acceptance bar: the instruments agree by construction. On four
+/// Acceptance bar: the instruments agree by construction. On five
 /// traced runs taken to idle — the quick-scale 8-engine NDP run, the
-/// heat-packed baseline, the mixed-path run and a run whose DRAM tier
-/// queues — per shard, Σ `fw:exec` == `firmware_busy()`, Σ `fw:engine`
-/// of member `e` == `engine_busy(e)` and Σ `flash:xfer` of member `c` ==
-/// `channel_busy[c]`; the bottleneck row of each member carries that same
-/// integer; the `tier:dram` row carries the service `tier_service`
-/// records, never an operator's wait for a host worker; and no path is
-/// observed above the rate it can sustain.
+/// heat-packed baseline, the mixed-path run, a run whose DRAM tier
+/// queues for its one worker and one whose eight workers sit behind two
+/// operator slots — per shard, Σ `fw:exec` == `firmware_busy()`, Σ
+/// `fw:engine` of member `e` == `engine_busy(e)` and Σ `flash:xfer` of
+/// member `c` == `channel_busy[c]`; the bottleneck row of each member
+/// carries that same integer; the `tier:dram` row carries the service
+/// `tier_service` records, never an operator's wait for a host worker,
+/// at the capacity of the host's SLS worker pool, however few of its
+/// workers the operator slots let it use; and no path is observed above
+/// the rate it can sustain.
 #[test]
 fn instruments_agree_by_construction() {
     let runs = [
         quick_scale::wide_ndp_run(1, 8, 4, true),
         quick_scale::baseline_run(true, 4, true),
         run_mixed(true, false).0,
-        queued_tier_run(),
+        tier_run(1, 4),
+        tier_run(8, 2),
     ];
     for mut rt in runs {
         rt.run_until_idle();
@@ -512,7 +525,7 @@ fn instruments_agree_by_construction() {
             };
             *traced.entry(name).or_default() += s.end_ns - s.start_ns;
         }
-        let report = rt.bottleneck_report();
+        let report = bottleneck_report(&rt.snapshot_trace());
         let members = quick_scale::device_members(&mut rt);
         assert!(members.iter().all(|m| m.1 > 0), "{members:?}");
         for (name, busy) in members {
@@ -522,8 +535,13 @@ fn instruments_agree_by_construction() {
         }
         let tier = &rt.stats().tier_service;
         let tier_ns = (tier.mean() * tier.count() as f64).round() as u64;
+        let workers = rt.shard_system_mut(0).config().host.sls_workers;
         let row = report.ranked.iter().find(|r| r.resource == "tier:dram");
-        assert_eq!(row.map_or(0, |r| r.service_ns), tier_ns, "tier:dram");
+        assert_eq!(
+            row.map(|r| (r.service_ns, r.capacity as usize)),
+            (tier_ns > 0).then_some((tier_ns, workers)),
+            "tier:dram"
+        );
         assert!(!report.headroom.is_empty());
         for h in &report.headroom {
             assert!(h.observed_rps <= h.sustainable_rps, "{h:?}");

@@ -14,8 +14,8 @@ use recssd::{LookupBatch, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, PageLayout, Quantization, TableSpec};
 use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    AdaptivePolicy, LoadGen, LoadMode, Phase, SchedulePolicy, ServingConfig, ServingRuntime,
-    ServingStats, SlsPath, TrafficSpec,
+    critical_path_report, AdaptivePolicy, LoadGen, LoadMode, Phase, SchedulePolicy, ServingConfig,
+    ServingRuntime, ServingStats, SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::stats::HitStats;
@@ -449,7 +449,7 @@ fn full_hot_coverage_routes_everything_to_the_tier() {
     assert!(stats.tier_service.quantiles().count > 0);
     assert_eq!(stats.device_service.quantiles().count, 0);
     // The tier's DRAM gathers show up on the requests' critical paths.
-    let report = rt.critical_path_report();
+    let report = critical_path_report(&rt.snapshot_trace());
     let [ndp] = &report.paths[..] else {
         panic!("one served path expected, got {}", report.paths.len());
     };

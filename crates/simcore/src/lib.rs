@@ -27,6 +27,10 @@
 //!   (firmware core, SLS engines, PCIe link, flash dies and channels) is
 //!   an instance of: one queue discipline, busy time counted at service
 //!   start, debug-asserted monotone time and exact completion instants.
+//! * [`Slots`] — the k-slot server every shared-queue pool (the host's
+//!   SLS and NN worker pools, the serving runtime's per-shard operator
+//!   slots) is an instance of: a slot is held from acquire to release,
+//!   and busy time is the held-count integral.
 //!
 //! # Example
 //!
@@ -49,6 +53,7 @@
 mod page;
 mod queue;
 mod server;
+mod slots;
 mod time;
 
 pub mod alloc_count;
@@ -60,4 +65,5 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use page::{PageImage, PagePool};
 pub use queue::EventQueue;
 pub use server::Server;
+pub use slots::Slots;
 pub use time::{SimDuration, SimTime};

@@ -104,7 +104,7 @@ fn main() {
     // Per-path latency attribution and the simulator's own wall profile
     // come from the same run — no second pass needed.
     println!("\nlatency attribution:");
-    for a in rt.attribution() {
+    for a in rt.stats().attribution() {
         println!(
             "  {:<9} {:>3} requests  e2e p50 {:>7} ns  p99 {:>7} ns",
             a.path, a.requests, a.e2e.p50, a.e2e.p99
