@@ -11,8 +11,7 @@
 //! cargo run -p recssd-bench --release --bin figures -- all
 //! ```
 //!
-//! or individually (`figures -- fig8`), or as bench targets
-//! (`cargo bench -p recssd-bench`). By default experiments run at a
+//! or individually (`figures -- fig8`). By default experiments run at a
 //! reduced *quick* scale; set `RECSSD_PAPER_SCALE=1` for the paper-scale
 //! parameters (1 M-row tables, more repetitions). §6.4 of the paper notes
 //! "absolute table size does not impact our results ... embedding lookup

@@ -134,54 +134,6 @@ impl StaticPartition {
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.hot.iter().copied()
     }
-
-    /// Replaces the hot set in place, reusing the existing allocation —
-    /// the plan-refresh path, where a new epoch's hot set supersedes the
-    /// old one without rebuilding the partition object.
-    pub fn replace_hot_ids<I: IntoIterator<Item = u64>>(&mut self, hot: I, profiled_ids: usize) {
-        self.hot.clear();
-        self.hot.extend(hot);
-        self.profiled_ids = profiled_ids;
-    }
-
-    /// Applies a promote/demote delta in place: `promote` ids become hot,
-    /// `demote` ids become cold. Promoting an already-hot id or demoting
-    /// an already-cold id is a no-op, so a delta computed between two
-    /// plans can be replayed safely. The profiled-id universe (the
-    /// [`StaticPartition::hot_fraction`] denominator) is deliberately
-    /// unchanged: moving rows between tiers does not alter which ids the
-    /// profile covered.
-    pub fn apply_delta<P, D>(&mut self, promote: P, demote: D)
-    where
-        P: IntoIterator<Item = u64>,
-        D: IntoIterator<Item = u64>,
-    {
-        for id in demote {
-            self.hot.remove(&id);
-        }
-        self.hot.extend(promote);
-    }
-
-    /// Drops every hot id failing `keep` (in-place demotion sweep).
-    pub fn retain<F: FnMut(u64) -> bool>(&mut self, mut keep: F) {
-        self.hot.retain(|&id| keep(id));
-    }
-
-    /// Splits `ids` into `(hot, cold)` sublists preserving order — the
-    /// exact operation the RecSSD host runtime performs when it sends the
-    /// cold ids to the SSD and gathers the hot ids from DRAM.
-    pub fn split(&self, ids: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        let mut hot = Vec::new();
-        let mut cold = Vec::new();
-        for &id in ids {
-            if self.is_hot(id) {
-                hot.push(id);
-            } else {
-                cold.push(id);
-            }
-        }
-        (hot, cold)
-    }
 }
 
 #[cfg(test)]
@@ -241,16 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_order_and_partitions() {
-        let mut b = StaticPartitionBuilder::new();
-        b.observe_all([10, 10, 20]);
-        let p = b.build(1);
-        let (hot, cold) = p.split(&[20, 10, 30, 10]);
-        assert_eq!(hot, vec![10, 10]);
-        assert_eq!(cold, vec![20, 30]);
-    }
-
-    #[test]
     fn from_hot_ids_builds_the_given_membership() {
         let p = StaticPartition::from_hot_ids([4, 9], 8);
         assert!(p.is_hot(4) && p.is_hot(9) && !p.is_hot(1));
@@ -264,58 +206,6 @@ mod tests {
         assert!(p.is_empty());
         assert!(!p.is_hot(0));
         assert_eq!(p.hot_fraction(), 0.0);
-        let (hot, cold) = p.split(&[1, 2]);
-        assert!(hot.is_empty());
-        assert_eq!(cold, vec![1, 2]);
-    }
-
-    #[test]
-    fn delta_application_matches_from_hot_ids_on_random_sequences() {
-        // Random promote/demote sequences applied in place must land on
-        // exactly the membership a fresh `from_hot_ids` build would give.
-        let mut rng = Xoshiro256::seed_from(42);
-        for _ in 0..50 {
-            let universe = 1 + rng.gen_range(0..200);
-            let mut reference: std::collections::HashSet<u64> =
-                (0..universe).filter(|_| rng.gen_bool(0.3)).collect();
-            let mut p = StaticPartition::from_hot_ids(reference.iter().copied(), universe as usize);
-            for _ in 0..rng.gen_range(1..20) {
-                let promote: Vec<u64> = (0..rng.gen_range(0..10))
-                    .map(|_| rng.gen_range(0..universe))
-                    .collect();
-                let demote: Vec<u64> = (0..rng.gen_range(0..10))
-                    .map(|_| rng.gen_range(0..universe))
-                    .collect();
-                for &id in &demote {
-                    reference.remove(&id);
-                }
-                reference.extend(promote.iter().copied());
-                p.apply_delta(promote.iter().copied(), demote.iter().copied());
-                let rebuilt =
-                    StaticPartition::from_hot_ids(reference.iter().copied(), universe as usize);
-                assert_eq!(p.len(), rebuilt.len());
-                for id in 0..universe {
-                    assert_eq!(p.is_hot(id), rebuilt.is_hot(id), "id {id} diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replace_hot_ids_swaps_membership_in_place() {
-        let mut p = StaticPartition::from_hot_ids([1, 2, 3], 10);
-        p.replace_hot_ids([7, 8], 4);
-        assert!(!p.is_hot(1) && p.is_hot(7) && p.is_hot(8));
-        assert_eq!(p.len(), 2);
-        assert!((p.hot_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retain_demotes_in_place() {
-        let mut p = StaticPartition::from_hot_ids([1, 2, 3, 4], 8);
-        p.retain(|id| id % 2 == 0);
-        assert!(p.is_hot(2) && p.is_hot(4) && !p.is_hot(1) && !p.is_hot(3));
-        assert_eq!(p.len(), 2);
     }
 
     #[test]

@@ -139,19 +139,13 @@ pub fn coverage_report(spans: &[SpanRec]) -> Vec<RequestCoverage> {
         .iter()
         .filter(|s| s.name == "request")
         .map(|s| {
-            let kids: Vec<&SpanRec> = children.get(&s.id).cloned().unwrap_or_default();
-            let gaps = gaps_of(s.start_ns, s.end_ns, &kids);
-            let uncovered: u64 = gaps.iter().map(|g| g.len_ns()).sum();
-            let e2e = s.end_ns - s.start_ns;
+            let kids = children.get(&s.id).map_or(&[][..], Vec::as_slice);
+            let gaps = gaps_of(s.start_ns, s.end_ns, kids);
             RequestCoverage {
                 request: s.id,
                 label: s.label.to_string(),
-                e2e_ns: e2e,
-                coverage: if e2e == 0 {
-                    1.0
-                } else {
-                    (e2e - uncovered) as f64 / e2e as f64
-                },
+                e2e_ns: s.end_ns - s.start_ns,
+                coverage: covered_share(s, &gaps),
                 degraded: is_degraded(s),
                 gaps,
             }
@@ -219,16 +213,16 @@ fn is_degraded(s: &SpanRec) -> bool {
     s.arg_key == "degraded" && s.arg_val != 0
 }
 
-/// Fraction of `[start, end]` covered by the union of `ivs` (clamped to
-/// the window). An empty window counts as fully covered.
-fn coverage(start: u64, end: u64, ivs: &mut [(u64, u64)]) -> f64 {
-    if end <= start {
+/// The one definition of request coverage: the fraction of request span
+/// `s` its direct children cover, `(e2e − Σ gaps) / e2e` over its
+/// [`gaps_of`]. An empty request counts as fully covered.
+fn covered_share(s: &SpanRec, gaps: &[CoverageGap]) -> f64 {
+    let e2e = s.end_ns - s.start_ns;
+    if e2e == 0 {
         return 1.0;
     }
-    for (a, b) in ivs.iter_mut() {
-        (*a, *b) = ((*a).clamp(start, end), (*b).clamp(start, end));
-    }
-    crate::analysis::union_len(ivs) as f64 / (end - start) as f64
+    let uncovered: u64 = gaps.iter().map(CoverageGap::len_ns).sum();
+    (e2e - uncovered) as f64 / e2e as f64
 }
 
 /// Validates the span invariants (see the [module docs](self)).
@@ -272,20 +266,17 @@ pub fn validate_spans(spans: &[SpanRec]) -> Result<TraceCheck, String> {
     }
     let mut requests = 0usize;
     let mut min_coverage = 1.0f64;
-    let mut ivs = Vec::new();
     for s in spans.iter().filter(|s| s.name == "request") {
         requests += 1;
         if is_degraded(s) {
             continue;
         }
-        ivs.clear();
-        let kids: Vec<&SpanRec> = children.get(&s.id).cloned().unwrap_or_default();
-        ivs.extend(kids.iter().map(|k| (k.start_ns, k.end_ns)));
-        let c = coverage(s.start_ns, s.end_ns, &mut ivs);
+        let kids = children.get(&s.id).map_or(&[][..], Vec::as_slice);
+        let gaps = gaps_of(s.start_ns, s.end_ns, kids);
+        let c = covered_share(s, &gaps);
         if c < 0.99 {
             // Locate the missing time instead of only reporting the
             // aggregate: name the worst gap and the child it follows.
-            let gaps = gaps_of(s.start_ns, s.end_ns, &kids);
             let loc = gaps
                 .first()
                 .map(|g| {
@@ -483,10 +474,21 @@ mod tests {
 
     #[test]
     fn overlapping_children_do_not_double_count_coverage() {
-        let mut ivs = vec![(0u64, 60u64), (40, 100), (10, 50)];
-        assert_eq!(coverage(0, 100, &mut ivs), 1.0);
-        let mut gap = vec![(0u64, 40u64), (60, 100)];
-        assert!((coverage(0, 100, &mut gap) - 0.8).abs() < 1e-12);
+        let request_over = |kids: &[(u64, u64)]| {
+            let sink = TraceSink::new();
+            let tr = sink.tracer(0, 0);
+            let req = tr.alloc_id();
+            for &(a, b) in kids {
+                tr.span("sub", t(a), t(b), req);
+            }
+            tr.emit(req, "request", t(0), t(100), SpanId::NONE, "", 0, "");
+            sink.take_spans()
+        };
+        let spans = request_over(&[(0, 60), (40, 100), (10, 50)]);
+        assert_eq!(coverage_report(&spans)[0].coverage, 1.0);
+        assert_eq!(validate_spans(&spans).expect("covered").min_coverage, 1.0);
+        let spans = request_over(&[(0, 40), (60, 100)]);
+        assert!((coverage_report(&spans)[0].coverage - 0.8).abs() < 1e-12);
     }
 
     #[test]

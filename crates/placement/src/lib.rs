@@ -27,16 +27,14 @@
 //!
 //! Plans are also built *online*: the profiler doubles as a decayed
 //! (EWMA) accumulator over live request streams
-//! ([`FreqProfiler::decay`] / [`FreqProfiler::merge`]), plans carry a
-//! [`PlanVersion`], [`plan_delta`] yields the promote/demote row sets
-//! separating two plan generations (the migration work a live refresh
-//! must move), and [`allocate_global_budget`] splits one global DRAM row
-//! budget across tables by marginal hit rate instead of a fixed
-//! per-table fraction. The serving runtime's adaptive loop builds on the
-//! profiler and the budget allocator; it tracks its own per-table
-//! promote/demote sets because it refreshes one [`TablePlacement`] at a
-//! time, while [`plan_delta`] diffs whole multi-table plans (e.g.
-//! consecutive profiling generations in the drift benchmarks).
+//! ([`FreqProfiler::decay`] / [`FreqProfiler::merge`]), and
+//! [`allocate_global_budget`] splits one global DRAM row budget across
+//! tables by marginal hit rate instead of a fixed per-table fraction.
+//! The serving runtime's adaptive loop builds on the profiler and the
+//! budget allocator and refreshes one [`TablePlacement`] at a time: it
+//! numbers plan generations itself and derives each refresh's
+//! promote/demote rows (the migration work) by comparing the new
+//! placement's hot rows with the routing of the plan it replaces.
 //!
 //! # Example
 //!
@@ -66,7 +64,6 @@ mod plan;
 mod profile;
 
 pub use plan::{
-    allocate_global_budget, plan_delta, BudgetScratch, PlacementPlan, PlacementPolicy, PlanDelta,
-    PlanVersion, TableDelta, TablePlacement,
+    allocate_global_budget, BudgetScratch, PlacementPlan, PlacementPolicy, TablePlacement,
 };
 pub use profile::{FreqProfiler, TableHeat};

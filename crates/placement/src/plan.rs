@@ -7,19 +7,6 @@ use recssd_cache::StaticPartition;
 
 use crate::{FreqProfiler, TableHeat};
 
-/// Monotone identity of one plan generation. Serving state double-buffers
-/// on this: requests admitted under version `v` finish under `v` even
-/// after a newer plan activates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PlanVersion(pub u64);
-
-impl PlanVersion {
-    /// The next version.
-    pub fn next(self) -> PlanVersion {
-        PlanVersion(self.0 + 1)
-    }
-}
-
 /// How much of each table the plan may pin into the host DRAM tier.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementPolicy {
@@ -164,11 +151,6 @@ impl TablePlacement {
         self.partition.is_hot(row)
     }
 
-    /// The underlying membership partition.
-    pub fn partition(&self) -> &StaticPartition {
-        &self.partition
-    }
-
     /// Fraction of profiled accesses the hot set would have absorbed —
     /// the DRAM tier's asymptotic hit rate on stationary traffic.
     pub fn expected_hit_rate(&self) -> f64 {
@@ -214,31 +196,19 @@ impl TablePlacement {
 }
 
 /// The full multi-table plan: one [`TablePlacement`] per profiled table,
-/// in profile order, stamped with a [`PlanVersion`].
+/// in profile order.
 #[derive(Debug, Clone)]
 pub struct PlacementPlan {
     tables: Vec<TablePlacement>,
-    version: PlanVersion,
 }
 
 impl PlacementPlan {
-    /// Freezes `profiler`'s counts into per-table placements (version 0).
+    /// Freezes `profiler`'s counts into per-table placements.
     pub fn build(profiler: &FreqProfiler, policy: &PlacementPolicy) -> Self {
-        PlacementPlan::build_versioned(profiler, policy, PlanVersion::default())
-    }
-
-    /// [`PlacementPlan::build`] stamped with an explicit version — the
-    /// online re-profiling loop passes `previous.version().next()`.
-    pub fn build_versioned(
-        profiler: &FreqProfiler,
-        policy: &PlacementPolicy,
-        version: PlanVersion,
-    ) -> Self {
         PlacementPlan {
             tables: (0..profiler.tables())
                 .map(|t| TablePlacement::build(profiler.heat(t), policy))
                 .collect(),
-            version,
         }
     }
 
@@ -246,15 +216,6 @@ impl PlacementPlan {
     /// tables by marginal hit rate (see [`allocate_global_budget`]),
     /// instead of a fixed per-table fraction.
     pub fn build_global(profiler: &FreqProfiler, budget_rows: usize) -> Self {
-        PlacementPlan::build_global_versioned(profiler, budget_rows, PlanVersion::default())
-    }
-
-    /// [`PlacementPlan::build_global`] with an explicit version.
-    pub fn build_global_versioned(
-        profiler: &FreqProfiler,
-        budget_rows: usize,
-        version: PlanVersion,
-    ) -> Self {
         let budgets = allocate_global_budget(profiler, budget_rows);
         PlacementPlan {
             tables: budgets
@@ -264,13 +225,7 @@ impl PlacementPlan {
                     TablePlacement::build(profiler.heat(t), &PlacementPolicy::hot_rows(k))
                 })
                 .collect(),
-            version,
         }
-    }
-
-    /// The plan's version stamp.
-    pub fn version(&self) -> PlanVersion {
-        self.version
     }
 
     /// The placement of table `i` (profile order).
@@ -354,90 +309,6 @@ impl BudgetScratch {
             self.budgets[t] += 1;
         }
         &self.budgets
-    }
-}
-
-/// The per-table row movements between two plans of the same tables.
-#[derive(Debug, Clone)]
-pub struct TableDelta {
-    /// Rows newly hot (cold in `old`, hot in `new`), ascending.
-    pub promote: Vec<u64>,
-    /// Rows newly cold (hot in `old`, cold in `new`), ascending.
-    pub demote: Vec<u64>,
-}
-
-impl TableDelta {
-    /// `true` when the table's hot set did not change.
-    pub fn is_empty(&self) -> bool {
-        self.promote.is_empty() && self.demote.is_empty()
-    }
-}
-
-/// The difference between two plan generations: which rows each table
-/// must promote into (and demote out of) the DRAM tier to move from
-/// `old` to `new`. This is the unit of work a live placement refresh
-/// migrates — promotions are device reads of currently-cold rows,
-/// demotions are free (the flash copy of every row always exists).
-#[derive(Debug, Clone)]
-pub struct PlanDelta {
-    /// Version migrated from.
-    pub from: PlanVersion,
-    /// Version migrated to.
-    pub to: PlanVersion,
-    /// Per-table movements, in profile order.
-    pub tables: Vec<TableDelta>,
-}
-
-impl PlanDelta {
-    /// Total rows promoted across tables.
-    pub fn total_promoted(&self) -> usize {
-        self.tables.iter().map(|t| t.promote.len()).sum()
-    }
-
-    /// Total rows demoted across tables.
-    pub fn total_demoted(&self) -> usize {
-        self.tables.iter().map(|t| t.demote.len()).sum()
-    }
-
-    /// `true` when no table's hot set changed.
-    pub fn is_empty(&self) -> bool {
-        self.tables.iter().all(TableDelta::is_empty)
-    }
-}
-
-/// Computes the promote/demote sets taking `old` to `new`.
-///
-/// # Panics
-///
-/// Panics if the plans place different table counts or shapes.
-pub fn plan_delta(old: &PlacementPlan, new: &PlacementPlan) -> PlanDelta {
-    assert_eq!(old.len(), new.len(), "plans place different table counts");
-    let tables = old
-        .iter()
-        .zip(new.iter())
-        .map(|(o, n)| {
-            assert_eq!(o.rows(), n.rows(), "plans place different table shapes");
-            let mut promote: Vec<u64> = n
-                .hot_rows()
-                .iter()
-                .copied()
-                .filter(|&r| !o.is_hot(r))
-                .collect();
-            let mut demote: Vec<u64> = o
-                .hot_rows()
-                .iter()
-                .copied()
-                .filter(|&r| !n.is_hot(r))
-                .collect();
-            promote.sort_unstable();
-            demote.sort_unstable();
-            TableDelta { promote, demote }
-        })
-        .collect();
-    PlanDelta {
-        from: old.version(),
-        to: new.version(),
-        tables,
     }
 }
 
@@ -546,38 +417,6 @@ mod tests {
         p.profile_stream(a, [7, 7, 9]);
         let budgets = allocate_global_budget(&p, 50);
         assert_eq!(budgets, vec![2, 0], "only the two accessed rows granted");
-    }
-
-    #[test]
-    fn plan_delta_yields_promotes_and_demotes() {
-        let mut p1 = FreqProfiler::new();
-        let t = p1.add_table(10);
-        p1.profile_stream(t, [1, 1, 2, 2, 3]);
-        let old = PlacementPlan::build(&p1, &PlacementPolicy::hot_rows(2));
-        assert_eq!(old.table(0).hot_rows(), &[1, 2]);
-
-        let mut p2 = FreqProfiler::new();
-        let t = p2.add_table(10);
-        p2.profile_stream(t, [5, 5, 2, 2, 2]);
-        let new =
-            PlacementPlan::build_versioned(&p2, &PlacementPolicy::hot_rows(2), PlanVersion(1));
-        assert_eq!(new.table(0).hot_rows(), &[2, 5]);
-
-        let delta = plan_delta(&old, &new);
-        assert_eq!(delta.from, PlanVersion(0));
-        assert_eq!(delta.to, PlanVersion(1));
-        assert_eq!(delta.tables[0].promote, vec![5]);
-        assert_eq!(delta.tables[0].demote, vec![1]);
-        assert_eq!(delta.total_promoted(), 1);
-        assert_eq!(delta.total_demoted(), 1);
-        assert!(!delta.is_empty());
-        assert!(plan_delta(&old, &old).is_empty());
-    }
-
-    #[test]
-    fn versions_are_monotone() {
-        assert_eq!(PlanVersion::default().next(), PlanVersion(1));
-        assert!(PlanVersion(2) > PlanVersion(1));
     }
 
     #[test]

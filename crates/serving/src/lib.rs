@@ -22,13 +22,15 @@
 //! * **Hybrid placement** — tables registered through
 //!   [`ServingRuntime::add_table_placed`] carry a frequency-profiled
 //!   `recssd_placement::TablePlacement`: their hottest rows are pinned
-//!   into a host **DRAM tier** (one more pipelined server on the same
-//!   timeline, always serving over the DRAM path), the cold tail is
-//!   packed onto flash in heat order so co-hot rows share pages, and
-//!   every request splits into a DRAM-tier partial plus per-shard device
-//!   sub-batches — merged bit-identically to the unplaced path
-//!   (property-tested in `tests/placement_equivalence.rs`).
-//! * **Adaptive placement** — plans are versioned, live-swappable
+//!   into a host **DRAM tier**, the cold tail is packed onto flash in
+//!   heat order so co-hot rows share pages, and every request splits
+//!   into a DRAM-tier partial plus per-shard device sub-batches — merged
+//!   bit-identically to the unplaced path (property-tested in
+//!   `tests/placement_equivalence.rs`). The tier is one more shard: after
+//!   the `n` device shards it is shard `n` of the runtime's one shard
+//!   vector, pipelined on the same timeline, always serving over the
+//!   DRAM path and left out of every device-shard accessor.
+//! * **Adaptive placement** — plans are numbered, live-swappable
 //!   routing generations: [`ServingRuntime::refresh_placement`] binds a
 //!   new plan into spare A/B registry slots, reads the promoted rows off
 //!   the device as real migration operators, and flips admissions to the

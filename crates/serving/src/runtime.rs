@@ -1,7 +1,9 @@
 //! The sharded serving runtime: N simulated systems on one timeline.
 //!
 //! The runtime owns one [`System`] per shard and keeps them on a single
-//! virtual clock. Shards are *pipelined servers*: up to
+//! virtual clock. The device shards are `0..n`; the host DRAM tier, once a
+//! placed table pins rows, is shard `n` of the same vector and is served
+//! exactly like them. Shards are *pipelined servers*: up to
 //! [`ServingConfig::depth`] operators are in flight on one device at a
 //! time, so host-side NVMe submission, FTL service and flash channel/die
 //! occupancy overlap across requests instead of draining between
@@ -344,6 +346,9 @@ struct InflightOp {
 #[derive(Debug)]
 struct Shard {
     sys: System,
+    /// The trace pid of this shard's spans (see [`track`]): `i + 1` for
+    /// device shard `i`, [`track::PID_TIER`] for the DRAM tier.
+    pid: u32,
     /// Operators submitted to `sys` and not yet harvested.
     inflight: Vec<InflightOp>,
     queue: VecDeque<SubBatch>,
@@ -358,9 +363,10 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cfg: &RecSsdConfig, depth: usize) -> Self {
+    fn new(cfg: &RecSsdConfig, depth: usize, pid: u32) -> Self {
         Shard {
             sys: System::new(cfg.clone()),
+            pid,
             inflight: Vec::new(),
             queue: VecDeque::new(),
             next_tick: None,
@@ -464,24 +470,6 @@ impl Breaker {
     }
 }
 
-/// Which execution resource a sub-batch is queued on: a device shard or
-/// the host DRAM tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ix {
-    Dev(usize),
-    Tier,
-}
-
-impl Ix {
-    /// The trace pid of this resource's spans (see [`track`]).
-    fn pid(self) -> u32 {
-        match self {
-            Ix::Dev(i) => i as u32 + 1,
-            Ix::Tier => track::PID_TIER,
-        }
-    }
-}
-
 /// Global serving events. Request completion is *not* an event: finished
 /// requests enter a canonical ready-queue ordered by `(finish, id)` and
 /// are delivered as soon as no pending event could still precede them —
@@ -490,30 +478,32 @@ impl Ix {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrival(u64),
-    /// Revisit a shard (or the DRAM tier) at its next internal event
-    /// time: advance its system clock, harvest finished operators,
-    /// dispatch more.
-    ShardTick(Ix),
+    /// Revisit a shard at its next internal event time: advance its
+    /// system clock, harvest finished operators, dispatch more.
+    ShardTick(usize),
     /// Re-enqueue a parked (failed) sub-batch after its backoff.
     Retry(u64),
     /// A request's latency deadline: serve it degraded if incomplete.
     Deadline(u64),
 }
 
-/// One routing generation of a served table: which device tables its
-/// sub-batches address and how rows split between tier and shards.
+/// One routing generation of a served table: which tables its
+/// sub-batches address on each shard and how rows split between the
+/// tier and the device shards.
 #[derive(Debug)]
 struct PlanState {
-    /// The table's id within each shard's [`System`] under this plan.
+    /// The table's id within each shard's [`System`] under this plan: one
+    /// per device shard, plus the tier's at index `n` when the plan pins
+    /// rows.
     per_shard: Vec<recssd::TableId>,
     /// Placement routing (hot set + packed storage order); `None` for
     /// tables registered without a placement.
     routing: Option<Routing>,
     /// Hot rows (global ids) of this plan, for delta computation.
     hot_rows: Vec<u64>,
-    /// Which A/B registry slot the plan's device (and tier) tables
-    /// occupy. A refresh re-binds the *other* slot, so the outgoing plan
-    /// keeps serving its in-flight work untouched.
+    /// Which A/B registry slot the plan's tables occupy. A refresh
+    /// re-binds the *other* slot, so the outgoing plan keeps serving its
+    /// in-flight work untouched.
     slot: usize,
     /// Sub-batches split under this plan and not yet harvested. A slot
     /// can only be re-bound when every plan previously bound to it has
@@ -524,8 +514,8 @@ struct PlanState {
 impl PlanState {
     /// Drops the O(rows) routing state once the plan stops admitting:
     /// `hot_index`/`storage`/`hot_rows` are only consulted at split time,
-    /// so a deactivated generation keeps just its device/tier table ids
-    /// (needed to drain queued work and to re-bind its slot later).
+    /// so a deactivated generation keeps just its per-shard table ids
+    /// (needed to drain queued work).
     fn retire(&mut self) {
         if let Some(r) = self.routing.as_mut() {
             r.hot_index = Vec::new();
@@ -560,11 +550,11 @@ struct ServedTable {
     active: usize,
     /// Refresh awaiting migration completion, if any.
     pending: Option<PendingPlan>,
-    /// Per device shard: which plan index currently owns registry slot
-    /// A/B (`usize::MAX` = slot never used).
-    shard_slots: [usize; 2],
-    /// Same for the DRAM tier's registry.
-    tier_slots: [usize; 2],
+    /// Per A/B registry slot: the table id bound on each shard index
+    /// (every device shard, then the tier once a plan bound to the slot
+    /// pinned rows). Re-binding a slot replaces the images behind these
+    /// ids, so they never change.
+    bound: [Vec<recssd::TableId>; 2],
 }
 
 /// Configuration of the runtime's *online adaptation loop*: feed every
@@ -599,12 +589,13 @@ pub struct ServingRuntime {
     /// the canonical completion order.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
     layout: PageLayout,
+    /// The device shards `0..devices`, then — created by the first
+    /// placed table with a non-empty hot set — the host DRAM tier at
+    /// index `devices`, whose operators are always [`SlsPath::Dram`]
+    /// gathers over the pinned hot rows.
     shards: Vec<Shard>,
-    /// The host DRAM tier: one more pipelined server on the same
-    /// timeline, created by the first placed table with a non-empty hot
-    /// set. Its operators are always [`SlsPath::Dram`] gathers over the
-    /// pinned hot rows.
-    tier: Option<Shard>,
+    /// Number of device shards ([`ServingConfig::shards`]).
+    devices: usize,
     tables: Vec<ServedTable>,
     events: EventQueue<Ev>,
     inflight: FxHashMap<u64, Inflight>,
@@ -632,13 +623,13 @@ pub struct ServingRuntime {
     fault_policy: FaultPolicy,
     /// Failed sub-batches waiting out their backoff, keyed by the
     /// sequence number carried in [`Ev::Retry`].
-    retry_park: FxHashMap<u64, (Ix, SubBatch)>,
+    retry_park: FxHashMap<u64, (usize, SubBatch)>,
     next_retry: u64,
     /// The span sink every layer's tracer writes into (`None` until
     /// [`ServingRuntime::enable_tracing`]).
     sink: Option<TraceSink>,
     /// Serving-level tracer (pid 0, host track); disabled by default.
-    /// The shards' and the tier's tracers are clones on their own pids.
+    /// Every shard's tracer is a clone on the shard's own pid.
     tracer: Tracer,
     /// Wall-clock self-profile of the simulator loop (off by default).
     wall: WallProfile,
@@ -654,14 +645,14 @@ impl ServingRuntime {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.depth > 0, "queue depth must be at least 1");
         let shards = (0..cfg.shards)
-            .map(|_| Shard::new(&cfg.system, cfg.depth))
+            .map(|i| Shard::new(&cfg.system, cfg.depth, i as u32 + 1))
             .collect();
         ServingRuntime {
             policy: cfg.policy,
             ready: BinaryHeap::new(),
             layout: cfg.layout,
             shards,
-            tier: None,
+            devices: cfg.shards,
             tables: Vec::new(),
             events: EventQueue::new(),
             inflight: FxHashMap::default(),
@@ -694,11 +685,8 @@ impl ServingRuntime {
         let sink = TraceSink::new();
         self.tracer = sink.tracer(0, track::TID_HOST);
         self.sink = Some(sink);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            s.sys.set_tracer(self.tracer.with_pid(Ix::Dev(i).pid()));
-        }
-        if let Some(tier) = self.tier.as_mut() {
-            tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
+        for s in &mut self.shards {
+            s.sys.set_tracer(self.tracer.with_pid(s.pid));
         }
     }
 
@@ -739,9 +727,14 @@ impl ServingRuntime {
         self.wall.report()
     }
 
-    /// Number of shards.
+    /// Number of device shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.devices
+    }
+
+    /// The device shards (every shard but the DRAM tier).
+    fn devices(&self) -> &[Shard] {
+        &self.shards[..self.devices]
     }
 
     /// The current global virtual time: the event clock. Shards are only
@@ -766,7 +759,7 @@ impl ServingRuntime {
         self.stats.reset();
         self.wall.reset();
         let now = self.events.now();
-        for s in self.shards.iter_mut().chain(self.tier.as_mut()) {
+        for s in &mut self.shards {
             s.slots.reset(now);
             s.sys.reset_stats();
         }
@@ -777,7 +770,10 @@ impl ServingRuntime {
     /// classic utilisation ρ; pipelining shows up as values above 1.
     pub fn shard_occupancy(&self) -> Vec<f64> {
         let now = self.events.now();
-        self.shards.iter().map(|s| s.slots.occupancy(now)).collect()
+        self.devices()
+            .iter()
+            .map(|s| s.slots.occupancy(now))
+            .collect()
     }
 
     /// Mean flash channel-bus busy fraction per shard since the last
@@ -785,7 +781,7 @@ impl ServingRuntime {
     /// operator pipelining.
     pub fn channel_utilisation(&self) -> Vec<f64> {
         let now = self.events.now();
-        self.shards
+        self.devices()
             .iter()
             .map(|s| {
                 let window = s.slots.window(now).as_ns();
@@ -801,21 +797,23 @@ impl ServingRuntime {
 
     /// `true` once a placed table has pinned rows into the DRAM tier.
     pub fn has_tier(&self) -> bool {
-        self.tier.is_some()
+        self.shards.len() > self.devices
     }
 
     /// Time-averaged in-flight operator count of the DRAM tier since the
     /// last stats reset (0 when no tier exists).
     pub fn tier_occupancy(&self) -> f64 {
         let now = self.events.now();
-        self.tier.as_ref().map_or(0.0, |s| s.slots.occupancy(now))
+        self.shards
+            .get(self.devices)
+            .map_or(0.0, |s| s.slots.occupancy(now))
     }
 
     /// Hit/miss statistics of each device shard's FTL page cache since
     /// the last stats reset — where frequency-ordered cold-tail packing
     /// shows up (co-hot rows sharing pages raise this rate).
     pub fn ftl_cache_stats(&self) -> Vec<HitStats> {
-        self.shards
+        self.devices()
             .iter()
             .map(|s| s.sys.device().ftl().cache_stats())
             .collect()
@@ -827,7 +825,7 @@ impl ServingRuntime {
     ///
     /// Panics if `shard` is out of range.
     pub fn shard_system_mut(&mut self, shard: usize) -> &mut System {
-        &mut self.shards[shard].sys
+        &mut self.shards[..self.devices][shard].sys
     }
 
     /// Arms deterministic fault injection on every device shard. Each
@@ -836,10 +834,10 @@ impl ServingRuntime {
     /// but the whole fleet replays bit-identically from one seed. The
     /// DRAM tier never faults (host memory is out of the fault model).
     pub fn inject_faults(&mut self, cfg: &FaultConfig) {
-        for i in 0..self.shards.len() {
+        for (i, s) in self.shards[..self.devices].iter_mut().enumerate() {
             let mut per = cfg.clone();
             per.seed = mix64(cfg.seed ^ i as u64);
-            self.shards[i].sys.set_fault_plan(Some(FaultPlan::new(per)));
+            s.sys.set_fault_plan(Some(FaultPlan::new(per)));
         }
     }
 
@@ -850,7 +848,7 @@ impl ServingRuntime {
     ///
     /// Panics if `shard` is out of range.
     pub fn inject_faults_on_shard(&mut self, shard: usize, cfg: &FaultConfig) {
-        self.shards[shard]
+        self.shards[..self.devices][shard]
             .sys
             .set_fault_plan(Some(FaultPlan::new(cfg.clone())));
     }
@@ -862,43 +860,14 @@ impl ServingRuntime {
         self.fault_policy = policy;
     }
 
-    /// Row-range-shards `table` across every shard system and registers
+    /// Row-range-shards `table` across every device shard and registers
     /// the slices on their devices.
     ///
     /// # Panics
     ///
     /// Panics if the table has fewer rows than there are shards.
     pub fn add_table(&mut self, table: EmbeddingTable) -> ServedTableId {
-        let map = ShardMap::new(table.spec().rows, self.shards.len());
-        let per_shard = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .map(|(i, shard)| {
-                let slice = table.slice(map.range(i));
-                let page_bytes = shard.sys.config().ssd.block_bytes();
-                shard
-                    .sys
-                    .add_table(TableImage::new(slice, self.layout, page_bytes))
-            })
-            .collect();
-        let id = ServedTableId(self.tables.len());
-        self.tables.push(ServedTable {
-            table,
-            map,
-            plans: vec![PlanState {
-                per_shard,
-                routing: None,
-                hot_rows: Vec::new(),
-                slot: 0,
-                inflight_subs: 0,
-            }],
-            active: 0,
-            pending: None,
-            shard_slots: [0, usize::MAX],
-            tier_slots: [usize::MAX; 2],
-        });
-        id
+        self.register(table, None)
     }
 
     /// Registers `table` under a frequency-profiled placement: the plan's
@@ -924,116 +893,111 @@ impl ServingRuntime {
             table.spec().rows,
             "placement was built for a different table shape"
         );
-        let map = ShardMap::new(table.spec().rows, self.shards.len());
-        let id = ServedTableId(self.tables.len());
+        self.register(table, Some(placement))
+    }
+
+    /// Registers `table` with its first routing generation bound into
+    /// registry slot 0.
+    fn register(
+        &mut self,
+        table: EmbeddingTable,
+        placement: Option<&TablePlacement>,
+    ) -> ServedTableId {
+        let map = ShardMap::new(table.spec().rows, self.devices);
+        let id = self.tables.len();
         self.tables.push(ServedTable {
             table,
             map,
             plans: Vec::new(),
             active: 0,
             pending: None,
-            shard_slots: [usize::MAX; 2],
-            tier_slots: [usize::MAX; 2],
+            bound: Default::default(),
         });
-        let plan = self.bind_plan(id.0, placement, 0);
-        let t = &mut self.tables[id.0];
-        t.plans.push(plan);
-        t.shard_slots[0] = 0;
-        if t.plans[0]
-            .routing
-            .as_ref()
-            .is_some_and(|r| r.tier_table.is_some())
-        {
-            t.tier_slots[0] = 0;
-        }
-        id
+        let plan = self.bind_plan(id, placement, 0);
+        self.tables[id].plans.push(plan);
+        ServedTableId(id)
     }
 
-    /// Builds and registers one routing generation of table `t_idx` under
-    /// `placement`, (re)binding registry slot `slot` on every shard (and
-    /// the tier, when the plan pins rows). Does not touch the table's
+    /// Builds and registers one routing generation of table `t_idx` into
+    /// registry slot `slot`: unplaced (`None`: each device shard gets its
+    /// row-range slice) or under a placement (packed slices, plus the hot
+    /// rows on the tier when the plan pins any — the first such plan
+    /// creates the tier). Each image replaces the one the slot already
+    /// binds on its shard, or is added there. Does not touch the table's
     /// plan list or active index — the caller decides when (and whether)
     /// the generation takes over admissions.
-    fn bind_plan(&mut self, t_idx: usize, placement: &TablePlacement, slot: usize) -> PlanState {
-        let t = &self.tables[t_idx];
-        let map = t.map;
-        let reuse_shard = t.shard_slots[slot] != usize::MAX;
-        let shard_table_of =
-            |plans: &Vec<PlanState>, plan: usize, shard: usize| plans[plan].per_shard[shard];
-        let table_data = t.table.clone();
-        let mut storage = Vec::with_capacity(self.shards.len());
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let range = map.range(i);
-            let start = range.start;
-            let pack = placement.pack_order(range);
-            let mut inv = vec![0u32; pack.len()];
-            for (s, &local) in pack.iter().enumerate() {
-                inv[local as usize] = s as u32;
-            }
-            storage.push(inv);
-            let packed = table_data
-                .slice(start..start + pack.len() as u64)
-                .select(&pack);
+    fn bind_plan(
+        &mut self,
+        t_idx: usize,
+        placement: Option<&TablePlacement>,
+        slot: usize,
+    ) -> PlanState {
+        let n = self.devices;
+        let hot = placement.map_or(&[][..], TablePlacement::hot_rows);
+        if !hot.is_empty() && self.shards.len() == n {
+            let now = self.events.now();
+            // Shaped like every device shard: the same host and slots.
+            let shape = &self.shards[0];
+            let mut tier = Shard::new(shape.sys.config(), shape.slots.width(), track::PID_TIER);
+            tier.sys.run_until(now);
+            tier.slots.reset(now);
+            tier.sys.set_tracer(self.tracer.with_pid(tier.pid));
+            self.shards.push(tier);
+        }
+        let t = &mut self.tables[t_idx];
+        let used = n + usize::from(!hot.is_empty());
+        let mut storage = Vec::with_capacity(n);
+        let mut per_shard = Vec::with_capacity(used);
+        for (i, shard) in self.shards[..used].iter_mut().enumerate() {
             let page_bytes = shard.sys.config().ssd.block_bytes();
-            let image = TableImage::new(packed, self.layout, page_bytes);
-            let dev_id = if reuse_shard {
-                let existing = shard_table_of(
-                    &self.tables[t_idx].plans,
-                    self.tables[t_idx].shard_slots[slot],
-                    i,
-                );
-                shard.sys.replace_table(existing, image);
-                existing
+            let image = if i == n {
+                // A copy, not a view: the tier gathers these few rows on
+                // every hit and must not re-hash a procedural source each
+                // time. Dense layout keeps the tier's (never-read) flash
+                // image within its registry slot whatever the hot count.
+                let hot_view = t.table.select(hot).materialized();
+                TableImage::new(hot_view, PageLayout::Dense, page_bytes)
             } else {
-                shard.sys.add_table(image)
+                let range = t.map.range(i);
+                let slice = t.table.slice(range.clone());
+                let rows = match placement {
+                    Some(p) => {
+                        let pack = p.pack_order(range);
+                        let mut inv = vec![0u32; pack.len()];
+                        for (s, &local) in pack.iter().enumerate() {
+                            inv[local as usize] = s as u32;
+                        }
+                        storage.push(inv);
+                        slice.select(&pack)
+                    }
+                    None => slice,
+                };
+                TableImage::new(rows, self.layout, page_bytes)
             };
-            per_shard.push(dev_id);
+            let ids = &mut t.bound[slot];
+            let id = match ids.get(i) {
+                Some(&id) => {
+                    shard.sys.replace_table(id, image);
+                    id
+                }
+                None => {
+                    ids.push(shard.sys.add_table(image));
+                    ids[i]
+                }
+            };
+            per_shard.push(id);
         }
-        let tier_table = (placement.hot_count() > 0).then(|| {
-            if self.tier.is_none() {
-                let now = self.events.now();
-                // Shaped like every device shard: the same host and slots.
-                let shape = &self.shards[0];
-                let mut tier = Shard::new(shape.sys.config(), shape.slots.width());
-                tier.sys.run_until(now);
-                tier.slots.reset(now);
-                tier.sys.set_tracer(self.tracer.with_pid(Ix::Tier.pid()));
-                self.tier = Some(tier);
+        let routing = placement.map(|p| {
+            let mut hot_index = vec![crate::shard::COLD; p.rows() as usize];
+            for (i, &row) in hot.iter().enumerate() {
+                hot_index[row as usize] = i as u32;
             }
-            let tier = self.tier.as_mut().expect("just ensured");
-            // A copy, not a view: the tier gathers these few rows on
-            // every hit and must not re-hash a procedural source each time.
-            let hot_view = table_data.select(placement.hot_rows()).materialized();
-            let page_bytes = tier.sys.config().ssd.block_bytes();
-            // Dense layout keeps the tier's (never-read) flash image
-            // within its registry slot whatever the hot count.
-            let image = TableImage::new(hot_view, PageLayout::Dense, page_bytes);
-            let t = &self.tables[t_idx];
-            if t.tier_slots[slot] != usize::MAX {
-                let existing = t.plans[t.tier_slots[slot]]
-                    .routing
-                    .as_ref()
-                    .and_then(|r| r.tier_table)
-                    .expect("tier slot owner has a tier table");
-                tier.sys.replace_table(existing, image);
-                existing
-            } else {
-                tier.sys.add_table(image)
-            }
+            Routing { hot_index, storage }
         });
-        let mut hot_index = vec![crate::shard::COLD; placement.rows() as usize];
-        for (i, &row) in placement.hot_rows().iter().enumerate() {
-            hot_index[row as usize] = i as u32;
-        }
         PlanState {
             per_shard,
-            routing: Some(Routing {
-                hot_index,
-                storage,
-                tier_table,
-            }),
-            hot_rows: placement.hot_rows().to_vec(),
+            routing,
+            hot_rows: hot.to_vec(),
             slot,
             inflight_subs: 0,
         }
@@ -1111,7 +1075,7 @@ impl ServingRuntime {
         let t = &mut self.tables[table];
         let plan_ix = t.active;
         let plan = &mut t.plans[plan_ix];
-        let (tier_sub, shard_subs) = split_batch(
+        let mut subs = split_batch(
             &t.map,
             plan.routing.as_ref(),
             req,
@@ -1121,17 +1085,16 @@ impl ServingRuntime {
             &batch,
         );
         if plan.routing.is_some() {
-            let hot: usize = tier_sub
-                .as_ref()
-                .map_or(0, |s| s.per_output.iter().map(|v| v.len()).sum());
+            let tier = t.map.shards();
+            let hot = subs
+                .first()
+                .filter(|(i, _)| *i == tier)
+                .map_or(0, |(_, s)| s.lookups());
             self.stats.tier.add_hits(hot as u64);
             self.stats
                 .tier
                 .add_misses((batch.total_lookups() - hot) as u64);
         }
-        let mut subs: Vec<(Ix, SubBatch)> = Vec::with_capacity(shard_subs.len() + 1);
-        subs.extend(tier_sub.map(|s| (Ix::Tier, s)));
-        subs.extend(shard_subs.into_iter().map(|(i, s)| (Ix::Dev(i), s)));
         plan.inflight_subs += subs.len();
         let req_span = self.tracer.alloc_id();
         if self.tracer.enabled() {
@@ -1180,9 +1143,9 @@ impl ServingRuntime {
     /// The one way into flight: puts `sub` at the back of `ix`'s queue and
     /// pumps the shard. `now` is where the sub-batch's traced `sub:wait`
     /// window starts, so a retry re-bases it: the backoff is not queueing.
-    fn queue_sub(&mut self, ix: Ix, mut sub: SubBatch, now: SimTime) {
+    fn queue_sub(&mut self, ix: usize, mut sub: SubBatch, now: SimTime) {
         sub.enqueued = now;
-        self.shard_mut(ix).queue.push_back(sub);
+        self.shards[ix].queue.push_back(sub);
         self.pump_shard(ix, now);
     }
 
@@ -1229,20 +1192,12 @@ impl ServingRuntime {
         if busy {
             return None;
         }
-        let plan = self.bind_plan(t_idx, placement, slot);
+        let plan = self.bind_plan(t_idx, Some(placement), slot);
         let now = self.events.now();
         let t = &mut self.tables[t_idx];
         let old_ix = t.active;
         let new_ix = t.plans.len();
-        let has_tier = plan
-            .routing
-            .as_ref()
-            .is_some_and(|r| r.tier_table.is_some());
         t.plans.push(plan);
-        t.shard_slots[slot] = new_ix;
-        if has_tier {
-            t.tier_slots[slot] = new_ix;
-        }
 
         // Promotions = hot rows the old plan served from the device,
         // paired with their tier-local position in the new hot view.
@@ -1272,40 +1227,39 @@ impl ServingRuntime {
             return Some(new_ix);
         }
 
-        // Migration work: read each promoted row off its shard (old plan
-        // coordinates — that is where the row physically lives right now)
-        // and gather it into the new tier view. Chunked so it pipelines.
+        // Migration work, one row list per shard index: each promoted row
+        // is read off its device shard (old plan coordinates — that is
+        // where the row physically lives right now) and loaded into the
+        // tier at its position in the new hot view. Promoted rows come
+        // off flash through the NDP gather — the device's bulk-read
+        // mechanism — rather than one conventional read per page; the tier
+        // load, the rows' write into host DRAM, is modelled as a gather.
+        // Chunked so it pipelines; device chunks queue before the tier's.
+        let n = self.devices;
         let map = t.map;
-        let mut per_shard_rows: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for &(_, row) in &promoted {
+        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); n + 1];
+        for &(j, row) in &promoted {
             let shard = map.shard_of(row);
             let local = map.local_row(row);
-            let storage = match old_routing {
+            rows[shard].push(match old_routing {
                 Some(routing) => u64::from(routing.storage[shard][local as usize]),
                 None => local,
-            };
-            per_shard_rows[shard].push(storage);
+            });
+            rows[n].push(j);
         }
-        // Promoted rows come off flash through the NDP gather — the
-        // device's bulk-read mechanism — rather than one conventional
-        // read per page.
         let ndp = SlsPath::Ndp(SlsOptions::default());
-        let mut subs: Vec<(Ix, SubBatch)> = per_shard_rows
+        let subs: Vec<(usize, SubBatch)> = rows
             .iter()
             .enumerate()
-            .flat_map(|(shard, rows)| migration_subs(t_idx, old_ix, Ix::Dev(shard), ndp, rows))
+            .flat_map(|(shard, rows)| {
+                let (plan, path) = if shard == n {
+                    (new_ix, SlsPath::Dram)
+                } else {
+                    (old_ix, ndp)
+                };
+                migration_subs(t_idx, plan, shard, path, rows)
+            })
             .collect();
-        // Tier load: the promoted rows' write into host DRAM, modeled as
-        // a gather over the new tier view.
-        let tier_locals: Vec<u64> = promoted.iter().map(|&(j, _)| j).collect();
-        subs.extend(migration_subs(
-            t_idx,
-            new_ix,
-            Ix::Tier,
-            SlsPath::Dram,
-            &tier_locals,
-        ));
-        let t = &mut self.tables[t_idx];
         t.pending = Some(PendingPlan {
             plan: new_ix,
             remaining: subs.len(),
@@ -1513,8 +1467,8 @@ impl ServingRuntime {
                     self.admit(now, req, arrival);
                 }
                 Ev::ShardTick(ix) => {
-                    if self.shard_mut(ix).next_tick == Some(now) {
-                        self.shard_mut(ix).next_tick = None;
+                    if self.shards[ix].next_tick == Some(now) {
+                        self.shards[ix].next_tick = None;
                     }
                     self.pump_shard(ix, now);
                 }
@@ -1649,21 +1603,13 @@ impl ServingRuntime {
         done
     }
 
-    /// The shard (or DRAM tier) addressed by `ix`.
-    fn shard_mut(&mut self, ix: Ix) -> &mut Shard {
-        shard_in(&mut self.shards, &mut self.tier, ix)
-    }
-
     /// One full visit of a shard at the global instant: merge clocks,
     /// harvest completed operators, dispatch while capacity allows, and
     /// re-arm the shard's wake-up tick.
-    fn pump_shard(&mut self, ix: Ix, now: SimTime) {
+    fn pump_shard(&mut self, ix: usize, now: SimTime) {
         self.sync_shard(ix, now);
-        loop {
-            let s = shard_in(&mut self.shards, &mut self.tier, ix);
-            if s.queue.is_empty() {
-                break;
-            }
+        let s = &mut self.shards[ix];
+        while !s.queue.is_empty() {
             let Some(slot) = s.slots.acquire(now) else {
                 break;
             };
@@ -1676,34 +1622,31 @@ impl ServingRuntime {
 
     /// Advances `ix`'s system to the global instant and folds every
     /// operator that completed at or before it into its owning requests.
-    fn sync_shard(&mut self, ix: Ix, now: SimTime) {
+    fn sync_shard(&mut self, ix: usize, now: SimTime) {
         let t_dev = self.wall.begin();
-        self.shard_mut(ix).sys.run_until(now);
+        self.shards[ix].sys.run_until(now);
         self.wall.end(WallPhase::DeviceStep, t_dev);
         // What lets `self.events.now()` stand for "the furthest instant
         // any component has reached" everywhere in this file.
         debug_assert!(
-            (self.shards.iter().chain(self.tier.as_ref()))
-                .all(|s| s.sys.now() <= self.events.now()),
+            self.shards.iter().all(|s| s.sys.now() <= self.events.now()),
             "a shard clock leads the event clock"
         );
         let mut harvested = std::mem::take(&mut self.harvest_scratch);
-        collect_harvest(self.shard_mut(ix), &mut harvested);
+        collect_harvest(&mut self.shards[ix], &mut harvested);
         if harvested.is_empty() {
             self.harvest_scratch = harvested;
             return;
         }
-        if let Ix::Dev(_) = ix {
-            let policy = self.fault_policy;
-            let s = self.shard_mut(ix);
-            let mut trips = 0u64;
-            for (_, r) in &harvested {
-                if s.breaker.record(r.finished, r.error.is_some(), &policy) {
-                    trips += 1;
-                }
+        let policy = self.fault_policy;
+        let s = &mut self.shards[ix];
+        let mut trips = 0u64;
+        for (_, r) in &harvested {
+            if s.breaker.record(r.finished, r.error.is_some(), &policy) {
+                trips += 1;
             }
-            self.stats.breaker_trips.add(trips);
         }
+        self.stats.breaker_trips.add(trips);
         let t_harvest = self.wall.begin();
         for (infop, result) in harvested.drain(..) {
             self.fold_one(ix, infop, result);
@@ -1719,11 +1662,12 @@ impl ServingRuntime {
     /// All per-op times derive from the operator's own finish instant —
     /// a shard is only ever harvested *at* that instant (its completion
     /// surfaces as a shard event there).
-    fn fold_one(&mut self, ix: Ix, infop: InflightOp, result: OpResult) {
+    fn fold_one(&mut self, ix: usize, infop: InflightOp, result: OpResult) {
         let service = result.finished.saturating_since(result.started);
-        match ix {
-            Ix::Tier => self.stats.tier_service.record_duration(service),
-            Ix::Dev(_) => self.stats.device_service.record_duration(service),
+        if ix == self.devices {
+            self.stats.tier_service.record_duration(service);
+        } else {
+            self.stats.device_service.record_duration(service);
         }
         if result.error.is_some() {
             self.stats.faults.inc();
@@ -1739,7 +1683,7 @@ impl ServingRuntime {
             }
         }
         if let Some(outputs) = result.outputs {
-            self.shard_mut(ix).sys.recycle_outputs(outputs);
+            self.shards[ix].sys.recycle_outputs(outputs);
         }
     }
 
@@ -1750,7 +1694,7 @@ impl ServingRuntime {
     /// loss flagged, migration chunks are abandoned (they model movement
     /// cost only, so giving up is safe). A straggler of a request its
     /// deadline already served is given up at once.
-    fn handle_failed_op(&mut self, ix: Ix, subs: Vec<SubBatch>, result: &OpResult) {
+    fn handle_failed_op(&mut self, ix: usize, subs: Vec<SubBatch>, result: &OpResult) {
         let policy = self.fault_policy;
         for mut sub in subs {
             sub.attempts += 1;
@@ -1855,7 +1799,7 @@ impl ServingRuntime {
     /// backoff, falling back from the NDP to the baseline path once the
     /// policy's attempt threshold is reached. The sub-batch keeps its
     /// plan pin, so its routing generation cannot be re-bound under it.
-    fn schedule_retry(&mut self, ix: Ix, now: SimTime, mut sub: SubBatch, policy: &FaultPolicy) {
+    fn schedule_retry(&mut self, ix: usize, now: SimTime, mut sub: SubBatch, policy: &FaultPolicy) {
         self.stats.retries.inc();
         if sub.attempts >= policy.fallback_after {
             if let crate::SlsPath::Ndp(opts) = sub.path {
@@ -1895,8 +1839,8 @@ impl ServingRuntime {
     /// Ticks are monotone: one is only pushed when it is earlier than
     /// the earliest already armed, so the global queue sees at most a
     /// handful of (idempotent) ticks per shard event.
-    fn arm_tick(&mut self, ix: Ix, now: SimTime) {
-        let s = self.shard_mut(ix);
+    fn arm_tick(&mut self, ix: usize, now: SimTime) {
+        let s = &mut self.shards[ix];
         if let Some(t) = s.sys.next_event_time() {
             let t = t.max(now);
             if s.next_tick.is_none_or(|armed| t < armed) {
@@ -1907,25 +1851,16 @@ impl ServingRuntime {
     }
 }
 
-/// The shard (or DRAM tier) addressed by `ix`, borrowed apart from the
-/// rest of the runtime.
-fn shard_in<'a>(shards: &'a mut [Shard], tier: &'a mut Option<Shard>, ix: Ix) -> &'a mut Shard {
-    match ix {
-        Ix::Dev(i) => &mut shards[i],
-        Ix::Tier => tier.as_mut().expect("tier sub-batch without a tier"),
-    }
-}
-
-/// Migration work of served table `table`: `rows` (local to `ix` under
-/// routing generation `plan`), one per output, in sub-batches of at most
-/// [`MIGRATION_CHUNK_ROWS`].
+/// Migration work of served table `table`: `rows` (local to shard `ix`
+/// under routing generation `plan`), one per output, in sub-batches of at
+/// most [`MIGRATION_CHUNK_ROWS`].
 fn migration_subs(
     table: usize,
     plan: usize,
-    ix: Ix,
+    ix: usize,
     path: SlsPath,
     rows: &[u64],
-) -> impl Iterator<Item = (Ix, SubBatch)> + '_ {
+) -> impl Iterator<Item = (usize, SubBatch)> + '_ {
     rows.chunks(MIGRATION_CHUNK_ROWS).map(move |chunk| {
         let sub = SubBatch {
             owner: SubOwner::Migration(table),
@@ -1972,7 +1907,7 @@ fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
 /// beside the read-only table state and the host-track tracer.
 fn dispatch_on(
     s: &mut Shard,
-    ix: Ix,
+    ix: usize,
     now: SimTime,
     slot: usize,
     tables: &[ServedTable],
@@ -2013,21 +1948,13 @@ fn dispatch_on(
         per_output.extend(sub.per_output.iter().cloned());
     }
     let merged = LookupBatch::new(per_output);
-    let plan_state = &tables[table].plans[plan];
-    let device_table = match ix {
-        Ix::Dev(shard) => plan_state.per_shard[shard],
-        Ix::Tier => plan_state
-            .routing
-            .as_ref()
-            .and_then(|r| r.tier_table)
-            .expect("tier sub-batch for a table with no hot set"),
-    };
+    let device_table = tables[table].plans[plan].per_shard[ix];
     // A tripped circuit breaker redirects NDP operators onto the
     // conventional baseline path for this dispatch only — the
     // sub-batches keep their own path, so later retries (and the
     // half-open probe) re-evaluate the breaker.
     let mut path = key.path;
-    if let (SlsPath::Ndp(opts), Ix::Dev(_)) = (path, ix) {
+    if let SlsPath::Ndp(opts) = path {
         if !s.breaker.allows_ndp(now) {
             path = SlsPath::Baseline(opts);
         }
@@ -2048,7 +1975,7 @@ fn dispatch_on(
         // `shard` argument carries the resource pid so offline analysis
         // can tie a sub-batch to the shard that served it even when
         // micro-batching parents the op under a different request.
-        let res_pid = u64::from(ix.pid());
+        let res_pid = u64::from(s.pid);
         for sub in &taken {
             if sub.span.is_some() {
                 tracer.span_arg("sub:wait", sub.enqueued, now, sub.span, "shard", res_pid);

@@ -5,7 +5,9 @@
 //! [`recssd::System`], so a global row `r` lives at local row
 //! `r - range_i.start` on exactly one device. An incoming lookup batch is
 //! split into per-shard *sub-batches* carrying local rows plus the global
-//! output slot each local output folds into.
+//! output slot each local output folds into. Under a placement, the hot
+//! rows go to the host DRAM tier instead: shard `n` after the `n` device
+//! shards, addressed by tier-local rows.
 
 use recssd::{LookupBatch, SlsOptions, SpanId};
 use recssd_sim::SimTime;
@@ -136,8 +138,9 @@ pub(crate) enum SubOwner {
     Migration(usize),
 }
 
-/// One shard's slice of a request: local rows per (local) output, plus the
-/// global output slot each folds into.
+/// One shard's slice of a request — a device shard's or the DRAM tier's:
+/// local rows per (local) output, plus the global output slot each folds
+/// into.
 #[derive(Debug, Clone)]
 pub(crate) struct SubBatch {
     /// Whose work this is.
@@ -217,18 +220,16 @@ pub(crate) struct Routing {
     /// Per device shard: shard-local logical row → packed storage row of
     /// the frequency-ordered on-flash image.
     pub storage: Vec<Vec<u32>>,
-    /// The table's id within the tier [`recssd::System`] (`None` when the
-    /// plan pinned nothing — packing still applies).
-    pub tier_table: Option<recssd::TableId>,
 }
 
 /// Splits `batch` (global rows) into per-shard sub-batches, plus — when
 /// `routing` carries a hot set — a DRAM-tier sub-batch of the hot rows
 /// (always executed over [`SlsPath::Dram`], whatever the request path).
 /// Device-shard rows are translated to packed storage rows so the
-/// frequency-ordered on-flash image is addressed correctly. Returns the
-/// optional tier sub-batch and one entry per device shard that owns at
-/// least one looked-up row, in shard order.
+/// frequency-ordered on-flash image is addressed correctly. Returns one
+/// `(shard index, sub-batch)` entry per shard that owns at least one
+/// looked-up row: the tier's (index `map.shards()`) first, then the
+/// device shards' in shard order.
 pub(crate) fn split_batch(
     map: &ShardMap,
     routing: Option<&Routing>,
@@ -237,47 +238,34 @@ pub(crate) fn split_batch(
     plan: u32,
     path: SlsPath,
     batch: &LookupBatch,
-) -> (Option<SubBatch>, Vec<(usize, SubBatch)>) {
-    let mut tier: Option<SubBatch> = None;
-    let mut per_shard: Vec<Option<SubBatch>> = (0..map.shards()).map(|_| None).collect();
-    let new_sub = |path: SlsPath| SubBatch {
-        owner: SubOwner::Request(req),
-        table,
-        plan,
-        path,
-        per_output: Vec::new(),
-        slots: Vec::new(),
-        attempts: 0,
-        span: SpanId::NONE,
-        born: SimTime::ZERO,
-        enqueued: SimTime::ZERO,
-    };
+) -> Vec<(usize, SubBatch)> {
+    let tier = map.shards();
+    let mut per_shard: Vec<Option<SubBatch>> = (0..=tier).map(|_| None).collect();
     for (slot, ids) in batch.per_output().iter().enumerate() {
-        // Mark which shards this output touches while distributing ids.
         for &row in ids {
-            let (sub, local) = match routing {
+            let (shard, local) = match routing {
                 Some(r) => match r.hot_index[row as usize] {
-                    hot if hot != COLD => (
-                        tier.get_or_insert_with(|| new_sub(SlsPath::Dram)),
-                        u64::from(hot),
-                    ),
-                    _ => {
+                    COLD => {
                         let shard = map.shard_of(row);
                         let local = r.storage[shard][map.local_row(row) as usize];
-                        (
-                            per_shard[shard].get_or_insert_with(|| new_sub(path)),
-                            u64::from(local),
-                        )
+                        (shard, u64::from(local))
                     }
+                    hot => (tier, u64::from(hot)),
                 },
-                None => {
-                    let shard = map.shard_of(row);
-                    (
-                        per_shard[shard].get_or_insert_with(|| new_sub(path)),
-                        map.local_row(row),
-                    )
-                }
+                None => (map.shard_of(row), map.local_row(row)),
             };
+            let sub = per_shard[shard].get_or_insert_with(|| SubBatch {
+                owner: SubOwner::Request(req),
+                table,
+                plan,
+                path: if shard == tier { SlsPath::Dram } else { path },
+                per_output: Vec::new(),
+                slots: Vec::new(),
+                attempts: 0,
+                span: SpanId::NONE,
+                born: SimTime::ZERO,
+                enqueued: SimTime::ZERO,
+            });
             if sub.slots.last() != Some(&(slot as u32)) {
                 sub.slots.push(slot as u32);
                 sub.per_output.push(Vec::new());
@@ -285,12 +273,12 @@ pub(crate) fn split_batch(
             sub.per_output.last_mut().expect("just ensured").push(local);
         }
     }
-    let shards = per_shard
+    let tier_sub = per_shard.pop().flatten().map(|s| (tier, s));
+    let device_subs = per_shard
         .into_iter()
         .enumerate()
-        .filter_map(|(shard, sub)| sub.map(|s| (shard, s)))
-        .collect();
-    (tier, shards)
+        .filter_map(|(shard, sub)| sub.map(|s| (shard, s)));
+    tier_sub.into_iter().chain(device_subs).collect()
 }
 
 #[cfg(test)]
@@ -321,8 +309,11 @@ mod tests {
     fn split_preserves_every_lookup() {
         let m = ShardMap::new(100, 3);
         let batch = LookupBatch::new(vec![vec![0, 50, 99, 50], vec![33, 34]]);
-        let (tier, subs) = split_batch(&m, None, 7, 0, 0, SlsPath::Dram, &batch);
-        assert!(tier.is_none(), "no routing, no tier sub-batch");
+        let subs = split_batch(&m, None, 7, 0, 0, SlsPath::Dram, &batch);
+        assert!(
+            subs.iter().all(|(i, _)| *i < 3),
+            "no routing, no tier sub-batch"
+        );
         let total: usize = subs.iter().map(|(_, s)| s.lookups()).sum();
         assert_eq!(total, batch.total_lookups());
         // Reassemble: every (global row, slot) pair appears exactly once
@@ -353,18 +344,20 @@ mod tests {
         let routing = Routing {
             hot_index,
             storage: vec![vec![4, 3, 2, 1, 0], vec![4, 3, 2, 1, 0]],
-            tier_table: None,
         };
         let batch = LookupBatch::new(vec![vec![7, 0, 9]]);
-        let (tier, subs) = split_batch(&m, Some(&routing), 1, 0, 0, SlsPath::Dram, &batch);
-        let tier = tier.expect("hot row routed to the tier");
-        assert_eq!(tier.per_output, vec![vec![0]]);
-        assert!(matches!(tier.path, SlsPath::Dram));
+        let ndp = SlsPath::Ndp(SlsOptions::default());
+        let subs = split_batch(&m, Some(&routing), 1, 0, 0, ndp, &batch);
+        // The tier (shard 2 of 2 devices) comes first, over the DRAM path.
+        let shards: Vec<usize> = subs.iter().map(|(i, _)| *i).collect();
+        assert_eq!(shards, vec![2, 0, 1]);
+        assert_eq!(subs[0].1.per_output, vec![vec![0]]);
+        assert!(matches!(subs[0].1.path, SlsPath::Dram));
         // Row 0 → shard 0 local 0 → storage 4; row 9 → shard 1 local 4 → 0.
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].1.per_output, vec![vec![4]]);
-        assert_eq!(subs[1].1.per_output, vec![vec![0]]);
-        let total: usize = subs.iter().map(|(_, s)| s.lookups()).sum::<usize>() + tier.lookups();
+        assert_eq!(subs[1].1.per_output, vec![vec![4]]);
+        assert_eq!(subs[2].1.per_output, vec![vec![0]]);
+        assert!(subs[1..].iter().all(|(_, s)| s.path == ndp));
+        let total: usize = subs.iter().map(|(_, s)| s.lookups()).sum();
         assert_eq!(total, batch.total_lookups());
     }
 

@@ -357,6 +357,49 @@ fn refresh_adopts_an_unplaced_table() {
     );
 }
 
+/// A table registered after a placed one created the DRAM tier is still
+/// sharded over the device shards only, and the device-shard gauges leave
+/// the tier out; requests on both tables, over every path, bit-match the
+/// reference while the tier serves the placed table's hot rows.
+#[test]
+fn registration_after_the_tier_exists_shards_over_devices_only() {
+    let rows = 128u64;
+    let placed = EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 6);
+    let plain = EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 7);
+    let plan = PlacementPlan::build(
+        &skewed_profile(rows, 0x99),
+        &PlacementPolicy::hot_fraction(0.25),
+    );
+    let cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo).with_depth(2);
+    let mut rt = ServingRuntime::new(&cfg);
+    let t1 = rt.add_table_placed(placed.clone(), plan.table(0));
+    assert!(rt.has_tier());
+    let t2 = rt.add_table(plain.clone());
+    assert_eq!(rt.shards(), 2);
+    assert_eq!(rt.shard_map(t2).shards(), 2);
+    let mut rng = Xoshiro256::seed_from(13);
+    let mut at = 0;
+    for path in paths() {
+        for t in [t1, t2] {
+            for _ in 0..4 {
+                let batch = batch_of(&mut rng, rows, 2, 6);
+                rt.submit_at(SimTime::from_us(at), at, t, batch, path);
+                at += 1;
+            }
+        }
+    }
+    let done = rt.run_until_idle();
+    assert_eq!(done.len(), 24);
+    for d in &done {
+        let table = if d.table == t1 { &placed } else { &plain };
+        assert_eq!(d.outputs.to_nested(), sls_reference(table, &d.batch));
+    }
+    assert_eq!(rt.shard_occupancy().len(), 2);
+    assert_eq!(rt.channel_utilisation().len(), 2);
+    assert_eq!(rt.ftl_cache_stats().len(), 2);
+    assert!(rt.tier_occupancy() > 0.0);
+}
+
 /// The full online loop under drifting skew: the adaptive runtime
 /// re-profiles, refreshes plans (with real migration cost) and keeps the
 /// DRAM tier's hit rate up while a stale static plan would have decayed —
