@@ -13,9 +13,9 @@
 //! * **Operator pipelining** — §4.2's threadpool: how much of the NDP
 //!   latency can overlap with neural-network compute.
 
-use recssd::{OpKind, RecSsdConfig, SlsOptions, System};
+use recssd::{OpKind, RecSsdConfig, SlsOptions, SlsPath, System};
 use recssd_embedding::{PageLayout, Quantization};
-use recssd_models::{BatchGen, EmbeddingMode, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelConfig, ModelInstance};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::SimDuration;
 use recssd_trace::{LocalityK, LocalityTrace};
@@ -182,13 +182,13 @@ pub fn run_pipelining(scale: Scale) -> Series {
     let cfg = ModelConfig::wnd().scaled_tables(scale.model_rows);
     let mut sys = cosmos_system(0);
     let model = ModelInstance::build(&mut sys, cfg, PageLayout::Spread, 8);
-    let mode = EmbeddingMode::Ndp(SlsOptions::default());
+    let path = SlsPath::Ndp(SlsOptions::default());
     let n = 6;
     // Sequential: run batches one at a time.
     let mut gen = BatchGen::uniform(80);
     let mut seq_total = SimDuration::ZERO;
     for _ in 0..n {
-        seq_total += model.run_inference(&mut sys, 32, &mode, &mut gen).latency;
+        seq_total += model.run_inference(&mut sys, 32, path, &mut gen).latency;
     }
     series.push(vec![
         "sequential".into(),
@@ -196,7 +196,7 @@ pub fn run_pipelining(scale: Scale) -> Series {
         ms(seq_total / n as u64),
     ]);
     // Pipelined: submit all, let the pools overlap.
-    let (makespan, mean) = model.run_pipelined(&mut sys, 32, n, &mode, &mut gen);
+    let (makespan, mean) = model.run_pipelined(&mut sys, 32, n, path, &mut gen);
     series.push(vec!["pipelined".into(), ms(makespan), ms(mean)]);
     series
 }

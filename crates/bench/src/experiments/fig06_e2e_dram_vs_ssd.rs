@@ -12,9 +12,9 @@
 //! that with a high-reuse trace plus the host-side vector cache. The
 //! embedding-dominated models use the paper's random indices.
 
-use recssd::SlsOptions;
+use recssd::{SlsOptions, SlsPath};
 use recssd_embedding::PageLayout;
-use recssd_models::{BatchGen, EmbeddingMode, ModelClass, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelClass, ModelConfig, ModelInstance};
 use recssd_trace::LocalityTrace;
 
 use crate::experiments::{cosmos_system, ms, x};
@@ -50,20 +50,18 @@ pub fn run(scale: Scale) -> Series {
         let mut t_dram = recssd_sim::SimDuration::ZERO;
         for _ in 0..scale.reps {
             t_dram += model
-                .run_inference(&mut sys, batch, &EmbeddingMode::Dram, &mut gen)
+                .run_inference(&mut sys, batch, SlsPath::Dram, &mut gen)
                 .latency;
         }
         let t_dram = t_dram / scale.reps as u64;
         // SSD path (warm up caches first, as a long-running service would).
-        let mode = EmbeddingMode::BaselineSsd(opts);
+        let path = SlsPath::Baseline(opts);
         for _ in 0..scale.warmup {
-            model.run_inference(&mut sys, batch, &mode, &mut gen);
+            model.run_inference(&mut sys, batch, path, &mut gen);
         }
         let mut t_ssd = recssd_sim::SimDuration::ZERO;
         for _ in 0..scale.reps {
-            t_ssd += model
-                .run_inference(&mut sys, batch, &mode, &mut gen)
-                .latency;
+            t_ssd += model.run_inference(&mut sys, batch, path, &mut gen).latency;
         }
         let t_ssd = t_ssd / scale.reps as u64;
         series.push(vec![

@@ -8,7 +8,7 @@
 //! spent on Translation ... Sequential access patterns with high spatial
 //! locality result in poor NDP performance."
 
-use recssd::{OpKind, SlsOptions};
+use recssd::{OpKind, SlsOptions, SlsPath};
 use recssd_embedding::{LookupBatch, PageLayout, Quantization};
 use recssd_trace::patterns::{sequential_ids, strided_ids};
 
@@ -56,21 +56,22 @@ pub fn run(scale: Scale) -> Series {
             // them: stride 128 puts the ids on *consecutive* pages, which
             // the coalescing I/O planner would merge into a few long
             // reads and erase the STR penalty the figure is about.
-            let b = sys.submit(OpKind::baseline_sls(
+            let path = SlsPath::Baseline(SlsOptions {
+                io_concurrency: 32,
+                coalesce_reads: false,
+                ..SlsOptions::default()
+            });
+            let b = sys.submit(OpKind::Sls {
                 table,
-                make_batch(0),
-                SlsOptions {
-                    io_concurrency: 32,
-                    coalesce_reads: false,
-                    ..SlsOptions::default()
-                },
-            ));
+                batch: make_batch(0),
+                path,
+            });
             sys.run_until_idle();
             let t_base = sys.result(b).service_time();
             series.push(vec![
                 pattern.into(),
                 batch.to_string(),
-                "baseline".into(),
+                path.name().into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -80,14 +81,19 @@ pub fn run(scale: Scale) -> Series {
             // NDP, cold device.
             sys.device_mut().ftl_mut().drop_caches();
             sys.reset_stats();
-            let n = sys.submit(OpKind::ndp_sls(table, make_batch(0), SlsOptions::default()));
+            let path = SlsPath::Ndp(SlsOptions::default());
+            let n = sys.submit(OpKind::Sls {
+                table,
+                batch: make_batch(0),
+                path,
+            });
             sys.run_until_idle();
             let _ = sys.result(n);
             let report = sys.device().engine().stats().mean_report();
             series.push(vec![
                 pattern.into(),
                 batch.to_string(),
-                "ndp".into(),
+                path.name().into(),
                 us(report.config_write),
                 us(report.config_process),
                 us(report.translation),

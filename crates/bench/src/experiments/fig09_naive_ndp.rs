@@ -7,9 +7,9 @@
 //! limited by embedding operations and SSD latencies, NDP can provide
 //! substantial assistance with up to 7× speedup."
 
-use recssd::SlsOptions;
+use recssd::{SlsOptions, SlsPath};
 use recssd_embedding::PageLayout;
-use recssd_models::{BatchGen, EmbeddingMode, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelConfig, ModelInstance};
 
 use crate::experiments::{cosmos_system, ms, x};
 use crate::{Scale, Series};
@@ -32,12 +32,7 @@ pub fn run(scale: Scale) -> Series {
         let mut t_base = recssd_sim::SimDuration::ZERO;
         for _ in 0..scale.reps {
             t_base += model
-                .run_inference(
-                    &mut sys,
-                    batch,
-                    &EmbeddingMode::BaselineSsd(naive),
-                    &mut gen,
-                )
+                .run_inference(&mut sys, batch, SlsPath::Baseline(naive), &mut gen)
                 .latency;
         }
         let t_base = t_base / scale.reps as u64;
@@ -45,7 +40,7 @@ pub fn run(scale: Scale) -> Series {
         let mut t_ndp = recssd_sim::SimDuration::ZERO;
         for _ in 0..scale.reps {
             t_ndp += model
-                .run_inference(&mut sys, batch, &EmbeddingMode::Ndp(naive), &mut gen)
+                .run_inference(&mut sys, batch, SlsPath::Ndp(naive), &mut gen)
                 .latency;
         }
         let t_ndp = t_ndp / scale.reps as u64;

@@ -10,10 +10,10 @@
 //! RecSSD achieves a 2× performance improvement over the conventional
 //! SSD baseline."
 
-use recssd::{SlsOptions, System};
+use recssd::{SlsOptions, SlsPath, System};
 use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::PageLayout;
-use recssd_models::{BatchGen, EmbeddingMode, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelConfig, ModelInstance};
 use recssd_trace::{LocalityK, LocalityTrace};
 
 use crate::experiments::{cosmos_system, ms, pct, x};
@@ -131,15 +131,10 @@ fn run_cell(
             base_model.run_inference(
                 &mut base_sys,
                 batch,
-                &EmbeddingMode::BaselineSsd(base_opts),
+                SlsPath::Baseline(base_opts),
                 &mut base_gen,
             );
-            rec_model.run_inference(
-                &mut rec_sys,
-                batch,
-                &EmbeddingMode::Ndp(rec_opts),
-                &mut rec_gen,
-            );
+            rec_model.run_inference(&mut rec_sys, batch, SlsPath::Ndp(rec_opts), &mut rec_gen);
         }
         base_sys.reset_stats();
         rec_sys.reset_stats();
@@ -150,17 +145,12 @@ fn run_cell(
                 .run_inference(
                     &mut base_sys,
                     batch,
-                    &EmbeddingMode::BaselineSsd(base_opts),
+                    SlsPath::Baseline(base_opts),
                     &mut base_gen,
                 )
                 .latency;
             t_rec += rec_model
-                .run_inference(
-                    &mut rec_sys,
-                    batch,
-                    &EmbeddingMode::Ndp(rec_opts),
-                    &mut rec_gen,
-                )
+                .run_inference(&mut rec_sys, batch, SlsPath::Ndp(rec_opts), &mut rec_gen)
                 .latency;
         }
         let t_base = t_base / scale.reps as u64;

@@ -6,9 +6,9 @@
 //! diminishes performance, this quickly becomes outscaled by increases in
 //! performance from the increased indices per lookup."
 
-use recssd::SlsOptions;
+use recssd::{SlsOptions, SlsPath};
 use recssd_embedding::{PageLayout, Quantization};
-use recssd_models::{BatchGen, EmbeddingMode, ModelClass, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelClass, ModelConfig, ModelInstance};
 
 use crate::experiments::{cosmos_system, x};
 use crate::{Scale, Series};
@@ -51,14 +51,14 @@ fn speedup_of(cfg: ModelConfig, scale: Scale, seed: u64) -> f64 {
     let mut t_base = recssd_sim::SimDuration::ZERO;
     for _ in 0..scale.reps {
         t_base += model
-            .run_inference(&mut sys, batch, &EmbeddingMode::BaselineSsd(opts), &mut gen)
+            .run_inference(&mut sys, batch, SlsPath::Baseline(opts), &mut gen)
             .latency;
     }
     sys.device_mut().ftl_mut().drop_caches();
     let mut t_ndp = recssd_sim::SimDuration::ZERO;
     for _ in 0..scale.reps {
         t_ndp += model
-            .run_inference(&mut sys, batch, &EmbeddingMode::Ndp(opts), &mut gen)
+            .run_inference(&mut sys, batch, SlsPath::Ndp(opts), &mut gen)
             .latency;
     }
     t_base.as_ns() as f64 / t_ndp.as_ns() as f64

@@ -1,6 +1,7 @@
 //! One module per paper table/figure. Each `run(scale)` regenerates the
-//! corresponding rows/series (see EXPERIMENTS.md for the index and the
-//! paper-vs-measured record).
+//! corresponding rows/series; each module's docs quote the paper's claim
+//! and its tests hold the figure's shape (README "Figures and
+//! microbenchmarks" runs them).
 
 pub mod ablations;
 pub mod fig03_reuse_cdf;

@@ -72,11 +72,6 @@ impl Series {
         }
         out
     }
-
-    /// Prints the aligned table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.to_table());
-    }
 }
 
 #[cfg(test)]

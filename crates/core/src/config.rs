@@ -40,7 +40,7 @@ pub struct NdpConfig {
 }
 
 impl NdpConfig {
-    /// Calibrated Cosmos+ defaults (see DESIGN.md §4).
+    /// Calibrated defaults for the paper's §5 Cosmos+ OpenSSD platform.
     pub fn cosmos() -> Self {
         NdpConfig {
             // 2 Mi pages = 32 GiB of 16 KB blocks per table slot: fits a

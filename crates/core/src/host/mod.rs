@@ -3,4 +3,4 @@
 
 mod system;
 
-pub use system::{OpId, OpKind, OpResult, SlsOptions, System};
+pub use system::{OpId, OpKind, OpResult, SlsOptions, SlsPath, System};

@@ -80,34 +80,52 @@ impl SlsOptions {
     }
 }
 
+/// Where an SLS operator executes — the three paths the paper compares
+/// (Figs. 5–10), from the model zoo and the serving runtime down to the
+/// device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlsPath {
+    /// The table in host DRAM (the Fig. 5/6 DRAM baseline).
+    Dram,
+    /// Conventional NVMe reads with host-side accumulation (the COTS-SSD
+    /// baseline), with its I/O and caching options.
+    Baseline(SlsOptions),
+    /// The RecSSD offload: config-write + result-read NDP commands, with
+    /// its partitioning options.
+    Ndp(SlsOptions),
+}
+
+impl SlsPath {
+    /// Short label for reports and the `op` trace span.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SlsPath::Dram => "dram",
+            SlsPath::Baseline(_) => "baseline",
+            SlsPath::Ndp(_) => "ndp",
+        }
+    }
+
+    /// The conventional path an NDP operator falls back to: the baseline
+    /// with the same options. `None` for the other paths.
+    pub fn ndp_fallback(self) -> Option<SlsPath> {
+        match self {
+            SlsPath::Ndp(opts) => Some(SlsPath::Baseline(opts)),
+            SlsPath::Dram | SlsPath::Baseline(_) => None,
+        }
+    }
+}
+
 /// An operator to run on the simulated host.
 #[derive(Debug, Clone)]
 pub enum OpKind {
-    /// SLS with the table in host DRAM (the Fig. 5/6 DRAM baseline).
-    DramSls {
+    /// SparseLengthsSum of `batch` over `table`, on `path`.
+    Sls {
         /// Target table.
         table: TableId,
         /// The lookups.
         batch: LookupBatch,
-    },
-    /// SLS over conventional NVMe reads with host-side accumulation
-    /// (the COTS-SSD baseline).
-    BaselineSls {
-        /// Target table.
-        table: TableId,
-        /// The lookups.
-        batch: LookupBatch,
-        /// I/O and caching options.
-        opts: SlsOptions,
-    },
-    /// The RecSSD offload: config-write + result-read NDP commands.
-    NdpSls {
-        /// Target table.
-        table: TableId,
-        /// The lookups.
-        batch: LookupBatch,
-        /// Partitioning options.
-        opts: SlsOptions,
+        /// Where it executes.
+        path: SlsPath,
     },
     /// Dense host compute (FC layers, feature interactions): timed by the
     /// host cost model, no functional output.
@@ -120,19 +138,22 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Convenience constructor for [`OpKind::DramSls`].
+    /// An SLS over [`SlsPath::Dram`].
     pub fn dram_sls(table: TableId, batch: LookupBatch) -> Self {
-        OpKind::DramSls { table, batch }
+        let path = SlsPath::Dram;
+        OpKind::Sls { table, batch, path }
     }
 
-    /// Convenience constructor for [`OpKind::BaselineSls`].
+    /// An SLS over [`SlsPath::Baseline`].
     pub fn baseline_sls(table: TableId, batch: LookupBatch, opts: SlsOptions) -> Self {
-        OpKind::BaselineSls { table, batch, opts }
+        let path = SlsPath::Baseline(opts);
+        OpKind::Sls { table, batch, path }
     }
 
-    /// Convenience constructor for [`OpKind::NdpSls`].
+    /// An SLS over [`SlsPath::Ndp`].
     pub fn ndp_sls(table: TableId, batch: LookupBatch, opts: SlsOptions) -> Self {
-        OpKind::NdpSls { table, batch, opts }
+        let path = SlsPath::Ndp(opts);
+        OpKind::Sls { table, batch, path }
     }
 
     /// Convenience constructor for [`OpKind::HostCompute`].
@@ -143,7 +164,15 @@ impl OpKind {
     fn pool(&self) -> PoolKind {
         match self {
             OpKind::HostCompute { .. } => PoolKind::Nn,
-            _ => PoolKind::Sls,
+            OpKind::Sls { .. } => PoolKind::Sls,
+        }
+    }
+
+    /// The table and batch of an SLS operator (only SLS phases ask).
+    fn sls(&self) -> (TableId, &LookupBatch) {
+        match self {
+            OpKind::Sls { table, batch, .. } => (*table, batch),
+            OpKind::HostCompute { .. } => unreachable!("phase/kind mismatch"),
         }
     }
 }
@@ -291,9 +320,9 @@ struct NdpPlan {
 enum Phase {
     Pending,
     Compute,
-    BasePrep,
+    /// Host software before a baseline or NDP operator plans its I/O.
+    Prep(SlsPath),
     BaseIo(BaseIo),
-    NdpPrep,
     NdpHotGather,
     NdpAwaitWrite,
     NdpAwaitRead,
@@ -762,7 +791,11 @@ impl System {
         let host = self.host().clone();
         let op = self.ops.get_mut(&id).expect("op exists");
         match &op.kind {
-            OpKind::DramSls { table, batch } => {
+            OpKind::Sls {
+                table,
+                batch,
+                path: SlsPath::Dram,
+            } => {
                 let image = self.registry.binding(*table).image.clone();
                 let lookups = batch.total_lookups();
                 let bytes = lookups as f64 * image.table().spec().row_bytes() as f64
@@ -791,16 +824,9 @@ impl System {
                     + SimDuration::from_secs_f64(compute.max(memory));
                 self.charge(id, dur);
             }
-            OpKind::BaselineSls { batch, .. } => {
+            OpKind::Sls { batch, path, .. } => {
                 let lookups = batch.total_lookups();
-                op.phase = Phase::BasePrep;
-                let dur =
-                    SimDuration::from_ns(host.op_overhead_ns + host.per_lookup_ns * lookups as u64);
-                self.charge(id, dur);
-            }
-            OpKind::NdpSls { batch, .. } => {
-                let lookups = batch.total_lookups();
-                op.phase = Phase::NdpPrep;
+                op.phase = Phase::Prep(*path);
                 let dur =
                     SimDuration::from_ns(host.op_overhead_ns + host.per_lookup_ns * lookups as u64);
                 self.charge(id, dur);
@@ -815,23 +841,24 @@ impl System {
         );
         match phase {
             Phase::Compute => self.finish_op(now, id),
-            Phase::BasePrep => self.baseline_plan(now, id),
+            Phase::Prep(SlsPath::Baseline(opts)) => self.baseline_plan(now, id, opts),
+            Phase::Prep(SlsPath::Ndp(opts)) => self.ndp_plan(now, id, opts),
             Phase::BaseIo(io) => self.baseline_accum_done(now, id, io),
-            Phase::NdpPrep => self.ndp_plan(now, id),
             Phase::NdpHotGather => {
                 self.trace_phase(id, "ndp:gather", now);
                 self.ndp_send_write(now, id)
             }
             Phase::NdpMerge => self.ndp_merge_done(now, id),
-            Phase::Pending | Phase::NdpAwaitWrite | Phase::NdpAwaitRead => {
-                unreachable!("worker event in a waiting phase")
-            }
+            Phase::Pending
+            | Phase::Prep(SlsPath::Dram)
+            | Phase::NdpAwaitWrite
+            | Phase::NdpAwaitRead => unreachable!("worker event in a phase without a charge"),
         }
     }
 
     // ----- baseline SLS -----
 
-    fn baseline_plan(&mut self, now: SimTime, id: OpId) {
+    fn baseline_plan(&mut self, now: SimTime, id: OpId, opts: SlsOptions) {
         self.trace_phase(id, "base:plan", now);
         // Disjoint-field borrows: the batch stays inside the op (no
         // clone) while the caches and flat accumulator are consulted.
@@ -845,10 +872,7 @@ impl System {
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
-        let OpKind::BaselineSls { table, batch, opts } = &op.kind else {
-            unreachable!("phase/kind mismatch")
-        };
-        let (table, opts) = (*table, *opts);
+        let (table, batch) = op.kind.sls();
         assert!(
             opts.io_concurrency >= 1 && opts.io_concurrency <= cfg.ssd.queue_depth,
             "io_concurrency must be within the queue depth"
@@ -956,10 +980,7 @@ impl System {
 
     /// Issues (possibly multi-page) reads up to the concurrency window.
     fn baseline_issue(&mut self, now: SimTime, id: OpId, io: &mut BaseIo) {
-        let table = match &self.ops[&id].kind {
-            OpKind::BaselineSls { table, .. } => *table,
-            _ => unreachable!("phase/kind mismatch"),
-        };
+        let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
         let qid = self.ops[&id].qid;
         while io.bufs.outstanding.len() < io.io_concurrency && io.next < io.bufs.cmds.len() {
@@ -1011,10 +1032,7 @@ impl System {
             .map(|r| r.len as usize)
             .sum();
         let host = self.host();
-        let table = match &self.ops[&id].kind {
-            OpKind::BaselineSls { table, .. } => *table,
-            _ => unreachable!("phase/kind mismatch"),
-        };
+        let table = self.ops[&id].kind.sls().0;
         let row_bytes = self
             .registry
             .binding(table)
@@ -1055,10 +1073,7 @@ impl System {
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
-        let OpKind::BaselineSls { table, .. } = &op.kind else {
-            unreachable!("phase/kind mismatch")
-        };
-        let table = *table;
+        let table = op.kind.sls().0;
         let image = &registry.binding(table).image;
         let row_bytes = image.table().spec().row_bytes();
         let quant = image.table().spec().quant;
@@ -1105,7 +1120,7 @@ impl System {
 
     // ----- NDP SLS -----
 
-    fn ndp_plan(&mut self, now: SimTime, id: OpId) {
+    fn ndp_plan(&mut self, now: SimTime, id: OpId, opts: SlsOptions) {
         self.trace_phase(id, "ndp:plan", now);
         // Disjoint-field borrows keep the batch inside the op (no clone);
         // only the flattened pair list is materialised, once.
@@ -1120,10 +1135,7 @@ impl System {
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
-        let OpKind::NdpSls { table, batch, opts } = &op.kind else {
-            unreachable!("phase/kind mismatch")
-        };
-        let (table, opts) = (*table, *opts);
+        let (table, batch) = op.kind.sls();
         let binding = registry.binding(table);
         let image = &binding.image;
         let spec = image.table().spec();
@@ -1199,10 +1211,7 @@ impl System {
             ..
         } = self;
         let op = ops.get_mut(&id).expect("op");
-        let OpKind::NdpSls { table, .. } = &op.kind else {
-            unreachable!("phase/kind mismatch")
-        };
-        let binding = registry.binding(*table);
+        let binding = registry.binding(op.kind.sls().0);
         let base = binding.base_lpn;
         let align = cfg.ndp.table_align;
         let plan = op.ndp.as_ref().expect("plan set");
@@ -1232,10 +1241,7 @@ impl System {
 
     fn ndp_on_write_done(&mut self, now: SimTime, id: OpId) {
         self.trace_phase(id, "ndp:write", now);
-        let table = match &self.ops[&id].kind {
-            OpKind::NdpSls { table, .. } => *table,
-            _ => unreachable!("phase/kind mismatch"),
-        };
+        let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
         let align = self.cfg.ndp.table_align;
         let block_bytes = self.cfg.ssd.block_bytes();
@@ -1416,10 +1422,12 @@ impl System {
                 self.pool_mut(op.kind.pool()).workers.width() as u64,
             );
             let (tail, label, (key, val)) = match &op.kind {
-                OpKind::DramSls { .. } => ("op:compute", "dram", workers),
                 OpKind::HostCompute { .. } => ("op:compute", "host", workers),
-                OpKind::BaselineSls { .. } => ("base:io", "baseline", ("", 0)),
-                OpKind::NdpSls { .. } => ("ndp:merge", "ndp", ("", 0)),
+                OpKind::Sls { path, .. } => match path {
+                    SlsPath::Dram => ("op:compute", path.name(), workers),
+                    SlsPath::Baseline(_) => ("base:io", path.name(), ("", 0)),
+                    SlsPath::Ndp(_) => ("ndp:merge", path.name(), ("", 0)),
+                },
             };
             if now > op.phase_started {
                 self.tracer

@@ -22,11 +22,12 @@
 //!   direct-mapped SSD-side embedding cache.
 //! * [`host`] — the host side (the RecSSD-UNVMeDriver + RecSSD-RecInfra
 //!   analogue): [`System`] owns the simulated device and a host CPU model,
-//!   and runs the three SLS operator implementations the paper compares —
-//!   [`OpKind::DramSls`] (embeddings in host DRAM), [`OpKind::BaselineSls`]
-//!   (conventional NVMe reads + host-side accumulation + optional host LRU
-//!   vector cache) and [`OpKind::NdpSls`] (the offload, with optional
-//!   static partitioning of hot rows into host DRAM).
+//!   and runs an [`OpKind::Sls`] operator on each of the three paths the
+//!   paper compares — [`SlsPath::Dram`] (embeddings in host DRAM),
+//!   [`SlsPath::Baseline`] (conventional NVMe reads + host-side
+//!   accumulation + optional host LRU vector cache) and [`SlsPath::Ndp`]
+//!   (the offload, with optional static partitioning of hot rows into
+//!   host DRAM).
 //!
 //! # Quickstart
 //!
@@ -61,7 +62,7 @@ mod proto;
 mod tables;
 
 pub use config::{HostConfig, NdpConfig, RecSsdConfig};
-pub use host::{OpId, OpKind, OpResult, SlsOptions, System};
+pub use host::{OpId, OpKind, OpResult, SlsOptions, SlsPath, System};
 pub use ndp::{NdpSlsEngine, NdpStats, SlsRequestReport};
 pub use proto::{DeviceError, SlsConfig, SlsConfigError, SlsOutput};
 pub use tables::{TableBinding, TableRegistry};

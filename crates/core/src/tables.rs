@@ -112,11 +112,6 @@ impl TableRegistry {
         old_pages
     }
 
-    /// All bindings in registration order.
-    pub fn bindings(&self) -> &[TableBinding] {
-        &self.tables
-    }
-
     /// Number of registered tables.
     pub fn len(&self) -> usize {
         self.tables.len()

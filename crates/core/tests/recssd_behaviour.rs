@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use recssd::{
     FaultConfig, FaultPlan, LookupBatch, NdpConfig, NdpSlsEngine, OpKind, RecSsdConfig, SlsConfig,
-    SlsOptions, System,
+    SlsOptions, SlsPath, System,
 };
 use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::{
@@ -391,6 +391,34 @@ fn sls_pool_busy_equals_its_traced_compute_windows() {
     assert_eq!(traced, sys.sls_busy().as_ns());
     sys.reset_stats();
     assert_eq!(sys.sls_busy().as_ns(), 0);
+}
+
+/// One operator on each path: its `op` span is labelled with the path's
+/// name, and the phase span closing it — the one `recssd-obs` attributes
+/// the operator's last stretch by — is the path's own.
+#[test]
+fn op_spans_carry_the_path_name_and_its_tail_phase() {
+    let mut sys = small_system();
+    let sink = recssd::TraceSink::new();
+    sys.set_tracer(sink.tracer(1, 0));
+    let table = spread_table(&mut sys, 400, 16, Quantization::F32, 8);
+    let workers = sys.config().host.sls_workers as u64;
+    let opts = SlsOptions::default();
+    for (path, tail) in [
+        (SlsPath::Dram, ("op:compute", "workers", workers)),
+        (SlsPath::Baseline(opts), ("base:io", "", 0)),
+        (SlsPath::Ndp(opts), ("ndp:merge", "", 0)),
+    ] {
+        let batch = LookupBatch::new(vec![vec![5, 10, 15, 20]]);
+        sys.submit(OpKind::Sls { table, batch, path });
+        sys.run_until_idle();
+        let spans = sink.take_spans();
+        let at = spans.iter().position(|s| s.name == "op").expect("op span");
+        let (last, op) = (&spans[at - 1], &spans[at]);
+        assert_eq!(op.label, path.name());
+        assert_eq!(last.parent, op.id, "{} tail parents under its op", op.label);
+        assert_eq!((last.name, last.arg_key, last.arg_val), tail);
+    }
 }
 
 #[test]

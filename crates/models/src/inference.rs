@@ -1,23 +1,12 @@
 //! End-to-end inference execution on the simulated system.
 
-use recssd::{LookupBatch, OpId, OpKind, SlsOptions, System, TableId};
+use recssd::{LookupBatch, OpId, OpKind, SlsPath, System, TableId};
 use recssd_embedding::{EmbeddingTable, PageLayout, TableImage, TableSpec};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{SimDuration, SimTime};
 use recssd_trace::{LocalityK, LocalityTrace};
 
 use crate::ModelConfig;
-
-/// Where a model's embedding lookups execute.
-#[derive(Debug, Clone)]
-pub enum EmbeddingMode {
-    /// Tables in host DRAM (the paper's DRAM baseline).
-    Dram,
-    /// Tables on SSD, conventional reads + host accumulation.
-    BaselineSsd(SlsOptions),
-    /// Tables on SSD, RecSSD NDP offload.
-    Ndp(SlsOptions),
-}
 
 /// Deterministic per-table lookup-id generator for inference batches.
 #[derive(Debug)]
@@ -163,22 +152,14 @@ impl ModelInstance {
         &self.tables
     }
 
-    fn sls_op(&self, mode: &EmbeddingMode, table: TableId, batch: LookupBatch) -> OpKind {
-        match mode {
-            EmbeddingMode::Dram => OpKind::dram_sls(table, batch),
-            EmbeddingMode::BaselineSsd(opts) => OpKind::baseline_sls(table, batch, *opts),
-            EmbeddingMode::Ndp(opts) => OpKind::ndp_sls(table, batch, *opts),
-        }
-    }
-
     /// Submits one inference's operator graph without running it:
-    /// bottom MLP ∥ per-table SLS → top MLP. Returns
+    /// bottom MLP ∥ per-table SLS on `path` → top MLP. Returns
     /// `(sls ops, bottom, top)`.
     pub fn submit_inference(
         &self,
         sys: &mut System,
         batch: usize,
-        mode: &EmbeddingMode,
+        path: SlsPath,
         gen: &mut BatchGen,
     ) -> (Vec<OpId>, OpId, OpId) {
         let cfg = &self.cfg;
@@ -190,9 +171,13 @@ impl ModelInstance {
             .tables
             .iter()
             .enumerate()
-            .map(|(i, &t)| {
-                let b = gen.batch(i, batch, cfg.lookups_per_table, cfg.rows_per_table);
-                sys.submit(self.sls_op(mode, t, b))
+            .map(|(i, &table)| {
+                let ids = gen.batch(i, batch, cfg.lookups_per_table, cfg.rows_per_table);
+                sys.submit(OpKind::Sls {
+                    table,
+                    batch: ids,
+                    path,
+                })
             })
             .collect();
         let mut deps = sls.clone();
@@ -212,11 +197,11 @@ impl ModelInstance {
         &self,
         sys: &mut System,
         batch: usize,
-        mode: &EmbeddingMode,
+        path: SlsPath,
         gen: &mut BatchGen,
     ) -> InferenceResult {
         let submit_t = sys.now();
-        let (sls, bottom, top) = self.submit_inference(sys, batch, mode, gen);
+        let (sls, bottom, top) = self.submit_inference(sys, batch, path, gen);
         sys.run_until_idle();
         let embed_time = sls
             .iter()
@@ -241,12 +226,12 @@ impl ModelInstance {
         sys: &mut System,
         batch: usize,
         n_batches: usize,
-        mode: &EmbeddingMode,
+        path: SlsPath,
         gen: &mut BatchGen,
     ) -> (SimDuration, SimDuration) {
         let start = sys.now();
         let tops: Vec<OpId> = (0..n_batches)
-            .map(|_| self.submit_inference(sys, batch, mode, gen).2)
+            .map(|_| self.submit_inference(sys, batch, path, gen).2)
             .collect();
         sys.run_until_idle();
         let mut total = SimDuration::ZERO;

@@ -20,7 +20,7 @@
 //! simulated device and [`ModelInstance::run_inference`] executes the
 //! model graph — bottom MLP ∥ per-table SLS, then the
 //! feature-interaction + top MLP — on the [`recssd::System`] virtual
-//! clock, with the embedding path selected by [`EmbeddingMode`].
+//! clock, with the embedding path selected by a [`recssd::SlsPath`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +30,6 @@ mod inference;
 mod mlp;
 mod zoo;
 
-pub use inference::{BatchGen, EmbeddingMode, InferenceResult, ModelInstance};
+pub use inference::{BatchGen, InferenceResult, ModelInstance};
 pub use mlp::MlpSpec;
 pub use zoo::{ModelClass, ModelConfig};

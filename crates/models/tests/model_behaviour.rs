@@ -1,9 +1,9 @@
 //! Model-level behaviour: the embedding-vs-MLP dichotomy of Fig. 6, NDP
 //! end-to-end correctness, and pipelining overlap.
 
-use recssd::{OpKind, RecSsdConfig, SlsOptions, System};
+use recssd::{OpKind, RecSsdConfig, SlsOptions, SlsPath, System};
 use recssd_embedding::PageLayout;
-use recssd_models::{BatchGen, EmbeddingMode, ModelConfig, ModelInstance};
+use recssd_models::{BatchGen, ModelConfig, ModelInstance};
 
 /// A config large enough for several small tables.
 fn sys_with_tables() -> System {
@@ -21,12 +21,12 @@ fn embedding_dominated_models_collapse_on_ssd_but_mlp_models_do_not() {
         let mut sys = sys_with_tables();
         let model = ModelInstance::build(&mut sys, cfg, PageLayout::Spread, 1);
         let mut gen = BatchGen::uniform(11);
-        let dram = model.run_inference(&mut sys, 4, &EmbeddingMode::Dram, &mut gen);
+        let dram = model.run_inference(&mut sys, 4, SlsPath::Dram, &mut gen);
         sys.device_mut().ftl_mut().drop_caches();
         let ssd = model.run_inference(
             &mut sys,
             4,
-            &EmbeddingMode::BaselineSsd(SlsOptions::default()),
+            SlsPath::Baseline(SlsOptions::default()),
             &mut gen,
         );
         ssd.latency.as_ns() as f64 / dram.latency.as_ns() as f64
@@ -52,13 +52,8 @@ fn ndp_end_to_end_outputs_match_dram() {
     // Same generator seeds so both runs draw identical batches.
     let mut gen_a = BatchGen::uniform(5);
     let mut gen_b = BatchGen::uniform(5);
-    let ndp = model.run_inference(
-        &mut sys,
-        4,
-        &EmbeddingMode::Ndp(SlsOptions::default()),
-        &mut gen_a,
-    );
-    let dram = model.run_inference(&mut sys, 4, &EmbeddingMode::Dram, &mut gen_b);
+    let ndp = model.run_inference(&mut sys, 4, SlsPath::Ndp(SlsOptions::default()), &mut gen_a);
+    let dram = model.run_inference(&mut sys, 4, SlsPath::Dram, &mut gen_b);
     for (a, b) in ndp.sls_ops.iter().zip(&dram.sls_ops) {
         assert_eq!(
             sys.result(*a).outputs,
@@ -82,16 +77,11 @@ fn ndp_speeds_up_embedding_dominated_models() {
     let base = model.run_inference(
         &mut sys,
         4,
-        &EmbeddingMode::BaselineSsd(SlsOptions::naive()),
+        SlsPath::Baseline(SlsOptions::naive()),
         &mut gen,
     );
     sys.device_mut().ftl_mut().drop_caches();
-    let ndp = model.run_inference(
-        &mut sys,
-        4,
-        &EmbeddingMode::Ndp(SlsOptions::naive()),
-        &mut gen,
-    );
+    let ndp = model.run_inference(&mut sys, 4, SlsPath::Ndp(SlsOptions::naive()), &mut gen);
     let speedup = base.latency.as_ns() as f64 / ndp.latency.as_ns() as f64;
     assert!(
         speedup > 2.0,
@@ -109,12 +99,7 @@ fn inference_times_decompose_sensibly() {
         9,
     );
     let mut gen = BatchGen::uniform(17);
-    let r = model.run_inference(
-        &mut sys,
-        2,
-        &EmbeddingMode::Ndp(SlsOptions::default()),
-        &mut gen,
-    );
+    let r = model.run_inference(&mut sys, 2, SlsPath::Ndp(SlsOptions::default()), &mut gen);
     assert!(r.embed_time > recssd_sim::SimDuration::ZERO);
     assert!(r.bottom_time > recssd_sim::SimDuration::ZERO);
     assert!(r.top_time > recssd_sim::SimDuration::ZERO);
@@ -134,11 +119,11 @@ fn pipelining_overlaps_batches() {
     // is demonstrated on WND.
     let mut sys = sys_with_tables();
     let model = ModelInstance::build(&mut sys, small(ModelConfig::wnd()), PageLayout::Spread, 21);
-    let mode = EmbeddingMode::Ndp(SlsOptions::default());
+    let path = SlsPath::Ndp(SlsOptions::default());
     let mut gen = BatchGen::uniform(23);
-    let single = model.run_inference(&mut sys, 8, &mode, &mut gen);
+    let single = model.run_inference(&mut sys, 8, path, &mut gen);
     let n = 6;
-    let (makespan, mean_latency) = model.run_pipelined(&mut sys, 8, n, &mode, &mut gen);
+    let (makespan, mean_latency) = model.run_pipelined(&mut sys, 8, n, path, &mut gen);
     assert!(
         makespan.as_ns() < single.latency.as_ns() * n as u64 * 7 / 10,
         "pipelining must overlap: makespan {makespan} vs {n}x {}",

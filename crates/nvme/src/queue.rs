@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use recssd_sim::stats::Counter;
-
 use crate::{NvmeCommand, NvmeCompletion};
 
 /// Errors surfaced by queue operations.
@@ -49,8 +47,6 @@ pub struct QueuePair {
     cq: VecDeque<NvmeCompletion>,
     /// Commands fetched by the device but not yet completed.
     outstanding: usize,
-    submitted: Counter,
-    completed: Counter,
 }
 
 impl QueuePair {
@@ -67,8 +63,6 @@ impl QueuePair {
             sq: VecDeque::with_capacity(depth),
             cq: VecDeque::with_capacity(depth),
             outstanding: 0,
-            submitted: Counter::new(),
-            completed: Counter::new(),
         }
     }
 
@@ -93,7 +87,6 @@ impl QueuePair {
             return Err(QueueError::SubmissionFull);
         }
         self.sq.push_back(cmd);
-        self.submitted.inc();
         Ok(())
     }
 
@@ -115,7 +108,6 @@ impl QueuePair {
             "completion without outstanding command"
         );
         self.outstanding -= 1;
-        self.completed.inc();
         self.cq.push_back(completion);
     }
 
@@ -137,16 +129,6 @@ impl QueuePair {
     /// `true` when nothing is queued or in flight.
     pub fn quiescent(&self) -> bool {
         self.sq.is_empty() && self.cq.is_empty() && self.outstanding == 0
-    }
-
-    /// Total commands ever submitted.
-    pub fn total_submitted(&self) -> u64 {
-        self.submitted.get()
-    }
-
-    /// Total completions ever posted.
-    pub fn total_completed(&self) -> u64 {
-        self.completed.get()
     }
 }
 
@@ -171,8 +153,6 @@ mod tests {
         assert_eq!(qp.poll().unwrap().cid, 11);
         assert!(qp.poll().is_none());
         assert!(qp.quiescent());
-        assert_eq!(qp.total_submitted(), 2);
-        assert_eq!(qp.total_completed(), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! tree survives the round trip.
 //!
 //! [`validate_spans`] checks the invariants every recorded trace must
-//! satisfy — the same checks CI runs against the `serve --trace-out`
-//! output:
+//! satisfy — the same checks `recssd-analyze` runs on a trace file and
+//! the serving observability tests run on live traces:
 //!
 //! 1. ids are unique and non-zero;
 //! 2. every non-zero parent link resolves to a recorded span;

@@ -130,13 +130,14 @@ pub use runtime::{
     AdaptivePolicy, CompletedRequest, ExecMode, FaultPolicy, RequestId, ServedTableId,
     ServingConfig, ServingError, ServingRuntime,
 };
-pub use shard::{ShardMap, SlsPath};
+pub use shard::ShardMap;
 pub use telemetry::{PathAttribution, ServingStats};
 
 // Per-channel engine-pool knobs (`cfg.system.ssd.ftl.engines`), so
 // serving consumers can enable in-SSD compute engines without a
-// device-crate dependency.
-pub use recssd::{EnginePoolConfig, MergePlacement};
+// device-crate dependency; and the one SLS path type, so requests name
+// their path without one either.
+pub use recssd::{EnginePoolConfig, MergePlacement, SlsPath};
 
 pub use recssd_obs::{
     bottleneck_report, chrome_trace_json, coverage_report, critical_path_report,

@@ -1802,8 +1802,8 @@ impl ServingRuntime {
     fn schedule_retry(&mut self, ix: usize, now: SimTime, mut sub: SubBatch, policy: &FaultPolicy) {
         self.stats.retries.inc();
         if sub.attempts >= policy.fallback_after {
-            if let crate::SlsPath::Ndp(opts) = sub.path {
-                sub.path = crate::SlsPath::Baseline(opts);
+            if let Some(fallback) = sub.path.ndp_fallback() {
+                sub.path = fallback;
                 self.stats.fallbacks.inc();
             }
         }
@@ -1953,16 +1953,14 @@ fn dispatch_on(
     // conventional baseline path for this dispatch only — the
     // sub-batches keep their own path, so later retries (and the
     // half-open probe) re-evaluate the breaker.
-    let mut path = key.path;
-    if let SlsPath::Ndp(opts) = path {
-        if !s.breaker.allows_ndp(now) {
-            path = SlsPath::Baseline(opts);
-        }
-    }
-    let kind = match path {
-        SlsPath::Dram => OpKind::dram_sls(device_table, merged),
-        SlsPath::Baseline(opts) => OpKind::baseline_sls(device_table, merged, opts),
-        SlsPath::Ndp(opts) => OpKind::ndp_sls(device_table, merged, opts),
+    let path = match key.path.ndp_fallback() {
+        Some(fallback) if !s.breaker.allows_ndp(now) => fallback,
+        _ => key.path,
+    };
+    let kind = OpKind::Sls {
+        table: device_table,
+        batch: merged,
+        path,
     };
 
     // Submit onto the shard's system (already synced to `now` by the

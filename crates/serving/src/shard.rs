@@ -9,31 +9,8 @@
 //! rows go to the host DRAM tier instead: shard `n` after the `n` device
 //! shards, addressed by tier-local rows.
 
-use recssd::{LookupBatch, SlsOptions, SpanId};
+use recssd::{LookupBatch, SlsPath, SpanId};
 use recssd_sim::SimTime;
-
-/// Where a request's embedding lookups execute — the three paths the paper
-/// compares, here selectable per request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlsPath {
-    /// Tables in host DRAM (the DRAM baseline).
-    Dram,
-    /// Conventional NVMe reads + host accumulation (COTS SSD).
-    Baseline(SlsOptions),
-    /// The RecSSD NDP offload.
-    Ndp(SlsOptions),
-}
-
-impl SlsPath {
-    /// Short label for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SlsPath::Dram => "dram",
-            SlsPath::Baseline(_) => "baseline",
-            SlsPath::Ndp(_) => "ndp",
-        }
-    }
-}
 
 /// An even partition of `rows` into `shards` contiguous ranges (the first
 /// `rows % shards` ranges get one extra row).
@@ -284,6 +261,7 @@ pub(crate) fn split_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recssd::SlsOptions;
 
     #[test]
     fn ranges_cover_rows_exactly_once() {

@@ -9,12 +9,8 @@ use recssd_sim::{SimDuration, SimTime};
 
 use crate::SlsPath;
 
-/// Display names of the three serving paths, indexed by
-/// [`path_index`].
-pub(crate) const PATH_NAMES: [&str; 3] = ["dram", "baseline", "ndp"];
-
-/// Dense index of a [`SlsPath`] into the per-path attribution arrays.
-pub(crate) fn path_index(path: SlsPath) -> usize {
+/// Dense index of a [`SlsPath`] into the per-path attribution array.
+fn path_index(path: SlsPath) -> usize {
     match path {
         SlsPath::Dram => 0,
         SlsPath::Baseline(_) => 1,
@@ -27,7 +23,7 @@ pub(crate) fn path_index(path: SlsPath) -> usize {
 /// service (first start → last shard finished), as quantile summaries.
 #[derive(Debug, Clone)]
 pub struct PathAttribution {
-    /// Path label (`"dram"` / `"baseline"` / `"ndp"`).
+    /// Path label ([`SlsPath::name`]).
     pub path: &'static str,
     /// Requests completed on this path.
     pub requests: u64,
@@ -98,12 +94,21 @@ pub struct ServingStats {
     /// their output slots are flagged missing).
     pub missing_lookups: Counter,
     /// Per-path latency attribution, indexed by [`path_index`].
-    path_queue: [LogHistogram; 3],
-    path_service: [LogHistogram; 3],
-    path_e2e: [LogHistogram; 3],
-    path_requests: [Counter; 3],
+    paths: [PathLatency; 3],
     first_arrival: Option<SimTime>,
     last_finish: SimTime,
+}
+
+/// One serving path's latency histograms.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct PathLatency {
+    /// The path's [`SlsPath::name`], set by the first request recorded on
+    /// it since the last reset.
+    name: &'static str,
+    queue: LogHistogram,
+    service: LogHistogram,
+    e2e: LogHistogram,
+    requests: Counter,
 }
 
 impl ServingStats {
@@ -123,11 +128,12 @@ impl ServingStats {
         self.e2e.record_duration(queue + service);
         self.requests.inc();
         self.lookups.add(lookups);
-        let p = path_index(path);
-        self.path_queue[p].record_duration(queue);
-        self.path_service[p].record_duration(service);
-        self.path_e2e[p].record_duration(queue + service);
-        self.path_requests[p].inc();
+        let p = &mut self.paths[path_index(path)];
+        p.name = path.name();
+        p.queue.record_duration(queue);
+        p.service.record_duration(service);
+        p.e2e.record_duration(queue + service);
+        p.requests.inc();
         self.first_arrival = Some(match self.first_arrival {
             Some(t) => t.min(arrival),
             None => arrival,
@@ -172,14 +178,15 @@ impl ServingStats {
     /// Per-path "time-goes-where" report: queue/service/e2e quantiles for
     /// each serving path that completed at least one request.
     pub fn attribution(&self) -> Vec<PathAttribution> {
-        (0..3)
-            .filter(|&p| self.path_requests[p].get() > 0)
+        self.paths
+            .iter()
+            .filter(|p| p.requests.get() > 0)
             .map(|p| PathAttribution {
-                path: PATH_NAMES[p],
-                requests: self.path_requests[p].get(),
-                queue: self.path_queue[p].quantiles(),
-                service: self.path_service[p].quantiles(),
-                e2e: self.path_e2e[p].quantiles(),
+                path: p.name,
+                requests: p.requests.get(),
+                queue: p.queue.quantiles(),
+                service: p.service.quantiles(),
+                e2e: p.e2e.quantiles(),
             })
             .collect()
     }
@@ -207,11 +214,12 @@ impl ServingStats {
         self.breaker_trips.reset();
         self.degraded.reset();
         self.missing_lookups.reset();
-        for p in 0..3 {
-            self.path_queue[p].reset();
-            self.path_service[p].reset();
-            self.path_e2e[p].reset();
-            self.path_requests[p].reset();
+        for p in &mut self.paths {
+            p.name = "";
+            p.queue.reset();
+            p.service.reset();
+            p.e2e.reset();
+            p.requests.reset();
         }
         self.first_arrival = None;
         self.last_finish = SimTime::ZERO;

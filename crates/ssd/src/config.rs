@@ -6,8 +6,8 @@ use recssd_sim::SimDuration;
 
 /// Configuration of the assembled SSD.
 ///
-/// The firmware cost parameters are the device-level calibration knobs (see
-/// DESIGN.md §4): `fw_cmd_ns` is the serial embedded-CPU cost of handling
+/// The firmware cost parameters are the device-level calibration knobs
+/// (for the paper's §5 Cosmos+ OpenSSD platform): `fw_cmd_ns` is the serial embedded-CPU cost of handling
 /// one NVMe command, which bounds host-visible random-read IOPS at
 /// `1e9 / (fw_cmd_ns + fw_per_page_ns)` — the ceiling §3.2 of the paper
 /// attributes the SSD's poor sparse-read performance to.
@@ -37,7 +37,7 @@ pub struct SsdConfig {
 }
 
 impl SsdConfig {
-    /// Cosmos+ OpenSSD-like device (see DESIGN.md for the calibration).
+    /// Cosmos+ OpenSSD-like device, the platform of the paper's §5.
     pub fn cosmos() -> Self {
         SsdConfig {
             ftl: FtlConfig::cosmos(),

@@ -1,9 +1,9 @@
 //! Umbrella crate for the RecSSD reproduction: re-exports the full public
 //! API so examples and downstream users can depend on one crate.
 //!
-//! See the [`recssd`] crate for the core library documentation, and the
-//! repository's README / DESIGN.md / EXPERIMENTS.md for the system
-//! overview and the per-figure reproduction record.
+//! See the [`recssd`] crate for the core library documentation, the
+//! repository's README for the system overview, and its "Figures and
+//! microbenchmarks" section for the per-figure reproduction.
 //!
 //! ```
 //! use recssd_suite::prelude::*;
@@ -41,21 +41,20 @@ pub use recssd_trace;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use recssd::{
-        LookupBatch, NdpConfig, OpId, OpKind, OpResult, RecSsdConfig, SlsOptions, System, TableId,
+        LookupBatch, NdpConfig, OpId, OpKind, OpResult, RecSsdConfig, SlsOptions, SlsPath, System,
+        TableId,
     };
     pub use recssd_cache::{LruCache, StaticPartition, StaticPartitionBuilder};
     pub use recssd_embedding::{
         sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec,
     };
-    pub use recssd_models::{
-        BatchGen, EmbeddingMode, MlpSpec, ModelClass, ModelConfig, ModelInstance,
-    };
+    pub use recssd_models::{BatchGen, MlpSpec, ModelClass, ModelConfig, ModelInstance};
     pub use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy, TablePlacement};
     pub use recssd_serving::{
         bottleneck_report, chrome_trace_json, critical_path_report, request_critical_paths,
         utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, LoadGen,
         LoadMode, PathAttribution, Phase, RequestProfile, SchedulePolicy, ServingConfig,
-        ServingRuntime, ShardMap, SlsPath, SpanRec, TraceCheck, TrafficSpec, UtilizationTimeline,
+        ServingRuntime, ShardMap, SpanRec, TraceCheck, TrafficSpec, UtilizationTimeline,
         WallPhaseReport,
     };
     pub use recssd_sim::{SimDuration, SimTime};

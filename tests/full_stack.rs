@@ -105,9 +105,9 @@ fn model_serving_pipeline_stays_consistent_and_ordered() {
     let mut sys = build_system();
     let cfg = ModelConfig::dlrm_rmc3().scaled_tables(2000);
     let model = ModelInstance::build(&mut sys, cfg.clone(), PageLayout::Spread, 3);
-    let mode = EmbeddingMode::Ndp(SlsOptions::default());
+    let path = SlsPath::Ndp(SlsOptions::default());
     let mut gen = BatchGen::locality(2000, LocalityK::K1, cfg.tables, 17);
-    let (makespan, mean_latency) = model.run_pipelined(&mut sys, 4, 5, &mode, &mut gen);
+    let (makespan, mean_latency) = model.run_pipelined(&mut sys, 4, 5, path, &mut gen);
     assert!(
         makespan >= mean_latency,
         "makespan bounds per-batch latency"
