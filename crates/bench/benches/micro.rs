@@ -5,7 +5,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recssd::ndp::EnginePartials;
 use recssd::{OpKind, RecSsdConfig, SlsConfig, SlsOptions, System};
-use recssd_cache::LruCache;
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
 };
@@ -13,6 +12,7 @@ use recssd_flash::FlashGeometry;
 use recssd_ftl::BlockAllocator;
 use recssd_placement::{allocate_global_budget, FreqProfiler};
 use recssd_sim::rng::Xoshiro256;
+use recssd_sim::LruCache;
 use recssd_trace::{LocalityK, LocalityTrace, ZipfTrace};
 
 fn bench_caches(c: &mut Criterion) {

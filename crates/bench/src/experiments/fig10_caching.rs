@@ -11,9 +11,10 @@
 //! SSD baseline."
 
 use recssd::{SlsOptions, SlsPath, System};
-use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::PageLayout;
 use recssd_models::{BatchGen, ModelConfig, ModelInstance};
+use recssd_sim::stats::HitStats;
+use recssd_sim::StaticPartitionBuilder;
 use recssd_trace::{LocalityK, LocalityTrace};
 
 use crate::experiments::{cosmos_system, ms, pct, x};
@@ -174,7 +175,7 @@ fn run_cell(
 }
 
 fn mean_host_hit(sys: &System, model: &ModelInstance) -> f64 {
-    let mut agg = recssd_cache::HitStats::new();
+    let mut agg = HitStats::new();
     for &t in model.tables() {
         if let Some(s) = sys.host_cache_stats(t) {
             agg.merge(s);
@@ -184,7 +185,7 @@ fn mean_host_hit(sys: &System, model: &ModelInstance) -> f64 {
 }
 
 fn mean_partition_hit(sys: &System, model: &ModelInstance) -> f64 {
-    let mut agg = recssd_cache::HitStats::new();
+    let mut agg = HitStats::new();
     for &t in model.tables() {
         if let Some(s) = sys.partition_stats(t) {
             agg.merge(s);

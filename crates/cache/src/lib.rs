@@ -1,33 +1,32 @@
-//! Cache building blocks for the RecSSD reproduction.
+//! Re-export shim for the benchmark package.
 //!
-//! The paper leans on four caching structures; two are implemented
-//! here:
-//!
-//! * [`LruCache`] — a fully associative LRU cache. The baseline system
-//!   keeps a "fully associative LRU software cache" of embedding vectors in
-//!   host DRAM (§4.2), and the FTL's internal page cache uses the same
-//!   structure.
-//! * [`StaticPartition`] — the profile-guided host-DRAM partition of hot
-//!   embedding rows (§4.2 "static partitioning technique utilizing input
-//!   data profiling").
-//!
-//! The third, the direct-mapped SSD-side embedding cache, is a tag array
-//! inside the NDP engine of `recssd`: §4.2 chose direct mapping because
-//! the FTL's weak embedded CPU cannot afford LRU bookkeeping on every
-//! access. The fourth, the 16-way 4 KB page cache of the Figure 4
-//! characterisation, is a key-only set-associative LRU private to
-//! `recssd_trace::analysis::page_cache_sweep`.
-//!
-//! All caches record [`HitStats`] so experiments can report the hit rates
-//! the paper annotates above its bars.
+//! The LRU cache and the static partition live in `recssd-sim`
+//! ([`recssd_sim::LruCache`], [`recssd_sim::StaticPartition`]). This crate
+//! only re-exports them so `benchmark/` keeps building unmodified; no
+//! workspace crate depends on it. ROADMAP item 1(h) repoints the
+//! benchmark's imports and deletes this crate.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
-mod lru;
-mod partition;
-
-pub use lru::LruCache;
-pub use partition::{StaticPartition, StaticPartitionBuilder};
 pub use recssd_sim::stats::HitStats;
+pub use recssd_sim::{LruCache, StaticPartition, StaticPartitionBuilder};
+
+#[cfg(test)]
+mod tests {
+    /// Compiles only while every name here is the `recssd_sim` type itself,
+    /// so a fork defined in this crate fails the build.
+    #[test]
+    fn shim_names_are_the_recssd_sim_types() {
+        fn lru(_: recssd_sim::LruCache<u64, ()>) {}
+        fn partition(_: recssd_sim::StaticPartition) {}
+        fn builder(_: recssd_sim::StaticPartitionBuilder) {}
+        fn stats(_: recssd_sim::stats::HitStats) {}
+
+        let b = crate::StaticPartitionBuilder::new();
+        partition(crate::StaticPartition::empty());
+        partition(b.build(0));
+        builder(b);
+        lru(crate::LruCache::new(1));
+        stats(crate::HitStats::new());
+    }
+}

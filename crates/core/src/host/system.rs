@@ -14,12 +14,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use recssd_cache::{LruCache, StaticPartition};
 use recssd_embedding::{LookupBatch, RowScratch, TableId, TableImage};
 use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
-use recssd_sim::{EventQueue, FxHashMap, PageImage, SimDuration, SimTime, Slots};
+use recssd_sim::stats::HitStats;
+use recssd_sim::{
+    EventQueue, FxHashMap, LruCache, PageImage, SimDuration, SimTime, Slots, StaticPartition,
+};
 use recssd_ssd::{SsdDevice, SsdEvent};
 
 use crate::ndp::NdpSlsEngine;
@@ -374,7 +376,7 @@ pub struct System {
     /// DRAM holds. A hit's vector comes from the bound table image.
     host_caches: FxHashMap<u32, LruCache<u64, ()>>,
     partitions: FxHashMap<u32, StaticPartition>,
-    partition_stats: FxHashMap<u32, recssd_cache::HitStats>,
+    partition_stats: FxHashMap<u32, HitStats>,
     next_request: u64,
     results: FxHashMap<OpId, OpResult>,
     /// Free-list of recycled flat result buffers (see
@@ -564,7 +566,7 @@ impl System {
     }
 
     /// Hit statistics of the host LRU cache for `table`, if enabled.
-    pub fn host_cache_stats(&self, table: TableId) -> Option<recssd_cache::HitStats> {
+    pub fn host_cache_stats(&self, table: TableId) -> Option<HitStats> {
         self.host_caches.get(&table.0).map(|c| c.stats())
     }
 
@@ -577,7 +579,7 @@ impl System {
     /// Hit statistics of the static partition for `table` (a "hit" is a
     /// lookup served from host DRAM) — the percentages annotated above
     /// the Fig. 10(d–f) bars.
-    pub fn partition_stats(&self, table: TableId) -> Option<recssd_cache::HitStats> {
+    pub fn partition_stats(&self, table: TableId) -> Option<HitStats> {
         self.partition_stats.get(&table.0).copied()
     }
 

@@ -882,8 +882,8 @@ impl NdpEngine for NdpSlsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recssd_cache::LruCache;
     use recssd_sim::rng::Xoshiro256;
+    use recssd_sim::LruCache;
 
     /// One lookup of `(base, row)`: whether it hit, and what it recorded.
     fn probe(c: &EmbedCache, base: u64, row: u64) -> (bool, HitStats) {

@@ -7,13 +7,12 @@ use recssd::{
     FaultConfig, FaultPlan, LookupBatch, NdpConfig, NdpSlsEngine, OpKind, RecSsdConfig, SlsConfig,
     SlsOptions, SlsPath, System,
 };
-use recssd_cache::StaticPartitionBuilder;
 use recssd_embedding::{
     sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec,
 };
 use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_sim::rng::Xoshiro256;
-use recssd_sim::EventQueue;
+use recssd_sim::{EventQueue, StaticPartitionBuilder};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
 const PAGE: usize = 16 * 1024;

@@ -4,13 +4,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use recssd_cache::LruCache;
 use recssd_flash::{
     FlashArray, FlashCompletion, FlashError, FlashEvent, FlashOp, FlashOpId, PageOracle, Ppa,
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, FxHashSet, PageImage, Server, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, FxHashSet, LruCache, PageImage, Server, SimDuration, SimTime};
 
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwTag, Lpn, MappingTable};
 
@@ -618,19 +617,11 @@ impl GreedyFtl {
     pub fn charge_firmware(
         &mut self,
         now: SimTime,
-        mut duration: SimDuration,
+        duration: SimDuration,
         tag: FwTag,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
-        // Fault injection: an active brownout inflates the charge and a
-        // stall draw multiplies it (a wedged firmware code path holding
-        // the serial core), both exact integer scalings.
-        if let Some(plan) = self.flash.fault_plan_mut() {
-            duration = plan.inflate(now, duration);
-            if let Some(m) = plan.draw_stall() {
-                duration = duration * m as u64;
-            }
-        }
+        let duration = self.faulted(now, duration);
         if let Some(d) = self.fw.start(now, duration, tag) {
             self.serve(now, d, FtlEvent::FwDone, tag, sched);
         }
@@ -650,21 +641,29 @@ impl GreedyFtl {
         &mut self,
         now: SimTime,
         engine: usize,
-        mut duration: SimDuration,
+        duration: SimDuration,
         tag: FwTag,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
+        let duration = self.faulted(now, duration);
+        let pool = self.config.engines.expect("engine pool configured");
+        let idx = engine % self.engines.len();
+        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), tag) {
+            self.serve(now, d, FtlEvent::EngineDone(idx as u32), tag, sched);
+        }
+    }
+
+    /// Fault injection on a firmware charge: a brownout inflates it, then
+    /// one stall draw (from the shared stream, so never reorder) multiplies
+    /// it — a wedged code path holding the core or engine.
+    fn faulted(&mut self, now: SimTime, mut duration: SimDuration) -> SimDuration {
         if let Some(plan) = self.flash.fault_plan_mut() {
             duration = plan.inflate(now, duration);
             if let Some(m) = plan.draw_stall() {
                 duration = duration * m as u64;
             }
         }
-        let pool = self.config.engines.expect("engine pool configured");
-        let idx = engine % self.engines.len();
-        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), tag) {
-            self.serve(now, d, FtlEvent::EngineDone(idx as u32), tag, sched);
-        }
+        duration
     }
 
     /// The one start site of the firmware core and the engines: `tag`

@@ -9,7 +9,7 @@
 //! * **Hot tier** — the top-k most frequently accessed rows of each
 //!   table are pinned in host DRAM (the §4.2 static-partitioning idea,
 //!   generalised from a per-operator split to a serving-tier plan built
-//!   on [`recssd_cache::StaticPartition`]). A skewed trace concentrates
+//!   on [`recssd_sim::StaticPartition`]). A skewed trace concentrates
 //!   most lookups on a small hot set, so a tiny DRAM budget absorbs a
 //!   large traffic fraction.
 //! * **Cold-tail page packing** — the remaining rows are laid out on

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::ops::Range;
 
-use recssd_cache::StaticPartition;
+use recssd_sim::StaticPartition;
 
 use crate::{FreqProfiler, TableHeat};
 
@@ -426,5 +426,31 @@ mod tests {
         PlacementPlan::build(&p, &PlacementPolicy::hot_rows(1))
             .table(0)
             .pack_order(0..5);
+    }
+
+    proptest::proptest! {
+        /// The benchmark and the figures select hot sets with
+        /// `StaticPartitionBuilder`, serving with `TablePlacement`: both
+        /// take the top-k accessed rows by count, ties toward smaller ids.
+        #[test]
+        fn static_partition_and_table_placement_pick_the_same_hot_set(
+            rows in 1u64..48,
+            draws in proptest::collection::vec((0u64..48, 0u64..48), 0..200),
+            k_raw in 0usize..1000,
+        ) {
+            // The min of two draws skews toward small ids; mixing skew with
+            // ties exercises both halves of the ordering.
+            let stream: Vec<u64> = draws.iter().map(|&(a, b)| a.min(b) % rows).collect();
+            let k = k_raw % (rows as usize + 3);
+            let mut builder = recssd_sim::StaticPartitionBuilder::new();
+            builder.observe_all(stream.iter().copied());
+            let partition = builder.build(k);
+            let p = profiled(rows, stream);
+            let placement = TablePlacement::build(p.heat(0), &PlacementPolicy::hot_rows(k));
+            for row in 0..rows {
+                proptest::prop_assert_eq!(partition.is_hot(row), placement.is_hot(row), "row {}", row);
+            }
+            proptest::prop_assert_eq!(partition.len(), placement.hot_count());
+        }
     }
 }

@@ -487,23 +487,21 @@ enum Ev {
     Deadline(u64),
 }
 
-/// One routing generation of a served table: which tables its
-/// sub-batches address on each shard and how rows split between the
-/// tier and the device shards.
+/// One routing generation of a served table: which registry slot its
+/// sub-batches address and how rows split between the tier and the
+/// device shards.
 #[derive(Debug)]
 struct PlanState {
-    /// The table's id within each shard's [`System`] under this plan: one
-    /// per device shard, plus the tier's at index `n` when the plan pins
-    /// rows.
-    per_shard: Vec<recssd::TableId>,
     /// Placement routing (hot set + packed storage order); `None` for
     /// tables registered without a placement.
     routing: Option<Routing>,
     /// Hot rows (global ids) of this plan, for delta computation.
     hot_rows: Vec<u64>,
-    /// Which A/B registry slot the plan's tables occupy. A refresh
-    /// re-binds the *other* slot, so the outgoing plan keeps serving its
-    /// in-flight work untouched.
+    /// Which A/B registry slot the plan's tables occupy
+    /// ([`ServedTable::bound`]: one id per device shard, plus the tier's
+    /// at index `n` when the plan pins rows). A refresh re-binds the
+    /// *other* slot, so the outgoing plan keeps serving its in-flight
+    /// work untouched.
     slot: usize,
     /// Sub-batches split under this plan and not yet harvested. A slot
     /// can only be re-bound when every plan previously bound to it has
@@ -514,8 +512,8 @@ struct PlanState {
 impl PlanState {
     /// Drops the O(rows) routing state once the plan stops admitting:
     /// `hot_index`/`storage`/`hot_rows` are only consulted at split time,
-    /// so a deactivated generation keeps just its per-shard table ids
-    /// (needed to drain queued work).
+    /// so a deactivated generation keeps just its registry slot (needed
+    /// to drain queued work).
     fn retire(&mut self) {
         if let Some(r) = self.routing.as_mut() {
             r.hot_index = Vec::new();
@@ -947,7 +945,6 @@ impl ServingRuntime {
         let t = &mut self.tables[t_idx];
         let used = n + usize::from(!hot.is_empty());
         let mut storage = Vec::with_capacity(n);
-        let mut per_shard = Vec::with_capacity(used);
         for (i, shard) in self.shards[..used].iter_mut().enumerate() {
             let page_bytes = shard.sys.config().ssd.block_bytes();
             let image = if i == n {
@@ -975,17 +972,10 @@ impl ServingRuntime {
                 TableImage::new(rows, self.layout, page_bytes)
             };
             let ids = &mut t.bound[slot];
-            let id = match ids.get(i) {
-                Some(&id) => {
-                    shard.sys.replace_table(id, image);
-                    id
-                }
-                None => {
-                    ids.push(shard.sys.add_table(image));
-                    ids[i]
-                }
-            };
-            per_shard.push(id);
+            match ids.get(i) {
+                Some(&id) => shard.sys.replace_table(id, image),
+                None => ids.push(shard.sys.add_table(image)),
+            }
         }
         let routing = placement.map(|p| {
             let mut hot_index = vec![crate::shard::COLD; p.rows() as usize];
@@ -995,7 +985,6 @@ impl ServingRuntime {
             Routing { hot_index, storage }
         });
         PlanState {
-            per_shard,
             routing,
             hot_rows: hot.to_vec(),
             slot,
@@ -1948,7 +1937,10 @@ fn dispatch_on(
         per_output.extend(sub.per_output.iter().cloned());
     }
     let merged = LookupBatch::new(per_output);
-    let device_table = tables[table].plans[plan].per_shard[ix];
+    // A tier index is only dispatched under a plan that pins rows, and
+    // binding such a plan binds the tier in its slot.
+    let t = &tables[table];
+    let device_table = t.bound[t.plans[plan].slot][ix];
     // A tripped circuit breaker redirects NDP operators onto the
     // conventional baseline path for this dispatch only — the
     // sub-batches keep their own path, so later retries (and the

@@ -31,6 +31,23 @@
 //!   SLS and NN worker pools, the serving runtime's per-shard operator
 //!   slots) is an instance of: a slot is held from acquire to release,
 //!   and busy time is the held-count integral.
+//! * [`LruCache`] — a fully associative LRU cache: the baseline's "fully
+//!   associative LRU software cache" of embedding vectors in host DRAM
+//!   (§4.2), and the FTL's internal page cache.
+//! * [`StaticPartition`] — the profile-guided host-DRAM partition of hot
+//!   embedding rows (§4.2 "static partitioning technique utilizing input
+//!   data profiling"), built by [`StaticPartitionBuilder`].
+//!
+//! Those are two of the paper's four caches. The third, the
+//! direct-mapped SSD-side embedding cache, is a tag array
+//! inside the NDP engine of `recssd`: §4.2 chose direct mapping because
+//! the FTL's weak embedded CPU cannot afford LRU bookkeeping on every
+//! access. The fourth, the 16-way 4 KB page cache of the Figure 4
+//! characterisation, is a key-only set-associative LRU private to
+//! `recssd_trace::analysis::page_cache_sweep`.
+//!
+//! All caches record [`stats::HitStats`] so experiments can report the
+//! hit rates the paper annotates above its bars.
 //!
 //! # Example
 //!
@@ -50,7 +67,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod lru;
 mod page;
+mod partition;
 mod queue;
 mod server;
 mod slots;
@@ -62,7 +81,9 @@ pub mod rng;
 pub mod stats;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use lru::LruCache;
 pub use page::{PageImage, PagePool};
+pub use partition::{StaticPartition, StaticPartitionBuilder};
 pub use queue::EventQueue;
 pub use server::Server;
 pub use slots::Slots;

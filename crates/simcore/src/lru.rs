@@ -2,8 +2,8 @@
 
 use std::hash::Hash;
 
-use recssd_sim::stats::HitStats;
-use recssd_sim::FxHashMap;
+use crate::stats::HitStats;
+use crate::FxHashMap;
 
 const NIL: usize = usize::MAX;
 
@@ -25,7 +25,7 @@ struct Node<K, V> {
 /// # Example
 ///
 /// ```
-/// use recssd_cache::LruCache;
+/// use recssd_sim::LruCache;
 /// let mut c = LruCache::new(2);
 /// c.insert(1, "one");
 /// c.insert(2, "two");
@@ -390,7 +390,7 @@ mod tests {
     /// Cross-check against a naive reference implementation.
     #[test]
     fn matches_reference_model_under_mixed_workload() {
-        use recssd_sim::rng::Xoshiro256;
+        use crate::rng::Xoshiro256;
         let mut rng = Xoshiro256::seed_from(99);
         let cap = 8;
         let mut lru = LruCache::new(cap);

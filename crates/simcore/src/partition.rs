@@ -7,14 +7,14 @@
 
 use std::collections::HashMap;
 
-use recssd_sim::FxHashSet;
+use crate::FxHashSet;
 
 /// Accumulates access frequencies from a profiling trace.
 ///
 /// # Example
 ///
 /// ```
-/// use recssd_cache::StaticPartitionBuilder;
+/// use recssd_sim::StaticPartitionBuilder;
 /// let mut b = StaticPartitionBuilder::new();
 /// for id in [1u64, 1, 1, 2, 2, 3] {
 ///     b.observe(id);
@@ -139,7 +139,7 @@ impl StaticPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recssd_sim::rng::Xoshiro256;
+    use crate::rng::Xoshiro256;
 
     #[test]
     fn picks_most_frequent_ids() {

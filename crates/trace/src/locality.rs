@@ -164,7 +164,7 @@ impl LocalityTrace {
 mod tests {
     use super::*;
     use crate::unique_fraction;
-    use recssd_cache::LruCache;
+    use recssd_sim::LruCache;
 
     #[test]
     fn unique_fractions_match_paper_calibration() {

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub use recssd;
-pub use recssd_cache;
 pub use recssd_embedding;
 pub use recssd_flash;
 pub use recssd_ftl;
@@ -44,7 +43,6 @@ pub mod prelude {
         LookupBatch, NdpConfig, OpId, OpKind, OpResult, RecSsdConfig, SlsOptions, SlsPath, System,
         TableId,
     };
-    pub use recssd_cache::{LruCache, StaticPartition, StaticPartitionBuilder};
     pub use recssd_embedding::{
         sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec,
     };
@@ -57,6 +55,6 @@ pub mod prelude {
         ServingRuntime, ShardMap, SpanRec, TraceCheck, TrafficSpec, UtilizationTimeline,
         WallPhaseReport,
     };
-    pub use recssd_sim::{SimDuration, SimTime};
+    pub use recssd_sim::{LruCache, SimDuration, SimTime, StaticPartition, StaticPartitionBuilder};
     pub use recssd_trace::{ArrivalProcess, LocalityK, LocalityTrace, ZipfTrace};
 }
