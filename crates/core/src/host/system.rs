@@ -1647,6 +1647,92 @@ mod tests {
         );
     }
 
+    /// A baseline operator poisoned by one media error drains through two
+    /// late exits: a read that completes successfully after the poison,
+    /// and an accumulate charge that was in flight when the poison landed.
+    /// Both must drop their pages without folding them, the operator must
+    /// still surface the error, and at idle every page image the flash
+    /// array handed out is back in its pool or in the FTL page cache.
+    #[test]
+    fn poisoned_baseline_ops_drain_through_both_late_exits() {
+        // A slow host driver: each command's accumulate charge outlasts
+        // the gap between completions, so a poison can land inside one.
+        let mut cfg = RecSsdConfig::small();
+        cfg.host.sw_cmd_ns = 500_000;
+        let mut sys = System::new(cfg);
+        let rows = 480u64;
+        let table = sys.add_table(TableImage::new(
+            EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 1),
+            PageLayout::Spread,
+            16 * 1024,
+        ));
+        let mut fault = crate::FaultConfig::quiet(11);
+        fault.uncorrectable_rate = 0.03;
+        sys.set_fault_plan(Some(crate::FaultPlan::new(fault)));
+        let opts = SlsOptions {
+            io_concurrency: 4,
+            ..SlsOptions::default()
+        };
+        let mut rng = recssd_sim::rng::Xoshiro256::seed_from(77);
+        // Live commands of operators that are already poisoned.
+        let poisoned_pending = |sys: &System| {
+            (sys.pending_cmd.values())
+                .filter(|id| sys.ops[id].failed.is_some())
+                .count()
+        };
+        let (mut late_reads, mut late_accums, mut failed_ops) = (0, 0, 0);
+        for _ in 0..24 {
+            // Clusters of near-adjacent rows: on the spread layout each is
+            // one bridged multi-page read, a dozen per operator.
+            let ids: Vec<u64> = (0..12)
+                .flat_map(|_| {
+                    let start = rng.gen_range(0..rows - 8);
+                    [start, start + 1, start + 3, start + 4]
+                })
+                .collect();
+            let ops: Vec<OpId> = (0..2)
+                .map(|_| {
+                    let batch = LookupBatch::new(vec![ids.clone()]);
+                    sys.submit(OpKind::baseline_sls(table, batch, opts))
+                })
+                .collect();
+            // The event loop of `run_until_idle`, watching each exit. A
+            // conventional read completes successfully only when its result
+            // DMA ends (a PCIe event) and fails only on a flash outcome, so
+            // a poisoned operator's command retired by a PCIe event was a
+            // late success. The only worker event of a poisoned baseline
+            // operator is the end of an accumulate charge.
+            while let Some((now, ev)) = sys.q.pop() {
+                match ev {
+                    SysEvent::Dev(SsdEvent::Pcie(_)) => {
+                        let before = poisoned_pending(&sys);
+                        sys.handle_event(now, ev);
+                        late_reads += before - poisoned_pending(&sys);
+                    }
+                    SysEvent::Worker(id) => {
+                        late_accums += sys.ops[&id].failed.is_some() as usize;
+                        sys.handle_event(now, ev);
+                    }
+                    SysEvent::Dev(SsdEvent::Ftl(_)) => sys.handle_event(now, ev),
+                }
+            }
+            assert!(sys.ops.is_empty() && sys.dev.idle());
+            for op in ops {
+                let r = sys.take_result(op);
+                if let Some(err) = r.error {
+                    assert_eq!(err, crate::DeviceError::Media);
+                    failed_ops += 1;
+                }
+                sys.recycle_outputs(r.outputs.expect("an SLS operator has outputs"));
+            }
+        }
+        assert!(failed_ops > 0, "no operator was poisoned");
+        assert!(late_reads > 0, "no read succeeded after a poison");
+        assert!(late_accums > 0, "no accumulate charge ended after a poison");
+        let ftl = sys.device().ftl();
+        assert_eq!(ftl.flash().page_images_out(), ftl.cached_pages());
+    }
+
     #[test]
     fn transient_faults_recover_without_surfacing() {
         let (mut sys, table) = sys_with_table(100);
