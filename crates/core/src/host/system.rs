@@ -10,6 +10,15 @@
 //! held from dispatch to finish. Operators are state machines
 //! advanced by device completions and host-compute timer events, all on
 //! one deterministic virtual clock.
+//!
+//! Each phase of an operator owns the state it needs — a baseline
+//! operator's pooled I/O planner buffers, an NDP operator's plan and then
+//! the device's result block — so a handler takes the phase out, works on
+//! it and puts the next phase back or finishes the operator, which hands
+//! the last phase's buffers back to their pools. A baseline operator that
+//! a media error poisons drains through one exit whichever of its events
+//! comes next: a late read, a failed read or the end of an accumulate
+//! charge.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -25,6 +34,7 @@ use recssd_sim::{
 use recssd_ssd::{SsdDevice, SsdEvent};
 
 use crate::ndp::NdpSlsEngine;
+use crate::pages::PageRun;
 use crate::{DeviceError, RecSsdConfig, SlsConfig, SlsOutput, TableRegistry};
 
 /// Largest number of recycled result buffers the host keeps around.
@@ -243,15 +253,6 @@ enum SysEvent {
     Worker(OpId),
 }
 
-/// One distinct flash page of a baseline op: its work items are
-/// `items[start..start + len]`.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageRun {
-    page: u64,
-    start: u32,
-    len: u32,
-}
-
 /// One NVMe read of a baseline op: the wanted pages of
 /// `runs[first..first + count]` plus any bridged gap pages between them,
 /// fetched with a single `span`-block command so the per-command firmware
@@ -296,39 +297,46 @@ impl BaseIoBufs {
     }
 }
 
+/// A baseline op's reads in flight: its planner buffers, the next
+/// command to issue and the command whose accumulate charge is running.
 #[derive(Debug)]
 struct BaseIo {
     bufs: BaseIoBufs,
+    opts: SlsOptions,
     next: usize,
     accum_current: Option<(usize, Vec<PageImage>)>,
     cmds_done: usize,
-    io_concurrency: usize,
-    use_host_cache: bool,
 }
 
+/// An NDP op's split: the cold pairs' config for the device and the hot
+/// pairs the host gathers from its own DRAM.
 #[derive(Debug)]
 struct NdpPlan {
     cold_cfg: SlsConfig,
     hot_pairs: Vec<(u64, u32)>,
     request_id: u64,
-    result_data: Option<Vec<u8>>,
 }
 
+/// Where an operator is, with everything that phase holds: an op's
+/// in-flight state lives in its phase and nowhere else, and leaves it
+/// only through [`System::release`] when the op finishes.
 // The BaseIo variant is big, but boxing it would re-introduce a per-op
 // heap allocation on the steady-state baseline path that the pooled
 // planner buffers exist to avoid.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 enum Phase {
+    #[default]
     Pending,
     Compute,
     /// Host software before a baseline or NDP operator plans its I/O.
     Prep(SlsPath),
     BaseIo(BaseIo),
-    NdpHotGather,
-    NdpAwaitWrite,
-    NdpAwaitRead,
-    NdpMerge,
+    NdpHotGather(NdpPlan),
+    NdpAwaitWrite(NdpPlan),
+    NdpAwaitRead(NdpPlan),
+    /// The host folds the device's result block (the payload) in.
+    NdpMerge(NdpPlan, Vec<u8>),
 }
 
 #[derive(Debug)]
@@ -341,7 +349,6 @@ struct Op {
     submitted: SimTime,
     started: SimTime,
     outputs: SlsOutput,
-    ndp: Option<NdpPlan>,
     qid: u16,
     /// First device-side failure observed for this op (poisons it: no
     /// further I/O is issued and the result carries the error).
@@ -649,7 +656,6 @@ impl System {
             submitted: self.q.now(),
             started: self.q.now(),
             outputs,
-            ndp: None,
             qid: 0,
             failed: None,
             span: self.tracer.alloc_id(),
@@ -836,25 +842,33 @@ impl System {
         }
     }
 
+    /// Takes the op's phase out for a handler, which moves the op on by
+    /// putting its next phase back ([`System::set_phase`]) or finishes it.
+    fn take_phase(&mut self, id: OpId) -> Phase {
+        std::mem::take(&mut self.ops.get_mut(&id).expect("op exists").phase)
+    }
+
+    fn set_phase(&mut self, id: OpId, phase: Phase) {
+        self.ops.get_mut(&id).expect("op exists").phase = phase;
+    }
+
     fn on_worker_event(&mut self, now: SimTime, id: OpId) {
-        let phase = std::mem::replace(
-            &mut self.ops.get_mut(&id).expect("op").phase,
-            Phase::Pending,
-        );
-        match phase {
-            Phase::Compute => self.finish_op(now, id),
+        match self.take_phase(id) {
+            Phase::Compute => self.finish_op(now, id, Phase::Compute),
             Phase::Prep(SlsPath::Baseline(opts)) => self.baseline_plan(now, id, opts),
             Phase::Prep(SlsPath::Ndp(opts)) => self.ndp_plan(now, id, opts),
             Phase::BaseIo(io) => self.baseline_accum_done(now, id, io),
-            Phase::NdpHotGather => {
+            Phase::NdpHotGather(plan) => {
                 self.trace_phase(id, "ndp:gather", now);
-                self.ndp_send_write(now, id)
+                self.ndp_send_write(now, id, plan)
             }
-            Phase::NdpMerge => self.ndp_merge_done(now, id),
-            Phase::Pending
+            Phase::NdpMerge(plan, data) => self.ndp_merge_done(now, id, plan, data),
+            phase @ (Phase::Pending
             | Phase::Prep(SlsPath::Dram)
-            | Phase::NdpAwaitWrite
-            | Phase::NdpAwaitRead => unreachable!("worker event in a phase without a charge"),
+            | Phase::NdpAwaitWrite(_)
+            | Phase::NdpAwaitRead(_)) => {
+                unreachable!("worker event in a phase without a charge: {phase:?}")
+            }
         }
     }
 
@@ -884,51 +898,29 @@ impl System {
         op.outputs.reset(batch.outputs(), dim);
         let mut bufs = baseio_pool.pop().unwrap_or_default();
         bufs.clear();
-        let cache = opts
+        let mut cache = opts
             .use_host_cache
             .then(|| host_caches.get_mut(&table.0))
             .flatten();
-        if let Some(cache) = cache {
-            for (slot, ids) in batch.per_output().iter().enumerate() {
-                for &row in ids {
-                    if cache.get(&row).is_some() {
-                        // A hit's vector is the bound image's row, as a
-                        // static-partition hot row's is.
-                        image
-                            .table()
-                            .accumulate_row(row, row_scratch, op.outputs.row_mut(slot));
-                    } else {
-                        let (page, off) = image.page_of_row(row);
-                        bufs.stage.push((page, off as u32, slot as u32));
-                    }
-                }
-            }
-        } else {
-            for (slot, ids) in batch.per_output().iter().enumerate() {
-                for &row in ids {
+        for (slot, ids) in batch.per_output().iter().enumerate() {
+            for &row in ids {
+                if cache.as_mut().is_some_and(|c| c.get(&row).is_some()) {
+                    // A hit's vector is the bound image's row, as a
+                    // static-partition hot row's is.
+                    image
+                        .table()
+                        .accumulate_row(row, row_scratch, op.outputs.row_mut(slot));
+                } else {
                     let (page, off) = image.page_of_row(row);
                     bufs.stage.push((page, off as u32, slot as u32));
                 }
             }
         }
-        if bufs.stage.is_empty() {
-            baseio_pool.push(bufs);
-            self.finish_op(now, id);
-            return;
-        }
         // Group by page into the flat run/item lists (in-place sort keeps
         // the planner allocation-free once the pooled buffers are warm).
         bufs.stage.sort_unstable();
         for &(page, off, slot) in &bufs.stage {
-            match bufs.runs.last_mut() {
-                Some(r) if r.page == page => r.len += 1,
-                _ => bufs.runs.push(PageRun {
-                    page,
-                    start: bufs.items.len() as u32,
-                    len: 1,
-                }),
-            }
-            bufs.items.push((off, slot));
+            PageRun::push(&mut bufs.runs, &mut bufs.items, page, (off, slot));
         }
         // Coalesce nearby pages into multi-block commands: runs are in
         // ascending page order, so one scan suffices. A run joins the
@@ -970,14 +962,18 @@ impl System {
         }
         let mut io = BaseIo {
             bufs,
+            opts,
             next: 0,
             accum_current: None,
             cmds_done: 0,
-            io_concurrency: opts.io_concurrency,
-            use_host_cache: opts.use_host_cache,
         };
+        if io.bufs.cmds.is_empty() {
+            // Every row was a host-cache hit: no device work at all.
+            self.finish_op(now, id, Phase::BaseIo(io));
+            return;
+        }
         self.baseline_issue(now, id, &mut io);
-        self.ops.get_mut(&id).expect("op").phase = Phase::BaseIo(io);
+        self.set_phase(id, Phase::BaseIo(io));
     }
 
     /// Issues (possibly multi-page) reads up to the concurrency window.
@@ -985,7 +981,7 @@ impl System {
         let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
         let qid = self.ops[&id].qid;
-        while io.bufs.outstanding.len() < io.io_concurrency && io.next < io.bufs.cmds.len() {
+        while io.bufs.outstanding.len() < io.opts.io_concurrency && io.next < io.bufs.cmds.len() {
             let idx = io.next;
             io.next += 1;
             let cmd = io.bufs.cmds[idx];
@@ -998,25 +994,29 @@ impl System {
     }
 
     /// A read completion (one command, one or more pages) arrived for a
-    /// baseline op.
-    fn baseline_on_page(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<PageImage>) {
-        let mut phase = std::mem::replace(
-            &mut self.ops.get_mut(&id).expect("op").phase,
-            Phase::Pending,
-        );
-        {
-            let Phase::BaseIo(io) = &mut phase else {
-                unreachable!("completion outside BaseIo phase")
-            };
-            let idx = io.bufs.outstanding.remove(&cid).expect("tracked command");
-            io.bufs.data.insert(idx, data);
-            io.bufs.backlog.push_back(idx);
-            self.baseline_issue(now, id, io);
-            if io.accum_current.is_none() {
-                self.baseline_start_accum(id, io);
-            }
+    /// baseline op; `data` is `None` when the read failed, which has
+    /// already poisoned the op.
+    fn baseline_on_read(
+        &mut self,
+        now: SimTime,
+        id: OpId,
+        cid: u16,
+        data: Option<Vec<PageImage>>,
+        mut io: BaseIo,
+    ) {
+        let idx = io.bufs.outstanding.remove(&cid).expect("tracked command");
+        if self.ops[&id].failed.is_some() {
+            self.baseline_drain(now, id, io, data);
+            return;
         }
-        self.ops.get_mut(&id).expect("op").phase = phase;
+        let data = data.expect("a read that did not poison its op delivers pages");
+        io.bufs.data.insert(idx, data);
+        io.bufs.backlog.push_back(idx);
+        self.baseline_issue(now, id, &mut io);
+        if io.accum_current.is_none() {
+            self.baseline_start_accum(id, &mut io);
+        }
+        self.set_phase(id, Phase::BaseIo(io));
     }
 
     /// Starts the host-side completion-processing + accumulate charge for
@@ -1055,17 +1055,8 @@ impl System {
     fn baseline_accum_done(&mut self, now: SimTime, id: OpId, mut io: BaseIo) {
         let (idx, data) = io.accum_current.take().expect("accumulating a command");
         if self.ops[&id].failed.is_some() {
-            // The op was poisoned while this charge was in flight: drop
-            // the command instead of folding it, and finish once no reads
-            // remain outstanding.
-            self.dev.recycle_buffer(CmdData::Pages(data));
-            if io.bufs.outstanding.is_empty() {
-                io.bufs.clear();
-                self.baseio_pool.push(io.bufs);
-                self.finish_op(now, id);
-            } else {
-                self.ops.get_mut(&id).expect("op").phase = Phase::BaseIo(io);
-            }
+            // The op was poisoned while this charge was in flight.
+            self.baseline_drain(now, id, io, Some(data));
             return;
         }
         let Self {
@@ -1080,6 +1071,7 @@ impl System {
         let row_bytes = image.table().spec().row_bytes();
         let quant = image.table().spec().quant;
         let mut cache = io
+            .opts
             .use_host_cache
             .then(|| host_caches.get_mut(&table.0))
             .flatten();
@@ -1090,7 +1082,7 @@ impl System {
             // page (bridged gap pages occupy their slots unused); rows
             // decode straight out of the device's image of it.
             let page = &data[(run.page - first_page) as usize];
-            for &(off, slot) in &io.bufs.items[run.start as usize..(run.start + run.len) as usize] {
+            for &(off, slot) in &io.bufs.items[run.items()] {
                 let off = off as usize;
                 quant.decode_accumulate(
                     &page.bytes_at(off, row_bytes),
@@ -1112,12 +1104,40 @@ impl System {
             && io.next == io.bufs.cmds.len()
         {
             debug_assert_eq!(io.cmds_done, io.bufs.cmds.len());
-            self.baseio_pool.push(io.bufs);
-            self.finish_op(now, id);
+            self.finish_op(now, id, Phase::BaseIo(io));
             return;
         }
         self.baseline_start_accum(id, &mut io);
-        self.ops.get_mut(&id).expect("op").phase = Phase::BaseIo(io);
+        self.set_phase(id, Phase::BaseIo(io));
+    }
+
+    /// The one exit of a poisoned baseline op: it issues no more reads and
+    /// folds nothing more in. `spent` (the pages of a read that completed,
+    /// or finished its accumulate charge, after the poison) and every
+    /// buffered command go back to the device unread, and the op finishes
+    /// with its error once no read and no accumulate charge is in flight.
+    fn baseline_drain(
+        &mut self,
+        now: SimTime,
+        id: OpId,
+        mut io: BaseIo,
+        spent: Option<Vec<PageImage>>,
+    ) {
+        io.next = io.bufs.cmds.len();
+        io.bufs.backlog.clear();
+        // Drained in place: the map keeps its capacity for the next
+        // operator that reuses these planner buffers.
+        for data in spent
+            .into_iter()
+            .chain(io.bufs.data.drain().map(|(_, d)| d))
+        {
+            self.dev.recycle_buffer(CmdData::Pages(data));
+        }
+        if io.bufs.outstanding.is_empty() && io.accum_current.is_none() {
+            self.finish_op(now, id, Phase::BaseIo(io));
+        } else {
+            self.set_phase(id, Phase::BaseIo(io));
+        }
     }
 
     // ----- NDP SLS -----
@@ -1183,27 +1203,26 @@ impl System {
         *next_request += 1;
         op.outputs.reset(batch.outputs(), spec.dim);
         let hot = hot_pairs.len();
-        op.ndp = Some(NdpPlan {
+        let plan = NdpPlan {
             cold_cfg,
             hot_pairs,
             request_id,
-            result_data: None,
-        });
+        };
         if hot == 0 {
-            self.ndp_send_write(now, id);
+            self.ndp_send_write(now, id, plan);
         } else {
             // Gather the hot rows from host DRAM (the static partition).
             let host = self.host();
             let dur = SimDuration::from_ns(host.per_lookup_ns * hot as u64)
                 + self.dram_time((hot * spec.row_bytes()) as f64);
-            self.ops.get_mut(&id).expect("op").phase = Phase::NdpHotGather;
+            self.set_phase(id, Phase::NdpHotGather(plan));
             self.charge(id, dur);
         }
     }
 
     /// Hot gather done (or skipped): fold hot partial sums in and send the
     /// NDP config-write.
-    fn ndp_send_write(&mut self, now: SimTime, id: OpId) {
+    fn ndp_send_write(&mut self, now: SimTime, id: OpId, plan: NdpPlan) {
         let Self {
             ops,
             registry,
@@ -1216,7 +1235,6 @@ impl System {
         let binding = registry.binding(op.kind.sls().0);
         let base = binding.base_lpn;
         let align = cfg.ndp.table_align;
-        let plan = op.ndp.as_ref().expect("plan set");
         // Functional hot-partition accumulation, through the reused
         // scratch (no per-row vectors).
         let table_data = binding.image.table();
@@ -1225,7 +1243,7 @@ impl System {
         }
         if plan.cold_cfg.pairs.is_empty() {
             // Everything was hot: no device work at all.
-            self.finish_op(now, id);
+            self.finish_op(now, id, Phase::NdpHotGather(plan));
             return;
         }
         // Encode into a recycled transfer buffer: the engine hands the
@@ -1235,50 +1253,39 @@ impl System {
         plan.cold_cfg.encode_into(&mut payload);
         let slba = NvmeCommand::ndp_slba(base, plan.request_id, align);
         let qid = op.qid;
-        op.phase = Phase::NdpAwaitWrite;
+        op.phase = Phase::NdpAwaitWrite(plan);
         let cid = self.alloc_cid(qid);
         self.pending_cmd.insert((qid, cid), id);
         self.submit_cmd(now, qid, NvmeCommand::ndp_write(cid, slba, payload));
     }
 
-    fn ndp_on_write_done(&mut self, now: SimTime, id: OpId) {
+    fn ndp_on_write_done(&mut self, now: SimTime, id: OpId, plan: NdpPlan) {
         self.trace_phase(id, "ndp:write", now);
         let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
-        let align = self.cfg.ndp.table_align;
-        let block_bytes = self.cfg.ssd.block_bytes();
-        let op = self.ops.get_mut(&id).expect("op");
-        let plan = op.ndp.as_ref().expect("plan set");
-        let nlb = plan.cold_cfg.result_blocks(block_bytes);
-        let slba = NvmeCommand::ndp_slba(base, plan.request_id, align);
-        let qid = op.qid;
-        op.phase = Phase::NdpAwaitRead;
+        let nlb = plan.cold_cfg.result_blocks(self.cfg.ssd.block_bytes());
+        let slba = NvmeCommand::ndp_slba(base, plan.request_id, self.cfg.ndp.table_align);
+        let qid = self.ops[&id].qid;
+        self.set_phase(id, Phase::NdpAwaitRead(plan));
         let cid = self.alloc_cid(qid);
         self.pending_cmd.insert((qid, cid), id);
         self.submit_cmd(now, qid, NvmeCommand::ndp_read(cid, slba, nlb));
     }
 
-    fn ndp_on_read_done(&mut self, now: SimTime, id: OpId, data: Vec<u8>) {
+    fn ndp_on_read_done(&mut self, now: SimTime, id: OpId, plan: NdpPlan, data: Vec<u8>) {
         self.trace_phase(id, "ndp:read", now);
-        let overhead_ns = self.host().op_overhead_ns;
-        let op = self.ops.get_mut(&id).expect("op");
-        let plan = op.ndp.as_mut().expect("plan set");
         let bytes = plan.cold_cfg.result_bytes();
-        plan.result_data = Some(data);
-        op.phase = Phase::NdpMerge;
-        let dur = SimDuration::from_ns(overhead_ns) + self.dram_time(bytes as f64);
+        let dur = SimDuration::from_ns(self.host().op_overhead_ns) + self.dram_time(bytes as f64);
+        self.set_phase(id, Phase::NdpMerge(plan, data));
         self.charge(id, dur);
     }
 
-    fn ndp_merge_done(&mut self, now: SimTime, id: OpId) {
-        let op = self.ops.get_mut(&id).expect("op");
-        let plan = op.ndp.as_mut().expect("plan set");
-        let data = plan.result_data.take().expect("result data");
+    fn ndp_merge_done(&mut self, now: SimTime, id: OpId, plan: NdpPlan, data: Vec<u8>) {
         // Device partial sums fold straight into the flat accumulator —
         // no intermediate nested vectors.
+        let op = self.ops.get_mut(&id).expect("op");
         SlsConfig::accumulate_results(&data, op.outputs.as_mut_slice());
-        self.dev.recycle_buffer(CmdData::Flat(data));
-        self.finish_op(now, id);
+        self.finish_op(now, id, Phase::NdpMerge(plan, data));
     }
 
     // ----- shared plumbing -----
@@ -1308,101 +1315,36 @@ impl System {
                 .pending_cmd
                 .remove(&(qid, c.cid))
                 .expect("completion for unknown command");
+            let op = self.ops.get_mut(&id).expect("op exists");
             if c.status != NvmeStatus::Success {
-                self.on_failed_completion(now, id, c.cid, DeviceError::from_status(c.status));
-                continue;
+                // The first device-side failure poisons the op: it issues
+                // no further I/O and its result carries the error.
+                op.failed.get_or_insert(DeviceError::from_status(c.status));
             }
-            let phase_kind = match &self.ops[&id].phase {
-                Phase::BaseIo(_) => 0,
-                Phase::NdpAwaitWrite => 1,
-                Phase::NdpAwaitRead => 2,
-                other => unreachable!("completion in unexpected phase {other:?}"),
-            };
-            match phase_kind {
-                0 => {
-                    let Some(CmdData::Pages(data)) = c.data else {
-                        unreachable!("a conventional read completes with page images")
-                    };
-                    if self.ops[&id].failed.is_some() {
-                        self.baseline_absorb(now, id, c.cid, data);
-                    } else {
-                        self.baseline_on_page(now, id, c.cid, data);
-                    }
+            let failed = op.failed.is_some();
+            match (std::mem::take(&mut op.phase), c.data) {
+                (Phase::BaseIo(io), data) => {
+                    let pages = data.map(|data| match data {
+                        CmdData::Pages(pages) => pages,
+                        CmdData::Flat(_) => {
+                            unreachable!("a conventional read completes with page images")
+                        }
+                    });
+                    self.baseline_on_read(now, id, c.cid, pages, io);
                 }
-                1 => self.ndp_on_write_done(now, id),
-                _ => {
-                    let Some(CmdData::Flat(data)) = c.data else {
-                        unreachable!("an NDP result read completes with one flat buffer")
-                    };
-                    self.ndp_on_read_done(now, id, data);
+                // An NDP op has a single command in flight, so a failed one
+                // finishes (with the error) at once.
+                (phase @ (Phase::NdpAwaitWrite(_) | Phase::NdpAwaitRead(_)), _) if failed => {
+                    self.finish_op(now, id, phase)
                 }
+                (Phase::NdpAwaitWrite(plan), _) => self.ndp_on_write_done(now, id, plan),
+                (Phase::NdpAwaitRead(plan), Some(CmdData::Flat(data))) => {
+                    self.ndp_on_read_done(now, id, plan, data)
+                }
+                (phase, _) => unreachable!("completion in unexpected phase {phase:?}"),
             }
         }
         self.completions = completions;
-    }
-
-    /// A non-success completion arrived: poison the op and run the
-    /// phase-appropriate teardown. NDP ops have a single command in
-    /// flight, so they finish (with the error) immediately; a baseline op
-    /// stops issuing reads, drops buffered-but-unfolded pages, and
-    /// finishes once its in-flight commands and accumulate charge drain.
-    fn on_failed_completion(&mut self, now: SimTime, id: OpId, cid: u16, err: DeviceError) {
-        let Self { ops, dev, .. } = self;
-        let op = ops.get_mut(&id).expect("op exists");
-        if op.failed.is_none() {
-            op.failed = Some(err);
-        }
-        let base_done = match &mut op.phase {
-            Phase::BaseIo(io) => {
-                io.bufs.outstanding.remove(&cid).expect("tracked command");
-                io.next = io.bufs.cmds.len();
-                io.bufs.backlog.clear();
-                // Drained in place: the map keeps its capacity for the
-                // next operator that reuses these planner buffers.
-                for (_, data) in io.bufs.data.drain() {
-                    dev.recycle_buffer(CmdData::Pages(data));
-                }
-                Some(io.bufs.outstanding.is_empty() && io.accum_current.is_none())
-            }
-            Phase::NdpAwaitWrite | Phase::NdpAwaitRead => None,
-            other => unreachable!("failed completion in unexpected phase {other:?}"),
-        };
-        match base_done {
-            Some(true) => self.baseio_finish_failed(now, id),
-            Some(false) => {}
-            None => self.finish_op(now, id),
-        }
-    }
-
-    /// A late successful completion for an already-poisoned baseline op:
-    /// hand its page images back without folding anything in, and finish
-    /// the op once the last straggler drains.
-    fn baseline_absorb(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<PageImage>) {
-        self.dev.recycle_buffer(CmdData::Pages(data));
-        let op = self.ops.get_mut(&id).expect("op exists");
-        let Phase::BaseIo(io) = &mut op.phase else {
-            unreachable!("poisoned straggler outside BaseIo")
-        };
-        io.bufs.outstanding.remove(&cid).expect("tracked command");
-        if io.bufs.outstanding.is_empty() && io.accum_current.is_none() {
-            self.baseio_finish_failed(now, id);
-        }
-    }
-
-    /// Every outstanding command and accumulate charge of a poisoned
-    /// baseline op has drained: recycle its planner buffers and surface
-    /// the error through the result.
-    fn baseio_finish_failed(&mut self, now: SimTime, id: OpId) {
-        let phase = std::mem::replace(
-            &mut self.ops.get_mut(&id).expect("op").phase,
-            Phase::Pending,
-        );
-        let Phase::BaseIo(mut io) = phase else {
-            unreachable!("poisoned op outside BaseIo")
-        };
-        io.bufs.clear();
-        self.baseio_pool.push(io.bufs);
-        self.finish_op(now, id);
     }
 
     fn recycle_pairs(&mut self, mut pairs: Vec<(u64, u32)>) {
@@ -1412,8 +1354,28 @@ impl System {
         }
     }
 
-    fn finish_op(&mut self, now: SimTime, id: OpId) {
-        let mut op = self.ops.remove(&id).expect("op exists");
+    /// Hands the buffers a finished op's last phase holds back to their
+    /// pools: the baseline planner buffers, or the NDP pair lists and the
+    /// device's result block.
+    fn release(&mut self, last: Phase) {
+        match last {
+            Phase::BaseIo(io) => self.baseio_pool.push(io.bufs),
+            Phase::NdpHotGather(plan) | Phase::NdpAwaitWrite(plan) | Phase::NdpAwaitRead(plan) => {
+                self.recycle_pairs(plan.cold_cfg.pairs);
+                self.recycle_pairs(plan.hot_pairs);
+            }
+            Phase::NdpMerge(plan, data) => {
+                self.dev.recycle_buffer(CmdData::Flat(data));
+                self.release(Phase::NdpAwaitRead(plan));
+            }
+            Phase::Pending | Phase::Compute | Phase::Prep(_) => {}
+        }
+    }
+
+    /// Completes `id`, whose `last` phase (taken out of it) is released.
+    fn finish_op(&mut self, now: SimTime, id: OpId, last: Phase) {
+        self.release(last);
+        let op = self.ops.remove(&id).expect("op exists");
         if self.tracer.enabled() && op.span.is_some() {
             // Tail phase: whatever ran since the last phase span ended.
             // For a failed op it covers the abort drain, which the
@@ -1445,10 +1407,6 @@ impl System {
                 op.failed.is_some() as u64,
                 label,
             );
-        }
-        if let Some(plan) = op.ndp.take() {
-            self.recycle_pairs(plan.cold_cfg.pairs);
-            self.recycle_pairs(plan.hot_pairs);
         }
         let outputs = match &op.kind {
             OpKind::HostCompute { .. } => None,

@@ -58,6 +58,7 @@
 mod config;
 pub mod host;
 pub mod ndp;
+mod pages;
 mod proto;
 mod tables;
 

@@ -28,10 +28,16 @@
 //! * results live in a flat [`SlsOutput`] scratchpad and vectors are
 //!   folded in with the fused `decode_accumulate` (no per-vector `Vec`);
 //! * the per-page work lists are two flat `Vec`s (`work_items` +
-//!   `page_work` index) built by one scan of the sorted pair list —
+//!   `page_work` index) built by one scan of the sorted pair list with
+//!   the page grouping the host's baseline planner uses —
 //!   sortedness means equal pages are adjacent, so grouping needs no map;
-//! * entry buffers are recycled through a free-list pool when a request
-//!   completes, so steady-state requests allocate nothing for them;
+//! * every buffer an entry owns — scratchpad, work lists, the decoded
+//!   pair list, partials — is one `EntryBufs` field, which returns whole
+//!   to a free-list pool when the request completes, so steady-state
+//!   requests allocate nothing for them;
+//! * an entry's breakdown accumulates in its own [`SlsRequestReport`] and
+//!   is folded into fixed-size running sums at completion (no
+//!   per-request record is kept);
 //! * on a per-channel engine pool the engine-local partial sums live in
 //!   one [`EnginePartials`]: `engines × n_results` rows, of which a
 //!   request's few pages write a few. Nothing but a flag per row is
@@ -56,6 +62,7 @@ use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 
 use super::EnginePartials;
+use crate::pages::PageRun;
 use crate::{NdpConfig, SlsConfig, SlsOutput};
 
 /// Logical blocks one NVMe read can return: its block count is a 16-bit,
@@ -239,25 +246,24 @@ enum FwJob {
     },
 }
 
-/// One distinct flash page of a request: its work items are
-/// `work_items[start..start + len]`.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageWork {
-    page: u64,
-    start: u32,
-    len: u32,
-}
-
-/// Pooled per-entry buffers, recycled across requests so steady-state
+/// An entry's pooled buffers, recycled across requests so steady-state
 /// request processing allocates nothing for them.
 #[derive(Debug, Default)]
 struct EntryBufs {
+    /// The result scratchpad.
     results: SlsOutput,
+    /// `(byte offset, result slot)` items, grouped by page in `page_work`
+    /// order (pages ascending — the §4.3 sorted-pair contract makes the
+    /// grouping a single linear scan).
     work_items: Vec<(usize, u32)>,
-    page_work: Vec<PageWork>,
-    /// Recycled pair-list buffer for [`SlsConfig::decode_pooled`].
+    /// One record per distinct page, ascending page order.
+    page_work: Vec<PageRun>,
+    /// The pair list [`SlsConfig::decode_pooled`] parses into; it returns
+    /// here once the work lists are built.
     pairs: Vec<(u64, u32)>,
-    /// Engine-local partial accumulators (multi-engine path).
+    /// Engine-local partial accumulators, one sparse set for the pool.
+    /// Unused on the single-core path, where translation folds straight
+    /// into `results`.
     partials: EnginePartials,
     /// Pages translated per engine (sizes the merge charge).
     partial_pages: Vec<u32>,
@@ -269,23 +275,11 @@ struct SlsEntry {
     write_cid: u16,
     table_base: u64,
     raw_config: Option<Vec<u8>>,
-    /// Pooled pair buffer handed to the config decode.
-    pairs_buf: Vec<(u64, u32)>,
+    /// The decoded config once processed; its pair list has gone back to
+    /// `bufs.pairs`.
     cfg: Option<SlsConfig>,
-    /// `(byte offset, result slot)` items, grouped by page in `page_work`
-    /// order (pages ascending — the §4.3 sorted-pair contract makes the
-    /// grouping a single linear scan).
-    work_items: Vec<(usize, u32)>,
-    /// One record per distinct page, ascending page order.
-    page_work: Vec<PageWork>,
+    bufs: EntryBufs,
     pages_pending: usize,
-    results: SlsOutput,
-    /// Engine-local partial accumulators, one sparse set for the pool.
-    /// Unused on the single-core path, where translation folds straight
-    /// into `results`.
-    partials: EnginePartials,
-    /// Pages translated per engine.
-    partial_pages: Vec<u32>,
     /// A merge task must still run (and has not been charged yet).
     needs_merge: bool,
     results_ready: bool,
@@ -301,11 +295,9 @@ struct SlsEntry {
     /// Instant the merged results became ready (equals `t_last_page` on
     /// the single-core path; after the merge task otherwise).
     t_ready: SimTime,
-    config_process: SimDuration,
-    translation: SimDuration,
-    merge: SimDuration,
-    cache_hits: u64,
-    lookups: u64,
+    /// The request's breakdown: the task durations and vector counts
+    /// accumulate here as they happen, the spans are filled at `finish`.
+    report: SlsRequestReport,
 }
 
 /// The RecSSD firmware engine. Install into a device with
@@ -381,20 +373,7 @@ impl NdpSlsEngine {
     /// Returns an entry's buffers to the free-list pool.
     fn recycle(&mut self, entry: SlsEntry) {
         if self.buf_pool.len() < self.cfg.max_entries {
-            // The decoded pair list lives inside `cfg` once configured;
-            // reclaim whichever buffer holds the capacity.
-            let pairs = match entry.cfg {
-                Some(cfg) => cfg.pairs,
-                None => entry.pairs_buf,
-            };
-            self.buf_pool.push(EntryBufs {
-                results: entry.results,
-                work_items: entry.work_items,
-                page_work: entry.page_work,
-                pairs,
-                partials: entry.partials,
-                partial_pages: entry.partial_pages,
-            });
+            self.buf_pool.push(entry.bufs);
         }
     }
 
@@ -404,14 +383,13 @@ impl NdpSlsEngine {
         let (page_bytes, logical_pages) = (ctx.ftl.page_bytes(), ctx.ftl.config().logical_pages);
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let raw = entry.raw_config.take().expect("config payload present");
-        let pairs_buf = std::mem::take(&mut entry.pairs_buf);
         let table_base = entry.table_base;
         // The payload is host-supplied: besides being well-formed it must
         // describe rows that fit a flash page, pages the device has and a
         // result block one read command can return (the scratchpad below is
         // sized from it). Pairs are sorted by row, so the last one reaches
         // furthest.
-        let cfg = SlsConfig::decode_pooled(&raw, pairs_buf)
+        let cfg = SlsConfig::decode_pooled(&raw, std::mem::take(&mut entry.bufs.pairs))
             .ok()
             .filter(|cfg| {
                 let fits = (cfg.row_bytes().checked_mul(cfg.rows_per_page as usize))
@@ -429,7 +407,7 @@ impl NdpSlsEngine {
         // The config payload has been parsed; its buffer rejoins the
         // device's transfer pool so the host's next config-write reuses it.
         ctx.recycle_buffer(raw);
-        let Some(cfg) = cfg else {
+        let Some(mut cfg) = cfg else {
             let (qid, cid) = (entry.qid, entry.write_cid);
             let entry = self.entries.remove(&request).expect("entry exists");
             self.recycle(entry);
@@ -449,36 +427,34 @@ impl NdpSlsEngine {
             ..
         } = self;
         let entry = entries.get_mut(&request).expect("entry exists");
-        entry
-            .results
-            .reset(cfg.n_results as usize, cfg.dim as usize);
-        entry.lookups = cfg.pairs.len() as u64;
-        entry.work_items.clear();
-        entry.page_work.clear();
+        let bufs = &mut entry.bufs;
+        bufs.results.reset(cfg.n_results as usize, cfg.dim as usize);
+        entry.report.lookups = cfg.pairs.len() as u64;
+        bufs.work_items.clear();
+        bufs.page_work.clear();
         let base = entry.table_base;
         let (row_bytes, quant) = (cfg.row_bytes(), cfg.quant);
         for &(row, slot) in &cfg.pairs {
             let (page, offset) = cfg.locate_row(row);
             if cache.hit(base, row, &mut stats.embed_cache) {
-                entry.cache_hits += 1;
-                let acc = entry.results.row_mut(slot as usize);
+                entry.report.cache_hits += 1;
+                let acc = bufs.results.row_mut(slot as usize);
                 ctx.ftl
                     .with_current_page(recssd_ftl::Lpn(base + page), |data| {
                         quant.decode_accumulate(&data.bytes_at(offset, row_bytes), acc)
                     });
                 continue;
             }
-            match entry.page_work.last_mut() {
-                Some(w) if w.page == page => w.len += 1,
-                _ => entry.page_work.push(PageWork {
-                    page,
-                    start: entry.work_items.len() as u32,
-                    len: 1,
-                }),
-            }
-            entry.work_items.push((offset, slot));
+            PageRun::push(
+                &mut bufs.page_work,
+                &mut bufs.work_items,
+                page,
+                (offset, slot),
+            );
         }
-        let n_pages = entry.page_work.len();
+        // The pair list is consumed: its buffer goes back with the entry's.
+        bufs.pairs = std::mem::take(&mut cfg.pairs);
+        let n_pages = bufs.page_work.len();
         entry.pages_pending = n_pages;
         entry.t_processed = ctx.now;
         entry.t_last_page = ctx.now;
@@ -489,11 +465,11 @@ impl NdpSlsEngine {
         // engine-local partials that a final merge folds together.
         let engines = ctx.ftl.engine_count();
         if engines > 0 && n_pages > 0 {
-            entry
-                .partials
+            let bufs = &mut entry.bufs;
+            bufs.partials
                 .reset(engines, cfg.n_results as usize, cfg.dim as usize);
-            entry.partial_pages.clear();
-            entry.partial_pages.resize(engines, 0);
+            bufs.partial_pages.clear();
+            bufs.partial_pages.resize(engines, 0);
             entry.needs_merge = true;
         }
         entry.cfg = Some(cfg);
@@ -501,7 +477,7 @@ impl NdpSlsEngine {
         // Issue all page reads through the FTL's page scheduler (step 3a);
         // FTL page-cache hits are processed directly (step 3b).
         for widx in 0..n_pages {
-            let page = self.entries[&request].page_work[widx].page;
+            let page = self.entries[&request].bufs.page_work[widx].page;
             self.stats.pages_requested.inc();
             let lpn = recssd_ftl::Lpn(base + page);
             let started = {
@@ -543,13 +519,13 @@ impl NdpSlsEngine {
     ) {
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let cfg = entry.cfg.as_ref().expect("configured");
-        let vectors = entry.page_work[widx].len as usize;
-        let duration = self.cfg.translate_time(vectors * cfg.row_bytes());
+        let run = entry.bufs.page_work[widx];
+        let duration = self.cfg.translate_time(run.len as usize * cfg.row_bytes());
         let engines = ctx.ftl.engine_count();
         let engine = if engines > 0 {
-            let lpn = recssd_ftl::Lpn(entry.table_base + entry.page_work[widx].page);
+            let lpn = recssd_ftl::Lpn(entry.table_base + run.page);
             let e = ctx.ftl.channel_of(lpn) as usize % engines;
-            entry.partial_pages[e] += 1;
+            entry.bufs.partial_pages[e] += 1;
             Some(e as u32)
         } else {
             None
@@ -586,18 +562,17 @@ impl NdpSlsEngine {
         let row_bytes = cfg.row_bytes();
         let rows_per_page = cfg.rows_per_page as u64;
         let quant: Quantization = cfg.quant;
-        let w = entry.page_work[widx];
+        let w = entry.bufs.page_work[widx];
         let base = entry.table_base;
-        let items = w.start as usize..(w.start + w.len) as usize;
         // Engine translations fold into the engine-local partial rows; the
         // merge task later combines them in fixed engine order.
-        let SlsEntry {
+        let EntryBufs {
             results,
             partials,
             work_items,
             ..
-        } = &mut *entry;
-        for &(offset, slot) in &work_items[items] {
+        } = &mut entry.bufs;
+        for &(offset, slot) in &work_items[w.items()] {
             let (bytes, slot) = (data.bytes_at(offset, row_bytes), slot as usize);
             match engine {
                 Some(e) => partials.add_encoded(e as usize, slot, quant, &bytes),
@@ -605,7 +580,7 @@ impl NdpSlsEngine {
             }
             cache.insert(base, w.page * rows_per_page + (offset / row_bytes) as u64);
         }
-        entry.translation += duration;
+        entry.report.translation += duration;
         entry.pages_pending -= 1;
         entry.t_last_page = ctx.now;
         self.maybe_finish(ctx, request);
@@ -616,7 +591,8 @@ impl NdpSlsEngine {
     /// regardless of which engine finished last.
     fn apply_merge(&mut self, ctx: &mut DeviceCtx<'_>, request: u64) {
         let entry = self.entries.get_mut(&request).expect("entry exists");
-        entry.partials.merge_into(entry.results.as_mut_slice());
+        let bufs = &mut entry.bufs;
+        bufs.partials.merge_into(bufs.results.as_mut_slice());
         self.maybe_finish(ctx, request);
     }
 
@@ -647,9 +623,9 @@ impl NdpSlsEngine {
             // its cost scales with the partials that saw work.
             entry.needs_merge = false;
             let cfg = entry.cfg.as_ref().expect("configured");
-            let active = entry.partial_pages.iter().filter(|&&c| c > 0).count();
+            let active = entry.bufs.partial_pages.iter().filter(|&&c| c > 0).count();
             let dur = self.cfg.merge_time(cfg.result_bytes() * active);
-            entry.merge = dur;
+            entry.report.merge = dur;
             let placement = ctx
                 .ftl
                 .engine_config()
@@ -688,27 +664,22 @@ impl NdpSlsEngine {
     /// Finalises an entry after its result DMA: complete the read command,
     /// record the report, deallocate (returning its buffers to the pool).
     fn finish(&mut self, ctx: &mut DeviceCtx<'_>, request: u64) {
-        let entry = self.entries.remove(&request).expect("entry exists");
+        let mut entry = self.entries.remove(&request).expect("entry exists");
         let (qid, cid, _) = entry.read_cmd.expect("read command pending");
         let block_bytes = ctx.ftl.page_bytes();
-        let results = entry.results.as_slice();
+        let results = entry.bufs.results.as_slice();
         let mut data = ctx.take_buffer(SlsConfig::padded_result_len(results.len(), block_bytes));
         SlsConfig::encode_results_into(results, block_bytes, &mut data);
         ctx.complete(qid, NvmeCompletion::success(cid, Some(CmdData::Flat(data))));
 
         let flash_span = entry.t_last_page.saturating_since(entry.t_processed);
+        let report = &mut entry.report;
+        report.config_write = entry.t_config_written.saturating_since(entry.t_arrive);
+        report.flash_read = flash_span.saturating_sub(report.translation);
+        report.total = entry.t_ready.saturating_since(entry.t_arrive);
+        report.pages = entry.bufs.page_work.len();
         self.stats.sls_requests.inc();
-        self.stats.record_report(&SlsRequestReport {
-            config_write: entry.t_config_written.saturating_since(entry.t_arrive),
-            config_process: entry.config_process,
-            translation: entry.translation,
-            merge: entry.merge,
-            flash_read: flash_span.saturating_sub(entry.translation),
-            total: entry.t_ready.saturating_since(entry.t_arrive),
-            pages: entry.page_work.len(),
-            cache_hits: entry.cache_hits,
-            lookups: entry.lookups,
-        });
+        self.stats.record_report(report);
         self.recycle(entry);
     }
 }
@@ -735,7 +706,6 @@ impl NdpEngine for NdpSlsEngine {
                     return;
                 }
                 let bytes = payload.len();
-                let bufs = self.buf_pool.pop().unwrap_or_default();
                 self.entries.insert(
                     request,
                     SlsEntry {
@@ -743,14 +713,9 @@ impl NdpEngine for NdpSlsEngine {
                         write_cid: cmd.cid,
                         table_base,
                         raw_config: Some(payload),
-                        pairs_buf: bufs.pairs,
                         cfg: None,
-                        work_items: bufs.work_items,
-                        page_work: bufs.page_work,
+                        bufs: self.buf_pool.pop().unwrap_or_default(),
                         pages_pending: 0,
-                        results: bufs.results,
-                        partials: bufs.partials,
-                        partial_pages: bufs.partial_pages,
                         needs_merge: false,
                         results_ready: false,
                         failed: false,
@@ -760,11 +725,7 @@ impl NdpEngine for NdpSlsEngine {
                         t_processed: ctx.now,
                         t_last_page: ctx.now,
                         t_ready: ctx.now,
-                        config_process: SimDuration::ZERO,
-                        translation: SimDuration::ZERO,
-                        merge: SimDuration::ZERO,
-                        cache_hits: 0,
-                        lookups: 0,
+                        report: SlsRequestReport::default(),
                     },
                 );
                 let xfer = {
@@ -852,13 +813,10 @@ impl NdpEngine for NdpSlsEngine {
             // Config landed on the device: charge config processing.
             let entry = self.entries.get_mut(&request).expect("entry exists");
             entry.t_config_written = ctx.now;
-            let pairs = entry
-                .raw_config
-                .as_ref()
-                .map(|raw| raw.len().saturating_sub(32) / 12)
-                .unwrap_or(0);
+            let pairs =
+                (entry.raw_config.as_ref()).map_or(0, |raw| SlsConfig::pair_count(raw.len()));
             let dur = self.cfg.config_process_time(pairs);
-            entry.config_process = dur;
+            entry.report.config_process = dur;
             let tag = self.alloc_tag(FwJob::ConfigProcess { request });
             Self::charge_fw(ctx, dur, tag);
             return true;

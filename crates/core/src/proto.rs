@@ -278,6 +278,13 @@ impl SlsConfig {
         HEADER_BYTES + self.pairs.len() * PAIR_BYTES
     }
 
+    /// The pair count a payload of `len` bytes carries — the inverse of
+    /// [`SlsConfig::encoded_len`], which the firmware charges config
+    /// processing on before it parses the payload. Zero below a header.
+    pub(crate) fn pair_count(len: usize) -> usize {
+        len.saturating_sub(HEADER_BYTES) / PAIR_BYTES
+    }
+
     /// Serialises to the command payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
@@ -461,6 +468,24 @@ mod tests {
             };
             assert_eq!(SlsConfig::decode(&cfg.encode()).unwrap().quant, q);
         }
+    }
+
+    /// The firmware sizes its config-processing charge from the payload
+    /// length alone; that count must be the encoded pair list's.
+    #[test]
+    fn pair_count_inverts_encoded_len() {
+        for q in [Quantization::F32, Quantization::F16, Quantization::Int8] {
+            for n in [0u64, 1, 2, 7, 100, 4096] {
+                let cfg = SlsConfig {
+                    quant: q,
+                    pairs: (0..n).map(|row| (row, (row % 4) as u32)).collect(),
+                    ..sample()
+                };
+                assert_eq!(SlsConfig::pair_count(cfg.encoded_len()), cfg.pairs.len());
+                assert_eq!(SlsConfig::pair_count(cfg.encode().len()), cfg.pairs.len());
+            }
+        }
+        assert_eq!(SlsConfig::pair_count(0), 0, "no header, no pairs");
     }
 
     #[test]

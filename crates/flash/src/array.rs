@@ -338,34 +338,10 @@ impl FlashArray {
         if pages.is_empty() {
             return;
         }
-        // Linear indices stripe channel-first (see FlashGeometry): the
-        // covered page-counters of each (channel, die) lane are the values
-        // m with  offset + m*stride  in `pages`.
-        let stride = g.channels as u64 * g.dies_per_channel as u64;
-        let ppb = g.pages_per_block as u64;
-        for c in 0..g.channels {
-            for d in 0..g.dies_per_channel {
-                let offset = d as u64 * g.channels as u64 + c as u64;
-                if pages.end <= offset {
-                    continue;
-                }
-                let m_last = (pages.end - 1 - offset) / stride;
-                let m_first = if pages.start <= offset {
-                    0
-                } else {
-                    (pages.start - offset).div_ceil(stride)
-                };
-                if pages.start > offset && offset + m_last * stride < pages.start {
-                    continue;
-                }
-                for b in (m_first / ppb)..=(m_last / ppb) {
-                    let last_in_block = m_last.min((b + 1) * ppb - 1);
-                    let ptr_val = (last_in_block % ppb + 1) as u32;
-                    let bidx = g.block_index(c, d, b as u32);
-                    let ptr = self.block_write_ptr.entry(bidx).or_insert(0);
-                    *ptr = (*ptr).max(ptr_val);
-                }
-            }
+        for last in g.covered_blocks(pages.clone()) {
+            let bidx = g.block_index(last.channel, last.die, last.block);
+            let ptr = self.block_write_ptr.entry(bidx).or_insert(0);
+            *ptr = (*ptr).max(last.page + 1);
         }
         self.store.register_oracle(pages, oracle);
     }

@@ -1,6 +1,7 @@
 //! Physical organisation of the NAND array and physical page addressing.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Physical shape of the flash array.
 ///
@@ -125,6 +126,36 @@ impl FlashGeometry {
     pub fn block_index(&self, channel: u32, die: u32, block: u32) -> u64 {
         (channel as u64 * self.dies_per_channel as u64 + die as u64) * self.blocks_per_die as u64
             + block as u64
+    }
+
+    /// Every erase block the linear page range `pages` touches, once each,
+    /// as the address of the block's last page inside the range — what a
+    /// bulk load of the range leaves behind. Blocks come lane by lane
+    /// (channel-major, then die), ascending within a lane.
+    pub fn covered_blocks(&self, pages: Range<u64>) -> impl Iterator<Item = Ppa> {
+        let g = *self;
+        // Linear indices stripe channel-first: the page counters of a
+        // (channel, die) lane inside `pages` are the m with
+        // `offset + m * stride` in the range, i.e. `m_first..m_end`.
+        let stride = g.channels as u64 * g.dies_per_channel as u64;
+        let ppb = g.pages_per_block as u64;
+        let lanes = (0..g.channels).flat_map(move |c| (0..g.dies_per_channel).map(move |d| (c, d)));
+        lanes.flat_map(move |(channel, die)| {
+            let offset = die as u64 * g.channels as u64 + channel as u64;
+            let m_first = pages.start.saturating_sub(offset).div_ceil(stride);
+            let m_end = pages.end.saturating_sub(offset).div_ceil(stride);
+            let blocks = if m_first < m_end {
+                m_first / ppb..(m_end - 1) / ppb + 1
+            } else {
+                0..0
+            };
+            blocks.map(move |b| Ppa {
+                channel,
+                die,
+                block: b as u32,
+                page: ((m_end - 1).min((b + 1) * ppb - 1) % ppb) as u32,
+            })
+        })
     }
 }
 
@@ -278,5 +309,47 @@ mod tests {
             page: 4,
         };
         assert_eq!(ppa.to_string(), "ch1/die2/blk3/pg4");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        /// The lane walk a preload runs agrees with the definition: the
+        /// blocks holding some page whose linear index lies in the range,
+        /// each with the highest such page, found page by page.
+        #[test]
+        fn covered_blocks_match_a_per_page_walk(
+            shape in (1u32..5, 1u32..4, 1u32..5, 1u32..9),
+            ends in (0u64..1000, 0u64..1000),
+        ) {
+            let (channels, dies_per_channel, blocks_per_die, pages_per_block) = shape;
+            let g = FlashGeometry {
+                channels,
+                dies_per_channel,
+                blocks_per_die,
+                pages_per_block,
+                page_bytes: 16,
+            };
+            let total = g.total_pages();
+            let (a, b) = (ends.0 % (total + 1), ends.1 % (total + 1));
+            let pages = a.min(b)..a.max(b);
+            let mut want = std::collections::BTreeMap::new();
+            for channel in 0..channels {
+                for die in 0..dies_per_channel {
+                    for block in 0..blocks_per_die {
+                        for page in 0..pages_per_block {
+                            let ppa = Ppa { channel, die, block, page };
+                            if pages.contains(&g.linear_index(ppa)) {
+                                want.insert((channel, die, block), page);
+                            }
+                        }
+                    }
+                }
+            }
+            let walked: Vec<Ppa> = g.covered_blocks(pages.clone()).collect();
+            let got: std::collections::BTreeMap<_, _> =
+                walked.iter().map(|p| ((p.channel, p.die, p.block), p.page)).collect();
+            proptest::prop_assert_eq!(walked.len(), got.len(), "a block came twice");
+            proptest::prop_assert_eq!(got, want, "range {:?}", pages);
+        }
     }
 }

@@ -449,44 +449,16 @@ impl GreedyFtl {
         let range = start.0..end;
         self.flash.preload(range.clone(), oracle);
         self.map.add_identity_range(range.clone());
-        // Reserve every covered block (stripe-order lane math mirrors
-        // FlashArray::preload). A block may be shared by two adjacent
-        // preloads; reserve it only once.
-        let stride = g.channels as u64 * g.dies_per_channel as u64;
-        let ppb = g.pages_per_block as u64;
-        for c in 0..g.channels {
-            for d in 0..g.dies_per_channel {
-                let offset = d as u64 * g.channels as u64 + c as u64;
-                if range.end <= offset {
-                    continue;
-                }
-                let m_last = (range.end - 1 - offset) / stride;
-                let m_first = if range.start <= offset {
-                    0
-                } else {
-                    (range.start - offset).div_ceil(stride)
-                };
-                if range.start > offset && offset + m_last * stride < range.start {
-                    continue;
-                }
-                for b in (m_first / ppb)..=(m_last / ppb) {
-                    if !self.reserved_blocks_contains(c, d, b as u32) {
-                        self.alloc.reserve(c, d, b as u32);
-                        self.reserved_blocks_insert(c, d, b as u32);
-                    }
-                }
+        // Reserve every covered block. A block may be shared by two
+        // adjacent preloads; reserve it only once.
+        for last in g.covered_blocks(range) {
+            if self
+                .reserved
+                .insert(g.block_index(last.channel, last.die, last.block))
+            {
+                self.alloc.reserve(last.channel, last.die, last.block);
             }
         }
-    }
-
-    fn reserved_blocks_contains(&self, c: u32, d: u32, b: u32) -> bool {
-        self.reserved
-            .contains(&self.config.flash.geometry.block_index(c, d, b))
-    }
-
-    fn reserved_blocks_insert(&mut self, c: u32, d: u32, b: u32) {
-        let idx = self.config.flash.geometry.block_index(c, d, b);
-        self.reserved.insert(idx);
     }
 
     /// Starts a logical page read.

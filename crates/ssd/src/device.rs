@@ -344,23 +344,7 @@ impl<X: NdpEngine> SsdDevice<X> {
         while let Some(cmd) = self.queues[qid as usize].fetch() {
             if cmd.ndp {
                 self.stats.ndp_commands.inc();
-                let Self {
-                    ftl,
-                    pcie,
-                    queues,
-                    ext,
-                    host_buf_pool,
-                    ..
-                } = self;
-                let mut ctx = DeviceCtx {
-                    now,
-                    ftl,
-                    pcie,
-                    queues,
-                    bufs: host_buf_pool,
-                    sched,
-                };
-                ext.on_ndp_command(&mut ctx, qid, cmd);
+                self.in_engine(now, sched, |ext, ctx| ext.on_ndp_command(ctx, qid, cmd));
                 continue;
             }
             let logical = self.config.ftl.logical_pages;
@@ -498,23 +482,8 @@ impl<X: NdpEngine> SsdDevice<X> {
                 }
             }
             other => {
-                let Self {
-                    ftl,
-                    pcie,
-                    queues,
-                    ext,
-                    host_buf_pool,
-                    ..
-                } = self;
-                let mut ctx = DeviceCtx {
-                    now,
-                    ftl,
-                    pcie,
-                    queues,
-                    bufs: host_buf_pool,
-                    sched,
-                };
-                let claimed = ext.on_ftl_outcome(&mut ctx, &other);
+                let claimed =
+                    self.in_engine(now, sched, |ext, ctx| ext.on_ftl_outcome(ctx, &other));
                 assert!(claimed, "orphan FTL outcome: {other:?}");
             }
         }
@@ -636,6 +605,17 @@ impl<X: NdpEngine> SsdDevice<X> {
                 .charge_firmware(now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));
             return;
         }
+        let claimed = self.in_engine(now, sched, |ext, ctx| ext.on_pcie_done(ctx, xfer));
+        assert!(claimed, "orphan PCIe transfer: {xfer:?}");
+    }
+
+    /// Runs `f` on the NDP engine with the device context it works in.
+    fn in_engine<R>(
+        &mut self,
+        now: SimTime,
+        sched: &mut dyn FnMut(SimDuration, SsdEvent),
+        f: impl FnOnce(&mut X, &mut DeviceCtx<'_>) -> R,
+    ) -> R {
         let Self {
             ftl,
             pcie,
@@ -652,7 +632,6 @@ impl<X: NdpEngine> SsdDevice<X> {
             bufs: host_buf_pool,
             sched,
         };
-        let claimed = ext.on_pcie_done(&mut ctx, xfer);
-        assert!(claimed, "orphan PCIe transfer: {xfer:?}");
+        f(ext, &mut ctx)
     }
 }
