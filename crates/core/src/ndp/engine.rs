@@ -383,7 +383,7 @@ impl NdpSlsEngine {
         let (page_bytes, logical_pages) = (ctx.ftl.page_bytes(), ctx.ftl.config().logical_pages);
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let raw = entry.raw_config.take().expect("config payload present");
-        let table_base = entry.table_base;
+        let base = entry.table_base;
         // The payload is host-supplied: besides being well-formed it must
         // describe rows that fit a flash page, pages the device has and a
         // result block one read command can return (the scratchpad below is
@@ -399,8 +399,7 @@ impl NdpSlsEngine {
                     .and_then(|floats| floats.checked_mul(4))
                     .is_some_and(|bytes| bytes.div_ceil(page_bytes) <= MAX_RESULT_BLOCKS);
                 let in_range = cfg.pairs.last().is_none_or(|&(row, _)| {
-                    (table_base.checked_add(cfg.locate_row(row).0))
-                        .is_some_and(|lpn| lpn < logical_pages)
+                    (base.checked_add(cfg.locate_row(row).0)).is_some_and(|lpn| lpn < logical_pages)
                 });
                 fits && returnable && in_range
             });
@@ -432,7 +431,6 @@ impl NdpSlsEngine {
         entry.report.lookups = cfg.pairs.len() as u64;
         bufs.work_items.clear();
         bufs.page_work.clear();
-        let base = entry.table_base;
         let (row_bytes, quant) = (cfg.row_bytes(), cfg.quant);
         for &(row, slot) in &cfg.pairs {
             let (page, offset) = cfg.locate_row(row);

@@ -34,21 +34,3 @@ impl PageRun {
         self.start as usize..(self.start + self.len) as usize
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sorted_items_group_into_one_run_per_page() {
-        let (mut runs, mut items) = (Vec::new(), Vec::new());
-        for (page, item) in [(3, 'a'), (3, 'b'), (5, 'c'), (9, 'd'), (9, 'e'), (9, 'f')] {
-            PageRun::push(&mut runs, &mut items, page, item);
-        }
-        let grouped: Vec<(u64, String)> = (runs.iter())
-            .map(|r| (r.page, items[r.items()].iter().collect()))
-            .collect();
-        let want = [(3, "ab"), (5, "c"), (9, "def")].map(|(p, s)| (p, s.to_string()));
-        assert_eq!(grouped, want);
-    }
-}
