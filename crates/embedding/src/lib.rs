@@ -23,17 +23,32 @@
 //! f32 summation *exact* regardless of accumulation order — so tests can
 //! require bit-identical results between the DRAM reference and the NDP
 //! path even though they accumulate in different orders.
+//!
+//! The same grid makes procedural rows cheap to keep: an element is k/64
+//! with |k| ≤ 127, so one `i8` *code* per element is the row, exactly.
+//! Every whole-row read of a procedural row of 256 to 16 384 elements
+//! (page fills, DRAM gathers, [`sls_reference`]) goes through a
+//! per-thread memo of codes keyed by `(seed, source row)`, so a hot wide
+//! row is hashed once and then served by converting its codes. Narrower
+//! rows skip it, since a probe would cost too large a share of their
+//! synthesis. The memo holds a fixed 1 MiB of codes, swept by CLOCK, plus
+//! a small index; it is allocated on the thread's first wide row, lives
+//! as long as the thread (so a second pass over the same rows starts
+//! warm) and allocates nothing once warm. [`row_memo_stats`] reads the
+//! calling thread's hit and miss counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod layout;
+mod memo;
 pub mod quant;
 mod sls;
 mod table;
 
 pub use layout::{PageLayout, TableImage, TableImageOracle};
+pub use memo::{row_memo_stats, RowMemoStats};
 pub use quant::Quantization;
 pub use recssd_flash::PageOracle;
 pub use sls::{sls_reference, sls_reference_into, sls_reference_with, LookupBatch};

@@ -4,8 +4,10 @@
 //! [`EmbeddingTable::raw_value`] followed by [`Quantization::encode`], and
 //! one *implementation* for whole rows: a streamed pass that resolves the
 //! view and the source once per row and then generates elements in a
-//! plain loop (F32 straight into the encoded bytes). Page fills, the DRAM
-//! gather and `sls_reference` all run the streamed pass;
+//! plain loop (F32 straight into the encoded bytes). A wide procedural
+//! row's elements come from the per-thread memo of row codes (`memo.rs`)
+//! instead of the hash once the row has been synthesized. Page fills, the
+//! DRAM gather and `sls_reference` all run the streamed pass;
 //! `tests/row_generator.rs` holds it to the definition bit for bit.
 
 use std::fmt;
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use recssd_sim::rng::mix64;
 
-use crate::Quantization;
+use crate::{memo, Quantization};
 
 /// Identifier of an embedding table within a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -313,7 +315,8 @@ impl EmbeddingTable {
     /// hands `put` the raw values of `row`, feature 0 upward, each with
     /// the next item of `sink`. The view and the source are resolved once
     /// for the row, so the element loops carry no assert, branch or
-    /// match.
+    /// match. Procedural rows the memo serves are converted from their
+    /// memoized codes, which hold exactly the values the hash gives.
     ///
     /// `sink` must yield exactly `dim` items (callers check their buffer
     /// lengths first).
@@ -321,6 +324,13 @@ impl EmbeddingTable {
     fn stream_raw<T>(&self, row: u64, sink: impl Iterator<Item = T>, mut put: impl FnMut(T, f32)) {
         let row = self.source_row(row);
         match &self.source {
+            TableSource::Procedural { seed } if memo::serves(self.spec.dim) => {
+                memo::with_codes(*seed, row, self.spec.dim, |codes| {
+                    for (&code, slot) in codes.iter().zip(sink) {
+                        put(slot, code_value(code));
+                    }
+                });
+            }
             TableSource::Procedural { seed } => {
                 let key = procedural_key(row);
                 for (j, slot) in sink.enumerate() {
@@ -408,8 +418,21 @@ impl EmbeddingTable {
 
 /// The part of the procedural hash input that depends only on the row.
 #[inline]
-fn procedural_key(source_row: u64) -> u64 {
+pub(crate) fn procedural_key(source_row: u64) -> u64 {
     source_row.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The code k of procedural element `j` of the row with key `key`.
+#[inline]
+pub(crate) fn procedural_code(seed: u64, key: u64, j: usize) -> i8 {
+    let h = mix64(seed ^ key.wrapping_add(j as u64));
+    ((h % 255) as i16 - 127) as i8
+}
+
+/// The value a code stands for: k/64.
+#[inline]
+fn code_value(code: i8) -> f32 {
+    f32::from(code) / 64.0
 }
 
 /// Procedural element `j` of the row with key `key`: a value on the grid
@@ -417,8 +440,7 @@ fn procedural_key(source_row: u64) -> u64 {
 /// power-of-two-scaled int8, so every execution path sums them exactly.
 #[inline]
 fn procedural_value(seed: u64, key: u64, j: usize) -> f32 {
-    let h = mix64(seed ^ key.wrapping_add(j as u64));
-    ((h % 255) as i64 - 127) as f32 / 64.0
+    code_value(procedural_code(seed, key, j))
 }
 
 /// Reusable buffers for per-row encode/decode round trips. One scratch

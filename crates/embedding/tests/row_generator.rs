@@ -5,7 +5,9 @@
 //! held, bit for bit, to a transcription of the per-element definition
 //! written out in this file — the hash, the grid mapping and the view
 //! arithmetic — and three committed digests keep table contents from
-//! drifting together with that transcription.
+//! drifting together with that transcription. Wide procedural rows are
+//! served from a per-thread memo of their codes once synthesized; a
+//! second property drives that memo through eviction, seeds and widths.
 
 use proptest::prelude::*;
 use recssd_embedding::{
@@ -149,6 +151,127 @@ proptest! {
             let mut got = vec![0xAAu8; page_bytes];
             image.fill_relative_page(page as u64, &mut got);
             prop_assert_eq!(got, want, "fill_relative_page, page {}", page);
+        }
+    }
+}
+
+/// Rows of 1 024 elements the memo of synthesized row codes holds: 1 MiB
+/// of one-byte codes.
+const MEMO_WIDE_ROWS: usize = 1024;
+
+/// A procedural table under one of three views of a large parent, as
+/// `(local row, parent row)` pairs for `n` distinct rows starting at
+/// parent row `first`.
+fn wide_view(
+    parent: &EmbeddingTable,
+    kind: u8,
+    first: u64,
+    n: usize,
+) -> (EmbeddingTable, Vec<(u64, u64)>) {
+    let rows = parent.spec().rows;
+    match kind % 3 {
+        0 => (
+            parent.clone(),
+            (0..n as u64).map(|l| (first + l, first + l)).collect(),
+        ),
+        1 => (
+            parent.slice(first..first + n as u64),
+            (0..n as u64).map(|l| (l, first + l)).collect(),
+        ),
+        _ => {
+            let picks: Vec<u64> = (0..n as u64).map(|l| (first + l * 7919) % rows).collect();
+            let shown = picks
+                .iter()
+                .enumerate()
+                .map(|(l, &p)| (l as u64, p))
+                .collect();
+            (parent.select(&picks), shown)
+        }
+    }
+}
+
+/// Checks every whole-row path of local row `local` of `table` (parent
+/// row `row` of the procedural table `seed`) against the definition.
+fn check_wide_row(
+    table: &EmbeddingTable,
+    scratch: &mut RowScratch,
+    seed: u64,
+    local: u64,
+    row: u64,
+) {
+    let TableSpec { dim, quant: q, .. } = table.spec();
+    let raw: Vec<f32> = (0..dim).map(|j| procedural_value(seed, row, j)).collect();
+    let mut encoded = vec![0u8; q.row_bytes(dim)];
+    q.encode(&raw, &mut encoded);
+    let decoded = q.decode(&encoded, dim);
+    let what = format!("seed {seed} parent row {row} dim {dim} {q:?}");
+
+    let mut got = vec![0xAAu8; encoded.len()];
+    table.encode_row_with(local, scratch, &mut got);
+    assert_eq!(got, encoded, "encode_row_with, {what}");
+    got.fill(0xAA);
+    TableImage::new(table.clone(), PageLayout::Spread, encoded.len())
+        .fill_relative_page(local, &mut got);
+    assert_eq!(got, encoded, "fill_relative_page, {what}");
+    assert_eq!(
+        bits(&table.row_f32(local)),
+        bits(&decoded),
+        "row_f32, {what}"
+    );
+    let mut acc: Vec<f32> = (0..dim).map(|j| j as f32 * 0.3 - 1.0).collect();
+    let want: Vec<f32> = acc.iter().zip(&decoded).map(|(s, v)| s + v).collect();
+    table.accumulate_row(local, scratch, &mut acc);
+    assert_eq!(bits(&acc), bits(&want), "accumulate_row, {what}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Wide procedural rows are served from a bounded memo of their
+    /// codes once synthesized. Every whole-row path still matches the
+    /// definition bit for bit: on both sides of the memo's 256-element
+    /// gate, under every view, after more distinct wide rows than the
+    /// memo holds, with seeds interleaved and one seed read at two widths.
+    #[test]
+    fn memoized_rows_match_the_per_element_definition(
+        seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+        shape in (0u8..3, 0u8..3, 0u64..1 << 30),
+        reads in proptest::collection::vec((0usize..4, 0usize..64), 1..40),
+    ) {
+        let (quant_k, view_k, first) = shape;
+        let q = quant_from(quant_k);
+        let rows = 1u64 << 31;
+        let flood = MEMO_WIDE_ROWS + MEMO_WIDE_ROWS / 4;
+        // Seed 0 at three widths, seed 1 at the gate.
+        let tables: Vec<_> =
+            [(seeds.0, 1024), (seeds.1, 256), (seeds.0, 255), (seeds.0, 256)]
+                .into_iter()
+                .map(|(seed, dim)| {
+                    let parent = EmbeddingTable::procedural(TableSpec::new(rows, dim, q), seed);
+                    let (table, shown) = wide_view(&parent, view_k, first, flood);
+                    (seed, table, shown)
+                })
+                .collect();
+        let mut scratch = RowScratch::default();
+
+        // More distinct dim-1024 rows than the memo holds, in order: the
+        // early ones are evicted before the reads below come back to them.
+        let (seed, wide, shown) = &tables[0];
+        let mut got = vec![0u8; q.row_bytes(1024)];
+        for &(local, row) in shown {
+            let raw: Vec<f32> = (0..1024).map(|j| procedural_value(*seed, row, j)).collect();
+            let mut want = vec![0u8; got.len()];
+            q.encode(&raw, &mut want);
+            wide.encode_row_with(local, &mut scratch, &mut got);
+            prop_assert_eq!(&got, &want, "flood, parent row {}", row);
+        }
+        // Interleaved reads: the first rows (evicted), the last rows
+        // (held), the same seed at 1024 then 256 and 255 elements, and
+        // the other seed.
+        for (k, i) in reads {
+            let (seed, table, shown) = &tables[k];
+            let (local, row) = if i % 2 == 0 { shown[i] } else { shown[flood - i] };
+            check_wide_row(table, &mut scratch, *seed, local, row);
         }
     }
 }
