@@ -40,13 +40,14 @@
 //!   per-request record is kept);
 //! * on a per-channel engine pool the engine-local partial sums live in
 //!   one [`EnginePartials`]: `engines × n_results` rows, of which a
-//!   request's few pages write a few. Nothing but a flag per row is
-//!   cleared between requests — the first write of a row stores
-//!   `0.0 + v`, which is bit for bit what adding `v` to a zeroed element
-//!   leaves, later writes add, and the merge folds only written rows in
-//!   engine-major order — so a command costs what its pages cost, not
-//!   what the pool's width costs, and its results equal a dense
-//!   zero-filled fold's. The simulated charges (`translate_time`,
+//!   request's few pages write a few, and only those hold storage.
+//!   Nothing but an index entry per row is cleared between requests —
+//!   the first write of a row claims `dim` floats and stores `0.0 + v`,
+//!   which is bit for bit what adding `v` to a zeroed element leaves,
+//!   later writes add, and the merge folds only claimed rows in
+//!   engine-major order — so a command costs, in time and in memory,
+//!   what its pages cost, not what the pool's width costs, and its
+//!   results equal a dense zero-filled fold's. The simulated charges (`translate_time`,
 //!   `merge_time` over the engines that saw pages) know nothing of this;
 //! * the SSD-side embedding cache is a tag array and holds no vectors: a
 //!   fill writes a slot's `(table base, row)` tag, and a hit decodes its

@@ -7,14 +7,18 @@ use recssd_embedding::Quantization;
 /// which a request writes only the few `(engine, slot)` rows its pages
 /// land on.
 ///
-/// The backing store is never zeroed. A flag per row records whether the
-/// row was written since the last [`EnginePartials::reset`]; the first
-/// write of a row stores `0.0 + v`, later writes add, and
-/// [`EnginePartials::merge_into`] folds only flagged rows. `0.0 + v` is
+/// Only written rows have storage. A row claims the next `dim` floats of
+/// one backing buffer on its first write since the last
+/// [`EnginePartials::reset`], and an index per `(engine, slot)` row
+/// records where; so a request that writes k rows holds k × `dim` floats
+/// however wide the pool is. The buffer is never zeroed: the first write
+/// of a row stores `0.0 + v`, later writes add, and
+/// [`EnginePartials::merge_into`] folds only claimed rows, in `(engine,
+/// slot)` index order whatever order they were claimed in. `0.0 + v` is
 /// what `+=` leaves in a zeroed element — it maps `-0.0` to `+0.0` and
-/// quiets a signalling NaN exactly as the addition would — so a flagged
+/// quiets a signalling NaN exactly as the addition would — so a claimed
 /// row holds the bits a zero-filled dense `engines × n_results × dim`
-/// accumulator would hold, and an unflagged row stands for a row of
+/// accumulator would hold, and an unclaimed row stands for a row of
 /// `+0.0`. Skipping those at merge time drops `+ 0.0` terms, which
 /// change no bit either: `x + 0.0` differs from `x` only for
 /// `x == -0.0`, and a merge target that starts from `+0.0` never becomes
@@ -38,32 +42,32 @@ use recssd_embedding::Quantization;
 /// ```
 #[derive(Debug, Default)]
 pub struct EnginePartials {
-    /// Row `(engine, slot)` lives at `(engine * n_results + slot) * dim`.
-    /// Grows to the largest shape seen and keeps whatever earlier
-    /// requests left behind; only flagged rows are ever read.
+    /// The `i`-th row claimed since the reset lives at `i * dim`. Grows
+    /// to the most rows one request has claimed and keeps whatever
+    /// earlier requests left behind; only claimed rows are ever read.
     data: Vec<f32>,
-    /// One flag per `(engine, slot)` row: written since the last reset.
-    written: Vec<bool>,
+    /// Per `(engine, slot)` row, at `engine * n_results + slot`: its claim
+    /// number since the last reset, if it has been written.
+    index: Vec<Option<usize>>,
+    /// Rows claimed since the last reset.
+    claimed: usize,
     n_results: usize,
     dim: usize,
 }
 
 impl EnginePartials {
     /// Reshapes for a new request and forgets every row. Costs
-    /// `engines × n_results` flag writes, whatever `dim` is.
+    /// `engines × n_results` index writes, whatever `dim` is.
     pub fn reset(&mut self, engines: usize, n_results: usize, dim: usize) {
-        let rows = engines * n_results;
-        self.written.clear();
-        self.written.resize(rows, false);
-        if self.data.len() < rows * dim {
-            self.data.resize(rows * dim, 0.0);
-        }
+        self.index.clear();
+        self.index.resize(engines * n_results, None);
+        self.claimed = 0;
         self.n_results = n_results;
         self.dim = dim;
     }
 
-    /// The row of `(engine, slot)` and whether this is its first write
-    /// since the reset (it is flagged written either way).
+    /// The storage of `(engine, slot)` and whether this is its first
+    /// write since the reset (which claims it).
     ///
     /// # Panics
     ///
@@ -72,9 +76,20 @@ impl EnginePartials {
     #[inline]
     fn claim(&mut self, engine: usize, slot: usize) -> (&mut [f32], bool) {
         assert!(slot < self.n_results, "result slot out of range");
-        let row = engine * self.n_results + slot;
-        let first = !std::mem::replace(&mut self.written[row], true);
-        (&mut self.data[row * self.dim..(row + 1) * self.dim], first)
+        let entry = &mut self.index[engine * self.n_results + slot];
+        let (at, first) = match *entry {
+            Some(at) => (at, false),
+            None => {
+                *entry = Some(self.claimed);
+                self.claimed += 1;
+                (self.claimed - 1, true)
+            }
+        };
+        let span = at * self.dim..(at + 1) * self.dim;
+        if self.data.len() < span.end {
+            self.data.resize(span.end, 0.0);
+        }
+        (&mut self.data[span], first)
     }
 
     /// Adds the row encoded at the start of `bytes` to partial row
@@ -95,7 +110,7 @@ impl EnginePartials {
         }
     }
 
-    /// Adds every written row to its slot of `results` (`n_results × dim`
+    /// Adds every claimed row to its slot of `results` (`n_results × dim`
     /// floats), engine by engine in index order and slot by slot within
     /// an engine — the order a dense fold of whole per-engine partials
     /// adds them in, whichever engine finished last.
@@ -110,9 +125,10 @@ impl EnginePartials {
             self.n_results * dim,
             "results have wrong shape"
         );
-        for row in (0..self.written.len()).filter(|&row| self.written[row]) {
+        for (row, &at) in self.index.iter().enumerate() {
+            let Some(at) = at else { continue };
             let slot = row % self.n_results;
-            let src = &self.data[row * dim..(row + 1) * dim];
+            let src = &self.data[at * dim..(at + 1) * dim];
             for (o, v) in results[slot * dim..(slot + 1) * dim].iter_mut().zip(src) {
                 *o += *v;
             }
@@ -204,11 +220,11 @@ mod tests {
         }
         // Row for row, the sparse store is the dense one: a written row
         // holds the same bits, an unwritten row stands for zeros.
-        for (row, &written) in sparse.written.iter().enumerate() {
+        for (row, &at) in sparse.index.iter().enumerate() {
             let (engine, slot) = (row / n_results, row % n_results);
             let want = &dense.partials[engine][slot * dim..(slot + 1) * dim];
-            if written {
-                assert_eq!(bits(&sparse.data[row * dim..(row + 1) * dim]), bits(want));
+            if let Some(at) = at {
+                assert_eq!(bits(&sparse.data[at * dim..(at + 1) * dim]), bits(want));
             } else {
                 assert!(want.iter().all(|v| v.to_bits() == 0));
             }
@@ -257,6 +273,21 @@ mod tests {
         add_row(&mut p, 1, 1, &[1.0; 4]);
         p.merge_into(&mut out);
         assert_eq!(&out[4..], &[1.0; 4], "the stale 9.0s were overwritten");
+    }
+
+    #[test]
+    fn a_request_holds_storage_for_the_rows_it_writes() {
+        let (engines, n_results, dim) = (8, 4, 1024);
+        let mut p = EnginePartials::default();
+        p.reset(engines, n_results, dim);
+        let writes = [(7, 3), (0, 0), (3, 1), (7, 3), (5, 0)];
+        for (engine, slot) in writes {
+            add_row(&mut p, engine, slot, &[1.0; 1024]);
+        }
+        let k = 4;
+        assert_eq!(p.data.len(), k * dim, "k rows written, k × dim floats");
+        assert!(p.data.capacity() <= 2 * k * dim);
+        assert!(p.data.capacity() < engines * n_results * dim / 4);
     }
 
     #[test]
