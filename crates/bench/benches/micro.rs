@@ -117,8 +117,13 @@ fn bench_page_translation(c: &mut Criterion) {
 
 /// Page synthesis as the oracle-backed flash store runs it on every read
 /// miss: one wide row per page (the `ndp-flashwall` shape) and a dense
-/// page of narrow rows.
+/// page of narrow rows. Wide rows go through the per-thread memo of row
+/// codes, so they are timed twice: `_cold` cycles through twice the rows
+/// the memo holds (every fill synthesizes) and `_warm` refills one page
+/// (every fill is a memo hit). Narrow rows never use the memo.
 fn bench_page_fill(c: &mut Criterion) {
+    /// Twice the dim-1024 rows the memo's 1 MiB of codes holds.
+    const COLD_PAGES: u64 = 2048;
     for (rows, dim) in [(1usize, 1024usize), (128, 32)] {
         for q in [Quantization::F32, Quantization::F16, Quantization::Int8] {
             let page_bytes = rows * q.row_bytes(dim);
@@ -128,12 +133,23 @@ fn bench_page_fill(c: &mut Criterion) {
                 page_bytes,
             );
             let mut page = vec![0u8; page_bytes];
-            c.bench_function(&format!("page_fill_{rows}x{dim}_{q:?}"), |b| {
-                b.iter(|| {
-                    img.fill_relative_page(3, &mut page);
-                    black_box(page[0])
-                })
-            });
+            let mut fill = |name: String, cycle: u64| {
+                let mut next = 0u64;
+                c.bench_function(&name, |b| {
+                    b.iter(|| {
+                        next = (next + 1) % cycle;
+                        img.fill_relative_page(3 + next, &mut page);
+                        black_box(page[0])
+                    })
+                });
+            };
+            let name = format!("page_fill_{rows}x{dim}_{q:?}");
+            if rows == 1 {
+                fill(format!("{name}_cold"), COLD_PAGES);
+                fill(format!("{name}_warm"), 1);
+            } else {
+                fill(name, 1);
+            }
         }
     }
 }
