@@ -29,7 +29,7 @@ use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
 use recssd_sim::stats::HitStats;
 use recssd_sim::{
-    EventQueue, FxHashMap, LruCache, PageImage, SimDuration, SimTime, Slots, StaticPartition,
+    EventQueue, FxHashMap, IdMap, LruCache, PageImage, SimDuration, SimTime, Slots, StaticPartition,
 };
 use recssd_ssd::{SsdDevice, SsdEvent};
 
@@ -46,6 +46,12 @@ const PAIR_POOL_CAP: usize = 256;
 /// Identifier of a submitted operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(u64);
+
+impl recssd_sim::IdKey for OpId {
+    fn id(self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-operator options for the SSD-backed SLS implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,12 +263,15 @@ enum SysEvent {
 /// `runs[first..first + count]` plus any bridged gap pages between them,
 /// fetched with a single `span`-block command so the per-command firmware
 /// charge amortises across the run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 struct CmdRun {
     first: u32,
     count: u32,
     /// Blocks the command covers: last wanted page − first + 1.
     span: u32,
+    /// The completed command's page images, one per block of its span,
+    /// while it waits for its accumulate charge (empty otherwise).
+    pages: Vec<PageImage>,
 }
 
 /// Pooled per-op buffers of the baseline I/O planner, recycled across
@@ -278,11 +287,9 @@ struct BaseIoBufs {
     /// One record per NVMe read command: a maximal (capped) group of
     /// consecutive `runs` whose pages are contiguous.
     cmds: Vec<CmdRun>,
-    outstanding: FxHashMap<u16, usize>, // cid → index into `cmds`
+    /// Completed commands awaiting their accumulate charge, in
+    /// completion order (indices into `cmds`).
     backlog: VecDeque<usize>,
-    /// Completed commands awaiting their accumulate charge: command
-    /// index → its page images, one per block of the command's span.
-    data: FxHashMap<usize, Vec<PageImage>>,
 }
 
 impl BaseIoBufs {
@@ -291,9 +298,7 @@ impl BaseIoBufs {
         self.runs.clear();
         self.items.clear();
         self.cmds.clear();
-        self.outstanding.clear();
         self.backlog.clear();
-        self.data.clear();
     }
 }
 
@@ -304,6 +309,8 @@ struct BaseIo {
     bufs: BaseIoBufs,
     opts: SlsOptions,
     next: usize,
+    /// Read commands issued and not yet completed.
+    in_flight: usize,
     accum_current: Option<(usize, Vec<PageImage>)>,
     cmds_done: usize,
 }
@@ -374,10 +381,13 @@ pub struct System {
     q: EventQueue<SysEvent>,
     sls: Pool,
     nn: Pool,
-    ops: FxHashMap<OpId, Op>,
+    ops: IdMap<OpId, Op>,
     next_op: u64,
     next_cid: Vec<u16>,
-    pending_cmd: FxHashMap<(u16, u16), OpId>,
+    /// Per I/O queue, by command id: the operator each command in flight
+    /// belongs to and, for a baseline read, its index in the operator's
+    /// command list (0 for an NDP command).
+    pending_cmd: Vec<IdMap<u16, (OpId, usize)>>,
     registry: TableRegistry,
     /// The baseline's host-DRAM LRU per table: which rows the simulated
     /// DRAM holds. A hit's vector comes from the bound table image.
@@ -385,7 +395,7 @@ pub struct System {
     partitions: FxHashMap<u32, StaticPartition>,
     partition_stats: FxHashMap<u32, HitStats>,
     next_request: u64,
-    results: FxHashMap<OpId, OpResult>,
+    results: IdMap<OpId, OpResult>,
     /// Free-list of recycled flat result buffers (see
     /// [`System::recycle_outputs`]).
     out_pool: Vec<SlsOutput>,
@@ -418,16 +428,16 @@ impl System {
             q: EventQueue::new(),
             sls: Pool::new(cfg.host.sls_workers),
             nn: Pool::new(cfg.host.nn_workers),
-            ops: FxHashMap::default(),
+            ops: IdMap::new(),
             next_op: 0,
             next_cid: vec![0; io_queues],
-            pending_cmd: FxHashMap::default(),
+            pending_cmd: (0..io_queues).map(|_| IdMap::new()).collect(),
             registry: TableRegistry::new(cfg.ndp.table_align),
             host_caches: FxHashMap::default(),
             partitions: FxHashMap::default(),
             partition_stats: FxHashMap::default(),
             next_request: 0,
-            results: FxHashMap::default(),
+            results: IdMap::new(),
             out_pool: Vec::new(),
             baseio_pool: Vec::new(),
             pair_pool: Vec::new(),
@@ -704,6 +714,12 @@ impl System {
         self.results.remove(&op)
     }
 
+    /// `true` while some finished operator's result has not been taken —
+    /// the cheap check a poller makes before [`System::try_take_result`].
+    pub fn has_results(&self) -> bool {
+        !self.results.is_empty()
+    }
+
     /// Returns a consumed result buffer to the free-list pool; the next
     /// submitted SLS operator reuses it instead of allocating.
     pub fn recycle_outputs(&mut self, outputs: SlsOutput) {
@@ -957,6 +973,7 @@ impl System {
                     first: i as u32,
                     count: 1,
                     span: 1,
+                    pages: Vec::new(),
                 });
             }
         }
@@ -964,6 +981,7 @@ impl System {
             bufs,
             opts,
             next: 0,
+            in_flight: 0,
             accum_current: None,
             cmds_done: 0,
         };
@@ -981,36 +999,36 @@ impl System {
         let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
         let qid = self.ops[&id].qid;
-        while io.bufs.outstanding.len() < io.opts.io_concurrency && io.next < io.bufs.cmds.len() {
+        while io.in_flight < io.opts.io_concurrency && io.next < io.bufs.cmds.len() {
             let idx = io.next;
             io.next += 1;
-            let cmd = io.bufs.cmds[idx];
-            let page = io.bufs.runs[cmd.first as usize].page;
+            io.in_flight += 1;
+            let cmd = &io.bufs.cmds[idx];
+            let (page, span) = (io.bufs.runs[cmd.first as usize].page, cmd.span);
             let cid = self.alloc_cid(qid);
-            io.bufs.outstanding.insert(cid, idx);
-            self.pending_cmd.insert((qid, cid), id);
-            self.submit_cmd(now, qid, NvmeCommand::read(cid, base + page, cmd.span));
+            self.pending_cmd[qid as usize].insert(cid, (id, idx));
+            self.submit_cmd(now, qid, NvmeCommand::read(cid, base + page, span));
         }
     }
 
-    /// A read completion (one command, one or more pages) arrived for a
-    /// baseline op; `data` is `None` when the read failed, which has
-    /// already poisoned the op.
+    /// The read completion of command `idx` (one or more pages) arrived
+    /// for a baseline op; `data` is `None` when the read failed, which
+    /// has already poisoned the op.
     fn baseline_on_read(
         &mut self,
         now: SimTime,
         id: OpId,
-        cid: u16,
+        idx: usize,
         data: Option<Vec<PageImage>>,
         mut io: BaseIo,
     ) {
-        let idx = io.bufs.outstanding.remove(&cid).expect("tracked command");
+        io.in_flight -= 1;
         if self.ops[&id].failed.is_some() {
             self.baseline_drain(now, id, io, data);
             return;
         }
         let data = data.expect("a read that did not poison its op delivers pages");
-        io.bufs.data.insert(idx, data);
+        io.bufs.cmds[idx].pages = data;
         io.bufs.backlog.push_back(idx);
         self.baseline_issue(now, id, &mut io);
         if io.accum_current.is_none() {
@@ -1027,8 +1045,8 @@ impl System {
         let Some(idx) = io.bufs.backlog.pop_front() else {
             return;
         };
-        let data = io.bufs.data.remove(&idx).expect("command data stored");
-        let cmd = io.bufs.cmds[idx];
+        let cmd = &mut io.bufs.cmds[idx];
+        let data = std::mem::take(&mut cmd.pages);
         let vectors: usize = io.bufs.runs[cmd.first as usize..(cmd.first + cmd.count) as usize]
             .iter()
             .map(|r| r.len as usize)
@@ -1075,7 +1093,7 @@ impl System {
             .use_host_cache
             .then(|| host_caches.get_mut(&table.0))
             .flatten();
-        let cmd = io.bufs.cmds[idx];
+        let cmd = &io.bufs.cmds[idx];
         let first_page = io.bufs.runs[cmd.first as usize].page;
         for run in &io.bufs.runs[cmd.first as usize..(cmd.first + cmd.count) as usize] {
             // A wanted page sits at its distance from the command's first
@@ -1099,10 +1117,7 @@ impl System {
         // cache lets go of it too.
         self.dev.recycle_buffer(CmdData::Pages(data));
         io.cmds_done += 1;
-        if io.bufs.backlog.is_empty()
-            && io.bufs.outstanding.is_empty()
-            && io.next == io.bufs.cmds.len()
-        {
+        if io.bufs.backlog.is_empty() && io.in_flight == 0 && io.next == io.bufs.cmds.len() {
             debug_assert_eq!(io.cmds_done, io.bufs.cmds.len());
             self.finish_op(now, id, Phase::BaseIo(io));
             return;
@@ -1125,15 +1140,15 @@ impl System {
     ) {
         io.next = io.bufs.cmds.len();
         io.bufs.backlog.clear();
-        // Drained in place: the map keeps its capacity for the next
-        // operator that reuses these planner buffers.
-        for data in spent
-            .into_iter()
-            .chain(io.bufs.data.drain().map(|(_, d)| d))
-        {
+        let waiting = io
+            .bufs
+            .cmds
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.pages));
+        for data in spent.into_iter().chain(waiting.filter(|d| !d.is_empty())) {
             self.dev.recycle_buffer(CmdData::Pages(data));
         }
-        if io.bufs.outstanding.is_empty() && io.accum_current.is_none() {
+        if io.in_flight == 0 && io.accum_current.is_none() {
             self.finish_op(now, id, Phase::BaseIo(io));
         } else {
             self.set_phase(id, Phase::BaseIo(io));
@@ -1255,7 +1270,7 @@ impl System {
         let qid = op.qid;
         op.phase = Phase::NdpAwaitWrite(plan);
         let cid = self.alloc_cid(qid);
-        self.pending_cmd.insert((qid, cid), id);
+        self.pending_cmd[qid as usize].insert(cid, (id, 0));
         self.submit_cmd(now, qid, NvmeCommand::ndp_write(cid, slba, payload));
     }
 
@@ -1268,7 +1283,7 @@ impl System {
         let qid = self.ops[&id].qid;
         self.set_phase(id, Phase::NdpAwaitRead(plan));
         let cid = self.alloc_cid(qid);
-        self.pending_cmd.insert((qid, cid), id);
+        self.pending_cmd[qid as usize].insert(cid, (id, 0));
         self.submit_cmd(now, qid, NvmeCommand::ndp_read(cid, slba, nlb));
     }
 
@@ -1311,9 +1326,8 @@ impl System {
             }
         }
         for (qid, c) in completions.drain(..) {
-            let id = self
-                .pending_cmd
-                .remove(&(qid, c.cid))
+            let (id, idx) = self.pending_cmd[qid as usize]
+                .remove(&c.cid)
                 .expect("completion for unknown command");
             let op = self.ops.get_mut(&id).expect("op exists");
             if c.status != NvmeStatus::Success {
@@ -1330,7 +1344,7 @@ impl System {
                             unreachable!("a conventional read completes with page images")
                         }
                     });
-                    self.baseline_on_read(now, id, c.cid, pages, io);
+                    self.baseline_on_read(now, id, idx, pages, io);
                 }
                 // An NDP op has a single command in flight, so a failed one
                 // finishes (with the error) at once.
@@ -1634,8 +1648,8 @@ mod tests {
         let mut rng = recssd_sim::rng::Xoshiro256::seed_from(77);
         // Live commands of operators that are already poisoned.
         let poisoned_pending = |sys: &System| {
-            (sys.pending_cmd.values())
-                .filter(|id| sys.ops[id].failed.is_some())
+            (sys.pending_cmd.iter().flat_map(IdMap::values))
+                .filter(|(id, _)| sys.ops[id].failed.is_some())
                 .count()
         };
         let (mut late_reads, mut late_accums, mut failed_ops) = (0, 0, 0);

@@ -59,7 +59,7 @@ use recssd_ftl::{FtlOutcome, FwTag, ReadStarted, ReqId};
 use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferId};
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
+use recssd_sim::{IdMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 
 use super::EnginePartials;
@@ -308,12 +308,14 @@ struct SlsEntry {
 #[derive(Debug)]
 pub struct NdpSlsEngine {
     cfg: NdpConfig,
-    entries: FxHashMap<u64, SlsEntry>,
-    fw_jobs: FxHashMap<u64, FwJob>,
+    /// Pending SLS requests by the request id the host encodes in the
+    /// SLBA (host-chosen, so any value up to the table alignment).
+    entries: IdMap<u64, SlsEntry>,
+    fw_jobs: IdMap<u64, FwJob>,
     next_tag: u64,
-    dma_in: FxHashMap<XferId, u64>,
-    dma_out: FxHashMap<XferId, u64>,
-    reads: FxHashMap<ReqId, (u64, usize)>,
+    dma_in: IdMap<XferId, u64>,
+    dma_out: IdMap<XferId, u64>,
+    reads: IdMap<ReqId, (u64, usize)>,
     cache: EmbedCache,
     /// Free-list of recycled entry buffers.
     buf_pool: Vec<EntryBufs>,
@@ -326,12 +328,12 @@ impl NdpSlsEngine {
         NdpSlsEngine {
             cache: EmbedCache::new(cfg.embed_cache_slots),
             cfg,
-            entries: FxHashMap::default(),
-            fw_jobs: FxHashMap::default(),
+            entries: IdMap::new(),
+            fw_jobs: IdMap::new(),
             next_tag: 0,
-            dma_in: FxHashMap::default(),
-            dma_out: FxHashMap::default(),
-            reads: FxHashMap::default(),
+            dma_in: IdMap::new(),
+            dma_out: IdMap::new(),
+            reads: IdMap::new(),
             buf_pool: Vec::new(),
             stats: NdpStats::default(),
         }
@@ -340,6 +342,18 @@ impl NdpSlsEngine {
     /// Engine statistics (breakdowns, cache hit rates).
     pub fn stats(&self) -> &NdpStats {
         &self.stats
+    }
+
+    /// SLS requests whose config arrived and whose results were not yet
+    /// read back.
+    pub fn pending_requests(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Slots of the pending-request table (an [`IdMap`] keyed by the
+    /// host's request ids): at most 8 × (the most requests ever pending + 1).
+    pub fn request_table_slots(&self) -> usize {
+        self.entries.slot_count()
     }
 
     /// Forgets every SSD-side cached row of the table whose slot starts

@@ -8,12 +8,16 @@ use recssd::{
     SlsOptions, SlsPath, System,
 };
 use recssd_embedding::{
-    sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec,
+    sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableImageOracle,
+    TableSpec,
 };
+use recssd_ftl::Lpn;
 use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{EventQueue, StaticPartitionBuilder};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
+
+use std::sync::Arc;
 
 const PAGE: usize = 16 * 1024;
 
@@ -568,6 +572,103 @@ fn out_of_range_config_is_refused_not_fatal() {
     assert_eq!(done.status, NvmeStatus::Success);
     let done = run(&mut dev, NvmeCommand::ndp_read(3, slba, 1));
     assert_eq!(done.status, NvmeStatus::Success);
+    assert!(dev.idle());
+}
+
+/// The NDP request id is whatever the host encodes below the table
+/// alignment. Ids that share a slot of the engine's pending-request table
+/// (equal modulo every power of two up to 2^20) or lie 2^40 apart are all
+/// pending at once, each completes with exactly `sls_reference`'s sums, a
+/// second config for a pending id is refused as before, and the table
+/// stays within its bound.
+#[test]
+fn host_chosen_request_ids_that_collide_still_complete_exactly() {
+    const ALIGN: u64 = 1 << 41;
+    let ndp = NdpConfig {
+        table_align: ALIGN,
+        ..NdpConfig::cosmos()
+    };
+    let mut dev = SsdDevice::with_engine(SsdConfig::cosmos_small(), NdpSlsEngine::new(ndp));
+    let mut q: EventQueue<SsdEvent> = EventQueue::new();
+    let (rows, dim) = (300u64, 8usize);
+    let image = Arc::new(TableImage::new(
+        EmbeddingTable::procedural(TableSpec::new(rows, dim, Quantization::F32), 3),
+        PageLayout::Spread,
+        PAGE,
+    ));
+    dev.preload(
+        Lpn(0),
+        image.pages(),
+        Arc::new(TableImageOracle::new(image.clone(), 0)),
+    );
+    let mut ids: Vec<u64> = (0..=20).map(|b| 5 + (1u64 << b)).collect();
+    ids.extend([5, 3, 3 + (1 << 40), (1 << 40) - 1, ALIGN - 1]);
+    let mut rng = Xoshiro256::seed_from(9);
+    let batches: Vec<LookupBatch> = ids
+        .iter()
+        .map(|_| random_batch(&mut rng, rows, 3, 6))
+        .collect();
+
+    for (cid, (&id, batch)) in ids.iter().zip(&batches).enumerate() {
+        let cfg = SlsConfig {
+            dim: dim as u32,
+            quant: Quantization::F32,
+            rows_per_page: image.rows_per_page() as u32,
+            n_results: batch.outputs() as u32,
+            pairs: batch.pairs(),
+        };
+        let slba = NvmeCommand::ndp_slba(0, id, ALIGN);
+        let done = run_command(
+            &mut dev,
+            &mut q,
+            NvmeCommand::ndp_write(cid as u16, slba, cfg.encode()),
+        );
+        assert_eq!(done.status, NvmeStatus::Success, "config of request {id}");
+    }
+    let pending = ids.len();
+    assert_eq!(dev.engine().pending_requests(), pending);
+    assert!(dev.engine().request_table_slots() <= 8 * (pending + 1));
+
+    // A second config for a pending id is refused; the first is untouched.
+    for &id in &[5, 3 + (1 << 40)] {
+        let cfg = SlsConfig {
+            dim: dim as u32,
+            quant: Quantization::F32,
+            rows_per_page: 1,
+            n_results: 1,
+            pairs: vec![(0, 0)],
+        };
+        let slba = NvmeCommand::ndp_slba(0, id, ALIGN);
+        let done = run_command(
+            &mut dev,
+            &mut q,
+            NvmeCommand::ndp_write(900, slba, cfg.encode()),
+        );
+        assert_eq!(
+            done.status,
+            NvmeStatus::InternalError,
+            "duplicate request {id}"
+        );
+    }
+    assert_eq!(dev.engine().pending_requests(), pending);
+
+    for (cid, (&id, batch)) in ids.iter().zip(&batches).enumerate().rev() {
+        let blocks = (batch.outputs() * dim * 4).div_ceil(PAGE) as u32;
+        let slba = NvmeCommand::ndp_slba(0, id, ALIGN);
+        let done = run_command(
+            &mut dev,
+            &mut q,
+            NvmeCommand::ndp_read(1000 + cid as u16, slba, blocks),
+        );
+        assert_eq!(done.status, NvmeStatus::Success, "results of request {id}");
+        let bytes = done.data.expect("a result block").to_vec();
+        assert_eq!(
+            SlsConfig::decode_results(&bytes, batch.outputs(), dim),
+            sls_reference(image.table(), batch),
+            "request {id}"
+        );
+    }
+    assert_eq!(dev.engine().pending_requests(), 0);
     assert!(dev.idle());
 }
 

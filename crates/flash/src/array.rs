@@ -22,7 +22,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, LogHistogram};
-use recssd_sim::{FxHashMap, PageImage, PagePool, Server, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, IdMap, PageImage, PagePool, Server, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -30,6 +30,12 @@ use crate::{FlashConfig, PageOracle, PageStore, Ppa};
 /// Identifier of an in-flight flash operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlashOpId(u64);
+
+impl recssd_sim::IdKey for FlashOpId {
+    fn id(self) -> u64 {
+        self.0
+    }
+}
 
 impl fmt::Display for FlashOpId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -236,7 +242,7 @@ pub struct FlashArray {
     channels: Vec<Server<FlashOpId>>,
     store: PageStore,
     block_write_ptr: FxHashMap<u64, u32>,
-    ops: FxHashMap<FlashOpId, OpState>,
+    ops: IdMap<FlashOpId, OpState>,
     next_op: u64,
     /// The one page pool of the device stack: per-class free-lists of
     /// content-sized images, the count handed out and the shared empty
@@ -261,17 +267,7 @@ impl FlashArray {
                 .collect(),
             store: PageStore::new(),
             block_write_ptr: FxHashMap::default(),
-            // Pre-sized for the deepest realistic in-flight set — an
-            // NDP request fans a full batch's page reads out at once,
-            // so hundreds of ops can be queued on the resources (cf.
-            // `PAGE_BUF_POOL_CAP`) — so the hot submit/retire churn
-            // never resizes the table: with monotonically increasing
-            // op ids, growth-by-tombstone would otherwise trickle
-            // allocations into steady state.
-            ops: FxHashMap::with_capacity_and_hasher(
-                PAGE_BUF_POOL_CAP.max(n_dies + 8 * n_channels),
-                Default::default(),
-            ),
+            ops: IdMap::new(),
             next_op: 0,
             page_pool: PagePool::new(config.geometry.page_bytes, PAGE_BUF_POOL_CAP),
             fault: None,

@@ -9,13 +9,19 @@ use recssd_flash::{
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, FxHashSet, LruCache, PageImage, Server, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, FxHashSet, IdMap, LruCache, PageImage, Server, SimDuration, SimTime};
 
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwTag, Lpn, MappingTable};
 
 /// Identifier of an in-flight FTL request (read or write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(u64);
+
+impl recssd_sim::IdKey for ReqId {
+    fn id(self) -> u64 {
+        self.0
+    }
+}
 
 impl fmt::Display for ReqId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -208,7 +214,7 @@ pub struct GreedyFtl {
     /// The per-channel SLS engines of [`FtlConfig::engines`] (empty =
     /// single-core firmware).
     engines: Vec<Server<FwTag>>,
-    pending: FxHashMap<FlashOpId, Pending>,
+    pending: IdMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: FxHashSet<u64>,
     next_req: u64,
@@ -237,14 +243,7 @@ impl GreedyFtl {
             engines: (0..config.engines.map_or(0, |e| e.engines))
                 .map(|_| Server::new())
                 .collect(),
-            // Keys are monotonically increasing op ids, so this map
-            // churns tombstones forever; pre-sizing past the deepest
-            // realistic in-flight set keeps the steady-state
-            // insert/remove cycle from ever resizing (= allocating).
-            pending: FxHashMap::with_capacity_and_hasher(
-                (config.flash.geometry.total_dies() as usize + 64).next_power_of_two(),
-                Default::default(),
-            ),
+            pending: IdMap::new(),
             gc_jobs: FxHashMap::default(),
             reserved: FxHashSet::default(),
             next_req: 0,

@@ -37,6 +37,12 @@ impl PcieConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XferId(u64);
 
+impl recssd_sim::IdKey for XferId {
+    fn id(self) -> u64 {
+        self.0
+    }
+}
+
 /// Events the link schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PcieEvent {

@@ -54,7 +54,7 @@ use recssd_obs::{SpanId, SpanRec, TraceSink, Tracer, WallPhase, WallProfile};
 use recssd_placement::TablePlacement;
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::HitStats;
-use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slots};
+use recssd_sim::{EventQueue, IdMap, SimDuration, SimTime, Slots};
 
 use crate::adaptive::{
     fold_decision, hit_mass, select_hot_set, AdaptiveState, ADAPTIVE_WEIGHT, DRIFT_FLUSH_DECAY,
@@ -596,16 +596,16 @@ pub struct ServingRuntime {
     devices: usize,
     tables: Vec<ServedTable>,
     events: EventQueue<Ev>,
-    inflight: FxHashMap<u64, Inflight>,
+    inflight: IdMap<u64, Inflight>,
     /// Requests the deadline served while sub-batches were still in
     /// flight: how many each still owes. Those stragglers retire here,
     /// discarded.
-    expired: FxHashMap<u64, usize>,
+    expired: IdMap<u64, usize>,
     /// Requests whose arrival event has not fired yet. Splitting happens
     /// *at the arrival instant* under the then-active plan — the property
     /// that makes "old plan serves in-flight work, new plan takes new
     /// admissions" well-defined on the simulated timeline.
-    pending_arrivals: FxHashMap<u64, PendingArrival>,
+    pending_arrivals: IdMap<u64, PendingArrival>,
     /// The online adaptation loop, if enabled.
     adaptive: Option<AdaptiveState>,
     next_req: u64,
@@ -621,7 +621,7 @@ pub struct ServingRuntime {
     fault_policy: FaultPolicy,
     /// Failed sub-batches waiting out their backoff, keyed by the
     /// sequence number carried in [`Ev::Retry`].
-    retry_park: FxHashMap<u64, (usize, SubBatch)>,
+    retry_park: IdMap<u64, (usize, SubBatch)>,
     next_retry: u64,
     /// The span sink every layer's tracer writes into (`None` until
     /// [`ServingRuntime::enable_tracing`]).
@@ -653,9 +653,9 @@ impl ServingRuntime {
             devices: cfg.shards,
             tables: Vec::new(),
             events: EventQueue::new(),
-            inflight: FxHashMap::default(),
-            expired: FxHashMap::default(),
-            pending_arrivals: FxHashMap::default(),
+            inflight: IdMap::new(),
+            expired: IdMap::new(),
+            pending_arrivals: IdMap::new(),
             adaptive: None,
             next_req: 0,
             completed: VecDeque::new(),
@@ -664,7 +664,7 @@ impl ServingRuntime {
             ref_scratch: Vec::new(),
             harvest_scratch: Vec::new(),
             fault_policy: FaultPolicy::default(),
-            retry_park: FxHashMap::default(),
+            retry_park: IdMap::new(),
             next_retry: 0,
             sink: None,
             tracer: Tracer::disabled(),
@@ -1459,7 +1459,7 @@ impl ServingRuntime {
                     if self.shards[ix].next_tick == Some(now) {
                         self.shards[ix].next_tick = None;
                     }
-                    self.pump_shard(ix, now);
+                    self.tick_shard(ix, now);
                 }
                 Ev::Retry(seq) => {
                     let (ix, sub) = self
@@ -1592,11 +1592,45 @@ impl ServingRuntime {
         done
     }
 
-    /// One full visit of a shard at the global instant: merge clocks,
-    /// harvest completed operators, dispatch while capacity allows, and
-    /// re-arm the shard's wake-up tick.
+    /// One full visit of a shard at the global instant (see
+    /// [`ServingRuntime::visit_shard`]), then re-arms the shard's wake-up
+    /// tick.
     fn pump_shard(&mut self, ix: usize, now: SimTime) {
-        self.sync_shard(ix, now);
+        self.visit_shard(ix, now);
+        self.arm_tick(ix, now);
+    }
+
+    /// A fired shard tick: visits the shard at `now`, then keeps running
+    /// its next device event directly while that event is strictly
+    /// earlier than the runtime queue's head and the visit left nothing
+    /// the runtime must act on first (no harvest, no ready or completed
+    /// request). The tick [`ServingRuntime::arm_tick`] would push for that
+    /// event carries the newest sequence number, so it would pop next
+    /// anyway: this is the same `(time, seq)` order without the push, the
+    /// pop and the re-arm per device event. Only a fired tick does this;
+    /// a visit from any other call leaves the shard's clock at the
+    /// runtime's.
+    fn tick_shard(&mut self, ix: usize, mut now: SimTime) {
+        while !self.visit_shard(ix, now) && self.ready.is_empty() && self.completed.is_empty() {
+            let Some(t) = self.shards[ix].sys.next_event_time() else {
+                break;
+            };
+            if self.events.peek_time().is_some_and(|head| head <= t) {
+                break;
+            }
+            // What arming that tick and firing it would leave behind.
+            self.shards[ix].next_tick = None;
+            self.events.advance_to(t);
+            now = t;
+        }
+        self.arm_tick(ix, now);
+    }
+
+    /// One visit of a shard at the global instant: merge clocks, harvest
+    /// completed operators and dispatch while capacity allows. Returns
+    /// whether it harvested anything.
+    fn visit_shard(&mut self, ix: usize, now: SimTime) -> bool {
+        let harvested = self.sync_shard(ix, now);
         let s = &mut self.shards[ix];
         while !s.queue.is_empty() {
             let Some(slot) = s.slots.acquire(now) else {
@@ -1606,12 +1640,13 @@ impl ServingRuntime {
             self.stats.ops_dispatched.inc();
             self.stats.subs_dispatched.add(n_subs);
         }
-        self.arm_tick(ix, now);
+        harvested
     }
 
     /// Advances `ix`'s system to the global instant and folds every
     /// operator that completed at or before it into its owning requests.
-    fn sync_shard(&mut self, ix: usize, now: SimTime) {
+    /// Returns whether any operator completed.
+    fn sync_shard(&mut self, ix: usize, now: SimTime) -> bool {
         let t_dev = self.wall.begin();
         self.shards[ix].sys.run_until(now);
         self.wall.end(WallPhase::DeviceStep, t_dev);
@@ -1625,7 +1660,7 @@ impl ServingRuntime {
         collect_harvest(&mut self.shards[ix], &mut harvested);
         if harvested.is_empty() {
             self.harvest_scratch = harvested;
-            return;
+            return false;
         }
         let policy = self.fault_policy;
         let s = &mut self.shards[ix];
@@ -1642,6 +1677,7 @@ impl ServingRuntime {
         }
         self.harvest_scratch = harvested;
         self.wall.end(WallPhase::Harvest, t_harvest);
+        true
     }
 
     /// Retires every component sub-batch of one harvested operator into
@@ -1872,6 +1908,9 @@ fn migration_subs(
 /// instant in that order, so the occupancy integral is exact however the
 /// harvests interleave.
 fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
+    if !s.sys.has_results() {
+        return;
+    }
     let start = out.len();
     let mut i = 0;
     while i < s.inflight.len() {

@@ -10,7 +10,7 @@
 //! reproduces the reference bit for bit.
 
 use proptest::prelude::*;
-use recssd::{LookupBatch, SlsOptions};
+use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, PageLayout, Quantization, TableSpec};
 use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
@@ -355,6 +355,82 @@ fn refresh_adopts_an_unplaced_table() {
         rt.stats().tier.hits() > 0,
         "post-activation admissions hit the tier"
     );
+}
+
+/// Only a fired event moves simulated time. Between two `step()`s,
+/// refreshing a placement (which dispatches migration work onto idle
+/// shards while later arrivals wait in the queue), submitting,
+/// registering a placed table, injecting faults and enabling adaptation
+/// leave the runtime clock where it was, and no shard clock passes it: a
+/// shard such a call visits is brought up to the runtime's instant, never
+/// beyond, even when its next device event is the earliest pending one.
+#[test]
+fn runtime_calls_between_steps_never_run_a_device_ahead() {
+    let rows = 128u64;
+    let table = EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 4);
+    let plan = PlacementPlan::build(
+        &skewed_profile(rows, 0x77),
+        &PlacementPolicy::hot_fraction(0.25),
+    );
+    let cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo).with_depth(2);
+    let mut rt = ServingRuntime::new(&cfg);
+    let t = rt.add_table(table.clone());
+    let mut rng = Xoshiro256::seed_from(8);
+    let ndp = SlsPath::Ndp(SlsOptions::default());
+    // A first wave, then a second one far behind it.
+    for i in 0..12u64 {
+        let at = SimTime::from_us(3 * i + if i < 6 { 0 } else { 50_000 });
+        rt.submit_at(at, i, t, batch_of(&mut rng, rows, 2, 6), ndp);
+    }
+    let mut done = Vec::new();
+    while done.len() < 6 {
+        done.extend(rt.step().expect("no invariant violation"));
+    }
+    let clocks = |rt: &mut ServingRuntime| -> Vec<SimTime> {
+        (0..rt.shards())
+            .map(|i| rt.shard_system_mut(i).now())
+            .collect()
+    };
+    let (now, before) = (rt.now(), clocks(&mut rt));
+    for call in 0..5 {
+        match call {
+            0 => assert!(rt.refresh_placement(t, plan.table(0)).is_some()),
+            1 => {
+                let batch = batch_of(&mut rng, rows, 2, 6);
+                rt.submit_at(now + SimDuration::from_us(1), 99, t, batch, ndp);
+            }
+            2 => {
+                rt.add_table_placed(table.clone(), plan.table(0));
+            }
+            3 => rt.inject_faults(&FaultConfig::quiet(3)),
+            _ => rt.enable_adaptive(AdaptivePolicy {
+                epoch_requests: 4,
+                decay: 0.5,
+                budget_rows: 16,
+                min_hit_gain: 0.02,
+            }),
+        }
+        assert_eq!(rt.now(), now, "call {call} moved the runtime clock");
+        for (shard, (&at, &was)) in clocks(&mut rt).iter().zip(&before).enumerate() {
+            assert!(
+                was <= at && at <= now,
+                "call {call} moved shard {shard} from {was} to {at} (runtime at {now})"
+            );
+        }
+        assert!(
+            (0..rt.shards()).any(|i| rt.shard_system_mut(i).next_event_time().is_some()),
+            "the refresh put migration work on the devices"
+        );
+    }
+    assert!(
+        rt.refresh_pending(t),
+        "the refresh's migration is still in flight"
+    );
+    done.extend(rt.run_until_idle());
+    assert_eq!(done.len(), 13);
+    for d in &done {
+        rt.verify_bitmatch(d);
+    }
 }
 
 /// A table registered after a placed one created the DRAM tier is still

@@ -27,6 +27,11 @@
 //!   (firmware core, SLS engines, PCIe link, flash dies and channels) is
 //!   an instance of: one queue discipline, busy time counted at service
 //!   start, debug-asserted monotone time and exact completion instants.
+//! * [`IdMap`] — the direct-mapped table behind every map keyed by an
+//!   id the simulator hands out from an increasing counter (flash ops,
+//!   FTL requests, PCIe transfers, firmware tags, operators, serving
+//!   requests): slot `id & mask`, no hashing, with a small hash-map
+//!   overflow for the rare long-lived or host-chosen key.
 //! * [`Slots`] — the k-slot server every shared-queue pool (the host's
 //!   SLS and NN worker pools, the serving runtime's per-shard operator
 //!   slots) is an instance of: a slot is held from acquire to release,
@@ -67,6 +72,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod idmap;
 mod lru;
 mod page;
 mod partition;
@@ -81,6 +87,7 @@ pub mod rng;
 pub mod stats;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use idmap::{IdKey, IdMap};
 pub use lru::LruCache;
 pub use page::{PageImage, PagePool};
 pub use partition::{StaticPartition, StaticPartitionBuilder};

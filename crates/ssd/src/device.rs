@@ -7,7 +7,7 @@ use recssd_nvme::{
     XferId,
 };
 use recssd_sim::stats::Counter;
-use recssd_sim::{FxHashMap, PageImage, SimDuration, SimTime};
+use recssd_sim::{IdMap, PageImage, SimDuration, SimTime};
 
 use crate::extension::{DeviceCtx, NdpEngine, EXT_TAG_BIT};
 use crate::{NoNdp, SsdConfig};
@@ -50,6 +50,8 @@ impl SsdStats {
 
 #[derive(Debug)]
 struct CmdState {
+    /// The submission queue the command came from.
+    qid: u16,
     cmd: NvmeCommand,
     pages_left: u32,
     /// A read's page images, one per logical block in LBA order. Every
@@ -66,13 +68,6 @@ struct CmdState {
 /// Largest number of recycled host-transfer buffers (and, separately,
 /// page-image lists) the device keeps.
 const HOST_BUF_POOL_CAP: usize = 1024;
-
-/// An in-flight tracking map pre-sized so steady-state churn never
-/// resizes it. 256 slots comfortably covers the deepest realistic
-/// in-flight set (every die busy plus queued commands and DMAs).
-fn presized_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(256, Default::default())
-}
 
 /// Pool insert shared by [`SsdDevice::recycle_buffer`] and
 /// [`crate::DeviceCtx::recycle_buffer`]: buffers are pooled by
@@ -125,12 +120,17 @@ pub struct SsdDevice<X: NdpEngine = NoNdp> {
     pcie: PcieLink,
     queues: Vec<QueuePair>,
     ext: X,
-    cmds: FxHashMap<(u16, u16), CmdState>,
-    fw_tags: FxHashMap<u64, (u16, u16)>,
-    read_reqs: FxHashMap<ReqId, (u16, u16, u32)>,
-    write_reqs: FxHashMap<ReqId, (u16, u16)>,
-    dma_out: FxHashMap<XferId, (u16, u16)>,
-    dma_in: FxHashMap<XferId, (u16, u16)>,
+    /// Conventional commands in flight, by the device's own fetch counter
+    /// (the host's `(qid, cid)` lives in the state); the maps below point
+    /// into it.
+    cmds: IdMap<u64, CmdState>,
+    next_cmd: u64,
+    fw_tags: IdMap<u64, u64>,
+    /// A pending page read: its command and the page's index in it.
+    read_reqs: IdMap<ReqId, (u64, u32)>,
+    write_reqs: IdMap<ReqId, u64>,
+    dma_out: IdMap<XferId, u64>,
+    dma_in: IdMap<XferId, u64>,
     next_tag: u64,
     /// Free-list of recycled flat transfer buffers: NDP result blocks
     /// and command payloads (see [`SsdDevice::recycle_buffer`]).
@@ -169,18 +169,13 @@ impl<X: NdpEngine> SsdDevice<X> {
             pcie: PcieLink::new(config.pcie),
             queues,
             ext,
-            // All of these are keyed by monotonically increasing ids
-            // (request / transfer / firmware-tag counters), so the
-            // steady-state insert/remove churn leaves tombstones
-            // forever. Pre-sizing past the deepest realistic in-flight
-            // set keeps them from ever resizing (= allocating) on the
-            // hot path; each holds a few machine words per entry.
-            cmds: presized_map(),
-            fw_tags: presized_map(),
-            read_reqs: presized_map(),
-            write_reqs: presized_map(),
-            dma_out: presized_map(),
-            dma_in: presized_map(),
+            cmds: IdMap::new(),
+            next_cmd: 0,
+            fw_tags: IdMap::new(),
+            read_reqs: IdMap::new(),
+            write_reqs: IdMap::new(),
+            dma_out: IdMap::new(),
+            dma_in: IdMap::new(),
             next_tag: 0,
             host_buf_pool: Vec::new(),
             page_list_pool: Vec::new(),
@@ -321,12 +316,41 @@ impl<X: NdpEngine> SsdDevice<X> {
         self.cmds.is_empty() && self.ftl.idle() && self.pcie.idle() && self.ext.idle()
     }
 
-    fn alloc_tag(&mut self, qid: u16, cid: u16) -> FwTag {
+    fn alloc_tag(&mut self, c: u64) -> FwTag {
         let tag = self.next_tag;
         self.next_tag += 1;
         debug_assert_eq!(tag & EXT_TAG_BIT, 0, "core tag space exhausted");
-        self.fw_tags.insert(tag, (qid, cid));
+        self.fw_tags.insert(tag, c);
         FwTag(tag)
+    }
+
+    /// Starts tracking a fetched conventional command; returns its id.
+    fn track(&mut self, qid: u16, cmd: NvmeCommand, pages_left: u32, pages: Vec<PageImage>) -> u64 {
+        let c = self.next_cmd;
+        self.next_cmd += 1;
+        self.cmds.insert(
+            c,
+            CmdState {
+                qid,
+                cmd,
+                pages_left,
+                pages,
+                failed: false,
+            },
+        );
+        c
+    }
+
+    /// Retires command `c` with a data-less completion of `status` on its
+    /// queue, returning its state.
+    fn complete_cmd(&mut self, c: u64, status: NvmeStatus) -> CmdState {
+        let st = self.cmds.remove(&c).expect("command state");
+        let done = match status {
+            NvmeStatus::Success => NvmeCompletion::success(st.cmd.cid, None),
+            _ => NvmeCompletion::error(st.cmd.cid, status),
+        };
+        self.queues[st.qid as usize].complete(done);
+        st
     }
 
     /// Rings the doorbell for queue `qid`: the device fetches and begins
@@ -365,16 +389,8 @@ impl<X: NdpEngine> SsdDevice<X> {
                     self.stats.blocks_read.add(cmd.nlb as u64);
                     let nlb = cmd.nlb;
                     let pages = self.take_page_list(nlb as usize);
-                    self.cmds.insert(
-                        (qid, cid),
-                        CmdState {
-                            cmd,
-                            pages_left: nlb,
-                            pages,
-                            failed: false,
-                        },
-                    );
-                    let tag = self.alloc_tag(qid, cid);
+                    let c = self.track(qid, cmd, nlb, pages);
+                    let tag = self.alloc_tag(c);
                     let dur = self.config.fw_command_time(nlb);
                     self.ftl
                         .charge_firmware(now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));
@@ -383,19 +399,11 @@ impl<X: NdpEngine> SsdDevice<X> {
                     self.stats.write_commands.inc();
                     self.stats.blocks_written.add(cmd.nlb as u64);
                     let bytes = cmd.payload_len();
-                    self.cmds.insert(
-                        (qid, cid),
-                        CmdState {
-                            cmd,
-                            pages_left: 0,
-                            pages: Vec::new(),
-                            failed: false,
-                        },
-                    );
+                    let c = self.track(qid, cmd, 0, Vec::new());
                     let xfer = self
                         .pcie
                         .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-                    self.dma_in.insert(xfer, (qid, cid));
+                    self.dma_in.insert(xfer, c);
                 }
             }
         }
@@ -440,12 +448,12 @@ impl<X: NdpEngine> SsdDevice<X> {
     ) {
         match outcome {
             FtlOutcome::FwTaskDone { tag } if self.fw_tags.contains_key(&tag.0) => {
-                let (qid, cid) = self.fw_tags.remove(&tag.0).expect("checked above");
-                self.on_command_processed(now, qid, cid, sched);
+                let c = self.fw_tags.remove(&tag.0).expect("checked above");
+                self.on_command_processed(now, c, sched);
             }
             FtlOutcome::ReadDone { req, data, .. } if self.read_reqs.contains_key(&req) => {
-                let (qid, cid, page_idx) = self.read_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
+                let (c, page_idx) = self.read_reqs.remove(&req).expect("checked above");
+                let st = self.cmds.get_mut(&c).expect("command state");
                 // The command holds the FTL's image itself until the host
                 // hands it back; a failed command has no reader for it.
                 let spare = if st.failed {
@@ -457,28 +465,27 @@ impl<X: NdpEngine> SsdDevice<X> {
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
                     if st.failed {
-                        self.fail_read_cmd(qid, cid);
+                        self.fail_read_cmd(c);
                     } else {
-                        self.start_read_dma(now, qid, cid, sched);
+                        self.start_read_dma(now, c, sched);
                     }
                 }
             }
             FtlOutcome::ReadFailed { req, .. } if self.read_reqs.contains_key(&req) => {
-                let (qid, cid, _) = self.read_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
+                let (c, _) = self.read_reqs.remove(&req).expect("checked above");
+                let st = self.cmds.get_mut(&c).expect("command state");
                 st.failed = true;
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
-                    self.fail_read_cmd(qid, cid);
+                    self.fail_read_cmd(c);
                 }
             }
             FtlOutcome::WriteDone { req, .. } if self.write_reqs.contains_key(&req) => {
-                let (qid, cid) = self.write_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
+                let c = self.write_reqs.remove(&req).expect("checked above");
+                let st = self.cmds.get_mut(&c).expect("command state");
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
-                    self.cmds.remove(&(qid, cid));
-                    self.queues[qid as usize].complete(NvmeCompletion::success(cid, None));
+                    self.complete_cmd(c, NvmeStatus::Success);
                 }
             }
             other => {
@@ -493,11 +500,10 @@ impl<X: NdpEngine> SsdDevice<X> {
     fn on_command_processed(
         &mut self,
         now: SimTime,
-        qid: u16,
-        cid: u16,
+        c: u64,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        let st = self.cmds.get(&(qid, cid)).expect("command state");
+        let st = self.cmds.get(&c).expect("command state");
         match st.cmd.opcode {
             NvmeOpcode::Read => {
                 let slba = st.cmd.slba;
@@ -508,7 +514,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                     read_reqs,
                     ..
                 } = self;
-                let st = cmds.get_mut(&(qid, cid)).expect("command state");
+                let st = cmds.get_mut(&c).expect("command state");
                 for i in 0..nlb {
                     let started = ftl
                         .read_page(now, Lpn(slba + i as u64), &mut |d, e| {
@@ -523,12 +529,12 @@ impl<X: NdpEngine> SsdDevice<X> {
                         // The slot already holds the shared zero image.
                         ReadStarted::Unmapped => st.pages_left -= 1,
                         ReadStarted::Pending(req) => {
-                            read_reqs.insert(req, (qid, cid, i));
+                            read_reqs.insert(req, (c, i));
                         }
                     }
                 }
                 if st.pages_left == 0 {
-                    self.start_read_dma(now, qid, cid, sched);
+                    self.start_read_dma(now, c, sched);
                 }
             }
             NvmeOpcode::Write => {
@@ -541,7 +547,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                     write_reqs,
                     ..
                 } = self;
-                let st = cmds.get_mut(&(qid, cid)).expect("command state");
+                let st = cmds.get_mut(&c).expect("command state");
                 let payload = st.cmd.payload.as_deref().unwrap_or_default();
                 for i in 0..nlb {
                     let start = (i as usize * page_bytes).min(payload.len());
@@ -554,7 +560,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                             &mut |d, e| sched(d, SsdEvent::Ftl(e)),
                         )
                         .expect("validated range");
-                    write_reqs.insert(req, (qid, cid));
+                    write_reqs.insert(req, c);
                 }
                 st.pages_left = nlb;
             }
@@ -564,25 +570,23 @@ impl<X: NdpEngine> SsdDevice<X> {
     /// Completes a conventional read whose media failed: no data crosses
     /// PCIe, every page image the command collected returns to the pool
     /// and the host sees a typed media error.
-    fn fail_read_cmd(&mut self, qid: u16, cid: u16) {
-        let st = self.cmds.remove(&(qid, cid)).expect("command state");
+    fn fail_read_cmd(&mut self, c: u64) {
+        let st = self.complete_cmd(c, NvmeStatus::MediaError);
         self.recycle_pages(st.pages);
-        self.queues[qid as usize].complete(NvmeCompletion::error(cid, NvmeStatus::MediaError));
     }
 
     fn start_read_dma(
         &mut self,
         now: SimTime,
-        qid: u16,
-        cid: u16,
+        c: u64,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
         // The link moves whole logical blocks however the host maps them.
-        let bytes = self.cmds[&(qid, cid)].cmd.nlb as usize * self.config.block_bytes();
+        let bytes = self.cmds[&c].cmd.nlb as usize * self.config.block_bytes();
         let xfer = self
             .pcie
             .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-        self.dma_out.insert(xfer, (qid, cid));
+        self.dma_out.insert(xfer, c);
     }
 
     fn dispatch_pcie(
@@ -591,15 +595,17 @@ impl<X: NdpEngine> SsdDevice<X> {
         xfer: XferId,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        if let Some((qid, cid)) = self.dma_out.remove(&xfer) {
-            let st = self.cmds.remove(&(qid, cid)).expect("command state");
-            self.queues[qid as usize]
-                .complete(NvmeCompletion::success(cid, Some(CmdData::Pages(st.pages))));
+        if let Some(c) = self.dma_out.remove(&xfer) {
+            let st = self.cmds.remove(&c).expect("command state");
+            self.queues[st.qid as usize].complete(NvmeCompletion::success(
+                st.cmd.cid,
+                Some(CmdData::Pages(st.pages)),
+            ));
             return;
         }
-        if let Some((qid, cid)) = self.dma_in.remove(&xfer) {
-            let nlb = self.cmds[&(qid, cid)].cmd.nlb;
-            let tag = self.alloc_tag(qid, cid);
+        if let Some(c) = self.dma_in.remove(&xfer) {
+            let nlb = self.cmds[&c].cmd.nlb;
+            let tag = self.alloc_tag(c);
             let dur = self.config.fw_command_time(nlb);
             self.ftl
                 .charge_firmware(now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));

@@ -7,13 +7,18 @@
 # untracked, not ignored, files) into separate target directories, then runs
 # <pairs> pairs of untraced runs, alternating which side runs first. For every
 # end-to-end metric of BENCHMARK.json it prints each side's median and
-# quartiles and how many pairs the change won. It exits non-zero if a run
-# fails or if any `sim_*` value differs between any two runs.
+# quartiles, the ratio of the medians, the median of the per-pair ratios
+# (change / parent), the parent's interquartile range, whether the medians lie
+# further apart than that range, and how many pairs the change won. It exits
+# non-zero if a run fails, if any `sim_*` value differs between any two runs,
+# or if the `digest` or `input_digest` of any two runs differ (read from the
+# result file each run writes, benchmark/results/<workload>.run.json, which is
+# kept per run in the work directory).
 #
 # Environment: BENCH_SECONDS (run length, default BENCHMARK.json's
 # run_seconds), BENCH_PAIRS_DIR (work directory, default a fresh temporary
 # one; it holds both checkouts, both target directories and every run's
-# result line).
+# result line and result file).
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -43,6 +48,7 @@ run() { # <side> <pair>
     local out="$work/$1-$2.json"
     (cd "$work/run-$1" && "$work/target-$1/release/recssd-benchmark" --workload "$workload" \
         --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1 >"$out"
+    cp "$work/run-$1/benchmark/results/$workload.run.json" "$work/$1-$2.run.json"
     echo "pair $2 $1 done"
 }
 for i in $(seq 1 "$pairs"); do
@@ -59,11 +65,14 @@ python3 - "$root/BENCHMARK.json" "$work" "$pairs" <<'EOF'
 import json, statistics, sys
 
 spec, work, pairs = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
-runs = {
-    side: [json.load(open(f"{work}/{side}-{i}.json")) for i in range(1, pairs + 1)]
-    for side in ("parent", "change")
-}
+sides = ("parent", "change")
+runs = {s: [json.load(open(f"{work}/{s}-{i}.json")) for i in range(1, pairs + 1)] for s in sides}
+files = {s: [json.load(open(f"{work}/{s}-{i}.run.json")) for i in range(1, pairs + 1)] for s in sides}
 bad = [f"{s} pair {i + 1}" for s, rs in runs.items() for i, r in enumerate(rs) if not r["correct"]]
+for key in ("digest", "input_digest"):
+    seen = {f"{s} pair {i + 1}": f[key] for s in sides for i, f in enumerate(files[s])}
+    if len(set(seen.values())) > 1:
+        bad.append(f"{key} differs: {seen}")
 
 
 def quartiles(xs):
@@ -73,7 +82,10 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-print(f"{'metric':<20} {'parent median [q1..q3]':>36} {'change median [q1..q3]':>36} {'ratio':>7} wins")
+print(
+    f"{'metric':<20} {'parent median [q1..q3]':>36} {'change median [q1..q3]':>36} "
+    f"{'ratio':>7} {'pair':>7} {'p-IQR':>10} {'apart':>5} wins"
+)
 for m in spec["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
     val = {s: [r["metrics"][name]["value"] for r in rs] for s, rs in runs.items()}
@@ -84,9 +96,15 @@ for m in spec["end_to_end"]:
     for s in ("parent", "change"):
         q1, q3 = quartiles(val[s])
         cells.append(f"{statistics.median(val[s]):.6g} [{q1:.6g}..{q3:.6g}]")
-    pm = statistics.median(val["parent"])
-    ratio = statistics.median(val["change"]) / pm if pm else float("nan")
-    print(f"{name:<20} {cells[0]:>36} {cells[1]:>36} {ratio:>7.3f} {wins}/{pairs}")
+    pm, cm = statistics.median(val["parent"]), statistics.median(val["change"])
+    ratio = cm / pm if pm else float("nan")
+    per_pair = [c / p if p else float("nan") for p, c in zip(val["parent"], val["change"])]
+    q1, q3 = quartiles(val["parent"])
+    apart = "yes" if abs(cm - pm) > q3 - q1 else "no"
+    print(
+        f"{name:<20} {cells[0]:>36} {cells[1]:>36} {ratio:>7.3f} "
+        f"{statistics.median(per_pair):>7.3f} {q3 - q1:>10.4g} {apart:>5} {wins}/{pairs}"
+    )
 for b in bad:
     print("FAIL:", b)
 sys.exit(1 if bad else 0)
