@@ -120,9 +120,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Resets every injection counter.
     pub fn reset(&mut self) {
-        self.transient.reset();
-        self.uncorrectable.reset();
-        self.stalls.reset();
+        *self = Self::default();
     }
 }
 

@@ -152,12 +152,7 @@ pub struct FtlStats {
 impl FtlStats {
     /// Resets every counter.
     pub fn reset(&mut self) {
-        self.host_reads.reset();
-        self.host_writes.reset();
-        self.unmapped_reads.reset();
-        self.write_buffer_hits.reset();
-        self.gc_relocated_pages.reset();
-        self.gc_erased_blocks.reset();
+        *self = Self::default();
     }
 }
 

@@ -30,12 +30,14 @@
 //!   the `n` device shards it is shard `n` of the runtime's one shard
 //!   vector, pipelined on the same timeline, always serving over the
 //!   DRAM path and left out of every device-shard accessor.
-//! * **Adaptive placement** — plans are numbered, live-swappable
-//!   routing generations: [`ServingRuntime::refresh_placement`] binds a
-//!   new plan into spare A/B registry slots, reads the promoted rows off
-//!   the device as real migration operators, and flips admissions to the
-//!   new plan only when that work drains (in-flight requests keep their
-//!   generation, so outputs stay bit-identical across the boundary).
+//! * **Adaptive placement** — each table has two plan slots holding
+//!   live-swappable routing generations:
+//!   [`ServingRuntime::refresh_placement`] binds a new plan into the
+//!   slot beside the active one once that slot's previous plan has
+//!   drained, reads the promoted rows off the device as real migration
+//!   operators, and flips admissions to the new plan only when that work
+//!   drains (in-flight requests keep their slot, so outputs stay
+//!   bit-identical across the boundary).
 //!   [`ServingRuntime::enable_adaptive`] closes the loop under drifting
 //!   skew: every [`AdaptivePolicy::epoch_requests`] admissions the
 //!   runtime re-profiles live traffic (decayed EWMA + change-point

@@ -15,11 +15,13 @@
 //! *shard-tick* event is armed at the shard's next internal event time
 //! so the global loop revisits it exactly when something happens.
 //!
-//! A request's lifecycle:
+//! A request's lifecycle, kept in one record per request id (arriving,
+//! serving, or expired with lookups still owed):
 //!
 //! 1. [`ServingRuntime::submit_at`] schedules the arrival; at the arrival
 //!    instant the batch splits into per-shard sub-batches of local rows
-//!    ([`crate::ShardMap`]) under the table's active plan.
+//!    ([`crate::ShardMap`]) under the table's active plan — one of its
+//!    two A/B plan slots; a refresh binds the other.
 //! 2. Every sub-batch enters flight through one `queue_sub` — at
 //!    admission, as plan-migration work, or after a retry's backoff — and
 //!    each shard queue dispatches per the [`SchedulePolicy`] — FIFO, or
@@ -35,7 +37,8 @@
 //!    the deadline served its request, and discarded), dropped (its slots
 //!    flagged missing) or migration (a plan-migration chunk, discarded).
 //! 4. When the last sub-batch retires, or the deadline fires first, the
-//!    request completes through one `complete_request`: queue/service/
+//!    request completes through one `complete_request`, and
+//!    [`ServingRuntime::step`] hands it out: queue/service/
 //!    end-to-end latencies are recorded into the HDR-style histograms of
 //!    [`ServingStats`], and per-shard operator occupancy plus flash
 //!    channel utilisation are tracked so pipelining wins are visible.
@@ -285,6 +288,7 @@ struct PendingArrival {
     path: SlsPath,
 }
 
+/// An admitted request whose sub-batches are in flight.
 #[derive(Debug)]
 struct Inflight {
     client: u64,
@@ -297,18 +301,34 @@ struct Inflight {
     arrival: SimTime,
     first_start: Option<SimTime>,
     finish: SimTime,
-    pending: usize,
     acc: SlsOutput,
     batch: LookupBatch,
-    /// Per output slot: sub-batches still owing a contribution.
+    /// Per output slot: sub-batches that have not merged a contribution.
+    /// A dropped sub-batch leaves its counts standing, so at completion
+    /// a slot is missing exactly when its count is above zero.
     slot_pending: Vec<u32>,
-    /// Per output slot: a contribution was dropped (retry budget
-    /// exhausted or deadline expiry) — the slot is partial.
-    slot_missing: Vec<bool>,
     /// Lookups dropped so far.
     missing_lookups: u64,
-    /// Lookups not yet folded in (drops to 0 as sub-batches merge).
+    /// Lookups whose sub-batch has not retired; the request is done when
+    /// this reaches 0 (every sub-batch carries at least one lookup).
     pending_lookups: u64,
+}
+
+/// A request's one record, from submission until its last sub-batch
+/// retires.
+#[derive(Debug)]
+enum Request {
+    /// Submitted; the arrival event has not fired yet. Splitting happens
+    /// *at the arrival instant* under the then-active plan — the property
+    /// that makes "old plan serves in-flight work, new plan takes new
+    /// admissions" well-defined on the simulated timeline.
+    Arriving(PendingArrival),
+    /// Admitted, sub-batches in flight.
+    Serving(Inflight),
+    /// Served degraded by its deadline while sub-batches were still in
+    /// flight: the lookups they still owe. Those stragglers retire here,
+    /// discarded.
+    Expired { owed: u64 },
 }
 
 impl Inflight {
@@ -487,33 +507,34 @@ enum Ev {
     Deadline(u64),
 }
 
-/// One routing generation of a served table: which registry slot its
-/// sub-batches address and how rows split between the tier and the
-/// device shards.
-#[derive(Debug)]
+/// One of a served table's two A/B plan slots: the routing generation
+/// bound there — how rows split between the tier and the device shards —
+/// and the device tables its sub-batches address. A refresh re-binds the
+/// slot beside the active one, so the outgoing plan keeps serving its
+/// in-flight work untouched.
+#[derive(Debug, Default)]
 struct PlanState {
     /// Placement routing (hot set + packed storage order); `None` for
     /// tables registered without a placement.
     routing: Option<Routing>,
     /// Hot rows (global ids) of this plan, for delta computation.
     hot_rows: Vec<u64>,
-    /// Which A/B registry slot the plan's tables occupy
-    /// ([`ServedTable::bound`]: one id per device shard, plus the tier's
-    /// at index `n` when the plan pins rows). A refresh re-binds the
-    /// *other* slot, so the outgoing plan keeps serving its in-flight
-    /// work untouched.
-    slot: usize,
-    /// Sub-batches split under this plan and not yet harvested. A slot
-    /// can only be re-bound when every plan previously bound to it has
-    /// fully drained.
+    /// The table id bound on each shard index: every device shard, then
+    /// the tier once a plan bound to this slot pinned rows. Re-binding
+    /// the slot replaces the images behind these ids, so they never
+    /// change.
+    bound: Vec<recssd::TableId>,
+    /// Sub-batches split under this slot's plan and not yet retired. The
+    /// slot can only be re-bound once this is zero, so at most one plan
+    /// per slot ever has work in flight.
     inflight_subs: usize,
 }
 
 impl PlanState {
     /// Drops the O(rows) routing state once the plan stops admitting:
     /// `hot_index`/`storage`/`hot_rows` are only consulted at split time,
-    /// so a deactivated generation keeps just its registry slot (needed
-    /// to drain queued work).
+    /// so a deactivated plan keeps just its bound tables (needed to drain
+    /// queued work).
     fn retire(&mut self) {
         if let Some(r) = self.routing.as_mut() {
             r.hot_index = Vec::new();
@@ -524,11 +545,10 @@ impl PlanState {
 }
 
 /// A refresh whose migration work is still in flight. The new plan is
-/// registered (double-buffered beside the active one) but admissions
-/// keep routing under the old plan until `remaining` hits zero.
+/// bound in the slot beside the active one, but admissions keep routing
+/// under the old plan until `remaining` hits zero.
 #[derive(Debug)]
 struct PendingPlan {
-    plan: usize,
     remaining: usize,
     promoted: u64,
     demoted: u64,
@@ -540,19 +560,16 @@ struct ServedTable {
     /// reference verification.
     table: EmbeddingTable,
     map: ShardMap,
-    /// Every routing generation registered so far (old plans stay until
-    /// their slot is re-bound; in-flight sub-batches pin their own
-    /// generation by index).
-    plans: Vec<PlanState>,
-    /// The generation new admissions split under.
+    /// The two A/B plan slots; in-flight sub-batches pin theirs by
+    /// index.
+    plans: [PlanState; 2],
+    /// The slot new admissions split under; a pending plan is always in
+    /// the other one.
     active: usize,
     /// Refresh awaiting migration completion, if any.
     pending: Option<PendingPlan>,
-    /// Per A/B registry slot: the table id bound on each shard index
-    /// (every device shard, then the tier once a plan bound to the slot
-    /// pinned rows). Re-binding a slot replaces the images behind these
-    /// ids, so they never change.
-    bound: [Vec<recssd::TableId>; 2],
+    /// Routing generations bound so far: 1 plus the accepted refreshes.
+    generations: usize,
 }
 
 /// Configuration of the runtime's *online adaptation loop*: feed every
@@ -596,20 +613,11 @@ pub struct ServingRuntime {
     devices: usize,
     tables: Vec<ServedTable>,
     events: EventQueue<Ev>,
-    inflight: IdMap<u64, Inflight>,
-    /// Requests the deadline served while sub-batches were still in
-    /// flight: how many each still owes. Those stragglers retire here,
-    /// discarded.
-    expired: IdMap<u64, usize>,
-    /// Requests whose arrival event has not fired yet. Splitting happens
-    /// *at the arrival instant* under the then-active plan — the property
-    /// that makes "old plan serves in-flight work, new plan takes new
-    /// admissions" well-defined on the simulated timeline.
-    pending_arrivals: IdMap<u64, PendingArrival>,
+    /// Every request from submission until its last sub-batch retires.
+    requests: IdMap<u64, Request>,
     /// The online adaptation loop, if enabled.
     adaptive: Option<AdaptiveState>,
     next_req: u64,
-    completed: VecDeque<CompletedRequest>,
     stats: ServingStats,
     /// Free-list of request accumulators.
     out_pool: Vec<SlsOutput>,
@@ -653,12 +661,9 @@ impl ServingRuntime {
             devices: cfg.shards,
             tables: Vec::new(),
             events: EventQueue::new(),
-            inflight: IdMap::new(),
-            expired: IdMap::new(),
-            pending_arrivals: IdMap::new(),
+            requests: IdMap::new(),
             adaptive: None,
             next_req: 0,
-            completed: VecDeque::new(),
             stats: ServingStats::default(),
             out_pool: Vec::new(),
             ref_scratch: Vec::new(),
@@ -895,7 +900,7 @@ impl ServingRuntime {
     }
 
     /// Registers `table` with its first routing generation bound into
-    /// registry slot 0.
+    /// plan slot 0.
     fn register(
         &mut self,
         table: EmbeddingTable,
@@ -906,30 +911,24 @@ impl ServingRuntime {
         self.tables.push(ServedTable {
             table,
             map,
-            plans: Vec::new(),
+            plans: Default::default(),
             active: 0,
             pending: None,
-            bound: Default::default(),
+            generations: 1,
         });
-        let plan = self.bind_plan(id, placement, 0);
-        self.tables[id].plans.push(plan);
+        self.bind_plan(id, placement, 0);
         ServedTableId(id)
     }
 
-    /// Builds and registers one routing generation of table `t_idx` into
-    /// registry slot `slot`: unplaced (`None`: each device shard gets its
-    /// row-range slice) or under a placement (packed slices, plus the hot
-    /// rows on the tier when the plan pins any — the first such plan
-    /// creates the tier). Each image replaces the one the slot already
-    /// binds on its shard, or is added there. Does not touch the table's
-    /// plan list or active index — the caller decides when (and whether)
-    /// the generation takes over admissions.
-    fn bind_plan(
-        &mut self,
-        t_idx: usize,
-        placement: Option<&TablePlacement>,
-        slot: usize,
-    ) -> PlanState {
+    /// Binds one routing generation of table `t_idx` into plan slot
+    /// `slot`, whose previous plan must have drained: unplaced (`None`:
+    /// each device shard gets its row-range slice) or under a placement
+    /// (packed slices, plus the hot rows on the tier when the plan pins
+    /// any — the first such plan creates the tier). Each image replaces
+    /// the one the slot already binds on its shard, or is added there.
+    /// Does not touch the table's active slot — the caller decides when
+    /// (and whether) the generation takes over admissions.
+    fn bind_plan(&mut self, t_idx: usize, placement: Option<&TablePlacement>, slot: usize) {
         let n = self.devices;
         let hot = placement.map_or(&[][..], TablePlacement::hot_rows);
         if !hot.is_empty() && self.shards.len() == n {
@@ -943,6 +942,7 @@ impl ServingRuntime {
             self.shards.push(tier);
         }
         let t = &mut self.tables[t_idx];
+        debug_assert_eq!(t.plans[slot].inflight_subs, 0, "re-binding a busy slot");
         let used = n + usize::from(!hot.is_empty());
         let mut storage = Vec::with_capacity(n);
         for (i, shard) in self.shards[..used].iter_mut().enumerate() {
@@ -971,25 +971,21 @@ impl ServingRuntime {
                 };
                 TableImage::new(rows, self.layout, page_bytes)
             };
-            let ids = &mut t.bound[slot];
+            let ids = &mut t.plans[slot].bound;
             match ids.get(i) {
                 Some(&id) => shard.sys.replace_table(id, image),
                 None => ids.push(shard.sys.add_table(image)),
             }
         }
-        let routing = placement.map(|p| {
+        let plan = &mut t.plans[slot];
+        plan.routing = placement.map(|p| {
             let mut hot_index = vec![crate::shard::COLD; p.rows() as usize];
             for (i, &row) in hot.iter().enumerate() {
                 hot_index[row as usize] = i as u32;
             }
             Routing { hot_index, storage }
         });
-        PlanState {
-            routing,
-            hot_rows: hot.to_vec(),
-            slot,
-            inflight_subs: 0,
-        }
+        plan.hot_rows = hot.to_vec();
     }
 
     /// The sharding of `table`.
@@ -1021,14 +1017,14 @@ impl ServingRuntime {
         assert!(table.0 < self.tables.len(), "unknown table");
         let req = self.next_req;
         self.next_req += 1;
-        self.pending_arrivals.insert(
+        self.requests.insert(
             req,
-            PendingArrival {
+            Request::Arriving(PendingArrival {
                 client,
                 table: table.0,
                 batch,
                 path,
-            },
+            }),
         );
         self.events.push_at(at, Ev::Arrival(req));
         RequestId(req)
@@ -1101,9 +1097,9 @@ impl ServingRuntime {
             }
         }
         let pending_lookups = batch.total_lookups() as u64;
-        self.inflight.insert(
+        self.requests.insert(
             req,
-            Inflight {
+            Request::Serving(Inflight {
                 client,
                 table,
                 path,
@@ -1111,14 +1107,12 @@ impl ServingRuntime {
                 arrival: now,
                 first_start: None,
                 finish: now,
-                pending: subs.len(),
                 acc,
-                slot_missing: vec![false; batch.outputs()],
                 slot_pending,
                 missing_lookups: 0,
                 pending_lookups,
                 batch,
-            },
+            }),
         );
         if let Some(deadline) = self.fault_policy.deadline {
             self.events.push_at(now + deadline, Ev::Deadline(req));
@@ -1139,8 +1133,8 @@ impl ServingRuntime {
     }
 
     /// Swaps `table`'s placement to `placement` *live on the simulated
-    /// timeline*. The new plan is registered beside the active one
-    /// (double-buffered A/B registry slots); promoted rows are read off
+    /// timeline*. The new plan is bound into the plan slot beside the
+    /// active one (double-buffered A/B slots); promoted rows are read off
     /// the device shards as real migration operators (and gathered into
     /// the DRAM tier), competing with client traffic for the same queues;
     /// only when that work drains does the new plan take over admissions.
@@ -1149,7 +1143,7 @@ impl ServingRuntime {
     ///
     /// Returns the new plan's generation index, or `None` when the
     /// refresh must be deferred — either a previous refresh is still
-    /// migrating, or the registry slot the new plan needs still has
+    /// migrating, or the plan slot the new plan needs still has
     /// in-flight work from the plan it would replace (retry after more
     /// traffic drains).
     ///
@@ -1171,22 +1165,18 @@ impl ServingRuntime {
         if self.tables[t_idx].pending.is_some() {
             return None;
         }
-        let slot = 1 - self.tables[t_idx].plans[self.tables[t_idx].active].slot;
-        // The slot's previous owners must have fully drained: re-binding
+        let old_ix = self.tables[t_idx].active;
+        let new_ix = 1 - old_ix;
+        // The slot's previous plan must have fully drained: re-binding
         // swaps the flash image under any operator still addressing it.
-        let busy = self.tables[t_idx]
-            .plans
-            .iter()
-            .any(|p| p.slot == slot && p.inflight_subs > 0);
-        if busy {
+        if self.tables[t_idx].plans[new_ix].inflight_subs > 0 {
             return None;
         }
-        let plan = self.bind_plan(t_idx, Some(placement), slot);
+        self.bind_plan(t_idx, Some(placement), new_ix);
         let now = self.events.now();
         let t = &mut self.tables[t_idx];
-        let old_ix = t.active;
-        let new_ix = t.plans.len();
-        t.plans.push(plan);
+        let generation = t.generations;
+        t.generations += 1;
 
         // Promotions = hot rows the old plan served from the device,
         // paired with their tier-local position in the new hot view.
@@ -1213,7 +1203,7 @@ impl ServingRuntime {
             t.plans[old_ix].retire();
             self.stats.plan_refreshes.inc();
             self.stats.rows_demoted.add(demoted);
-            return Some(new_ix);
+            return Some(generation);
         }
 
         // Migration work, one row list per shard index: each promoted row
@@ -1250,7 +1240,6 @@ impl ServingRuntime {
             })
             .collect();
         t.pending = Some(PendingPlan {
-            plan: new_ix,
             remaining: subs.len(),
             promoted: promoted.len() as u64,
             demoted,
@@ -1264,7 +1253,7 @@ impl ServingRuntime {
             self.tables[t_idx].plans[sub.plan as usize].inflight_subs += 1;
             self.queue_sub(ix, sub, now);
         }
-        Some(new_ix)
+        Some(generation)
     }
 
     /// Turns on the online adaptation loop over every table registered so
@@ -1309,7 +1298,7 @@ impl ServingRuntime {
 
     /// Routing generations registered for `table` (1 = never refreshed).
     pub fn plan_generations(&self, table: ServedTableId) -> usize {
-        self.tables[table.0].plans.len()
+        self.tables[table.0].generations
     }
 
     /// One adaptation epoch. Change-point detection first: if the active
@@ -1430,9 +1419,6 @@ impl ServingRuntime {
     /// faults (those are absorbed by the retry/degradation machinery).
     pub fn step(&mut self) -> Result<Option<CompletedRequest>, ServingError> {
         loop {
-            if let Some(done) = self.completed.pop_front() {
-                return Ok(Some(done));
-            }
             // Deliver ready completions first, in canonical
             // `(finish, id)` order, as soon as no pending event could
             // still precede them. This replaces a per-request
@@ -1441,8 +1427,7 @@ impl ServingRuntime {
             if let Some(&Reverse((fin, req))) = self.ready.peek() {
                 if self.events.peek_time().is_none_or(|t| fin <= t.as_ns()) {
                     self.ready.pop();
-                    self.finalize_request(req)?;
-                    continue;
+                    return self.finalize_request(req).map(Some);
                 }
             }
             let Some((now, ev)) = self.events.pop() else {
@@ -1450,7 +1435,7 @@ impl ServingRuntime {
             };
             match ev {
                 Ev::Arrival(req) => {
-                    let Some(arrival) = self.pending_arrivals.remove(&req) else {
+                    let Some(Request::Arriving(arrival)) = self.requests.remove(&req) else {
                         return Err(ServingError::MissingArrival(req));
                     };
                     self.admit(now, req, arrival);
@@ -1469,7 +1454,9 @@ impl ServingRuntime {
                     self.queue_sub(ix, sub, now);
                 }
                 Ev::Deadline(req) => {
-                    self.expire_deadline(now, req);
+                    if let Some(done) = self.expire_deadline(now, req) {
+                        return Ok(Some(done));
+                    }
                 }
             }
         }
@@ -1477,46 +1464,45 @@ impl ServingRuntime {
 
     /// Hands a request whose last sub-batch retired to
     /// [`ServingRuntime::complete_request`].
-    fn finalize_request(&mut self, req: u64) -> Result<(), ServingError> {
+    fn finalize_request(&mut self, req: u64) -> Result<CompletedRequest, ServingError> {
         let t0 = self.wall.begin();
-        let Some(inf) = self.inflight.remove(&req) else {
+        let Some(Request::Serving(inf)) = self.requests.remove(&req) else {
             return Err(ServingError::UnknownCompletion(req));
         };
         if inf.first_start.is_none() {
             return Err(ServingError::ServedBeforeStart(req));
         }
         let finish = inf.finish;
-        self.complete_request(req, inf, finish);
+        let done = self.complete_request(req, inf, finish);
         self.wall.end(WallPhase::EventDispatch, t0);
-        Ok(())
+        Ok(done)
     }
 
     /// Serves request `req` degraded *right now* because its deadline
     /// fired: whatever partials have merged are returned with every
-    /// still-owed slot flagged missing. Its sub-batches still in flight
-    /// are counted in `expired`, where they retire discarded.
-    fn expire_deadline(&mut self, now: SimTime, req: u64) {
+    /// still-owed slot flagged missing. The lookups its sub-batches still
+    /// owe are left in its [`Request::Expired`] record, where they retire
+    /// discarded.
+    fn expire_deadline(&mut self, now: SimTime, req: u64) -> Option<CompletedRequest> {
         // The deadline may fire after the request finished (entry gone)
-        // or in the same instant as its completion event (pending == 0):
+        // or in the same instant as its completion event (nothing owed):
         // both mean it was served in time.
-        if self.inflight.get(&req).is_none_or(|inf| inf.pending == 0) {
-            return;
-        }
-        let mut inf = self.inflight.remove(&req).expect("just checked");
-        for (slot, &owed) in inf.slot_pending.iter().enumerate() {
-            if owed > 0 {
-                inf.slot_missing[slot] = true;
-            }
-        }
-        inf.missing_lookups += inf.pending_lookups;
-        self.expired.insert(req, inf.pending);
-        self.complete_request(req, inf, now);
+        let record = self.requests.get_mut(&req)?;
+        let owed = match record {
+            Request::Serving(inf) if inf.pending_lookups > 0 => inf.pending_lookups,
+            _ => return None,
+        };
+        let Request::Serving(mut inf) = std::mem::replace(record, Request::Expired { owed }) else {
+            unreachable!("matched above");
+        };
+        inf.missing_lookups += owed;
+        Some(self.complete_request(req, inf, now))
     }
 
     /// The one way a request completes, served at `finish`: records its
     /// latencies and counts its degradation, emits the request span and
-    /// queues the [`CompletedRequest`] for delivery.
-    fn complete_request(&mut self, req: u64, inf: Inflight, finish: SimTime) {
+    /// builds the [`CompletedRequest`] to deliver.
+    fn complete_request(&mut self, req: u64, inf: Inflight, finish: SimTime) -> CompletedRequest {
         let (queue, service) = match inf.first_start {
             Some(fs) => (
                 fs.saturating_since(inf.arrival),
@@ -1549,7 +1535,7 @@ impl ServingRuntime {
                 inf.path.name(),
             );
         }
-        self.completed.push_back(CompletedRequest {
+        CompletedRequest {
             id: RequestId(req),
             client: inf.client,
             table: ServedTableId(inf.table),
@@ -1561,11 +1547,11 @@ impl ServingRuntime {
             outputs: inf.acc,
             missing_lookups: inf.missing_lookups,
             missing_slots: if degraded {
-                inf.slot_missing
+                inf.slot_pending.iter().map(|&owed| owed > 0).collect()
             } else {
                 Vec::new()
             },
-        });
+        }
     }
 
     /// Runs until every submitted request has completed, returning the
@@ -1582,7 +1568,7 @@ impl ServingRuntime {
             done.push(c);
         }
         assert!(
-            self.inflight.is_empty() && self.expired.is_empty(),
+            self.requests.is_empty(),
             "requests stuck with no pending events"
         );
         assert!(
@@ -1603,15 +1589,14 @@ impl ServingRuntime {
     /// A fired shard tick: visits the shard at `now`, then keeps running
     /// its next device event directly while that event is strictly
     /// earlier than the runtime queue's head and the visit left nothing
-    /// the runtime must act on first (no harvest, no ready or completed
-    /// request). The tick [`ServingRuntime::arm_tick`] would push for that
-    /// event carries the newest sequence number, so it would pop next
-    /// anyway: this is the same `(time, seq)` order without the push, the
-    /// pop and the re-arm per device event. Only a fired tick does this;
-    /// a visit from any other call leaves the shard's clock at the
-    /// runtime's.
+    /// the runtime must act on first (no harvest, no ready request). The
+    /// tick [`ServingRuntime::arm_tick`] would push for that event
+    /// carries the newest sequence number, so it would pop next anyway:
+    /// this is the same `(time, seq)` order without the push, the pop and
+    /// the re-arm per device event. Only a fired tick does this; a visit
+    /// from any other call leaves the shard's clock at the runtime's.
     fn tick_shard(&mut self, ix: usize, mut now: SimTime) {
-        while !self.visit_shard(ix, now) && self.ready.is_empty() && self.completed.is_empty() {
+        while !self.visit_shard(ix, now) && self.ready.is_empty() {
             let Some(t) = self.shards[ix].sys.next_event_time() else {
                 break;
             };
@@ -1723,17 +1708,21 @@ impl ServingRuntime {
         let policy = self.fault_policy;
         for mut sub in subs {
             sub.attempts += 1;
-            let expired =
-                matches!(sub.owner, SubOwner::Request(req) if self.expired.contains_key(&req));
+            // The failed attempt still occupied the device: it counts
+            // toward the request's service time.
+            let expired = match sub.owner {
+                SubOwner::Request(req) => match self.requests.get_mut(&req) {
+                    Some(Request::Serving(inf)) => {
+                        inf.note_start(result.started);
+                        false
+                    }
+                    _ => true,
+                },
+                SubOwner::Migration(_) => false,
+            };
             if expired || sub.attempts > policy.max_retries {
                 self.retire_sub(sub, result.started, result.finished, Outcome::Dropped);
                 continue;
-            }
-            if let SubOwner::Request(req) = sub.owner {
-                // The failed attempt still occupied the device: it counts
-                // toward the request's service time.
-                let inf = self.inflight.get_mut(&req).expect("in flight");
-                inf.note_start(result.started);
             }
             self.schedule_retry(ix, result.finished, sub, &policy);
         }
@@ -1766,43 +1755,35 @@ impl ServingRuntime {
                 self.migration_sub_done(t_idx);
                 ("migration", SpanId::NONE, arg)
             }
-            SubOwner::Request(req) => match self.inflight.get_mut(&req) {
-                Some(inf) => {
+            SubOwner::Request(req) => match self.requests.get_mut(&req) {
+                Some(Request::Serving(inf)) => {
                     inf.note_start(started);
                     inf.finish = inf.finish.max(finished);
                     inf.pending_lookups -= lookups;
-                    for (i, &slot) in sub.slots.iter().enumerate() {
-                        let slot = slot as usize;
-                        inf.slot_pending[slot] -= 1;
-                        match outcome {
-                            Outcome::Served { outputs, offset } => {
+                    match outcome {
+                        Outcome::Served { outputs, offset } => {
+                            for (i, &slot) in sub.slots.iter().enumerate() {
+                                let slot = slot as usize;
+                                inf.slot_pending[slot] -= 1;
                                 let src = outputs.row(offset + i);
                                 for (o, v) in inf.acc.row_mut(slot).iter_mut().zip(src) {
                                     *o += *v;
                                 }
                             }
-                            Outcome::Dropped => inf.slot_missing[slot] = true,
                         }
+                        Outcome::Dropped => inf.missing_lookups += lookups,
                     }
-                    if let Outcome::Dropped = outcome {
-                        inf.missing_lookups += lookups;
-                    }
-                    inf.pending -= 1;
-                    if inf.pending == 0 {
+                    if inf.pending_lookups == 0 {
                         self.ready.push(Reverse((inf.finish.as_ns(), req)));
                     }
                     ("sub", inf.span, arg)
                 }
-                None => {
+                Some(Request::Expired { owed }) => {
                     // The request span closed at the deadline, before
                     // this end, so the straggler's span is a root.
-                    let owed = self
-                        .expired
-                        .get_mut(&req)
-                        .expect("sub-batch of a known request");
-                    *owed -= 1;
+                    *owed -= lookups;
                     if *owed == 0 {
-                        self.expired.remove(&req);
+                        self.requests.remove(&req);
                     }
                     let arg = match outcome {
                         Outcome::Served { .. } => ("late", 1),
@@ -1810,6 +1791,7 @@ impl ServingRuntime {
                     };
                     ("sub", SpanId::NONE, arg)
                 }
+                _ => unreachable!("sub-batch of a request that is not in flight"),
             },
         };
         if self.tracer.enabled() && sub.span.is_some() {
@@ -1823,7 +1805,7 @@ impl ServingRuntime {
     /// Parks a failed sub-batch for re-dispatch after its exponential
     /// backoff, falling back from the NDP to the baseline path once the
     /// policy's attempt threshold is reached. The sub-batch keeps its
-    /// plan pin, so its routing generation cannot be re-bound under it.
+    /// plan pin, so its plan slot cannot be re-bound under it.
     fn schedule_retry(&mut self, ix: usize, now: SimTime, mut sub: SubBatch, policy: &FaultPolicy) {
         self.stats.retries.inc();
         if sub.attempts >= policy.fallback_after {
@@ -1851,9 +1833,8 @@ impl ServingRuntime {
         pending.remaining -= 1;
         if pending.remaining == 0 {
             let done = t.pending.take().expect("just checked");
-            let outgoing = t.active;
-            t.active = done.plan;
-            t.plans[outgoing].retire();
+            t.plans[t.active].retire();
+            t.active = 1 - t.active;
             self.stats.plan_refreshes.inc();
             self.stats.rows_promoted.add(done.promoted);
             self.stats.rows_demoted.add(done.demoted);
@@ -1877,7 +1858,7 @@ impl ServingRuntime {
 }
 
 /// Migration work of served table `table`: `rows` (local to shard `ix`
-/// under routing generation `plan`), one per output, in sub-batches of at
+/// under the plan in slot `plan`), one per output, in sub-batches of at
 /// most [`MIGRATION_CHUNK_ROWS`].
 fn migration_subs(
     table: usize,
@@ -1978,8 +1959,7 @@ fn dispatch_on(
     let merged = LookupBatch::new(per_output);
     // A tier index is only dispatched under a plan that pins rows, and
     // binding such a plan binds the tier in its slot.
-    let t = &tables[table];
-    let device_table = t.bound[t.plans[plan].slot][ix];
+    let device_table = tables[table].plans[plan].bound[ix];
     // A tripped circuit breaker redirects NDP operators onto the
     // conventional baseline path for this dispatch only — the
     // sub-batches keep their own path, so later retries (and the

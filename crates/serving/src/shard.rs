@@ -124,11 +124,11 @@ pub(crate) struct SubBatch {
     pub owner: SubOwner,
     /// Logical (served) table index.
     pub table: usize,
-    /// The routing generation (index into the served table's plan list)
-    /// this sub-batch was split under. Local rows are meaningless under
-    /// any other generation, so merging and device-table resolution key
-    /// on it — the double-buffering that lets an old plan drain while a
-    /// new one admits.
+    /// The plan slot (0 or 1, of the served table's two) this sub-batch
+    /// was split under. Local rows are meaningless under any other plan,
+    /// and a slot is only re-bound once its plan has drained, so merging
+    /// and device-table resolution key on it — the double-buffering that
+    /// lets an old plan drain while a new one admits.
     pub plan: u32,
     /// Execution path (merge compatibility key with `table`).
     pub path: SlsPath,
@@ -154,7 +154,7 @@ pub(crate) struct SubBatch {
 }
 
 /// Merge compatibility key: sub-batches coalesce only when they target
-/// the same table under the same plan generation over the same path, and
+/// the same table under the same plan slot over the same path, and
 /// migration work never merges into client operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MergeKey {

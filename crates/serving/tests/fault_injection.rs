@@ -411,6 +411,85 @@ fn deadline_serves_partial_results_on_time() {
     assert_eq!(rt.stats().breaker_trips.get(), 0, "slowdown is not error");
 }
 
+/// Two device shards with shard 1 impaired by `sick` and `policy` in
+/// force. Each batch has an output on shard 0's rows only, one on shard
+/// 1's only and one drawing from the whole table, in rotating order.
+/// Every completion must flag exactly the slots holding a row on shard
+/// 1, count exactly those rows missing, and bit-match the reference
+/// everywhere else.
+fn shard_one_rows_go_missing(sick: &FaultConfig, policy: FaultPolicy) {
+    let rt_cfg = ServingConfig::small_wide(2, SchedulePolicy::Fifo);
+    let mut rt = ServingRuntime::new(&rt_cfg);
+    let t = rt.add_table(table());
+    rt.inject_faults_on_shard(1, sick);
+    rt.set_fault_policy(policy);
+    let mut rng = Xoshiro256::seed_from(0x5107);
+    let ranges = [0..ROWS / 2, ROWS / 2..ROWS, 0..ROWS];
+    let work: Vec<LookupBatch> = (0..8)
+        .map(|i| {
+            LookupBatch::new(
+                (0..3)
+                    .map(|k| {
+                        let range = &ranges[(i + k) % 3];
+                        (0..4).map(|_| rng.gen_range(range.clone())).collect()
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    for (i, b) in work.iter().enumerate() {
+        rt.submit_at(
+            SimTime::from_us(500 * i as u64),
+            i as u64,
+            t,
+            b.clone(),
+            SlsPath::Ndp(SlsOptions::default()),
+        );
+    }
+    let done = rt.run_until_idle();
+    assert_eq!(done.len(), work.len());
+    let map = *rt.shard_map(t);
+    for d in &done {
+        let on_sick = |ids: &Vec<u64>| ids.iter().filter(|&&r| map.shard_of(r) == 1).count();
+        let per_slot: Vec<usize> = d.batch.per_output().iter().map(on_sick).collect();
+        let lost: usize = per_slot.iter().sum();
+        assert_eq!(d.missing_lookups, lost as u64, "request {:?}", d.id);
+        let expected: Vec<bool> = per_slot.iter().map(|&n| n > 0).collect();
+        assert_eq!(d.missing_slots, expected, "request {:?}", d.id);
+        rt.verify_bitmatch(d);
+    }
+}
+
+/// A sub-batch dropped on an exhausted retry budget flags exactly the
+/// output slots it carried rows for.
+#[test]
+fn dropped_sub_batches_flag_exactly_their_slots() {
+    let mut sick = FaultConfig::quiet(0xDEAD);
+    sick.uncorrectable_rate = 1.0;
+    let policy = FaultPolicy {
+        max_retries: 0,
+        ..FaultPolicy::default()
+    };
+    shard_one_rows_go_missing(&sick, policy);
+}
+
+/// A deadline flags exactly the slots still owed when it fires: shard 0
+/// answers long before it, shard 1 long after.
+#[test]
+fn deadline_flags_exactly_the_slots_still_owed() {
+    let mut slow = FaultConfig::quiet(0x51);
+    slow.brownouts = vec![BrownoutWindow {
+        start: SimTime::ZERO,
+        end: SimTime::from_ms(200),
+        factor: 1000,
+    }];
+    let policy = FaultPolicy {
+        deadline: Some(SimDuration::from_ms(2)),
+        ..FaultPolicy::default()
+    };
+    shard_one_rows_go_missing(&slow, policy);
+}
+
 /// FNV-1a over a byte stream, fed field by field.
 struct Fnv(u64);
 

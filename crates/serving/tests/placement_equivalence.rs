@@ -14,8 +14,8 @@ use recssd::{FaultConfig, LookupBatch, SlsOptions};
 use recssd_embedding::{sls_reference, EmbeddingTable, PageLayout, Quantization, TableSpec};
 use recssd_placement::{FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
-    critical_path_report, AdaptivePolicy, LoadGen, LoadMode, Phase, SchedulePolicy, ServingConfig,
-    ServingRuntime, ServingStats, SlsPath, TrafficSpec,
+    critical_path_report, AdaptivePolicy, LoadGen, LoadMode, Phase, SchedulePolicy, ServedTableId,
+    ServingConfig, ServingRuntime, ServingStats, SlsPath, TrafficSpec,
 };
 use recssd_sim::rng::Xoshiro256;
 use recssd_sim::stats::HitStats;
@@ -355,6 +355,90 @@ fn refresh_adopts_an_unplaced_table() {
         rt.stats().tier.hits() > 0,
         "post-activation admissions hit the tier"
     );
+}
+
+/// Submits `n` two-output NDP requests one microsecond apart from the
+/// runtime's instant on.
+fn submit_wave(rt: &mut ServingRuntime, t: ServedTableId, rng: &mut Xoshiro256, n: u64) {
+    let rows = rt.shard_map(t).rows();
+    let start = rt.now();
+    for i in 0..n {
+        let batch = batch_of(rng, rows, 2, 6);
+        let ndp = SlsPath::Ndp(SlsOptions::default());
+        rt.submit_at(start + SimDuration::from_us(i), i, t, batch, ndp);
+    }
+}
+
+/// A refresh is deferred (`None`) while an earlier refresh's migration
+/// is in flight, and accepted once it has drained. Only accepted
+/// refreshes count as generations.
+#[test]
+fn refresh_waits_for_the_previous_migration() {
+    let rows = 128u64;
+    let table = EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 4);
+    let plan = |seed| {
+        PlacementPlan::build(
+            &skewed_profile(rows, seed),
+            &PlacementPolicy::hot_fraction(0.25),
+        )
+    };
+    let (a, b) = (plan(0x77), plan(0x78));
+    let mut rt = ServingRuntime::new(&ServingConfig::small_wide(2, SchedulePolicy::Fifo));
+    let t = rt.add_table(table);
+    let mut rng = Xoshiro256::seed_from(21);
+    submit_wave(&mut rt, t, &mut rng, 6);
+    assert_eq!(rt.refresh_placement(t, a.table(0)), Some(1));
+    assert!(rt.refresh_pending(t), "promotions must cost migration work");
+    assert_eq!(rt.refresh_placement(t, b.table(0)), None);
+    assert_eq!(rt.plan_generations(t), 2);
+    for d in rt.run_until_idle() {
+        rt.verify_bitmatch(&d);
+    }
+    assert!(!rt.refresh_pending(t));
+    assert_eq!(rt.refresh_placement(t, b.table(0)), Some(2));
+    submit_wave(&mut rt, t, &mut rng, 6);
+    for d in rt.run_until_idle() {
+        rt.verify_bitmatch(&d);
+    }
+    assert_eq!(rt.plan_generations(t), 3);
+    assert_eq!(rt.stats().plan_refreshes.get(), 2);
+}
+
+/// A refresh is deferred (`None`) while the plan slot it would re-bind
+/// still has sub-batches in flight. A refresh with the active hot rows
+/// promotes nothing, so it swaps plans at once; a second refresh right
+/// after it targets the slot the first wave of requests still occupies.
+#[test]
+fn refresh_waits_for_its_slot_to_drain() {
+    let rows = 128u64;
+    let table = EmbeddingTable::procedural(TableSpec::new(rows, 8, Quantization::F32), 4);
+    let plan = PlacementPlan::build(
+        &skewed_profile(rows, 0x77),
+        &PlacementPolicy::hot_fraction(0.25),
+    );
+    let mut rt = ServingRuntime::new(&ServingConfig::small_wide(2, SchedulePolicy::Fifo));
+    let t = rt.add_table_placed(table, plan.table(0));
+    let mut rng = Xoshiro256::seed_from(22);
+    submit_wave(&mut rt, t, &mut rng, 8);
+    let mut done: Vec<_> = rt
+        .step()
+        .expect("no invariant violation")
+        .into_iter()
+        .collect();
+    assert_eq!(done.len(), 1);
+    assert_eq!(rt.refresh_placement(t, plan.table(0)), Some(1));
+    assert!(!rt.refresh_pending(t), "the same hot rows migrate nothing");
+    assert_eq!(rt.refresh_placement(t, plan.table(0)), None);
+    done.extend(rt.run_until_idle());
+    assert_eq!(done.len(), 8);
+    assert_eq!(rt.refresh_placement(t, plan.table(0)), Some(2));
+    submit_wave(&mut rt, t, &mut rng, 8);
+    done.extend(rt.run_until_idle());
+    for d in &done {
+        rt.verify_bitmatch(d);
+    }
+    assert_eq!(rt.plan_generations(t), 3);
+    assert_eq!(rt.stats().plan_refreshes.get(), 2);
 }
 
 /// Only a fired event moves simulated time. Between two `step()`s,

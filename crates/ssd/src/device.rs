@@ -40,11 +40,7 @@ pub struct SsdStats {
 impl SsdStats {
     /// Resets every counter.
     pub fn reset(&mut self) {
-        self.read_commands.reset();
-        self.write_commands.reset();
-        self.ndp_commands.reset();
-        self.blocks_read.reset();
-        self.blocks_written.reset();
+        *self = Self::default();
     }
 }
 
@@ -121,17 +117,17 @@ pub struct SsdDevice<X: NdpEngine = NoNdp> {
     queues: Vec<QueuePair>,
     ext: X,
     /// Conventional commands in flight, by the device's own fetch counter
-    /// (the host's `(qid, cid)` lives in the state); the maps below point
-    /// into it.
+    /// (the host's `(qid, cid)` lives in the state), which is also the
+    /// firmware tag a command's processing charge carries; the maps below
+    /// point into it.
     cmds: IdMap<u64, CmdState>,
     next_cmd: u64,
-    fw_tags: IdMap<u64, u64>,
     /// A pending page read: its command and the page's index in it.
     read_reqs: IdMap<ReqId, (u64, u32)>,
     write_reqs: IdMap<ReqId, u64>,
-    dma_out: IdMap<XferId, u64>,
-    dma_in: IdMap<XferId, u64>,
-    next_tag: u64,
+    /// A command's DMA in flight: a read's data out or a write's payload
+    /// in, told apart by the command's opcode.
+    dma: IdMap<XferId, u64>,
     /// Free-list of recycled flat transfer buffers: NDP result blocks
     /// and command payloads (see [`SsdDevice::recycle_buffer`]).
     host_buf_pool: Vec<Vec<u8>>,
@@ -171,12 +167,9 @@ impl<X: NdpEngine> SsdDevice<X> {
             ext,
             cmds: IdMap::new(),
             next_cmd: 0,
-            fw_tags: IdMap::new(),
             read_reqs: IdMap::new(),
             write_reqs: IdMap::new(),
-            dma_out: IdMap::new(),
-            dma_in: IdMap::new(),
-            next_tag: 0,
+            dma: IdMap::new(),
             host_buf_pool: Vec::new(),
             page_list_pool: Vec::new(),
             ftl_scratch: Vec::new(),
@@ -316,18 +309,11 @@ impl<X: NdpEngine> SsdDevice<X> {
         self.cmds.is_empty() && self.ftl.idle() && self.pcie.idle() && self.ext.idle()
     }
 
-    fn alloc_tag(&mut self, c: u64) -> FwTag {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        debug_assert_eq!(tag & EXT_TAG_BIT, 0, "core tag space exhausted");
-        self.fw_tags.insert(tag, c);
-        FwTag(tag)
-    }
-
     /// Starts tracking a fetched conventional command; returns its id.
     fn track(&mut self, qid: u16, cmd: NvmeCommand, pages_left: u32, pages: Vec<PageImage>) -> u64 {
         let c = self.next_cmd;
         self.next_cmd += 1;
+        debug_assert_eq!(c & EXT_TAG_BIT, 0, "core tag space exhausted");
         self.cmds.insert(
             c,
             CmdState {
@@ -390,10 +376,10 @@ impl<X: NdpEngine> SsdDevice<X> {
                     let nlb = cmd.nlb;
                     let pages = self.take_page_list(nlb as usize);
                     let c = self.track(qid, cmd, nlb, pages);
-                    let tag = self.alloc_tag(c);
                     let dur = self.config.fw_command_time(nlb);
-                    self.ftl
-                        .charge_firmware(now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));
+                    self.ftl.charge_firmware(now, dur, FwTag(c), &mut |d, e| {
+                        sched(d, SsdEvent::Ftl(e))
+                    });
                 }
                 NvmeOpcode::Write => {
                     self.stats.write_commands.inc();
@@ -403,7 +389,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                     let xfer = self
                         .pcie
                         .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-                    self.dma_in.insert(xfer, c);
+                    self.dma.insert(xfer, c);
                 }
             }
         }
@@ -447,9 +433,8 @@ impl<X: NdpEngine> SsdDevice<X> {
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
         match outcome {
-            FtlOutcome::FwTaskDone { tag } if self.fw_tags.contains_key(&tag.0) => {
-                let c = self.fw_tags.remove(&tag.0).expect("checked above");
-                self.on_command_processed(now, c, sched);
+            FtlOutcome::FwTaskDone { tag } if self.cmds.contains_key(&tag.0) => {
+                self.on_command_processed(now, tag.0, sched);
             }
             FtlOutcome::ReadDone { req, data, .. } if self.read_reqs.contains_key(&req) => {
                 let (c, page_idx) = self.read_reqs.remove(&req).expect("checked above");
@@ -586,7 +571,7 @@ impl<X: NdpEngine> SsdDevice<X> {
         let xfer = self
             .pcie
             .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-        self.dma_out.insert(xfer, c);
+        self.dma.insert(xfer, c);
     }
 
     fn dispatch_pcie(
@@ -595,20 +580,23 @@ impl<X: NdpEngine> SsdDevice<X> {
         xfer: XferId,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        if let Some(c) = self.dma_out.remove(&xfer) {
-            let st = self.cmds.remove(&c).expect("command state");
-            self.queues[st.qid as usize].complete(NvmeCompletion::success(
-                st.cmd.cid,
-                Some(CmdData::Pages(st.pages)),
-            ));
-            return;
-        }
-        if let Some(c) = self.dma_in.remove(&xfer) {
-            let nlb = self.cmds[&c].cmd.nlb;
-            let tag = self.alloc_tag(c);
-            let dur = self.config.fw_command_time(nlb);
-            self.ftl
-                .charge_firmware(now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));
+        if let Some(c) = self.dma.remove(&xfer) {
+            let cmd = &self.cmds[&c].cmd;
+            match cmd.opcode {
+                NvmeOpcode::Read => {
+                    let st = self.cmds.remove(&c).expect("command state");
+                    self.queues[st.qid as usize].complete(NvmeCompletion::success(
+                        st.cmd.cid,
+                        Some(CmdData::Pages(st.pages)),
+                    ));
+                }
+                NvmeOpcode::Write => {
+                    let dur = self.config.fw_command_time(cmd.nlb);
+                    self.ftl.charge_firmware(now, dur, FwTag(c), &mut |d, e| {
+                        sched(d, SsdEvent::Ftl(e))
+                    });
+                }
+            }
             return;
         }
         let claimed = self.in_engine(now, sched, |ext, ctx| ext.on_pcie_done(ctx, xfer));
