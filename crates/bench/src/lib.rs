@@ -1,8 +1,7 @@
 //! Paper-figure harness: regenerates every table and figure of the RecSSD
 //! paper's evaluation. (The repository's performance benchmark is the
 //! separate `benchmark/` package; besides the figures this crate holds only
-//! the criterion micros in `benches/` and the offline trace analyzer,
-//! `recssd-analyze`.)
+//! the criterion micros in `benches/`.)
 //!
 //! Each experiment lives in [`experiments`] and returns a [`Series`] — the
 //! same rows/series the paper's figure reports. Run them all with:

@@ -313,8 +313,9 @@ pub struct NdpSlsEngine {
     entries: IdMap<u64, SlsEntry>,
     fw_jobs: IdMap<u64, FwJob>,
     next_tag: u64,
-    dma_in: IdMap<XferId, u64>,
-    dma_out: IdMap<XferId, u64>,
+    /// Requests by their PCIe transfer in flight: the config payload
+    /// while the entry still holds it, the results after.
+    dma: IdMap<XferId, u64>,
     reads: IdMap<ReqId, (u64, usize)>,
     cache: EmbedCache,
     /// Free-list of recycled entry buffers.
@@ -331,8 +332,7 @@ impl NdpSlsEngine {
             entries: IdMap::new(),
             fw_jobs: IdMap::new(),
             next_tag: 0,
-            dma_in: IdMap::new(),
-            dma_out: IdMap::new(),
+            dma: IdMap::new(),
             reads: IdMap::new(),
             buf_pool: Vec::new(),
             stats: NdpStats::default(),
@@ -671,7 +671,7 @@ impl NdpSlsEngine {
             let sched = &mut *ctx.sched;
             pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
         };
-        self.dma_out.insert(xfer, request);
+        self.dma.insert(xfer, request);
     }
 
     /// Finalises an entry after its result DMA: complete the read command,
@@ -746,7 +746,7 @@ impl NdpEngine for NdpSlsEngine {
                     let sched = &mut *ctx.sched;
                     pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
                 };
-                self.dma_in.insert(xfer, request);
+                self.dma.insert(xfer, request);
             }
             NvmeOpcode::Read => {
                 // Step 1b: associate the result-read with its entry.
@@ -822,23 +822,23 @@ impl NdpEngine for NdpSlsEngine {
     }
 
     fn on_pcie_done(&mut self, ctx: &mut DeviceCtx<'_>, xfer: XferId) -> bool {
-        if let Some(request) = self.dma_in.remove(&xfer) {
-            // Config landed on the device: charge config processing.
-            let entry = self.entries.get_mut(&request).expect("entry exists");
-            entry.t_config_written = ctx.now;
-            let pairs =
-                (entry.raw_config.as_ref()).map_or(0, |raw| SlsConfig::pair_count(raw.len()));
-            let dur = self.cfg.config_process_time(pairs);
-            entry.report.config_process = dur;
-            let tag = self.alloc_tag(FwJob::ConfigProcess { request });
-            Self::charge_fw(ctx, dur, tag);
-            return true;
-        }
-        if let Some(request) = self.dma_out.remove(&xfer) {
+        let Some(request) = self.dma.remove(&xfer) else {
+            return false;
+        };
+        let entry = self.entries.get_mut(&request).expect("entry exists");
+        let Some(raw) = &entry.raw_config else {
+            // The results went out.
             self.finish(ctx, request);
             return true;
-        }
-        false
+        };
+        // Config landed on the device: charge config processing.
+        entry.t_config_written = ctx.now;
+        let pairs = SlsConfig::pair_count(raw.len());
+        let dur = self.cfg.config_process_time(pairs);
+        entry.report.config_process = dur;
+        let tag = self.alloc_tag(FwJob::ConfigProcess { request });
+        Self::charge_fw(ctx, dur, tag);
+        true
     }
 
     fn idle(&self) -> bool {

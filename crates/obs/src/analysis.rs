@@ -486,9 +486,9 @@ fn op_phase(name: &str, op_label: &str) -> Option<Phase> {
 
 /// Extracts one [`RequestProfile`] per `request` span in the trace.
 ///
-/// The walk uses only recorded spans, so it works identically on a live
-/// [`crate::TraceSink`] drain and on a re-parsed Chrome-trace export,
-/// and it never touches the simulation (pure observer).
+/// The walk uses only recorded spans, so it works identically on a
+/// snapshot mid-run and on a [`crate::TraceSink`] drain, and it never
+/// touches the simulation (pure observer).
 pub fn request_critical_paths(spans: &[SpanRec]) -> Vec<RequestProfile> {
     // Indexes: children by parent id, device windows by (pid, phase),
     // ops by (pid, start) for matching a sub-batch's serving operator even

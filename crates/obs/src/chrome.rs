@@ -4,11 +4,10 @@
 //! events format (`ph: "X"`, microsecond timestamps) that both
 //! `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev)
 //! load directly. Span ids and parent links ride in `args` so the causal
-//! tree survives the round trip.
+//! tree survives the export.
 //!
 //! [`validate_spans`] checks the invariants every recorded trace must
-//! satisfy — the same checks `recssd-analyze` runs on a trace file and
-//! the serving observability tests run on live traces:
+//! satisfy, on the live spans the serving observability tests record:
 //!
 //! 1. ids are unique and non-zero;
 //! 2. every non-zero parent link resolves to a recorded span;
@@ -32,125 +31,53 @@ pub struct TraceCheck {
     pub min_coverage: f64,
 }
 
-/// One uncovered interval inside a request span, located by the child
-/// span that precedes it — so a coverage shortfall names *where* the
-/// missing time sits instead of only how much is missing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageGap {
-    /// Gap start, ns of virtual time.
-    pub start_ns: u64,
-    /// Gap end, ns.
-    pub end_ns: u64,
+/// The longest uncovered interval of a request span, located by the
+/// child span that precedes it, so a coverage shortfall names *where*
+/// the missing time sits instead of only how much is missing.
+struct CoverageGap {
+    start_ns: u64,
+    end_ns: u64,
     /// Name of the child span whose end the gap follows, or
     /// `"request start"` when the gap opens the request.
-    pub after: String,
+    after: &'static str,
     /// Id of that preceding child (0 at the request start).
-    pub after_id: u64,
+    after_id: u64,
 }
 
-impl CoverageGap {
-    /// Gap length, ns.
-    pub fn len_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
-/// Child-coverage accounting of one request span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestCoverage {
-    /// The request span id.
-    pub request: u64,
-    /// Serving path (the request span's label).
-    pub label: String,
-    /// Request e2e latency, ns.
-    pub e2e_ns: u64,
-    /// Fraction of the request covered by the union of its direct
-    /// children.
-    pub coverage: f64,
-    /// `true` for degraded requests (exempt from the coverage gate).
-    pub degraded: bool,
-    /// The uncovered intervals, longest first.
-    pub gaps: Vec<CoverageGap>,
-}
-
-/// Uncovered intervals of `[start, end]` under the child union, each
-/// located by the child whose end it follows. `kids` must be the
-/// request's direct children.
-fn gaps_of(start: u64, end: u64, kids: &[&SpanRec]) -> Vec<CoverageGap> {
-    let mut ivs: Vec<(u64, u64, usize)> = kids
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.start_ns, k.end_ns, i))
-        .collect();
-    ivs.sort_unstable();
-    let mut gaps = Vec::new();
+/// The time of `[start, end]` outside the union of `kids` (the request's
+/// direct children): its total length and its longest gap, the earliest
+/// of equals.
+fn uncovered(start: u64, end: u64, kids: &mut [&SpanRec]) -> (u64, Option<CoverageGap>) {
+    kids.sort_by_key(|k| (k.start_ns, k.end_ns));
+    let mut total = 0;
+    let mut worst: Option<CoverageGap> = None;
     let mut cur = start;
-    let mut last: Option<usize> = None;
-    for &(a, b, i) in &ivs {
+    let mut last: Option<&SpanRec> = None;
+    // A zero-length sentinel at `end` closes the trailing gap.
+    let sentinel = [(end, end, None)];
+    for (a, b, kid) in kids
+        .iter()
+        .map(|k| (k.start_ns, k.end_ns, Some(*k)))
+        .chain(sentinel)
+    {
         let a = a.clamp(cur, end);
         if a > cur {
-            let (after, after_id) = match last {
-                Some(j) => (kids[j].name.to_string(), kids[j].id),
-                None => ("request start".to_string(), 0),
-            };
-            gaps.push(CoverageGap {
-                start_ns: cur,
-                end_ns: a,
-                after,
-                after_id,
-            });
+            total += a - cur;
+            if a - cur > worst.as_ref().map_or(0, |g| g.end_ns - g.start_ns) {
+                worst = Some(CoverageGap {
+                    start_ns: cur,
+                    end_ns: a,
+                    after: last.map_or("request start", |k| k.name),
+                    after_id: last.map_or(0, |k| k.id),
+                });
+            }
         }
         if b > cur {
             cur = b.min(end);
-            last = Some(i);
+            last = kid;
         }
     }
-    if end > cur {
-        let (after, after_id) = match last {
-            Some(j) => (kids[j].name.to_string(), kids[j].id),
-            None => ("request start".to_string(), 0),
-        };
-        gaps.push(CoverageGap {
-            start_ns: cur,
-            end_ns: end,
-            after,
-            after_id,
-        });
-    }
-    gaps.sort_by(|a, b| {
-        b.len_ns()
-            .cmp(&a.len_ns())
-            .then(a.start_ns.cmp(&b.start_ns))
-    });
-    gaps
-}
-
-/// Per-request child-coverage accounting: how much of every request
-/// span its direct children cover, and exactly where the uncovered time
-/// sits. Requests are returned in trace order.
-pub fn coverage_report(spans: &[SpanRec]) -> Vec<RequestCoverage> {
-    let mut children: HashMap<u64, Vec<&SpanRec>> = HashMap::new();
-    for s in spans {
-        if s.parent != 0 {
-            children.entry(s.parent).or_default().push(s);
-        }
-    }
-    spans
-        .iter()
-        .filter(|s| s.name == "request")
-        .map(|s| {
-            let kids = children.get(&s.id).map_or(&[][..], Vec::as_slice);
-            let gaps = gaps_of(s.start_ns, s.end_ns, kids);
-            RequestCoverage {
-                request: s.id,
-                label: s.label.to_string(),
-                e2e_ns: s.end_ns - s.start_ns,
-                coverage: covered_share(s, &gaps),
-                degraded: is_degraded(s),
-                gaps,
-            }
-        })
-        .collect()
+    (total, worst)
 }
 
 /// Escapes a string for a JSON literal (names here are static Rust
@@ -213,18 +140,6 @@ fn is_degraded(s: &SpanRec) -> bool {
     s.arg_key == "degraded" && s.arg_val != 0
 }
 
-/// The one definition of request coverage: the fraction of request span
-/// `s` its direct children cover, `(e2e − Σ gaps) / e2e` over its
-/// [`gaps_of`]. An empty request counts as fully covered.
-fn covered_share(s: &SpanRec, gaps: &[CoverageGap]) -> f64 {
-    let e2e = s.end_ns - s.start_ns;
-    if e2e == 0 {
-        return 1.0;
-    }
-    let uncovered: u64 = gaps.iter().map(CoverageGap::len_ns).sum();
-    (e2e - uncovered) as f64 / e2e as f64
-}
-
 /// Validates the span invariants (see the [module docs](self)).
 ///
 /// # Errors
@@ -271,18 +186,25 @@ pub fn validate_spans(spans: &[SpanRec]) -> Result<TraceCheck, String> {
         if is_degraded(s) {
             continue;
         }
-        let kids = children.get(&s.id).map_or(&[][..], Vec::as_slice);
-        let gaps = gaps_of(s.start_ns, s.end_ns, kids);
-        let c = covered_share(s, &gaps);
+        let kids = children
+            .get_mut(&s.id)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        let (gap_ns, worst) = uncovered(s.start_ns, s.end_ns, kids);
+        let e2e = s.end_ns - s.start_ns;
+        // An empty request counts as fully covered.
+        let c = if e2e == 0 {
+            1.0
+        } else {
+            (e2e - gap_ns) as f64 / e2e as f64
+        };
         if c < 0.99 {
             // Locate the missing time instead of only reporting the
             // aggregate: name the worst gap and the child it follows.
-            let loc = gaps
-                .first()
+            let loc = worst
                 .map(|g| {
                     format!(
                         "; worst gap {} ns at [{}, {}] after {} (id {})",
-                        g.len_ns(),
+                        g.end_ns - g.start_ns,
                         g.start_ns,
                         g.end_ns,
                         g.after,
@@ -405,13 +327,14 @@ mod tests {
         assert!(validate_spans(&spans).unwrap_err().contains("duplicate"));
     }
 
-    #[test]
-    fn coverage_failure_names_the_gap_location() {
+    /// A request over `[0, 100]` with `sub` children over `kids`.
+    fn request_over(kids: &[(u64, u64)]) -> Vec<SpanRec> {
         let sink = TraceSink::new();
         let tr = sink.tracer(0, 0);
         let req = tr.alloc_id();
-        tr.span("sub", t(0), t(40), req);
-        tr.span("sub", t(70), t(100), req);
+        for &(a, b) in kids {
+            tr.span("sub", t(a), t(b), req);
+        }
         tr.emit(
             req,
             "request",
@@ -422,73 +345,80 @@ mod tests {
             0,
             "ndp",
         );
-        let err = validate_spans(&sink.take_spans()).unwrap_err();
-        assert!(err.contains("worst gap 30 ns"), "{err}");
-        assert!(err.contains("after sub"), "{err}");
-        assert!(err.contains("'ndp'"), "{err}");
+        sink.take_spans()
     }
 
     #[test]
-    fn coverage_report_locates_uncovered_time() {
-        let sink = TraceSink::new();
-        let tr = sink.tracer(0, 0);
-        let req = tr.alloc_id();
-        let sub = tr.span("sub", t(10), t(40), req);
-        tr.span("sub", t(70), t(100), req);
-        tr.emit(
-            req,
-            "request",
-            t(0),
-            t(100),
-            SpanId::NONE,
-            "degraded",
-            0,
-            "ndp",
+    fn coverage_failure_names_the_gap_location() {
+        // Gaps 0–10 and 40–70: the longer one, after the first sub, is named.
+        let spans = request_over(&[(10, 40), (70, 100)]);
+        let err = validate_spans(&spans).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "request span id {} ('ndp') covered only 60.0% by its children; \
+                 worst gap 30 ns at [40, 70] after sub (id {})",
+                spans[2].id, spans[0].id
+            )
         );
-        let report = coverage_report(&sink.take_spans());
-        assert_eq!(report.len(), 1);
-        let rc = &report[0];
-        assert_eq!(rc.e2e_ns, 100);
-        assert!((rc.coverage - 0.6).abs() < 1e-12);
-        assert_eq!(rc.gaps.len(), 2, "{:?}", rc.gaps);
-        // Longest gap first: 40–70 after the first sub.
-        assert_eq!(rc.gaps[0].start_ns, 40);
-        assert_eq!(rc.gaps[0].end_ns, 70);
-        assert_eq!(rc.gaps[0].after, "sub");
-        assert_eq!(rc.gaps[0].after_id, sub.0);
-        // The opening gap is anchored at the request start.
-        assert_eq!(rc.gaps[1].start_ns, 0);
-        assert_eq!(rc.gaps[1].after, "request start");
-        assert_eq!(rc.gaps[1].after_id, 0);
+        // A gap that opens the request is anchored at its start, and of
+        // two equal gaps the earlier is named.
+        let err = validate_spans(&request_over(&[(30, 70)])).unwrap_err();
+        assert!(
+            err.ends_with("worst gap 30 ns at [0, 30] after request start (id 0)"),
+            "{err}"
+        );
     }
 
     #[test]
     fn fully_covered_requests_report_no_gaps() {
-        let report = coverage_report(&demo_spans());
-        assert_eq!(report.len(), 1);
-        assert!(report[0].gaps.is_empty());
-        assert_eq!(report[0].coverage, 1.0);
         let check = validate_spans(&demo_spans()).expect("valid");
+        assert_eq!(check.min_coverage, 1.0);
+        let check = validate_spans(&request_over(&[(0, 50), (50, 100)])).expect("valid");
         assert_eq!(check.min_coverage, 1.0);
     }
 
     #[test]
     fn overlapping_children_do_not_double_count_coverage() {
-        let request_over = |kids: &[(u64, u64)]| {
-            let sink = TraceSink::new();
-            let tr = sink.tracer(0, 0);
-            let req = tr.alloc_id();
-            for &(a, b) in kids {
-                tr.span("sub", t(a), t(b), req);
-            }
-            tr.emit(req, "request", t(0), t(100), SpanId::NONE, "", 0, "");
-            sink.take_spans()
-        };
         let spans = request_over(&[(0, 60), (40, 100), (10, 50)]);
-        assert_eq!(coverage_report(&spans)[0].coverage, 1.0);
         assert_eq!(validate_spans(&spans).expect("covered").min_coverage, 1.0);
-        let spans = request_over(&[(0, 40), (60, 100)]);
-        assert!((coverage_report(&spans)[0].coverage - 0.8).abs() < 1e-12);
+        let err = validate_spans(&request_over(&[(0, 40), (60, 100)])).unwrap_err();
+        assert!(err.contains("covered only 80.0%"), "{err}");
+    }
+
+    /// The whole document, byte for byte, over spans that take every
+    /// branch of the writer: escaped characters, a sub-microsecond start,
+    /// a zero-length span, and spans with neither and with both of the
+    /// argument and the label.
+    #[test]
+    fn json_export_matches_the_golden_document() {
+        let span = |id, parent, name, start_ns, end_ns, arg_key, arg_val, label| SpanRec {
+            id,
+            parent,
+            name,
+            start_ns,
+            end_ns,
+            pid: 2,
+            tid: 3,
+            arg_key,
+            arg_val,
+            label,
+        };
+        let spans = [
+            span(1, 0, "q\"b\\s\u{1}", 1_234_567, 1_234_567, "", 0, ""),
+            span(2, 1, "op", 1_234_567, 1_235_067, "ch", 7, "ndp"),
+        ];
+        assert_eq!(
+            chrome_trace_json(&spans),
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"name":"q\"b\\s\u0001","ph":"X","ts":1234.567,"dur":0.000,"#,
+                r#""pid":2,"tid":3,"args":{"span":1,"parent":0}},"#,
+                r#"{"name":"op","ph":"X","ts":1234.567,"dur":0.500,"#,
+                r#""pid":2,"tid":3,"args":{"span":2,"parent":1,"ch":7,"label":"ndp"}}"#,
+                "]}\n"
+            )
+        );
     }
 
     #[test]

@@ -17,15 +17,15 @@
 //! within parents, request spans are covered by their children).
 //!
 //! On top of the raw telemetry sit two **analysis** layers — pure
-//! observers over recorded spans, so they can run live or on a saved
-//! trace and never perturb the simulation:
+//! observers over recorded spans, so they can run mid-run or after the
+//! drain and never perturb the simulation:
 //!
 //! * [`analysis`] — per-request **critical-path extraction** (e2e
 //!   latency segmented into named phases with a ≥95 % conservation
 //!   check) and **bottleneck ranking + headroom** estimation.
 //! * [`timeline`] — per-resource busy/idle/wait
 //!   [`UtilizationTimeline`]s over sim-time windows, with
-//!   Little's-law-consistent queueing stats and a windowed JSONL series.
+//!   Little's-law-consistent queueing stats.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,9 +41,7 @@ pub use analysis::{
     bottleneck_report, critical_path_report, request_critical_paths, BottleneckReport,
     CriticalPathReport, LatSummary, PathHeadroom, PathProfile, Phase, RequestProfile, ResourceUse,
 };
-pub use chrome::{
-    chrome_trace_json, coverage_report, validate_spans, CoverageGap, RequestCoverage, TraceCheck,
-};
+pub use chrome::{chrome_trace_json, validate_spans, TraceCheck};
 pub use profile::{WallPhase, WallPhaseReport, WallProfile};
 pub use timeline::{utilization_timelines, ResourceKind, UtilWindow, UtilizationTimeline};
 pub use trace::{SpanId, SpanRec, TraceSink, Tracer};

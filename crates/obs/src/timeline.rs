@@ -15,11 +15,9 @@
 //! event-sweep occupancy integral vs the per-span duration sums).
 //!
 //! Like the [`crate::analysis`] module this is a pure observer over
-//! recorded spans: the same trace always produces byte-identical
-//! timelines and JSONL series.
+//! recorded spans: the same trace always produces identical timelines.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::analysis::server_windows;
 use crate::trace::{track, SpanRec};
@@ -33,16 +31,6 @@ pub enum ResourceKind {
     /// A waiting room (shard operator queue): occupancy and wait are
     /// the interesting stats, "busy" is the any-waiter union.
     Queue,
-}
-
-impl ResourceKind {
-    /// Stable lowercase name for the JSONL series.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResourceKind::Server => "server",
-            ResourceKind::Queue => "queue",
-        }
-    }
 }
 
 /// One sim-time window of a resource's timeline.
@@ -141,30 +129,6 @@ impl UtilizationTimeline {
     pub fn littles_law_residual(&self) -> f64 {
         let lam_w = self.arrival_rate_per_s() / 1e9 * self.mean_wait_ns();
         (self.occupancy() - lam_w).abs()
-    }
-
-    /// Windowed JSONL series: one line per window, deterministic field
-    /// order and float formatting.
-    pub fn snapshot_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (i, w) in self.windows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"resource\":\"{}\",\"kind\":\"{}\",\"window\":{},\"start_ns\":{},\"end_ns\":{},\"busy_ns\":{},\"util\":{:.6},\"wait_ns\":{},\"arrivals\":{},\"completions\":{},\"occupancy\":{:.6}}}",
-                self.resource,
-                self.kind.name(),
-                i,
-                w.start_ns,
-                w.end_ns,
-                w.busy_ns,
-                self.share(w.busy_ns, w.end_ns - w.start_ns),
-                w.wait_ns,
-                w.arrivals,
-                w.completions,
-                w.occupancy,
-            );
-        }
-        out
     }
 }
 
@@ -375,16 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_series_is_deterministic_and_windowed() {
-        let a = utilization_timelines(&spans(), 50);
-        let b = utilization_timelines(&spans(), 50);
-        assert_eq!(a, b);
-        let j = a[0].snapshot_jsonl();
-        assert_eq!(j, b[0].snapshot_jsonl());
-        assert_eq!(j.lines().count(), 2);
-        assert!(j.contains("\"resource\":\"fw:core[shard=0]\""));
-        assert!(j.contains("\"kind\":\"server\""));
-        assert!(j.contains("\"util\":0.800000"));
+    fn timelines_are_deterministic() {
+        assert_eq!(
+            utilization_timelines(&spans(), 50),
+            utilization_timelines(&spans(), 50)
+        );
     }
 
     /// A trace that starts late (tracing enabled mid-run): every server

@@ -142,9 +142,8 @@ pub use telemetry::{PathAttribution, ServingStats};
 pub use recssd::{EnginePoolConfig, MergePlacement, SlsPath};
 
 pub use recssd_obs::{
-    bottleneck_report, chrome_trace_json, coverage_report, critical_path_report,
-    request_critical_paths, utilization_timelines, validate_spans, BottleneckReport, CoverageGap,
-    CriticalPathReport, PathHeadroom, PathProfile, Phase, RequestCoverage, RequestProfile,
-    ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow, UtilizationTimeline, WallPhase,
-    WallPhaseReport,
+    bottleneck_report, chrome_trace_json, critical_path_report, request_critical_paths,
+    utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, PathHeadroom,
+    PathProfile, Phase, RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
+    UtilizationTimeline, WallPhase, WallPhaseReport,
 };

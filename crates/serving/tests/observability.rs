@@ -18,7 +18,7 @@ use recssd_placement::{PlacementPlan, PlacementPolicy};
 use recssd_serving::{
     bottleneck_report, chrome_trace_json, critical_path_report, utilization_timelines,
     validate_spans, EnginePoolConfig, FaultPolicy, MergePlacement, SchedulePolicy, ServingConfig,
-    ServingRuntime, ServingStats, SlsPath,
+    ServingRuntime, ServingStats, SlsPath, UtilizationTimeline,
 };
 use std::collections::HashMap;
 
@@ -320,7 +320,7 @@ fn attribution_reports_each_served_path() {
 
 /// Mixed-path run with the analysis APIs exercised both mid-stream and
 /// after the drain; returns everything a bit-exact comparison needs.
-fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, String) {
+fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, Vec<UtilizationTimeline>, String) {
     let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
     let mut rt = ServingRuntime::new(&cfg);
     rt.enable_tracing();
@@ -347,14 +347,10 @@ fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, String) {
     let reports = vec![
         critical_path_report(&rt.snapshot_trace()).render(),
         bottleneck_report(&rt.snapshot_trace()).render(),
-        utilization_timelines(&rt.snapshot_trace(), 10_000)
-            .iter()
-            .map(|tl| tl.snapshot_jsonl())
-            .collect::<Vec<_>>()
-            .join(""),
     ];
+    let timelines = utilization_timelines(&rt.snapshot_trace(), 10_000);
     let trace_json = chrome_trace_json(&rt.take_trace());
-    (s, reports, trace_json)
+    (s, reports, timelines, trace_json)
 }
 
 /// Tentpole: analysis is a pure observer. Running the critical-path /
@@ -364,7 +360,7 @@ fn run_mixed_analyzed() -> (Vec<Snap>, Vec<String>, String) {
 #[test]
 fn analysis_is_a_pure_observer() {
     let (mut rt_plain, snaps_plain) = run_mixed(true, false);
-    let (snaps_analyzed, _, trace_analyzed) = run_mixed_analyzed();
+    let (snaps_analyzed, _, _, trace_analyzed) = run_mixed_analyzed();
     assert_eq!(snaps_plain, snaps_analyzed, "analysis perturbed results");
     let trace_plain = chrome_trace_json(&rt_plain.take_trace());
     assert_eq!(
@@ -374,18 +370,22 @@ fn analysis_is_a_pure_observer() {
 }
 
 /// Tentpole: reports replay — two runs of the same workload feed the
-/// analysis the same canonical trace, so every rendered report and JSONL
-/// series matches byte for byte (the extractors' hash maps must never
-/// leak their iteration order into the output).
+/// analysis the same canonical trace, so every rendered report matches
+/// byte for byte and the timelines are equal (the extractors' hash maps
+/// must never leak their iteration order into the output).
 #[test]
 fn analysis_reports_replay_identically() {
-    let (snaps_a, reports_a, trace_a) = run_mixed_analyzed();
-    let (snaps_b, reports_b, trace_b) = run_mixed_analyzed();
+    let (snaps_a, reports_a, timelines_a, trace_a) = run_mixed_analyzed();
+    let (snaps_b, reports_b, timelines_b, trace_b) = run_mixed_analyzed();
     assert_eq!(snaps_a, snaps_b, "results diverged between replays");
     assert_eq!(trace_a, trace_b, "traces diverged between replays");
     assert_eq!(
         reports_a, reports_b,
         "analysis reports diverged between replays"
+    );
+    assert_eq!(
+        timelines_a, timelines_b,
+        "utilization timelines diverged between replays"
     );
 }
 
@@ -441,8 +441,6 @@ fn critical_path_conserves_e2e_on_all_paths() {
 /// core (at least half utilised); the NDP path with eight per-channel
 /// engines has shed that wall and is bound by a flash channel. Both
 /// decompositions still conserve ≥ 95 % of e2e time.
-/// (`crates/bench/tests/analyze_cli.rs` replays the same two traces
-/// through the offline `recssd-analyze`.)
 #[test]
 fn analyzer_pins_the_baseline_on_firmware_and_pooled_ndp_on_flash() {
     for (mut rt, wall) in [

@@ -2,10 +2,7 @@
 //! two 2 048-row tables, requests of 4 outputs × 8 Zipf lookups, a
 //! saturating closed loop seeded 42, 96 requests per run, one completion
 //! in eight bit-checked against `sls_reference`. The themed test files
-//! assert the bars; this module only builds and drives the runtimes, so
-//! that a bar measured in two places (the live bottleneck verdict here,
-//! the offline one in `crates/bench/tests/analyze_cli.rs`) is measured on
-//! the same run.
+//! assert the bars; this module only builds and drives the runtimes.
 
 #![allow(dead_code)] // every test binary uses its own subset
 
