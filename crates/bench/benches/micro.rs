@@ -3,7 +3,6 @@
 //! a full small NDP SLS round trip through the simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use recssd::ndp::EnginePartials;
 use recssd::{OpKind, RecSsdConfig, SlsConfig, SlsOptions, System};
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
@@ -154,29 +153,6 @@ fn bench_page_fill(c: &mut Criterion) {
     }
 }
 
-/// One SLS command's worth of engine-partial traffic on an 8-engine pool
-/// with 4 result slots of 1024 floats: reset, five pages' rows landing on
-/// five `(engine, slot)` rows, merge.
-fn bench_engine_partials(c: &mut Criterion) {
-    let (engines, n_results, dim) = (8usize, 4usize, 1024usize);
-    let row: Vec<f32> = (0..dim).map(|i| (i as f32 - 512.0) / 64.0).collect();
-    let mut encoded = vec![0u8; 4 * dim];
-    Quantization::F32.encode(&row, &mut encoded);
-    let mut partials = EnginePartials::default();
-    let mut results = vec![0.0f32; n_results * dim];
-    c.bench_function("engine_partials_fold_8x4x1024", |b| {
-        b.iter(|| {
-            partials.reset(engines, n_results, dim);
-            for (engine, slot) in [(0, 0), (3, 1), (3, 2), (5, 0), (7, 3)] {
-                partials.add_encoded(engine, slot, Quantization::F32, &encoded);
-            }
-            results.fill(0.0);
-            partials.merge_into(&mut results);
-            black_box(results[0])
-        })
-    });
-}
-
 /// The result block of a 4 × 1024 SLS command: device-side encode into a
 /// pooled buffer, host-side accumulate out of it.
 fn bench_result_codec(c: &mut Criterion) {
@@ -261,7 +237,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_caches, bench_traces, bench_quant, bench_decode_variants,
-        bench_page_translation, bench_page_fill, bench_engine_partials, bench_result_codec,
+        bench_page_translation, bench_page_fill, bench_result_codec,
         bench_cosmos_setup, bench_adaptive_epoch, bench_ndp_round_trip
 }
 criterion_main!(benches);

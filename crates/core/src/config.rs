@@ -26,12 +26,12 @@ pub struct NdpConfig {
     /// Per-byte firmware cost of extracting + accumulating vector data
     /// from a page (ns).
     pub translate_per_byte_ns: f64,
-    /// Fixed cost of merging per-engine partial results into the
-    /// request scratchpad (ns). Only charged when the device runs a
-    /// per-channel engine pool (`ssd.ftl.engines`).
+    /// Fixed cost of the merge task that ends a request on a per-channel
+    /// engine pool (ns). Only charged when the device runs one
+    /// (`ssd.ftl.engines`).
     pub merge_fixed_ns: u64,
-    /// Per-byte cost of the partial-result merge: each engine partial
-    /// contributes its result bytes to the folded total (ns/byte).
+    /// Per-byte cost of the merge: each engine that translated a page
+    /// contributes the request's result bytes (ns/byte).
     pub merge_per_byte_ns: f64,
     /// Slots of the direct-mapped SSD-side embedding cache (0 disables).
     /// Each slot stands for one vector of simulated SSD DRAM; on the host
@@ -86,8 +86,8 @@ impl NdpConfig {
         )
     }
 
-    /// Duration of folding `partial_bytes` of per-engine partial results
-    /// into the request scratchpad (multi-engine merge step).
+    /// Duration of the multi-engine merge task over `partial_bytes` (the
+    /// result block once per engine that translated a page).
     pub fn merge_time(&self, partial_bytes: usize) -> recssd_sim::SimDuration {
         recssd_sim::SimDuration::from_ns(
             self.merge_fixed_ns + (partial_bytes as f64 * self.merge_per_byte_ns) as u64,

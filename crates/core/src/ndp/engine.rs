@@ -32,23 +32,18 @@
 //!   the page grouping the host's baseline planner uses —
 //!   sortedness means equal pages are adjacent, so grouping needs no map;
 //! * every buffer an entry owns — scratchpad, work lists, the decoded
-//!   pair list, partials — is one `EntryBufs` field, which returns whole
-//!   to a free-list pool when the request completes, so steady-state
-//!   requests allocate nothing for them;
+//!   pair list, per-engine page counts — is one `EntryBufs` field, which
+//!   returns whole to a free-list pool when the request completes, so
+//!   steady-state requests allocate nothing for them;
 //! * an entry's breakdown accumulates in its own [`SlsRequestReport`] and
 //!   is folded into fixed-size running sums at completion (no
 //!   per-request record is kept);
-//! * on a per-channel engine pool the engine-local partial sums live in
-//!   one [`EnginePartials`]: `engines × n_results` rows, of which a
-//!   request's few pages write a few, and only those hold storage.
-//!   Nothing but an index entry per row is cleared between requests —
-//!   the first write of a row claims `dim` floats and stores `0.0 + v`,
-//!   which is bit for bit what adding `v` to a zeroed element leaves,
-//!   later writes add, and the merge folds only claimed rows in
-//!   engine-major order — so a command costs, in time and in memory,
-//!   what its pages cost, not what the pool's width costs, and its
-//!   results equal a dense zero-filled fold's. The simulated charges (`translate_time`,
-//!   `merge_time` over the engines that saw pages) know nothing of this;
+//! * every translation — on the firmware core or on any engine of a
+//!   per-channel pool — folds its rows straight into the scratchpad;
+//!   the pool's merge is a timed task (`merge_time` over the engines
+//!   that translated a page) with no data work behind it. No fold
+//!   order can move a bit: every served value lies on the exact
+//!   summation grid (the `recssd-embedding` crate docs);
 //! * the SSD-side embedding cache is a tag array and holds no vectors: a
 //!   fill writes a slot's `(table base, row)` tag, and a hit decodes its
 //!   row from the page's current content, which the FTL reads untimed
@@ -62,7 +57,6 @@ use recssd_sim::stats::{Counter, HitStats};
 use recssd_sim::{IdMap, PageImage, SimDuration, SimTime};
 use recssd_ssd::{DeviceCtx, MergePlacement, NdpEngine, SsdEvent, EXT_TAG_BIT};
 
-use super::EnginePartials;
 use crate::pages::PageRun;
 use crate::{NdpConfig, SlsConfig, SlsOutput};
 
@@ -79,7 +73,7 @@ pub struct SlsRequestReport {
     pub config_process: SimDuration,
     /// Sum of translation firmware task durations ("Translation").
     pub translation: SimDuration,
-    /// Duration of the partial-result merge task (zero without a
+    /// Duration of the engine pool's merge task (zero without a
     /// per-channel engine pool).
     pub merge: SimDuration,
     /// Time the FTL spent managing/waiting on flash beyond translation
@@ -236,12 +230,9 @@ enum FwJob {
         widx: usize,
         data: PageImage,
         duration: SimDuration,
-        /// Pool engine the translation ran on (`None` = firmware core,
-        /// the single-core legacy path).
-        engine: Option<u32>,
     },
-    /// Fold the per-engine partial accumulators into the entry's result
-    /// scratchpad (multi-engine path only).
+    /// The engine pool's merge of a request's results (multi-engine path
+    /// only): a timed task, the rows are already in the scratchpad.
     Merge {
         request: u64,
     },
@@ -262,12 +253,8 @@ struct EntryBufs {
     /// The pair list [`SlsConfig::decode_pooled`] parses into; it returns
     /// here once the work lists are built.
     pairs: Vec<(u64, u32)>,
-    /// Engine-local partial accumulators, one sparse set for the pool.
-    /// Unused on the single-core path, where translation folds straight
-    /// into `results`.
-    partials: EnginePartials,
     /// Pages translated per engine (sizes the merge charge).
-    partial_pages: Vec<u32>,
+    engine_pages: Vec<u32>,
 }
 
 #[derive(Debug)]
@@ -422,10 +409,15 @@ impl NdpSlsEngine {
         // device's transfer pool so the host's next config-write reuses it.
         ctx.recycle_buffer(raw);
         let Some(mut cfg) = cfg else {
-            let (qid, cid) = (entry.qid, entry.write_cid);
+            // A result-read the host sent right behind the config is
+            // refused with it.
             let entry = self.entries.remove(&request).expect("entry exists");
+            let (qid, cid, read) = (entry.qid, entry.write_cid, entry.read_cmd);
             self.recycle(entry);
             ctx.complete(qid, NvmeCompletion::error(cid, NvmeStatus::InvalidField));
+            if let Some((qid, cid, _)) = read {
+                ctx.complete(qid, NvmeCompletion::error(cid, NvmeStatus::InvalidField));
+            }
             return;
         };
 
@@ -474,15 +466,12 @@ impl NdpSlsEngine {
         let (qid, write_cid) = (entry.qid, entry.write_cid);
 
         // Multi-engine split: per-page translation will land on the
-        // engine owning the page's channel, accumulating into
-        // engine-local partials that a final merge folds together.
+        // engine owning the page's channel, and a final merge task is
+        // charged for the engines that saw a page.
         let engines = ctx.ftl.engine_count();
         if engines > 0 && n_pages > 0 {
-            let bufs = &mut entry.bufs;
-            bufs.partials
-                .reset(engines, cfg.n_results as usize, cfg.dim as usize);
-            bufs.partial_pages.clear();
-            bufs.partial_pages.resize(engines, 0);
+            entry.bufs.engine_pages.clear();
+            entry.bufs.engine_pages.resize(engines, 0);
             entry.needs_merge = true;
         }
         entry.cfg = Some(cfg);
@@ -535,23 +524,20 @@ impl NdpSlsEngine {
         let run = entry.bufs.page_work[widx];
         let duration = self.cfg.translate_time(run.len as usize * cfg.row_bytes());
         let engines = ctx.ftl.engine_count();
-        let engine = if engines > 0 {
+        let engine = (engines > 0).then(|| {
             let lpn = recssd_ftl::Lpn(entry.table_base + run.page);
             let e = ctx.ftl.channel_of(lpn) as usize % engines;
-            entry.bufs.partial_pages[e] += 1;
-            Some(e as u32)
-        } else {
-            None
-        };
+            entry.bufs.engine_pages[e] += 1;
+            e
+        });
         let tag = self.alloc_tag(FwJob::Translate {
             request,
             widx,
             data,
             duration,
-            engine,
         });
         match engine {
-            Some(e) => Self::charge_engine(ctx, e as usize, duration, tag),
+            Some(e) => Self::charge_engine(ctx, e, duration, tag),
             None => Self::charge_fw(ctx, duration, tag),
         }
     }
@@ -567,7 +553,6 @@ impl NdpSlsEngine {
         widx: usize,
         data: &PageImage,
         duration: SimDuration,
-        engine: Option<u32>,
     ) {
         let Self { cache, entries, .. } = self;
         let entry = entries.get_mut(&request).expect("entry exists");
@@ -577,35 +562,19 @@ impl NdpSlsEngine {
         let quant: Quantization = cfg.quant;
         let w = entry.bufs.page_work[widx];
         let base = entry.table_base;
-        // Engine translations fold into the engine-local partial rows; the
-        // merge task later combines them in fixed engine order.
         let EntryBufs {
             results,
-            partials,
             work_items,
             ..
         } = &mut entry.bufs;
         for &(offset, slot) in &work_items[w.items()] {
-            let (bytes, slot) = (data.bytes_at(offset, row_bytes), slot as usize);
-            match engine {
-                Some(e) => partials.add_encoded(e as usize, slot, quant, &bytes),
-                None => quant.decode_accumulate(&bytes, results.row_mut(slot)),
-            }
+            let bytes = data.bytes_at(offset, row_bytes);
+            quant.decode_accumulate(&bytes, results.row_mut(slot as usize));
             cache.insert(base, w.page * rows_per_page + (offset / row_bytes) as u64);
         }
         entry.report.translation += duration;
         entry.pages_pending -= 1;
         entry.t_last_page = ctx.now;
-        self.maybe_finish(ctx, request);
-    }
-
-    /// Merge task done: fold the partial rows the engines wrote into the
-    /// result scratchpad in fixed engine-index order — deterministic
-    /// regardless of which engine finished last.
-    fn apply_merge(&mut self, ctx: &mut DeviceCtx<'_>, request: u64) {
-        let entry = self.entries.get_mut(&request).expect("entry exists");
-        let bufs = &mut entry.bufs;
-        bufs.partials.merge_into(bufs.results.as_mut_slice());
         self.maybe_finish(ctx, request);
     }
 
@@ -630,13 +599,13 @@ impl NdpSlsEngine {
             return;
         }
         if entry.needs_merge {
-            // Every page is translated: fold the per-engine partials into
-            // the result scratchpad. The merge is itself a timed task on a
-            // config-selected resource (fw core or a designated engine);
-            // its cost scales with the partials that saw work.
+            // Every page is translated: charge the pool's merge, a timed
+            // task on a config-selected resource (fw core or a designated
+            // engine) whose cost scales with the engines that translated a
+            // page.
             entry.needs_merge = false;
             let cfg = entry.cfg.as_ref().expect("configured");
-            let active = entry.bufs.partial_pages.iter().filter(|&&c| c > 0).count();
+            let active = entry.bufs.engine_pages.iter().filter(|&&c| c > 0).count();
             let dur = self.cfg.merge_time(cfg.result_bytes() * active);
             entry.report.merge = dur;
             let placement = ctx
@@ -785,16 +754,15 @@ impl NdpEngine for NdpSlsEngine {
                         widx,
                         data,
                         duration,
-                        engine,
                     } => {
-                        self.apply_translation(ctx, request, widx, &data, duration, engine);
+                        self.apply_translation(ctx, request, widx, &data, duration);
                         // Done with this page image: offer it back (the
                         // page cache's eviction retires it instead while
                         // the cache still holds it).
                         ctx.ftl.recycle_page_image(data);
                     }
                     FwJob::Merge { request } => {
-                        self.apply_merge(ctx, request);
+                        self.maybe_finish(ctx, request);
                     }
                 }
                 true

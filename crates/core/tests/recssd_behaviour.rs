@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use recssd::{
-    FaultConfig, FaultPlan, LookupBatch, NdpConfig, NdpSlsEngine, OpKind, RecSsdConfig, SlsConfig,
-    SlsOptions, SlsPath, System,
+    EnginePoolConfig, FaultConfig, FaultPlan, LookupBatch, MergePlacement, NdpConfig, NdpSlsEngine,
+    OpKind, RecSsdConfig, SlsConfig, SlsOptions, SlsPath, System,
 };
 use recssd_embedding::{
     sls_reference, EmbeddingTable, PageLayout, Quantization, TableImage, TableImageOracle,
@@ -714,6 +714,108 @@ fn oversized_result_block_is_refused_not_fatal() {
     let done = run(&mut dev, NvmeCommand::ndp_read(3, slba, 1));
     assert_eq!(done.status, NvmeStatus::Success);
     assert!(dev.idle());
+}
+
+/// A host may submit the result-read right behind its config write. When
+/// the engine refuses that config, the read is refused with it: both
+/// commands complete with `InvalidField`, the queue holds nothing
+/// outstanding, and the request id serves a valid pair next.
+#[test]
+fn a_result_read_behind_a_refused_config_is_refused_too() {
+    let mut dev = SsdDevice::with_engine(
+        SsdConfig::cosmos_small(),
+        NdpSlsEngine::new(NdpConfig::cosmos()),
+    );
+    let mut q: EventQueue<SsdEvent> = EventQueue::new();
+    let slba = NvmeCommand::ndp_slba(0, 5, NdpConfig::cosmos().table_align);
+    let valid = SlsConfig {
+        dim: 4,
+        quant: Quantization::F32,
+        rows_per_page: 1,
+        n_results: 1,
+        pairs: vec![(0, 0)],
+    };
+    let oversized = SlsConfig {
+        n_results: u32::MAX,
+        ..valid.clone()
+    };
+    for cmd in [
+        NvmeCommand::ndp_write(1, slba, oversized.encode()),
+        NvmeCommand::ndp_read(2, slba, 1),
+    ] {
+        dev.queue(0).submit(cmd).expect("queue has room");
+    }
+    dev.doorbell(q.now(), 0, &mut |d, e| q.push_after(d, e));
+    while let Some((now, ev)) = q.pop() {
+        dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
+    }
+    let mut done: Vec<_> = std::iter::from_fn(|| dev.queue(0).poll())
+        .map(|c| (c.cid, c.status))
+        .collect();
+    done.sort_by_key(|&(cid, _)| cid);
+    assert_eq!(
+        done,
+        [(1, NvmeStatus::InvalidField), (2, NvmeStatus::InvalidField)]
+    );
+    assert_eq!(dev.queue(0).outstanding(), 0);
+    assert!(dev.idle());
+
+    let done = run_command(
+        &mut dev,
+        &mut q,
+        NvmeCommand::ndp_write(3, slba, valid.encode()),
+    );
+    assert_eq!(done.status, NvmeStatus::Success);
+    let done = run_command(&mut dev, &mut q, NvmeCommand::ndp_read(4, slba, 1));
+    assert_eq!(done.status, NvmeStatus::Success);
+    assert_eq!(dev.queue(0).outstanding(), 0);
+    assert!(dev.idle());
+}
+
+/// On a per-channel engine pool the merge task is charged the result
+/// block once per engine that translated a page: a command whose pages
+/// all lie on one engine's channels pays `merge_time(result_bytes)`, one
+/// spread over three engines pays `merge_time(3 × result_bytes)`.
+#[test]
+fn engine_pool_merge_is_charged_per_engine_that_translated_a_page() {
+    const ENGINES: u32 = 8;
+    let mut cfg = RecSsdConfig::small_wide();
+    cfg.ssd.ftl.engines = Some(EnginePoolConfig {
+        engines: ENGINES as usize,
+        rate_pct: 100,
+        merge: MergePlacement::FwCore,
+    });
+    let mut sys = System::new(cfg);
+    let (rows, dim) = (256u64, 16usize);
+    let table = spread_table(&mut sys, rows, dim, Quantization::F32, 4);
+    let base = sys.registry().binding(table).base_lpn;
+    // A spread table holds one row per page; group the rows by the engine
+    // owning their page's channel.
+    let mut by_engine = vec![Vec::new(); ENGINES as usize];
+    for row in 0..rows {
+        let engine = sys.device().ftl().channel_of(Lpn(base + row)) % ENGINES;
+        by_engine[engine as usize].push(row);
+    }
+    let used: Vec<&[u64]> = by_engine
+        .iter()
+        .filter(|r| r.len() >= 2)
+        .map(|r| &r[..2])
+        .collect();
+    assert!(used.len() >= 4, "rows spread over the channels");
+    // Two rows on one engine, then two rows on each of three others.
+    for (engines, k) in [(&used[..1], 1), (&used[1..4], 3)] {
+        let ids: Vec<u64> = engines.concat();
+        let batch = LookupBatch::new(vec![ids.clone(), ids]);
+        let result_bytes = batch.outputs() * dim * 4;
+        let op = sys.submit(OpKind::ndp_sls(table, batch, SlsOptions::default()));
+        sys.run_until_idle();
+        assert!(sys.result(op).is_ok());
+        assert_eq!(
+            sys.device().engine().stats().last_report().merge,
+            sys.config().ndp.merge_time(result_bytes * k),
+            "pages on {k} engine(s)"
+        );
+    }
 }
 
 /// The SSD-side embedding cache remembers which rows it holds, not their

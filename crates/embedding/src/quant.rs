@@ -129,21 +129,6 @@ impl Quantization {
         self.decode_with(bytes, acc, |o, v| *o += v);
     }
 
-    /// [`Quantization::decode_accumulate`] into an `out` taken to hold
-    /// zeros, without reading it: every element becomes `0.0 + v`, bit
-    /// for bit what accumulating into a zero-filled `out` leaves (`-0.0`
-    /// becomes `+0.0`, which plain [`Quantization::decode_into`] would
-    /// keep). Lets an accumulator skip zero-filling rows it is about to
-    /// write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is shorter than the encoded row.
-    #[inline]
-    pub fn decode_sum_from_zero(self, bytes: &[u8], out: &mut [f32]) {
-        self.decode_with(bytes, out, |o, v| *o = 0.0 + v);
-    }
-
     /// Decodes a row of `dim` elements from `bytes` into a fresh `Vec`.
     /// Allocating convenience wrapper over [`Quantization::decode_into`];
     /// hot paths should pass a reused buffer to the `_into` variant.

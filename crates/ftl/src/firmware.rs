@@ -20,8 +20,10 @@ use recssd_sim::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FwTag(pub u64);
 
-/// Which resource executes the final merge of per-engine partial results
-/// (the fold of engine-local accumulators into the request's scratchpad).
+/// Which resource runs the merge task that ends an SLS request on an
+/// engine pool: a timed charge for the result block once per engine that
+/// translated a page. The simulated rows are already in the request's
+/// scratchpad, every translation having folded its rows straight in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergePlacement {
     /// Merge on the serial firmware core (keeps engines free for
@@ -45,7 +47,7 @@ pub struct EnginePoolConfig {
     /// (100 = parity). Charged durations scale by `100 / rate_pct`
     /// with exact integer arithmetic, so timing stays deterministic.
     pub rate_pct: u32,
-    /// Where the final partial-result merge executes.
+    /// Where the merge task runs.
     pub merge: MergePlacement,
 }
 

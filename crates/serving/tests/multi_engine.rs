@@ -5,9 +5,10 @@
 //! transparent-splitter guarantee that lets the engines ship with no
 //! host-visible API change.
 //!
-//! Procedural tables hold values on the 1/64 grid, so f32 accumulation
-//! is exact and any partition of the page list across engines (plus the
-//! fixed-order merge fold) reproduces the reference bit for bit.
+//! Procedural tables hold values on the 1/64 grid in every encoding, so
+//! f32 accumulation is exact and any order in which the engines fold
+//! their pages into the result scratchpad reproduces the reference bit
+//! for bit.
 
 use proptest::prelude::*;
 use recssd::{EnginePoolConfig, LookupBatch, MergePlacement, SlsOptions};
@@ -57,7 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any engine-pool configuration bit-matches `sls_reference` and the
-    /// engine-less serial path, under both policies.
+    /// engine-less serial path, under both policies and in every encoding
+    /// the translation step decodes.
     #[test]
     fn engine_pools_bit_match_the_reference(
         rows in 16u64..400,
@@ -69,11 +71,10 @@ proptest! {
         seed in 0u64..10_000,
         engines in 1usize..9,
         merge_on_engine in proptest::bool::ANY,
+        quant in 0usize..3,
     ) {
-        let table = EmbeddingTable::procedural(
-            TableSpec::new(rows, dim, Quantization::F32),
-            seed,
-        );
+        let quant = [Quantization::F32, Quantization::F16, Quantization::Int8][quant];
+        let table = EmbeddingTable::procedural(TableSpec::new(rows, dim, quant), seed);
         let mut rng = Xoshiro256::seed_from(seed ^ 0x5A5A);
         let batches: Vec<LookupBatch> = (0..n_batches)
             .map(|_| batch_of(&mut rng, rows, outputs, lookups))
@@ -94,7 +95,7 @@ proptest! {
             let pooled = run_ndp(shards, policy, Some(pool), &table, &batches);
             prop_assert_eq!(
                 &pooled, &reference,
-                "{} engines ({:?} merge) diverged from sls_reference", engines, merge
+                "{} engines ({:?} merge, {:?}) diverged from sls_reference", engines, merge, quant
             );
             let serial = run_ndp(shards, policy, None, &table, &batches);
             prop_assert_eq!(

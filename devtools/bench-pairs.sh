@@ -9,8 +9,11 @@
 # end-to-end metric of BENCHMARK.json it prints each side's median and
 # quartiles, the ratio of the medians, the median of the per-pair ratios
 # (change / parent), the parent's interquartile range, whether the medians lie
-# further apart than that range, and how many pairs the change won. It exits
-# non-zero if a run fails, if any `sim_*` value differs between any two runs,
+# further apart than that range, how many pairs the change won, and how much
+# worse the change's median is than the parent's, relative to the parent's and
+# in the direction of the metric's `better` field (negative: better). It exits
+# non-zero if a run fails, if a median is worse by more than the metric's
+# `bound` (a `WORSE:` line), if any `sim_*` value differs between any two runs,
 # or if the `digest` or `input_digest` of any two runs differ (read from the
 # result file each run writes, benchmark/results/<workload>.run.json, which is
 # kept per run in the work directory).
@@ -75,6 +78,15 @@ for key in ("digest", "input_digest"):
         bad.append(f"{key} differs: {seen}")
 
 
+def worsening(p, c, higher):
+    """Relative worsening of the change's median c over the parent's p."""
+    if p == c:
+        return 0.0
+    if p == 0:
+        return float("inf") if (c < p if higher else c > p) else float("-inf")
+    return (p - c) / abs(p) if higher else (c - p) / abs(p)
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -84,8 +96,9 @@ def quartiles(xs):
 
 print(
     f"{'metric':<20} {'parent median [q1..q3]':>36} {'change median [q1..q3]':>36} "
-    f"{'ratio':>7} {'pair':>7} {'p-IQR':>10} {'apart':>5} wins"
+    f"{'ratio':>7} {'pair':>7} {'p-IQR':>10} {'apart':>5} {'wins':>5} {'worse':>7}"
 )
+worse = []
 for m in spec["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
     val = {s: [r["metrics"][name]["value"] for r in rs] for s, rs in runs.items()}
@@ -101,11 +114,17 @@ for m in spec["end_to_end"]:
     per_pair = [c / p if p else float("nan") for p, c in zip(val["parent"], val["change"])]
     q1, q3 = quartiles(val["parent"])
     apart = "yes" if abs(cm - pm) > q3 - q1 else "no"
+    w = worsening(pm, cm, higher)
+    if w > m["bound"]:
+        worse.append(f"{name} median {cm:.6g} vs parent {pm:.6g}: {w:+.3%} past its bound {m['bound']:.3%}")
     print(
         f"{name:<20} {cells[0]:>36} {cells[1]:>36} {ratio:>7.3f} "
-        f"{statistics.median(per_pair):>7.3f} {q3 - q1:>10.4g} {apart:>5} {wins}/{pairs}"
+        f"{statistics.median(per_pair):>7.3f} {q3 - q1:>10.4g} {apart:>5} "
+        f"{f'{wins}/{pairs}':>5} {w:>+7.3f}"
     )
 for b in bad:
     print("FAIL:", b)
-sys.exit(1 if bad else 0)
+for w in worse:
+    print("WORSE:", w)
+sys.exit(1 if bad or worse else 0)
 EOF
