@@ -16,8 +16,7 @@
 //! ("p99 NDP requests spend 71 % in fw:exec"), and
 //! [`bottleneck_report`] ranks the simulated servers — every device
 //! shard's firmware core, each of its SLS engines and each of its flash
-//! channels, plus the DRAM tier — by utilisation, and bounds each path's
-//! sustainable rate by the operational law.
+//! channels, plus the DRAM tier — by measured utilisation.
 //!
 //! One rule defines utilisation: a server's service integral ÷ (elapsed ×
 //! its width). Every device server is a FIFO single server
@@ -424,16 +423,6 @@ impl Server {
             _ => return None,
         })
     }
-
-    /// The critical-path phases that spend this server's time.
-    fn phases(self) -> &'static [Phase] {
-        match self {
-            Server::Core { .. } => &[Phase::FwExec],
-            Server::Engine { .. } => &[Phase::EngineExec],
-            Server::Flash { .. } => &[Phase::FlashRead, Phase::Transfer],
-            Server::Tier => &[Phase::TierGather],
-        }
-    }
 }
 
 impl std::fmt::Display for Server {
@@ -731,37 +720,13 @@ impl ResourceUse {
     }
 }
 
-/// Capacity headroom of one serving path by the operational law: a
-/// server's utilisation is throughput × per-request demand, so at the
-/// current mix the path can grow until its busiest server saturates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathHeadroom {
-    /// Serving path name.
-    pub path: String,
-    /// Requests the estimate is based on.
-    pub requests: u64,
-    /// The busiest server among those the path spent time in (its
-    /// [`ResourceUse::resource`] name).
-    pub bottleneck: String,
-    /// Sustainable offered load, requests/s: observed ÷ that server's
-    /// utilisation, so never below the observed load.
-    pub sustainable_rps: f64,
-    /// Observed offered load in the trace, requests/s.
-    pub observed_rps: f64,
-    /// `sustainable_rps / observed_rps` = 1 ÷ the bottleneck's
-    /// utilisation (≥ 1; 1 means saturated).
-    pub headroom_x: f64,
-}
-
-/// Server utilisation ranking plus per-path headroom estimates.
+/// Server utilisation ranking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckReport {
     /// Trace wall span (first span start → last span end), ns.
     pub elapsed_ns: u64,
     /// One row per server, most utilised first.
     pub ranked: Vec<ResourceUse>,
-    /// Per-path capacity headroom, sorted by path name.
-    pub headroom: Vec<PathHeadroom>,
 }
 
 impl BottleneckReport {
@@ -789,13 +754,6 @@ impl BottleneckReport {
                 r.service_ns
             );
         }
-        for h in &self.headroom {
-            let _ = writeln!(
-                out,
-                "  headroom[{:<8}] bottleneck {:<26} sustainable {:>9.0} rps  observed {:>9.0} rps  ({:.2}x)",
-                h.path, h.bottleneck, h.sustainable_rps, h.observed_rps, h.headroom_x
-            );
-        }
         if let Some(top) = self.top() {
             let _ = writeln!(out, "top_bottleneck: {top}");
         }
@@ -812,67 +770,38 @@ pub(crate) fn trace_window(spans: &[SpanRec]) -> (u64, u64) {
     (start, end.max(start))
 }
 
-/// Ranks the simulated servers by utilisation and bounds each path's
-/// sustainable rate. Servers are discovered from their service windows —
-/// `fw:exec`, `fw:engine` and `flash:xfer` spans named by pid and `ch` —
-/// one row per device member (firmware core, SLS engine, flash channel)
-/// and one for the DRAM tier's `op:compute` windows. Utilisation is the
-/// service integral ÷ (elapsed × the declared width, 1 for a device
-/// member); queueing never counts (see [`utilization_timelines`] for the
-/// queueing view).
+/// Ranks the simulated servers by utilisation. Servers are discovered
+/// from their service windows — `fw:exec`, `fw:engine` and `flash:xfer`
+/// spans named by pid and `ch` — one row per device member (firmware
+/// core, SLS engine, flash channel) and one for the DRAM tier's
+/// `op:compute` windows. Utilisation is the service integral ÷ (elapsed
+/// × the declared width, 1 for a device member); queueing never counts
+/// (see [`utilization_timelines`] for the queueing view).
 ///
 /// [`utilization_timelines`]: crate::timeline::utilization_timelines
 pub fn bottleneck_report(spans: &[SpanRec]) -> BottleneckReport {
     let (start, end) = trace_window(spans);
     let elapsed = end - start;
-    let mut ranked: Vec<(Server, ResourceUse)> = server_windows(spans)
+    let mut ranked: Vec<ResourceUse> = server_windows(spans)
         .into_iter()
-        .map(|(server, (capacity, ivs))| {
-            let row = ResourceUse {
-                resource: server.to_string(),
-                service_ns: ivs.iter().map(|&(a, b)| b - a).sum(),
-                capacity,
-                elapsed_ns: elapsed,
-            };
-            (server, row)
+        .map(|(server, (capacity, ivs))| ResourceUse {
+            resource: server.to_string(),
+            service_ns: ivs.iter().map(|&(a, b)| b - a).sum(),
+            capacity,
+            elapsed_ns: elapsed,
         })
         .collect();
     // Most utilised first: cross-multiplied integer compare of
     // service/capacity so the order never depends on float rounding;
     // the name breaks exact ties.
-    ranked.sort_by(|(_, a), (_, b)| {
+    ranked.sort_by(|a, b| {
         let ua = a.service_ns as u128 * b.capacity as u128;
         let ub = b.service_ns as u128 * a.capacity as u128;
         ub.cmp(&ua).then_with(|| a.resource.cmp(&b.resource))
     });
-
-    // Headroom: the busiest server whose phases the path spent time in
-    // binds it. Its utilisation U is the path's throughput X times its
-    // demand there, so the rate it sustains at this mix is X / U.
-    let mut headroom = Vec::new();
-    for p in &critical_path_report(spans).paths {
-        let busiest = ranked
-            .iter()
-            .find(|(server, _)| server.phases().iter().any(|ph| p.phase_ns[ph.index()] > 0));
-        let Some((_, r)) = busiest else { continue };
-        let u = r.utilization();
-        if u <= 0.0 {
-            continue;
-        }
-        let observed = p.requests as f64 * 1e9 / elapsed as f64;
-        headroom.push(PathHeadroom {
-            path: p.path.clone(),
-            requests: p.requests,
-            bottleneck: r.resource.clone(),
-            sustainable_rps: observed / u,
-            observed_rps: observed,
-            headroom_x: 1.0 / u,
-        });
-    }
     BottleneckReport {
         elapsed_ns: elapsed,
-        ranked: ranked.into_iter().map(|(_, r)| r).collect(),
-        headroom,
+        ranked,
     }
 }
 
@@ -989,9 +918,6 @@ mod tests {
         // The channel hold ranks as its own member, named by `ch`.
         assert_eq!(report.ranked[1].resource, "flash[shard=0,ch=0]");
         assert_eq!(report.ranked[1].service_ns, 5);
-        assert_eq!(report.headroom.len(), 1);
-        assert_eq!(report.headroom[0].bottleneck, "fw:core[shard=0]");
-        assert!((report.headroom[0].headroom_x - 70.0 / 38.0).abs() < 1e-12);
         assert!(report.render().contains("top_bottleneck: fw:core[shard=0]"));
     }
 
@@ -1028,8 +954,8 @@ mod tests {
     }
 
     /// Two overlapping engine spans are two servers, one row each, named
-    /// by the member index their `ch` argument carries; the busier of the
-    /// path's servers (here a tie, broken by name) binds its headroom.
+    /// by the member index their `ch` argument carries; a tie in service
+    /// is broken by name.
     #[test]
     fn engine_members_rank_as_separate_servers() {
         let sink = TraceSink::new();
@@ -1054,32 +980,6 @@ mod tests {
         for r in &report.ranked {
             assert_eq!((r.service_ns, r.capacity), (40, 1));
         }
-        let h = &report.headroom[0];
-        assert_eq!(h.bottleneck, "fw:engine[shard=0,ch=0]");
-        // Each engine is 2/3 busy: one request per 60 ns sustains 1.5×.
-        assert!((h.observed_rps - 1e9 / 60.0).abs() < 1e-3);
-        assert!((h.sustainable_rps - 1.5e9 / 60.0).abs() < 1e-3);
-    }
-
-    /// The operational law bounds the sustainable rate by the busiest
-    /// server's utilisation, so observed ≤ sustainable by construction:
-    /// a nearly saturated core reads as ≈ 1× headroom, never below it.
-    #[test]
-    fn busiest_server_bounds_the_sustainable_rate() {
-        let sink = TraceSink::new();
-        let host = sink.tracer(0, track::TID_HOST);
-        let fw = sink.tracer(1, track::TID_FW);
-        fw.span("fw:exec", t(1), t(60), SpanId::NONE);
-        for _ in 0..2 {
-            request(&host, "ndp", 60, 1, 0);
-        }
-        let report = bottleneck_report(&sorted(&sink));
-        let h = &report.headroom[0];
-        // The core is busy 59 of the 60 ns the two requests span.
-        assert_eq!(h.bottleneck, "fw:core[shard=0]");
-        assert!(h.observed_rps <= h.sustainable_rps);
-        assert!((h.headroom_x - 60.0 / 59.0).abs() < 1e-12);
-        assert!(report.render().contains("(1.02x)"));
     }
 
     /// The DRAM tier's width is the worker count its `op:compute`

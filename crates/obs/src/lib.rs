@@ -22,10 +22,11 @@
 //!
 //! * [`analysis`] — per-request **critical-path extraction** (e2e
 //!   latency segmented into named phases with a ≥95 % conservation
-//!   check) and **bottleneck ranking + headroom** estimation.
+//!   check) and the **bottleneck ranking** of measured server
+//!   utilisation.
 //! * [`timeline`] — per-resource busy/idle/wait
-//!   [`UtilizationTimeline`]s over sim-time windows, with
-//!   Little's-law-consistent queueing stats.
+//!   [`UtilizationTimeline`]s over sim-time windows, with queueing
+//!   stats whose totals satisfy `L = λ·W` as an identity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub mod trace;
 
 pub use analysis::{
     bottleneck_report, critical_path_report, request_critical_paths, BottleneckReport,
-    CriticalPathReport, LatSummary, PathHeadroom, PathProfile, Phase, RequestProfile, ResourceUse,
+    CriticalPathReport, LatSummary, PathProfile, Phase, RequestProfile, ResourceUse,
 };
 pub use chrome::{chrome_trace_json, validate_spans, TraceCheck};
 pub use profile::{WallPhase, WallPhaseReport, WallProfile};

@@ -9,10 +9,9 @@
 //! integral ÷ (window × declared width), the ranking's utilisation (a
 //! device member's whole-run busy time is its busy counter); queue
 //! resources report arrival rate,
-//! time-average occupancy and mean wait, which are
-//! **Little's-law-consistent** by construction over the whole run
-//! (`L = λ·W`, checked in tests via two independent computations: an
-//! event-sweep occupancy integral vs the per-span duration sums).
+//! time-average occupancy and mean wait. Over the whole run `L = λ·W`
+//! is an identity of the totals — `L` and `λ·W` are both the summed
+//! interval mass ÷ elapsed — not an independent check.
 //!
 //! Like the [`crate::analysis`] module this is a pure observer over
 //! recorded spans: the same trace always produces identical timelines.
@@ -47,12 +46,14 @@ pub struct UtilWindow {
     /// (equals the occupancy integral; for a queue ≥ `busy_ns` under
     /// overlap).
     pub wait_ns: u64,
-    /// Intervals that *start* inside the window.
+    /// Intervals that *start* inside the window (`[start, end)`; one
+    /// that starts at the trace end counts in the last window).
     pub arrivals: u64,
-    /// Intervals that *end* inside the window.
+    /// Intervals that *end* inside the window (`(start, end]`; a
+    /// zero-length interval counts where it arrives).
     pub completions: u64,
-    /// Time-average number of concurrently active intervals, computed
-    /// by an independent event sweep (Little's `L`).
+    /// Time-average number of concurrently active intervals (Little's
+    /// `L`): `wait_ns` ÷ the window length.
     pub occupancy: f64,
 }
 
@@ -123,9 +124,8 @@ impl UtilizationTimeline {
         self.total_wait_ns as f64 / self.elapsed_ns as f64
     }
 
-    /// `|L − λ·W|`, which is zero (up to float rounding) whenever every
-    /// interval lies inside the measured run — the Little's-law
-    /// consistency this module guarantees.
+    /// `|L − λ·W|`: zero up to float rounding, since both sides are the
+    /// summed interval mass ÷ elapsed.
     pub fn littles_law_residual(&self) -> f64 {
         let lam_w = self.arrival_rate_per_s() / 1e9 * self.mean_wait_ns();
         (self.occupancy() - lam_w).abs()
@@ -163,57 +163,35 @@ fn build(
         let we = (ws + window_ns).min(end_ns);
         let mut clipped: Vec<(u64, u64)> = Vec::new();
         let mut wait = 0u64;
-        let mut arrivals = 0u64;
-        let mut completions = 0u64;
-        // Event sweep for the occupancy integral: an independent
-        // computation that must agree with the clipped-duration sum.
-        let mut events: Vec<(u64, i64)> = Vec::new();
         for &(a, b) in &ivs {
             if a >= we {
                 break;
-            }
-            if b <= ws {
-                continue;
-            }
-            if a >= ws {
-                arrivals += 1;
-            }
-            if b <= we {
-                completions += 1;
             }
             let (ca, cb) = (a.max(ws), b.min(we));
             if cb > ca {
                 clipped.push((ca, cb));
                 wait += cb - ca;
-                events.push((ca, 1));
-                events.push((cb, -1));
             }
         }
-        events.sort_unstable();
-        let mut depth = 0i64;
-        let mut integral = 0u128;
-        let mut cur = ws;
-        for (t, d) in events {
-            if t > cur {
-                integral += depth as u128 * (t - cur) as u128;
-                cur = t;
-            }
-            depth += d;
-        }
-        let len = we - ws;
         windows.push(UtilWindow {
             start_ns: ws,
             end_ns: we,
             busy_ns: busy(&mut clipped, wait),
             wait_ns: wait,
-            arrivals,
-            completions,
-            occupancy: if len == 0 {
-                0.0
-            } else {
-                integral as f64 / len as f64
-            },
+            arrivals: 0,
+            completions: 0,
+            occupancy: wait as f64 / (we - ws) as f64,
         });
+    }
+    // An interval arrives in the window holding its start and completes
+    // in the one whose `(ws, we]` holds its end — a zero-length one where
+    // it arrives — so each counts exactly once in both.
+    if let Some(last) = n_windows.checked_sub(1) {
+        let at = |t: u64| ((t - start_ns) / window_ns).min(last) as usize;
+        for &(a, b) in &ivs {
+            windows[at(a)].arrivals += 1;
+            windows[at(b.saturating_sub(1).max(a))].completions += 1;
+        }
     }
     UtilizationTimeline {
         resource,
@@ -330,12 +308,32 @@ mod tests {
         assert_eq!(q.windows[0].busy_ns, 50);
         assert_eq!(q.windows[0].wait_ns, 70);
         assert!((q.windows[0].occupancy - 1.4).abs() < 1e-12);
-        // The sweep integral and the clipped-duration sum must agree
-        // in every window (two independent computations of L).
-        for w in &q.windows {
-            let len = (w.end_ns - w.start_ns) as f64;
-            assert!((w.occupancy * len - w.wait_ns as f64).abs() < 1e-6);
+    }
+
+    /// Zero-length waits — a sub-batch that dispatches as it arrives —
+    /// at the trace start and on a window boundary arrive and complete
+    /// in exactly one window each, like every other interval.
+    #[test]
+    fn zero_length_intervals_count_once_per_window_set() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        for (a, b) in [
+            (1_000, 1_000),
+            (1_000, 1_030),
+            (1_050, 1_050),
+            (1_040, 1_100),
+        ] {
+            let sub = host.alloc_id();
+            host.span_arg("sub:wait", t(a), t(b), sub, "shard", 1);
         }
+        let tls = utilization_timelines(&sink.take_spans(), 50);
+        let q = &tls[0];
+        assert_eq!(q.resource, "queue[shard=0]");
+        assert_eq!(q.total_arrivals, 4);
+        let per = |f: fn(&UtilWindow) -> u64| q.windows.iter().map(f).collect::<Vec<_>>();
+        assert_eq!(per(|w| w.arrivals), [3, 1]);
+        assert_eq!(per(|w| w.completions), [2, 2]);
+        assert_eq!(q.total_wait_ns, 90);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub use recssd::{EnginePoolConfig, MergePlacement, SlsPath};
 
 pub use recssd_obs::{
     bottleneck_report, chrome_trace_json, critical_path_report, request_critical_paths,
-    utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, PathHeadroom,
-    PathProfile, Phase, RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
+    utilization_timelines, validate_spans, BottleneckReport, CriticalPathReport, PathProfile,
+    Phase, RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
     UtilizationTimeline, WallPhase, WallPhaseReport,
 };

@@ -11,7 +11,11 @@
 # (change / parent), the parent's interquartile range, whether the medians lie
 # further apart than that range, how many pairs the change won, and how much
 # worse the change's median is than the parent's, relative to the parent's and
-# in the direction of the metric's `better` field (negative: better). It exits
+# in the direction of the metric's `better` field (negative: better). Below
+# them, an informational `attempted_per_cpu_s` row (higher is better): each
+# run's attempted operations over the CPU seconds (user + sys) it used, which
+# a busy shared machine disturbs less than wall time. That row never fails the
+# script. It exits
 # non-zero if a run fails, if a median is worse by more than the metric's
 # `bound` (a `WORSE:` line), if any `sim_*` value differs between any two runs,
 # or if the `digest` or `input_digest` of any two runs differ (read from the
@@ -47,10 +51,21 @@ for side in parent change; do
     mkdir -p "$work/run-$side"
 done
 
+cpu_run() { # <cpu-file> <command...>: runs the command, writes the CPU seconds it used
+    python3 -c '
+import resource, subprocess, sys
+before = resource.getrusage(resource.RUSAGE_CHILDREN)
+code = subprocess.call(sys.argv[2:])
+after = resource.getrusage(resource.RUSAGE_CHILDREN)
+cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+open(sys.argv[1], "w").write(f"{cpu}\n")
+sys.exit(code)' "$@"
+}
+
 run() { # <side> <pair>
     local out="$work/$1-$2.json"
-    (cd "$work/run-$1" && "$work/target-$1/release/recssd-benchmark" --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1 >"$out"
+    (cd "$work/run-$1" && cpu_run "$work/$1-$2.cpu" "$work/target-$1/release/recssd-benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1 >"$out"
     cp "$work/run-$1/benchmark/results/$workload.run.json" "$work/$1-$2.run.json"
     echo "pair $2 $1 done"
 }
@@ -94,6 +109,27 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def row(name, val, higher):
+    """Prints one metric's row; returns both medians and the change's worsening."""
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(val["parent"], val["change"]))
+    cells = []
+    for s in sides:
+        q1, q3 = quartiles(val[s])
+        cells.append(f"{statistics.median(val[s]):.6g} [{q1:.6g}..{q3:.6g}]")
+    pm, cm = statistics.median(val["parent"]), statistics.median(val["change"])
+    ratio = cm / pm if pm else float("nan")
+    per_pair = [c / p if p else float("nan") for p, c in zip(val["parent"], val["change"])]
+    q1, q3 = quartiles(val["parent"])
+    apart = "yes" if abs(cm - pm) > q3 - q1 else "no"
+    w = worsening(pm, cm, higher)
+    print(
+        f"{name:<20} {cells[0]:>36} {cells[1]:>36} {ratio:>7.3f} "
+        f"{statistics.median(per_pair):>7.3f} {q3 - q1:>10.4g} {apart:>5} "
+        f"{f'{wins}/{pairs}':>5} {w:>+7.3f}"
+    )
+    return pm, cm, w
+
+
 print(
     f"{'metric':<20} {'parent median [q1..q3]':>36} {'change median [q1..q3]':>36} "
     f"{'ratio':>7} {'pair':>7} {'p-IQR':>10} {'apart':>5} {'wins':>5} {'worse':>7}"
@@ -104,24 +140,16 @@ for m in spec["end_to_end"]:
     val = {s: [r["metrics"][name]["value"] for r in rs] for s, rs in runs.items()}
     if name.startswith("sim_") and len(set(val["parent"] + val["change"])) > 1:
         bad.append(f"{name} differs: {val}")
-    wins = sum((c > p) if higher else (c < p) for p, c in zip(val["parent"], val["change"]))
-    cells = []
-    for s in ("parent", "change"):
-        q1, q3 = quartiles(val[s])
-        cells.append(f"{statistics.median(val[s]):.6g} [{q1:.6g}..{q3:.6g}]")
-    pm, cm = statistics.median(val["parent"]), statistics.median(val["change"])
-    ratio = cm / pm if pm else float("nan")
-    per_pair = [c / p if p else float("nan") for p, c in zip(val["parent"], val["change"])]
-    q1, q3 = quartiles(val["parent"])
-    apart = "yes" if abs(cm - pm) > q3 - q1 else "no"
-    w = worsening(pm, cm, higher)
+    pm, cm, w = row(name, val, higher)
     if w > m["bound"]:
         worse.append(f"{name} median {cm:.6g} vs parent {pm:.6g}: {w:+.3%} past its bound {m['bound']:.3%}")
-    print(
-        f"{name:<20} {cells[0]:>36} {cells[1]:>36} {ratio:>7.3f} "
-        f"{statistics.median(per_pair):>7.3f} {q3 - q1:>10.4g} {apart:>5} "
-        f"{f'{wins}/{pairs}':>5} {w:>+7.3f}"
-    )
+# Informational only: attempted operations per CPU second (user + sys).
+cpu = {s: [float(open(f"{work}/{s}-{i}.cpu").read()) for i in range(1, pairs + 1)] for s in sides}
+row(
+    "attempted_per_cpu_s",
+    {s: [r["attempted"] / c if c else float("nan") for r, c in zip(runs[s], cpu[s])] for s in sides},
+    True,
+)
 for b in bad:
     print("FAIL:", b)
 for w in worse:
