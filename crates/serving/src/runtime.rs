@@ -9,11 +9,11 @@
 //! occupancy overlap across requests instead of draining between
 //! operators (the RecSSD/RecNMP point that SLS throughput comes from
 //! saturating the device's internal parallelism). The co-simulation
-//! works by bounded stepping: a shard's system is only ever advanced to
-//! the global instant with [`System::run_until`], completed operators
-//! are harvested by polling [`System::try_take_result`], and a
-//! *shard-tick* event is armed at the shard's next internal event time
-//! so the global loop revisits it exactly when something happens.
+//! works by bounded stepping: [`ServingRuntime::step`] takes the earliest
+//! of the runtime's events and each shard's next device event
+//! ([`System::next_event_time`]), a shard's system is only ever advanced
+//! to the global instant with [`System::run_until`], and completed
+//! operators are harvested by polling [`System::try_take_result`].
 //!
 //! A request's lifecycle, kept in one record per request id (arriving,
 //! serving, or expired with lookups still owed):
@@ -363,6 +363,8 @@ struct InflightOp {
     subs: Vec<SubBatch>,
 }
 
+/// One simulated system on the runtime's clock, visited by
+/// [`ServingRuntime::step`] at each of its own events' instants.
 #[derive(Debug)]
 struct Shard {
     sys: System,
@@ -372,9 +374,6 @@ struct Shard {
     /// Operators submitted to `sys` and not yet harvested.
     inflight: Vec<InflightOp>,
     queue: VecDeque<SubBatch>,
-    /// Earliest armed shard-tick not yet fired (ticks are only ever
-    /// armed earlier, never cancelled; late duplicates are harmless).
-    next_tick: Option<SimTime>,
     /// The [`ServingConfig::depth`] operator slots, each held from
     /// dispatch to the operator's finish: the occupancy telemetry.
     slots: Slots,
@@ -389,7 +388,6 @@ impl Shard {
             pid,
             inflight: Vec::new(),
             queue: VecDeque::new(),
-            next_tick: None,
             slots: Slots::new(depth),
             breaker: Breaker::new(),
         }
@@ -490,17 +488,14 @@ impl Breaker {
     }
 }
 
-/// Global serving events. Request completion is *not* an event: finished
-/// requests enter a canonical ready-queue ordered by `(finish, id)` and
-/// are delivered as soon as no pending event could still precede them —
-/// the property that makes completion order independent of how shard
-/// harvests interleave.
+/// The runtime's own events. Device work is not one: each shard's system
+/// keeps its own queue, whose head [`ServingRuntime::step`] reads
+/// directly. Nor is request completion: finished requests enter a
+/// canonical ready-queue ordered by `(finish, id)` (see
+/// [`ServingRuntime::step`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrival(u64),
-    /// Revisit a shard at its next internal event time: advance its
-    /// system clock, harvest finished operators, dispatch more.
-    ShardTick(usize),
     /// Re-enqueue a parked (failed) sub-batch after its backoff.
     Retry(u64),
     /// A request's latency deadline: serve it degraded if incomplete.
@@ -601,7 +596,7 @@ pub struct AdaptivePolicy {
 pub struct ServingRuntime {
     policy: SchedulePolicy,
     /// Finished requests awaiting delivery, keyed `(finish_ns, id)` —
-    /// the canonical completion order.
+    /// the canonical order [`ServingRuntime::step`] hands them out in.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
     layout: PageLayout,
     /// The device shards `0..devices`, then — created by the first
@@ -1124,12 +1119,12 @@ impl ServingRuntime {
     }
 
     /// The one way into flight: puts `sub` at the back of `ix`'s queue and
-    /// pumps the shard. `now` is where the sub-batch's traced `sub:wait`
+    /// visits the shard. `now` is where the sub-batch's traced `sub:wait`
     /// window starts, so a retry re-bases it: the backoff is not queueing.
     fn queue_sub(&mut self, ix: usize, mut sub: SubBatch, now: SimTime) {
         sub.enqueued = now;
         self.shards[ix].queue.push_back(sub);
-        self.pump_shard(ix, now);
+        self.visit_shard(ix, now);
     }
 
     /// Swaps `table`'s placement to `placement` *live on the simulated
@@ -1408,8 +1403,16 @@ impl ServingRuntime {
     }
 
     /// Advances the simulation until the next request completes, or until
-    /// nothing is left to do. Completions are returned in finish-time
+    /// nothing is left to do. Each pass runs the earliest pending instant:
+    /// a shard's next device event (visiting that shard there) or the
+    /// runtime queue's head; shards go first at equal instants, in index
     /// order.
+    ///
+    /// Completions come out in `(finish, id)` order: a finished request is
+    /// handed out only once every pending instant lies strictly after its
+    /// finish, so no same-instant harvest can still yield a smaller id.
+    /// The exception: a request served by its deadline is handed out at
+    /// the deadline instant, ahead of ready completions with that finish.
     ///
     /// # Errors
     ///
@@ -1419,32 +1422,33 @@ impl ServingRuntime {
     /// faults (those are absorbed by the retry/degradation machinery).
     pub fn step(&mut self) -> Result<Option<CompletedRequest>, ServingError> {
         loop {
-            // Deliver ready completions first, in canonical
-            // `(finish, id)` order, as soon as no pending event could
-            // still precede them. This replaces a per-request
-            // completion event: the delivery order depends only on
-            // finish times, never on how shard harvests interleaved.
+            // The earliest pending instant and whose it is: a shard
+            // index, or `usize::MAX` for the runtime queue's head.
+            let next = (self.shards.iter().enumerate())
+                .filter_map(|(ix, s)| Some((s.sys.next_event_time()?, ix)))
+                .chain(self.events.peek_time().map(|t| (t, usize::MAX)))
+                .min();
             if let Some(&Reverse((fin, req))) = self.ready.peek() {
-                if self.events.peek_time().is_none_or(|t| fin <= t.as_ns()) {
+                if next.is_none_or(|(t, _)| fin < t.as_ns()) {
                     self.ready.pop();
                     return self.finalize_request(req).map(Some);
                 }
             }
-            let Some((now, ev)) = self.events.pop() else {
+            let Some((t, ix)) = next else {
                 return Ok(None);
             };
+            if ix < self.shards.len() {
+                self.events.advance_to(t);
+                self.visit_shard(ix, t);
+                continue;
+            }
+            let (now, ev) = self.events.pop().expect("the head was just peeked");
             match ev {
                 Ev::Arrival(req) => {
                     let Some(Request::Arriving(arrival)) = self.requests.remove(&req) else {
                         return Err(ServingError::MissingArrival(req));
                     };
                     self.admit(now, req, arrival);
-                }
-                Ev::ShardTick(ix) => {
-                    if self.shards[ix].next_tick == Some(now) {
-                        self.shards[ix].next_tick = None;
-                    }
-                    self.tick_shard(ix, now);
                 }
                 Ev::Retry(seq) => {
                     let (ix, sub) = self
@@ -1578,44 +1582,10 @@ impl ServingRuntime {
         done
     }
 
-    /// One full visit of a shard at the global instant (see
-    /// [`ServingRuntime::visit_shard`]), then re-arms the shard's wake-up
-    /// tick.
-    fn pump_shard(&mut self, ix: usize, now: SimTime) {
-        self.visit_shard(ix, now);
-        self.arm_tick(ix, now);
-    }
-
-    /// A fired shard tick: visits the shard at `now`, then keeps running
-    /// its next device event directly while that event is strictly
-    /// earlier than the runtime queue's head and the visit left nothing
-    /// the runtime must act on first (no harvest, no ready request). The
-    /// tick [`ServingRuntime::arm_tick`] would push for that event
-    /// carries the newest sequence number, so it would pop next anyway:
-    /// this is the same `(time, seq)` order without the push, the pop and
-    /// the re-arm per device event. Only a fired tick does this; a visit
-    /// from any other call leaves the shard's clock at the runtime's.
-    fn tick_shard(&mut self, ix: usize, mut now: SimTime) {
-        while !self.visit_shard(ix, now) && self.ready.is_empty() {
-            let Some(t) = self.shards[ix].sys.next_event_time() else {
-                break;
-            };
-            if self.events.peek_time().is_some_and(|head| head <= t) {
-                break;
-            }
-            // What arming that tick and firing it would leave behind.
-            self.shards[ix].next_tick = None;
-            self.events.advance_to(t);
-            now = t;
-        }
-        self.arm_tick(ix, now);
-    }
-
     /// One visit of a shard at the global instant: merge clocks, harvest
-    /// completed operators and dispatch while capacity allows. Returns
-    /// whether it harvested anything.
-    fn visit_shard(&mut self, ix: usize, now: SimTime) -> bool {
-        let harvested = self.sync_shard(ix, now);
+    /// completed operators and dispatch while capacity allows.
+    fn visit_shard(&mut self, ix: usize, now: SimTime) {
+        self.sync_shard(ix, now);
         let s = &mut self.shards[ix];
         while !s.queue.is_empty() {
             let Some(slot) = s.slots.acquire(now) else {
@@ -1625,13 +1595,11 @@ impl ServingRuntime {
             self.stats.ops_dispatched.inc();
             self.stats.subs_dispatched.add(n_subs);
         }
-        harvested
     }
 
     /// Advances `ix`'s system to the global instant and folds every
     /// operator that completed at or before it into its owning requests.
-    /// Returns whether any operator completed.
-    fn sync_shard(&mut self, ix: usize, now: SimTime) -> bool {
+    fn sync_shard(&mut self, ix: usize, now: SimTime) {
         let t_dev = self.wall.begin();
         self.shards[ix].sys.run_until(now);
         self.wall.end(WallPhase::DeviceStep, t_dev);
@@ -1645,7 +1613,7 @@ impl ServingRuntime {
         collect_harvest(&mut self.shards[ix], &mut harvested);
         if harvested.is_empty() {
             self.harvest_scratch = harvested;
-            return false;
+            return;
         }
         let policy = self.fault_policy;
         let s = &mut self.shards[ix];
@@ -1662,7 +1630,6 @@ impl ServingRuntime {
         }
         self.harvest_scratch = harvested;
         self.wall.end(WallPhase::Harvest, t_harvest);
-        true
     }
 
     /// Retires every component sub-batch of one harvested operator into
@@ -1838,21 +1805,6 @@ impl ServingRuntime {
             self.stats.plan_refreshes.inc();
             self.stats.rows_promoted.add(done.promoted);
             self.stats.rows_demoted.add(done.demoted);
-        }
-    }
-
-    /// Arms a wake-up tick at the shard's next internal event time.
-    /// Ticks are monotone: one is only pushed when it is earlier than
-    /// the earliest already armed, so the global queue sees at most a
-    /// handful of (idempotent) ticks per shard event.
-    fn arm_tick(&mut self, ix: usize, now: SimTime) {
-        let s = &mut self.shards[ix];
-        if let Some(t) = s.sys.next_event_time() {
-            let t = t.max(now);
-            if s.next_tick.is_none_or(|armed| t < armed) {
-                s.next_tick = Some(t);
-                self.events.push_at(t, Ev::ShardTick(ix));
-            }
         }
     }
 }

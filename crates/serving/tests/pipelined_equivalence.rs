@@ -54,6 +54,10 @@ fn run_at_depth(
         rt.submit_at(SimTime::from_us(*offset_us), i as u64, t, b.clone(), path);
     }
     let mut done = rt.run_until_idle();
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     done.sort_by_key(|d| d.id);
     done.iter()
         .map(|d| (d.outputs.to_nested(), d.batch.total_lookups()))

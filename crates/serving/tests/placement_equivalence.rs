@@ -79,6 +79,10 @@ fn run_placed(
         rt.submit_at(SimTime::from_us(i as u64), i as u64, t, b.clone(), path);
     }
     let mut done = rt.run_until_idle();
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     done.sort_by_key(|d| d.id);
     for d in &done {
         rt.verify_bitmatch(d);
@@ -226,6 +230,10 @@ proptest! {
                     );
                 }
                 done.extend(rt.run_until_idle());
+                prop_assert!(
+                    done.is_sorted_by_key(|d| (d.finish, d.id)),
+                    "completions out of (finish, id) order"
+                );
                 done.sort_by_key(|d| d.id);
                 for d in &done {
                     rt.verify_bitmatch(d);
@@ -434,6 +442,10 @@ fn refresh_waits_for_its_slot_to_drain() {
     assert_eq!(rt.refresh_placement(t, plan.table(0)), Some(2));
     submit_wave(&mut rt, t, &mut rng, 8);
     done.extend(rt.run_until_idle());
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     for d in &done {
         rt.verify_bitmatch(d);
     }
@@ -512,6 +524,10 @@ fn runtime_calls_between_steps_never_run_a_device_ahead() {
     );
     done.extend(rt.run_until_idle());
     assert_eq!(done.len(), 13);
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     for d in &done {
         rt.verify_bitmatch(d);
     }
@@ -550,6 +566,10 @@ fn registration_after_the_tier_exists_shards_over_devices_only() {
     }
     let done = rt.run_until_idle();
     assert_eq!(done.len(), 24);
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     for d in &done {
         let table = if d.table == t1 { &placed } else { &plain };
         assert_eq!(d.outputs.to_nested(), sls_reference(table, &d.batch));
@@ -642,6 +662,10 @@ fn full_hot_coverage_routes_everything_to_the_tier() {
     }
     let done = rt.run_until_idle();
     assert_eq!(done.len(), 8);
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     for d in &done {
         rt.verify_bitmatch(d);
     }

@@ -51,6 +51,10 @@ fn run_sharded(
         rt.submit_at(SimTime::from_us(i as u64), i as u64, t, b.clone(), path);
     }
     let mut done = rt.run_until_idle();
+    assert!(
+        done.is_sorted_by_key(|d| (d.finish, d.id)),
+        "completions out of (finish, id) order"
+    );
     done.sort_by_key(|d| d.id);
     done.iter().map(|d| d.outputs.to_nested()).collect()
 }
