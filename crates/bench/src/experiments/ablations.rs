@@ -100,13 +100,8 @@ pub fn run_ssd_cache_capacity(scale: Scale) -> Series {
             6,
         );
         let mut trace = LocalityTrace::with_k(scale.model_rows, LocalityK::K0, 60);
-        let make = |t: &mut LocalityTrace| {
-            recssd_embedding::LookupBatch::new(
-                (0..16)
-                    .map(|_| (0..20).map(|_| t.next_id()).collect())
-                    .collect(),
-            )
-        };
+        let make =
+            |t: &mut LocalityTrace| recssd_embedding::LookupBatch::uniform(16, 20, || t.next_id());
         // Warm, then measure.
         for _ in 0..10 {
             let op = sys.submit(OpKind::ndp_sls(

@@ -36,11 +36,7 @@ pub fn uniform_batch(
     outputs: usize,
     lookups: usize,
 ) -> LookupBatch {
-    LookupBatch::new(
-        (0..outputs)
-            .map(|_| (0..lookups).map(|_| rng.gen_range(0..rows)).collect())
-            .collect(),
-    )
+    LookupBatch::uniform(outputs, lookups, || rng.gen_range(0..rows))
 }
 
 /// Formats a microsecond value with 1 decimal.

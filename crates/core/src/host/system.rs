@@ -399,6 +399,10 @@ pub struct System {
     /// Free-list of recycled flat result buffers (see
     /// [`System::recycle_outputs`]).
     out_pool: Vec<SlsOutput>,
+    /// Finished SLS operators' id buffers, and how many buffers
+    /// [`System::batch_buffer`] lent that are not paid back yet.
+    batch_pool: Vec<Vec<u64>>,
+    batch_loans: usize,
     /// Free-list of recycled baseline I/O planner buffers.
     baseio_pool: Vec<BaseIoBufs>,
     /// Free-list of recycled NDP pair-list buffers (plan staging,
@@ -439,6 +443,8 @@ impl System {
             next_request: 0,
             results: IdMap::new(),
             out_pool: Vec::new(),
+            batch_pool: Vec::new(),
+            batch_loans: 0,
             baseio_pool: Vec::new(),
             pair_pool: Vec::new(),
             completions: Vec::new(),
@@ -726,6 +732,16 @@ impl System {
         if self.out_pool.len() < OUT_POOL_CAP {
             self.out_pool.push(outputs);
         }
+    }
+
+    /// An id buffer for the next SLS operator's batch
+    /// ([`LookupBatch::from_outputs`]): a finished operator's, else a new
+    /// one. Each call lets one finished SLS operator pay its batch's
+    /// buffer back, so building every batch this way allocates no id
+    /// buffer once warm, and a caller that never asks retains none.
+    pub fn batch_buffer(&mut self) -> Vec<u64> {
+        self.batch_loans += 1;
+        self.batch_pool.pop().unwrap_or_default()
     }
 
     /// Drives the event loop until nothing remains in flight.
@@ -1449,6 +1465,12 @@ impl System {
                 let p = d.kind.pool();
                 self.pool_mut(p).ready.push_back(dep);
                 self.dispatch(p);
+            }
+        }
+        if let OpKind::Sls { batch, .. } = op.kind {
+            if self.batch_loans > 0 {
+                self.batch_loans -= 1;
+                self.batch_pool.push(batch.into_buffer());
             }
         }
         self.dispatch(pool_kind);

@@ -5,8 +5,8 @@
 //! into the gather/reduce loop, the big round would show hundreds of
 //! extra events and the bounds here would fail.
 //!
-//! This file deliberately contains a single `#[test]` so no concurrent
-//! test pollutes the process-global counters.
+//! The counters read are the test thread's own, so the harness's other
+//! threads do not pollute them.
 
 use recssd::{LookupBatch, OpId, OpKind, RecSsdConfig, SlsOptions, System};
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};

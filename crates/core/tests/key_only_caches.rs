@@ -5,8 +5,8 @@
 //! both together stand for 20 MiB of simulated DRAM; a vector copy
 //! anywhere in either fails the bound by an order of magnitude.
 //!
-//! This file deliberately contains a single `#[test]` so no concurrent
-//! test pollutes the process-global counters.
+//! The counters read are the test thread's own, so the harness's other
+//! threads do not pollute them.
 
 use recssd::{LookupBatch, OpKind, RecSsdConfig, SlsOptions, System};
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};

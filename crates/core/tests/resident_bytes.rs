@@ -5,8 +5,8 @@
 //! around the gather; a full-page image anywhere on the read path — the
 //! cache, the pool behind it — fails the bound by an order of magnitude.
 //!
-//! This file deliberately contains a single `#[test]` so no concurrent
-//! test pollutes the process-global counters.
+//! The counters read are the test thread's own, so the harness's other
+//! threads do not pollute them.
 
 use recssd::{LookupBatch, OpKind, RecSsdConfig, SlsOptions, System};
 use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableImage, TableSpec};

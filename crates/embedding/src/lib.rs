@@ -51,5 +51,5 @@ pub use layout::{PageLayout, TableImage, TableImageOracle};
 pub use memo::{row_memo_stats, RowMemoStats};
 pub use quant::Quantization;
 pub use recssd_flash::PageOracle;
-pub use sls::{sls_reference, sls_reference_into, sls_reference_with, LookupBatch};
+pub use sls::{sls_reference, sls_reference_into, sls_reference_with, LookupBatch, PerOutput};
 pub use table::{EmbeddingTable, RowScratch, TableId, TableSource, TableSpec};

@@ -4,8 +4,8 @@
 //! no allocation once it is warm. A counting global allocator reads the
 //! live heap and the allocation events around the fills.
 //!
-//! This file deliberately contains a single `#[test]` so no concurrent
-//! test pollutes the process-global counters.
+//! The counters read are the test thread's own, so the harness's other
+//! threads do not pollute them.
 
 use recssd_embedding::{
     row_memo_stats, EmbeddingTable, PageLayout, Quantization, RowMemoStats, RowScratch, TableImage,

@@ -92,11 +92,7 @@ impl BatchGen {
                 }
             }
         };
-        LookupBatch::new(
-            (0..outputs)
-                .map(|_| (0..lookups).map(|_| next(table_idx)).collect())
-                .collect(),
-        )
+        LookupBatch::uniform(outputs, lookups, || next(table_idx))
     }
 }
 

@@ -130,15 +130,8 @@ impl LoadGen {
         let i = self.next_table;
         self.next_table = (self.next_table + 1) % self.tables.len();
         let trace = &mut self.traces[i];
-        let batch = LookupBatch::new(
-            (0..self.spec.outputs)
-                .map(|_| {
-                    (0..self.spec.lookups_per_output)
-                        .map(|_| trace.next_id())
-                        .collect()
-                })
-                .collect(),
-        );
+        let (outputs, lookups) = (self.spec.outputs, self.spec.lookups_per_output);
+        let batch = LookupBatch::uniform(outputs, lookups, || trace.next_id());
         (self.tables[i], batch)
     }
 

@@ -63,13 +63,17 @@ use crate::adaptive::{
     fold_decision, hit_mass, select_hot_set, AdaptiveState, ADAPTIVE_WEIGHT, DRIFT_FLUSH_DECAY,
     DRIFT_RESET_DROP,
 };
-use crate::shard::{split_batch, Routing, SubBatch, SubOwner};
+use crate::shard::{push_row, split_batch, Routing, SplitStage, SubBatch, SubOwner};
 use crate::{SchedulePolicy, ServingStats, ShardMap, SlsPath};
 
 /// Largest number of promoted rows carried by one migration operator —
 /// migration work is chunked so it pipelines on the shard queues instead
 /// of monopolising a device with one giant gather.
 const MIGRATION_CHUNK_ROWS: usize = 64;
+
+/// Most recycled buffers a free list keeps (request accumulators and
+/// pending counts, each shard's sub-batch buffers).
+const POOL_CAP: usize = 4096;
 
 /// Identifier of a submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -374,6 +378,10 @@ struct Shard {
     /// Operators submitted to `sys` and not yet harvested.
     inflight: Vec<InflightOp>,
     queue: VecDeque<SubBatch>,
+    /// Retired sub-batches' buffers, for the next split onto this shard.
+    free_ids: Vec<Vec<u64>>,
+    /// Harvested operators' (emptied) sub-batch lists.
+    free_subs: Vec<Vec<SubBatch>>,
     /// The [`ServingConfig::depth`] operator slots, each held from
     /// dispatch to the operator's finish: the occupancy telemetry.
     slots: Slots,
@@ -388,6 +396,8 @@ impl Shard {
             pid,
             inflight: Vec::new(),
             queue: VecDeque::new(),
+            free_ids: Vec::new(),
+            free_subs: Vec::new(),
             slots: Slots::new(depth),
             breaker: Breaker::new(),
         }
@@ -616,6 +626,12 @@ pub struct ServingRuntime {
     stats: ServingStats,
     /// Free-list of request accumulators.
     out_pool: Vec<SlsOutput>,
+    /// Free-list of requests' per-slot pending counts.
+    pending_pool: Vec<Vec<u32>>,
+    /// Reused staging of each admission's split.
+    split_stage: SplitStage,
+    /// Reused list of each admission's sub-batches.
+    admit_subs: Vec<(usize, SubBatch)>,
     /// Reused reference scratch for [`ServingRuntime::verify_bitmatch`].
     ref_scratch: Vec<f32>,
     /// Reused harvest scratch (ops completed during one shard sync).
@@ -661,6 +677,9 @@ impl ServingRuntime {
             next_req: 0,
             stats: ServingStats::default(),
             out_pool: Vec::new(),
+            pending_pool: Vec::new(),
+            split_stage: SplitStage::default(),
+            admit_subs: Vec::new(),
             ref_scratch: Vec::new(),
             harvest_scratch: Vec::new(),
             fault_policy: FaultPolicy::default(),
@@ -1036,10 +1055,8 @@ impl ServingRuntime {
         } = arrival;
         if let Some(mut ad) = self.adaptive.take() {
             if let Some(prof_ix) = ad.tables.iter().position(|&t| t == table) {
-                for ids in batch.per_output() {
-                    for &row in ids {
-                        ad.fresh.observe_count(prof_ix, row, ADAPTIVE_WEIGHT);
-                    }
+                for &row in batch.ids() {
+                    ad.fresh.observe_count(prof_ix, row, ADAPTIVE_WEIGHT);
                 }
             }
             ad.arrivals += 1;
@@ -1055,42 +1072,48 @@ impl ServingRuntime {
         let t = &mut self.tables[table];
         let plan_ix = t.active;
         let plan = &mut t.plans[plan_ix];
-        let mut subs = split_batch(
+        let req_span = self.tracer.alloc_id();
+        let mut slot_pending = self.pending_pool.pop().unwrap_or_default();
+        slot_pending.clear();
+        slot_pending.resize(batch.outputs(), 0);
+        let mut subs = std::mem::take(&mut self.admit_subs);
+        let (routed, mut hot) = (plan.routing.is_some(), 0);
+        let split = split_batch(
             &t.map,
             plan.routing.as_ref(),
-            req,
-            table,
-            plan_ix as u32,
             path,
             &batch,
+            &mut self.split_stage,
         );
-        if plan.routing.is_some() {
-            let tier = t.map.shards();
-            let hot = subs
-                .first()
-                .filter(|(i, _)| *i == tier)
-                .map_or(0, |(_, s)| s.lookups());
+        for (ix, path, lookups) in split {
+            // Sized to the lookups: a queued sub-batch holds no slack.
+            let mut ids = self.shards[ix].free_ids.pop().unwrap_or_default();
+            ids.clear();
+            ids.reserve_exact(lookups.len());
+            ids.extend_from_slice(lookups);
+            let owner = SubOwner::Request(req);
+            let mut sub = SubBatch::new(owner, table, plan_ix as u32, path, ids);
+            if self.tracer.enabled() {
+                sub.span = self.tracer.alloc_id();
+                sub.born = now;
+            }
+            for (slot, _) in sub.per_output() {
+                slot_pending[slot] += 1;
+            }
+            if ix == t.map.shards() {
+                hot = sub.lookups();
+            }
+            subs.push((ix, sub));
+        }
+        if routed {
             self.stats.tier.add_hits(hot as u64);
             self.stats
                 .tier
                 .add_misses((batch.total_lookups() - hot) as u64);
         }
         plan.inflight_subs += subs.len();
-        let req_span = self.tracer.alloc_id();
-        if self.tracer.enabled() {
-            for (_, sub) in subs.iter_mut() {
-                sub.span = self.tracer.alloc_id();
-                sub.born = now;
-            }
-        }
         let mut acc = self.out_pool.pop().unwrap_or_default();
         acc.reset(batch.outputs(), t.table.spec().dim);
-        let mut slot_pending = vec![0u32; batch.outputs()];
-        for (_, sub) in &subs {
-            for &slot in &sub.slots {
-                slot_pending[slot as usize] += 1;
-            }
-        }
         let pending_lookups = batch.total_lookups() as u64;
         self.requests.insert(
             req,
@@ -1113,9 +1136,10 @@ impl ServingRuntime {
             self.events.push_at(now + deadline, Ev::Deadline(req));
         }
         self.wall.end(WallPhase::Admit, t_admit);
-        for (ix, sub) in subs {
+        for (ix, sub) in subs.drain(..) {
             self.queue_sub(ix, sub, now);
         }
+        self.admit_subs = subs;
     }
 
     /// The one way into flight: puts `sub` at the back of `ix`'s queue and
@@ -1358,7 +1382,7 @@ impl ServingRuntime {
 
     /// Returns a consumed request output to the accumulator pool.
     pub fn recycle_output(&mut self, outputs: SlsOutput) {
-        if self.out_pool.len() < 4096 {
+        if self.out_pool.len() < POOL_CAP {
             self.out_pool.push(outputs);
         }
     }
@@ -1539,7 +1563,7 @@ impl ServingRuntime {
                 inf.path.name(),
             );
         }
-        CompletedRequest {
+        let done = CompletedRequest {
             id: RequestId(req),
             client: inf.client,
             table: ServedTableId(inf.table),
@@ -1555,7 +1579,11 @@ impl ServingRuntime {
             } else {
                 Vec::new()
             },
+        };
+        if self.pending_pool.len() < POOL_CAP {
+            self.pending_pool.push(inf.slot_pending);
         }
+        done
     }
 
     /// Runs until every submitted request has completed, returning the
@@ -1639,7 +1667,7 @@ impl ServingRuntime {
     /// All per-op times derive from the operator's own finish instant —
     /// a shard is only ever harvested *at* that instant (its completion
     /// surfaces as a shard event there).
-    fn fold_one(&mut self, ix: usize, infop: InflightOp, result: OpResult) {
+    fn fold_one(&mut self, ix: usize, mut infop: InflightOp, result: OpResult) {
         let service = result.finished.saturating_since(result.started);
         if ix == self.devices {
             self.stats.tier_service.record_duration(service);
@@ -1652,12 +1680,13 @@ impl ServingRuntime {
         } else {
             let outputs = result.outputs.as_ref().expect("SLS ops produce outputs");
             let mut offset = 0;
-            for sub in infop.subs {
-                let width = sub.per_output.len();
+            for sub in infop.subs.drain(..) {
+                let width = sub.outputs();
                 let outcome = Outcome::Served { outputs, offset };
-                self.retire_sub(sub, result.started, result.finished, outcome);
+                self.retire_sub(ix, sub, result.started, result.finished, outcome);
                 offset += width;
             }
+            self.shards[ix].free_subs.push(infop.subs);
         }
         if let Some(outputs) = result.outputs {
             self.shards[ix].sys.recycle_outputs(outputs);
@@ -1671,9 +1700,9 @@ impl ServingRuntime {
     /// loss flagged, migration chunks are abandoned (they model movement
     /// cost only, so giving up is safe). A straggler of a request its
     /// deadline already served is given up at once.
-    fn handle_failed_op(&mut self, ix: usize, subs: Vec<SubBatch>, result: &OpResult) {
+    fn handle_failed_op(&mut self, ix: usize, mut subs: Vec<SubBatch>, result: &OpResult) {
         let policy = self.fault_policy;
-        for mut sub in subs {
+        for mut sub in subs.drain(..) {
             sub.attempts += 1;
             // The failed attempt still occupied the device: it counts
             // toward the request's service time.
@@ -1688,15 +1717,17 @@ impl ServingRuntime {
                 SubOwner::Migration(_) => false,
             };
             if expired || sub.attempts > policy.max_retries {
-                self.retire_sub(sub, result.started, result.finished, Outcome::Dropped);
+                self.retire_sub(ix, sub, result.started, result.finished, Outcome::Dropped);
                 continue;
             }
             self.schedule_retry(ix, result.finished, sub, &policy);
         }
+        self.shards[ix].free_subs.push(subs);
     }
 
     /// The one way out of flight: settles `sub`, whose last device
-    /// operator ran over `[started, finished]`, and releases its plan pin.
+    /// operator ran on shard `ix` over `[started, finished]`, releases its
+    /// plan pin and returns a request's buffer to the shard's free list.
     /// By owner and outcome the sub-batch has *merged* (its partial sums
     /// fold into its request), merged *late* (the deadline already served
     /// the request: the partial is discarded), been *dropped* (its slots
@@ -1706,6 +1737,7 @@ impl ServingRuntime {
     /// the ready-queue once nothing else is owed.
     fn retire_sub(
         &mut self,
+        ix: usize,
         sub: SubBatch,
         started: SimTime,
         finished: SimTime,
@@ -1729,8 +1761,7 @@ impl ServingRuntime {
                     inf.pending_lookups -= lookups;
                     match outcome {
                         Outcome::Served { outputs, offset } => {
-                            for (i, &slot) in sub.slots.iter().enumerate() {
-                                let slot = slot as usize;
+                            for (i, (slot, _)) in sub.per_output().enumerate() {
                                 inf.slot_pending[slot] -= 1;
                                 let src = outputs.row(offset + i);
                                 for (o, v) in inf.acc.row_mut(slot).iter_mut().zip(src) {
@@ -1766,6 +1797,12 @@ impl ServingRuntime {
             let path = sub.path.name();
             self.tracer
                 .emit(sub.span, name, sub.born, finished, parent, key, val, path);
+        }
+        // Migration chunks (up to 64 outputs) would bloat the free list
+        // of request-sized buffers; they are rare, so they just drop.
+        let free = &mut self.shards[ix].free_ids;
+        if free.len() < POOL_CAP && matches!(sub.owner, SubOwner::Request(_)) {
+            free.push(sub.ids);
         }
     }
 
@@ -1820,19 +1857,14 @@ fn migration_subs(
     rows: &[u64],
 ) -> impl Iterator<Item = (usize, SubBatch)> + '_ {
     rows.chunks(MIGRATION_CHUNK_ROWS).map(move |chunk| {
-        let sub = SubBatch {
-            owner: SubOwner::Migration(table),
-            table,
-            plan: plan as u32,
-            path,
-            per_output: chunk.iter().map(|&r| vec![r]).collect(),
-            slots: (0..chunk.len() as u32).collect(),
-            attempts: 0,
-            span: SpanId::NONE,
-            born: SimTime::ZERO,
-            enqueued: SimTime::ZERO,
-        };
-        (ix, sub)
+        let mut ids = Vec::with_capacity(1 + 2 * chunk.len());
+        ids.push(0);
+        let mut open = 0;
+        for (slot, &row) in chunk.iter().enumerate() {
+            push_row(&mut ids, &mut open, slot, row);
+        }
+        let owner = SubOwner::Migration(table);
+        (ix, SubBatch::new(owner, table, plan as u32, path, ids))
     })
 }
 
@@ -1881,17 +1913,18 @@ fn dispatch_on(
     let head = s.queue.pop_front().expect("dispatch on empty queue");
     let key = head.merge_key();
     let mut cap = match policy {
-        SchedulePolicy::Fifo => head.slots.len(),
-        SchedulePolicy::MicroBatch { max_outputs, .. } => max_outputs.max(head.slots.len()),
+        SchedulePolicy::Fifo => head.outputs(),
+        SchedulePolicy::MicroBatch { max_outputs, .. } => max_outputs.max(head.outputs()),
     };
-    cap -= head.slots.len();
-    let mut taken = vec![head];
+    cap -= head.outputs();
+    let mut taken = s.free_subs.pop().unwrap_or_default();
+    taken.push(head);
     if cap > 0 {
         let mut i = 0;
         while i < s.queue.len() && cap > 0 {
-            if s.queue[i].merge_key() == key && s.queue[i].slots.len() <= cap {
+            if s.queue[i].merge_key() == key && s.queue[i].outputs() <= cap {
                 let sub = s.queue.remove(i).expect("index checked");
-                cap -= sub.slots.len();
+                cap -= sub.outputs();
                 taken.push(sub);
             } else {
                 i += 1;
@@ -1899,16 +1932,17 @@ fn dispatch_on(
         }
     }
 
-    // Merge into one operator-sized batch. The component sub-batches
-    // are kept intact (their slice of the merged output block is
-    // implied by per-output counts, in order) so a failed operator
-    // can re-queue each component for retry.
-    let mut per_output: Vec<Vec<u64>> = Vec::new();
+    // Merge into one operator-sized batch, in a buffer a finished
+    // operator of this shard paid back. The component sub-batches are
+    // kept intact (their slice of the merged output block is implied by
+    // per-output counts, in order) so a failed operator can re-queue
+    // each component for retry.
     let (table, plan) = (key.table, key.plan as usize);
-    for sub in &taken {
-        per_output.extend(sub.per_output.iter().cloned());
-    }
-    let merged = LookupBatch::new(per_output);
+    let outputs = taken.iter().map(SubBatch::outputs).sum();
+    let lists = taken
+        .iter()
+        .flat_map(|sub| sub.per_output().map(|(_, ids)| ids));
+    let merged = LookupBatch::from_outputs(s.sys.batch_buffer(), outputs, lists);
     // A tier index is only dispatched under a plan that pins rows, and
     // binding such a plan binds the tier in its slot.
     let device_table = tables[table].plans[plan].bound[ix];
@@ -1952,4 +1986,15 @@ fn dispatch_on(
         subs: taken,
     });
     n_subs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_request_record_stays_small() {
+        // 16 384 of them back the open-loop backlog's request map.
+        assert!(std::mem::size_of::<Request>() <= 184);
+    }
 }

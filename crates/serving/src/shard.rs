@@ -116,8 +116,8 @@ pub(crate) enum SubOwner {
 }
 
 /// One shard's slice of a request — a device shard's or the DRAM tier's:
-/// local rows per (local) output, plus the global output slot each folds
-/// into.
+/// local rows per (local) output, each under the global output slot it
+/// folds into.
 #[derive(Debug, Clone)]
 pub(crate) struct SubBatch {
     /// Whose work this is.
@@ -132,10 +132,12 @@ pub(crate) struct SubBatch {
     pub plan: u32,
     /// Execution path (merge compatibility key with `table`).
     pub path: SlsPath,
-    /// Local rows per local output slot (every entry non-empty).
-    pub per_output: Vec<Vec<u64>>,
-    /// Global output slot per local output.
-    pub slots: Vec<u32>,
+    /// The lookups in one buffer: word 0 counts the local outputs, then
+    /// each output is a header word — its global slot in the high half,
+    /// its row count (never 0) in the low half — followed by its local
+    /// rows ([`SubBatch::per_output`]). The runtime pools these buffers
+    /// per shard index.
+    pub ids: Vec<u64>,
     /// Times this sub-batch has been dispatched and failed (drives the
     /// retry/backoff/fallback policy; 0 on first dispatch).
     pub attempts: u32,
@@ -165,6 +167,22 @@ pub(crate) struct MergeKey {
 }
 
 impl SubBatch {
+    /// A first-attempt sub-batch of `owner`'s lookups `ids` (laid out as
+    /// [`SubBatch::ids`]), untraced until the runtime gives it a span.
+    pub fn new(owner: SubOwner, table: usize, plan: u32, path: SlsPath, ids: Vec<u64>) -> Self {
+        SubBatch {
+            owner,
+            table,
+            plan,
+            path,
+            ids,
+            attempts: 0,
+            span: SpanId::NONE,
+            born: SimTime::ZERO,
+            enqueued: SimTime::ZERO,
+        }
+    }
+
     /// The merge compatibility key.
     pub fn merge_key(&self) -> MergeKey {
         MergeKey {
@@ -175,11 +193,45 @@ impl SubBatch {
         }
     }
 
+    /// Local outputs carried.
+    pub fn outputs(&self) -> usize {
+        self.ids[0] as usize
+    }
+
     /// Total lookups carried.
     pub fn lookups(&self) -> usize {
-        self.per_output.iter().map(|v| v.len()).sum()
+        self.ids.len() - 1 - self.outputs()
+    }
+
+    /// `(global slot, local rows)` per local output, in slot order.
+    pub fn per_output(&self) -> impl Iterator<Item = (usize, &[u64])> {
+        let mut rest = &self.ids[1..];
+        std::iter::from_fn(move || {
+            let (&head, tail) = rest.split_first()?;
+            let (rows, next) = tail.split_at((head & u64::from(u32::MAX)) as usize);
+            rest = next;
+            Some(((head >> 32) as usize, rows))
+        })
     }
 }
+
+/// Appends `row` to output `slot` of `ids`, a sub-batch buffer laid out
+/// as [`SubBatch::ids`]. `open` is the position of its last header (0
+/// for none yet); a new header opens when that one is another slot's.
+pub(crate) fn push_row(ids: &mut Vec<u64>, open: &mut usize, slot: usize, row: u64) {
+    if *open == 0 || ids[*open] >> 32 != slot as u64 {
+        *open = ids.len();
+        ids.push((slot as u64) << 32);
+        ids[0] += 1;
+    }
+    ids[*open] += 1;
+    ids.push(row);
+}
+
+/// Reused staging of [`split_batch`]: per shard index, the sub-batch
+/// being built (laid out as [`SubBatch::ids`]) and its open header.
+#[derive(Debug, Default)]
+pub(crate) struct SplitStage(Vec<(usize, Vec<u64>)>);
 
 /// Sentinel in [`Routing::hot_index`] marking a row as cold
 /// (device-resident).
@@ -199,25 +251,30 @@ pub(crate) struct Routing {
     pub storage: Vec<Vec<u32>>,
 }
 
-/// Splits `batch` (global rows) into per-shard sub-batches, plus — when
-/// `routing` carries a hot set — a DRAM-tier sub-batch of the hot rows
-/// (always executed over [`SlsPath::Dram`], whatever the request path).
-/// Device-shard rows are translated to packed storage rows so the
-/// frequency-ordered on-flash image is addressed correctly. Returns one
-/// `(shard index, sub-batch)` entry per shard that owns at least one
-/// looked-up row: the tier's (index `map.shards()`) first, then the
-/// device shards' in shard order.
-pub(crate) fn split_batch(
+/// Splits `batch` (global rows) by owning shard into `stage`: one
+/// sub-batch's lookups (laid out as [`SubBatch::ids`], each output's rows
+/// in batch order) per device shard, plus — when `routing` carries a hot
+/// set — one of the hot rows for the DRAM tier (index `map.shards()`,
+/// always executed over [`SlsPath::Dram`], whatever the request's
+/// `path`). Device-shard rows are translated to packed storage rows so
+/// the frequency-ordered on-flash image is addressed correctly. Yields
+/// `(shard index, path, lookups)` for every shard that owns at least one
+/// looked-up row: the tier's first, then the device shards' in shard
+/// order.
+pub(crate) fn split_batch<'s>(
     map: &ShardMap,
     routing: Option<&Routing>,
-    req: u64,
-    table: usize,
-    plan: u32,
     path: SlsPath,
     batch: &LookupBatch,
-) -> Vec<(usize, SubBatch)> {
+    stage: &'s mut SplitStage,
+) -> impl Iterator<Item = (usize, SlsPath, &'s [u64])> {
     let tier = map.shards();
-    let mut per_shard: Vec<Option<SubBatch>> = (0..=tier).map(|_| None).collect();
+    stage.0.resize_with(tier + 1, Default::default);
+    for (open, ids) in &mut stage.0 {
+        *open = 0;
+        ids.clear();
+        ids.push(0);
+    }
     for (slot, ids) in batch.per_output().iter().enumerate() {
         for &row in ids {
             let (shard, local) = match routing {
@@ -231,31 +288,16 @@ pub(crate) fn split_batch(
                 },
                 None => (map.shard_of(row), map.local_row(row)),
             };
-            let sub = per_shard[shard].get_or_insert_with(|| SubBatch {
-                owner: SubOwner::Request(req),
-                table,
-                plan,
-                path: if shard == tier { SlsPath::Dram } else { path },
-                per_output: Vec::new(),
-                slots: Vec::new(),
-                attempts: 0,
-                span: SpanId::NONE,
-                born: SimTime::ZERO,
-                enqueued: SimTime::ZERO,
-            });
-            if sub.slots.last() != Some(&(slot as u32)) {
-                sub.slots.push(slot as u32);
-                sub.per_output.push(Vec::new());
-            }
-            sub.per_output.last_mut().expect("just ensured").push(local);
+            let (open, ids) = &mut stage.0[shard];
+            push_row(ids, open, slot, local);
         }
     }
-    let tier_sub = per_shard.pop().flatten().map(|s| (tier, s));
-    let device_subs = per_shard
-        .into_iter()
-        .enumerate()
-        .filter_map(|(shard, sub)| sub.map(|s| (shard, s)));
-    tier_sub.into_iter().chain(device_subs).collect()
+    let (devices, tier_stage) = stage.0.split_at(tier);
+    let tier_sub = (tier, SlsPath::Dram, &tier_stage[0].1[..]);
+    let device_subs = devices.iter().enumerate();
+    std::iter::once(tier_sub)
+        .chain(device_subs.map(move |(ix, (_, ids))| (ix, path, &ids[..])))
+        .filter(|(_, _, ids)| ids.len() > 1)
 }
 
 #[cfg(test)]
@@ -283,25 +325,52 @@ mod tests {
         }
     }
 
+    /// One shard's part of a split, read back through [`SubBatch`]:
+    /// `(shard index, path, [(global slot, local rows)])`.
+    type Part = (usize, SlsPath, Vec<(usize, Vec<u64>)>);
+
+    fn split(
+        map: &ShardMap,
+        routing: Option<&Routing>,
+        path: SlsPath,
+        batch: &LookupBatch,
+    ) -> Vec<Part> {
+        let mut stage = SplitStage::default();
+        split_batch(map, routing, path, batch, &mut stage)
+            .map(|(ix, path, ids)| {
+                let sub = SubBatch::new(SubOwner::Request(0), 0, 0, path, ids.to_vec());
+                let outputs: Vec<(usize, Vec<u64>)> =
+                    sub.per_output().map(|(s, ids)| (s, ids.to_vec())).collect();
+                assert_eq!(sub.outputs(), outputs.len());
+                assert_eq!(sub.lookups(), outputs.iter().map(|(_, v)| v.len()).sum());
+                (ix, path, outputs)
+            })
+            .collect()
+    }
+
+    fn lookups(parts: &[Part]) -> usize {
+        let per_part = parts.iter().flat_map(|(_, _, outs)| outs);
+        per_part.map(|(_, ids)| ids.len()).sum()
+    }
+
     #[test]
     fn split_preserves_every_lookup() {
         let m = ShardMap::new(100, 3);
         let batch = LookupBatch::new(vec![vec![0, 50, 99, 50], vec![33, 34]]);
-        let subs = split_batch(&m, None, 7, 0, 0, SlsPath::Dram, &batch);
+        let subs = split(&m, None, SlsPath::Dram, &batch);
         assert!(
-            subs.iter().all(|(i, _)| *i < 3),
+            subs.iter().all(|(i, _, _)| *i < 3),
             "no routing, no tier sub-batch"
         );
-        let total: usize = subs.iter().map(|(_, s)| s.lookups()).sum();
-        assert_eq!(total, batch.total_lookups());
+        assert_eq!(lookups(&subs), batch.total_lookups());
         // Reassemble: every (global row, slot) pair appears exactly once
         // per occurrence.
         let mut pairs: Vec<(u64, u32)> = Vec::new();
-        for (shard, sub) in &subs {
+        for (shard, _, outs) in &subs {
             let start = m.range(*shard).start;
-            for (ids, &slot) in sub.per_output.iter().zip(&sub.slots) {
+            for (slot, ids) in outs {
                 for &local in ids {
-                    pairs.push((start + local, slot));
+                    pairs.push((start + local, *slot as u32));
                 }
             }
         }
@@ -325,18 +394,103 @@ mod tests {
         };
         let batch = LookupBatch::new(vec![vec![7, 0, 9]]);
         let ndp = SlsPath::Ndp(SlsOptions::default());
-        let subs = split_batch(&m, Some(&routing), 1, 0, 0, ndp, &batch);
+        let subs = split(&m, Some(&routing), ndp, &batch);
         // The tier (shard 2 of 2 devices) comes first, over the DRAM path.
-        let shards: Vec<usize> = subs.iter().map(|(i, _)| *i).collect();
+        let shards: Vec<usize> = subs.iter().map(|(i, _, _)| *i).collect();
         assert_eq!(shards, vec![2, 0, 1]);
-        assert_eq!(subs[0].1.per_output, vec![vec![0]]);
-        assert!(matches!(subs[0].1.path, SlsPath::Dram));
+        assert_eq!(subs[0].2, vec![(0, vec![0])]);
+        assert!(matches!(subs[0].1, SlsPath::Dram));
         // Row 0 → shard 0 local 0 → storage 4; row 9 → shard 1 local 4 → 0.
-        assert_eq!(subs[1].1.per_output, vec![vec![4]]);
-        assert_eq!(subs[2].1.per_output, vec![vec![0]]);
-        assert!(subs[1..].iter().all(|(_, s)| s.path == ndp));
-        let total: usize = subs.iter().map(|(_, s)| s.lookups()).sum();
-        assert_eq!(total, batch.total_lookups());
+        assert_eq!(subs[1].2, vec![(0, vec![4])]);
+        assert_eq!(subs[2].2, vec![(0, vec![0])]);
+        assert!(subs[1..].iter().all(|(_, path, _)| *path == ndp));
+        assert_eq!(lookups(&subs), batch.total_lookups());
+    }
+
+    #[test]
+    fn queued_records_stay_small() {
+        assert!(std::mem::size_of::<SubBatch>() <= 104);
+    }
+
+    /// The split written the obvious way: one list per (shard, output).
+    fn nested_split(
+        map: &ShardMap,
+        routing: Option<&Routing>,
+        path: SlsPath,
+        batch: &LookupBatch,
+    ) -> Vec<Part> {
+        let tier = map.shards();
+        let mut parts: Vec<Part> = (0..=tier)
+            .map(|ix| {
+                (
+                    ix,
+                    if ix == tier { SlsPath::Dram } else { path },
+                    Vec::new(),
+                )
+            })
+            .collect();
+        for (slot, ids) in batch.per_output().iter().enumerate() {
+            for &row in ids {
+                let hot = routing.map(|r| r.hot_index[row as usize]);
+                let (shard, local) = match hot {
+                    Some(h) if h != COLD => (tier, u64::from(h)),
+                    _ => {
+                        let shard = map.shard_of(row);
+                        let local = map.local_row(row);
+                        let packed = routing.map(|r| u64::from(r.storage[shard][local as usize]));
+                        (shard, packed.unwrap_or(local))
+                    }
+                };
+                let outs = &mut parts[shard].2;
+                match outs.last_mut() {
+                    Some((s, rows)) if *s == slot => rows.push(local),
+                    _ => outs.push((slot, vec![local])),
+                }
+            }
+        }
+        let tier_part = parts.pop().expect("tier part");
+        std::iter::once(tier_part)
+            .chain(parts)
+            .filter(|(_, _, outs)| !outs.is_empty())
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The flat split gives every shard the same local rows, in the
+        /// same per-output order, under the same global slots, as the
+        /// nested reference, with and without a routing hot set.
+        #[test]
+        fn flat_split_equals_the_nested_one(
+            lists in proptest::collection::vec(proptest::collection::vec(0u64..60, 1..17), 1..9),
+            shards in 1usize..5,
+            hot in proptest::collection::vec(0u64..60, 0..20),
+            routed in proptest::bool::ANY,
+            turn in 0u32..7,
+        ) {
+            let m = ShardMap::new(60, shards);
+            let mut hot_index = vec![COLD; 60];
+            let mut n_hot = 0;
+            for &row in &hot {
+                if hot_index[row as usize] == COLD {
+                    hot_index[row as usize] = n_hot;
+                    n_hot += 1;
+                }
+            }
+            // Each shard's packed image is its rows rotated by `turn`.
+            let storage = (0..shards)
+                .map(|s| {
+                    let n = m.range(s).end - m.range(s).start;
+                    (0..n).map(|l| ((l + u64::from(turn)) % n) as u32).collect()
+                })
+                .collect();
+            let routing = Routing { hot_index, storage };
+            let routing = routed.then_some(&routing);
+            let batch = LookupBatch::new(lists);
+            let ndp = SlsPath::Ndp(SlsOptions::default());
+            let flat = split(&m, routing, ndp, &batch);
+            proptest::prop_assert_eq!(&flat, &nested_split(&m, routing, ndp, &batch));
+            proptest::prop_assert_eq!(lookups(&flat), batch.total_lookups());
+        }
     }
 
     #[test]

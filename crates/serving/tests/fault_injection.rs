@@ -450,7 +450,7 @@ fn shard_one_rows_go_missing(sick: &FaultConfig, policy: FaultPolicy) {
     assert_eq!(done.len(), work.len());
     let map = *rt.shard_map(t);
     for d in &done {
-        let on_sick = |ids: &Vec<u64>| ids.iter().filter(|&&r| map.shard_of(r) == 1).count();
+        let on_sick = |ids: &[u64]| ids.iter().filter(|&&r| map.shard_of(r) == 1).count();
         let per_slot: Vec<usize> = d.batch.per_output().iter().map(on_sick).collect();
         let lost: usize = per_slot.iter().sum();
         assert_eq!(d.missing_lookups, lost as u64, "request {:?}", d.id);

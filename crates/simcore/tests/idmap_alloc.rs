@@ -3,8 +3,8 @@
 //! allocates nothing, however far the ids advance. A counting global
 //! allocator brackets the churn.
 //!
-//! This file deliberately contains a single `#[test]` so no concurrent
-//! test pollutes the process-global counters.
+//! The counters read are the test thread's own, so the harness's other
+//! threads do not pollute them.
 
 use recssd_sim::alloc_count::{allocations_during, CountingAllocator};
 use recssd_sim::IdMap;
