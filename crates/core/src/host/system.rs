@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use recssd_embedding::{LookupBatch, RowScratch, TableId, TableImage};
-use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeStatus};
+use recssd_nvme::{CmdData, NvmeCommand, NvmeStatus};
 use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
 use recssd_sim::stats::HitStats;
@@ -311,7 +311,8 @@ struct BaseIo {
     next: usize,
     /// Read commands issued and not yet completed.
     in_flight: usize,
-    accum_current: Option<(usize, Vec<PageImage>)>,
+    /// The command being accumulated, its pages and when its charge began.
+    accum_current: Option<(usize, Vec<PageImage>, SimTime)>,
     cmds_done: usize,
 }
 
@@ -408,8 +409,6 @@ pub struct System {
     /// Free-list of recycled NDP pair-list buffers (plan staging,
     /// hot/cold partitions).
     pair_pool: Vec<Vec<(u64, u32)>>,
-    /// Reused completion-drain scratch.
-    completions: Vec<(u16, NvmeCompletion)>,
     /// Reused encode/decode scratch for host-DRAM row gathers.
     row_scratch: RowScratch,
     /// Sim-time span tracer for host-side op phases (disabled by default;
@@ -447,7 +446,6 @@ impl System {
             batch_loans: 0,
             baseio_pool: Vec::new(),
             pair_pool: Vec::new(),
-            completions: Vec::new(),
             row_scratch: RowScratch::default(),
             tracer: Tracer::disabled(),
             cfg,
@@ -630,10 +628,12 @@ impl System {
     }
 
     /// Submits an operator with no dependencies, parenting its trace
-    /// spans under `parent` (e.g. a serving-layer sub-batch span).
-    /// Identical to [`System::submit`] when tracing is disabled.
-    pub fn submit_traced(&mut self, kind: OpKind, parent: SpanId) -> OpId {
-        self.submit_inner(kind, &[], parent)
+    /// spans under `parent` (e.g. a serving-layer sub-batch span), and
+    /// returns it with its `op` span id ([`SpanId::NONE`] when tracing is
+    /// disabled, where this is [`System::submit`]).
+    pub fn submit_traced(&mut self, kind: OpKind, parent: SpanId) -> (OpId, SpanId) {
+        let id = self.submit_inner(kind, &[], parent);
+        (id, self.ops[&id].span)
     }
 
     /// Submits an operator that starts only after `deps` complete.
@@ -762,17 +762,18 @@ impl System {
         assert!(self.dev.idle(), "device busy with no pending events");
     }
 
+    /// Handles one event, then every completion it posted: a device event
+    /// posts them, and so does a doorbell a worker event rings (a command
+    /// the device refuses at once).
     fn handle_event(&mut self, now: SimTime, ev: SysEvent) {
         match ev {
             SysEvent::Dev(dev_ev) => {
-                {
-                    let Self { dev, q, .. } = self;
-                    dev.handle(now, dev_ev, &mut |d, e| q.push_after(d, SysEvent::Dev(e)));
-                }
-                self.poll_completions(now);
+                let Self { dev, q, .. } = self;
+                dev.handle(now, dev_ev, &mut |d, e| q.push_after(d, SysEvent::Dev(e)));
             }
             SysEvent::Worker(id) => self.on_worker_event(now, id),
         }
+        self.poll_completions(now);
     }
 
     fn pool_mut(&mut self, pool: PoolKind) -> &mut Pool {
@@ -1014,16 +1015,13 @@ impl System {
     fn baseline_issue(&mut self, now: SimTime, id: OpId, io: &mut BaseIo) {
         let table = self.ops[&id].kind.sls().0;
         let base = self.registry.binding(table).base_lpn;
-        let qid = self.ops[&id].qid;
         while io.in_flight < io.opts.io_concurrency && io.next < io.bufs.cmds.len() {
             let idx = io.next;
             io.next += 1;
             io.in_flight += 1;
             let cmd = &io.bufs.cmds[idx];
             let (page, span) = (io.bufs.runs[cmd.first as usize].page, cmd.span);
-            let cid = self.alloc_cid(qid);
-            self.pending_cmd[qid as usize].insert(cid, (id, idx));
-            self.submit_cmd(now, qid, NvmeCommand::read(cid, base + page, span));
+            self.issue(now, id, idx, NvmeCommand::read(0, base + page, span));
         }
     }
 
@@ -1048,7 +1046,7 @@ impl System {
         io.bufs.backlog.push_back(idx);
         self.baseline_issue(now, id, &mut io);
         if io.accum_current.is_none() {
-            self.baseline_start_accum(id, &mut io);
+            self.baseline_start_accum(now, id, &mut io);
         }
         self.set_phase(id, Phase::BaseIo(io));
     }
@@ -1057,7 +1055,7 @@ impl System {
     /// the next backlogged command (all of its pages fold in one charge:
     /// the per-command driver software cost amortises with coalescing
     /// exactly like the firmware cost does).
-    fn baseline_start_accum(&mut self, id: OpId, io: &mut BaseIo) {
+    fn baseline_start_accum(&mut self, now: SimTime, id: OpId, io: &mut BaseIo) {
         let Some(idx) = io.bufs.backlog.pop_front() else {
             return;
         };
@@ -1078,16 +1076,21 @@ impl System {
             .row_bytes();
         let dur = SimDuration::from_ns(host.sw_cmd_ns + host.per_lookup_ns * vectors as u64)
             + self.dram_time((vectors * row_bytes) as f64);
-        io.accum_current = Some((idx, data));
+        io.accum_current = Some((idx, data, now));
         self.charge(id, dur);
     }
 
     /// The accumulate charge finished: fold every page of the command
     /// into the flat outputs with the fused decode (no per-vector
     /// allocation), and record each row in the host LRU if the op uses
-    /// it — a key insert, since the LRU holds no vector bytes.
+    /// it — a key insert, since the LRU holds no vector bytes. The charge
+    /// is traced as one `base:accum` window, poisoned op or not.
     fn baseline_accum_done(&mut self, now: SimTime, id: OpId, mut io: BaseIo) {
-        let (idx, data) = io.accum_current.take().expect("accumulating a command");
+        let (idx, data, since) = io.accum_current.take().expect("accumulating a command");
+        let op_span = self.ops[&id].span;
+        if op_span.is_some() {
+            self.tracer.span("base:accum", since, now, op_span);
+        }
         if self.ops[&id].failed.is_some() {
             // The op was poisoned while this charge was in flight.
             self.baseline_drain(now, id, io, Some(data));
@@ -1138,7 +1141,7 @@ impl System {
             self.finish_op(now, id, Phase::BaseIo(io));
             return;
         }
-        self.baseline_start_accum(id, &mut io);
+        self.baseline_start_accum(now, id, &mut io);
         self.set_phase(id, Phase::BaseIo(io));
     }
 
@@ -1283,11 +1286,8 @@ impl System {
         let mut payload = dev.take_host_buffer(plan.cold_cfg.encoded_len());
         plan.cold_cfg.encode_into(&mut payload);
         let slba = NvmeCommand::ndp_slba(base, plan.request_id, align);
-        let qid = op.qid;
         op.phase = Phase::NdpAwaitWrite(plan);
-        let cid = self.alloc_cid(qid);
-        self.pending_cmd[qid as usize].insert(cid, (id, 0));
-        self.submit_cmd(now, qid, NvmeCommand::ndp_write(cid, slba, payload));
+        self.issue(now, id, 0, NvmeCommand::ndp_write(0, slba, payload));
     }
 
     fn ndp_on_write_done(&mut self, now: SimTime, id: OpId, plan: NdpPlan) {
@@ -1296,11 +1296,8 @@ impl System {
         let base = self.registry.binding(table).base_lpn;
         let nlb = plan.cold_cfg.result_blocks(self.cfg.ssd.block_bytes());
         let slba = NvmeCommand::ndp_slba(base, plan.request_id, self.cfg.ndp.table_align);
-        let qid = self.ops[&id].qid;
         self.set_phase(id, Phase::NdpAwaitRead(plan));
-        let cid = self.alloc_cid(qid);
-        self.pending_cmd[qid as usize].insert(cid, (id, 0));
-        self.submit_cmd(now, qid, NvmeCommand::ndp_read(cid, slba, nlb));
+        self.issue(now, id, 0, NvmeCommand::ndp_read(0, slba, nlb));
     }
 
     fn ndp_on_read_done(&mut self, now: SimTime, id: OpId, plan: NdpPlan, data: Vec<u8>) {
@@ -1321,60 +1318,60 @@ impl System {
 
     // ----- shared plumbing -----
 
-    fn alloc_cid(&mut self, qid: u16) -> u16 {
-        let c = self.next_cid[qid as usize];
-        self.next_cid[qid as usize] = c.wrapping_add(1);
-        c
-    }
-
-    fn submit_cmd(&mut self, now: SimTime, qid: u16, cmd: NvmeCommand) {
+    /// Submits `cmd` as command `idx` of operator `id` on the op's queue,
+    /// under the queue's next command id and with the op's span as its
+    /// cause, and rings the doorbell.
+    fn issue(&mut self, now: SimTime, id: OpId, idx: usize, mut cmd: NvmeCommand) {
+        let op = &self.ops[&id];
+        let qid = op.qid;
+        cmd.cause = op.span.0;
+        cmd.cid = self.next_cid[qid as usize];
+        self.next_cid[qid as usize] = cmd.cid.wrapping_add(1);
+        self.pending_cmd[qid as usize].insert(cmd.cid, (id, idx));
         let Self { dev, q, .. } = self;
         dev.queue(qid).submit(cmd).expect("queue depth respected");
         dev.doorbell(now, qid, &mut |d, e| q.push_after(d, SysEvent::Dev(e)));
     }
 
+    /// Handles every posted completion in place, queue by queue; one a
+    /// handler's doorbell posts on the queue being drained is handled in
+    /// the same pass.
     fn poll_completions(&mut self, now: SimTime) {
-        let mut completions = std::mem::take(&mut self.completions);
-        completions.clear();
         for qid in 0..self.cfg.ssd.io_queues as u16 {
             while let Some(c) = self.dev.queue(qid).poll() {
-                completions.push((qid, c));
+                let (id, idx) = self.pending_cmd[qid as usize]
+                    .remove(&c.cid)
+                    .expect("completion for unknown command");
+                let op = self.ops.get_mut(&id).expect("op exists");
+                if c.status != NvmeStatus::Success {
+                    // The first device-side failure poisons the op: it issues
+                    // no further I/O and its result carries the error.
+                    op.failed.get_or_insert(DeviceError::from_status(c.status));
+                }
+                let failed = op.failed.is_some();
+                match (std::mem::take(&mut op.phase), c.data) {
+                    (Phase::BaseIo(io), data) => {
+                        let pages = data.map(|data| match data {
+                            CmdData::Pages(pages) => pages,
+                            CmdData::Flat(_) => {
+                                unreachable!("a conventional read completes with page images")
+                            }
+                        });
+                        self.baseline_on_read(now, id, idx, pages, io);
+                    }
+                    // An NDP op has a single command in flight, so a failed one
+                    // finishes (with the error) at once.
+                    (phase @ (Phase::NdpAwaitWrite(_) | Phase::NdpAwaitRead(_)), _) if failed => {
+                        self.finish_op(now, id, phase)
+                    }
+                    (Phase::NdpAwaitWrite(plan), _) => self.ndp_on_write_done(now, id, plan),
+                    (Phase::NdpAwaitRead(plan), Some(CmdData::Flat(data))) => {
+                        self.ndp_on_read_done(now, id, plan, data)
+                    }
+                    (phase, _) => unreachable!("completion in unexpected phase {phase:?}"),
+                }
             }
         }
-        for (qid, c) in completions.drain(..) {
-            let (id, idx) = self.pending_cmd[qid as usize]
-                .remove(&c.cid)
-                .expect("completion for unknown command");
-            let op = self.ops.get_mut(&id).expect("op exists");
-            if c.status != NvmeStatus::Success {
-                // The first device-side failure poisons the op: it issues
-                // no further I/O and its result carries the error.
-                op.failed.get_or_insert(DeviceError::from_status(c.status));
-            }
-            let failed = op.failed.is_some();
-            match (std::mem::take(&mut op.phase), c.data) {
-                (Phase::BaseIo(io), data) => {
-                    let pages = data.map(|data| match data {
-                        CmdData::Pages(pages) => pages,
-                        CmdData::Flat(_) => {
-                            unreachable!("a conventional read completes with page images")
-                        }
-                    });
-                    self.baseline_on_read(now, id, idx, pages, io);
-                }
-                // An NDP op has a single command in flight, so a failed one
-                // finishes (with the error) at once.
-                (phase @ (Phase::NdpAwaitWrite(_) | Phase::NdpAwaitRead(_)), _) if failed => {
-                    self.finish_op(now, id, phase)
-                }
-                (Phase::NdpAwaitWrite(plan), _) => self.ndp_on_write_done(now, id, plan),
-                (Phase::NdpAwaitRead(plan), Some(CmdData::Flat(data))) => {
-                    self.ndp_on_read_done(now, id, plan, data)
-                }
-                (phase, _) => unreachable!("completion in unexpected phase {phase:?}"),
-            }
-        }
-        self.completions = completions;
     }
 
     fn recycle_pairs(&mut self, mut pairs: Vec<(u64, u32)>) {

@@ -261,6 +261,9 @@ struct EntryBufs {
 struct SlsEntry {
     qid: u16,
     write_cid: u16,
+    /// The config write's cause: every charge and page read of the
+    /// request carries it.
+    cause: u64,
     table_base: u64,
     raw_config: Option<Vec<u8>>,
     /// The decoded config once processed; its pair list has gone back to
@@ -358,18 +361,22 @@ impl NdpSlsEngine {
         FwTag(tag)
     }
 
-    fn charge_fw(ctx: &mut DeviceCtx<'_>, dur: SimDuration, tag: FwTag) {
-        let ftl = &mut *ctx.ftl;
-        let sched = &mut *ctx.sched;
-        ftl.charge_firmware(ctx.now, dur, tag, &mut |d, e| sched(d, SsdEvent::Ftl(e)));
-    }
-
-    fn charge_engine(ctx: &mut DeviceCtx<'_>, engine: usize, dur: SimDuration, tag: FwTag) {
-        let ftl = &mut *ctx.ftl;
-        let sched = &mut *ctx.sched;
-        ftl.charge_engine(ctx.now, engine, dur, tag, &mut |d, e| {
-            sched(d, SsdEvent::Ftl(e))
-        });
+    /// Charges `tag` onto engine `e` of the pool (`Some(e)`) or onto the
+    /// firmware core (`None`), for the request whose config write
+    /// `cause` issued.
+    fn charge(
+        ctx: &mut DeviceCtx<'_>,
+        on: Option<usize>,
+        dur: SimDuration,
+        tag: FwTag,
+        cause: u64,
+    ) {
+        let (ftl, sched) = (&mut *ctx.ftl, &mut *ctx.sched);
+        let sched = &mut |d, e| sched(d, SsdEvent::Ftl(e));
+        match on {
+            Some(e) => ftl.charge_engine(ctx.now, e, dur, tag, cause, sched),
+            None => ftl.charge_firmware(ctx.now, dur, tag, cause, sched),
+        }
     }
 
     /// Returns an entry's buffers to the free-list pool.
@@ -460,6 +467,7 @@ impl NdpSlsEngine {
         // The pair list is consumed: its buffer goes back with the entry's.
         bufs.pairs = std::mem::take(&mut cfg.pairs);
         let n_pages = bufs.page_work.len();
+        let cause = entry.cause;
         entry.pages_pending = n_pages;
         entry.t_processed = ctx.now;
         entry.t_last_page = ctx.now;
@@ -485,7 +493,7 @@ impl NdpSlsEngine {
             let started = {
                 let ftl = &mut *ctx.ftl;
                 let sched = &mut *ctx.sched;
-                ftl.read_page(ctx.now, lpn, &mut |d, e| sched(d, SsdEvent::Ftl(e)))
+                ftl.read_page_for(ctx.now, lpn, cause, &mut |d, e| sched(d, SsdEvent::Ftl(e)))
                     .expect("the last pair's page was checked against the logical space")
             };
             match started {
@@ -521,7 +529,7 @@ impl NdpSlsEngine {
     ) {
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let cfg = entry.cfg.as_ref().expect("configured");
-        let run = entry.bufs.page_work[widx];
+        let (run, cause) = (entry.bufs.page_work[widx], entry.cause);
         let duration = self.cfg.translate_time(run.len as usize * cfg.row_bytes());
         let engines = ctx.ftl.engine_count();
         let engine = (engines > 0).then(|| {
@@ -536,10 +544,7 @@ impl NdpSlsEngine {
             data,
             duration,
         });
-        match engine {
-            Some(e) => Self::charge_engine(ctx, e, duration, tag),
-            None => Self::charge_fw(ctx, duration, tag),
-        }
+        Self::charge(ctx, engine, duration, tag, cause);
     }
 
     /// Step 5: translation done — extract vectors, accumulate, and record
@@ -608,16 +613,13 @@ impl NdpSlsEngine {
             let active = entry.bufs.engine_pages.iter().filter(|&&c| c > 0).count();
             let dur = self.cfg.merge_time(cfg.result_bytes() * active);
             entry.report.merge = dur;
-            let placement = ctx
-                .ftl
-                .engine_config()
-                .expect("engine pool configured")
-                .merge;
+            let on = match ctx.ftl.engine_config().expect("engine pool").merge {
+                MergePlacement::FwCore => None,
+                MergePlacement::Engine(i) => Some(i as usize),
+            };
+            let cause = entry.cause;
             let tag = self.alloc_tag(FwJob::Merge { request });
-            match placement {
-                MergePlacement::FwCore => Self::charge_fw(ctx, dur, tag),
-                MergePlacement::Engine(i) => Self::charge_engine(ctx, i as usize, dur, tag),
-            }
+            Self::charge(ctx, on, dur, tag, cause);
             return;
         }
         if !entry.results_ready {
@@ -693,6 +695,7 @@ impl NdpEngine for NdpSlsEngine {
                     SlsEntry {
                         qid,
                         write_cid: cmd.cid,
+                        cause: cmd.cause,
                         table_base,
                         raw_config: Some(payload),
                         cfg: None,
@@ -804,8 +807,9 @@ impl NdpEngine for NdpSlsEngine {
         let pairs = SlsConfig::pair_count(raw.len());
         let dur = self.cfg.config_process_time(pairs);
         entry.report.config_process = dur;
+        let cause = entry.cause;
         let tag = self.alloc_tag(FwJob::ConfigProcess { request });
-        Self::charge_fw(ctx, dur, tag);
+        Self::charge(ctx, None, dur, tag, cause);
         true
     }
 

@@ -776,6 +776,28 @@ fn a_result_read_behind_a_refused_config_is_refused_too() {
 /// block once per engine that translated a page: a command whose pages
 /// all lie on one engine's channels pays `merge_time(result_bytes)`, one
 /// spread over three engines pays `merge_time(3 × result_bytes)`.
+/// A config write the engine refuses at the doorbell (its one entry is
+/// taken) fails its operator at that doorbell instant — the end of the
+/// operator's host planning charge — not at some later, unrelated device
+/// event.
+#[test]
+fn a_config_write_refused_at_the_doorbell_fails_at_once() {
+    let mut cfg = RecSsdConfig::small();
+    cfg.ndp.max_entries = 1;
+    let host = cfg.host.clone();
+    let mut sys = System::new(cfg);
+    let table = spread_table(&mut sys, 800, 32, Quantization::F32, 1);
+    let batch = || LookupBatch::new(vec![vec![1, 2, 3, 4, 5]]);
+    let ops = [(); 2].map(|_| sys.submit(OpKind::ndp_sls(table, batch(), SlsOptions::default())));
+    sys.run_until_idle();
+    let doorbell = recssd_sim::SimTime::ZERO
+        + recssd_sim::SimDuration::from_ns(host.op_overhead_ns + 5 * host.per_lookup_ns);
+    let [served, refused] = ops.map(|op| sys.take_result(op));
+    assert!(served.is_ok());
+    assert!(!refused.is_ok());
+    assert_eq!(refused.finished, doorbell);
+}
+
 #[test]
 fn engine_pool_merge_is_charged_per_engine_that_translated_a_page() {
     const ENGINES: u32 = 8;

@@ -10,7 +10,8 @@
 //! Translation-bound NDP profile of Fig. 8.
 //!
 //! The core and each engine are a [`recssd_sim::Server`] of [`FwTag`]s
-//! held by [`crate::GreedyFtl`]; this module holds the tag and the pool's
+//! (each beside the trace id of the operator it serves) held by
+//! [`crate::GreedyFtl`]; this module holds the tag and the pool's
 //! configuration.
 
 use recssd_sim::SimDuration;
@@ -128,8 +129,8 @@ mod tests {
             let (tag, mut fresh) = (FwTag(tag), Vec::new());
             let sched = &mut |d, e| fresh.push((d, e));
             match engine {
-                None => self.ftl.charge_firmware(SimTime::ZERO, d, tag, sched),
-                Some(e) => self.ftl.charge_engine(SimTime::ZERO, e, d, tag, sched),
+                None => self.ftl.charge_firmware(SimTime::ZERO, d, tag, 0, sched),
+                Some(e) => self.ftl.charge_engine(SimTime::ZERO, e, d, tag, 0, sched),
             }
             for &(d, e) in &fresh {
                 self.q.push_after(d, e);

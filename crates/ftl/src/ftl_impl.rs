@@ -162,6 +162,7 @@ enum Pending {
         req: ReqId,
         lpn: Lpn,
         ppa: Ppa,
+        cause: u64,
     },
     HostWrite {
         req: ReqId,
@@ -204,11 +205,12 @@ pub struct GreedyFtl {
     alloc: BlockAllocator,
     cache: LruCache<u64, PageImage>,
     write_buffer: FxHashMap<u64, PageImage>,
-    /// The serial firmware core.
-    fw: Server<FwTag>,
+    /// The serial firmware core, serving tasks tagged with their
+    /// caller's tag and cause.
+    fw: Server<(FwTag, u64)>,
     /// The per-channel SLS engines of [`FtlConfig::engines`] (empty =
     /// single-core firmware).
-    engines: Vec<Server<FwTag>>,
+    engines: Vec<Server<(FwTag, u64)>>,
     pending: IdMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: FxHashSet<u64>,
@@ -470,6 +472,22 @@ impl GreedyFtl {
         lpn: Lpn,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) -> Result<ReadStarted, FtlError> {
+        self.read_page_for(now, lpn, 0, sched)
+    }
+
+    /// [`GreedyFtl::read_page`] on behalf of the operator whose trace id
+    /// is `cause`: a flash read it issues traces its windows with it.
+    ///
+    /// # Errors
+    ///
+    /// As [`GreedyFtl::read_page`].
+    pub fn read_page_for(
+        &mut self,
+        now: SimTime,
+        lpn: Lpn,
+        cause: u64,
+        sched: &mut dyn FnMut(SimDuration, FtlEvent),
+    ) -> Result<ReadStarted, FtlError> {
         if lpn.0 >= self.config.logical_pages {
             return Err(FtlError::LpnOutOfRange(lpn));
         }
@@ -493,7 +511,13 @@ impl GreedyFtl {
             })?;
         let req = ReqId(self.next_req);
         self.next_req += 1;
-        self.pending.insert(op, Pending::HostRead { req, lpn, ppa });
+        let read = Pending::HostRead {
+            req,
+            lpn,
+            ppa,
+            cause,
+        };
+        self.pending.insert(op, read);
         Ok(ReadStarted::Pending(req))
     }
 
@@ -580,16 +604,19 @@ impl GreedyFtl {
     /// finishes, [`FtlOutcome::FwTaskDone`] carries `tag` back to the
     /// caller. Tasks run FIFO — this serialisation models the embedded
     /// ARM core that both NVMe command handling and NDP translation share.
+    /// `cause` is the trace id of the host operator the task serves (zero
+    /// for none); its service window carries it.
     pub fn charge_firmware(
         &mut self,
         now: SimTime,
         duration: SimDuration,
         tag: FwTag,
+        cause: u64,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
         let duration = self.faulted(now, duration);
-        if let Some(d) = self.fw.start(now, duration, tag) {
-            self.serve(now, d, FtlEvent::FwDone, tag, sched);
+        if let Some(d) = self.fw.start(now, duration, (tag, cause)) {
+            self.serve(now, d, FtlEvent::FwDone, (tag, cause), sched);
         }
     }
 
@@ -609,13 +636,15 @@ impl GreedyFtl {
         engine: usize,
         duration: SimDuration,
         tag: FwTag,
+        cause: u64,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
         let duration = self.faulted(now, duration);
         let pool = self.config.engines.expect("engine pool configured");
         let idx = engine % self.engines.len();
-        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), tag) {
-            self.serve(now, d, FtlEvent::EngineDone(idx as u32), tag, sched);
+        let task = (tag, cause);
+        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), task) {
+            self.serve(now, d, FtlEvent::EngineDone(idx as u32), task, sched);
         }
     }
 
@@ -635,13 +664,13 @@ impl GreedyFtl {
     /// The one start site of the firmware core and the engines: `tag`
     /// starts service at `now` on the server whose completion event is
     /// `done`. Schedules that event and traces the service window — the
-    /// window the server's busy counter just charged.
+    /// window the server's busy counter just charged — with its cause.
     fn serve(
         &self,
         now: SimTime,
         d: SimDuration,
         done: FtlEvent,
-        tag: FwTag,
+        (tag, cause): (FwTag, u64),
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
         if self.tracer.enabled() {
@@ -653,7 +682,7 @@ impl GreedyFtl {
             };
             self.tracer
                 .with_tid(tid)
-                .span_arg(name, now, now + d, SpanId::NONE, key, val);
+                .window(name, now, now + d, SpanId::NONE, cause, key, val);
         }
         sched(d, done);
     }
@@ -674,7 +703,7 @@ impl GreedyFtl {
                     FtlEvent::EngineDone(i) => &mut self.engines[i as usize],
                     _ => &mut self.fw,
                 };
-                let (tag, next) = server.finish(now);
+                let ((tag, _), next) = server.finish(now);
                 if let Some(d) = next {
                     let started = server.current().expect("a queued task started");
                     self.serve(now, d, ev, started, sched);
@@ -702,10 +731,14 @@ impl GreedyFtl {
         let g = self.config.flash.geometry;
         let pending = self.pending.remove(&c.op).expect("untracked flash op");
         if self.tracer.enabled() {
-            self.trace_flash(now, &c, matches!(pending, Pending::HostRead { .. }));
+            let read = match pending {
+                Pending::HostRead { cause, .. } => Some(cause),
+                _ => None,
+            };
+            self.trace_flash(now, &c, read);
         }
         match pending {
-            Pending::HostRead { req, lpn, ppa } => {
+            Pending::HostRead { req, lpn, ppa, .. } => {
                 if c.failed {
                     // Uncorrectable media error: the bytes are untrusted,
                     // so nothing is cached and the image goes straight
@@ -781,21 +814,27 @@ impl GreedyFtl {
     /// complete (`flash:read`, sense + ECC retries + die/bus queueing),
     /// and for every operation that held a channel — host and GC reads,
     /// programs — the hold window (`flash:xfer`, its channel as `ch`),
-    /// which is exactly what that channel's busy counter charged.
-    fn trace_flash(&self, now: SimTime, c: &FlashCompletion, host_read: bool) {
+    /// which is exactly what that channel's busy counter charged. A host
+    /// read's windows carry the cause it was issued for (`read`); the
+    /// others carry none.
+    fn trace_flash(&self, now: SimTime, c: &FlashCompletion, read: Option<u64>) {
         let tr = self.tracer.with_tid(track::TID_FLASH);
-        let parent = if host_read {
-            let (key, val) = if c.failed {
-                ("failed", 1)
-            } else {
-                ("retried", c.retried as u64)
-            };
-            tr.span_arg("flash:read", c.submitted_at, now, SpanId::NONE, key, val)
-        } else {
-            SpanId::NONE
+        let (parent, cause) = match read {
+            Some(cause) => {
+                let (key, val) = if c.failed {
+                    ("failed", 1)
+                } else {
+                    ("retried", c.retried as u64)
+                };
+                let at = c.submitted_at;
+                let read = tr.window("flash:read", at, now, SpanId::NONE, cause, key, val);
+                (read, cause)
+            }
+            None => (SpanId::NONE, 0),
         };
         if let Some((start, end)) = c.channel_window {
-            tr.span_arg("flash:xfer", start, end, parent, "ch", c.ppa.channel as u64);
+            let ch = c.ppa.channel as u64;
+            tr.window("flash:xfer", start, end, parent, cause, "ch", ch);
         }
     }
 

@@ -226,9 +226,13 @@ fn channel_and_firmware_counters_equal_their_traced_windows() {
         };
         h.write(lpn, payload(i));
         let Harness { ftl, q } = &mut h;
-        ftl.charge_firmware(q.now(), SimDuration::from_us(3), FwTag(i), &mut |d, e| {
-            q.push_after(d, e)
-        });
+        ftl.charge_firmware(
+            q.now(),
+            SimDuration::from_us(3),
+            FwTag(i),
+            0,
+            &mut |d, e| q.push_after(d, e),
+        );
         h.drain();
         if i % 500 == 0 {
             h.ftl.drop_caches();
@@ -372,12 +376,20 @@ fn firmware_tasks_serialise_fifo() {
     {
         let Harness { ftl, q } = &mut h;
         let mut fresh = Vec::new();
-        ftl.charge_firmware(q.now(), SimDuration::from_us(10), FwTag(1), &mut |d, e| {
-            fresh.push((d, e))
-        });
-        ftl.charge_firmware(q.now(), SimDuration::from_us(5), FwTag(2), &mut |d, e| {
-            fresh.push((d, e))
-        });
+        ftl.charge_firmware(
+            q.now(),
+            SimDuration::from_us(10),
+            FwTag(1),
+            0,
+            &mut |d, e| fresh.push((d, e)),
+        );
+        ftl.charge_firmware(
+            q.now(),
+            SimDuration::from_us(5),
+            FwTag(2),
+            0,
+            &mut |d, e| fresh.push((d, e)),
+        );
         for (d, e) in fresh {
             q.push_after(d, e);
         }

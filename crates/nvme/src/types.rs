@@ -60,6 +60,10 @@ pub struct NvmeCommand {
     pub nlb: u32,
     /// Host payload for write-like commands.
     pub payload: Option<Vec<u8>>,
+    /// Trace id of the host operator that issued the command (zero when
+    /// untraced): the device tags every service window the command
+    /// causes with it. Not part of the NVMe wire format.
+    pub cause: u64,
 }
 
 impl NvmeCommand {
@@ -72,6 +76,7 @@ impl NvmeCommand {
             slba,
             nlb,
             payload: None,
+            cause: 0,
         }
     }
 
@@ -85,6 +90,7 @@ impl NvmeCommand {
             slba,
             nlb,
             payload: Some(payload),
+            cause: 0,
         }
     }
 
@@ -97,6 +103,7 @@ impl NvmeCommand {
             slba,
             nlb: config.len().div_ceil(16 * 1024).max(1) as u32,
             payload: Some(config),
+            cause: 0,
         }
     }
 
@@ -109,6 +116,7 @@ impl NvmeCommand {
             slba,
             nlb,
             payload: None,
+            cause: 0,
         }
     }
 

@@ -1,15 +1,22 @@
 //! Critical-path extraction and automated bottleneck attribution.
 //!
-//! [`request_critical_paths`] walks every `request → sub → op → fw/flash`
-//! span tree in a recorded trace and segments each request's end-to-end
-//! latency into named [`Phase`]s (admission, shard queue wait, firmware
-//! exec, flash read, PCIe transfer, DRAM-tier gather, retry backoff,
-//! host merge). Each *instant* of the request's lifetime is attributed
-//! to exactly one phase — the highest-priority resource active at that
-//! instant — so per-request phase times always sum to at most the e2e
-//! latency and a **conservation** ratio (attributed / e2e) measures how
-//! much of the latency the decomposition explains. CI gates conservation
-//! at ≥ 95 % on every serving path.
+//! [`request_critical_paths`] splits each request's end-to-end latency
+//! into named [`Phase`]s from the request's **own** windows only. Those
+//! are the host service spans of the operators that served its
+//! sub-batches (matched through each `sub:wait`'s `cause`, the operator
+//! that ended the wait) plus the device windows those operators caused
+//! (`fw:exec`, `fw:engine`, `flash:read`, `flash:xfer`, each carrying its
+//! operator's span id in `cause`). A window another request's operator
+//! caused is never read, however busy it keeps the shard.
+//!
+//! The partition rule: an instant at which k ≥ 1 own windows are open
+//! gives 1/k of the instant to each window's phase; a host read's
+//! `flash:read` yields to its own open `flash:xfer`. An instant at which
+//! none is open is wait: `admission` before the first sub-batch,
+//! `retry_backoff` between a failed attempt's operator end and its
+//! re-queue, `shard_queue` otherwise. No phase outranks another, and a
+//! request's phase times sum exactly to its e2e latency, so the
+//! **conservation** ratio (attributed / e2e) is 1 by construction.
 //!
 //! [`CriticalPathReport`] aggregates the per-request profiles per
 //! serving path (the `request` span label), including a p99 tail profile
@@ -39,47 +46,47 @@ use crate::trace::{track, SpanRec};
 /// Number of named phases in the decomposition.
 pub const PHASE_COUNT: usize = 10;
 
-/// A named segment of a request's end-to-end latency. The discriminant
-/// is the attribution priority: when several phases are active at the
-/// same instant (e.g. the firmware core runs while the sub-batch also
-/// sits in a queue), the instant is charged to the **highest** variant.
+/// A named segment of a request's end-to-end latency. The first three
+/// are wait (no own window open); the others are the phases of service
+/// windows, which share an instant equally (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// Time inside the request span covered by no sub-batch at all
-    /// (admission bookkeeping before the split is enqueued).
+    /// Wait before the request's first sub-batch exists (admission
+    /// bookkeeping before the split is enqueued).
     Admission = 0,
-    /// Exponential-backoff time between a failed attempt and its
-    /// re-dispatch (the part of the gap no resource accounts for).
+    /// Wait between a failed attempt's operator end and the sub-batch's
+    /// re-queue (the retry's exponential backoff).
     RetryBackoff = 1,
-    /// Sub-batch queue wait: host-side shard queue (`sub:wait`) plus
-    /// device-internal operator queueing (`op:queue`).
+    /// Every other wait: the host-side shard queue (`sub:wait`), the
+    /// operator's wait for a host worker (`op:queue`) and device-side
+    /// queueing behind other requests' work.
     ShardQueue = 2,
     /// Host software: operator planning / command-block construction
     /// (`base:plan`, `ndp:plan`).
     HostSw = 3,
-    /// DRAM gather: host-DRAM SLS compute, on the placement tier or the
-    /// DRAM serving path (`op:compute` labelled `dram`).
+    /// Host-DRAM gather: DRAM SLS compute on the placement tier or the
+    /// DRAM serving path (`op:compute` labelled `dram`) and an NDP
+    /// operator's gather of static-partition hot rows (`ndp:gather`).
     TierGather = 4,
     /// Flash array read: sense, ECC retries and die/channel queueing
-    /// (`flash:read` minus the transfer tail).
+    /// (`flash:read` minus its own channel transfer).
     FlashRead = 5,
-    /// Data movement: flash channel transfer (`flash:xfer`) and NVMe
-    /// command/result block movement (`ndp:write`, `ndp:read`).
+    /// Flash channel transfer (`flash:xfer`).
     Transfer = 6,
     /// Per-channel SLS engine execution — translation (and optionally
     /// merge) service windows on the device's engine pool (`fw:engine`).
     EngineExec = 7,
     /// Firmware-core execution — the serial embedded core charged per
-    /// NVMe command and per NDP translation (`fw:exec`, `ndp:gather`).
+    /// NVMe command and per NDP translation (`fw:exec`).
     FwExec = 8,
-    /// Host-side result folding (`ndp:merge`, `base:io` residue,
-    /// `op:compute` labelled `host`).
+    /// Host-side result folding (`ndp:merge`, `base:accum`, `op:compute`
+    /// labelled `host`).
     Merge = 9,
 }
 
 impl Phase {
-    /// All phases, lowest attribution priority first.
+    /// All phases, in discriminant order.
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Admission,
         Phase::RetryBackoff,
@@ -116,8 +123,7 @@ impl Phase {
 }
 
 /// One request's extracted critical path: its e2e latency split across
-/// the [`Phase`]s, plus the residue the decomposition could not
-/// attribute.
+/// the [`Phase`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestProfile {
     /// The `request` span id.
@@ -133,10 +139,8 @@ pub struct RequestProfile {
     /// aggregate profiles and the conservation gate.
     pub degraded: bool,
     /// Nanoseconds attributed to each phase, indexed by
-    /// [`Phase::ALL`] order.
+    /// [`Phase::ALL`] order; they sum to `e2e_ns`.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Nanoseconds of the e2e window no phase accounts for.
-    pub unattributed_ns: u64,
 }
 
 impl RequestProfile {
@@ -150,8 +154,8 @@ impl RequestProfile {
         attributed as f64 / self.e2e_ns as f64
     }
 
-    /// Phases sorted by attributed time, largest first (ties broken by
-    /// attribution priority so the order is total).
+    /// Phases sorted by attributed time, largest first (equal times in
+    /// reverse [`Phase::ALL`] order, so the order is total).
     pub fn segments(&self) -> Vec<(Phase, u64)> {
         let mut v: Vec<(Phase, u64)> = Phase::ALL
             .iter()
@@ -205,8 +209,6 @@ pub struct PathProfile {
     pub e2e: LatSummary,
     /// Total ns per phase, summed across requests ([`Phase::ALL`] order).
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Total unattributed ns across requests.
-    pub unattributed_ns: u64,
     /// Sum of e2e latencies (the denominator of [`Self::conservation`]).
     pub total_e2e_ns: u64,
     /// Profile of the p99 tail: requests with e2e ≥ the path's p99.
@@ -244,7 +246,7 @@ impl PathProfile {
 }
 
 /// Whole-trace critical-path report: per-path aggregate profiles plus
-/// the conservation floor CI gates on.
+/// the conservation floor (1 by construction; CI checks it stays so).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPathReport {
     /// One profile per serving path, sorted by path name.
@@ -276,7 +278,6 @@ impl CriticalPathReport {
                 e2e.sort_unstable();
                 let lat = lat_summary(&e2e);
                 let mut phase_ns = [0u64; PHASE_COUNT];
-                let mut unattributed = 0u64;
                 let mut total = 0u64;
                 let mut tail_phase = [0u64; PHASE_COUNT];
                 let mut tail_e2e = 0u64;
@@ -285,7 +286,6 @@ impl CriticalPathReport {
                     for (acc, &ns) in phase_ns.iter_mut().zip(&r.phase_ns) {
                         *acc += ns;
                     }
-                    unattributed += r.unattributed_ns;
                     total += r.e2e_ns;
                     if r.e2e_ns >= lat.p99_ns {
                         tail_n += 1;
@@ -300,7 +300,6 @@ impl CriticalPathReport {
                     requests: reqs.len() as u64,
                     e2e: lat,
                     phase_ns,
-                    unattributed_ns: unattributed,
                     total_e2e_ns: total,
                     tail_requests: tail_n,
                     tail_phase_ns: tail_phase,
@@ -354,15 +353,6 @@ impl CriticalPathReport {
                     p.share(ph) * 100.0,
                     ns,
                     p.tail_share(ph) * 100.0
-                );
-            }
-            if p.unattributed_ns > 0 {
-                let _ = writeln!(
-                    out,
-                    "    {:<14} {:>5.1}%  {:>12} ns",
-                    "unattributed",
-                    (1.0 - p.conservation()) * 100.0,
-                    p.unattributed_ns
                 );
             }
         }
@@ -452,202 +442,105 @@ pub(crate) fn server_windows(spans: &[SpanRec]) -> HashMap<Server, (u32, Vec<(u6
     servers
 }
 
-/// Maps an op-phase span name (+ the label of its parent `op` span) to
-/// its phase.
-fn op_phase(name: &str, op_label: &str) -> Option<Phase> {
+/// The phase of an operator's service window: one of its host service
+/// spans (for `op:compute`, the path its `op` span is labelled with) or a
+/// device window it caused. Containers (`sub:wait`, `op:queue`,
+/// `base:io`, `ndp:write`, `ndp:read`) have none: they only hold wait.
+fn phase_of(name: &str, op_label: &str) -> Option<Phase> {
     Some(match name {
-        "op:queue" => Phase::ShardQueue,
         "base:plan" | "ndp:plan" => Phase::HostSw,
-        "ndp:write" | "ndp:read" => Phase::Transfer,
-        "ndp:gather" => Phase::FwExec,
-        "ndp:merge" => Phase::Merge,
-        "base:io" => Phase::Merge,
-        "op:compute" => {
-            if op_label == "dram" {
-                Phase::TierGather
-            } else {
-                Phase::Merge
-            }
-        }
+        "ndp:gather" => Phase::TierGather,
+        "op:compute" if op_label == "dram" => Phase::TierGather,
+        "ndp:merge" | "base:accum" | "op:compute" => Phase::Merge,
+        "flash:read" => Phase::FlashRead,
+        "flash:xfer" => Phase::Transfer,
+        "fw:engine" => Phase::EngineExec,
+        "fw:exec" => Phase::FwExec,
         _ => return None,
     })
 }
 
-/// Extracts one [`RequestProfile`] per `request` span in the trace.
+/// Extracts one [`RequestProfile`] per `request` span in the trace, by
+/// the partition rule of the module docs.
 ///
 /// The walk uses only recorded spans, so it works identically on a
 /// snapshot mid-run and on a [`crate::TraceSink`] drain, and it never
 /// touches the simulation (pure observer).
 pub fn request_critical_paths(spans: &[SpanRec]) -> Vec<RequestProfile> {
-    // Indexes: children by parent id, device windows by (pid, phase),
-    // ops by (pid, start) for matching a sub-batch's serving operator even
-    // when micro-batching parented the op under a different request's sub.
-    let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut windows: HashMap<(u32, Phase), Vec<(u64, u64)>> = HashMap::new();
-    let mut ops_at: HashMap<(u32, u64), Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        if s.parent != 0 {
-            children.entry(s.parent).or_default().push(i);
+    // Spans by parent and by cause, and `op` spans by id.
+    let mut children: HashMap<u64, Vec<&SpanRec>> = HashMap::new();
+    let mut caused: HashMap<u64, Vec<&SpanRec>> = HashMap::new();
+    let mut ops: HashMap<u64, &SpanRec> = HashMap::new();
+    for s in spans {
+        for (key, index) in [(s.parent, &mut children), (s.cause, &mut caused)] {
+            if key != 0 {
+                index.entry(key).or_default().push(s);
+            }
         }
         if s.name == "op" {
-            ops_at.entry((s.pid, s.start_ns)).or_default().push(i);
+            ops.insert(s.id, s);
         }
-        let phase = match (Server::of(s), s.name) {
-            (Some(Server::Core { .. }), _) => Phase::FwExec,
-            (Some(Server::Engine { .. }), _) => Phase::EngineExec,
-            (Some(Server::Flash { .. }), _) => Phase::Transfer,
-            (_, "flash:read") => Phase::FlashRead,
-            _ => continue,
-        };
-        let iv = (s.start_ns, s.end_ns);
-        windows.entry((s.pid, phase)).or_default().push(iv);
     }
-    for ivs in windows.values_mut() {
-        ivs.sort_unstable();
-    }
+    let named = |id: u64, name: &'static str| {
+        let kids = children.get(&id).map_or(&[][..], Vec::as_slice);
+        kids.iter().copied().filter(move |s| s.name == name)
+    };
 
     let mut out = Vec::new();
-    // Evidence intervals for the request currently being segmented.
-    let mut evidence: Vec<(u64, u64, Phase)> = Vec::new();
+    // The request's own windows (and wait marks), and its operators.
+    let mut windows: Vec<(u64, u64, Phase)> = Vec::new();
+    let mut served_by: Vec<u64> = Vec::new();
     for req in spans.iter().filter(|s| s.name == "request") {
-        let (rs, re) = (req.start_ns, req.end_ns);
-        let degraded = req.arg_key == "degraded" && req.arg_val != 0;
-        evidence.clear();
-
-        let subs: Vec<&SpanRec> = children
-            .get(&req.id)
-            .map(|kids| {
-                kids.iter()
-                    .map(|&i| &spans[i])
-                    .filter(|s| s.name == "sub")
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        // Admission: request time before the first sub-batch exists.
-        if let Some(first_sub) = subs.iter().map(|s| s.start_ns).min() {
-            if first_sub > rs {
-                evidence.push((rs, first_sub, Phase::Admission));
-            }
-        }
-
-        for sub in &subs {
-            // Queue-wait spans carry the shard's resource pid in their
-            // `shard` argument; one wait per dispatch attempt.
-            let mut waits: Vec<&SpanRec> = children
-                .get(&sub.id)
-                .map(|kids| {
-                    kids.iter()
-                        .map(|&i| &spans[i])
-                        .filter(|s| s.name == "sub:wait")
-                        .collect()
-                })
-                .unwrap_or_default();
+        windows.clear();
+        served_by.clear();
+        let first_sub = named(req.id, "sub").map(|s| s.start_ns).min();
+        windows.push((
+            req.start_ns,
+            first_sub.unwrap_or(req.end_ns),
+            Phase::Admission,
+        ));
+        for sub in named(req.id, "sub") {
+            let mut waits: Vec<&SpanRec> = named(sub.id, "sub:wait").collect();
             waits.sort_by_key(|w| (w.start_ns, w.end_ns, w.id));
-            for w in &waits {
-                evidence.push((w.start_ns, w.end_ns, Phase::ShardQueue));
+            for (w, next) in waits.iter().zip(waits.iter().skip(1)) {
+                // This attempt failed: its operator's end → the re-queue.
+                let end = ops.get(&w.cause).map_or(w.end_ns, |op| op.end_ns);
+                windows.push((end, next.start_ns, Phase::RetryBackoff));
             }
-            for (j, w) in waits.iter().enumerate() {
-                let pid = if w.arg_key == "shard" {
-                    w.arg_val as u32
-                } else {
+            served_by.extend(waits.iter().map(|w| w.cause).filter(|&c| c != 0));
+        }
+        served_by.sort_unstable();
+        served_by.dedup();
+        for op in served_by.iter().filter_map(|c| ops.get(c)) {
+            let own = children.get(&op.id).into_iter().chain(caused.get(&op.id));
+            for w in own.flatten() {
+                let Some(phase) = phase_of(w.name, op.label) else {
                     continue;
                 };
-                // Attempt window: dispatch → next re-queue (or the sub's
-                // completion, for the final attempt). Gaps the resources
-                // below don't claim are retry backoff.
-                let wend = waits
-                    .get(j + 1)
-                    .map(|n| n.start_ns)
-                    .unwrap_or(sub.end_ns)
-                    .max(w.end_ns);
-                let (ws, we) = (w.end_ns, wend);
-                if we <= ws {
-                    continue;
-                }
-                if j + 1 < waits.len() {
-                    evidence.push((ws, we, Phase::RetryBackoff));
-                }
-                // Device-resource overlap within the attempt window: the
-                // firmware core and flash array are shared, so any busy
-                // time there is what this sub-batch is blocked on,
-                // whether it is being served or queued behind others.
-                for ph in [
-                    Phase::FwExec,
-                    Phase::EngineExec,
-                    Phase::Transfer,
-                    Phase::FlashRead,
-                ] {
-                    if let Some(ivs) = windows.get(&(pid, ph)) {
-                        clip_into(ivs, ws, we, ph, &mut evidence);
+                let (a, b) = (w.start_ns, w.end_ns);
+                match named(w.id, "flash:xfer").next() {
+                    // A host read's own channel transfer is transfer time.
+                    Some(x) if phase == Phase::FlashRead => {
+                        windows.push((a, x.start_ns, phase));
+                        windows.push((x.end_ns, b, phase));
                     }
-                }
-                // The serving operator's own host-side phase spans
-                // (matched by dispatch instant even across micro-batch
-                // merges, where the op parents under a different sub).
-                if let Some(opix) = ops_at.get(&(pid, ws)) {
-                    for &oi in opix {
-                        let op = &spans[oi];
-                        if op.end_ns > we {
-                            continue;
-                        }
-                        if let Some(kids) = children.get(&op.id) {
-                            for &ki in kids {
-                                let k = &spans[ki];
-                                // Phase spans carry no label; the op's
-                                // label says which path it served.
-                                if let Some(ph) = op_phase(k.name, op.label) {
-                                    let (a, b) = (k.start_ns.max(ws), k.end_ns.min(we));
-                                    if b > a {
-                                        evidence.push((a, b, ph));
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    _ => windows.push((a, b, phase)),
                 }
             }
         }
-
-        out.push(segment(req, rs, re, degraded, &evidence));
+        out.push(segment(req, &windows));
     }
     out
 }
 
-/// Clips sorted intervals to `[ws, we)` and appends them as evidence.
-fn clip_into(
-    ivs: &[(u64, u64)],
-    ws: u64,
-    we: u64,
-    phase: Phase,
-    evidence: &mut Vec<(u64, u64, Phase)>,
-) {
-    // First interval that can overlap: intervals are sorted by start,
-    // so stop once starts pass the window end.
-    let from = ivs.partition_point(|&(_, e)| e <= ws);
-    for &(a, b) in &ivs[from..] {
-        if a >= we {
-            break;
-        }
-        let (a, b) = (a.max(ws), b.min(we));
-        if b > a {
-            evidence.push((a, b, phase));
-        }
-    }
-}
-
-/// Sweeps the evidence intervals over `[rs, re)`, charging each
-/// elementary segment to the highest-priority active phase.
-fn segment(
-    req: &SpanRec,
-    rs: u64,
-    re: u64,
-    degraded: bool,
-    evidence: &[(u64, u64, Phase)],
-) -> RequestProfile {
-    // Boundary events: +1/-1 per phase, clipped to the request window.
-    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(evidence.len() * 2);
-    for &(a, b, ph) in evidence {
+/// Sweeps `windows` over the request span: each elementary segment goes
+/// to the open service windows' phases in equal shares, or, with none
+/// open, to the wait it lies in.
+fn segment(req: &SpanRec, windows: &[(u64, u64, Phase)]) -> RequestProfile {
+    let (rs, re) = (req.start_ns, req.end_ns);
+    // Boundary events, clipped to the request span: (instant, closes, phase).
+    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(windows.len() * 2);
+    for &(a, b, ph) in windows {
         let (a, b) = (a.max(rs), b.min(re));
         if b > a {
             events.push((a, false, ph.index()));
@@ -655,37 +548,49 @@ fn segment(
         }
     }
     events.sort_unstable();
-    let mut active = [0i64; PHASE_COUNT];
+    let mut open = [0u64; PHASE_COUNT];
     let mut phase_ns = [0u64; PHASE_COUNT];
-    let mut unattributed = 0u64;
     let mut cur = rs;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
+    for i in 0..=events.len() {
+        let t = events.get(i).map_or(re, |e| e.0);
         if t > cur {
-            match (0..PHASE_COUNT).rev().find(|&p| active[p] > 0) {
-                Some(p) => phase_ns[p] += t - cur,
-                None => unattributed += t - cur,
-            }
+            share(&open, t - cur, &mut phase_ns);
             cur = t;
         }
-        while i < events.len() && events[i].0 == t {
-            let (_, end, p) = events[i];
-            active[p] += if end { -1 } else { 1 };
-            i += 1;
+        if let Some(&(_, closes, p)) = events.get(i) {
+            open[p] = if closes { open[p] - 1 } else { open[p] + 1 };
         }
-    }
-    if re > cur {
-        unattributed += re - cur;
     }
     RequestProfile {
         request: req.id,
         path: req.label.to_string(),
         start_ns: rs,
         e2e_ns: re - rs,
-        degraded,
+        degraded: req.arg_key == "degraded" && req.arg_val != 0,
         phase_ns,
-        unattributed_ns: unattributed,
+    }
+}
+
+/// Charges `len` ns to the open service windows in equal shares (exactly:
+/// each phase gets its windows' cumulative floor share, so the shares sum
+/// to `len`), or, with none open, to the wait whose mark is open.
+fn share(open: &[u64; PHASE_COUNT], len: u64, phase_ns: &mut [u64; PHASE_COUNT]) {
+    const SERVICE: usize = Phase::HostSw as usize;
+    let k: u64 = open[SERVICE..].iter().sum();
+    if k == 0 {
+        let wait = [Phase::Admission, Phase::RetryBackoff]
+            .into_iter()
+            .find(|p| open[p.index()] > 0)
+            .unwrap_or(Phase::ShardQueue);
+        phase_ns[wait.index()] += len;
+        return;
+    }
+    let (mut seen, mut given) = (0u64, 0u64);
+    for p in SERVICE..PHASE_COUNT {
+        seen += open[p];
+        let upto = (u128::from(len) * u128::from(seen) / u128::from(k)) as u64;
+        phase_ns[p] += upto - given;
+        given = upto;
     }
 }
 
@@ -816,10 +721,17 @@ mod tests {
     }
 
     /// A `path` request over `[0, end)` whose one sub-batch waited for
-    /// shard pid 1 over `[0, wait)`; returns the sub-batch's id.
-    fn request(host: &Tracer, path: &'static str, end: u64, wait: u64, degraded: u64) -> SpanId {
-        let (req, sub) = (host.alloc_id(), host.alloc_id());
-        host.span_arg("sub:wait", t(0), t(wait), sub, "shard", 1);
+    /// shard pid 1 over `[0, wait)`, the wait ended by the operator whose
+    /// id this returns (after the sub-batch's).
+    fn request(
+        host: &Tracer,
+        path: &'static str,
+        end: u64,
+        wait: u64,
+        degraded: u64,
+    ) -> (SpanId, SpanId) {
+        let (req, sub, op) = (host.alloc_id(), host.alloc_id(), host.alloc_id());
+        host.window("sub:wait", t(0), t(wait), sub, op.0, "shard", 1);
         host.emit(sub, "sub", t(0), t(end), req, "lookups", 4, path);
         host.emit(
             req,
@@ -831,7 +743,7 @@ mod tests {
             degraded,
             path,
         );
-        sub
+        (sub, op)
     }
 
     /// The sink's spans in the runtime's canonical order.
@@ -841,8 +753,8 @@ mod tests {
         spans
     }
 
-    /// One NDP request on shard pid 1: queue 0–20, fw 20–60, flash
-    /// 30–50 (xfer 45–50), merge 60–70.
+    /// One NDP request on shard pid 1: queue 0–20, op:queue 20–22, its
+    /// fw 22–60, its flash read 30–50 (xfer 45–50), merge 60–70.
     fn synthetic() -> Vec<SpanRec> {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
@@ -850,12 +762,11 @@ mod tests {
         let fw = sink.tracer(1, track::TID_FW);
         let flash = sink.tracer(1, track::TID_FLASH);
 
-        let sub = request(&host, "ndp", 70, 20, 0);
-        let op = dev.alloc_id();
+        let (sub, op) = request(&host, "ndp", 70, 20, 0);
         dev.span("op:queue", t(20), t(22), op);
-        fw.span("fw:exec", t(22), t(60), SpanId::NONE);
-        let rd = flash.span("flash:read", t(30), t(50), SpanId::NONE);
-        flash.span("flash:xfer", t(45), t(50), rd);
+        fw.window("fw:exec", t(22), t(60), SpanId::NONE, op.0, "tag", 0);
+        let rd = flash.window("flash:read", t(30), t(50), SpanId::NONE, op.0, "", 0);
+        flash.window("flash:xfer", t(45), t(50), rd, op.0, "ch", 0);
         dev.span("ndp:merge", t(60), t(70), op);
         dev.emit(op, "op", t(20), t(70), sub, "failed", 0, "ndp");
         sorted(&sink)
@@ -869,15 +780,17 @@ mod tests {
         assert_eq!(p.e2e_ns, 70);
         assert_eq!(p.path, "ndp");
         assert!(!p.degraded);
-        // queue 0–20, op:queue 20–22, fw 22–60 (flash overlap loses to
-        // fw priority), merge 60–70.
-        assert_eq!(p.phase_ns[Phase::ShardQueue.index()], 22);
-        assert_eq!(p.phase_ns[Phase::FwExec.index()], 38);
-        assert_eq!(p.phase_ns[Phase::Merge.index()], 10);
-        assert_eq!(p.unattributed_ns, 0);
-        assert!((p.conservation() - 1.0).abs() < 1e-12);
-        let total: u64 = p.phase_ns.iter().sum();
-        assert_eq!(total + p.unattributed_ns, p.e2e_ns);
+        // Wait 0–22 (both containers); fw alone 22–30 and 50–60; fw and
+        // the read share 30–45 (7 + 8: each phase takes its cumulative
+        // floor share), fw and the xfer share 45–50 (3 + 2); merge 60–70.
+        let mut want = [0; PHASE_COUNT];
+        want[Phase::ShardQueue.index()] = 22;
+        want[Phase::FwExec.index()] = 8 + 8 + 3 + 10;
+        want[Phase::FlashRead.index()] = 7;
+        want[Phase::Transfer.index()] = 2;
+        want[Phase::Merge.index()] = 10;
+        assert_eq!(p.phase_ns, want);
+        assert_eq!(p.conservation(), 1.0);
     }
 
     /// A DRAM op's `op:compute` child carries no label, as `System` emits
@@ -887,14 +800,84 @@ mod tests {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
         let dev = sink.tracer(1, track::TID_DEVICE);
-        let sub = request(&host, "dram", 30, 10, 0);
-        let op = dev.alloc_id();
+        let (sub, op) = request(&host, "dram", 30, 10, 0);
         dev.span("op:compute", t(10), t(30), op);
         dev.emit(op, "op", t(10), t(30), sub, "failed", 0, "dram");
         let profiles = request_critical_paths(&sorted(&sink));
         let p = &profiles[0];
         assert_eq!(p.phase_ns[Phase::TierGather.index()], 20);
         assert_eq!(p.phase_ns[Phase::Merge.index()], 0);
+    }
+
+    /// An NDP operator's gather of static-partition hot rows is the host
+    /// worker's DRAM work, not the device firmware's.
+    #[test]
+    fn ndp_hot_row_gather_is_tier_gather() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        let (sub, op) = request(&host, "ndp", 40, 10, 0);
+        dev.span("ndp:plan", t(10), t(15), op);
+        dev.span("ndp:gather", t(15), t(40), op);
+        dev.emit(op, "op", t(10), t(40), sub, "failed", 0, "ndp");
+        let p = &request_critical_paths(&sorted(&sink))[0];
+        assert_eq!(p.phase_ns[Phase::TierGather.index()], 25);
+        assert_eq!(p.phase_ns[Phase::FwExec.index()], 0);
+    }
+
+    /// Rule: two of the request's own windows open at once split the
+    /// instant equally, whichever their phases.
+    #[test]
+    fn overlapping_own_windows_split_equally() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        let fw = sink.tracer(1, track::TID_FW);
+        let engine = sink.tracer(1, track::TID_ENGINE_BASE);
+        let (sub, op) = request(&host, "ndp", 50, 10, 0);
+        fw.window("fw:exec", t(10), t(50), SpanId::NONE, op.0, "tag", 0);
+        engine.window("fw:engine", t(30), t(50), SpanId::NONE, op.0, "ch", 0);
+        dev.emit(op, "op", t(10), t(50), sub, "failed", 0, "ndp");
+        let p = &request_critical_paths(&sorted(&sink))[0];
+        assert_eq!(p.phase_ns[Phase::FwExec.index()], 20 + 10);
+        assert_eq!(p.phase_ns[Phase::EngineExec.index()], 10);
+        assert_eq!(p.phase_ns[Phase::ShardQueue.index()], 10);
+    }
+
+    /// Rule: a window another request's operator caused charges nothing,
+    /// though it keeps the same shard's firmware core busy; the instant
+    /// is this request's wait.
+    #[test]
+    fn another_requests_window_on_the_shard_charges_nothing() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        let fw = sink.tracer(1, track::TID_FW);
+        let (sub, op) = request(&host, "baseline", 40, 10, 0);
+        let other = host.alloc_id();
+        fw.window("fw:exec", t(10), t(30), SpanId::NONE, other.0, "tag", 0);
+        fw.window("fw:exec", t(30), t(40), SpanId::NONE, op.0, "tag", 1);
+        dev.emit(op, "op", t(10), t(40), sub, "failed", 0, "baseline");
+        let p = &request_critical_paths(&sorted(&sink))[0];
+        assert_eq!(p.phase_ns[Phase::FwExec.index()], 10);
+        assert_eq!(p.phase_ns[Phase::ShardQueue.index()], 30);
+    }
+
+    /// Rule: a host read's `flash:read` yields to its own open
+    /// `flash:xfer`, which is transfer time.
+    #[test]
+    fn flash_read_yields_to_its_own_transfer() {
+        let sink = TraceSink::new();
+        let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        let flash = sink.tracer(1, track::TID_FLASH);
+        let (sub, op) = request(&host, "baseline", 50, 10, 0);
+        let rd = flash.window("flash:read", t(10), t(50), SpanId::NONE, op.0, "", 0);
+        flash.window("flash:xfer", t(40), t(50), rd, op.0, "ch", 2);
+        dev.emit(op, "op", t(10), t(50), sub, "failed", 0, "baseline");
+        let p = &request_critical_paths(&sorted(&sink))[0];
+        assert_eq!(p.phase_ns[Phase::FlashRead.index()], 30);
+        assert_eq!(p.phase_ns[Phase::Transfer.index()], 10);
     }
 
     #[test]
@@ -906,7 +889,7 @@ mod tests {
         let p = &report.paths[0];
         let fw = p.phase_ns[Phase::FwExec.index()];
         assert!(p.phase_ns.iter().all(|&ns| ns <= fw));
-        assert!(report.min_conservation >= 0.95);
+        assert_eq!(report.min_conservation, 1.0);
         assert!(report.render().contains("fw_exec"));
     }
 
@@ -936,17 +919,19 @@ mod tests {
     fn retry_gaps_become_backoff_and_degrade_flag_propagates() {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
-        // Two dispatch attempts with an uncovered gap between them.
-        let sub = request(&host, "baseline", 80, 10, 1);
+        let dev = sink.tracer(1, track::TID_DEVICE);
+        // Two dispatch attempts: the first operator fails at 15, the
+        // sub-batch is re-queued at 40 and its second wait ends at 45.
+        let (sub, op) = request(&host, "baseline", 80, 10, 1);
+        dev.emit(op, "op", t(10), t(15), sub, "failed", 1, "baseline");
         host.span_arg("sub:wait", t(40), t(45), sub, "shard", 1);
         let profiles = request_critical_paths(&sorted(&sink));
         assert_eq!(profiles.len(), 1);
         let p = &profiles[0];
         assert!(p.degraded);
-        // Gap 10–40 between attempts is retry backoff (no resource
-        // evidence to claim it).
-        assert_eq!(p.phase_ns[Phase::RetryBackoff.index()], 30);
-        assert_eq!(p.phase_ns[Phase::ShardQueue.index()], 15);
+        // The failed operator's end → the re-queue is retry backoff.
+        assert_eq!(p.phase_ns[Phase::RetryBackoff.index()], 25);
+        assert_eq!(p.phase_ns[Phase::ShardQueue.index()], 10 + 5 + 5 + 35);
         // Degraded requests are excluded from path aggregates.
         let report = CriticalPathReport::from_profiles(&profiles);
         assert_eq!(report.degraded, 1);
@@ -960,11 +945,13 @@ mod tests {
     fn engine_members_rank_as_separate_servers() {
         let sink = TraceSink::new();
         let host = sink.tracer(0, track::TID_HOST);
+        let dev = sink.tracer(1, track::TID_DEVICE);
         let e0 = sink.tracer(1, track::TID_ENGINE_BASE);
         let e1 = sink.tracer(1, track::TID_ENGINE_BASE + 1);
-        request(&host, "ndp", 60, 10, 0);
-        e0.span_arg("fw:engine", t(10), t(50), SpanId::NONE, "ch", 0);
-        e1.span_arg("fw:engine", t(10), t(50), SpanId::NONE, "ch", 1);
+        let (sub, op) = request(&host, "ndp", 60, 10, 0);
+        e0.window("fw:engine", t(10), t(50), SpanId::NONE, op.0, "ch", 0);
+        e1.window("fw:engine", t(10), t(50), SpanId::NONE, op.0, "ch", 1);
+        dev.emit(op, "op", t(10), t(60), sub, "failed", 0, "ndp");
         let spans = sorted(&sink);
 
         let profiles = request_critical_paths(&spans);

@@ -403,6 +403,7 @@ mod tests {
             arg_key,
             arg_val,
             label,
+            cause: 0,
         };
         let spans = [
             span(1, 0, "q\"b\\s\u{1}", 1_234_567, 1_234_567, "", 0, ""),

@@ -21,9 +21,9 @@
 //! drain and never perturb the simulation:
 //!
 //! * [`analysis`] — per-request **critical-path extraction** (e2e
-//!   latency segmented into named phases with a ≥95 % conservation
-//!   check) and the **bottleneck ranking** of measured server
-//!   utilisation.
+//!   latency split into named phases from each request's own windows,
+//!   summing exactly to it) and the **bottleneck ranking** of measured
+//!   server utilisation.
 //! * [`timeline`] — per-resource busy/idle/wait
 //!   [`UtilizationTimeline`]s over sim-time windows, with queueing
 //!   stats whose totals satisfy `L = λ·W` as an identity.

@@ -86,6 +86,10 @@ pub struct SpanRec {
     pub arg_val: u64,
     /// Free-form static label (e.g. the serving path); empty = none.
     pub label: &'static str,
+    /// Id of the `op` span whose work this window is (a device service
+    /// window, or the queue wait its operator ended); zero when untraced
+    /// work or background work (GC) caused it.
+    pub cause: u64,
 }
 
 #[derive(Debug, Default)]
@@ -191,11 +195,7 @@ impl Tracer {
     /// Emits a complete span under a fresh id and returns that id.
     #[inline]
     pub fn span(&self, name: &'static str, start: SimTime, end: SimTime, parent: SpanId) -> SpanId {
-        let id = self.alloc_id();
-        if id.is_some() {
-            self.emit(id, name, start, end, parent, "", 0, "");
-        }
-        id
+        self.span_arg(name, start, end, parent, "", 0)
     }
 
     /// Emits a complete span under a pre-allocated id (see
@@ -212,6 +212,22 @@ impl Tracer {
         parent: SpanId,
         arg_key: &'static str,
         arg_val: u64,
+        label: &'static str,
+    ) {
+        self.push(id, name, start, end, parent, 0, (arg_key, arg_val), label);
+    }
+
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &self,
+        id: SpanId,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+        parent: SpanId,
+        cause: u64,
+        (arg_key, arg_val): (&'static str, u64),
         label: &'static str,
     ) {
         if let Some(buf) = &self.sink {
@@ -231,6 +247,7 @@ impl Tracer {
                     arg_key,
                     arg_val,
                     label,
+                    cause,
                 });
         }
     }
@@ -246,9 +263,28 @@ impl Tracer {
         arg_key: &'static str,
         arg_val: u64,
     ) -> SpanId {
+        self.window(name, start, end, parent, 0, arg_key, arg_val)
+    }
+
+    /// Emits a window of the operator whose `op` span is `cause` (zero =
+    /// none) with a numeric argument, fresh id: what
+    /// [`crate::analysis::request_critical_paths`] charges to the
+    /// requests that operator served.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn window(
+        &self,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+        parent: SpanId,
+        cause: u64,
+        arg_key: &'static str,
+        arg_val: u64,
+    ) -> SpanId {
         let id = self.alloc_id();
         if id.is_some() {
-            self.emit(id, name, start, end, parent, arg_key, arg_val, "");
+            self.push(id, name, start, end, parent, cause, (arg_key, arg_val), "");
         }
         id
     }

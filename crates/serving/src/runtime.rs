@@ -1964,22 +1964,20 @@ fn dispatch_on(
     // caller) and leave it in flight; completions are harvested by
     // later shard syncs.
     let n_subs = taken.len() as u64;
+    debug_assert_eq!(s.sys.now(), now, "dispatch on an unsynced shard");
+    // The device operator parents under the head sub.
+    let (op, op_span) = s.sys.submit_traced(kind, taken[0].span);
     if tracer.enabled() {
-        // Queue-wait of each merged component, child of its sub span;
-        // the device operator itself parents under the head sub. The
-        // `shard` argument carries the resource pid so offline analysis
-        // can tie a sub-batch to the shard that served it even when
-        // micro-batching parents the op under a different request.
+        // Queue-wait of each merged component, child of its sub span,
+        // caused by the operator that ends it (which parents under a
+        // different request's sub when micro-batching merged them). The
+        // `shard` argument carries the resource pid.
         let res_pid = u64::from(s.pid);
-        for sub in &taken {
-            if sub.span.is_some() {
-                tracer.span_arg("sub:wait", sub.enqueued, now, sub.span, "shard", res_pid);
-            }
+        for sub in taken.iter().filter(|sub| sub.span.is_some()) {
+            let (at, span) = (sub.enqueued, sub.span);
+            tracer.window("sub:wait", at, now, span, op_span.0, "shard", res_pid);
         }
     }
-    let op_parent = taken[0].span;
-    debug_assert_eq!(s.sys.now(), now, "dispatch on an unsynced shard");
-    let op = s.sys.submit_traced(kind, op_parent);
     s.inflight.push(InflightOp {
         op,
         slot,

@@ -648,8 +648,11 @@ fn span_keys(trace: &[SpanRec]) -> Vec<String> {
 /// gained its channel as a `ch` member argument (service windows of the
 /// one server type), and when every `op:compute` window gained its worker
 /// pool's width as a `workers` argument; with that argument stripped the
-/// spans hash to the constants before it. Every span but the device
-/// service windows is pinned apart.
+/// spans hash to the constants before it. They were re-recorded a third
+/// time when each baseline accumulate charge gained a `base:accum`
+/// window; with those windows stripped, the spans (here and in the
+/// recovery run) hash to the constants before it. Every span but the
+/// device service windows is pinned apart.
 #[test]
 fn pinned_mixed_path_run_matches_the_recorded_goldens() {
     const GOLDEN_ROWS: u64 = 600;
@@ -707,14 +710,14 @@ fn pinned_mixed_path_run_matches_the_recorded_goldens() {
             0xF0F8_D3F1_7274_FD3B,
             0xA835_FA22_3249_19C1,
             0xEC25_F8D9_CF2A_2457,
-            977,
-            0x09DF_ACE0_AB3F_33AC,
+            1139,
+            0x867C_6F0A_7958_12A6,
         ),
         "the pinned run moved: a change to the runtime altered simulated behaviour"
     );
     assert_eq!(
         (keyed.len(), spans.0),
-        (1755, 0x4F48_6907_B1C2_D305),
+        (1917, 0x7E09_106F_CCC6_4E07),
         "the traced service windows moved"
     );
 }
@@ -830,7 +833,7 @@ fn pinned_recovery_run_takes_every_exit() {
             0xADD3_B2FB_7AD9_F479,
             0x63D2_7676_6EBE_188E,
             0x010D_5820_02BB_87CE,
-            0x29BC_0009_946D_0FCF,
+            0xA909_EB1B_968D_F1BE,
         ),
         "the pinned recovery run moved: a change to the runtime altered simulated behaviour"
     );

@@ -373,13 +373,12 @@ impl<X: NdpEngine> SsdDevice<X> {
                 NvmeOpcode::Read => {
                     self.stats.read_commands.inc();
                     self.stats.blocks_read.add(cmd.nlb as u64);
-                    let nlb = cmd.nlb;
+                    let (nlb, cause) = (cmd.nlb, cmd.cause);
                     let pages = self.take_page_list(nlb as usize);
                     let c = self.track(qid, cmd, nlb, pages);
                     let dur = self.config.fw_command_time(nlb);
-                    self.ftl.charge_firmware(now, dur, FwTag(c), &mut |d, e| {
-                        sched(d, SsdEvent::Ftl(e))
-                    });
+                    let fw = &mut |d, e| sched(d, SsdEvent::Ftl(e));
+                    self.ftl.charge_firmware(now, dur, FwTag(c), cause, fw);
                 }
                 NvmeOpcode::Write => {
                     self.stats.write_commands.inc();
@@ -491,8 +490,7 @@ impl<X: NdpEngine> SsdDevice<X> {
         let st = self.cmds.get(&c).expect("command state");
         match st.cmd.opcode {
             NvmeOpcode::Read => {
-                let slba = st.cmd.slba;
-                let nlb = st.cmd.nlb;
+                let (slba, nlb, cause) = (st.cmd.slba, st.cmd.nlb, st.cmd.cause);
                 let Self {
                     ftl,
                     cmds,
@@ -502,7 +500,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                 let st = cmds.get_mut(&c).expect("command state");
                 for i in 0..nlb {
                     let started = ftl
-                        .read_page(now, Lpn(slba + i as u64), &mut |d, e| {
+                        .read_page_for(now, Lpn(slba + i as u64), cause, &mut |d, e| {
                             sched(d, SsdEvent::Ftl(e))
                         })
                         .expect("validated range");
@@ -592,9 +590,8 @@ impl<X: NdpEngine> SsdDevice<X> {
                 }
                 NvmeOpcode::Write => {
                     let dur = self.config.fw_command_time(cmd.nlb);
-                    self.ftl.charge_firmware(now, dur, FwTag(c), &mut |d, e| {
-                        sched(d, SsdEvent::Ftl(e))
-                    });
+                    let fw = &mut |d, e| sched(d, SsdEvent::Ftl(e));
+                    self.ftl.charge_firmware(now, dur, FwTag(c), cmd.cause, fw);
                 }
             }
             return;

@@ -80,7 +80,8 @@ fn main() {
     print_tree(root, &children, 0);
 
     // Extracted critical path of the same request: every nanosecond of
-    // its e2e latency charged to the resource it was blocked on.
+    // its e2e latency shared among its own open windows, or charged to
+    // the wait it sat in.
     let profiles = request_critical_paths(&spans);
     let prof = profiles
         .iter()
