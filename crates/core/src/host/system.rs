@@ -762,18 +762,31 @@ impl System {
         assert!(self.dev.idle(), "device busy with no pending events");
     }
 
-    /// Handles one event, then every completion it posted: a device event
-    /// posts them, and so does a doorbell a worker event rings (a command
-    /// the device refuses at once).
+    /// Handles one event, then every completion it posted. A device event
+    /// may post on any queue. A worker event posts only through a doorbell
+    /// its operator rings (a command the device refuses at once), and a
+    /// doorbell posts only on its own queue: the operator's.
     fn handle_event(&mut self, now: SimTime, ev: SysEvent) {
         match ev {
             SysEvent::Dev(dev_ev) => {
                 let Self { dev, q, .. } = self;
                 dev.handle(now, dev_ev, &mut |d, e| q.push_after(d, SysEvent::Dev(e)));
+                for qid in 0..self.cfg.ssd.io_queues as u16 {
+                    self.poll_completions(now, qid);
+                }
             }
-            SysEvent::Worker(id) => self.on_worker_event(now, id),
+            SysEvent::Worker(id) => {
+                let qid = self.ops[&id].qid;
+                self.on_worker_event(now, id);
+                self.poll_completions(now, qid);
+                // Polling an empty queue changes nothing, so the check does
+                // not move a passing run.
+                debug_assert!(
+                    (0..self.cfg.ssd.io_queues as u16).all(|q| self.dev.queue(q).poll().is_none()),
+                    "a worker event posted a completion off its operator's queue {qid}"
+                );
+            }
         }
-        self.poll_completions(now);
     }
 
     fn pool_mut(&mut self, pool: PoolKind) -> &mut Pool {
@@ -1333,43 +1346,40 @@ impl System {
         dev.doorbell(now, qid, &mut |d, e| q.push_after(d, SysEvent::Dev(e)));
     }
 
-    /// Handles every posted completion in place, queue by queue; one a
-    /// handler's doorbell posts on the queue being drained is handled in
-    /// the same pass.
-    fn poll_completions(&mut self, now: SimTime) {
-        for qid in 0..self.cfg.ssd.io_queues as u16 {
-            while let Some(c) = self.dev.queue(qid).poll() {
-                let (id, idx) = self.pending_cmd[qid as usize]
-                    .remove(&c.cid)
-                    .expect("completion for unknown command");
-                let op = self.ops.get_mut(&id).expect("op exists");
-                if c.status != NvmeStatus::Success {
-                    // The first device-side failure poisons the op: it issues
-                    // no further I/O and its result carries the error.
-                    op.failed.get_or_insert(DeviceError::from_status(c.status));
+    /// Handles every completion posted on queue `qid` in place; one a
+    /// handler's doorbell posts there is handled in the same pass.
+    fn poll_completions(&mut self, now: SimTime, qid: u16) {
+        while let Some(c) = self.dev.queue(qid).poll() {
+            let (id, idx) = self.pending_cmd[qid as usize]
+                .remove(&c.cid)
+                .expect("completion for unknown command");
+            let op = self.ops.get_mut(&id).expect("op exists");
+            if c.status != NvmeStatus::Success {
+                // The first device-side failure poisons the op: it issues
+                // no further I/O and its result carries the error.
+                op.failed.get_or_insert(DeviceError::from_status(c.status));
+            }
+            let failed = op.failed.is_some();
+            match (std::mem::take(&mut op.phase), c.data) {
+                (Phase::BaseIo(io), data) => {
+                    let pages = data.map(|data| match data {
+                        CmdData::Pages(pages) => pages,
+                        CmdData::Flat(_) => {
+                            unreachable!("a conventional read completes with page images")
+                        }
+                    });
+                    self.baseline_on_read(now, id, idx, pages, io);
                 }
-                let failed = op.failed.is_some();
-                match (std::mem::take(&mut op.phase), c.data) {
-                    (Phase::BaseIo(io), data) => {
-                        let pages = data.map(|data| match data {
-                            CmdData::Pages(pages) => pages,
-                            CmdData::Flat(_) => {
-                                unreachable!("a conventional read completes with page images")
-                            }
-                        });
-                        self.baseline_on_read(now, id, idx, pages, io);
-                    }
-                    // An NDP op has a single command in flight, so a failed one
-                    // finishes (with the error) at once.
-                    (phase @ (Phase::NdpAwaitWrite(_) | Phase::NdpAwaitRead(_)), _) if failed => {
-                        self.finish_op(now, id, phase)
-                    }
-                    (Phase::NdpAwaitWrite(plan), _) => self.ndp_on_write_done(now, id, plan),
-                    (Phase::NdpAwaitRead(plan), Some(CmdData::Flat(data))) => {
-                        self.ndp_on_read_done(now, id, plan, data)
-                    }
-                    (phase, _) => unreachable!("completion in unexpected phase {phase:?}"),
+                // An NDP op has a single command in flight, so a failed one
+                // finishes (with the error) at once.
+                (phase @ (Phase::NdpAwaitWrite(_) | Phase::NdpAwaitRead(_)), _) if failed => {
+                    self.finish_op(now, id, phase)
                 }
+                (Phase::NdpAwaitWrite(plan), _) => self.ndp_on_write_done(now, id, plan),
+                (Phase::NdpAwaitRead(plan), Some(CmdData::Flat(data))) => {
+                    self.ndp_on_read_done(now, id, plan, data)
+                }
+                (phase, _) => unreachable!("completion in unexpected phase {phase:?}"),
             }
         }
     }

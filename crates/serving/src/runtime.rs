@@ -283,9 +283,10 @@ impl CompletedRequest {
     }
 }
 
-/// A submitted request whose arrival event has not fired yet.
+/// A request as submitted: who sent it, to which table, on which path
+/// (its attribution key), and its batch.
 #[derive(Debug)]
-struct PendingArrival {
+struct Submitted {
     client: u64,
     table: usize,
     batch: LookupBatch,
@@ -295,10 +296,7 @@ struct PendingArrival {
 /// An admitted request whose sub-batches are in flight.
 #[derive(Debug)]
 struct Inflight {
-    client: u64,
-    table: usize,
-    /// The path the request was submitted on (attribution key).
-    path: SlsPath,
+    submitted: Submitted,
     /// Request trace span, allocated at admission and emitted at
     /// completion (`SpanId::NONE` untraced).
     span: SpanId,
@@ -306,7 +304,6 @@ struct Inflight {
     first_start: Option<SimTime>,
     finish: SimTime,
     acc: SlsOutput,
-    batch: LookupBatch,
     /// Per output slot: sub-batches that have not merged a contribution.
     /// A dropped sub-batch leaves its counts standing, so at completion
     /// a slot is missing exactly when its count is above zero.
@@ -326,7 +323,7 @@ enum Request {
     /// *at the arrival instant* under the then-active plan — the property
     /// that makes "old plan serves in-flight work, new plan takes new
     /// admissions" well-defined on the simulated timeline.
-    Arriving(PendingArrival),
+    Arriving(Submitted),
     /// Admitted, sub-batches in flight.
     Serving(Inflight),
     /// Served degraded by its deadline while sub-batches were still in
@@ -536,6 +533,11 @@ struct PlanState {
 }
 
 impl PlanState {
+    /// `true` when this plan pins `row` in the DRAM tier.
+    fn is_hot(&self, row: u64) -> bool {
+        (self.routing.as_ref()).is_some_and(|r| r.hot_index[row as usize] != crate::shard::COLD)
+    }
+
     /// Drops the O(rows) routing state once the plan stops admitting:
     /// `hot_index`/`storage`/`hot_rows` are only consulted at split time,
     /// so a deactivated plan keeps just its bound tables (needed to drain
@@ -634,8 +636,6 @@ pub struct ServingRuntime {
     admit_subs: Vec<(usize, SubBatch)>,
     /// Reused reference scratch for [`ServingRuntime::verify_bitmatch`].
     ref_scratch: Vec<f32>,
-    /// Reused harvest scratch (ops completed during one shard sync).
-    harvest_scratch: Vec<(InflightOp, OpResult)>,
     /// Host-side fault recovery policy (inert without injected faults).
     fault_policy: FaultPolicy,
     /// Failed sub-batches waiting out their backoff, keyed by the
@@ -681,7 +681,6 @@ impl ServingRuntime {
             split_stage: SplitStage::default(),
             admit_subs: Vec::new(),
             ref_scratch: Vec::new(),
-            harvest_scratch: Vec::new(),
             fault_policy: FaultPolicy::default(),
             retry_park: IdMap::new(),
             next_retry: 0,
@@ -1033,7 +1032,7 @@ impl ServingRuntime {
         self.next_req += 1;
         self.requests.insert(
             req,
-            Request::Arriving(PendingArrival {
+            Request::Arriving(Submitted {
                 client,
                 table: table.0,
                 batch,
@@ -1046,13 +1045,8 @@ impl ServingRuntime {
 
     /// Routes one arrived request under the table's active plan and
     /// enqueues its sub-batches.
-    fn admit(&mut self, now: SimTime, req: u64, arrival: PendingArrival) {
-        let PendingArrival {
-            client,
-            table,
-            batch,
-            path,
-        } = arrival;
+    fn admit(&mut self, now: SimTime, req: u64, submitted: Submitted) {
+        let (table, path, batch) = (submitted.table, submitted.path, &submitted.batch);
         if let Some(mut ad) = self.adaptive.take() {
             if let Some(prof_ix) = ad.tables.iter().position(|&t| t == table) {
                 for &row in batch.ids() {
@@ -1082,7 +1076,7 @@ impl ServingRuntime {
             &t.map,
             plan.routing.as_ref(),
             path,
-            &batch,
+            batch,
             &mut self.split_stage,
         );
         for (ix, path, lookups) in split {
@@ -1118,9 +1112,6 @@ impl ServingRuntime {
         self.requests.insert(
             req,
             Request::Serving(Inflight {
-                client,
-                table,
-                path,
                 span: req_span,
                 arrival: now,
                 first_start: None,
@@ -1129,7 +1120,7 @@ impl ServingRuntime {
                 slot_pending,
                 missing_lookups: 0,
                 pending_lookups,
-                batch,
+                submitted,
             }),
         );
         if let Some(deadline) = self.fault_policy.deadline {
@@ -1197,26 +1188,35 @@ impl ServingRuntime {
         let generation = t.generations;
         t.generations += 1;
 
-        // Promotions = hot rows the old plan served from the device,
-        // paired with their tier-local position in the new hot view.
-        let old_routing = t.plans[old_ix].routing.as_ref();
-        let promoted: Vec<(u64, u64)> = placement
-            .hot_rows()
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| match old_routing {
-                Some(routing) => routing.hot_index[r as usize] == crate::shard::COLD,
-                None => true,
-            })
-            .map(|(j, &r)| (j as u64, r))
-            .collect();
-        let demoted = t.plans[old_ix]
-            .hot_rows
-            .iter()
+        let old = &t.plans[old_ix];
+        let demoted = (old.hot_rows.iter())
             .filter(|&&r| !placement.is_hot(r))
             .count() as u64;
 
-        if promoted.is_empty() {
+        // Migration work, one row list per shard index: each promoted row
+        // (hot in the new plan, served from the device by the old one) is
+        // read off its device shard (old plan coordinates — that is where
+        // the row physically lives right now) and loaded into the tier at
+        // its position in the new hot view. Promoted rows come off flash
+        // through the NDP gather — the device's bulk-read mechanism —
+        // rather than one conventional read per page; the tier load, the
+        // rows' write into host DRAM, is modelled as a gather. Chunked so
+        // it pipelines; device chunks queue before the tier's.
+        let (n, map) = (self.devices, t.map);
+        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); n + 1];
+        for (j, &row) in placement.hot_rows().iter().enumerate() {
+            if old.is_hot(row) {
+                continue;
+            }
+            let (shard, local) = (map.shard_of(row), map.local_row(row));
+            rows[shard].push(match &old.routing {
+                Some(routing) => u64::from(routing.storage[shard][local as usize]),
+                None => local,
+            });
+            rows[n].push(j as u64);
+        }
+        let promoted = rows[n].len() as u64;
+        if promoted == 0 {
             // Nothing to move: the swap is pure routing state.
             t.active = new_ix;
             t.plans[old_ix].retire();
@@ -1224,46 +1224,32 @@ impl ServingRuntime {
             self.stats.rows_demoted.add(demoted);
             return Some(generation);
         }
-
-        // Migration work, one row list per shard index: each promoted row
-        // is read off its device shard (old plan coordinates — that is
-        // where the row physically lives right now) and loaded into the
-        // tier at its position in the new hot view. Promoted rows come
-        // off flash through the NDP gather — the device's bulk-read
-        // mechanism — rather than one conventional read per page; the tier
-        // load, the rows' write into host DRAM, is modelled as a gather.
-        // Chunked so it pipelines; device chunks queue before the tier's.
-        let n = self.devices;
-        let map = t.map;
-        let mut rows: Vec<Vec<u64>> = vec![Vec::new(); n + 1];
-        for &(j, row) in &promoted {
-            let shard = map.shard_of(row);
-            let local = map.local_row(row);
-            rows[shard].push(match old_routing {
-                Some(routing) => u64::from(routing.storage[shard][local as usize]),
-                None => local,
-            });
-            rows[n].push(j);
-        }
         let ndp = SlsPath::Ndp(SlsOptions::default());
-        let subs: Vec<(usize, SubBatch)> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(shard, rows)| {
-                let (plan, path) = if shard == n {
-                    (new_ix, SlsPath::Dram)
-                } else {
-                    (old_ix, ndp)
-                };
-                migration_subs(t_idx, plan, shard, path, rows)
-            })
-            .collect();
+        let mut subs = Vec::new();
+        for (ix, rows) in rows.iter().enumerate() {
+            let (plan, path) = if ix == n {
+                (new_ix, SlsPath::Dram)
+            } else {
+                (old_ix, ndp)
+            };
+            // One output a row.
+            for chunk in rows.chunks(MIGRATION_CHUNK_ROWS) {
+                let mut ids = Vec::with_capacity(1 + 2 * chunk.len());
+                ids.push(0);
+                let mut open = 0;
+                for (slot, &row) in chunk.iter().enumerate() {
+                    push_row(&mut ids, &mut open, slot, row);
+                }
+                let owner = SubOwner::Migration(t_idx);
+                subs.push((ix, SubBatch::new(owner, t_idx, plan as u32, path, ids)));
+            }
+        }
         t.pending = Some(PendingPlan {
             remaining: subs.len(),
-            promoted: promoted.len() as u64,
+            promoted,
             demoted,
         });
-        self.stats.migration_lookups.add(promoted.len() as u64);
+        self.stats.migration_lookups.add(promoted);
         for (ix, mut sub) in subs {
             if self.tracer.enabled() {
                 sub.span = self.tracer.alloc_id();
@@ -1357,11 +1343,7 @@ impl ServingRuntime {
             let budget = budgets[prof_ix];
             let t = &self.tables[t_idx];
             let active = &t.plans[t.active];
-            let routing = active.routing.as_ref();
-            let is_pinned = |row: u64| match routing {
-                Some(r) => r.hot_index[row as usize] != crate::shard::COLD,
-                None => false,
-            };
+            let is_pinned = |row| active.is_hot(row);
             select_hot_set(heat, &active.hot_rows, is_pinned, budget, &mut ad.cand);
             // Marginal gain of swapping plans, measured on the current
             // ranking: how much more traffic the rebuilt hot set would
@@ -1403,17 +1385,10 @@ impl ServingRuntime {
         self.ref_scratch.clear();
         self.ref_scratch.resize(done.batch.outputs() * dim, 0.0);
         sls_reference_into(table, &done.batch, &mut self.ref_scratch);
-        if done.missing_slots.is_empty() {
-            assert_eq!(
-                done.outputs.as_slice(),
-                &self.ref_scratch[..],
-                "request {:?}: sharded output diverged from sls_reference",
-                done.id
-            );
-            return;
-        }
+        // `missing_slots` is empty for a fully served request: every slot
+        // is checked.
         for slot in 0..done.batch.outputs() {
-            if done.missing_slots[slot] {
+            if done.missing_slots.get(slot) == Some(&true) {
                 continue;
             }
             assert_eq!(
@@ -1543,8 +1518,8 @@ impl ServingRuntime {
             queue,
             service,
             finish,
-            inf.batch.total_lookups() as u64,
-            inf.path,
+            inf.submitted.batch.total_lookups() as u64,
+            inf.submitted.path,
         );
         let degraded = inf.missing_lookups > 0;
         if degraded {
@@ -1560,18 +1535,18 @@ impl ServingRuntime {
                 SpanId::NONE,
                 "degraded",
                 degraded as u64,
-                inf.path.name(),
+                inf.submitted.path.name(),
             );
         }
         let done = CompletedRequest {
             id: RequestId(req),
-            client: inf.client,
-            table: ServedTableId(inf.table),
+            client: inf.submitted.client,
+            table: ServedTableId(inf.submitted.table),
             arrival: inf.arrival,
             finish,
             queue,
             service,
-            batch: inf.batch,
+            batch: inf.submitted.batch,
             outputs: inf.acc,
             missing_lookups: inf.missing_lookups,
             missing_slots: if degraded {
@@ -1610,10 +1585,40 @@ impl ServingRuntime {
         done
     }
 
-    /// One visit of a shard at the global instant: merge clocks, harvest
-    /// completed operators and dispatch while capacity allows.
+    /// One visit of a shard at the global instant: advance its system
+    /// there, fold every operator that finished into its owners, and
+    /// dispatch while capacity allows.
+    ///
+    /// Every operator harvested here finished at `now`: a shard is visited
+    /// at each of its own event instants, and an operator's completion is
+    /// one of them. So no finish order needs restoring: the scan folds
+    /// each operator as it takes it, slot release and breaker outcome
+    /// included, all at `now`.
     fn visit_shard(&mut self, ix: usize, now: SimTime) {
-        self.sync_shard(ix, now);
+        let t_dev = self.wall.begin();
+        self.shards[ix].sys.run_until(now);
+        self.wall.end(WallPhase::DeviceStep, t_dev);
+        // What lets `self.events.now()` stand for "the furthest instant
+        // any component has reached" everywhere in this file.
+        debug_assert!(
+            self.shards.iter().all(|s| s.sys.now() <= self.events.now()),
+            "a shard clock leads the event clock"
+        );
+        if self.shards[ix].sys.has_results() {
+            let t_harvest = self.wall.begin();
+            let mut i = 0;
+            while i < self.shards[ix].inflight.len() {
+                let s = &mut self.shards[ix];
+                let Some(result) = s.sys.try_take_result(s.inflight[i].op) else {
+                    i += 1;
+                    continue;
+                };
+                debug_assert_eq!(result.finished, now, "an operator harvested off its finish");
+                let infop = s.inflight.swap_remove(i);
+                self.fold_one(ix, infop, result);
+            }
+            self.wall.end(WallPhase::Harvest, t_harvest);
+        }
         let s = &mut self.shards[ix];
         while !s.queue.is_empty() {
             let Some(slot) = s.slots.acquire(now) else {
@@ -1625,56 +1630,27 @@ impl ServingRuntime {
         }
     }
 
-    /// Advances `ix`'s system to the global instant and folds every
-    /// operator that completed at or before it into its owning requests.
-    fn sync_shard(&mut self, ix: usize, now: SimTime) {
-        let t_dev = self.wall.begin();
-        self.shards[ix].sys.run_until(now);
-        self.wall.end(WallPhase::DeviceStep, t_dev);
-        // What lets `self.events.now()` stand for "the furthest instant
-        // any component has reached" everywhere in this file.
-        debug_assert!(
-            self.shards.iter().all(|s| s.sys.now() <= self.events.now()),
-            "a shard clock leads the event clock"
-        );
-        let mut harvested = std::mem::take(&mut self.harvest_scratch);
-        collect_harvest(&mut self.shards[ix], &mut harvested);
-        if harvested.is_empty() {
-            self.harvest_scratch = harvested;
-            return;
-        }
-        let policy = self.fault_policy;
-        let s = &mut self.shards[ix];
-        let mut trips = 0u64;
-        for (_, r) in &harvested {
-            if s.breaker.record(r.finished, r.error.is_some(), &policy) {
-                trips += 1;
-            }
-        }
-        self.stats.breaker_trips.add(trips);
-        let t_harvest = self.wall.begin();
-        for (infop, result) in harvested.drain(..) {
-            self.fold_one(ix, infop, result);
-        }
-        self.harvest_scratch = harvested;
-        self.wall.end(WallPhase::Harvest, t_harvest);
-    }
-
-    /// Retires every component sub-batch of one harvested operator into
-    /// its owner. Failed operators instead route each component through
-    /// the retry/fallback/degradation policy.
+    /// Folds one operator harvested at its finish instant: releases its
+    /// slot, records its outcome in the shard's breaker, and retires every
+    /// component sub-batch into its owner. Failed operators instead route
+    /// each component through the retry/fallback/degradation policy.
     ///
-    /// All per-op times derive from the operator's own finish instant —
-    /// a shard is only ever harvested *at* that instant (its completion
-    /// surfaces as a shard event there).
+    /// All per-op times derive from the operator's own finish instant,
+    /// which is the visit instant ([`ServingRuntime::visit_shard`]).
     fn fold_one(&mut self, ix: usize, mut infop: InflightOp, result: OpResult) {
+        let s = &mut self.shards[ix];
+        s.slots.release(result.finished, infop.slot);
+        let error = result.error.is_some();
+        if s.breaker.record(result.finished, error, &self.fault_policy) {
+            self.stats.breaker_trips.inc();
+        }
         let service = result.finished.saturating_since(result.started);
         if ix == self.devices {
             self.stats.tier_service.record_duration(service);
         } else {
             self.stats.device_service.record_duration(service);
         }
-        if result.error.is_some() {
+        if error {
             self.stats.faults.inc();
             self.handle_failed_op(ix, infop.subs, &result);
         } else {
@@ -1846,51 +1822,6 @@ impl ServingRuntime {
     }
 }
 
-/// Migration work of served table `table`: `rows` (local to shard `ix`
-/// under the plan in slot `plan`), one per output, in sub-batches of at
-/// most [`MIGRATION_CHUNK_ROWS`].
-fn migration_subs(
-    table: usize,
-    plan: usize,
-    ix: usize,
-    path: SlsPath,
-    rows: &[u64],
-) -> impl Iterator<Item = (usize, SubBatch)> + '_ {
-    rows.chunks(MIGRATION_CHUNK_ROWS).map(move |chunk| {
-        let mut ids = Vec::with_capacity(1 + 2 * chunk.len());
-        ids.push(0);
-        let mut open = 0;
-        for (slot, &row) in chunk.iter().enumerate() {
-            push_row(&mut ids, &mut open, slot, row);
-        }
-        let owner = SubOwner::Migration(table);
-        (ix, SubBatch::new(owner, table, plan as u32, path, ids))
-    })
-}
-
-/// Polls `s`'s system for finished operators, appends them to `out` in
-/// completion-time order, and releases each one's slot at its finish
-/// instant in that order, so the occupancy integral is exact however the
-/// harvests interleave.
-fn collect_harvest(s: &mut Shard, out: &mut Vec<(InflightOp, OpResult)>) {
-    if !s.sys.has_results() {
-        return;
-    }
-    let start = out.len();
-    let mut i = 0;
-    while i < s.inflight.len() {
-        if let Some(result) = s.sys.try_take_result(s.inflight[i].op) {
-            out.push((s.inflight.swap_remove(i), result));
-        } else {
-            i += 1;
-        }
-    }
-    out[start..].sort_by_key(|(_, r)| r.finished);
-    for (infop, r) in &out[start..] {
-        s.slots.release(r.finished, infop.slot);
-    }
-}
-
 /// Merges the front of `s`'s queue (plus, under micro-batching, every
 /// queued mergeable sub-batch up to the output cap) into one device
 /// operator and submits it on operator slot `slot` — without draining
@@ -1994,5 +1925,87 @@ mod tests {
     fn a_request_record_stays_small() {
         // 16 384 of them back the open-loop backlog's request map.
         assert!(std::mem::size_of::<Request>() <= 184);
+    }
+
+    /// A window of 4 operators that trips at half of them in error, with a
+    /// 10 µs cooldown.
+    fn breaker_policy() -> FaultPolicy {
+        FaultPolicy {
+            breaker_window: 4,
+            breaker_threshold: 0.5,
+            breaker_cooldown: SimDuration::from_us(10),
+            ..FaultPolicy::default()
+        }
+    }
+
+    fn at(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_us(us)
+    }
+
+    /// A breaker tripped at 0 µs by two errors.
+    fn tripped() -> Breaker {
+        let (mut b, policy) = (Breaker::new(), breaker_policy());
+        assert!(!b.record(at(0), true, &policy));
+        assert!(b.record(at(0), true, &policy));
+        b
+    }
+
+    #[test]
+    fn breaker_trips_when_errors_reach_the_threshold_and_not_before() {
+        let (mut b, policy) = (Breaker::new(), breaker_policy());
+        // One error in the window: below 0.5 × 4.
+        for error in [true, false, false, false, false] {
+            assert!(!b.record(at(0), error, &policy));
+        }
+        assert!(b.allows_ndp(at(0)));
+        // The first error slid out of the window: two more reach 2 of 4.
+        assert!(!b.record(at(1), true, &policy));
+        assert!(b.record(at(1), true, &policy));
+        assert_eq!(b.state, BreakerState::Open { until: at(11) });
+    }
+
+    #[test]
+    fn an_open_breaker_redirects_until_the_cooldown_ends() {
+        let mut b = tripped();
+        // Outcomes while open change nothing.
+        assert!(!b.record(at(5), false, &breaker_policy()));
+        for t in [0, 5, 9] {
+            assert!(!b.allows_ndp(at(t)), "redirects at {t} µs");
+        }
+        assert_eq!(b.state, BreakerState::Open { until: at(10) });
+    }
+
+    #[test]
+    fn after_the_cooldown_exactly_one_probe_goes_through() {
+        let mut b = tripped();
+        assert!(b.allows_ndp(at(10)));
+        assert_eq!(b.state, BreakerState::HalfOpen);
+        assert!(!b.allows_ndp(at(10)));
+        assert!(!b.allows_ndp(at(50)));
+    }
+
+    #[test]
+    fn a_successful_probe_closes_the_breaker_and_clears_its_window() {
+        let (mut b, policy) = (tripped(), breaker_policy());
+        assert!(b.allows_ndp(at(10)));
+        assert!(!b.record(at(12), false, &policy));
+        assert_eq!(
+            (b.state, b.recent.len(), b.errs),
+            (BreakerState::Closed, 0, 0)
+        );
+        assert!(b.allows_ndp(at(12)));
+        // A cleared window needs two fresh errors to trip again.
+        assert!(!b.record(at(13), true, &policy));
+        assert!(b.record(at(13), true, &policy));
+    }
+
+    #[test]
+    fn a_failed_probe_reopens_the_breaker() {
+        let (mut b, policy) = (tripped(), breaker_policy());
+        assert!(b.allows_ndp(at(10)));
+        assert!(b.record(at(12), true, &policy));
+        assert_eq!(b.state, BreakerState::Open { until: at(22) });
+        assert!(!b.allows_ndp(at(21)));
+        assert!(b.allows_ndp(at(22)));
     }
 }
