@@ -208,6 +208,12 @@ impl RecSsdConfig {
     pub fn validate(&self) {
         self.ssd.validate();
         assert!(self.ndp.table_align > 0, "table alignment must be positive");
+        // Request ids lie below the alignment and ride in the engine's
+        // tags beneath `EXT_TAG_BIT`, which no id may reach.
+        assert!(
+            self.ndp.table_align <= recssd_ssd::EXT_TAG_BIT,
+            "table alignment must not exceed 2^63"
+        );
         assert!(self.ndp.max_entries > 0, "SLS buffer needs entries");
         assert!(
             self.host.sls_workers > 0 && self.host.nn_workers > 0,
@@ -228,6 +234,18 @@ mod tests {
     fn presets_validate() {
         RecSsdConfig::cosmos().validate();
         RecSsdConfig::small().validate();
+    }
+
+    /// An alignment of 2^63 keeps every request id below the engine's tag
+    /// bit; one beyond it would let a host-chosen id set that bit.
+    #[test]
+    #[should_panic(expected = "must not exceed 2^63")]
+    fn table_alignment_above_the_engine_tag_bit_rejected() {
+        let mut cfg = RecSsdConfig::small();
+        cfg.ndp.table_align = 1 << 63;
+        cfg.validate();
+        cfg.ndp.table_align += 1;
+        cfg.validate();
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //!   into a pooled page image that goes straight back to the pool.
 
 use recssd_embedding::Quantization;
-use recssd_ftl::{FtlOutcome, FwTag, ReadStarted, ReqId};
-use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, XferId};
+use recssd_ftl::{FtlOutcome, FwTag, Lpn, ReadStarted};
+use recssd_nvme::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
 use recssd_sim::rng::mix64;
 use recssd_sim::stats::{Counter, HitStats};
 use recssd_sim::{IdMap, PageImage, SimDuration, SimTime};
@@ -299,14 +299,15 @@ struct SlsEntry {
 pub struct NdpSlsEngine {
     cfg: NdpConfig,
     /// Pending SLS requests by the request id the host encodes in the
-    /// SLBA (host-chosen, so any value up to the table alignment).
+    /// SLBA (host-chosen, so any value below the table alignment). A
+    /// request's page reads and DMAs carry `EXT_TAG_BIT | request` as their
+    /// tag: a read's completion finds its page by its logical page, a DMA's
+    /// by whether the entry still holds its config payload.
     entries: IdMap<u64, SlsEntry>,
+    /// Firmware tasks in flight by their tag, each holding what its
+    /// completion needs (a translation's page image).
     fw_jobs: IdMap<u64, FwJob>,
     next_tag: u64,
-    /// Requests by their PCIe transfer in flight: the config payload
-    /// while the entry still holds it, the results after.
-    dma: IdMap<XferId, u64>,
-    reads: IdMap<ReqId, (u64, usize)>,
     cache: EmbedCache,
     /// Free-list of recycled entry buffers.
     buf_pool: Vec<EntryBufs>,
@@ -322,8 +323,6 @@ impl NdpSlsEngine {
             entries: IdMap::new(),
             fw_jobs: IdMap::new(),
             next_tag: 0,
-            dma: IdMap::new(),
-            reads: IdMap::new(),
             buf_pool: Vec::new(),
             stats: NdpStats::default(),
         }
@@ -354,29 +353,31 @@ impl NdpSlsEngine {
         self.cache.invalidate_table(table_base);
     }
 
-    fn alloc_tag(&mut self, job: FwJob) -> FwTag {
-        let tag = self.next_tag | EXT_TAG_BIT;
-        self.next_tag += 1;
-        self.fw_jobs.insert(tag, job);
-        FwTag(tag)
-    }
-
-    /// Charges `tag` onto engine `e` of the pool (`Some(e)`) or onto the
-    /// firmware core (`None`), for the request whose config write
-    /// `cause` issued.
+    /// Charges `job` onto engine `e` of the pool (`Some(e)`) or onto the
+    /// firmware core (`None`), for the request whose config write `cause`
+    /// issued, under a fresh tag that its completion returns.
     fn charge(
+        &mut self,
         ctx: &mut DeviceCtx<'_>,
         on: Option<usize>,
         dur: SimDuration,
-        tag: FwTag,
+        job: FwJob,
         cause: u64,
     ) {
-        let (ftl, sched) = (&mut *ctx.ftl, &mut *ctx.sched);
+        let tag = self.next_tag | EXT_TAG_BIT;
+        self.next_tag += 1;
+        self.fw_jobs.insert(tag, job);
+        let sched = &mut *ctx.sched;
         let sched = &mut |d, e| sched(d, SsdEvent::Ftl(e));
-        match on {
-            Some(e) => ftl.charge_engine(ctx.now, e, dur, tag, cause, sched),
-            None => ftl.charge_firmware(ctx.now, dur, tag, cause, sched),
-        }
+        ctx.ftl.charge(ctx.now, on, dur, FwTag(tag), cause, sched);
+    }
+
+    /// Starts a DMA of `bytes` for `request`.
+    fn dma(ctx: &mut DeviceCtx<'_>, request: u64, bytes: usize) {
+        let sched = &mut *ctx.sched;
+        let tag = EXT_TAG_BIT | request;
+        ctx.pcie
+            .request(ctx.now, bytes, tag, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
     }
 
     /// Returns an entry's buffers to the free-list pool.
@@ -451,10 +452,9 @@ impl NdpSlsEngine {
             if cache.hit(base, row, &mut stats.embed_cache) {
                 entry.report.cache_hits += 1;
                 let acc = bufs.results.row_mut(slot as usize);
-                ctx.ftl
-                    .with_current_page(recssd_ftl::Lpn(base + page), |data| {
-                        quant.decode_accumulate(&data.bytes_at(offset, row_bytes), acc)
-                    });
+                ctx.ftl.with_current_page(Lpn(base + page), |data| {
+                    quant.decode_accumulate(&data.bytes_at(offset, row_bytes), acc)
+                });
                 continue;
             }
             PageRun::push(
@@ -486,20 +486,20 @@ impl NdpSlsEngine {
 
         // Issue all page reads through the FTL's page scheduler (step 3a);
         // FTL page-cache hits are processed directly (step 3b).
+        let tag = FwTag(EXT_TAG_BIT | request);
         for widx in 0..n_pages {
             let page = self.entries[&request].bufs.page_work[widx].page;
             self.stats.pages_requested.inc();
-            let lpn = recssd_ftl::Lpn(base + page);
+            let lpn = Lpn(base + page);
             let started = {
-                let ftl = &mut *ctx.ftl;
                 let sched = &mut *ctx.sched;
-                ftl.read_page_for(ctx.now, lpn, cause, &mut |d, e| sched(d, SsdEvent::Ftl(e)))
+                let sched = &mut |d, e| sched(d, SsdEvent::Ftl(e));
+                (ctx.ftl.read_page_for(ctx.now, lpn, tag, cause, sched))
                     .expect("the last pair's page was checked against the logical space")
             };
             match started {
-                ReadStarted::Pending(req) => {
-                    self.reads.insert(req, (request, widx));
-                }
+                // Its completion finds `widx` from the page it read.
+                ReadStarted::Pending(_) => {}
                 ReadStarted::CacheHit(data) => {
                     self.start_translation(ctx, request, widx, data);
                 }
@@ -533,18 +533,18 @@ impl NdpSlsEngine {
         let duration = self.cfg.translate_time(run.len as usize * cfg.row_bytes());
         let engines = ctx.ftl.engine_count();
         let engine = (engines > 0).then(|| {
-            let lpn = recssd_ftl::Lpn(entry.table_base + run.page);
+            let lpn = Lpn(entry.table_base + run.page);
             let e = ctx.ftl.channel_of(lpn) as usize % engines;
             entry.bufs.engine_pages[e] += 1;
             e
         });
-        let tag = self.alloc_tag(FwJob::Translate {
+        let job = FwJob::Translate {
             request,
             widx,
             data,
             duration,
-        });
-        Self::charge(ctx, engine, duration, tag, cause);
+        };
+        self.charge(ctx, engine, duration, job, cause);
     }
 
     /// Step 5: translation done — extract vectors, accumulate, and record
@@ -618,8 +618,7 @@ impl NdpSlsEngine {
                 MergePlacement::Engine(i) => Some(i as usize),
             };
             let cause = entry.cause;
-            let tag = self.alloc_tag(FwJob::Merge { request });
-            Self::charge(ctx, on, dur, tag, cause);
+            self.charge(ctx, on, dur, FwJob::Merge { request }, cause);
             return;
         }
         if !entry.results_ready {
@@ -637,12 +636,7 @@ impl NdpSlsEngine {
             return;
         }
         let bytes = cfg.result_bytes().div_ceil(block_bytes).max(1) * block_bytes;
-        let xfer = {
-            let pcie = &mut *ctx.pcie;
-            let sched = &mut *ctx.sched;
-            pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
-        };
-        self.dma.insert(xfer, request);
+        Self::dma(ctx, request, bytes);
     }
 
     /// Finalises an entry after its result DMA: complete the read command,
@@ -713,12 +707,7 @@ impl NdpEngine for NdpSlsEngine {
                         report: SlsRequestReport::default(),
                     },
                 );
-                let xfer = {
-                    let pcie = &mut *ctx.pcie;
-                    let sched = &mut *ctx.sched;
-                    pcie.request(ctx.now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)))
-                };
-                self.dma.insert(xfer, request);
+                Self::dma(ctx, request, bytes);
             }
             NvmeOpcode::Read => {
                 // Step 1b: associate the result-read with its entry.
@@ -742,13 +731,11 @@ impl NdpEngine for NdpSlsEngine {
         }
     }
 
-    fn on_ftl_outcome(&mut self, ctx: &mut DeviceCtx<'_>, outcome: &FtlOutcome) -> bool {
+    fn on_ftl_outcome(&mut self, ctx: &mut DeviceCtx<'_>, outcome: FtlOutcome) {
+        let request = outcome.tag().0 & !EXT_TAG_BIT;
         match outcome {
             FtlOutcome::FwTaskDone { tag } => {
-                let Some(job) = self.fw_jobs.remove(&tag.0) else {
-                    return false;
-                };
-                match job {
+                match self.fw_jobs.remove(&tag.0).expect("engine firmware task") {
                     FwJob::ConfigProcess { request } => {
                         self.process_config(ctx, request);
                     }
@@ -768,39 +755,34 @@ impl NdpEngine for NdpSlsEngine {
                         self.maybe_finish(ctx, request);
                     }
                 }
-                true
             }
-            FtlOutcome::ReadDone { req, data, .. } => {
-                let Some((request, widx)) = self.reads.remove(req) else {
-                    return false;
-                };
-                self.start_translation(ctx, request, widx, data.clone());
-                true
+            FtlOutcome::ReadDone { lpn, data, .. } => {
+                // The page's run in the ascending `page_work`.
+                let entry = &self.entries[&request];
+                let page = lpn.0 - entry.table_base;
+                let widx = (entry.bufs.page_work)
+                    .binary_search_by_key(&page, |run| run.page)
+                    .expect("a page the request reads");
+                self.start_translation(ctx, request, widx, data);
             }
-            FtlOutcome::ReadFailed { req, .. } => {
-                let Some((request, _widx)) = self.reads.remove(req) else {
-                    return false;
-                };
+            FtlOutcome::ReadFailed { .. } => {
                 let entry = self.entries.get_mut(&request).expect("entry exists");
                 entry.failed = true;
                 entry.pages_pending -= 1;
                 entry.t_last_page = ctx.now;
                 self.maybe_finish(ctx, request);
-                true
             }
-            FtlOutcome::WriteDone { .. } => false,
+            FtlOutcome::WriteDone { .. } => unreachable!("the engine writes no pages"),
         }
     }
 
-    fn on_pcie_done(&mut self, ctx: &mut DeviceCtx<'_>, xfer: XferId) -> bool {
-        let Some(request) = self.dma.remove(&xfer) else {
-            return false;
-        };
+    fn on_pcie_done(&mut self, ctx: &mut DeviceCtx<'_>, tag: u64) {
+        let request = tag & !EXT_TAG_BIT;
         let entry = self.entries.get_mut(&request).expect("entry exists");
         let Some(raw) = &entry.raw_config else {
             // The results went out.
             self.finish(ctx, request);
-            return true;
+            return;
         };
         // Config landed on the device: charge config processing.
         entry.t_config_written = ctx.now;
@@ -808,9 +790,7 @@ impl NdpEngine for NdpSlsEngine {
         let dur = self.cfg.config_process_time(pairs);
         entry.report.config_process = dur;
         let cause = entry.cause;
-        let tag = self.alloc_tag(FwJob::ConfigProcess { request });
-        Self::charge(ctx, None, dur, tag, cause);
-        true
+        self.charge(ctx, None, dur, FwJob::ConfigProcess { request }, cause);
     }
 
     fn idle(&self) -> bool {

@@ -17,6 +17,7 @@ use recssd_sim::rng::Xoshiro256;
 use recssd_sim::{EventQueue, StaticPartitionBuilder};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const PAGE: usize = 16 * 1024;
@@ -912,6 +913,196 @@ fn ssd_embed_cache_hits_serve_the_pages_current_content() {
     assert_eq!(cached, uncached);
     let want = |v: f32| vec![v, v + 1.0, -v, 0.5];
     assert_eq!(uncached, [want(1.0), want(2.0), want(2.0), want(3.0)]);
+}
+
+/// A command the mixed-traffic test below has in flight, with what its
+/// completion must carry.
+enum Inflight {
+    /// A block write of this payload to this page.
+    Write(u64, Vec<u8>),
+    /// A block read of these pages, expecting these bytes.
+    Read(std::ops::Range<u64>, Vec<u8>),
+    /// An NDP config write.
+    Config,
+    /// An NDP result read of this request id and batch.
+    Results(u64, LookupBatch),
+}
+
+/// A device with an engine, its event queue and the commands in flight.
+struct MixedRig {
+    dev: SsdDevice<NdpSlsEngine>,
+    q: EventQueue<SsdEvent>,
+    inflight: HashMap<u16, (u16, Inflight)>,
+    next_cid: u16,
+}
+
+impl MixedRig {
+    /// Submits the command `cmd` builds under a fresh cid on queue `qid`
+    /// and rings its doorbell.
+    fn submit(&mut self, qid: u16, cmd: impl FnOnce(u16) -> NvmeCommand, what: Inflight) {
+        self.next_cid += 1;
+        let cmd = cmd(self.next_cid);
+        assert!(self.inflight.insert(cmd.cid, (qid, what)).is_none());
+        self.dev.queue(qid).submit(cmd).expect("queue has room");
+        let q = &mut self.q;
+        self.dev
+            .doorbell(q.now(), qid, &mut |d, e| q.push_after(d, e));
+    }
+
+    /// Commands in flight on queue `qid`.
+    fn on(&self, qid: u16) -> usize {
+        self.inflight.values().filter(|(q, _)| *q == qid).count()
+    }
+}
+
+/// Conventional writes, conventional reads and NDP gathers in flight
+/// together on one device with an engine installed. The writes rewrite a
+/// hot set of pages beside the preloaded table and lay down a cold run, so
+/// host-write completions and garbage-collection relocations pass through
+/// the same device that routes the engine's tags. Every command completes
+/// exactly once, on the queue it was submitted to; every gather matches
+/// `sls_reference` bit for bit; and every read returns, page by page, the
+/// last write to the page completed before the read was issued, else the
+/// table image's bytes (zeros past the table).
+#[test]
+fn writes_reads_and_gathers_in_flight_together_complete_exactly() {
+    const ALIGN: u64 = 1 << 10;
+    const GATHERS: usize = 32;
+    let ndp = NdpConfig {
+        table_align: ALIGN,
+        ..NdpConfig::cosmos()
+    };
+    let mut rig = MixedRig {
+        dev: SsdDevice::with_engine(SsdConfig::cosmos_small(), NdpSlsEngine::new(ndp)),
+        q: EventQueue::new(),
+        inflight: HashMap::new(),
+        next_cid: 0,
+    };
+    let (rows, dim) = (300u64, 8usize);
+    let image = Arc::new(TableImage::new(
+        EmbeddingTable::procedural(TableSpec::new(rows, dim, Quantization::F32), 5),
+        PageLayout::Spread,
+        PAGE,
+    ));
+    let table_pages = image.pages();
+    let oracle = Arc::new(TableImageOracle::new(image.clone(), 0));
+    rig.dev.preload(Lpn(0), table_pages, oracle);
+    let (ndp_q, write_q, read_q) = (0u16, 1u16, 2u16);
+    let hot = table_pages..table_pages + 64;
+    let mut cold = hot.end;
+    // Each written page's last completed payload, and the pages a write
+    // or a read has in flight (neither is issued over the other).
+    let mut written: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut writing: HashSet<u64> = HashSet::new();
+    let mut reading: HashMap<u64, u32> = HashMap::new();
+    let mut pending_ids: HashSet<u64> = HashSet::new();
+    let (mut writes, mut gathers, mut reads) = (0u64, 0usize, 0usize);
+    let mut rng = Xoshiro256::seed_from(17);
+    loop {
+        let relocated = rig.dev.ftl().stats().gc_relocated_pages.get();
+        if relocated == 0 || gathers < GATHERS {
+            assert!(writes < 20_000, "no GC relocation after {writes} writes");
+            if rig.on(write_q) < 4 {
+                // Seven of eight writes go to the hot set, one extends the
+                // cold run; a page with a command in flight is skipped.
+                let lpn = if writes % 8 == 0 {
+                    cold += 1;
+                    cold - 1
+                } else {
+                    hot.start + (writes * 7) % (hot.end - hot.start)
+                };
+                writes += 1;
+                if !writing.contains(&lpn) && !reading.contains_key(&lpn) {
+                    let payload = [writes.to_le_bytes(), lpn.to_le_bytes()].concat();
+                    writing.insert(lpn);
+                    let cmd = |cid| NvmeCommand::write(cid, lpn, 1, payload.clone());
+                    rig.submit(write_q, cmd, Inflight::Write(lpn, payload.clone()));
+                }
+            }
+            if rig.on(read_q) < 2 {
+                let start = rng.gen_range(0..cold - 1);
+                let pages = start..start + rng.gen_range(1..3);
+                if !pages.clone().any(|p| writing.contains(&p)) {
+                    let mut want = vec![0u8; PAGE * (pages.end - pages.start) as usize];
+                    for (p, out) in pages.clone().zip(want.chunks_mut(PAGE)) {
+                        match written.get(&p) {
+                            Some(bytes) => out[..bytes.len()].copy_from_slice(bytes),
+                            None if p < table_pages => image.fill_relative_page(p, out),
+                            None => {}
+                        }
+                        *reading.entry(p).or_default() += 1;
+                    }
+                    let nlb = (pages.end - pages.start) as u32;
+                    let cmd = |cid| NvmeCommand::read(cid, pages.start, nlb);
+                    rig.submit(read_q, cmd, Inflight::Read(pages.clone(), want));
+                }
+            }
+            if pending_ids.len() < 2 {
+                let id = (1..)
+                    .find(|id| !pending_ids.contains(id))
+                    .expect("a free id");
+                pending_ids.insert(id);
+                let batch = random_batch(&mut rng, rows, 3, 6);
+                let cfg = SlsConfig {
+                    dim: dim as u32,
+                    quant: Quantization::F32,
+                    rows_per_page: image.rows_per_page() as u32,
+                    n_results: batch.outputs() as u32,
+                    pairs: batch.pairs(),
+                };
+                let slba = NvmeCommand::ndp_slba(0, id, ALIGN);
+                let config = |cid| NvmeCommand::ndp_write(cid, slba, cfg.encode());
+                rig.submit(ndp_q, config, Inflight::Config);
+                let results = |cid| NvmeCommand::ndp_read(cid, slba, 1);
+                rig.submit(ndp_q, results, Inflight::Results(id, batch));
+            }
+        }
+        let Some((now, ev)) = rig.q.pop() else {
+            break;
+        };
+        let q = &mut rig.q;
+        rig.dev.handle(now, ev, &mut |d, e| q.push_after(d, e));
+        for qid in [ndp_q, write_q, read_q] {
+            while let Some(done) = rig.dev.queue(qid).poll() {
+                let (from, what) = rig.inflight.remove(&done.cid).expect("completes once");
+                assert_eq!(from, qid, "cid {} completed on another queue", done.cid);
+                assert_eq!(done.status, NvmeStatus::Success, "cid {}", done.cid);
+                match what {
+                    Inflight::Write(lpn, payload) => {
+                        writing.remove(&lpn);
+                        written.insert(lpn, payload);
+                    }
+                    Inflight::Read(pages, want) => {
+                        let data = done.data.expect("read data");
+                        assert!(data.to_vec() == want, "read of pages {pages:?}");
+                        rig.dev.recycle_buffer(data);
+                        for p in pages {
+                            *reading.get_mut(&p).expect("page being read") -= 1;
+                        }
+                        reading.retain(|_, n| *n > 0);
+                        reads += 1;
+                    }
+                    Inflight::Config => {}
+                    Inflight::Results(id, batch) => {
+                        let data = done.data.expect("a result block");
+                        assert_eq!(
+                            SlsConfig::decode_results(&data.to_vec(), batch.outputs(), dim),
+                            sls_reference(image.table(), &batch),
+                            "request {id}"
+                        );
+                        rig.dev.recycle_buffer(data);
+                        pending_ids.remove(&id);
+                        gathers += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(rig.inflight.is_empty() && writing.is_empty() && reading.is_empty());
+    assert!(rig.dev.idle());
+    assert!(reads > 0 && gathers >= GATHERS);
+    assert!(rig.dev.ftl().stats().gc_relocated_pages.get() > 0);
+    assert_eq!(rig.dev.engine().pending_requests(), 0);
 }
 
 proptest! {

@@ -16,8 +16,9 @@
 
 use recssd_sim::SimDuration;
 
-/// Caller-defined tag identifying a firmware task; returned when the task
-/// completes so the caller can resume the appropriate state machine.
+/// Caller-defined tag of a firmware task, page read or page write; its
+/// [`crate::FtlOutcome`] returns it so the caller can resume the
+/// appropriate state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FwTag(pub u64);
 
@@ -128,10 +129,7 @@ mod tests {
         fn charge(&mut self, engine: Option<usize>, d: SimDuration, tag: u64) -> Vec<FtlEvent> {
             let (tag, mut fresh) = (FwTag(tag), Vec::new());
             let sched = &mut |d, e| fresh.push((d, e));
-            match engine {
-                None => self.ftl.charge_firmware(SimTime::ZERO, d, tag, 0, sched),
-                Some(e) => self.ftl.charge_engine(SimTime::ZERO, e, d, tag, 0, sched),
-            }
+            self.ftl.charge(SimTime::ZERO, engine, d, tag, 0, sched);
             for &(d, e) in &fresh {
                 self.q.push_after(d, e);
             }

@@ -13,22 +13,6 @@ use recssd_sim::{FxHashMap, FxHashSet, IdMap, LruCache, PageImage, Server, SimDu
 
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwTag, Lpn, MappingTable};
 
-/// Identifier of an in-flight FTL request (read or write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ReqId(u64);
-
-impl recssd_sim::IdKey for ReqId {
-    fn id(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for ReqId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ftl-req#{}", self.0)
-    }
-}
-
 /// Events the FTL schedules for itself; route them back into
 /// [`GreedyFtl::handle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +25,16 @@ pub enum FtlEvent {
     EngineDone(u32),
 }
 
-/// Results emitted by [`GreedyFtl::handle`].
+/// Results emitted by [`GreedyFtl::handle`]. Every variant returns the
+/// tag its caller supplied when it started the work — a page read, a
+/// page write or a firmware charge — so the caller routes a completion
+/// by the tag alone and keeps no map of ids the FTL minted.
 #[derive(Debug, Clone)]
 pub enum FtlOutcome {
     /// A pending logical-page read completed from flash.
     ReadDone {
-        /// Request id returned by [`GreedyFtl::read_page`].
-        req: ReqId,
+        /// The tag given to [`GreedyFtl::read_page_for`].
+        tag: FwTag,
         /// The logical page read.
         lpn: Lpn,
         /// The page's contents: the one pooled image of the page (the
@@ -59,23 +46,35 @@ pub enum FtlOutcome {
     /// error: no data is delivered and the layer above must surface a
     /// typed device error for the owning command.
     ReadFailed {
-        /// Request id returned by [`GreedyFtl::read_page`].
-        req: ReqId,
+        /// The tag given to [`GreedyFtl::read_page_for`].
+        tag: FwTag,
         /// The logical page whose read failed.
         lpn: Lpn,
     },
     /// A logical-page write was durably programmed.
     WriteDone {
-        /// Request id returned by [`GreedyFtl::write_page`].
-        req: ReqId,
+        /// The tag given to [`GreedyFtl::write_page`].
+        tag: FwTag,
         /// The logical page written.
         lpn: Lpn,
     },
-    /// A firmware task charged via [`GreedyFtl::charge_firmware`] finished.
+    /// A firmware task charged via [`GreedyFtl::charge`] finished.
     FwTaskDone {
-        /// The caller-supplied tag.
+        /// The tag given to [`GreedyFtl::charge`].
         tag: FwTag,
     },
+}
+
+impl FtlOutcome {
+    /// The caller's tag this outcome returns.
+    pub fn tag(&self) -> FwTag {
+        match self {
+            FtlOutcome::ReadDone { tag, .. }
+            | FtlOutcome::ReadFailed { tag, .. }
+            | FtlOutcome::WriteDone { tag, .. }
+            | FtlOutcome::FwTaskDone { tag } => *tag,
+        }
+    }
 }
 
 /// Synchronous result of starting a logical read.
@@ -87,9 +86,10 @@ pub enum ReadStarted {
     /// The logical page was never written; it reads as zeros
     /// ([`GreedyFtl::zero_page`] is the shared image of that).
     Unmapped,
-    /// A flash read is in flight; a [`FtlOutcome::ReadDone`] with this id
-    /// will follow.
-    Pending(ReqId),
+    /// A flash read is in flight; a [`FtlOutcome::ReadDone`] (or
+    /// [`FtlOutcome::ReadFailed`]) carrying this tag — the caller's own,
+    /// echoed — will follow.
+    Pending(FwTag),
 }
 
 /// FTL-level errors.
@@ -159,13 +159,13 @@ impl FtlStats {
 #[derive(Debug)]
 enum Pending {
     HostRead {
-        req: ReqId,
+        tag: FwTag,
         lpn: Lpn,
         ppa: Ppa,
         cause: u64,
     },
     HostWrite {
-        req: ReqId,
+        tag: FwTag,
         lpn: Lpn,
     },
     GcRead {
@@ -214,7 +214,6 @@ pub struct GreedyFtl {
     pending: IdMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: FxHashSet<u64>,
-    next_req: u64,
     stats: FtlStats,
     /// Sim-time span tracer (disabled by default: every emission is a
     /// no-op `None` check until [`GreedyFtl::set_tracer`] installs a sink).
@@ -243,7 +242,6 @@ impl GreedyFtl {
             pending: IdMap::new(),
             gc_jobs: FxHashMap::default(),
             reserved: FxHashSet::default(),
-            next_req: 0,
             stats: FtlStats::default(),
             tracer: Tracer::disabled(),
             config,
@@ -354,7 +352,7 @@ impl GreedyFtl {
 
     /// Installs (or clears) a fault-injection plan on the underlying
     /// flash array. The plan also governs firmware-charge stalls and
-    /// brownout inflation (see [`GreedyFtl::charge_firmware`]).
+    /// brownout inflation (see [`GreedyFtl::charge`]).
     pub fn set_fault_plan(&mut self, plan: Option<recssd_flash::FaultPlan>) {
         self.flash.set_fault_plan(plan);
     }
@@ -472,11 +470,12 @@ impl GreedyFtl {
         lpn: Lpn,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) -> Result<ReadStarted, FtlError> {
-        self.read_page_for(now, lpn, 0, sched)
+        self.read_page_for(now, lpn, FwTag(0), 0, sched)
     }
 
-    /// [`GreedyFtl::read_page`] on behalf of the operator whose trace id
-    /// is `cause`: a flash read it issues traces its windows with it.
+    /// [`GreedyFtl::read_page`] on behalf of `tag`, which the read's
+    /// completion returns, and of the operator whose trace id is `cause`:
+    /// a flash read it issues traces its windows with it.
     ///
     /// # Errors
     ///
@@ -485,6 +484,7 @@ impl GreedyFtl {
         &mut self,
         now: SimTime,
         lpn: Lpn,
+        tag: FwTag,
         cause: u64,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) -> Result<ReadStarted, FtlError> {
@@ -509,16 +509,14 @@ impl GreedyFtl {
             .submit(now, FlashOp::Read { ppa }, &mut |d, fe| {
                 sched(d, FtlEvent::Flash(fe))
             })?;
-        let req = ReqId(self.next_req);
-        self.next_req += 1;
         let read = Pending::HostRead {
-            req,
+            tag,
             lpn,
             ppa,
             cause,
         };
         self.pending.insert(op, read);
-        Ok(ReadStarted::Pending(req))
+        Ok(ReadStarted::Pending(tag))
     }
 
     /// Runs `read` over the content `lpn` holds now, found in
@@ -552,8 +550,8 @@ impl GreedyFtl {
 
     /// Starts a logical page write (up to one page of data; the remainder
     /// of the page reads as zeros). Completion is signalled by
-    /// [`FtlOutcome::WriteDone`]; reads of the page are served from the
-    /// write buffer in the interim.
+    /// [`FtlOutcome::WriteDone`] carrying `tag`; reads of the page are
+    /// served from the write buffer in the interim.
     ///
     /// # Errors
     ///
@@ -564,8 +562,9 @@ impl GreedyFtl {
         now: SimTime,
         lpn: Lpn,
         data: &[u8],
+        tag: FwTag,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
-    ) -> Result<ReqId, FtlError> {
+    ) -> Result<(), FtlError> {
         let g = self.config.flash.geometry;
         if lpn.0 >= self.config.logical_pages {
             return Err(FtlError::LpnOutOfRange(lpn));
@@ -592,73 +591,58 @@ impl GreedyFtl {
                 sched(d, FtlEvent::Flash(fe))
             })
             .expect("allocator and flash write pointers must agree");
-        let req = ReqId(self.next_req);
-        self.next_req += 1;
-        self.pending.insert(op, Pending::HostWrite { req, lpn });
+        self.pending.insert(op, Pending::HostWrite { tag, lpn });
         let die = self.die_linear(ppa);
         self.maybe_start_gc(now, die, sched);
-        Ok(req)
+        Ok(())
     }
 
-    /// Charges a task onto the serial firmware core. When the task
+    /// Charges a task onto the serial firmware core (`on` is `None`) or
+    /// onto engine `e % pool size` of the per-channel pool (`Some(e)`),
+    /// its duration scaled to the pool's service rate. When the task
     /// finishes, [`FtlOutcome::FwTaskDone`] carries `tag` back to the
-    /// caller. Tasks run FIFO — this serialisation models the embedded
-    /// ARM core that both NVMe command handling and NDP translation share.
+    /// caller. Tasks run FIFO per server — the core's serialisation models
+    /// the embedded ARM core that both NVMe command handling and NDP
+    /// translation share, while engines run concurrently with each other
+    /// and with the core, which is the whole point of the multi-engine
+    /// model. Fault-plan brownout inflation and stall draws apply alike.
     /// `cause` is the trace id of the host operator the task serves (zero
     /// for none); its service window carries it.
-    pub fn charge_firmware(
-        &mut self,
-        now: SimTime,
-        duration: SimDuration,
-        tag: FwTag,
-        cause: u64,
-        sched: &mut dyn FnMut(SimDuration, FtlEvent),
-    ) {
-        let duration = self.faulted(now, duration);
-        if let Some(d) = self.fw.start(now, duration, (tag, cause)) {
-            self.serve(now, d, FtlEvent::FwDone, (tag, cause), sched);
-        }
-    }
-
-    /// Charges a task onto engine `engine % pool size` of the per-channel
-    /// pool. Same contract as [`GreedyFtl::charge_firmware`] — FIFO per
-    /// engine, [`FtlOutcome::FwTaskDone`] carries `tag` back — but engines
-    /// run concurrently with each other and with the firmware core, which
-    /// is the whole point of the multi-engine model. Fault-plan brownout
-    /// inflation and stall draws apply exactly as on the core.
     ///
     /// # Panics
     ///
-    /// Panics if no engine pool is configured.
-    pub fn charge_engine(
+    /// Panics if `on` names an engine and no engine pool is configured.
+    pub fn charge(
         &mut self,
         now: SimTime,
-        engine: usize,
-        duration: SimDuration,
+        on: Option<usize>,
+        mut duration: SimDuration,
         tag: FwTag,
         cause: u64,
         sched: &mut dyn FnMut(SimDuration, FtlEvent),
     ) {
-        let duration = self.faulted(now, duration);
-        let pool = self.config.engines.expect("engine pool configured");
-        let idx = engine % self.engines.len();
-        let task = (tag, cause);
-        if let Some(d) = self.engines[idx].start(now, pool.scale(duration), task) {
-            self.serve(now, d, FtlEvent::EngineDone(idx as u32), task, sched);
-        }
-    }
-
-    /// Fault injection on a firmware charge: a brownout inflates it, then
-    /// one stall draw (from the shared stream, so never reorder) multiplies
-    /// it — a wedged code path holding the core or engine.
-    fn faulted(&mut self, now: SimTime, mut duration: SimDuration) -> SimDuration {
+        // Fault injection: a brownout inflates the charge, then one stall
+        // draw (from the shared stream, so never reorder) multiplies it —
+        // a wedged code path holding the core or engine.
         if let Some(plan) = self.flash.fault_plan_mut() {
             duration = plan.inflate(now, duration);
             if let Some(m) = plan.draw_stall() {
                 duration = duration * m as u64;
             }
         }
-        duration
+        let task = (tag, cause);
+        let (server, duration, done) = match on {
+            None => (&mut self.fw, duration, FtlEvent::FwDone),
+            Some(e) => {
+                let pool = self.config.engines.expect("engine pool configured");
+                let idx = e % self.engines.len();
+                let done = FtlEvent::EngineDone(idx as u32);
+                (&mut self.engines[idx], pool.scale(duration), done)
+            }
+        };
+        if let Some(d) = server.start(now, duration, task) {
+            self.serve(now, d, done, task, sched);
+        }
     }
 
     /// The one start site of the firmware core and the engines: `tag`
@@ -738,7 +722,7 @@ impl GreedyFtl {
             self.trace_flash(now, &c, read);
         }
         match pending {
-            Pending::HostRead { req, lpn, ppa, .. } => {
+            Pending::HostRead { tag, lpn, ppa, .. } => {
                 if c.failed {
                     // Uncorrectable media error: the bytes are untrusted,
                     // so nothing is cached and the image goes straight
@@ -746,7 +730,7 @@ impl GreedyFtl {
                     // failure instead of data.
                     self.flash
                         .recycle_page_buf(c.data.expect("read completion carries data"));
-                    out.push(FtlOutcome::ReadFailed { req, lpn });
+                    out.push(FtlOutcome::ReadFailed { tag, lpn });
                     return;
                 }
                 let data = c.data.expect("read completion carries data");
@@ -756,13 +740,13 @@ impl GreedyFtl {
                 {
                     self.cache_insert(lpn.0, data.clone());
                 }
-                out.push(FtlOutcome::ReadDone { req, lpn, data });
+                out.push(FtlOutcome::ReadDone { tag, lpn, data });
             }
-            Pending::HostWrite { req, lpn } => {
+            Pending::HostWrite { tag, lpn } => {
                 if let Some(image) = self.write_buffer.remove(&lpn.0) {
                     self.flash.recycle_page_buf(image);
                 }
-                out.push(FtlOutcome::WriteDone { req, lpn });
+                out.push(FtlOutcome::WriteDone { tag, lpn });
             }
             Pending::GcRead { die, lpn, old } => {
                 self.stats.gc_relocated_pages.inc();

@@ -21,7 +21,7 @@
 //!
 //! * an LRU **page cache** in SSD DRAM ([`GreedyFtl::read_page`] serves
 //!   hits synchronously), and
-//! * the **firmware core** ([`GreedyFtl::charge_firmware`]), a serial task
+//! * the **firmware core** ([`GreedyFtl::charge`]), a serial task
 //!   queue modelling the embedded CPU. Both baseline NVMe command
 //!   processing and RecSSD's NDP "Translation" computation execute on it,
 //!   which is exactly why Fig. 8 of the paper shows Translation consuming
@@ -44,7 +44,7 @@ mod map;
 pub use alloc::BlockAllocator;
 pub use config::FtlConfig;
 pub use firmware::{EnginePoolConfig, FwTag, MergePlacement};
-pub use ftl_impl::{FtlError, FtlEvent, FtlOutcome, FtlStats, GreedyFtl, ReadStarted, ReqId};
+pub use ftl_impl::{FtlError, FtlEvent, FtlOutcome, FtlStats, GreedyFtl, ReadStarted};
 pub use map::MappingTable;
 
 use std::fmt;

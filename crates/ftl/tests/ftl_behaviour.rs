@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use recssd_flash::PageOracle;
-use recssd_ftl::{
-    FtlConfig, FtlError, FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId,
-};
+use recssd_ftl::{FtlConfig, FtlError, FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted};
 use recssd_obs::trace::{track, TraceSink};
 use recssd_sim::{EventQueue, SimDuration, SimTime};
 
@@ -43,16 +41,17 @@ impl Harness {
         out
     }
 
-    fn write(&mut self, lpn: u64, data: Vec<u8>) -> ReqId {
+    /// Starts a write of `data` to `lpn`, tagged with the page number.
+    fn write(&mut self, lpn: u64, data: Vec<u8>) {
         let Harness { ftl, q } = self;
         let mut fresh = Vec::new();
-        let req = ftl
-            .write_page(q.now(), Lpn(lpn), &data, &mut |d, e| fresh.push((d, e)))
-            .expect("write accepted");
+        ftl.write_page(q.now(), Lpn(lpn), &data, FwTag(lpn), &mut |d, e| {
+            fresh.push((d, e))
+        })
+        .expect("write accepted");
         for (d, e) in fresh {
             q.push_after(d, e);
         }
-        req
     }
 
     /// Fully synchronous read: starts a read and drains until it finishes.
@@ -68,10 +67,10 @@ impl Harness {
         match started {
             ReadStarted::CacheHit(data) => data.to_vec(),
             ReadStarted::Unmapped => vec![0u8; ftl.page_bytes()],
-            ReadStarted::Pending(req) => {
+            ReadStarted::Pending(tag) => {
                 for (_, o) in self.drain() {
-                    if let FtlOutcome::ReadDone { req: r, data, .. } = o {
-                        if r == req {
+                    if let FtlOutcome::ReadDone { tag: t, data, .. } = o {
+                        if t == tag {
                             return data.to_vec();
                         }
                     }
@@ -106,12 +105,12 @@ fn out_of_range_requests_rejected() {
         .unwrap_err();
     assert_eq!(err, FtlError::LpnOutOfRange(Lpn(logical)));
     let err = ftl
-        .write_page(q.now(), Lpn(logical), &[1], &mut |_, _| {})
+        .write_page(q.now(), Lpn(logical), &[1], FwTag(0), &mut |_, _| {})
         .unwrap_err();
     assert_eq!(err, FtlError::LpnOutOfRange(Lpn(logical)));
     let big = vec![0u8; ftl.page_bytes() + 1];
     let err = ftl
-        .write_page(q.now(), Lpn(0), &big, &mut |_, _| {})
+        .write_page(q.now(), Lpn(0), &big, FwTag(0), &mut |_, _| {})
         .unwrap_err();
     assert!(matches!(err, FtlError::DataTooLarge { .. }));
 }
@@ -226,8 +225,9 @@ fn channel_and_firmware_counters_equal_their_traced_windows() {
         };
         h.write(lpn, payload(i));
         let Harness { ftl, q } = &mut h;
-        ftl.charge_firmware(
+        ftl.charge(
             q.now(),
+            None,
             SimDuration::from_us(3),
             FwTag(i),
             0,
@@ -301,6 +301,7 @@ fn device_full_surfaces_when_writes_outrun_gc() {
                 // Unique lpns until logical wraps; stop before overwrites start.
                 &payload(lpn)
             },
+            FwTag(lpn),
             &mut |d, e| fresh.push((d, e)),
         );
         for (d, e) in fresh {
@@ -376,15 +377,17 @@ fn firmware_tasks_serialise_fifo() {
     {
         let Harness { ftl, q } = &mut h;
         let mut fresh = Vec::new();
-        ftl.charge_firmware(
+        ftl.charge(
             q.now(),
+            None,
             SimDuration::from_us(10),
             FwTag(1),
             0,
             &mut |d, e| fresh.push((d, e)),
         );
-        ftl.charge_firmware(
+        ftl.charge(
             q.now(),
+            None,
             SimDuration::from_us(5),
             FwTag(2),
             0,

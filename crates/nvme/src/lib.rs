@@ -26,6 +26,6 @@ mod pcie;
 mod queue;
 mod types;
 
-pub use pcie::{PcieConfig, PcieEvent, PcieLink, PcieStats, XferId};
+pub use pcie::{PcieConfig, PcieEvent, PcieLink, PcieStats};
 pub use queue::{QueueError, QueuePair};
 pub use types::{CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};

@@ -33,23 +33,13 @@ impl PcieConfig {
     }
 }
 
-/// Identifier of an in-flight DMA transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct XferId(u64);
-
-impl recssd_sim::IdKey for XferId {
-    fn id(self) -> u64 {
-        self.0
-    }
-}
-
 /// Events the link schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PcieEvent {
     /// The transfer at the head of the link finished.
     XferDone {
-        /// Completed transfer.
-        xfer: XferId,
+        /// The completed transfer's caller-supplied tag.
+        tag: u64,
     },
 }
 
@@ -66,7 +56,7 @@ pub struct PcieStats {
 }
 
 /// The serialising DMA engine: one transfer at a time, FIFO arbitration
-/// (a [`Server`] of transfer ids).
+/// (a [`Server`] of the tags its callers supply).
 ///
 /// # Example
 ///
@@ -76,16 +66,15 @@ pub struct PcieStats {
 ///
 /// let mut link = PcieLink::new(PcieConfig::gen2_x8());
 /// let mut q: EventQueue<PcieEvent> = EventQueue::new();
-/// let id = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
+/// link.request(q.now(), 16 * 1024, 7, &mut |d, e| q.push_after(d, e));
 /// let (now, ev) = q.pop().unwrap();
-/// assert_eq!(link.handle(now, ev, &mut |_, _| {}), id);
+/// assert_eq!(link.handle(now, ev, &mut |_, _| {}), 7);
 /// assert!(now.as_us_f64() > 5.0); // 16 KB at ~3.2 GB/s + setup
 /// ```
 #[derive(Debug)]
 pub struct PcieLink {
     config: PcieConfig,
-    arbiter: Server<XferId>,
-    next_id: u64,
+    arbiter: Server<u64>,
     bytes: Counter,
 }
 
@@ -95,7 +84,6 @@ impl PcieLink {
         PcieLink {
             config,
             arbiter: Server::new(),
-            next_id: 0,
             bytes: Counter::new(),
         }
     }
@@ -127,42 +115,40 @@ impl PcieLink {
         self.arbiter.idle()
     }
 
-    /// Requests a DMA of `bytes` at `now`. The returned id is reported
-    /// back by [`PcieLink::handle`] when the transfer completes.
+    /// Requests a DMA of `bytes` at `now` on behalf of `tag`, which
+    /// [`PcieLink::handle`] returns when the transfer completes.
     pub fn request(
         &mut self,
         now: SimTime,
         bytes: usize,
+        tag: u64,
         sched: &mut dyn FnMut(SimDuration, PcieEvent),
-    ) -> XferId {
-        let id = XferId(self.next_id);
-        self.next_id += 1;
+    ) {
         self.bytes.add(bytes as u64);
         if let Some(d) = self
             .arbiter
-            .start(now, self.config.transfer_time(bytes), id)
+            .start(now, self.config.transfer_time(bytes), tag)
         {
-            sched(d, PcieEvent::XferDone { xfer: id });
+            sched(d, PcieEvent::XferDone { tag });
         }
-        id
     }
 
     /// Processes a completion event at `now`, starting the next queued
-    /// transfer. Returns the finished transfer's id.
+    /// transfer. Returns the finished transfer's tag.
     pub fn handle(
         &mut self,
         now: SimTime,
         ev: PcieEvent,
         sched: &mut dyn FnMut(SimDuration, PcieEvent),
-    ) -> XferId {
-        let PcieEvent::XferDone { xfer } = ev;
+    ) -> u64 {
+        let PcieEvent::XferDone { tag } = ev;
         let (done, next) = self.arbiter.finish(now);
-        debug_assert_eq!(done, xfer, "PCIe completion for a transfer not on the link");
+        debug_assert_eq!(done, tag, "PCIe completion for a transfer not on the link");
         if let Some(d) = next {
             let next = self.arbiter.current().expect("a queued transfer started");
-            sched(d, PcieEvent::XferDone { xfer: next });
+            sched(d, PcieEvent::XferDone { tag: next });
         }
-        xfer
+        tag
     }
 }
 
@@ -171,7 +157,7 @@ mod tests {
     use super::*;
     use recssd_sim::EventQueue;
 
-    fn drive(link: &mut PcieLink, q: &mut EventQueue<PcieEvent>) -> Vec<(SimTime, XferId)> {
+    fn drive(link: &mut PcieLink, q: &mut EventQueue<PcieEvent>) -> Vec<(SimTime, u64)> {
         let mut done = Vec::new();
         while let Some((now, ev)) = q.pop() {
             let mut fresh = Vec::new();
@@ -197,8 +183,9 @@ mod tests {
     fn transfers_serialise_fifo() {
         let mut link = PcieLink::new(PcieConfig::gen2_x8());
         let mut q = EventQueue::new();
-        let a = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
-        let b = link.request(q.now(), 16 * 1024, &mut |d, e| q.push_after(d, e));
+        let (a, b) = (3, 1);
+        link.request(q.now(), 16 * 1024, a, &mut |d, e| q.push_after(d, e));
+        link.request(q.now(), 16 * 1024, b, &mut |d, e| q.push_after(d, e));
         let done = drive(&mut link, &mut q);
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].1, a);
@@ -214,8 +201,8 @@ mod tests {
     fn stats_accumulate() {
         let mut link = PcieLink::new(PcieConfig::gen2_x8());
         let mut q = EventQueue::new();
-        link.request(q.now(), 1000, &mut |d, e| q.push_after(d, e));
-        link.request(q.now(), 2000, &mut |d, e| q.push_after(d, e));
+        link.request(q.now(), 1000, 0, &mut |d, e| q.push_after(d, e));
+        link.request(q.now(), 2000, 1, &mut |d, e| q.push_after(d, e));
         // The queued transfer is not busy time until it starts.
         let first = PcieConfig::gen2_x8().transfer_time(1000).as_ns();
         assert_eq!(link.stats().busy_ns.get(), first);

@@ -1,10 +1,9 @@
 //! The device core: command fetch, firmware charging, data paths.
 
 use recssd_flash::PageOracle;
-use recssd_ftl::{FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId};
+use recssd_ftl::{FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted};
 use recssd_nvme::{
     CmdData, NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PcieEvent, PcieLink, QueuePair,
-    XferId,
 };
 use recssd_sim::stats::Counter;
 use recssd_sim::{IdMap, PageImage, SimDuration, SimTime};
@@ -117,17 +116,11 @@ pub struct SsdDevice<X: NdpEngine = NoNdp> {
     queues: Vec<QueuePair>,
     ext: X,
     /// Conventional commands in flight, by the device's own fetch counter
-    /// (the host's `(qid, cid)` lives in the state), which is also the
-    /// firmware tag a command's processing charge carries; the maps below
-    /// point into it.
+    /// (the host's `(qid, cid)` lives in the state), which is also the tag
+    /// all of a command's work carries: its processing charge, page reads
+    /// and writes, and its DMA.
     cmds: IdMap<u64, CmdState>,
     next_cmd: u64,
-    /// A pending page read: its command and the page's index in it.
-    read_reqs: IdMap<ReqId, (u64, u32)>,
-    write_reqs: IdMap<ReqId, u64>,
-    /// A command's DMA in flight: a read's data out or a write's payload
-    /// in, told apart by the command's opcode.
-    dma: IdMap<XferId, u64>,
     /// Free-list of recycled flat transfer buffers: NDP result blocks
     /// and command payloads (see [`SsdDevice::recycle_buffer`]).
     host_buf_pool: Vec<Vec<u8>>,
@@ -167,9 +160,6 @@ impl<X: NdpEngine> SsdDevice<X> {
             ext,
             cmds: IdMap::new(),
             next_cmd: 0,
-            read_reqs: IdMap::new(),
-            write_reqs: IdMap::new(),
-            dma: IdMap::new(),
             host_buf_pool: Vec::new(),
             page_list_pool: Vec::new(),
             ftl_scratch: Vec::new(),
@@ -378,23 +368,23 @@ impl<X: NdpEngine> SsdDevice<X> {
                     let c = self.track(qid, cmd, nlb, pages);
                     let dur = self.config.fw_command_time(nlb);
                     let fw = &mut |d, e| sched(d, SsdEvent::Ftl(e));
-                    self.ftl.charge_firmware(now, dur, FwTag(c), cause, fw);
+                    self.ftl.charge(now, None, dur, FwTag(c), cause, fw);
                 }
                 NvmeOpcode::Write => {
                     self.stats.write_commands.inc();
                     self.stats.blocks_written.add(cmd.nlb as u64);
                     let bytes = cmd.payload_len();
                     let c = self.track(qid, cmd, 0, Vec::new());
-                    let xfer = self
-                        .pcie
-                        .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-                    self.dma.insert(xfer, c);
+                    self.pcie
+                        .request(now, bytes, c, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
                 }
             }
         }
     }
 
-    /// Processes one device event.
+    /// Processes one device event. An FTL outcome or a finished DMA goes
+    /// by its tag: to the NDP engine when [`EXT_TAG_BIT`] is set, else to
+    /// the conventional command the tag names.
     pub fn handle(
         &mut self,
         now: SimTime,
@@ -417,10 +407,14 @@ impl<X: NdpEngine> SsdDevice<X> {
                 self.ftl_scratch = outcomes;
             }
             SsdEvent::Pcie(pev) => {
-                let xfer = self
+                let tag = self
                     .pcie
                     .handle(now, pev, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-                self.dispatch_pcie(now, xfer, sched);
+                if tag & EXT_TAG_BIT != 0 {
+                    self.in_engine(now, sched, |ext, ctx| ext.on_pcie_done(ctx, tag));
+                } else {
+                    self.on_dma_done(now, tag, sched);
+                }
             }
         }
     }
@@ -431,19 +425,21 @@ impl<X: NdpEngine> SsdDevice<X> {
         outcome: FtlOutcome,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
+        let c = outcome.tag().0;
+        if c & EXT_TAG_BIT != 0 {
+            self.in_engine(now, sched, |ext, ctx| ext.on_ftl_outcome(ctx, outcome));
+            return;
+        }
+        let st = self.cmds.get_mut(&c).expect("command state");
         match outcome {
-            FtlOutcome::FwTaskDone { tag } if self.cmds.contains_key(&tag.0) => {
-                self.on_command_processed(now, tag.0, sched);
-            }
-            FtlOutcome::ReadDone { req, data, .. } if self.read_reqs.contains_key(&req) => {
-                let (c, page_idx) = self.read_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&c).expect("command state");
+            FtlOutcome::FwTaskDone { .. } => self.on_command_processed(now, c, sched),
+            FtlOutcome::ReadDone { lpn, data, .. } => {
                 // The command holds the FTL's image itself until the host
                 // hands it back; a failed command has no reader for it.
                 let spare = if st.failed {
                     data
                 } else {
-                    std::mem::replace(&mut st.pages[page_idx as usize], data)
+                    std::mem::replace(&mut st.pages[(lpn.0 - st.cmd.slba) as usize], data)
                 };
                 self.ftl.recycle_page_image(spare);
                 st.pages_left -= 1;
@@ -455,27 +451,18 @@ impl<X: NdpEngine> SsdDevice<X> {
                     }
                 }
             }
-            FtlOutcome::ReadFailed { req, .. } if self.read_reqs.contains_key(&req) => {
-                let (c, _) = self.read_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&c).expect("command state");
+            FtlOutcome::ReadFailed { .. } => {
                 st.failed = true;
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
                     self.fail_read_cmd(c);
                 }
             }
-            FtlOutcome::WriteDone { req, .. } if self.write_reqs.contains_key(&req) => {
-                let c = self.write_reqs.remove(&req).expect("checked above");
-                let st = self.cmds.get_mut(&c).expect("command state");
+            FtlOutcome::WriteDone { .. } => {
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
                     self.complete_cmd(c, NvmeStatus::Success);
                 }
-            }
-            other => {
-                let claimed =
-                    self.in_engine(now, sched, |ext, ctx| ext.on_ftl_outcome(ctx, &other));
-                assert!(claimed, "orphan FTL outcome: {other:?}");
             }
         }
     }
@@ -487,20 +474,16 @@ impl<X: NdpEngine> SsdDevice<X> {
         c: u64,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        let st = self.cmds.get(&c).expect("command state");
+        let st = self.cmds.get_mut(&c).expect("command state");
+        let (slba, nlb) = (st.cmd.slba, st.cmd.nlb);
         match st.cmd.opcode {
             NvmeOpcode::Read => {
-                let (slba, nlb, cause) = (st.cmd.slba, st.cmd.nlb, st.cmd.cause);
-                let Self {
-                    ftl,
-                    cmds,
-                    read_reqs,
-                    ..
-                } = self;
-                let st = cmds.get_mut(&c).expect("command state");
+                let cause = st.cmd.cause;
                 for i in 0..nlb {
-                    let started = ftl
-                        .read_page_for(now, Lpn(slba + i as u64), cause, &mut |d, e| {
+                    let lpn = Lpn(slba + i as u64);
+                    let started = self
+                        .ftl
+                        .read_page_for(now, lpn, FwTag(c), cause, &mut |d, e| {
                             sched(d, SsdEvent::Ftl(e))
                         })
                         .expect("validated range");
@@ -511,9 +494,8 @@ impl<X: NdpEngine> SsdDevice<X> {
                         }
                         // The slot already holds the shared zero image.
                         ReadStarted::Unmapped => st.pages_left -= 1,
-                        ReadStarted::Pending(req) => {
-                            read_reqs.insert(req, (c, i));
-                        }
+                        // Its completion finds slot `lpn − slba` by the tag.
+                        ReadStarted::Pending(_) => {}
                     }
                 }
                 if st.pages_left == 0 {
@@ -521,29 +503,20 @@ impl<X: NdpEngine> SsdDevice<X> {
                 }
             }
             NvmeOpcode::Write => {
-                let slba = st.cmd.slba;
-                let nlb = st.cmd.nlb;
                 let page_bytes = self.config.block_bytes();
-                let Self {
-                    ftl,
-                    cmds,
-                    write_reqs,
-                    ..
-                } = self;
-                let st = cmds.get_mut(&c).expect("command state");
                 let payload = st.cmd.payload.as_deref().unwrap_or_default();
                 for i in 0..nlb {
                     let start = (i as usize * page_bytes).min(payload.len());
                     let end = ((i as usize + 1) * page_bytes).min(payload.len());
-                    let req = ftl
+                    self.ftl
                         .write_page(
                             now,
                             Lpn(slba + i as u64),
                             &payload[start..end],
+                            FwTag(c),
                             &mut |d, e| sched(d, SsdEvent::Ftl(e)),
                         )
                         .expect("validated range");
-                    write_reqs.insert(req, c);
                 }
                 st.pages_left = nlb;
             }
@@ -566,47 +539,37 @@ impl<X: NdpEngine> SsdDevice<X> {
     ) {
         // The link moves whole logical blocks however the host maps them.
         let bytes = self.cmds[&c].cmd.nlb as usize * self.config.block_bytes();
-        let xfer = self
-            .pcie
-            .request(now, bytes, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
-        self.dma.insert(xfer, c);
+        self.pcie
+            .request(now, bytes, c, &mut |d, e| sched(d, SsdEvent::Pcie(e)));
     }
 
-    fn dispatch_pcie(
-        &mut self,
-        now: SimTime,
-        xfer: XferId,
-        sched: &mut dyn FnMut(SimDuration, SsdEvent),
-    ) {
-        if let Some(c) = self.dma.remove(&xfer) {
-            let cmd = &self.cmds[&c].cmd;
-            match cmd.opcode {
-                NvmeOpcode::Read => {
-                    let st = self.cmds.remove(&c).expect("command state");
-                    self.queues[st.qid as usize].complete(NvmeCompletion::success(
-                        st.cmd.cid,
-                        Some(CmdData::Pages(st.pages)),
-                    ));
-                }
-                NvmeOpcode::Write => {
-                    let dur = self.config.fw_command_time(cmd.nlb);
-                    let fw = &mut |d, e| sched(d, SsdEvent::Ftl(e));
-                    self.ftl.charge_firmware(now, dur, FwTag(c), cmd.cause, fw);
-                }
+    /// Continues command `c` once its DMA finishes: a read's data went out,
+    /// a write's payload came in (told apart by the opcode).
+    fn on_dma_done(&mut self, now: SimTime, c: u64, sched: &mut dyn FnMut(SimDuration, SsdEvent)) {
+        let cmd = &self.cmds[&c].cmd;
+        match cmd.opcode {
+            NvmeOpcode::Read => {
+                let st = self.cmds.remove(&c).expect("command state");
+                self.queues[st.qid as usize].complete(NvmeCompletion::success(
+                    st.cmd.cid,
+                    Some(CmdData::Pages(st.pages)),
+                ));
             }
-            return;
+            NvmeOpcode::Write => {
+                let dur = self.config.fw_command_time(cmd.nlb);
+                let fw = &mut |d, e| sched(d, SsdEvent::Ftl(e));
+                self.ftl.charge(now, None, dur, FwTag(c), cmd.cause, fw);
+            }
         }
-        let claimed = self.in_engine(now, sched, |ext, ctx| ext.on_pcie_done(ctx, xfer));
-        assert!(claimed, "orphan PCIe transfer: {xfer:?}");
     }
 
     /// Runs `f` on the NDP engine with the device context it works in.
-    fn in_engine<R>(
+    fn in_engine(
         &mut self,
         now: SimTime,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
-        f: impl FnOnce(&mut X, &mut DeviceCtx<'_>) -> R,
-    ) -> R {
+        f: impl FnOnce(&mut X, &mut DeviceCtx<'_>),
+    ) {
         let Self {
             ftl,
             pcie,

@@ -1,13 +1,17 @@
 //! The firmware-extension hook where NDP engines plug in.
 
 use recssd_ftl::{FtlOutcome, GreedyFtl};
-use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus, PcieLink, QueuePair, XferId};
+use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus, PcieLink, QueuePair};
 use recssd_sim::{SimDuration, SimTime};
 
 use crate::device::SsdEvent;
 
-/// Firmware tags with this bit set belong to the installed [`NdpEngine`];
-/// the device core never allocates them.
+/// Tags with this bit set belong to the installed [`NdpEngine`]; the
+/// device core never uses them. Every FTL outcome — page read, page write,
+/// firmware task — and every PCIe completion returns the tag its caller
+/// supplied, and the device routes it by this bit alone: set, to
+/// [`NdpEngine::on_ftl_outcome`] / [`NdpEngine::on_pcie_done`]; clear, to
+/// the conventional command whose fetch counter it is.
 pub const EXT_TAG_BIT: u64 = 1 << 63;
 
 /// Mutable view of the device internals handed to an [`NdpEngine`].
@@ -69,22 +73,22 @@ impl DeviceCtx<'_> {
 
 /// A firmware extension handling NDP (spare-bit) commands.
 ///
-/// Implementations receive every NDP-flagged command plus first refusal on
-/// FTL outcomes and PCIe completions that the device core does not
-/// recognise as its own (the core and the engine partition the id spaces:
-/// firmware tags with [`EXT_TAG_BIT`] and any FTL/PCIe ids the engine
-/// started itself).
+/// Implementations receive every NDP-flagged command, and every FTL
+/// outcome and PCIe completion whose tag has [`EXT_TAG_BIT`] set: the
+/// engine tags whatever work it starts — page reads, firmware charges,
+/// DMAs — with that bit, and each completion hands its tag straight back,
+/// so the engine resumes from the tag without a map of ids the callee
+/// minted.
 pub trait NdpEngine {
     /// Handles an NDP command fetched from queue `qid`.
     fn on_ndp_command(&mut self, ctx: &mut DeviceCtx<'_>, qid: u16, cmd: NvmeCommand);
 
-    /// Offers an FTL outcome whose ids the core does not own. Return
-    /// `true` if this engine claims it.
-    fn on_ftl_outcome(&mut self, ctx: &mut DeviceCtx<'_>, outcome: &FtlOutcome) -> bool;
+    /// Handles an FTL outcome whose tag carries [`EXT_TAG_BIT`].
+    fn on_ftl_outcome(&mut self, ctx: &mut DeviceCtx<'_>, outcome: FtlOutcome);
 
-    /// Offers a completed PCIe transfer the core does not own. Return
-    /// `true` if this engine claims it.
-    fn on_pcie_done(&mut self, ctx: &mut DeviceCtx<'_>, xfer: XferId) -> bool;
+    /// Handles a completed PCIe transfer whose tag carries
+    /// [`EXT_TAG_BIT`].
+    fn on_pcie_done(&mut self, ctx: &mut DeviceCtx<'_>, tag: u64);
 
     /// `true` when the engine has no in-flight work (drain condition).
     fn idle(&self) -> bool;
@@ -107,12 +111,12 @@ impl NdpEngine for NoNdp {
         );
     }
 
-    fn on_ftl_outcome(&mut self, _ctx: &mut DeviceCtx<'_>, _outcome: &FtlOutcome) -> bool {
-        false
+    fn on_ftl_outcome(&mut self, _ctx: &mut DeviceCtx<'_>, outcome: FtlOutcome) {
+        unreachable!("a COTS device tags nothing for an engine: {outcome:?}")
     }
 
-    fn on_pcie_done(&mut self, _ctx: &mut DeviceCtx<'_>, _xfer: XferId) -> bool {
-        false
+    fn on_pcie_done(&mut self, _ctx: &mut DeviceCtx<'_>, tag: u64) {
+        unreachable!("a COTS device tags nothing for an engine: {tag:#x}")
     }
 
     fn idle(&self) -> bool {

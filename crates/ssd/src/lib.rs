@@ -16,6 +16,17 @@
 //! completion. A **write** command DMAs the payload in, charges firmware,
 //! and programs pages through the log-structured write path.
 //!
+//! # Completion routing
+//!
+//! Every FTL, firmware and PCIe completion returns the tag its caller
+//! supplied: [`recssd_ftl::FtlOutcome::tag`] for page reads, page writes
+//! and firmware charges, the value [`recssd_nvme::PcieLink::handle`]
+//! returns for DMAs. The device tags all of a conventional command's work
+//! with the command's fetch counter and finds a read page's slot as
+//! `lpn − slba`; the NDP engine tags its own work with [`EXT_TAG_BIT`]
+//! set, and the device routes each completion by that bit alone. No layer
+//! mints an id its caller must map back.
+//!
 //! # One image per page
 //!
 //! The simulator itself moves no page bytes along that path. The flash
