@@ -165,14 +165,21 @@ impl NdpStats {
 /// full key, so it is a miss, never a wrong row.
 #[derive(Debug)]
 struct EmbedCache {
-    /// `(table base, row)` tag per slot; `None` = empty.
-    tags: Vec<Option<(u64, u64)>>,
+    /// `(table base, row)` tag per slot, 16 bytes; an empty slot has the
+    /// base [`EMPTY_SLOT`].
+    tags: Vec<(u64, u64)>,
 }
+
+/// The table base of an empty [`EmbedCache`] slot. No table starts there:
+/// bases are multiples of `table_align`, which
+/// [`RecSsdConfig::validate`](crate::RecSsdConfig::validate) bounds by
+/// 2^63, and lie below the device's logical capacity.
+const EMPTY_SLOT: u64 = u64::MAX;
 
 impl EmbedCache {
     fn new(slots: usize) -> Self {
         EmbedCache {
-            tags: vec![None; slots],
+            tags: vec![(EMPTY_SLOT, 0); slots],
         }
     }
 
@@ -192,7 +199,7 @@ impl EmbedCache {
         if self.tags.is_empty() {
             return false;
         }
-        let hit = self.tags[self.slot(base, row)] == Some((base, row));
+        let hit = self.tags[self.slot(base, row)] == (base, row);
         if hit {
             stats.hit();
         } else {
@@ -202,18 +209,19 @@ impl EmbedCache {
     }
 
     fn insert(&mut self, base: u64, row: u64) {
+        debug_assert_ne!(base, EMPTY_SLOT, "a table base at the empty-slot mark");
         if self.tags.is_empty() {
             return;
         }
         let slot = self.slot(base, row);
-        self.tags[slot] = Some((base, row));
+        self.tags[slot] = (base, row);
     }
 
     /// Empties every slot holding a vector of the table at `base`.
     fn invalidate_table(&mut self, base: u64) {
         for tag in &mut self.tags {
-            if tag.is_some_and(|(b, _)| b == base) {
-                *tag = None;
+            if tag.0 == base {
+                *tag = (EMPTY_SLOT, 0);
             }
         }
     }
@@ -874,7 +882,7 @@ mod tests {
         }
         assert!(c.hit(0, 7, &mut stats));
         c.invalidate_table(0);
-        assert!(c.tags.iter().all(Option::is_none));
+        assert!(c.tags.iter().all(|&(base, _)| base == EMPTY_SLOT));
         assert_eq!(stats.hits(), 1, "invalidation keeps the stats");
         assert_eq!(c.tags.len(), 8, "an emptied cache stays enabled");
     }

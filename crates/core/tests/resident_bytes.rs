@@ -55,3 +55,51 @@ fn a_full_page_cache_of_one_vector_pages_stays_content_sized() {
         "gathering {ROWS} one-vector pages left {grown} B of heap behind"
     );
 }
+
+/// The host LRU's per-key cost: a full 2 048-key cache of `u64` keys and
+/// unit values — the baseline's per-table host cache — holds at most
+/// 28 bytes a key (a 16-byte node and an index at most half full; 66
+/// with a hash map over a slab of optional nodes).
+#[test]
+fn a_full_host_lru_holds_at_most_28_bytes_a_key() {
+    const KEYS: u64 = 2048;
+    let before = live_bytes();
+    let mut cache = recssd_sim::LruCache::new(KEYS as usize);
+    for key in 0..2 * KEYS {
+        cache.insert(key * 7919, ());
+    }
+    assert_eq!(cache.len(), KEYS as usize);
+    let per_key = (live_bytes() - before) as f64 / KEYS as f64;
+    assert!(per_key <= 28.0, "{per_key:.1} B a key");
+}
+
+/// What preloading costs the host: adding 32 tables of 200 000 one-vector
+/// F32 pages (RMC2's tables in `model-zoo`, ≈ 25 000 blocks) to a full-size
+/// Cosmos+ system grows the live heap by at most 64 KB. The flash array
+/// and the FTL keep the preloaded page ranges, not an entry per block
+/// (863 776 B with one write-pointer and one reservation hash entry a
+/// block).
+#[test]
+fn preloading_32_tables_keeps_no_per_block_state() {
+    let mut sys = System::new(RecSsdConfig::cosmos());
+    let page_bytes = sys.config().ssd.block_bytes();
+    let images: Vec<TableImage> = (0..32)
+        .map(|t| {
+            TableImage::new(
+                EmbeddingTable::procedural(TableSpec::new(200_000, 32, Quantization::F32), t),
+                PageLayout::Spread,
+                page_bytes,
+            )
+        })
+        .collect();
+    assert_eq!(images[0].pages(), 200_000, "one vector a page");
+    let before = live_bytes();
+    for image in images {
+        sys.add_table(image);
+    }
+    let grown = live_bytes().saturating_sub(before);
+    assert!(
+        grown <= 64 << 10,
+        "preloading 32 tables grew the heap by {grown} B"
+    );
+}

@@ -241,6 +241,8 @@ pub struct FlashArray {
     dies: Vec<Server<FlashOpId>>,
     channels: Vec<Server<FlashOpId>>,
     store: PageStore,
+    /// The write pointer of every block a program or an erase touched;
+    /// any other block's follows from the preloaded ranges.
     block_write_ptr: FxHashMap<u64, u32>,
     ops: IdMap<FlashOpId, OpState>,
     next_op: u64,
@@ -328,6 +330,13 @@ impl FlashArray {
     /// `pages` and marks the covered blocks as programmed, simulating a
     /// device that was bulk-loaded before the experiment (§5 of the paper
     /// preloads embedding tables onto the OpenSSD the same way).
+    ///
+    /// The array keeps the range (as its content source), not its
+    /// blocks: a covered block's write pointer is one past the last page
+    /// of it any preload covers (see [`FlashArray::next_program_page`]).
+    /// Only blocks that a program or an erase already touched hold an
+    /// explicit pointer, which a preload raises to that value if it is
+    /// lower.
     pub fn preload(&mut self, pages: Range<u64>, oracle: Arc<dyn PageOracle>) {
         let g = self.config.geometry;
         assert!(pages.end <= g.total_pages(), "preload range out of bounds");
@@ -336,10 +345,34 @@ impl FlashArray {
         }
         for last in g.covered_blocks(pages.clone()) {
             let bidx = g.block_index(last.channel, last.die, last.block);
-            let ptr = self.block_write_ptr.entry(bidx).or_insert(0);
-            *ptr = (*ptr).max(last.page + 1);
+            if let Some(ptr) = self.block_write_ptr.get_mut(&bidx) {
+                *ptr = (*ptr).max(last.page + 1);
+            }
         }
         self.store.register_oracle(pages, oracle);
+    }
+
+    /// The write pointer the preloads alone leave `block` on lane
+    /// `(channel, die)` at: one past the last page of it that a preloaded
+    /// range covers, 0 if none does.
+    fn preloaded_write_ptr(&self, channel: u32, die: u32, block: u32) -> u32 {
+        let g = self.config.geometry;
+        let stride = g.channels as u64 * g.dies_per_channel as u64;
+        let ppb = g.pages_per_block as u64;
+        // The lane's pages are `offset + m * stride`; the block's are the
+        // page counters `m` in `block * ppb..(block + 1) * ppb`.
+        let offset = die as u64 * g.channels as u64 + channel as u64;
+        let first = offset + block as u64 * ppb * stride;
+        let last = first + (ppb - 1) * stride;
+        let covered = self.store.oracle_ranges().filter_map(|r| {
+            if r.end <= first || r.start > last {
+                return None;
+            }
+            // The lane's highest page in both the range and the block.
+            let m = (last.min(r.end - 1) - offset) / stride;
+            (offset + m * stride >= r.start).then_some((m % ppb) as u32 + 1)
+        });
+        covered.max().unwrap_or(0)
     }
 
     /// Direct, zero-time access to page contents (for assertions and for
@@ -405,10 +438,16 @@ impl FlashArray {
     }
 
     /// The next page expected by the sequential-program rule for `block`
-    /// on `(channel, die)`.
+    /// on `(channel, die)`: the block's explicit pointer once a program or
+    /// an erase touched it (an erase sets it to 0, a program advances it,
+    /// a later preload raises it), and otherwise one past the last page of
+    /// it the preloaded ranges cover (0 for a block no preload covers).
     pub fn next_program_page(&self, channel: u32, die: u32, block: u32) -> u32 {
         let bidx = self.config.geometry.block_index(channel, die, block);
-        self.block_write_ptr.get(&bidx).copied().unwrap_or(0)
+        match self.block_write_ptr.get(&bidx) {
+            Some(&ptr) => ptr,
+            None => self.preloaded_write_ptr(channel, die, block),
+        }
     }
 
     /// Submits an operation.
@@ -440,16 +479,15 @@ impl FlashArray {
                         page_bytes: g.page_bytes,
                     });
                 }
-                let bidx = g.block_index(ppa.channel, ppa.die, ppa.block);
-                let ptr = self.block_write_ptr.entry(bidx).or_insert(0);
-                if *ptr != ppa.page {
-                    let expected = *ptr;
+                let expected = self.next_program_page(ppa.channel, ppa.die, ppa.block);
+                if expected != ppa.page {
                     return Err(FlashError::ProgramOutOfOrder {
                         ppa,
                         expected_page: expected,
                     });
                 }
-                *ptr += 1;
+                let bidx = g.block_index(ppa.channel, ppa.die, ppa.block);
+                self.block_write_ptr.insert(bidx, expected + 1);
             }
             FlashOp::Erase { ppa } => {
                 if ppa.page != 0 {
@@ -925,6 +963,87 @@ mod tests {
         assert_eq!(flash2.next_program_page(0, 0, 0), 1);
         assert_eq!(flash2.next_program_page(1, 0, 0), 1);
         assert_eq!(flash2.next_program_page(0, 1, 0), 0);
+    }
+
+    proptest::proptest! {
+        /// Preloads kept as page ranges give every block the write
+        /// pointer the per-block rule gives it: a preload raises the
+        /// pointer to one past the last page of the block it covers, a
+        /// program advances it, an erase resets it to 0. The draws include
+        /// overlapping, repeated and adjacent preloads (the last kind
+        /// shares a block with its neighbour), and preloads after erases.
+        #[test]
+        fn write_pointers_follow_the_per_block_rule(
+            ops in proptest::collection::vec((0u8..8, 0u64..256, 0u64..40), 1..160),
+        ) {
+            #[derive(Debug)]
+            struct Zeros;
+            impl PageOracle for Zeros {
+                fn fill_page(&self, _: u64, _: &mut [u8]) {}
+            }
+            let g = crate::FlashGeometry {
+                channels: 2,
+                dies_per_channel: 2,
+                blocks_per_die: 16,
+                pages_per_block: 4,
+                page_bytes: 256,
+            };
+            let timing = crate::FlashTiming::cosmos();
+            let mut flash = FlashArray::new(FlashConfig { geometry: g, timing });
+            let mut q = EventQueue::new();
+            let mut rule: FxHashMap<u64, u32> = FxHashMap::default();
+            let (mut last, mut repeat) = (0..0, 0..0);
+            let blocks: Vec<Ppa> = (0..g.total_blocks())
+                .map(|b| {
+                    let lane = (b / g.blocks_per_die as u64) as u32;
+                    let block = (b % g.blocks_per_die as u64) as u32;
+                    ppa(lane / g.dies_per_channel, lane % g.dies_per_channel, block, 0)
+                })
+                .collect();
+            for (op, a, b) in ops {
+                let block = blocks[a as usize % blocks.len()];
+                let bidx = g.block_index(block.channel, block.die, block.block);
+                match op {
+                    0..=2 => {
+                        let pages = match op {
+                            0 => a..(a + b % 8).min(g.total_pages()),
+                            1 => last.end..(last.end + b).min(g.total_pages()),
+                            _ => repeat.clone(),
+                        };
+                        for end in g.covered_blocks(pages.clone()) {
+                            let bidx = g.block_index(end.channel, end.die, end.block);
+                            let ptr = rule.entry(bidx).or_insert(0);
+                            *ptr = (*ptr).max(end.page + 1);
+                        }
+                        flash.preload(pages.clone(), Arc::new(Zeros));
+                        repeat = if b % 3 == 0 { pages.clone() } else { repeat };
+                        last = pages;
+                    }
+                    3..=5 => {
+                        let page = flash.next_program_page(block.channel, block.die, block.block);
+                        if page < g.pages_per_block {
+                            let at = Ppa { page, ..block };
+                            submit(&mut flash, &mut q, program(at, &[a as u8 | 1]));
+                            drain(&mut flash, &mut q);
+                            rule.insert(bidx, page + 1);
+                        }
+                    }
+                    _ => {
+                        submit(&mut flash, &mut q, FlashOp::Erase { ppa: block });
+                        drain(&mut flash, &mut q);
+                        rule.insert(bidx, 0);
+                    }
+                }
+                for block in &blocks {
+                    let bidx = g.block_index(block.channel, block.die, block.block);
+                    assert_eq!(
+                        flash.next_program_page(block.channel, block.die, block.block),
+                        rule.get(&bidx).copied().unwrap_or(0),
+                        "{block} after op {op}"
+                    );
+                }
+            }
+        }
     }
 
     /// ROADMAP 7(a), "every pool back to inventory at idle", for a pool

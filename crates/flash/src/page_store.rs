@@ -89,6 +89,13 @@ impl PageStore {
         self.oracles.push((pages, oracle));
     }
 
+    /// The linear page ranges an oracle backs. Their union is every page
+    /// ever registered: a registration is dropped only when a later one
+    /// covers it.
+    pub fn oracle_ranges(&self) -> impl Iterator<Item = &Range<u64>> {
+        self.oracles.iter().map(|(r, _)| r)
+    }
+
     /// Stores explicitly written page contents (trailing zeros trimmed).
     pub fn write(&mut self, page_index: u64, data: &[u8]) {
         let trimmed_len = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);

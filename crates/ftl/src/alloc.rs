@@ -151,20 +151,26 @@ impl BlockAllocator {
     /// Withdraws a block from circulation (e.g. because it holds preloaded
     /// data). Reserved blocks are never allocated or GC'd.
     ///
+    /// Reserving is idempotent. A reserved block is simply absent from
+    /// the die's free blocks (never-erased ones are kept as ranges, so a
+    /// reservation costs no per-block entry), not open and not used, so
+    /// reserving it again — two adjacent preloads sharing a block, a
+    /// table slot preloaded anew — finds it in none of them and does
+    /// nothing.
+    ///
     /// # Panics
     ///
-    /// Panics if the block is currently open or already used.
+    /// Panics if the block is currently open or used.
     pub fn reserve(&mut self, channel: u32, die: u32, block: u32) {
         let d = self.die_linear(channel, die);
-        let count = self
-            .erase_counts
-            .get(&self.g.block_index(channel, die, block))
-            .copied()
-            .unwrap_or(0);
-        let removed = self.free[d].remove(count, block);
+        let count = self.erase_count(channel, die, block);
+        if self.free[d].remove(count, block) {
+            return;
+        }
+        let open = self.open[d].is_some_and(|ob| ob.block == block);
         assert!(
-            removed,
-            "reserve of non-free block ch{channel}/die{die}/blk{block}"
+            !open && !self.used[d].contains(&block),
+            "reserve of open or used block ch{channel}/die{die}/blk{block}"
         );
     }
 
@@ -379,10 +385,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-free block")]
-    fn double_reserve_panics() {
+    fn reserving_again_is_a_no_op() {
         let mut a = BlockAllocator::new(small());
-        a.reserve(0, 0, 0);
+        a.reserve(0, 0, 1);
+        a.reserve(0, 0, 1);
+        assert_eq!(a.free_blocks_in_die(0), 3);
+        let opened: Vec<u32> = (0..12).map(|_| a.alloc_in_die(0).unwrap().block).collect();
+        assert!(
+            !opened.contains(&1),
+            "a reserved block was opened: {opened:?}"
+        );
+        assert_eq!(a.alloc_in_die(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "open or used block")]
+    fn reserving_an_open_block_panics() {
+        let mut a = BlockAllocator::new(small());
+        let p = a.alloc_in_die(0).unwrap();
+        a.reserve(0, 0, p.block);
+    }
+
+    #[test]
+    #[should_panic(expected = "open or used block")]
+    fn reserving_a_used_block_panics() {
+        let mut a = BlockAllocator::new(small());
+        for _ in 0..4 {
+            a.alloc_in_die(0).unwrap();
+        }
         a.reserve(0, 0, 0);
     }
 

@@ -9,7 +9,7 @@ use recssd_flash::{
 };
 use recssd_obs::trace::{track, SpanId, Tracer};
 use recssd_sim::stats::{Counter, HitStats};
-use recssd_sim::{FxHashMap, FxHashSet, IdMap, LruCache, PageImage, Server, SimDuration, SimTime};
+use recssd_sim::{FxHashMap, IdMap, LruCache, PageImage, Server, SimDuration, SimTime};
 
 use crate::{BlockAllocator, EnginePoolConfig, FtlConfig, FwTag, Lpn, MappingTable};
 
@@ -213,7 +213,6 @@ pub struct GreedyFtl {
     engines: Vec<Server<(FwTag, u64)>>,
     pending: IdMap<FlashOpId, Pending>,
     gc_jobs: FxHashMap<usize, GcJob>,
-    reserved: FxHashSet<u64>,
     stats: FtlStats,
     /// Sim-time span tracer (disabled by default: every emission is a
     /// no-op `None` check until [`GreedyFtl::set_tracer`] installs a sink).
@@ -241,7 +240,6 @@ impl GreedyFtl {
                 .collect(),
             pending: IdMap::new(),
             gc_jobs: FxHashMap::default(),
-            reserved: FxHashSet::default(),
             stats: FtlStats::default(),
             tracer: Tracer::disabled(),
             config,
@@ -428,11 +426,17 @@ impl GreedyFtl {
     /// Installs a preloaded, identity-mapped region backed by `oracle`
     /// (used to bulk-load embedding tables; mirrors §5's preloading of
     /// tables onto the OpenSSD). The covered physical blocks are reserved:
-    /// never allocated for writes, never garbage collected.
+    /// never allocated for writes, never garbage collected. Nothing here
+    /// is kept per block: the flash array keeps the page range and derives
+    /// a covered block's write pointer from it, and the allocator's free
+    /// ranges already exclude a reserved block, so a block that two
+    /// adjacent preloads share, or a region preloaded again, is reserved
+    /// once.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the logical capacity.
+    /// Panics if the range exceeds the logical capacity, or if it covers
+    /// a block that holds written data (open, full, or being collected).
     pub fn preload(&mut self, start: Lpn, pages: u64, oracle: Arc<dyn PageOracle>) {
         let end = start.0 + pages;
         assert!(
@@ -443,15 +447,13 @@ impl GreedyFtl {
         let range = start.0..end;
         self.flash.preload(range.clone(), oracle);
         self.map.add_identity_range(range.clone());
-        // Reserve every covered block. A block may be shared by two
-        // adjacent preloads; reserve it only once.
         for last in g.covered_blocks(range) {
-            if self
-                .reserved
-                .insert(g.block_index(last.channel, last.die, last.block))
-            {
-                self.alloc.reserve(last.channel, last.die, last.block);
-            }
+            let collecting = self.gc_jobs.get(&self.die_linear(last));
+            assert!(
+                collecting.is_none_or(|job| job.victim != last.block),
+                "preload over block {last} under garbage collection"
+            );
+            self.alloc.reserve(last.channel, last.die, last.block);
         }
     }
 

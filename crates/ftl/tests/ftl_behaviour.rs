@@ -371,6 +371,74 @@ fn adjacent_preloads_share_boundary_blocks() {
     assert_eq!(h.read_sync(15)[0], 15);
 }
 
+/// Preloaded blocks are reserved by their ranges alone: two adjacent
+/// regions that share boundary blocks, one of them preloaded again with
+/// new contents (a table slot re-bound), stay out of the allocator
+/// through enough churn to make GC relocate pages. No write lands on a
+/// preloaded block — each keeps the write pointer its preloads gave it,
+/// was never erased and never filled — and every preloaded page still
+/// reads its oracle's bytes.
+#[test]
+fn preloaded_blocks_stay_out_of_the_allocator_through_gc() {
+    #[derive(Debug)]
+    struct Salted(u64);
+    impl PageOracle for Salted {
+        fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+            out[..8].copy_from_slice(&(page_index ^ self.0).to_le_bytes());
+        }
+    }
+    let cfg = FtlConfig::cosmos_small();
+    let g = cfg.flash.geometry;
+    let mut h = Harness::new(cfg);
+    // 300 is not a multiple of the 4-lane stride times 16 pages a block,
+    // so the two regions share a block on every lane.
+    let (a, b) = (0..300u64, 300..700u64);
+    h.ftl
+        .preload(Lpn(a.start), a.end - a.start, Arc::new(Salted(0xA)));
+    h.ftl
+        .preload(Lpn(b.start), b.end - b.start, Arc::new(Salted(0xB)));
+    h.ftl
+        .preload(Lpn(b.start), b.end - b.start, Arc::new(Salted(0xC)));
+    let salt = |lpn: u64| if a.contains(&lpn) { 0xA } else { 0xC };
+    let preloaded: Vec<_> = g.covered_blocks(a.start..b.end).collect();
+    assert!(preloaded.len() > 4, "the regions cover whole blocks too");
+
+    let mut shadow: HashMap<u64, u64> = HashMap::new();
+    for i in 0..6000u64 {
+        let lpn = if i % 8 == 0 {
+            1_000 + i / 8
+        } else {
+            1_000 - 192 + (i * 7) % 192
+        };
+        h.write(lpn, payload(i));
+        shadow.insert(lpn, i);
+        h.drain();
+    }
+    assert!(h.ftl.stats().gc_relocated_pages.get() > 0, "no GC ran");
+
+    let alloc = h.ftl.allocator();
+    for last in &preloaded {
+        let die = (last.channel * g.dies_per_channel + last.die) as usize;
+        assert_eq!(
+            h.ftl
+                .flash()
+                .next_program_page(last.channel, last.die, last.block),
+            last.page + 1,
+            "a write landed on preloaded block {last}"
+        );
+        assert_eq!(alloc.erase_count(last.channel, last.die, last.block), 0);
+        assert!(!alloc.used_blocks_in_die(die).contains(&last.block));
+    }
+    h.ftl.drop_caches();
+    for lpn in a.start..b.end {
+        let want = lpn ^ salt(lpn);
+        assert_eq!(&h.read_sync(lpn)[..8], &want.to_le_bytes(), "lpn {lpn}");
+    }
+    for (&lpn, &want) in &shadow {
+        assert_eq!(&h.read_sync(lpn)[..8], &want.to_le_bytes(), "lpn {lpn}");
+    }
+}
+
 #[test]
 fn firmware_tasks_serialise_fifo() {
     let mut h = Harness::new(FtlConfig::cosmos_small());

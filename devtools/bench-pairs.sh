@@ -38,18 +38,8 @@ work=${BENCH_PAIRS_DIR:-$(mktemp -d)}
 seconds=${BENCH_SECONDS:-$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")}
 echo "work directory: $work"
 
-rm -rf "$work/parent" "$work/change"
-mkdir -p "$work/parent" "$work/change"
-git -C "$root" archive "$parent_ref" | tar -x -C "$work/parent"
-(cd "$root" && git ls-files -co --exclude-standard -z | xargs -0 tar -cf - --no-recursion) |
-    tar -x -C "$work/change"
-
-for side in parent change; do
-    echo "building $side"
-    CARGO_TARGET_DIR="$work/target-$side" cargo build --release --quiet --offline \
-        --manifest-path "$work/$side/benchmark/Cargo.toml"
-    mkdir -p "$work/run-$side"
-done
+. "$root/devtools/build-sides.sh"
+build_sides "$root" "$work" "$parent_ref"
 
 cpu_run() { # <cpu-file> <command...>: runs the command, writes the CPU seconds it used
     python3 -c '
